@@ -38,6 +38,7 @@ from .kernels import (
 )
 from .resolvent import b_profile, recover_second_weyl
 from .torus import (
+    TorusModel,
     assemble_and_solve,
     build_model,
     build_mollifier,
@@ -72,7 +73,6 @@ class RunConfig:
     out_dir: str = "."
     cross_rel_tol: float = 1e-4
     b1_rel_tol: float = 1e-6
-    fit_rel_tol: float = 0.15
     gn_orders: tuple = (2, 3, 4, 5)
     gn_angles: tuple = (
         math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3, 5 * math.pi / 6,
@@ -82,9 +82,11 @@ class RunConfig:
         return self.mu_hi if self.mu_hi > 0 else 0.6 * self.truncation
 
     def canonical_text(self) -> str:
+        """Every setting that shapes the results; the output directory does not."""
         pairs = []
         for key in sorted(vars(self)):
-            pairs.append(f"{key}={vars(self)[key]!r}")
+            if key != "out_dir":
+                pairs.append(f"{key}={vars(self)[key]!r}")
         return "\n".join(pairs)
 
     def digest(self) -> str:
@@ -190,8 +192,6 @@ def apply_settings(cfg: RunConfig, settings: dict) -> RunConfig:
             cfg.cross_rel_tol = float(value)
         elif key == "tolerance.b1_rel":
             cfg.b1_rel_tol = float(value)
-        elif key == "tolerance.fit_rel":
-            cfg.fit_rel_tol = float(value)
         elif key == "gn.orders":
             cfg.gn_orders = tuple(int(v) for v in value.split(","))
         elif key == "gn.angles":
@@ -249,15 +249,9 @@ def write_csv(path: str, header: list, rows: list, cfg: RunConfig) -> None:
         raise
 
 
-def _model_fields(cfg: RunConfig):
-    model = build_model(cfg.model, cfg.model_params)
-    lead, sub = model.symbol_fields()
-    return model, lead, sub
-
-
-def run_direct(cfg: RunConfig) -> list:
+def run_direct(cfg: RunConfig, model: TorusModel) -> list:
     """Direct pipeline; returns summary lines, writes weyl_coefficients.csv."""
-    _, lead, sub = _model_fields(cfg)
+    lead, sub = model.symbol_fields()
     quad = CosphereQuadrature(n_angles=cfg.n_angles)
     rows = []
     summary = []
@@ -286,13 +280,13 @@ def run_direct(cfg: RunConfig) -> list:
     return summary
 
 
-def run_resolvent(cfg: RunConfig) -> tuple:
+def run_resolvent(cfg: RunConfig, model: TorusModel) -> tuple:
     """Recovery pipeline; writes resolvent_recovery.csv.
 
     Returns (summary lines, per-point dict with recovered values and the
     direct comparison, max b1 deviation).
     """
-    _, lead, sub = _model_fields(cfg)
+    lead, sub = model.symbol_fields()
     quad = CosphereQuadrature(n_angles=cfg.n_angles)
     rows = []
     summary = []
@@ -339,9 +333,8 @@ def run_resolvent(cfg: RunConfig) -> tuple:
     return summary, comparisons, max_b1_dev
 
 
-def run_spectral(cfg: RunConfig) -> tuple:
+def run_spectral(cfg: RunConfig, model: TorusModel) -> tuple:
     """Ground-truth pipeline; writes spectral_fit.csv."""
-    model, lead, sub = _model_fields(cfg)
     moll = build_mollifier(cfg.mollifier_support)
     spectrum = assemble_and_solve(model, cfg.truncation, cfg.budget)
     mu_hi = min(cfg.resolved_mu_hi(), spectrum.trusted_max)
@@ -396,9 +389,9 @@ class ToleranceFailure(Exception):
     """Verification comparisons exceeded configured tolerances."""
 
 
-def run_verify(cfg: RunConfig) -> list:
+def run_verify(cfg: RunConfig, model: TorusModel) -> list:
     """Cross-pipeline verification at configured tolerances."""
-    summary, comparisons, max_b1_dev = run_resolvent(cfg)
+    summary, comparisons, max_b1_dev = run_resolvent(cfg, model)
     failures = []
     for comp in comparisons:
         scale = max(abs(comp["direct"]), 1e-12)
@@ -484,9 +477,6 @@ def config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    if "THREADS" in os.environ:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, os.environ["THREADS"])
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "models":
@@ -500,10 +490,15 @@ def main(argv=None) -> int:
         return 1
     try:
         summary: list = []
+        needs_model = args.command in ("verify", "resolvent") or (
+            args.command == "compute" and cfg.pipeline != "gn-check"
+        )
+        # one registration per invocation, shared by every pipeline it runs
+        model = build_model(cfg.model, cfg.model_params) if needs_model else None
         if args.command == "verify":
-            summary.extend(run_verify(cfg))
+            summary.extend(run_verify(cfg, model))
         elif args.command == "resolvent":
-            lines, _, _ = run_resolvent(cfg)
+            lines, _, _ = run_resolvent(cfg, model)
             summary.extend(lines)
         elif args.command == "gn-check":
             lines, _ = run_gn_check(cfg)
@@ -511,12 +506,12 @@ def main(argv=None) -> int:
         else:  # compute
             pipeline = cfg.pipeline
             if pipeline in ("direct", "all"):
-                summary.extend(run_direct(cfg))
+                summary.extend(run_direct(cfg, model))
             if pipeline in ("resolvent", "all"):
-                lines, _, _ = run_resolvent(cfg)
+                lines, _, _ = run_resolvent(cfg, model)
                 summary.extend(lines)
             if pipeline in ("spectral", "all"):
-                lines, _ = run_spectral(cfg)
+                lines, _ = run_spectral(cfg, model)
                 summary.extend(lines)
             if pipeline == "gn-check":
                 lines, _ = run_gn_check(cfg)

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from .errors import (
@@ -36,7 +35,7 @@ from .errors import (
     UnknownModel,
     WindowViolation,
 )
-from .symbols import SymbolField, require_hermitian
+from .symbols import HERMITICITY_TOL, SymbolField
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -268,21 +267,37 @@ def registration_check(
 
     Scans a grid in the first chart coordinate crossed with cosphere angles
     and returns (min |eigenvalue|, min gap) over the grid, both at |xi| = 1.
-    Raises :class:`EllipticityViolation` when either margin is too small.
+    The coefficient fields are evaluated once per grid position and
+    broadcast over the angles, each position's symbols are checked and
+    symmetrised together, and the whole grid goes through one stacked
+    eigensolve.  Raises
+    :class:`NotHermitian` when a sampled symbol fails the
+    ``HERMITICITY_TOL * max(1, |A|)`` rule and
+    :class:`EllipticityViolation` when either margin is too small.
     """
-    lead = model.leading_symbol()
     xs = 2.0 * math.pi * np.arange(n_x) / n_x
     thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    min_abs = math.inf
-    min_gap = math.inf
-    for x1 in xs:
+    xi = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    m = model.dim
+    symbols = np.zeros((n_x, n_theta, m, m), dtype=complex)
+    # one chart position at a time: all angles at once, while the
+    # temporaries stay a small fraction of the stacked symbol array
+    for row, x1 in zip(symbols, xs):
         x = np.array([x1, 0.0])
-        for th in thetas:
-            xi = np.array([math.cos(th), math.sin(th)])
-            vals = np.linalg.eigvalsh(require_hermitian(lead.evaluator(x, xi)))
-            min_abs = min(min_abs, float(np.min(np.abs(vals))))
-            if vals.size > 1:
-                min_gap = min(min_gap, float(np.min(np.diff(vals))))
+        for alpha, fld in enumerate(model.coefficients):
+            row += fld.value(x) * xi[:, alpha, None, None]
+        skew = row - row.conj().swapaxes(-1, -2)
+        defect = np.max(np.abs(skew), axis=(-2, -1))
+        scale = np.maximum(1.0, np.max(np.abs(row), axis=(-2, -1)))
+        if np.any(defect > HERMITICITY_TOL * scale):
+            raise NotHermitian(
+                f"model {model.name}: sampled symbol Hermiticity defect "
+                f"{np.max(defect):.3e} exceeds {HERMITICITY_TOL:.1e}"
+            )
+        row -= 0.5 * skew  # = (A + A^H) / 2
+    vals = np.linalg.eigvalsh(symbols)
+    min_abs = float(np.min(np.abs(vals)))
+    min_gap = float(np.min(np.diff(vals, axis=-1))) if m > 1 else math.inf
     if min_abs < ELLIPTICITY_MARGIN:
         raise EllipticityViolation(
             f"model {model.name}: sampled eigenvalue magnitude {min_abs:.3e} "
@@ -478,23 +493,37 @@ def _bump(s: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bump_integral(v: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Integral of the standard bump over [-1, 2v - 1], for 0 <= v <= 1/2."""
+    s = -1.0 + np.multiply.outer(v, 1.0 + nodes)
+    return (_bump(s) @ weights) * v
+
+
 @lru_cache(maxsize=None)
-def _bump_norm() -> float:
-    val, _ = quad(lambda s: float(_bump(np.array(s))), -1.0, 1.0,
-                  epsabs=1e-14, epsrel=1e-13)
-    return val
+def _step_rule() -> tuple:
+    """Nodes, weights and bump norm of the one rule behind every step value.
+
+    The bump is flat to all orders at -1, so 80 Gauss-Legendre nodes reach
+    the roundoff floor: on the half-support intervals used by
+    :func:`bump_step`, 160 nodes move no step value by more than 4e-16
+    (40 nodes would still be 9e-12 off).  Built on first use, so runs
+    without a mollifier never pay for it.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(80)
+    norm = 2.0 * float(_bump_integral(np.array(0.5), nodes, weights))
+    return nodes, weights, norm
 
 
-@lru_cache(maxsize=4096)
-def _step_scalar(u: float) -> float:
-    """Integrated standard bump, 0 at u <= 0, 1 at u >= 1, smooth between."""
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    val, _ = quad(lambda s: float(_bump(np.array(s))), -1.0, 2.0 * u - 1.0,
-                  epsabs=1e-14, epsrel=1e-12)
-    return val / _bump_norm()
+def bump_step(u) -> np.ndarray:
+    """Integrated standard bump, 0 at u <= 0, 1 at u >= 1, smooth between.
+
+    Vectorised over u.  Uses step(u) = 1 - step(1 - u) above u = 1/2, so
+    every integral runs over at most half of the bump's support.
+    """
+    nodes, weights, norm = _step_rule()
+    u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+    lower = _bump_integral(np.minimum(u, 1.0 - u), nodes, weights) / norm
+    return np.where(u > 0.5, 1.0 - lower, lower)
 
 
 def plateau_transform(t, support: float):
@@ -504,28 +533,62 @@ def plateau_transform(t, support: float):
     out = np.zeros_like(a)
     out[a <= support / 2.0] = 1.0
     mid = (a > support / 2.0) & (a < support)
-    out[mid] = np.array(
-        [_step_scalar(round(float(u), 12)) for u in 2.0 * (support - a[mid]) / support]
-    )
+    out[mid] = bump_step(2.0 * (support - a[mid]) / support)
     return out if np.ndim(t) else float(out[0])
+
+
+def _symmetric_grid(extent: float, spacing: float) -> np.ndarray:
+    """spacing * (-n, ..., n) with n = round(extent / spacing)."""
+    n = round(extent / spacing)
+    return spacing * np.arange(-n, n + 1)
+
+
+# Rows of cos(nu t) per block: 512 x 6001 doubles is 25 MB.
+_TRANSFORM_ROWS = 512
+
+
+def _even_transform(grid: np.ndarray, t: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """(1/pi) sum_k band_k cos(nu t_k) at every nu of a symmetric grid.
+
+    The transform is even in nu, so only the nonnegative half is computed
+    and then mirrored; it runs in row blocks to bound the temporaries.
+    """
+    half = grid[grid.size // 2:]
+    vals = np.empty_like(half)
+    for i in range(0, half.size, _TRANSFORM_ROWS):
+        phase = np.outer(half[i:i + _TRANSFORM_ROWS], t)
+        np.cos(phase, out=phase)
+        vals[i:i + _TRANSFORM_ROWS] = phase @ band / math.pi
+    return np.concatenate([vals[:0:-1], vals])
 
 
 @dataclass(frozen=True)
 class Mollifier:
     """Sampled mollifier: inverse transform of a compactly supported plateau.
 
-    ``grid``/``samples`` hold the realized function on a uniform grid wide
-    enough for moment verification; evaluation uses a cubic spline on the
-    fine core.  Moments are verified through the reconstructed transform of
-    the samples (uniform-grid summation is alias-free below the band limit),
-    which is the numerically well-posed face of the vanishing-moment
-    property.
+    Evaluation uses a cubic spline on the fine core.  ``grid``/``samples``
+    hold the realized function on a uniform grid wide enough for moment
+    verification; they are built on first access, since only the moment
+    checks read them.  Moments are verified through the reconstructed
+    transform of the samples (uniform-grid summation is alias-free below
+    the band limit), which is the numerically well-posed face of the
+    vanishing-moment property.
     """
 
     support: float
-    grid: np.ndarray
-    samples: np.ndarray
-    _spline: CubicSpline = field(repr=False, default=None)
+    _t: np.ndarray = field(repr=False)
+    _band: np.ndarray = field(repr=False)
+    _spline: CubicSpline = field(repr=False)
+    moment_max: float = 2500.0
+    moment_spacing: float = 0.25
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        return _symmetric_grid(self.moment_max, self.moment_spacing)
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        return _even_transform(self.grid, self._t, self._band)
 
     def __call__(self, nu) -> np.ndarray:
         nu = np.asarray(nu, dtype=float)
@@ -595,10 +658,11 @@ def build_mollifier(
     """Build the mollifier for a given band support.
 
     Raises :class:`SupportTooLarge` when the support is not below 2 pi (the
-    shortest closed trajectory on the unit-speed torus).  The sample grid
-    combines a fine core (for evaluation) and a wide uniform grid (for the
-    moment contract); both come from one accurate cosine transform of the
-    plateau.
+    shortest closed trajectory on the unit-speed torus).  The fine core (for
+    evaluation) is sampled here; the wide uniform moment grid (for the
+    moment contract) is sampled on first use.  Both come from one accurate
+    cosine transform of the plateau, and both grids are symmetric
+    multiples of their spacing.
     """
     if support <= 0.0:
         raise ValueError("support must be positive")
@@ -611,21 +675,16 @@ def build_mollifier(
     w[0] *= 0.5
     w[-1] *= 0.5
     band = plateau_transform(t, support) * w
-
-    def transform(nu: np.ndarray) -> np.ndarray:
-        out = np.empty_like(nu)
-        for i in range(0, nu.size, 4096):
-            blk = nu[i:i + 4096]
-            out[i:i + 4096] = np.cos(np.outer(np.abs(blk), t)) @ band / math.pi
-        return out
-
-    grid = np.arange(-moment_max, moment_max + moment_spacing / 2.0, moment_spacing)
-    samples = transform(grid)
-    core = np.arange(-core_max, core_max + core_spacing / 2.0, core_spacing)
-    core_samples = transform(core)
-    spline = CubicSpline(core, core_samples)
-    moll = Mollifier(support=support, grid=grid, samples=samples, _spline=spline)
-    return moll
+    core = _symmetric_grid(core_max, core_spacing)
+    spline = CubicSpline(core, _even_transform(core, t, band))
+    return Mollifier(
+        support=support,
+        _t=t,
+        _band=band,
+        _spline=spline,
+        moment_max=moment_max,
+        moment_spacing=moment_spacing,
+    )
 
 
 @lru_cache(maxsize=8)

@@ -115,6 +115,31 @@ def test_byte_identical_reruns(tmp_path):
     assert first == second
 
 
+def test_output_directory_does_not_change_bytes(tmp_path):
+    # the same configuration written to two directories gives the same
+    # files, header digest included
+    names = ("spectral_fit.csv", "gn_check.csv")
+    for sub in ("a", "b"):
+        out = str(tmp_path / sub)
+        assert run_cli(
+            ["compute", "--model", "shifted-dirac", "--beta", "0.3",
+             "--pipeline", "spectral", "-k", "12", "--out", out,
+             "--set", "x_points=(0.3,0.9)"]
+        ) == 0
+        assert run_cli(
+            ["gn-check", "--out", out, "--set", "gn.orders=2",
+             "--set", "gn.angles=0.5"]
+        ) == 0
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_fit_rel_key_removed():
+    # the key was never read; it is now rejected like any unknown key
+    with pytest.raises(ConfigError):
+        apply_settings(RunConfig(), {"tolerance.fit_rel": "0.1"})
+
+
 def test_verify_twisted_passes(tmp_path, capsys):
     code = run_cli(
         ["verify", "--model", "twisted", "--eps", "0.1", "--out", str(tmp_path),

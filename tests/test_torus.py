@@ -17,12 +17,21 @@ from weylsys.errors import (
     BudgetExceeded,
     EllipticityViolation,
     IllConditionedFit,
+    NotHermitian,
     SupportTooLarge,
     UnknownModel,
     WindowViolation,
 )
-from weylsys.symbols import PhasePoint, check_field_contract
-from weylsys.torus import TrigMatrixField, registration_check
+from scipy.integrate import quad
+
+from weylsys.symbols import PhasePoint, check_field_contract, require_hermitian
+from weylsys.torus import (
+    TorusModel,
+    TrigMatrixField,
+    bump_step,
+    plateau_transform,
+    registration_check,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -80,6 +89,45 @@ def test_twisted_registration_margins():
 def test_twisted_large_coupling_rejected():
     with pytest.raises(EllipticityViolation):
         build_model("twisted", {"eps": 0.9})
+
+
+def scalar_registration(model, n_x=64, n_theta=256):
+    """Reference registration: one symbol, one check, one eigvalsh per node."""
+    lead = model.leading_symbol()
+    min_abs = min_gap = math.inf
+    for x1 in TWO_PI * np.arange(n_x) / n_x:
+        x = np.array([x1, 0.0])
+        for th in TWO_PI * np.arange(n_theta) / n_theta:
+            xi = np.array([math.cos(th), math.sin(th)])
+            vals = np.linalg.eigvalsh(require_hermitian(lead.evaluator(x, xi)))
+            min_abs = min(min_abs, float(np.min(np.abs(vals))))
+            min_gap = min(min_gap, float(np.min(np.diff(vals))))
+    return min_abs, min_gap
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("dirac", {}), ("shifted-dirac", {"beta": 0.3}), ("mass-dirac", {"b": 0.5}),
+     ("twisted", {"eps": 0.2})],
+)
+def test_stacked_registration_matches_scalar_loop(name, params):
+    model = build_model(name, params)
+    got = registration_check(model)
+    want = scalar_registration(model)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_registration_rejects_non_hermitian_symbol():
+    # break the coefficient symmetry after construction, so the sampled
+    # symbol itself fails the Hermiticity rule
+    skewed = TrigMatrixField.constant(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    skewed.modes[(0, 0)] = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]], dtype=complex)
+    model = TorusModel(
+        "skewed", {}, (skewed, TrigMatrixField.constant(np.diag([1.0, -1.0]))),
+        TrigMatrixField.constant(np.zeros((2, 2))),
+    )
+    with pytest.raises(NotHermitian):
+        registration_check(model)
 
 
 def test_model_symbol_contract(twisted_model, rng):
@@ -220,6 +268,70 @@ def test_mollifier_contract(mollifier_t3):
     # plateau of the realized transform
     for t in (0.0, 0.5, 1.2):
         assert abs(moll.transform_back(t) - 1.0) < 1e-9
+
+
+def quad_step(u):
+    """Reference step: adaptive quadrature of the standard bump on [-1, 2u - 1]."""
+    if u <= 0.0:
+        return 0.0
+    if u >= 1.0:
+        return 1.0
+
+    def bump(s):
+        return math.exp(-1.0 / (1.0 - s * s)) if abs(s) < 1.0 else 0.0
+
+    norm, _ = quad(bump, -1.0, 1.0, epsabs=1e-14, epsrel=1e-13)
+    val, _ = quad(bump, -1.0, 2.0 * u - 1.0, epsabs=1e-14, epsrel=1e-12)
+    return val / norm
+
+
+def test_vectorised_step_matches_adaptive_quadrature():
+    edges = [1e-12, 1e-9, 1e-6, 1e-3, 0.5 - 1e-12, 0.5, 0.5 + 1e-12]
+    us = np.concatenate([
+        np.linspace(0.0, 1.0, 201), edges, [1.0 - e for e in edges], [-0.5, 1.5],
+    ])
+    got = bump_step(us)
+    want = np.array([quad_step(u) for u in us])
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    assert np.all(np.diff(bump_step(np.linspace(0.0, 1.0, 1001))) >= 0.0)
+
+
+def test_plateau_transform_uses_the_step():
+    t = np.array([0.0, 1.4, 1.6, 2.2, 2.9, 3.0, 3.5])
+    band = plateau_transform(t, 3.0)
+    want = [1.0, 1.0, quad_step(2.0 * (3.0 - 1.6) / 3.0),
+            quad_step(2.0 * (3.0 - 2.2) / 3.0), quad_step(2.0 * (3.0 - 2.9) / 3.0),
+            0.0, 0.0]
+    np.testing.assert_allclose(band, want, rtol=0.0, atol=1e-12)
+    assert plateau_transform(-1.6, 3.0) == band[2]
+
+
+def eager_samples(support, grid, n_t=6001):
+    """Reference moment samples: the full grid, both signs, in one pass."""
+    t = np.linspace(0.0, support, n_t)
+    w = np.full(n_t, support / (n_t - 1))
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    band = plateau_transform(t, support) * w
+    return np.cos(np.outer(np.abs(grid), t)) @ band / math.pi
+
+
+def test_lazy_moment_grid_matches_eager_evaluation():
+    lazy = build_mollifier(2.0, moment_max=300.0)
+    assert "samples" not in vars(lazy)
+    # the lazily built grid is the old arange grid, exactly
+    want_grid = np.arange(-300.0, 300.0 + 0.125, 0.25)
+    np.testing.assert_array_equal(lazy.grid, want_grid)
+    values = [lazy.mass(), *(lazy.moment(m) for m in range(1, 7)),
+              lazy.decay_constant()]
+    assert "samples" in vars(lazy)
+
+    eager = build_mollifier(2.0, moment_max=300.0)
+    vars(eager)["samples"] = eager_samples(2.0, want_grid)
+    np.testing.assert_allclose(lazy.samples, eager.samples, rtol=0.0, atol=1e-15)
+    want = [eager.mass(), *(eager.moment(m) for m in range(1, 7)),
+            eager.decay_constant()]
+    np.testing.assert_allclose(values, want, rtol=1e-12, atol=1e-15)
 
 
 def test_mollifier_band_vanishes_outside_support():
