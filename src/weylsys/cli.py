@@ -60,7 +60,6 @@ class RunConfig:
     model_params: dict = field(default_factory=dict)
     pipeline: str = "direct"
     n_angles: int = 256
-    fd_step: float = 1e-3
     angles: tuple = (math.pi / 4, 3 * math.pi / 4)
     limit_angles: tuple = (0.2, 0.1, 0.05)
     truncation: int = 24
@@ -166,8 +165,6 @@ def apply_settings(cfg: RunConfig, settings: dict) -> RunConfig:
             cfg.pipeline = value
         elif key == "quadrature.n_angles":
             cfg.n_angles = int(value)
-        elif key == "quadrature.fd_step":
-            cfg.fd_step = float(value)
         elif key == "angles":
             cfg.angles = _parse_angle_list(value)
         elif key == "limit_angles":
@@ -214,8 +211,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("quadrature.n_angles must be even and >= 16")
     if cfg.truncation < 8:
         raise ConfigError("truncation.k must be >= 8")
-    if cfg.fd_step <= 0 or cfg.grid_step <= 0:
-        raise ConfigError("steps must be positive")
+    if cfg.grid_step <= 0:
+        raise ConfigError("fit.grid_step must be positive")
     if not 0.0 < cfg.mollifier_support < 2 * math.pi:
         raise ConfigError("mollifier.support must lie in (0, 2 pi)")
 
@@ -257,7 +254,7 @@ def run_direct(cfg: RunConfig, model: TorusModel) -> list:
     summary = []
     for pt in cfg.x_points:
         x = np.asarray(pt, dtype=float)
-        coeffs = weyl_coefficients(lead, sub, x, quad, cfg.fd_step)
+        coeffs = weyl_coefficients(lead, sub, x, quad)
         for sheet, terms in sorted(coeffs.breakdown.items()):
             rows.append(
                 [
@@ -294,12 +291,13 @@ def run_resolvent(cfg: RunConfig, model: TorusModel) -> tuple:
     max_b1_dev = 0.0
     for pt in cfg.x_points:
         x = np.asarray(pt, dtype=float)
-        prof = b_profile(lead, sub, x, quad, cfg.fd_step)
+        # one panel per point: the b profile and the direct coefficients
+        prof = b_profile(lead, sub, x, quad)
         two = {phi: prof.b0(phi) for phi in cfg.angles[:2]}
         rec_two = recover_second_weyl(two, "two-angle")
         lim = {phi: prof.b0(phi) for phi in cfg.limit_angles}
         rec_lim = recover_second_weyl(lim, "limit")
-        coeffs = weyl_coefficients(lead, sub, x, quad, cfg.fd_step)
+        coeffs = prof.panel.coefficients()
         for phi in cfg.angles:
             b1_closed, _ = expansion_b_coefficients(
                 coeffs.a_first_plus, coeffs.a_first_minus,

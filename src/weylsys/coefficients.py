@@ -12,6 +12,14 @@ Two algebraically equal forms exist for the bracket and curvature terms:
 one through eigenvectors, one through projections.  The projection forms
 are entirely gauge-free and serve as the production path; the eigenvector
 forms are kept as a cross-check (`projection_form_check`).
+
+All of it comes from one :class:`CospherePanel` per base point: the
+symbols at every cosphere node, one stacked eigen-jet
+(:func:`~weylsys.symbols.eigen_jet_stack`), and per-sheet integrand
+arrays.  Both branches read the same panel.  The sign-flipped operator
+has the same projections and negated sheets, so its positive sheets are
+the negative sheets here with h, the subprincipal integrand and the
+bracket integrand negated and the curvature integrand unchanged.
 """
 
 from __future__ import annotations
@@ -29,7 +37,11 @@ from .symbols import (
     PhasePoint,
     SymbolField,
     eigen_jet,
+    eigen_jet_stack,
     generalized_bracket,
+    require_hermitian,
+    sheet_position,
+    symbol_jet,
 )
 
 IMAG_RESIDUE_TOL = 1e-6
@@ -171,8 +183,8 @@ class WeylCoefficients:
     """Leading and second local coefficient densities at one point.
 
     ``breakdown`` maps each positive sheet label of the original operator
-    to its :class:`SheetSecondTerms`; the minus-branch values come from the
-    sign-flipped operator.
+    to its :class:`SheetSecondTerms`; the minus-branch values are those of
+    the sign-flipped operator.
     """
 
     x: np.ndarray
@@ -183,33 +195,41 @@ class WeylCoefficients:
     breakdown: dict = field(default_factory=dict)
 
 
-def _sphere_scale_tol(
-    leading: SymbolField, x: np.ndarray, omega: np.ndarray
-) -> float:
-    """Simplicity threshold calibrated to the field's scale on the sphere.
+@dataclass(frozen=True)
+class SecondWeylResult:
+    """Second coefficient density at one point with per-sheet breakdown."""
 
-    A per-matrix relative threshold would let a uniformly tiny (hence
-    degenerate) symbol through; the cosphere machinery therefore measures
-    the global spectral radius over all nodes first.
+    value: float
+    sheets: dict  # positive sheet label -> SheetSecondTerms
+
+
+def _trace_bracket(d_x: np.ndarray, middle: np.ndarray, d_xi: np.ndarray) -> np.ndarray:
+    """tr {F, G, F} = sum_alpha tr(F_x G F_xi - F_xi G F_x) per node and sheet.
+
+    ``d_x``/``d_xi`` are (N, n, m, m, m) sheet-matrix derivatives indexed
+    [node, axis, sheet], ``middle`` is (N, m, m, m) indexed [node, sheet].
     """
-    from .symbols import DEFAULT_SIMPLICITY_FACTOR
-
-    radius = 0.0
-    for row in omega:
-        mat = np.asarray(leading.evaluator(x, row), dtype=complex)
-        vals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-        radius = max(radius, float(np.max(np.abs(vals))))
-    return DEFAULT_SIMPLICITY_FACTOR * max(radius, 1e-300)
+    path = "nakij,nkjl,nakli->nk"
+    return np.einsum(path, d_x, middle, d_xi) - np.einsum(path, d_xi, middle, d_x)
 
 
 class CospherePanel:
     """Per-sheet integrand samples over the cosphere nodes at fixed x.
 
-    Evaluates one eigen-jet per node, normalises each sheet by its radial
-    Hamiltonian magnitude, and exposes region integrals of arbitrary
-    per-sheet scalar samples.  Quadrature sums run through numpy's pairwise
-    reduction in a fixed node order, so results are reproducible bit-for-bit
-    for a given configuration.
+    Evaluates the symbols at every node, takes one stacked eigen-jet of the
+    leading symbol and keeps the projection-form integrands as (N, m)
+    arrays; the eigenvector forms are computed when asked for.  Without an
+    explicit ``simplicity_tol`` the threshold is relative to the largest
+    eigenvalue magnitude over all nodes, from the same eigensolve: a
+    per-matrix relative threshold would let a uniformly tiny (hence
+    degenerate) symbol through.  Every node must pass the Hermiticity,
+    ellipticity and gap rules, and the sheet signature must be the same at
+    every node.  Quadrature sums run through numpy's pairwise reduction in
+    a fixed node order, so results are reproducible bit-for-bit for a given
+    configuration.
+
+    ``branch=-1`` in the methods below reads the sign-flipped operator off
+    the same panel (see the module docstring).
     """
 
     def __init__(
@@ -221,6 +241,8 @@ class CospherePanel:
         step: float = DEFAULT_STEP,
         simplicity_tol: Optional[float] = None,
     ):
+        if leading.degree != 1:
+            raise ValueError("eigen jets are defined for degree-1 leading symbols")
         x = np.asarray(x, dtype=float)
         self.x = x
         self.n = x.size
@@ -228,27 +250,54 @@ class CospherePanel:
         omega, weights = quad.nodes(self.n)
         self.omega = omega
         self.weights = weights
-        if simplicity_tol is None:
-            simplicity_tol = _sphere_scale_tol(leading, x, omega)
-        self.terms: list[list[SheetTerms]] = []
-        jets = []
-        for row in omega:
-            jet, terms = sheet_terms_at(
-                leading, nextorder, PhasePoint(x, row), step, simplicity_tol
-            )
-            jets.append(jet)
-            self.terms.append(terms)
-        self.sheets = jets[0].sheets.copy()
-        for jet in jets:
-            if not np.array_equal(jet.sheets, self.sheets):
-                raise NotElliptic("sheet signature changed across the cosphere")
-        self.h = np.array([[t.h for t in row] for row in self.terms])
+        points = [PhasePoint(x, row) for row in omega]
+        sym = [symbol_jet(leading, p, step) for p in points]
+        values = np.array([j.value for j in sym])
+        self.jets = eigen_jet_stack(
+            values,
+            np.array([j.dx for j in sym]),
+            np.array([j.dxi for j in sym]),
+            simplicity_tol,
+        )
+        self.sheets = self.jets.sheets[0]
+        if np.any(self.jets.sheets != self.sheets):
+            raise NotElliptic("sheet signature changed across the cosphere")
+        self.h = self.jets.h
         self.eta = np.abs(self.h)
-        if np.min(self.eta) <= 0.0:
-            raise NotElliptic("vanishing sheet Hamiltonian on the cosphere")
+        m = leading.dim
+        if nextorder is not None:
+            self.a_next = np.array([nextorder(p) for p in points])
+        else:
+            self.a_next = np.zeros((len(points), m, m), dtype=complex)
+        # A - h_k per node and sheet, the middle factor of the bracket term
+        self.middle = require_hermitian(values)[:, None] - self.h[..., None, None] * np.eye(m)
+        self.sub = np.einsum("nij,nkji->nk", self.a_next, self.jets.P)
+        self.bracket = _trace_bracket(self.jets.dP_x, self.middle, self.jets.dP_xi)
+        self.curvature = _trace_bracket(self.jets.dP_x, self.jets.P, self.jets.dP_xi)
 
     def positions(self) -> range:
         return range(self.sheets.size)
+
+    def branch_positions(self, branch: int = 1) -> list:
+        """Positions of one branch's sheets, in that branch's ascending order.
+
+        The positive sheets for ``branch=1``; for ``branch=-1`` the
+        negative sheets, which are the positive sheets of the sign-flipped
+        operator.
+        """
+        return [pos for pos in self.positions()[::branch] if branch * self.sheets[pos] > 0]
+
+    def vector_integrands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Eigenvector-form (sub, bracket, curvature) integrands, each (N, m)."""
+        v, dv_x, dv_xi = self.jets.v, self.jets.dv_x, self.jets.dv_xi
+        sub = np.einsum("nki,nij,nkj->nk", v.conj(), self.a_next, v)
+        # {v^*, A - h, v} and -{v^*, v} (the latter equals tr {P, P, P})
+        path = "naki,nkij,nakj->nk"
+        bracket = (np.einsum(path, dv_x.conj(), self.middle, dv_xi)
+                   - np.einsum(path, dv_xi.conj(), self.middle, dv_x))
+        curvature = (np.einsum("naki,naki->nk", dv_xi.conj(), dv_x)
+                     - np.einsum("naki,naki->nk", dv_x.conj(), dv_xi))
+        return sub, bracket, curvature
 
     def region_integral(self, pos: int, samples: np.ndarray) -> complex:
         """Integral of a degree-0 scalar over {|h_sheet| < 1} from node samples."""
@@ -264,29 +313,28 @@ class CospherePanel:
             surface=self.n * vol,
         )
 
-    def second_terms(self, pos: int, form: str = "projection") -> SheetSecondTerms:
+    def second_terms(
+        self, pos: int, form: str = "projection", branch: int = 1
+    ) -> SheetSecondTerms:
         """Region-integrated second-coefficient pieces for one sheet.
 
         ``form`` selects the projection-based (production) or
-        eigenvector-based (cross-check) integrands.
+        eigenvector-based (cross-check) integrands.  With ``branch=-1`` the
+        sheet is read as a sheet of the sign-flipped operator: label, h,
+        subprincipal and bracket integrands change sign.
         """
         n = self.n
         pref = n * (n - 1) / (2.0 * math.pi) ** n
-        row = [t[pos] for t in self.terms]
         if form == "projection":
-            sub = np.array([t.sub_projection for t in row])
-            brack = np.array([t.bracket_projection for t in row])
-            curv = np.array([t.curvature_projection for t in row])
+            sub, brack, curv = self.sub, self.bracket, self.curvature
         elif form == "vector":
-            sub = np.array([t.sub_vector for t in row])
-            brack = np.array([t.bracket_vector for t in row])
-            curv = np.array([-t.curvature_vector for t in row])
+            sub, brack, curv = self.vector_integrands()
         else:
             raise ValueError("form must be 'projection' or 'vector'")
-        h = self.h[:, pos]
-        int_sub = self.region_integral(pos, sub)
-        int_brack = self.region_integral(pos, brack)
-        int_curv = self.region_integral(pos, h * curv)
+        h = branch * self.h[:, pos]
+        int_sub = self.region_integral(pos, branch * sub[:, pos])
+        int_brack = self.region_integral(pos, branch * brack[:, pos])
+        int_curv = self.region_integral(pos, h * curv[:, pos])
         term_sub = -pref * int_sub
         term_bracket = pref * 0.5j * int_brack
         term_curv = (n * 1j / (2.0 * math.pi) ** n) * int_curv
@@ -303,14 +351,46 @@ class CospherePanel:
                 raise ComplexResidue(
                     f"{name} term has imaginary residue {val.imag:.3e}"
                 )
+        sheet = branch * int(self.sheets[pos])
         return SheetSecondTerms(
-            sheet=int(self.sheets[pos]),
-            sign=1 if self.sheets[pos] > 0 else -1,
+            sheet=sheet,
+            sign=1 if sheet > 0 else -1,
             c_first=float(c_first.real),
             c_second=float(c_second.real),
             term_sub=float(term_sub.real),
             term_bracket=float(term_bracket.real),
             term_curvature=float(term_curv.real),
+        )
+
+    def first_coefficient(self, branch: int = 1) -> float:
+        """Leading density of one branch: n (2 pi)^-n sum of its region volumes."""
+        total = 0.0
+        for pos in self.branch_positions(branch):
+            total += self.geometry(pos).volume
+        return self.n / (2.0 * math.pi) ** self.n * total
+
+    def second_coefficient(
+        self, branch: int = 1, form: str = "projection"
+    ) -> SecondWeylResult:
+        """Second density of one branch with its per-sheet breakdown."""
+        sheets = {}
+        total = 0.0
+        for pos in self.branch_positions(branch):
+            terms = self.second_terms(pos, form, branch)
+            sheets[terms.sheet] = terms
+            total += terms.total
+        return SecondWeylResult(total, sheets)
+
+    def coefficients(self) -> WeylCoefficients:
+        """Both branches of both coefficient densities at this base point."""
+        plus = self.second_coefficient(1)
+        return WeylCoefficients(
+            x=self.x,
+            a_first_plus=self.first_coefficient(1),
+            a_first_minus=self.first_coefficient(-1),
+            a_second_plus=plus.value,
+            a_second_minus=self.second_coefficient(-1).value,
+            breakdown=plus.sheets,
         )
 
 
@@ -329,21 +409,9 @@ def region_integral(
     over the unit sphere.  Raises :class:`NotElliptic` if the sheet
     Hamiltonian degenerates at a quadrature node.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    omega, weights = quad.nodes(n)
-    from .symbols import eigen_decompose
-
-    if simplicity_tol is None:
-        simplicity_tol = _sphere_scale_tol(leading, x, omega)
-    acc = 0.0
-    for row, w in zip(omega, weights):
-        p = PhasePoint(x, row)
-        sys = eigen_decompose(leading(p), simplicity_tol)
-        pos = sys.position(sheet)
-        eta = abs(sys.values[pos])
-        acc += w * integrand(p) * eta ** (-n)
-    return acc / n
+    panel = CospherePanel(leading, None, x, quad, simplicity_tol=simplicity_tol)
+    samples = np.array([integrand(PhasePoint(panel.x, row)) for row in panel.omega])
+    return panel.region_integral(sheet_position(panel.sheets, sheet), samples)
 
 
 def first_weyl(
@@ -356,20 +424,7 @@ def first_weyl(
     region volumes.  Returns 0 when the leading symbol has no positive
     eigenvalues."""
     panel = CospherePanel(leading, None, x, quad, simplicity_tol=simplicity_tol)
-    n = panel.n
-    total = 0.0
-    for pos in panel.positions():
-        if panel.sheets[pos] > 0:
-            total += panel.geometry(pos).volume
-    return n / (2.0 * math.pi) ** n * total
-
-
-@dataclass(frozen=True)
-class SecondWeylResult:
-    """Second coefficient density at one point with per-sheet breakdown."""
-
-    value: float
-    sheets: dict  # positive sheet label -> SheetSecondTerms
+    return panel.first_coefficient()
 
 
 def second_weyl(
@@ -388,14 +443,7 @@ def second_weyl(
     pass form='vector' to use the eigenvector forms instead (cross-check).
     """
     panel = CospherePanel(leading, nextorder, x, quad, step, simplicity_tol)
-    sheets = {}
-    total = 0.0
-    for pos in panel.positions():
-        if panel.sheets[pos] > 0:
-            terms = panel.second_terms(pos, form)
-            sheets[terms.sheet] = terms
-            total += terms.total
-    return SecondWeylResult(total, sheets)
+    return panel.second_coefficient(form=form)
 
 
 @dataclass(frozen=True)
@@ -419,7 +467,7 @@ def projection_form_check(
 ) -> FormComparison:
     """Evaluate both algebraic forms of the two angular factors for one sheet."""
     panel = CospherePanel(leading, nextorder, x, quad, step)
-    pos = int(np.nonzero(panel.sheets == sheet)[0][0])
+    pos = sheet_position(panel.sheets, sheet)
     proj = panel.second_terms(pos, "projection")
     vect = panel.second_terms(pos, "vector")
     return FormComparison(
@@ -441,19 +489,7 @@ def weyl_coefficients(
 ) -> WeylCoefficients:
     """Both branches of the first and second coefficient densities at x.
 
-    The minus branch is computed by applying the plus-branch formulas to
-    the sign-flipped symbol pair.
+    One panel serves both: the minus branch is the plus-branch formulas
+    applied to the sign-flipped symbol pair, read off the negative sheets.
     """
-    x = np.asarray(x, dtype=float)
-    second_plus = second_weyl(leading, nextorder, x, quad, step, simplicity_tol)
-    flipped_lead = leading.flipped()
-    flipped_next = nextorder.flipped() if nextorder is not None else None
-    second_minus = second_weyl(flipped_lead, flipped_next, x, quad, step, simplicity_tol)
-    return WeylCoefficients(
-        x=x,
-        a_first_plus=first_weyl(leading, x, quad, simplicity_tol),
-        a_first_minus=first_weyl(flipped_lead, x, quad, simplicity_tol),
-        a_second_plus=second_plus.value,
-        a_second_minus=second_minus.value,
-        breakdown=second_plus.sheets,
-    )
+    return CospherePanel(leading, nextorder, x, quad, step, simplicity_tol).coefficients()

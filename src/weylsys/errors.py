@@ -26,10 +26,6 @@ class DimensionMismatch(WeylError):
     """Incompatible matrix / vector dimensions in a bracket or product."""
 
 
-class GaugeAlignmentFailure(WeylError):
-    """Perturbed eigenvector overlaps the base one too weakly to align phases."""
-
-
 class ComplexResidue(WeylError):
     """A quantity that must be real carries a suspiciously large imaginary part."""
 

@@ -299,12 +299,15 @@ class BProfile:
     """Angle-resolved expansion coefficients at a fixed base point.
 
     The angular factors are computed once; evaluation at any angle applies
-    the closed-form radial and kernel factors.
+    the closed-form radial and kernel factors.  ``panel`` is the cosphere
+    panel they came from, which also gives the direct coefficients
+    (``panel.coefficients()``) without a second panel.
     """
 
     x: np.ndarray
     n: int
     data: list
+    panel: CospherePanel
 
     def b1(self, phi: float) -> float:
         if not 0.0 < phi < math.pi:
@@ -354,7 +357,7 @@ def b_profile(
                 c_second=terms.c_second,
             )
         )
-    return BProfile(x=np.asarray(x, dtype=float), n=panel.n, data=data)
+    return BProfile(x=panel.x, n=panel.n, data=data, panel=panel)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,22 @@ eigenvalues, eigenprojections and eigenvectors in all 2n phase-space
 directions, and provides the Poisson bracket and its three-slot
 generalisation on matrix jets.
 
-Eigenvalue and projection derivatives are taken by five-point central
-differences of gauge-free quantities.  Eigenvector derivatives require a
-phase alignment of the perturbed vectors against the base point; the
-published scalar quantities built from them are phase-invariant, so the
-alignment convention is unobservable downstream.
+Eigen-jets are exact first-order perturbation theory on the symbol's
+derivative matrices dA (the field's analytic derivatives, or five-point
+central differences of the matrix when the field has none): with
+eigenpairs (h_k, v_k),
+
+    dh_k = v_k* dA v_k                               (Hellmann-Feynman)
+    dv_k = sum_{j != k} v_j (v_j* dA v_k) / (h_k - h_j)
+    dP_k = dv_k v_k* + v_k dv_k*
+         = sum_{j != k} (P_j dA P_k + h.c.) / (h_k - h_j)   (Kato).
+
+One construction, :func:`eigen_jet_stack`, serves a whole stack of points
+with one stacked eigensolve; :func:`eigen_jet` is that construction at one
+point.  Eigenvectors carry a fixed phase (largest component real positive)
+and their derivatives the parallel gauge v_k* dv_k = 0; the published
+scalar quantities built from them are phase-invariant, so the convention
+is unobservable downstream.
 
 Everything here is a pure function of its inputs and all returned values
 are immutable; concurrent callers need no coordination.
@@ -28,7 +39,6 @@ import numpy as np
 from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
-    GaugeAlignmentFailure,
     NotElliptic,
     NotHermitian,
 )
@@ -165,24 +175,25 @@ class MatrixJet:
 
 
 def require_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate Hermiticity to ``tol`` and return the symmetrised matrix."""
+    """Validate Hermiticity to ``tol`` and return the symmetrised matrix.
+
+    Takes one matrix or a stack (..., m, m); the rule
+    ``defect <= tol * max(1, max |A|)`` applies to each matrix on its own.
+    """
     matrix = np.asarray(matrix, dtype=complex)
-    defect = np.max(np.abs(matrix - matrix.conj().T))
-    scale = max(1.0, float(np.max(np.abs(matrix))))
-    if defect > tol * scale:
-        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {tol:.1e}")
-    return 0.5 * (matrix + matrix.conj().T)
+    adjoint = matrix.conj().swapaxes(-1, -2)
+    defect = np.max(np.abs(matrix - adjoint), axis=(-2, -1))
+    scale = np.maximum(1.0, np.max(np.abs(matrix), axis=(-2, -1)))
+    if np.any(defect > tol * scale):
+        raise NotHermitian(f"Hermiticity defect {np.max(defect):.3e} exceeds {tol:.1e}")
+    return 0.5 * (matrix + adjoint)
 
 
 def _fix_phase(vectors: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude component of each column real positive."""
-    out = vectors.copy()
-    for i in range(out.shape[1]):
-        col = out[:, i]
-        k = int(np.argmax(np.abs(col)))
-        piv = col[k]
-        out[:, i] = col * (np.conj(piv) / abs(piv))
-    return out
+    k = np.argmax(np.abs(vectors), axis=-2)
+    piv = np.take_along_axis(vectors, k[..., None, :], axis=-2)
+    return vectors * (np.conj(piv) / np.abs(piv))
 
 
 @dataclass(frozen=True)
@@ -205,19 +216,56 @@ class EigenSystem:
 
     def position(self, sheet: int) -> int:
         """Index into the sorted arrays for a signed sheet label."""
-        hits = np.nonzero(self.sheets == sheet)[0]
-        if hits.size != 1:
-            raise ValueError(f"no sheet {sheet}; labels are {self.sheets.tolist()}")
-        return int(hits[0])
+        return sheet_position(self.sheets, sheet)
+
+
+def sheet_position(sheets: np.ndarray, sheet: int) -> int:
+    """Index of a signed sheet label in a row of labels; ValueError if absent."""
+    hits = np.nonzero(sheets == sheet)[0]
+    if hits.size != 1:
+        raise ValueError(f"no sheet {sheet}; labels are {sheets.tolist()}")
+    return int(hits[0])
 
 
 def sheet_labels(values: np.ndarray) -> np.ndarray:
-    """Signed sheet labels for ascending eigenvalues: -m_minus..-1, 1..m_plus."""
-    m_minus = int(np.sum(values < 0))
-    labels = np.empty(values.size, dtype=int)
-    for i in range(values.size):
-        labels[i] = i - m_minus if i < m_minus else i - m_minus + 1
-    return labels
+    """Signed sheet labels for ascending eigenvalues: -m_minus..-1, 1..m_plus.
+
+    Works along the last axis, so a stack of spectra gets one row each.
+    """
+    idx = np.arange(values.shape[-1])
+    m_minus = np.sum(values < 0, axis=-1, keepdims=True)
+    return np.where(idx < m_minus, idx - m_minus, idx - m_minus + 1)
+
+
+def _decompose_stack(
+    matrices: np.ndarray,
+    simplicity_tol: Optional[float],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One stacked eigensolve of (N, m, m) matrices with the per-matrix rules.
+
+    Returns ascending eigenvalues (N, m), phase-fixed column eigenvectors
+    (N, m, m) and each matrix's smallest adjacent gap (N,).  Without an
+    explicit ``simplicity_tol`` the threshold is relative to the largest
+    eigenvalue magnitude over the whole stack.
+    """
+    values, vectors = np.linalg.eigh(require_hermitian(matrices))
+    if simplicity_tol is None:
+        radius = float(np.max(np.abs(values)))
+        simplicity_tol = DEFAULT_SIMPLICITY_FACTOR * max(radius, 1e-300)
+    smallest = float(np.min(np.abs(values)))
+    if smallest < simplicity_tol:
+        raise NotElliptic(
+            f"eigenvalue of magnitude {smallest:.3e} below "
+            f"threshold {simplicity_tol:.3e}"
+        )
+    diffs = np.diff(values, axis=-1)
+    gaps = np.min(diffs, axis=-1) if diffs.shape[-1] else np.full(len(values), np.inf)
+    if np.min(gaps) < simplicity_tol:
+        raise DegenerateSpectrum(
+            f"adjacent eigenvalue gap {np.min(gaps):.3e} below threshold "
+            f"{simplicity_tol:.3e}"
+        )
+    return values, _fix_phase(vectors), gaps
 
 
 def eigen_decompose(
@@ -231,25 +279,10 @@ def eigen_decompose(
     :class:`NotHermitian`, :class:`NotElliptic` or
     :class:`DegenerateSpectrum` when the respective precondition fails.
     """
-    matrix = require_hermitian(matrix)
-    values, vectors = np.linalg.eigh(matrix)
-    radius = float(np.max(np.abs(values)))
-    if simplicity_tol is None:
-        simplicity_tol = DEFAULT_SIMPLICITY_FACTOR * max(radius, 1e-300)
-    if np.min(np.abs(values)) < simplicity_tol:
-        raise NotElliptic(
-            f"eigenvalue of magnitude {np.min(np.abs(values)):.3e} below "
-            f"threshold {simplicity_tol:.3e}"
-        )
-    gaps = np.diff(values)
-    gap = float(np.min(gaps)) if gaps.size else np.inf
-    if gap < simplicity_tol:
-        raise DegenerateSpectrum(
-            f"adjacent eigenvalue gap {gap:.3e} below threshold {simplicity_tol:.3e}"
-        )
-    vectors = _fix_phase(vectors)
+    values, vectors, gaps = _decompose_stack(np.asarray(matrix)[None], simplicity_tol)
+    values, vectors = values[0], vectors[0]
     projections = np.einsum("ik,jk->kij", vectors, vectors.conj())
-    return EigenSystem(values, sheet_labels(values), vectors, projections, gap)
+    return EigenSystem(values, sheet_labels(values), vectors, projections, float(gaps[0]))
 
 
 def symbol_jet(
@@ -372,10 +405,7 @@ class EigenJet:
         return int(np.sum(self.h > 0))
 
     def position(self, sheet: int) -> int:
-        hits = np.nonzero(self.sheets == sheet)[0]
-        if hits.size != 1:
-            raise ValueError(f"no sheet {sheet}; labels are {self.sheets.tolist()}")
-        return int(hits[0])
+        return sheet_position(self.sheets, sheet)
 
     def projection_jet(self, pos: int) -> MatrixJet:
         return MatrixJet(self.P[pos], self.dP_x[:, pos], self.dP_xi[:, pos])
@@ -407,18 +437,79 @@ class EigenJet:
         return complex(acc)
 
 
-def _align_phase(base: np.ndarray, pert: np.ndarray) -> np.ndarray:
-    """Rotate each perturbed eigenvector to maximise Re <base, pert>."""
-    out = pert.copy()
-    for i in range(base.shape[1]):
-        ov = np.vdot(base[:, i], pert[:, i])
-        if abs(ov) < 0.5:
-            raise GaugeAlignmentFailure(
-                f"overlap {abs(ov):.3f} < 0.5 for sheet position {i}; "
-                "step too large near an eigenvector rotation"
-            )
-        out[:, i] = pert[:, i] * (np.conj(ov) / abs(ov))
-    return out
+@dataclass(frozen=True)
+class EigenJetStack:
+    """Eigen-jets at N points, stacked on a leading axis.
+
+    Shapes: sheets and h (N, m), dh_* (N, n, m), P (N, m, m, m),
+    dP_* (N, n, m, m, m), v (N, m, m) rows, dv_* (N, n, m, m) rows and
+    gap (N,); entry i is the :class:`EigenJet` of point i.
+    """
+
+    sheets: np.ndarray
+    h: np.ndarray
+    dh_x: np.ndarray
+    dh_xi: np.ndarray
+    P: np.ndarray
+    dP_x: np.ndarray
+    dP_xi: np.ndarray
+    v: np.ndarray
+    dv_x: np.ndarray
+    dv_xi: np.ndarray
+    gap: np.ndarray
+
+    def at(self, i: int, point: PhasePoint, step: float) -> EigenJet:
+        """The eigen-jet of point i, which was taken at ``point``."""
+        return EigenJet(point, step, **{k: a[i] for k, a in vars(self).items()})
+
+
+def eigen_jet_stack(
+    values: np.ndarray,
+    dx: np.ndarray,
+    dxi: np.ndarray,
+    simplicity_tol: Optional[float] = None,
+) -> EigenJetStack:
+    """Exact eigen-jets of a stack of symbol jets by first-order perturbation.
+
+    ``values`` (N, m, m) are the symbol matrices, ``dx`` and ``dxi``
+    (N, n, m, m) their Hermitian derivative matrices.  One stacked
+    eigensolve, then for every point, direction and sheet k
+    dh_k = v_k* dA v_k, dv_k = sum_{j != k} v_j (v_j* dA v_k)/(h_k - h_j)
+    and dP_k = dv_k v_k* + v_k dv_k*.  Every matrix must pass the
+    Hermiticity, ellipticity and simplicity rules of
+    :func:`eigen_decompose` (the threshold is relative to the whole stack
+    unless given), else the matching :class:`WeylError` is raised: a small
+    gap would blow up the 1/(h_k - h_j) factors.
+    """
+    h, vecs, gaps = _decompose_stack(values, simplicity_tol)
+    n = dx.shape[1]
+    m = h.shape[-1]
+    d_a = np.concatenate([dx, dxi], axis=1)  # x directions, then xi
+    # coupling[..., j, k] = v_j* dA v_k, one (m, m) block per direction
+    coupling = vecs.conj().swapaxes(-1, -2)[:, None] @ d_a @ vecs[:, None]
+    dh = coupling.diagonal(axis1=-2, axis2=-1).real
+    off = ~np.eye(m, dtype=bool)
+    split = h[:, None, :] - h[:, :, None]  # [j, k] = h_k - h_j
+    inverse = np.where(off, 1.0 / np.where(off, split, 1.0), 0.0)
+    dvecs = vecs[:, None] @ (coupling * inverse[:, None])
+    v = vecs.swapaxes(-1, -2)
+    dv = dvecs.swapaxes(-1, -2)
+    P = v[..., :, None] * v.conj()[..., None, :]
+    half = dv[..., :, None] * v.conj()[:, None, :, None, :]  # dv_k v_k*
+    dP = half + half.conj().swapaxes(-1, -2)
+    return EigenJetStack(
+        sheets=sheet_labels(h),
+        h=h,
+        dh_x=dh[:, :n],
+        dh_xi=dh[:, n:],
+        P=P,
+        dP_x=dP[:, :n],
+        dP_xi=dP[:, n:],
+        v=v,
+        dv_x=dv[:, :n],
+        dv_xi=dv[:, n:],
+        gap=gaps,
+    )
 
 
 def eigen_jet(
@@ -427,62 +518,17 @@ def eigen_jet(
     step: float = DEFAULT_STEP,
     simplicity_tol: Optional[float] = None,
 ) -> EigenJet:
-    """Eigen-decomposition with five-point central-difference derivatives.
+    """Eigen-decomposition with exact first derivatives at one point.
 
-    h and P are differentiated directly (both are phase-free); eigenvector
-    stencils are phase-aligned to the base point first.  All sheets are
-    returned.  Raises the eigen_decompose errors, plus
-    :class:`GaugeAlignmentFailure` when an eigenvector rotates too fast
-    across the stencil.
+    :func:`eigen_jet_stack` on the field's :func:`symbol_jet`; ``step``
+    acts only when the field has no analytic derivatives.  All sheets are
+    returned.  Raises the :func:`eigen_decompose` errors.
     """
     if field.degree != 1:
         raise ValueError("eigen jets are defined for degree-1 leading symbols")
-    base = eigen_decompose(field(p), simplicity_tol)
-    if simplicity_tol is None:
-        simplicity_tol = DEFAULT_SIMPLICITY_FACTOR * float(np.max(np.abs(base.values)))
-    n = p.n
-    m = field.dim
-    dh_x = np.zeros((n, m))
-    dh_xi = np.zeros((n, m))
-    dP_x = np.zeros((n, m, m, m), dtype=complex)
-    dP_xi = np.zeros((n, m, m, m), dtype=complex)
-    dv_x = np.zeros((n, m, m), dtype=complex)
-    dv_xi = np.zeros((n, m, m), dtype=complex)
-    for kind, h_step, dh_arr, dP_arr, dv_arr in (
-        ("x", step, dh_x, dP_x, dv_x),
-        ("xi", step * p.xi_norm, dh_xi, dP_xi, dv_xi),
-    ):
-        for axis in range(n):
-            for off, w in zip(_OFFSETS, _WEIGHTS):
-                sys = eigen_decompose(
-                    field(p.shifted(kind, axis, off * h_step)), simplicity_tol
-                )
-                if not np.array_equal(sys.sheets, base.sheets):
-                    raise DegenerateSpectrum(
-                        "sheet signs changed across the difference stencil"
-                    )
-                aligned = _align_phase(base.vectors, sys.vectors)
-                dh_arr[axis] += w * sys.values
-                dP_arr[axis] += w * sys.projections
-                dv_arr[axis] += w * aligned.T
-            dh_arr[axis] /= h_step
-            dP_arr[axis] /= h_step
-            dv_arr[axis] /= h_step
-    return EigenJet(
-        point=p,
-        step=step,
-        sheets=base.sheets,
-        h=base.values,
-        dh_x=dh_x,
-        dh_xi=dh_xi,
-        P=base.projections,
-        dP_x=dP_x,
-        dP_xi=dP_xi,
-        v=base.vectors.T.copy(),
-        dv_x=dv_x,
-        dv_xi=dv_xi,
-        gap=base.gap,
-    )
+    jet = symbol_jet(field, p, step)
+    stack = eigen_jet_stack(jet.value[None], jet.dx[None], jet.dxi[None], simplicity_tol)
+    return stack.at(0, p, step)
 
 
 def check_field_contract(

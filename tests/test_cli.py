@@ -140,6 +140,40 @@ def test_fit_rel_key_removed():
         apply_settings(RunConfig(), {"tolerance.fit_rel": "0.1"})
 
 
+def test_fd_step_key_removed():
+    # every catalog model has analytic derivatives, so the step never acted;
+    # the key is now rejected like any unknown key
+    with pytest.raises(ConfigError):
+        apply_settings(RunConfig(), {"quadrature.fd_step": "1e-3"})
+
+
+def test_one_panel_per_base_point(tmp_path, monkeypatch):
+    import numpy as np
+
+    from weylsys import build_model, coefficients, resolvent, weyl_coefficients
+
+    built = []
+
+    class CountedPanel(coefficients.CospherePanel):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(coefficients, "CospherePanel", CountedPanel)
+    monkeypatch.setattr(resolvent, "CospherePanel", CountedPanel)
+    lead, sub = build_model("twisted", {"eps": 0.1}).symbol_fields()
+    weyl_coefficients(lead, sub, np.array([0.3, 0.0]))
+    assert len(built) == 1
+    points = ["--set", "x_points=(0.0,0.0);(1.2,0.5)"]
+    built.clear()
+    assert run_cli(["verify", "--model", "twisted", "--out", str(tmp_path), *points]) == 0
+    assert len(built) == 2
+    built.clear()
+    assert run_cli(["compute", "--model", "twisted", "--pipeline", "direct",
+                    "--out", str(tmp_path), *points]) == 0
+    assert len(built) == 2
+
+
 def test_verify_twisted_passes(tmp_path, capsys):
     code = run_cli(
         ["verify", "--model", "twisted", "--eps", "0.1", "--out", str(tmp_path),

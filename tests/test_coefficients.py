@@ -200,7 +200,7 @@ def test_projection_form_check_twisted(twisted_model):
 # both branches
 # ---------------------------------------------------------------------------
 
-def test_sign_flip_duality(twisted_model):
+def test_sign_flip_duality(twisted_model, mass_dirac_model):
     """The minus branch equals the direct negative-sheet computation."""
     lead, sub = twisted_model.symbol_fields()
     x = np.array([0.7, 0.0])
@@ -216,6 +216,25 @@ def test_sign_flip_duality(twisted_model):
     assert panel.sheets[0] == -1
     a0_minus_direct = -neg_terms.total
     assert abs(coeffs.a_second_minus - a0_minus_direct) < 1e-9
+    # weyl_coefficients reads the minus branch off the negative sheets of
+    # its one panel; an independent panel of the sign-flipped pair, with
+    # its own eigensolve, must give the same values sheet by sheet
+    for model in (twisted_model, mass_dirac_model):
+        lead, sub = model.symbol_fields()
+        for x in (np.array([0.7, 0.0]), np.array([2.9, 1.6])):
+            coeffs = weyl_coefficients(lead, sub, x, quad)
+            flip_lead, flip_sub = lead.flipped(), sub.flipped()
+            assert abs(coeffs.a_first_minus - first_weyl(flip_lead, x, quad)) < 1e-12
+            flipped = second_weyl(flip_lead, flip_sub, x, quad)
+            assert abs(coeffs.a_second_minus - flipped.value) < 1e-10
+            minus = CospherePanel(lead, sub, x, quad).second_coefficient(branch=-1)
+            assert sorted(minus.sheets) == sorted(flipped.sheets) == [1]
+            for sheet, terms in flipped.sheets.items():
+                got = minus.sheets[sheet]
+                assert got.sign == terms.sign == 1
+                for name in ("term_sub", "term_bracket", "term_curvature",
+                             "c_first", "c_second"):
+                    assert abs(getattr(got, name) - getattr(terms, name)) < 1e-10
 
 
 def test_weyl_coefficients_symmetric_model(dirac_model):
@@ -254,3 +273,30 @@ def test_three_dimensional_region_volume():
         f3, x3, 1, lambda p: 1.0, CosphereQuadrature(n_angles=64, n_polar=24)
     )
     assert abs(val - 4.0 * math.pi / 3.0) < 1e-10
+
+
+def test_panel_applies_the_node_rules():
+    # the stacked eigensolve keeps every per-node rule and its typed error
+    from weylsys.coefficients import CospherePanel
+    from weylsys.errors import NotHermitian
+
+    quad = CosphereQuadrature(n_angles=16)
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+    def one_bad_node(x, xi):
+        bad = abs(xi[0] - 1.0) < 1e-12  # the node at angle 0 only
+        return SIGMA1 * xi[0] + SIGMA2 * xi[1] + (1e-3 * skew if bad else 0.0)
+
+    with pytest.raises(NotHermitian):
+        CospherePanel(SymbolField(2, 1, one_bad_node), None, X0, quad)
+
+    # diag(2|xi|, |xi| cos(theta + pi/16)): no node is near a zero or a
+    # crossing, but the second eigenvalue changes sign between nodes
+    c, s = math.cos(math.pi / 16), math.sin(math.pi / 16)
+    turning = SymbolField(
+        2, 1,
+        lambda x, xi: np.diag([2.0 * np.linalg.norm(xi), c * xi[0] - s * xi[1]])
+        .astype(complex),
+    )
+    with pytest.raises(NotElliptic, match="signature"):
+        CospherePanel(turning, None, X0, quad)

@@ -20,6 +20,8 @@ from weylsys.errors import (
 )
 from weylsys.symbols import MatrixJet, check_field_contract
 
+_STENCIL = ((-2.0, 1.0), (-1.0, -8.0), (1.0, 8.0), (2.0, -1.0))
+
 from conftest import random_phase_points
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -386,18 +388,42 @@ def test_self_bracket_trace_vanishes(twisted_model, rng):
             assert abs(np.trace(val)) < 1e-12
 
 
-def test_fast_eigenvector_rotation_detected():
-    # phase-space rotation rate far above 1/step: alignment must refuse
-    from weylsys.errors import GaugeAlignmentFailure
+def gap_closing_field(angle):
+    """2|xi| I + |xi| g (cos x1 sigma_3 + sin x1 sigma_1), g = 1e-9 + (1 - u.e)/2.
 
-    K = 1500.0
-    f = SymbolField(
-        2, 1,
-        lambda x, xi: np.linalg.norm(xi)
-        * (np.cos(K * x[0]) * SIGMA1 + np.sin(K * x[0]) * SIGMA2),
-    )
-    with pytest.raises(GaugeAlignmentFailure):
-        eigen_jet(f, PhasePoint([0.0, 0.0], [1.0, 0.0]))
+    u = xi/|xi| and e the unit vector at ``angle``: the eigenvectors turn
+    with x1, and the gap 2 |xi| g nearly closes in the direction e only.
+    No analytic derivatives, so jets take the differencing fallback.
+    """
+    e = np.array([np.cos(angle), np.sin(angle)])
+
+    def ev(x, xi):
+        r = np.linalg.norm(xi)
+        g = 1e-9 + 0.5 * (1.0 - float(np.dot(xi, e)) / r)
+        turn = np.cos(x[0]) * SIGMA3 + np.sin(x[0]) * SIGMA1
+        return r * (2.0 * np.eye(2) + g * turn)
+
+    return SymbolField(2, 1, ev)
+
+
+def test_near_degenerate_gap_raises():
+    # Exact jets divide by h_k - h_j, so a near-degenerate gap must stop
+    # the computation with DegenerateSpectrum, from one jet and from a
+    # panel with one bad node among 256.
+    from weylsys.coefficients import CospherePanel, CosphereQuadrature
+
+    quad = CosphereQuadrature(n_angles=256)
+    bad = 2.0 * np.pi * 37 / 256  # the direction of cosphere node 37
+    x = np.array([0.4, 1.1])
+    f = gap_closing_field(bad)
+    with pytest.raises(DegenerateSpectrum):
+        eigen_jet(f, PhasePoint(x, 1.7 * np.array([np.cos(bad), np.sin(bad)])))
+    with pytest.raises(DegenerateSpectrum):
+        CospherePanel(f, None, x, quad)
+    # away from that direction the same field is fine: the gap, not the
+    # field, is what the guard reacts to
+    eigen_jet(f, PhasePoint(x, np.array([np.cos(bad + 0.1), np.sin(bad + 0.1)])))
+    CospherePanel(gap_closing_field(bad + np.pi / 256), None, x, quad)
 
 
 def test_homogeneity_of_sheets(twisted_model, rng):
@@ -467,3 +493,74 @@ def test_gauge_invariance_of_integrand_scalars(twisted_model, rng):
                 assert abs(new_sub - base_sub) < 1e-6
                 assert abs(new_brack - base_brack) < 1e-6
                 assert abs(new_curv - base_curv) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Exact jets against re-diagonalisation, and the stacked panel against
+# single-point jets
+# ---------------------------------------------------------------------------
+
+def stencil_jet(field, p, step=1e-3):
+    """Five-point central differences of re-diagonalised h and P (oracle).
+
+    Every stencil point gets its own eigen-decomposition; h and P are
+    gauge-free, so no phase alignment is needed.  Absolute step in x,
+    relative step in xi.  Returns dh_x, dh_xi (n, m), dP_x, dP_xi
+    (n, m, m, m).
+    """
+    out = []
+    for kind, h in (("x", step), ("xi", step * p.xi_norm)):
+        dh = np.zeros((p.n, field.dim))
+        dP = np.zeros((p.n, field.dim, field.dim, field.dim), dtype=complex)
+        for axis in range(p.n):
+            for off, w in _STENCIL:
+                sys = eigen_decompose(field(p.shifted(kind, axis, off * h)))
+                dh[axis] += w * sys.values / (12.0 * h)
+                dP[axis] += w * sys.projections / (12.0 * h)
+        out += [dh, dP]
+    dh_x, dP_x, dh_xi, dP_xi = out
+    return dh_x, dh_xi, dP_x, dP_xi
+
+
+def test_exact_jets_match_rediagonalisation_stencil(twisted_model):
+    lead, _ = twisted_model.symbol_fields()
+    # the same evaluator without derivatives takes the differencing fallback
+    bare = SymbolField(lead.dim, lead.degree, lead.evaluator)
+    pts = random_phase_points(np.random.default_rng(7), 24)
+    for field in (lead, bare):
+        for x, xi in pts:
+            p = PhasePoint(x, xi)
+            jet = eigen_jet(field, p)
+            dh_x, dh_xi, dP_x, dP_xi = stencil_jet(lead, p)
+            np.testing.assert_allclose(jet.dh_x, dh_x, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(jet.dh_xi, dh_xi, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(jet.dP_x, dP_x, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(jet.dP_xi, dP_xi, rtol=0, atol=1e-8)
+
+
+def test_panel_nodes_equal_single_point_jets(twisted_model):
+    from weylsys.coefficients import CospherePanel, CosphereQuadrature, sheet_terms_at
+
+    lead, sub = twisted_model.symbol_fields()
+    x = np.array([1.3, 0.4])
+    panel = CospherePanel(lead, sub, x, CosphereQuadrature())
+    sub_v, brack_v, curv_v = panel.vector_integrands()
+    assert len(panel.weights) == 256
+    for i, row in enumerate(panel.omega):
+        p = PhasePoint(x, row)
+        jet = eigen_jet(lead, p)
+        stacked = panel.jets.at(i, p, jet.step)
+        for name in ("sheets", "h", "dh_x", "dh_xi", "P", "dP_x", "dP_xi",
+                     "v", "dv_x", "dv_xi"):
+            np.testing.assert_allclose(
+                getattr(stacked, name), getattr(jet, name), rtol=0, atol=1e-12,
+                err_msg=name,
+            )
+        _, terms = sheet_terms_at(lead, sub, p)
+        for pos, t in enumerate(terms):
+            assert panel.h[i, pos] == t.h
+            want = (t.sub_projection, t.bracket_projection, t.curvature_projection,
+                    t.sub_vector, t.bracket_vector, -t.curvature_vector)
+            got = (panel.sub[i, pos], panel.bracket[i, pos], panel.curvature[i, pos],
+                   sub_v[i, pos], brack_v[i, pos], curv_v[i, pos])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
