@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .coefficients import CosphereQuadrature, second_weyl, weyl_coefficients
+from .coefficients import CosphereQuadrature, weyl_coefficients
 from .errors import ConfigError, WeylError
 from .kernels import (
     expansion_b_coefficients,
@@ -246,15 +246,24 @@ def write_csv(path: str, header: list, rows: list, cfg: RunConfig) -> None:
         raise
 
 
-def run_direct(cfg: RunConfig, model: TorusModel) -> list:
-    """Direct pipeline; returns summary lines, writes weyl_coefficients.csv."""
-    lead, sub = model.symbol_fields()
-    quad = CosphereQuadrature(n_angles=cfg.n_angles)
+def run_direct(cfg: RunConfig, model: TorusModel, coefficients=None) -> list:
+    """Direct pipeline; returns summary lines, writes weyl_coefficients.csv.
+
+    ``coefficients`` holds one :class:`WeylCoefficients` per x point when
+    the recovery pipeline has already built the panels; without it every
+    x point gets its own panel here.
+    """
+    if coefficients is None:
+        lead, sub = model.symbol_fields()
+        quad = CosphereQuadrature(n_angles=cfg.n_angles)
+        coefficients = [
+            weyl_coefficients(lead, sub, np.asarray(pt, dtype=float), quad)
+            for pt in cfg.x_points
+        ]
     rows = []
     summary = []
-    for pt in cfg.x_points:
+    for pt, coeffs in zip(cfg.x_points, coefficients):
         x = np.asarray(pt, dtype=float)
-        coeffs = weyl_coefficients(lead, sub, x, quad)
         for sheet, terms in sorted(coeffs.breakdown.items()):
             rows.append(
                 [
@@ -280,8 +289,8 @@ def run_direct(cfg: RunConfig, model: TorusModel) -> list:
 def run_resolvent(cfg: RunConfig, model: TorusModel) -> tuple:
     """Recovery pipeline; writes resolvent_recovery.csv.
 
-    Returns (summary lines, per-point dict with recovered values and the
-    direct comparison, max b1 deviation).
+    Returns (summary lines, per-point dicts with the recovered values and
+    the direct coefficients from the same panel, max b1 deviation).
     """
     lead, sub = model.symbol_fields()
     quad = CosphereQuadrature(n_angles=cfg.n_angles)
@@ -311,7 +320,7 @@ def run_resolvent(cfg: RunConfig, model: TorusModel) -> tuple:
         comparisons.append(
             {
                 "x": x,
-                "direct": coeffs.a_second_plus,
+                "coefficients": coeffs,
                 "two_angle": rec_two,
                 "limit": rec_lim,
             }
@@ -392,9 +401,10 @@ def run_verify(cfg: RunConfig, model: TorusModel) -> list:
     summary, comparisons, max_b1_dev = run_resolvent(cfg, model)
     failures = []
     for comp in comparisons:
-        scale = max(abs(comp["direct"]), 1e-12)
+        direct = comp["coefficients"].a_second_plus
+        scale = max(abs(direct), 1e-12)
         for method in ("two_angle", "limit"):
-            rel = abs(comp[method] - comp["direct"]) / scale
+            rel = abs(comp[method] - direct) / scale
             if rel > cfg.cross_rel_tol:
                 failures.append(
                     f"x=({comp['x'][0]:.4f},{comp['x'][1]:.4f}) {method} "
@@ -503,11 +513,14 @@ def main(argv=None) -> int:
             summary.extend(lines)
         else:  # compute
             pipeline = cfg.pipeline
-            if pipeline in ("direct", "all"):
-                summary.extend(run_direct(cfg, model))
+            recovery_lines, shared = [], None
             if pipeline in ("resolvent", "all"):
-                lines, _, _ = run_resolvent(cfg, model)
-                summary.extend(lines)
+                recovery_lines, comparisons, _ = run_resolvent(cfg, model)
+                # "all" reads the direct coefficients off the same panels
+                shared = [c["coefficients"] for c in comparisons]
+            if pipeline in ("direct", "all"):
+                summary.extend(run_direct(cfg, model, shared))
+            summary.extend(recovery_lines)
             if pipeline in ("spectral", "all"):
                 lines, _ = run_spectral(cfg, model)
                 summary.extend(lines)

@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     BudgetExceeded,
@@ -36,6 +35,9 @@ from .errors import (
     WindowViolation,
 )
 from .symbols import HERMITICITY_TOL, SymbolField
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -124,6 +126,28 @@ class TrigMatrixField:
         return all(g == (0, 0) for g in self.modes)
 
 
+def _at_last_x(evaluate):
+    """``evaluate(x)``, reused while x stays the same.
+
+    Every node of a cosphere panel has the same base point, so the fields
+    are evaluated once per panel instead of once per node.  The one-entry
+    memo is swapped in a single assignment, so concurrent callers never
+    pair one x with another x's values.
+    """
+    memo = (None, None)
+
+    def at(x):
+        nonlocal memo
+        x = np.asarray(x, dtype=float)
+        key, result = memo
+        if key != x.tobytes():
+            key, result = x.tobytes(), evaluate(x)
+            memo = (key, result)
+        return result
+
+    return at
+
+
 @dataclass(frozen=True)
 class TorusModel:
     """First-order symmetrized system on the flat 2-torus.
@@ -150,22 +174,24 @@ class TorusModel:
     def leading_symbol(self) -> SymbolField:
         coeffs = self.coefficients
         dim = self.dim
+        values = _at_last_x(lambda x: [fld.value(x) for fld in coeffs])
+        grads = _at_last_x(lambda x: [fld.gradient(x) for fld in coeffs])
 
         def ev(x, xi):
             out = np.zeros((dim, dim), dtype=complex)
-            for alpha, fld in enumerate(coeffs):
-                out += fld.value(x) * xi[alpha]
+            for alpha, val in enumerate(values(x)):
+                out += val * xi[alpha]
             return out
 
         def der(x, xi):
             n = len(coeffs)
             dx = np.zeros((n, dim, dim), dtype=complex)
             dxi = np.zeros((n, dim, dim), dtype=complex)
-            grads = [fld.gradient(x) for fld in coeffs]
+            vals, grad = values(x), grads(x)
             for alpha in range(n):
-                dxi[alpha] = coeffs[alpha].value(x)
+                dxi[alpha] = vals[alpha]
                 for beta in range(n):
-                    dx[alpha] += grads[beta][alpha] * xi[beta]
+                    dx[alpha] += grad[beta][alpha] * xi[beta]
             return dx, dxi
 
         return SymbolField(dim, 1, ev, der)
@@ -173,12 +199,15 @@ class TorusModel:
     def subprincipal_symbol(self) -> SymbolField:
         pot = self.potential
         dim = self.dim
+        value = _at_last_x(pot.value)
+        gradient = _at_last_x(pot.gradient)
 
+        # copies: the memo is shared by every node, the caller owns its result
         def ev(x, xi):
-            return pot.value(x)
+            return value(x).copy()
 
         def der(x, xi):
-            dx = pot.gradient(x)
+            dx = gradient(x).copy()
             dxi = np.zeros_like(dx)
             return dx, dxi
 
@@ -664,6 +693,8 @@ def build_mollifier(
     cosine transform of the plateau, and both grids are symmetric
     multiples of their spacing.
     """
+    from scipy.interpolate import CubicSpline  # only mollifier runs load scipy
+
     if support <= 0.0:
         raise ValueError("support must be positive")
     if support >= 2.0 * math.pi:
@@ -750,6 +781,21 @@ def local_counting_mollified(
     )
 
 
+def _least_squares(design: np.ndarray, y: np.ndarray) -> tuple:
+    """Coefficients, residuals and coefficient standard errors of a fit.
+
+    The errors come from the thin SVD of the design, as sigma * |row of
+    V diag(1/s)|, never from inverting the normal matrix: its condition
+    number is the square of the design's.
+    """
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    res = y - design @ coef
+    dof = max(y.size - design.shape[1], 1)
+    _, sing, vt = np.linalg.svd(design, full_matrices=False)
+    se = np.sqrt(res @ res / dof) * np.linalg.norm(vt.T / sing, axis=1)
+    return coef, res, se
+
+
 @dataclass(frozen=True)
 class WeylFit:
     """Result of the two-term asymptotic fit."""
@@ -808,12 +854,7 @@ def fit_weyl(
         if peak > 0 and mid < 0.05 * peak:
             cols.extend([shape, mollifier(mu - 1.0)])
             names.extend(["bottom-0", "bottom-1"])
-    design = np.stack(cols, axis=1)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    res = y - design @ coef
-    dof = max(mu.size - design.shape[1], 1)
-    cov = (res @ res / dof) * np.linalg.inv(design.T @ design)
-    se = np.sqrt(np.abs(np.diag(cov)))
+    coef, res, se = _least_squares(np.stack(cols, axis=1), y)
     return WeylFit(
         a_leading=float(coef[0]),
         a_second=float(coef[1]),

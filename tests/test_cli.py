@@ -1,7 +1,11 @@
 """Command line front end: config grammar, exit codes, CSV contracts."""
 
+import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +176,14 @@ def test_one_panel_per_base_point(tmp_path, monkeypatch):
     assert run_cli(["compute", "--model", "twisted", "--pipeline", "direct",
                     "--out", str(tmp_path), *points]) == 0
     assert len(built) == 2
+    # the direct coefficients come off the recovery panels, byte for byte
+    direct = (tmp_path / "weyl_coefficients.csv").read_bytes()
+    built.clear()
+    assert run_cli(["compute", "--model", "twisted", "--pipeline", "all",
+                    "-k", "12", "--out", str(tmp_path / "all"), *points]) == 0
+    assert len(built) == 2
+    body = (tmp_path / "all" / "weyl_coefficients.csv").read_bytes()
+    assert body.split(b"\n", 1)[1] == direct.split(b"\n", 1)[1]
 
 
 def test_verify_twisted_passes(tmp_path, capsys):
@@ -220,3 +232,38 @@ def test_tolerance_failure_exits_three(tmp_path, capsys):
     )
     assert code == 3
     assert "tolerance failure" in capsys.readouterr().err
+
+
+_START_UP_PROBE = """
+import json, sys
+from weylsys.cli import main
+
+out = sys.argv[1]
+codes = [
+    main(["verify", "--model", "twisted", "--out", out,
+          "--set", "x_points=(0.4,1.1)"]),
+    main(["gn-check", "--out", out]),
+]
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+codes.append(main(["compute", "--model", "twisted", "--pipeline", "spectral",
+                   "-k", "12", "--out", out, "--set", "x_points=(0.4,1.1)"]))
+print(json.dumps({"codes": codes, "before_spectral": loaded,
+                  "after_spectral": "scipy" in sys.modules}))
+"""
+
+
+def test_verify_and_gn_check_load_no_scipy(tmp_path):
+    # a fresh interpreter: verify and gn-check run on numpy alone, and the
+    # spectral pipeline still works, loading scipy for its mollifier
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _START_UP_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0]
+    assert report["before_spectral"] == []
+    assert report["after_spectral"]

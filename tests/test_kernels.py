@@ -12,8 +12,8 @@ from weylsys import (
     kernel_moment_numeric,
     power_difference_kernel,
 )
-from weylsys.errors import AngleOutOfRange, RealSpectralParameter
-from weylsys.kernels import arg_positive_cut
+from weylsys.errors import AngleOutOfRange, QuadratureFailure, RealSpectralParameter
+from weylsys.kernels import _adaptive_gauss, arg_positive_cut
 
 
 def test_kernel_is_purely_imaginary(rng):
@@ -119,14 +119,54 @@ def test_moment_power_nm1_lower_half():
         assert abs(got - want) < 1e-14
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("phi", [math.pi / 6, math.pi / 2, 5 * math.pi / 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "phi",
+    # the last five: poles within 0.05 of the real axis, and Im z < 0
+    [math.pi / 6, math.pi / 2, 5 * math.pi / 6,
+     0.05, math.pi - 0.05, -0.05, -math.pi / 2, -(math.pi - 0.05)],
+)
 def test_numeric_matches_closed(n, phi):
     z = cmath.exp(1j * phi)
     for power in (n, n - 1):
         closed = kernel_moment_closed(n, z, power)
         numeric = kernel_moment_numeric(n, z, power)
         assert abs(closed - numeric) < 1e-6 * max(1.0, abs(closed))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_numeric_matches_adaptive_quadpack(n):
+    from scipy.integrate import quad
+
+    for phi in (math.pi / 6, math.pi / 2, 5 * math.pi / 6):
+        z = cmath.exp(1j * phi)
+        for power in (n, n - 1):
+            def integrand(mu):
+                return power_difference_kernel(mu, z, n).imag * mu ** power
+
+            want, _ = quad(integrand, 0.0, 50.0, limit=400, epsabs=1e-12,
+                           epsrel=1e-10, points=[1.0, 2.0])
+            got, err = _adaptive_gauss(integrand, (0.0, 1.0, 2.0, 50.0), 1e-12, 1e-10)
+            assert abs(got - want) <= 1e-9 * abs(want)
+            assert err <= 1e-10 * abs(want)
+
+
+def test_adaptive_rule_resolves_a_narrow_peak():
+    # a Lorentzian of width 1e-4 centred away from every breakpoint
+    width = 1e-4
+    got, _ = _adaptive_gauss(
+        lambda x: width / ((x - 0.3) ** 2 + width ** 2), (0.0, 1.0), 1e-12, 1e-10
+    )
+    want = math.atan(0.7 / width) + math.atan(0.3 / width)
+    assert abs(got - want) < 1e-9 * want
+
+
+@pytest.mark.parametrize(
+    "integrand", [lambda x: 1.0 / x, lambda x: np.full_like(x, np.nan)]
+)
+def test_adaptive_rule_fails_when_it_cannot_converge(integrand):
+    with pytest.raises(QuadratureFailure):
+        _adaptive_gauss(integrand, (0.0, 1.0), 1e-12, 1e-10)
 
 
 def test_moment_rejects_bad_power():

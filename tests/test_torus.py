@@ -446,3 +446,61 @@ def test_dirac_fit_second_coefficient_vanishes(dirac_model, mollifier_t3):
     )
     fit = fit_weyl(samples, 2, (3.0, 19.2), mollifier=mollifier_t3)
     assert abs(fit.a_second) < 0.01 * fit.a_leading
+
+
+def test_fit_errors_match_normal_equations_when_well_conditioned(rng):
+    from weylsys.torus import CountingSamples
+
+    mu = np.arange(3.0, 14.0, 0.05)
+    values = 0.3 * mu + 0.1 - 0.4 / mu + rng.normal(0.0, 1e-3, mu.size)
+    samples = CountingSamples(
+        x=np.zeros(2), mu=mu, values=values, branch="plus",
+        mollifier_support=3.0, trusted_max=20.0,
+    )
+    fit = fit_weyl(samples, 2, (3.0, 14.0))
+    assert fit.columns == ("leading", "second", "next-order")
+    design = np.stack([mu, np.ones_like(mu), 1.0 / mu], axis=1)
+    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
+    res = values - design @ coef
+    cov = (res @ res / (mu.size - 3)) * np.linalg.inv(design.T @ design)
+    want = np.sqrt(np.diag(cov))
+    assert fit.se_leading == pytest.approx(want[0], rel=1e-12)
+    assert fit.se_second == pytest.approx(want[1], rel=1e-12)
+
+
+def test_fit_errors_finite_on_nearly_collinear_design():
+    from weylsys.torus import _least_squares
+
+    # cond(design) ~ 1e9, so the normal matrix is singular to working precision
+    t = np.linspace(0.0, 1.0, 50)
+    design = np.stack([np.ones_like(t), 1.0 + 1e-9 * t], axis=1)
+    y = 2.0 + 0.5 * t + 1e-6 * np.cos(7.0 * t)
+    coef, res, se = _least_squares(design, y)
+    assert np.all(np.isfinite(coef)) and np.all(np.isfinite(res))
+    assert np.all(np.isfinite(se)) and np.all(se > 0.0)
+
+
+def test_symbols_evaluate_fields_once_per_base_point(twisted_model, monkeypatch):
+    from weylsys import CosphereQuadrature
+    from weylsys.coefficients import CospherePanel
+
+    calls = {"value": 0, "gradient": 0}
+    for name in calls:
+        original = getattr(TrigMatrixField, name)
+
+        def counted(self, x, _name=name, _fn=original):
+            calls[_name] += 1
+            return _fn(self, x)
+
+        monkeypatch.setattr(TrigMatrixField, name, counted)
+    lead, sub = twisted_model.symbol_fields()
+    seen = []
+    for n_angles, x in ((32, (0.3, 0.0)), (256, (1.1, 2.0)), (256, (1.1, 2.0))):
+        for key in calls:
+            calls[key] = 0
+        CospherePanel(lead, sub, np.array(x), CosphereQuadrature(n_angles=n_angles))
+        seen.append(dict(calls))
+    # per new base point: each of the two coefficient fields and the
+    # potential once, and the gradients of the coefficient fields once
+    assert seen[:2] == [{"value": 3, "gradient": 2}] * 2
+    assert seen[2] == {"value": 0, "gradient": 0}
