@@ -3,8 +3,8 @@
 The power-difference kernels weight the spectral measure in the recovery
 route.  Their two moment families have closed forms; here both are checked
 against an independent quadrature (adaptive rule plus analytic tail), and
-the universal radial factor -2(pi - phi) is reproduced for two different
-integrand splittings and several kernel orders.
+the universal radial factor -2(pi - phi), i times the order-n kernel's
+mu^(n-1) moment, is reproduced by quadrature for two kernel orders.
 """
 
 import cmath
@@ -14,7 +14,6 @@ from weylsys import (
     kernel_moment_closed,
     kernel_moment_numeric,
     radial_factor,
-    radial_profile,
 )
 
 print("moment integrals: closed form vs quadrature")
@@ -32,13 +31,15 @@ for n in (2, 3, 5):
             )
 
 print()
-print("radial factors: numeric profile vs -2(pi - phi), order-independent")
-print(f"{'phi':>8} {'target':>12} {'split 1':>12} {'split 2':>12} {'neg sheet':>12}")
+print("radial factors: numeric moments vs -2(pi - phi), order-independent")
+print(f"{'phi':>8} {'target':>12} {'n = 3':>12} {'n = 5':>12} {'neg sheet':>12}")
 for phi in (0.5, 1.2, 2.0, 2.9):
     target = -2.0 * (math.pi - phi)
+    z = cmath.exp(1j * phi)
+    n3, n5 = ((1j * kernel_moment_numeric(n, z, n - 1)).real for n in (3, 5))
     print(
-        f"{phi:8.4f} {target:12.8f} {radial_profile(phi, 3, 1):12.8f} "
-        f"{radial_profile(phi, 4, 2):12.8f} {radial_factor(2, phi, -1):12.8f}"
+        f"{phi:8.4f} {target:12.8f} {n3:12.8f} "
+        f"{n5:12.8f} {radial_factor(2, phi, -1):12.8f}"
     )
 
 print()

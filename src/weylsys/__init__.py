@@ -19,8 +19,6 @@ from .coefficients import (
     SecondWeylResult,
     WeylCoefficients,
     first_weyl,
-    projection_form_check,
-    region_integral,
     second_weyl,
     weyl_coefficients,
 )
@@ -32,17 +30,12 @@ from .kernels import (
     power_difference_kernel,
 )
 from .resolvent import (
-    BCoefficients,
-    SpectralParameter,
-    b_coefficients,
     b_profile,
     power_trace_symbol,
     radial_factor,
-    radial_profile,
     recover_second_weyl,
     resolvent_symbol,
     resolvent_symbol_terms,
-    trace_resolvent_symbol,
 )
 from .symbols import (
     EigenJet,
@@ -72,7 +65,6 @@ from .torus import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BCoefficients",
     "CosphereQuadrature",
     "CountingSamples",
     "EigenJet",
@@ -80,14 +72,12 @@ __all__ = [
     "Mollifier",
     "PhasePoint",
     "SecondWeylResult",
-    "SpectralParameter",
     "SpectrumResult",
     "SymbolField",
     "TorusModel",
     "WeylCoefficients",
     "WeylError",
     "assemble_and_solve",
-    "b_coefficients",
     "b_profile",
     "build_model",
     "build_mollifier",
@@ -105,15 +95,11 @@ __all__ = [
     "poisson_bracket",
     "power_difference_kernel",
     "power_trace_symbol",
-    "projection_form_check",
     "radial_factor",
-    "radial_profile",
     "recover_second_weyl",
-    "region_integral",
     "resolvent_symbol",
     "resolvent_symbol_terms",
     "second_weyl",
     "symbol_jet",
-    "trace_resolvent_symbol",
     "weyl_coefficients",
 ]

@@ -92,18 +92,6 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
 
-def _parse_scalar(text: str):
-    text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def _parse_angle_list(text: str) -> tuple:
     out = []
     for piece in text.split(","):
@@ -122,8 +110,8 @@ def _parse_points(text: str) -> tuple:
         if not chunk:
             continue
         coords = [float(c) for c in chunk.split(",")]
-        if len(coords) != 2:
-            raise ConfigError(f"point {chunk!r} must have two coordinates")
+        if len(coords) != 2 or not all(map(math.isfinite, coords)):
+            raise ConfigError(f"point {chunk!r} must have two finite coordinates")
         pts.append(tuple(coords))
     if not pts:
         raise ConfigError("empty point list")
@@ -147,54 +135,67 @@ def parse_config_lines(lines) -> dict:
     return out
 
 
+def _parse_pipeline(text: str) -> str:
+    if text not in PIPELINES:
+        raise ConfigError(
+            f"pipeline must be one of {', '.join(PIPELINES)}, got {text!r}"
+        )
+    return text
+
+
+def _parse_float(text: str) -> float:
+    # NaN compares false with everything, so a NaN tolerance would pass every
+    # check; a NaN or infinite model parameter registers a meaningless model
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _parse_int_list(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(","))
+
+
+# key -> (RunConfig field, parser); a model parameter field names its
+# entry in RunConfig.model_params
+_SETTINGS = {
+    "model.name": ("model", str),
+    **{f"model.{param}": (param, _parse_float) for param in _MODEL_PARAM_KEYS},
+    "pipeline": ("pipeline", _parse_pipeline),
+    "quadrature.n_angles": ("n_angles", int),
+    "angles": ("angles", _parse_angle_list),
+    "limit_angles": ("limit_angles", _parse_angle_list),
+    "truncation.k": ("truncation", int),
+    "truncation.budget": ("budget", int),
+    "mollifier.support": ("mollifier_support", _parse_float),
+    "fit.mu_lo": ("mu_lo", _parse_float),
+    "fit.mu_hi": ("mu_hi", _parse_float),
+    "fit.grid_step": ("grid_step", _parse_float),
+    "x_points": ("x_points", _parse_points),
+    "out": ("out_dir", str),
+    "tolerance.cross_rel": ("cross_rel_tol", _parse_float),
+    "tolerance.b1_rel": ("b1_rel_tol", _parse_float),
+    "gn.orders": ("gn_orders", _parse_int_list),
+    "gn.angles": ("gn_angles", _parse_angle_list),
+}
+
+
 def apply_settings(cfg: RunConfig, settings: dict) -> RunConfig:
     """Apply flat dotted-key settings onto a config, validating keys."""
     for key, value in settings.items():
-        if key == "model.name":
-            cfg.model = str(value)
-        elif key.startswith("model."):
-            param = key.split(".", 1)[1]
-            if param not in _MODEL_PARAM_KEYS:
-                raise ConfigError(f"unknown model parameter {param!r}")
-            cfg.model_params[param] = float(value)
-        elif key == "pipeline":
-            if value not in PIPELINES:
-                raise ConfigError(
-                    f"pipeline must be one of {', '.join(PIPELINES)}, got {value!r}"
-                )
-            cfg.pipeline = value
-        elif key == "quadrature.n_angles":
-            cfg.n_angles = int(value)
-        elif key == "angles":
-            cfg.angles = _parse_angle_list(value)
-        elif key == "limit_angles":
-            cfg.limit_angles = _parse_angle_list(value)
-        elif key == "truncation.k":
-            cfg.truncation = int(value)
-        elif key == "truncation.budget":
-            cfg.budget = int(value)
-        elif key == "mollifier.support":
-            cfg.mollifier_support = float(value)
-        elif key == "fit.mu_lo":
-            cfg.mu_lo = float(value)
-        elif key == "fit.mu_hi":
-            cfg.mu_hi = float(value)
-        elif key == "fit.grid_step":
-            cfg.grid_step = float(value)
-        elif key == "x_points":
-            cfg.x_points = _parse_points(value)
-        elif key == "out":
-            cfg.out_dir = str(value)
-        elif key == "tolerance.cross_rel":
-            cfg.cross_rel_tol = float(value)
-        elif key == "tolerance.b1_rel":
-            cfg.b1_rel_tol = float(value)
-        elif key == "gn.orders":
-            cfg.gn_orders = tuple(int(v) for v in value.split(","))
-        elif key == "gn.angles":
-            cfg.gn_angles = _parse_angle_list(value)
-        else:
+        if key not in _SETTINGS:
+            if key.startswith("model."):
+                raise ConfigError(f"unknown model parameter {key.split('.', 1)[1]!r}")
             raise ConfigError(f"unknown configuration key {key!r}")
+        name, parse = _SETTINGS[key]
+        try:
+            parsed = parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+        if name in _MODEL_PARAM_KEYS:
+            cfg.model_params[name] = parsed
+        else:
+            setattr(cfg, name, parsed)
     _validate(cfg)
     return cfg
 
@@ -207,6 +208,12 @@ def _validate(cfg: RunConfig) -> None:
     for phi in (*cfg.angles, *cfg.limit_angles, *cfg.gn_angles):
         if not 0.0 < phi < math.pi:
             raise ConfigError(f"angle {phi} outside (0, pi)")
+    if len(cfg.angles) < 2 or cfg.angles[0] == cfg.angles[1]:
+        raise ConfigError("angles must start with two distinct recovery angles")
+    if len(set(cfg.limit_angles)) < 2:
+        raise ConfigError("limit_angles needs at least two distinct angles")
+    if min(cfg.gn_orders) < 1:
+        raise ConfigError("gn.orders entries must be >= 1")
     if cfg.n_angles < 16 or cfg.n_angles % 2:
         raise ConfigError("quadrature.n_angles must be even and >= 16")
     if cfg.truncation < 8:

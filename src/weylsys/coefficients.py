@@ -11,7 +11,7 @@ which for n = 2 is a plain periodic trapezoid rule (spectrally accurate).
 Two algebraically equal forms exist for the bracket and curvature terms:
 one through eigenvectors, one through projections.  The projection forms
 are entirely gauge-free and serve as the production path; the eigenvector
-forms are kept as a cross-check (`projection_form_check`).
+forms are kept as a cross-check (``second_weyl(..., form="vector")``).
 
 All of it comes from one :class:`CospherePanel` per base point: the
 symbols at every cosphere node, one stacked eigen-jet
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .symbols import (
     eigen_jet_stack,
     generalized_bracket,
     require_hermitian,
-    sheet_position,
     symbol_jet,
 )
 
@@ -71,20 +70,13 @@ class CosphereQuadrature:
             weights = np.full(self.n_angles, 2.0 * math.pi / self.n_angles)
             return omega, weights
         if n == 3:
-            nodes_c, weights_c = np.polynomial.legendre.leggauss(self.n_polar)
+            c, w_c = np.polynomial.legendre.leggauss(self.n_polar)
             phi = 2.0 * math.pi * np.arange(self.n_angles) / self.n_angles
-            w_phi = 2.0 * math.pi / self.n_angles
-            sin_t = np.sqrt(1.0 - nodes_c ** 2)
-            omega = np.empty((self.n_polar * self.n_angles, 3))
-            weights = np.empty(self.n_polar * self.n_angles)
-            idx = 0
-            for c, wc in zip(nodes_c, weights_c):
-                st = math.sqrt(1.0 - c * c)
-                for p, ph in enumerate(phi):
-                    omega[idx] = (st * math.cos(ph), st * math.sin(ph), c)
-                    weights[idx] = wc * w_phi
-                    idx += 1
-            return omega, weights
+            sin_t = np.sqrt(1.0 - c ** 2)[:, None]
+            polar = np.broadcast_to(c[:, None], (self.n_polar, self.n_angles))
+            omega = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), polar], axis=-1)
+            weights = np.repeat(w_c * (2.0 * math.pi / self.n_angles), self.n_angles)
+            return omega.reshape(-1, 3), weights
         raise ValueError(f"cosphere quadrature implemented for n in {{2, 3}}, got {n}")
 
 
@@ -394,26 +386,6 @@ class CospherePanel:
         )
 
 
-def region_integral(
-    leading: SymbolField,
-    x: np.ndarray,
-    sheet: int,
-    integrand: Callable[[PhasePoint], float],
-    quad: CosphereQuadrature,
-    simplicity_tol: Optional[float] = None,
-) -> float:
-    """Integral of a degree-0 scalar over the region where one sheet
-    Hamiltonian (its magnitude, for negative sheets) is below one.
-
-    Homogeneity reduces the integral to (1/n) int_S q(x, w) |h(x, w)|^-n dw
-    over the unit sphere.  Raises :class:`NotElliptic` if the sheet
-    Hamiltonian degenerates at a quadrature node.
-    """
-    panel = CospherePanel(leading, None, x, quad, simplicity_tol=simplicity_tol)
-    samples = np.array([integrand(PhasePoint(panel.x, row)) for row in panel.omega])
-    return panel.region_integral(sheet_position(panel.sheets, sheet), samples)
-
-
 def first_weyl(
     leading: SymbolField,
     x: np.ndarray,
@@ -444,39 +416,6 @@ def second_weyl(
     """
     panel = CospherePanel(leading, nextorder, x, quad, step, simplicity_tol)
     return panel.second_coefficient(form=form)
-
-
-@dataclass(frozen=True)
-class FormComparison:
-    """Eigenvector-form vs projection-form values of the angular factors."""
-
-    sheet: int
-    c_first_vector: float
-    c_first_projection: float
-    c_second_vector: float
-    c_second_projection: float
-
-
-def projection_form_check(
-    leading: SymbolField,
-    nextorder: Optional[SymbolField],
-    x: np.ndarray,
-    sheet: int,
-    quad: CosphereQuadrature = CosphereQuadrature(),
-    step: float = DEFAULT_STEP,
-) -> FormComparison:
-    """Evaluate both algebraic forms of the two angular factors for one sheet."""
-    panel = CospherePanel(leading, nextorder, x, quad, step)
-    pos = sheet_position(panel.sheets, sheet)
-    proj = panel.second_terms(pos, "projection")
-    vect = panel.second_terms(pos, "vector")
-    return FormComparison(
-        sheet=sheet,
-        c_first_vector=vect.c_first,
-        c_first_projection=proj.c_first,
-        c_second_vector=vect.c_second,
-        c_second_projection=proj.c_second,
-    )
 
 
 def weyl_coefficients(

@@ -21,30 +21,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import AngleOutOfRange, QuadratureFailure, RealSpectralParameter
-
-
-@dataclass(frozen=True)
-class KernelSample:
-    """One kernel evaluation; ``value`` is purely imaginary."""
-
-    n: int
-    mu: float
-    z: complex
-    value: complex
-
-
-def kernel_sample(mu: float, z: complex, n: int) -> KernelSample:
-    """Evaluate the kernel into a validated record."""
-    value = power_difference_kernel(mu, z, n)
-    if abs(value.real) > 1e-12 * max(1.0, abs(value)):
-        raise ValueError(f"kernel value not purely imaginary: {value!r}")
-    return KernelSample(n=n, mu=float(mu), z=complex(z), value=value)
 
 
 def power_difference_kernel(mu, z: complex, n: int):

@@ -23,43 +23,25 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .coefficients import CospherePanel, CosphereQuadrature
+from .coefficients import CospherePanel, CosphereQuadrature, sheet_terms_at
 from .errors import (
     AngleOutOfRange,
     DegenerateAngles,
     QuadratureFailure,
     SingularResolvent,
 )
-from .kernels import kernel_moment_closed, power_difference_kernel
+from .kernels import kernel_moment_closed
 from .symbols import (
     DEFAULT_STEP,
     MatrixJet,
     PhasePoint,
     SymbolField,
-    eigen_jet,
+    eigen_jet,  # not called here; perfbench/inproc.py wraps resolvent.eigen_jet
     generalized_bracket,
     symbol_jet,
 )
 
 RESOLVENT_DISTANCE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class SpectralParameter:
-    """z = lam * exp(i phi) with lam > 0 and 0 < phi < pi."""
-
-    lam: float
-    phi: float
-
-    def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if not 0.0 < self.phi < math.pi:
-            raise AngleOutOfRange(f"phi must lie in (0, pi), got {self.phi}")
-
-    @property
-    def z(self) -> complex:
-        return self.lam * cmath.exp(1j * self.phi)
 
 
 def _resolvent_jet(lead_jet: MatrixJet, z: complex) -> MatrixJet:
@@ -123,35 +105,6 @@ class ResolventSymbolTerms:
         return self.s_second_pole + self.s_second_curvature
 
 
-def _sheet_scalar_data(
-    leading: SymbolField,
-    nextorder: Optional[SymbolField],
-    p: PhasePoint,
-    step: float,
-):
-    """Per-sheet (h, tr(A_next P), tr{P, A-h, P}, tr{P,P,P}) at one point."""
-    jet = eigen_jet(leading, p, step)
-    a_next = nextorder(p) if nextorder is not None else np.zeros(
-        (leading.dim, leading.dim), dtype=complex
-    )
-    lead_val = leading(p)
-    ident = np.eye(leading.dim)
-    rows = []
-    for pos in range(jet.m):
-        pj = jet.projection_jet(pos)
-        middle = lead_val - jet.h[pos] * ident
-        rows.append(
-            (
-                int(jet.sheets[pos]),
-                float(jet.h[pos]),
-                complex(np.trace(a_next @ jet.P[pos])),
-                complex(np.trace(generalized_bracket(pj, middle, pj))),
-                jet.curvature_scalar(pos),
-            )
-        )
-    return rows
-
-
 def resolvent_symbol_terms(
     leading: SymbolField,
     nextorder: Optional[SymbolField],
@@ -161,35 +114,24 @@ def resolvent_symbol_terms(
     step: float = DEFAULT_STEP,
 ) -> list[ResolventSymbolTerms]:
     """Per-sheet symbol terms of the traced (1-n)-th resolvent power."""
-    rows = _sheet_scalar_data(leading, nextorder, p, step)
-    _check_distance(np.array([r[1] for r in rows]), z)
+    _, terms = sheet_terms_at(leading, nextorder, p, step)
+    _check_distance(np.array([t.h for t in terms]), z)
     out = []
-    for sheet, h, sub_tr, brack_tr, curv_tr in rows:
-        pole = (-(n - 1) * sub_tr + 0.5j * (n - 1) * brack_tr) / (h - z) ** n
-        curv = 1j * curv_tr / (h - z) ** (n - 1)
+    for t in terms:
+        h = t.h
+        pole = (
+            -(n - 1) * t.sub_projection + 0.5j * (n - 1) * t.bracket_projection
+        ) / (h - z) ** n
+        curv = 1j * t.curvature_projection / (h - z) ** (n - 1)
         out.append(
             ResolventSymbolTerms(
-                sheet=sheet,
+                sheet=t.sheet,
                 s_first=(h - z) ** (1 - n),
                 s_second_pole=pole,
                 s_second_curvature=curv,
             )
         )
     return out
-
-
-def trace_resolvent_symbol(
-    leading: SymbolField,
-    nextorder: Optional[SymbolField],
-    p: PhasePoint,
-    z: complex,
-    step: float = DEFAULT_STEP,
-) -> complex:
-    """Single-sheet-sum form of the traced resolvent symbol (two terms)."""
-    total = 0.0 + 0.0j
-    for t in resolvent_symbol_terms(leading, nextorder, p, z, n=2, step=step):
-        total += t.s_first + t.s_second
-    return total
 
 
 def power_trace_symbol(
@@ -207,17 +149,6 @@ def power_trace_symbol(
     for t in resolvent_symbol_terms(leading, nextorder, p, z, n=n, step=step):
         total += t.s_first + t.s_second
     return total
-
-
-def cauchy_derivative(fn, z: complex, order: int, radius: float, n_nodes: int = 64) -> complex:
-    """order-th derivative of fn at z via the Cauchy integral on a circle."""
-    if order == 0:
-        return fn(z)
-    ks = np.arange(n_nodes)
-    ws = np.exp(2j * math.pi * ks / n_nodes)
-    vals = np.array([fn(z + radius * w) for w in ws])
-    coeff = np.mean(vals * np.exp(-2j * math.pi * order * ks / n_nodes))
-    return math.factorial(order) * coeff / radius ** order
 
 
 def radial_factor(n: int, phi: float, sheet_sign: int) -> float:
@@ -239,49 +170,6 @@ def radial_factor(n: int, phi: float, sheet_sign: int) -> float:
     if abs(val.imag) > 1e-12:
         raise QuadratureFailure("radial factor failed to come out real")
     return float(val.real)
-
-
-def radial_profile(
-    phi: float,
-    n: int,
-    k: int,
-    cutoff: float = 400.0,
-) -> float:
-    """Numeric radial integral for positive sheets (test oracle).
-
-    k = 1 integrates the order-n kernel against mu^(n-1); k = 2 the
-    order-(n-1) kernel against mu^(n-2).  Both must equal -2 (pi - phi)
-    independently of n.  Adaptive quadrature on [0, R] plus an inverted
-    substitution on the tail; raises :class:`QuadratureFailure` when the
-    error estimates are too large.
-    """
-    if not 0.0 < phi < math.pi:
-        raise AngleOutOfRange(f"phi must lie in (0, pi), got {phi}")
-    if k not in (1, 2):
-        raise ValueError("k must be 1 or 2")
-    from scipy.integrate import quad  # test oracle only: keep scipy off import
-
-    z = cmath.exp(1j * phi)
-    order = n if k == 1 else n - 1
-    power = n - 1 if k == 1 else n - 2
-
-    def integrand(mu: float) -> float:
-        return power_difference_kernel(mu, z, order).imag * mu ** power
-
-    val, err = quad(integrand, 0.0, cutoff, limit=600, epsabs=1e-12, epsrel=1e-11,
-                    points=[1.0, 2.0])
-    # Tail via mu = cutoff / u; integrand decays like mu^(power - order - 2).
-    def tail_integrand(u: float) -> float:
-        mu = cutoff / u
-        return integrand(mu) * mu / u
-
-    tval, terr = quad(tail_integrand, 0.0, 1.0, limit=200, epsabs=1e-12, epsrel=1e-10)
-    if err + terr > 1e-7:
-        raise QuadratureFailure(
-            f"radial integral error estimate {err + terr:.2e} too large"
-        )
-    # The kernel is purely imaginary, so i * int(kernel) = -int(Im kernel).
-    return -(val + tval)
 
 
 @dataclass(frozen=True)
@@ -359,37 +247,6 @@ def b_profile(
             )
         )
     return BProfile(x=panel.x, n=panel.n, data=data, panel=panel)
-
-
-@dataclass(frozen=True)
-class BCoefficients:
-    """b1, b0 at one angle with the per-sheet split of b0."""
-
-    phi: float
-    b1: float
-    b0: float
-    b0_by_sheet: dict
-
-
-def b_coefficients(
-    leading: SymbolField,
-    nextorder: Optional[SymbolField],
-    x: np.ndarray,
-    phi: float,
-    quad_rule: CosphereQuadrature = CosphereQuadrature(),
-    step: float = DEFAULT_STEP,
-) -> BCoefficients:
-    """Angle-resolved expansion coefficients at one angle.
-
-    Computes the cosphere factors once and applies the closed-form radial
-    factors.  The per-sheet b0 values are *not* divided by the (2 pi)^n
-    normalisation of the total (they feed decay tests as-is).
-    """
-    prof = b_profile(leading, nextorder, x, quad_rule, step)
-    by_sheet = {d.sheet: prof.b0_sheet(phi, d.sheet) for d in prof.data}
-    return BCoefficients(
-        phi=phi, b1=prof.b1(phi), b0=prof.b0(phi), b0_by_sheet=by_sheet
-    )
 
 
 def recover_second_weyl(

@@ -214,10 +214,6 @@ class EigenSystem:
     def m_minus(self) -> int:
         return int(np.sum(self.values < 0))
 
-    def position(self, sheet: int) -> int:
-        """Index into the sorted arrays for a signed sheet label."""
-        return sheet_position(self.sheets, sheet)
-
 
 def sheet_position(sheets: np.ndarray, sheet: int) -> int:
     """Index of a signed sheet label in a row of labels; ValueError if absent."""
@@ -325,26 +321,9 @@ def symbol_jet(
     return MatrixJet(value, dx, dxi)
 
 
-def _check_bracket_shapes(*jets: MatrixJet) -> int:
-    n = jets[0].n
-    for jet in jets[1:]:
-        if jet.n != n:
-            raise DimensionMismatch("jets taken at different phase-space dimensions")
-    return n
-
-
 def poisson_bracket(jet_a: MatrixJet, jet_b: MatrixJet) -> np.ndarray:
-    """{A, B} = sum_alpha (A_x B_xi - A_xi B_x) on matrix jets."""
-    n = _check_bracket_shapes(jet_a, jet_b)
-    if jet_a.value.shape[1] != jet_b.value.shape[0]:
-        raise DimensionMismatch(
-            f"cannot multiply {jet_a.value.shape} by {jet_b.value.shape}"
-        )
-    out = np.zeros((jet_a.value.shape[0], jet_b.value.shape[1]), dtype=complex)
-    for alpha in range(n):
-        out += jet_a.dx[alpha] @ jet_b.dxi[alpha]
-        out -= jet_a.dxi[alpha] @ jet_b.dx[alpha]
-    return out
+    """{A, B} = sum_alpha (A_x B_xi - A_xi B_x): the bracket {A, I, B}."""
+    return generalized_bracket(jet_a, np.eye(jet_a.value.shape[1]), jet_b)
 
 
 def generalized_bracket(
@@ -357,7 +336,9 @@ def generalized_bracket(
     F may be (p, m), G (m, m') and H (m', q); the result is (p, q).  Scalar
     brackets such as {v^*, G, v} are the 1 x 1 case.
     """
-    n = _check_bracket_shapes(jet_f, jet_h)
+    n = jet_f.n
+    if jet_h.n != n:
+        raise DimensionMismatch("jets taken at different phase-space dimensions")
     middle = np.asarray(middle, dtype=complex)
     if jet_f.value.shape[1] != middle.shape[0] or middle.shape[1] != jet_h.value.shape[0]:
         raise DimensionMismatch(
@@ -403,9 +384,6 @@ class EigenJet:
     @property
     def m_plus(self) -> int:
         return int(np.sum(self.h > 0))
-
-    def position(self, sheet: int) -> int:
-        return sheet_position(self.sheets, sheet)
 
     def projection_jet(self, pos: int) -> MatrixJet:
         return MatrixJet(self.P[pos], self.dP_x[:, pos], self.dP_xi[:, pos])
@@ -539,8 +517,9 @@ def check_field_contract(
 ) -> None:
     """Verify Hermiticity and positive homogeneity on sample points.
 
-    Raises :class:`NotHermitian` or ValueError on violation.  Used at model
-    registration; cheap enough to run on dense sample grids.
+    Raises :class:`NotHermitian` or ValueError on violation.  A test helper
+    for hand-built fields; model registration runs its own stacked check
+    (``registration_check`` in :mod:`weylsys.torus`).
     """
     for p in points:
         value = field(p)

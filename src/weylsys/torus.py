@@ -122,9 +122,6 @@ class TrigMatrixField:
                 out[alpha] += g[alpha] * phase * mat
         return out
 
-    def is_constant(self) -> bool:
-        return all(g == (0, 0) for g in self.modes)
-
 
 def _at_last_x(evaluate):
     """``evaluate(x)``, reused while x stays the same.

@@ -23,15 +23,14 @@ from weylsys import (
     kernel_moment_closed,
     kernel_moment_numeric,
     local_counting_mollified,
-    radial_profile,
+    power_trace_symbol,
     recover_second_weyl,
     resolvent_symbol,
     second_weyl,
-    trace_resolvent_symbol,
     weyl_coefficients,
 )
 
-from conftest import random_phase_points
+from conftest import radial_profile, random_phase_points
 from test_symbols import gauge_gradients, regauged_vector_jet
 
 TWO_PI = 2.0 * math.pi
@@ -119,7 +118,7 @@ def test_criterion_3_trace_identities(twisted_model, rng):
                                           float(np.max(np.abs(lhs - rhs))))
         # matrix trace of the two-term resolvent symbol vs sheet-sum form
         lhs = complex(np.trace(resolvent_symbol(lead, sub, p, z)))
-        rhs = trace_resolvent_symbol(lead, sub, p, z)
+        rhs = power_trace_symbol(lead, sub, p, z, 2)
         worst_trace = max(worst_trace, abs(lhs - rhs))
     assert worst_decomp < 1e-6
     assert worst_deriv < 1e-6

@@ -58,6 +58,34 @@ def test_angle_range_validated():
         apply_settings(RunConfig(), {"angles": "0.0, 1.0"})
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "quadrature.n_angles=abc",
+        "truncation.k=abc",
+        "model.eps=abc",
+        "fit.mu_lo=x",
+        "gn.orders=x",
+        "gn.orders=0",
+        "angles=0.5",
+        "angles=0.5,0.5",
+        "limit_angles=0.1",
+        "fit.grid_step=nan",
+        "tolerance.cross_rel=nan",
+        "model.eps=inf",
+        "x_points=(inf,0)",
+    ],
+)
+def test_malformed_value_is_a_config_error(setting, tmp_path, capsys):
+    code = run_cli(["compute", "--model", "twisted", "--pipeline", "all",
+                    "--out", str(tmp_path), "--set", setting])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("configuration error")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_x_points_parsing():
     cfg = apply_settings(RunConfig(), {"x_points": "(0.0, 0.1); (1.5, 2.5)"})
     assert cfg.x_points == ((0.0, 0.1), (1.5, 2.5))

@@ -9,12 +9,12 @@ from weylsys import (
     CosphereQuadrature,
     SymbolField,
     first_weyl,
-    projection_form_check,
-    region_integral,
     second_weyl,
     weyl_coefficients,
 )
+from weylsys.coefficients import CospherePanel
 from weylsys.errors import NotElliptic
+from weylsys.symbols import sheet_position
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -46,34 +46,38 @@ def test_sphere_rule_integrates_constants():
 
 
 # ---------------------------------------------------------------------------
-# region_integral
+# region integrals
 # ---------------------------------------------------------------------------
 
+def region_volume(field, x, sheet, quad=CosphereQuadrature(), samples=None):
+    """Integral of ``samples`` (default 1) over one sheet's sublevel region."""
+    panel = CospherePanel(field, None, x, quad)
+    if samples is None:
+        samples = np.ones(len(panel.weights))
+    return panel.region_integral(sheet_position(panel.sheets, sheet), samples)
+
+
 def test_unit_disk_area():
-    f = planar_spin_field()
-    val = region_integral(f, X0, 1, lambda p: 1.0, CosphereQuadrature())
+    val = region_volume(planar_spin_field(), X0, 1)
     assert abs(val - math.pi) < 1e-12
 
 
 def test_ellipse_area():
     # |h| = sqrt(xi1^2 + 4 xi2^2): the sublevel set is an ellipse with
     # semi-axes 1 and 1/2, area pi/2 (analytic oracle)
-    f = planar_spin_field(1.0, 2.0)
-    val = region_integral(f, X0, 1, lambda p: 1.0, CosphereQuadrature())
+    val = region_volume(planar_spin_field(1.0, 2.0), X0, 1)
     assert abs(val - math.pi / 2.0) < 1e-12
 
 
 def test_odd_integrand_vanishes():
-    f = planar_spin_field()
-    val = region_integral(
-        f, X0, 1, lambda p: p.xi[0] / np.linalg.norm(p.xi), CosphereQuadrature()
-    )
+    # xi_1 / |xi| at the unit-sphere nodes is the first node coordinate
+    omega, _ = CosphereQuadrature().nodes(2)
+    val = region_volume(planar_spin_field(), X0, 1, samples=omega[:, 0])
     assert abs(val) < 1e-13
 
 
 def test_region_integral_negative_sheet():
-    f = planar_spin_field()
-    val = region_integral(f, X0, -1, lambda p: 1.0, CosphereQuadrature())
+    val = region_volume(planar_spin_field(), X0, -1)
     assert abs(val - math.pi) < 1e-12
 
 
@@ -171,29 +175,37 @@ def test_vector_and_projection_forms_agree(twisted_model):
         assert abs(a.value - b.value) < 1e-6
 
 
+def form_factors(leading, nextorder, x, sheet):
+    """(c_first, c_second) of one sheet from the vector and projection forms."""
+    panel = CospherePanel(leading, nextorder, x, CosphereQuadrature())
+    pos = sheet_position(panel.sheets, sheet)
+    vect = panel.second_terms(pos, "vector")
+    proj = panel.second_terms(pos, "projection")
+    return vect.c_first, proj.c_first, vect.c_second, proj.c_second
+
+
 def test_projection_form_check_constant():
-    cmp = projection_form_check(planar_spin_field(), None, X0, 1)
-    assert abs(cmp.c_first_vector) < 1e-10
-    assert abs(cmp.c_first_projection) < 1e-10
-    assert abs(cmp.c_second_vector) < 1e-10
-    assert abs(cmp.c_second_projection) < 1e-10
+    for value in form_factors(planar_spin_field(), None, X0, 1):
+        assert abs(value) < 1e-10
 
 
 def test_projection_form_check_shifted():
     beta = 0.3
     sub = SymbolField(2, 0, lambda x, xi: beta * np.eye(2, dtype=complex))
-    cmp = projection_form_check(planar_spin_field(), sub, X0, 1)
-    assert abs(cmp.c_first_vector - cmp.c_first_projection) < 1e-8
-    assert abs(cmp.c_second_vector - cmp.c_second_projection) < 1e-8
+    first_v, first_p, second_v, second_p = form_factors(planar_spin_field(), sub, X0, 1)
+    assert abs(first_v - first_p) < 1e-8
+    assert abs(second_v - second_p) < 1e-8
     # c_first = -n(n-1) * beta * area of the unit disk
-    assert abs(cmp.c_first_projection - (-2.0 * beta * math.pi)) < 1e-10
+    assert abs(first_p - (-2.0 * beta * math.pi)) < 1e-10
 
 
 def test_projection_form_check_twisted(twisted_model):
     lead, sub = twisted_model.symbol_fields()
-    cmp = projection_form_check(lead, sub, np.array([1.3, 0.0]), 1)
-    assert abs(cmp.c_first_vector - cmp.c_first_projection) < 1e-6
-    assert abs(cmp.c_second_vector - cmp.c_second_projection) < 1e-6
+    first_v, first_p, second_v, second_p = form_factors(
+        lead, sub, np.array([1.3, 0.0]), 1
+    )
+    assert abs(first_v - first_p) < 1e-6
+    assert abs(second_v - second_p) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +219,9 @@ def test_sign_flip_duality(twisted_model, mass_dirac_model):
     coeffs = weyl_coefficients(lead, sub, x)
     # direct negative-sheet route on the original operator
     quad = CosphereQuadrature()
-    vol_neg = region_integral(lead, x, -1, lambda p: 1.0, quad)
+    vol_neg = region_volume(lead, x, -1, quad)
     a1_minus_direct = 2.0 / TWO_PI ** 2 * vol_neg
     assert abs(coeffs.a_first_minus - a1_minus_direct) < 1e-12
-    from weylsys.coefficients import CospherePanel
     panel = CospherePanel(lead, sub, x, quad)
     neg_terms = panel.second_terms(panel.positions()[0], "projection")
     assert panel.sheets[0] == -1
@@ -250,7 +261,7 @@ def test_not_elliptic_region_integral():
     # leading symbol degenerate along a direction: sigma_1 xi_1 alone
     f = SymbolField(2, 1, lambda x, xi: SIGMA1 * xi[0])
     with pytest.raises(NotElliptic):
-        region_integral(f, X0, 1, lambda p: 1.0, CosphereQuadrature())
+        region_volume(f, X0, 1)
 
 
 def test_complex_residue_detected():
@@ -269,15 +280,12 @@ def test_three_dimensional_region_volume():
         2, 1, lambda x, xi: np.linalg.norm(xi) * np.diag([1.0, -1.0]).astype(complex)
     )
     x3 = np.array([0.1, 0.2, 0.3])
-    val = region_integral(
-        f3, x3, 1, lambda p: 1.0, CosphereQuadrature(n_angles=64, n_polar=24)
-    )
+    val = region_volume(f3, x3, 1, CosphereQuadrature(n_angles=64, n_polar=24))
     assert abs(val - 4.0 * math.pi / 3.0) < 1e-10
 
 
 def test_panel_applies_the_node_rules():
     # the stacked eigensolve keeps every per-node rule and its typed error
-    from weylsys.coefficients import CospherePanel
     from weylsys.errors import NotHermitian
 
     quad = CosphereQuadrature(n_angles=16)

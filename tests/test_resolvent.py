@@ -8,20 +8,16 @@ import pytest
 
 from weylsys import (
     PhasePoint,
-    SpectralParameter,
     SymbolField,
-    b_coefficients,
     b_profile,
     eigen_jet,
     power_difference_kernel,
     power_trace_symbol,
     radial_factor,
-    radial_profile,
     recover_second_weyl,
     resolvent_symbol,
     resolvent_symbol_terms,
     second_weyl,
-    trace_resolvent_symbol,
 )
 from weylsys.coefficients import sheet_terms_at
 from weylsys.errors import (
@@ -29,24 +25,13 @@ from weylsys.errors import (
     DegenerateAngles,
     SingularResolvent,
 )
-from weylsys.resolvent import cauchy_derivative
+from weylsys.symbols import sheet_position
 
-from conftest import random_phase_points
+from conftest import cauchy_derivative, radial_profile, random_phase_points
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
-
-
-def test_spectral_parameter_validation():
-    sp = SpectralParameter(2.0, math.pi / 3)
-    assert abs(sp.z - 2.0 * cmath.exp(1j * math.pi / 3)) < 1e-15
-    with pytest.raises(AngleOutOfRange):
-        SpectralParameter(1.0, 0.0)
-    with pytest.raises(AngleOutOfRange):
-        SpectralParameter(1.0, math.pi)
-    with pytest.raises(ValueError):
-        SpectralParameter(-1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +89,7 @@ def test_matrix_trace_equals_sheet_sum(twisted_model, rng):
         p = PhasePoint(x, xi)
         z = 0.5 + 0.8j
         lhs = complex(np.trace(resolvent_symbol(lead, sub, p, z)))
-        rhs = trace_resolvent_symbol(lead, sub, p, z)
+        rhs = power_trace_symbol(lead, sub, p, z, 2)
         assert abs(lhs - rhs) < 1e-6
 
 
@@ -112,7 +97,7 @@ def test_trace_closed_form_constant_diagonal():
     f = SymbolField(2, 1, lambda x, xi: SIGMA3 * np.linalg.norm(xi))
     p = PhasePoint([0.0, 0.0], [0.6, 0.8])
     z = 1j
-    got = trace_resolvent_symbol(f, None, p, z)
+    got = power_trace_symbol(f, None, p, z, 2)
     want = 1.0 / (1.0 - z) + 1.0 / (-1.0 - z)
     assert abs(got - want) < 1e-12
 
@@ -123,20 +108,11 @@ def test_trace_constant_with_potential(rng):
     sub = SymbolField(2, 0, lambda x, xi: b)
     p = PhasePoint([0.0, 0.0], [1.0, 0.0])
     z = 0.3 + 1.2j
-    got = trace_resolvent_symbol(f, sub, p, z)
+    got = power_trace_symbol(f, sub, p, z, 2)
     want = 0.0j
     for h, proj in ((1.0, np.diag([1.0, 0.0])), (-1.0, np.diag([0.0, 1.0]))):
         want += 1.0 / (h - z) - np.trace(b @ proj) / (h - z) ** 2
     assert abs(got - want) < 1e-12
-
-
-def test_power_trace_reduces_at_n2(twisted_model):
-    lead, sub = twisted_model.symbol_fields()
-    p = PhasePoint([0.4, 0.0], [0.9, -0.5])
-    z = 0.7 + 0.6j
-    assert power_trace_symbol(lead, sub, p, z, 2) == trace_resolvent_symbol(
-        lead, sub, p, z
-    )
 
 
 def test_power_trace_constant_n3():
@@ -165,7 +141,7 @@ def test_power_trace_matches_contour_derivative(twisted_model, rng):
             got = power_trace_symbol(lead, sub, p, z, n)
 
             def fn(w):
-                return trace_resolvent_symbol(lead, sub, p, w)
+                return power_trace_symbol(lead, sub, p, w, 2)
 
             want = cauchy_derivative(fn, z, n - 2, radius) / math.factorial(n - 2)
             assert abs(got - want) < 1e-7 * max(1.0, abs(want))
@@ -179,7 +155,7 @@ def test_symbol_terms_structure(twisted_model):
         terms = resolvent_symbol_terms(lead, sub, p, z, n)
         jet = eigen_jet(lead, p)
         for t in terms:
-            pos = jet.position(t.sheet)
+            pos = sheet_position(jet.sheets, t.sheet)
             want = (jet.h[pos] - z) ** (1 - n)
             assert abs(t.s_first - want) < 1e-12 * abs(want)
             assert t.s_second == t.s_second_pole + t.s_second_curvature
@@ -228,9 +204,9 @@ def test_radial_profile_angle_limit():
 
 def test_b0_vanishes_for_clean_constant_model(dirac_model):
     lead, sub = dirac_model.symbol_fields()
+    prof = b_profile(lead, sub, np.array([0.5, 0.5]))
     for phi in (0.3, 1.2, 2.9):
-        bc = b_coefficients(lead, sub, np.array([0.5, 0.5]), phi)
-        assert abs(bc.b0) < 1e-12
+        assert abs(prof.b0(phi)) < 1e-12
 
 
 def test_b0_affine_in_angle(twisted_model):
@@ -245,11 +221,8 @@ def test_b0_affine_in_angle(twisted_model):
 
 def test_negative_sheets_fade_at_small_angle(twisted_model):
     lead, sub = twisted_model.symbol_fields()
-    x = np.array([0.9, 0.0])
-    vals = [
-        abs(b_coefficients(lead, sub, x, phi).b0_by_sheet[-1])
-        for phi in (0.1, 0.05, 0.025)
-    ]
+    prof = b_profile(lead, sub, np.array([0.9, 0.0]))
+    vals = [abs(prof.b0_sheet(phi, -1)) for phi in (0.1, 0.05, 0.025)]
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 0.3 * vals[0]
 
@@ -286,11 +259,11 @@ def test_factorization_against_direct_plane_quadrature(twisted_model):
                     tm.h, z, n - 1
                 )
                 total[tm.sheet] += 1j * combo * r * jw * (2.0 * math.pi / n_theta)
-    bc = b_coefficients(lead, sub, x, phi)
+    prof = b_profile(lead, sub, x)
     for sheet in (1, -1):
         direct = total[sheet]
         assert abs(direct.imag) < 1e-6
-        factored = bc.b0_by_sheet[sheet]
+        factored = prof.b0_sheet(phi, sheet)
         assert abs(direct.real - factored) < 1e-3 * max(1.0, abs(factored))
 
 
@@ -322,14 +295,6 @@ def test_angle_range_enforced(dirac_model):
         radial_factor(2, math.pi, 1)
     with pytest.raises(AngleOutOfRange):
         recover_second_weyl({-0.1: 1.0, 0.5: 2.0}, "two-angle")
-
-
-def test_kernel_sample_record():
-    from weylsys.kernels import kernel_sample
-
-    sample = kernel_sample(1.3, 0.4 + 0.9j, 3)
-    assert sample.n == 3
-    assert abs(sample.value.real) < 1e-14
 
 
 def test_two_pipeline_agreement(twisted_model):

@@ -18,7 +18,7 @@ from weylsys.errors import (
     NotElliptic,
     NotHermitian,
 )
-from weylsys.symbols import MatrixJet, check_field_contract
+from weylsys.symbols import MatrixJet, check_field_contract, sheet_position
 
 _STENCIL = ((-2.0, 1.0), (-1.0, -8.0), (1.0, 8.0), (2.0, -1.0))
 
@@ -318,7 +318,7 @@ def test_constant_symbol_jet_derivatives_vanish():
 def test_planar_spin_jet_no_x_dependence():
     f = planar_spin_field()
     jet = eigen_jet(f, PhasePoint([0.0, 0.0], [0.8, 0.6]))
-    pos = jet.position(1)
+    pos = sheet_position(jet.sheets, 1)
     assert abs(jet.vector_curvature_scalar(pos)) < 1e-10
     assert abs(jet.curvature_scalar(pos)) < 1e-10
 
