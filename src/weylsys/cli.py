@@ -38,6 +38,7 @@ from .kernels import (
 )
 from .resolvent import b_profile, recover_second_weyl
 from .torus import (
+    TRUSTED_FRACTION,
     TorusModel,
     assemble_and_solve,
     build_model,
@@ -50,6 +51,12 @@ from .torus import (
 PIPELINES = ("direct", "resolvent", "spectral", "all", "gn-check")
 
 _MODEL_PARAM_KEYS = ("beta", "b", "eps")
+
+# Caps on the settings that size allocations: the spectral grid holds
+# (window width / fit.grid_step) points (420 at K = 40 with the defaults)
+# and a cosphere panel holds one eigen-jet per node.
+MAX_GRID_POINTS = 10_000
+MAX_ANGLES = 65_536
 
 
 @dataclass
@@ -77,8 +84,10 @@ class RunConfig:
         math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3, 5 * math.pi / 6,
     )
 
-    def resolved_mu_hi(self) -> float:
-        return self.mu_hi if self.mu_hi > 0 else 0.6 * self.truncation
+    def fit_window(self) -> tuple[float, float]:
+        """(mu_lo, mu_hi): mu_hi is fit.mu_hi, or 0.6 K when 0, capped at 0.6 K."""
+        trusted = TRUSTED_FRACTION * self.truncation
+        return self.mu_lo, min(self.mu_hi if self.mu_hi > 0 else trusted, trusted)
 
     def canonical_text(self) -> str:
         """Every setting that shapes the results; the output directory does not."""
@@ -214,12 +223,23 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("limit_angles needs at least two distinct angles")
     if min(cfg.gn_orders) < 1:
         raise ConfigError("gn.orders entries must be >= 1")
-    if cfg.n_angles < 16 or cfg.n_angles % 2:
-        raise ConfigError("quadrature.n_angles must be even and >= 16")
+    if cfg.n_angles < 16 or cfg.n_angles % 2 or cfg.n_angles > MAX_ANGLES:
+        raise ConfigError(f"quadrature.n_angles must be even and in [16, {MAX_ANGLES}]")
     if cfg.truncation < 8:
         raise ConfigError("truncation.k must be >= 8")
     if cfg.grid_step <= 0:
         raise ConfigError("fit.grid_step must be positive")
+    mu_lo, mu_hi = cfg.fit_window()
+    if mu_lo >= mu_hi:
+        raise ConfigError(
+            f"empty fit window: fit.mu_lo {mu_lo:g} is not below the upper edge "
+            f"{mu_hi:g} (fit.mu_hi, at most 0.6 * truncation.k)"
+        )
+    if (mu_hi - mu_lo) / cfg.grid_step > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"fit.grid_step {cfg.grid_step:g} gives more than {MAX_GRID_POINTS} "
+            f"grid points on [{mu_lo:g}, {mu_hi:g}]"
+        )
     if not 0.0 < cfg.mollifier_support < 2 * math.pi:
         raise ConfigError("mollifier.support must lie in (0, 2 pi)")
 
@@ -351,15 +371,15 @@ def run_spectral(cfg: RunConfig, model: TorusModel) -> tuple:
     """Ground-truth pipeline; writes spectral_fit.csv."""
     moll = build_mollifier(cfg.mollifier_support)
     spectrum = assemble_and_solve(model, cfg.truncation, cfg.budget)
-    mu_hi = min(cfg.resolved_mu_hi(), spectrum.trusted_max)
-    mu = np.arange(cfg.mu_lo, mu_hi + cfg.grid_step / 2, cfg.grid_step)
+    mu_lo, mu_hi = cfg.fit_window()
+    mu = np.arange(mu_lo, mu_hi + cfg.grid_step / 2, cfg.grid_step)
     rows = []
     summary = []
     fits = []
     for pt in cfg.x_points:
         x = np.asarray(pt, dtype=float)
         samples = local_counting_mollified(spectrum, moll, x, mu, "plus")
-        fit = fit_weyl(samples, 2, (cfg.mu_lo, mu_hi), mollifier=moll)
+        fit = fit_weyl(samples, 2, (mu_lo, mu_hi), mollifier=moll)
         rows.append([x[0], x[1], cfg.truncation, fit.a_leading, fit.a_second,
                      fit.residual_rms])
         fits.append(fit)

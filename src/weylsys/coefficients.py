@@ -3,23 +3,25 @@
 The leading coefficient is a phase-space volume: for each positive sheet,
 the volume of the region where the sheet Hamiltonian is below one.  The
 second coefficient adds three scalar integrand terms per sheet: the
-next-order symbol sandwiched in the eigenvector, a bracket term built from
-the leading symbol, and a curvature term built from the eigenprojection
-alone.  Homogeneity reduces every region integral to a cosphere quadrature,
-which for n = 2 is a plain periodic trapezoid rule (spectrally accurate).
+next-order symbol traced against the eigenprojection, a bracket term built
+from the leading symbol, and a curvature term built from the
+eigenprojection alone.  Homogeneity reduces every region integral to a
+cosphere quadrature, which for n = 2 is a plain periodic trapezoid rule
+(spectrally accurate).
 
-Two algebraically equal forms exist for the bracket and curvature terms:
-one through eigenvectors, one through projections.  The projection forms
-are entirely gauge-free and serve as the production path; the eigenvector
-forms are kept as a cross-check (``second_weyl(..., form="vector")``).
+The bracket and curvature terms are taken in their projection forms,
+which are entirely gauge-free.  The algebraically equal eigenvector forms
+of the earlier literature serve only as a test oracle, in
+``tests/conftest.py``.
 
-All of it comes from one :class:`CospherePanel` per base point: the
-symbols at every cosphere node, one stacked eigen-jet
-(:func:`~weylsys.symbols.eigen_jet_stack`), and per-sheet integrand
-arrays.  Both branches read the same panel.  The sign-flipped operator
-has the same projections and negated sheets, so its positive sheets are
-the negative sheets here with h, the subprincipal integrand and the
-bracket integrand negated and the curvature integrand unchanged.
+All of it comes from one :class:`CospherePanel` per base point: one
+stacked call of each symbol field over every cosphere node, one stacked
+eigen-jet (:func:`~weylsys.symbols.eigen_jet_stack`), and per-sheet
+integrand arrays; :func:`sheet_terms_at` is the same path at one point.
+Both branches read the same panel.  The sign-flipped operator has the same
+projections and negated sheets, so its positive sheets are the negative
+sheets here with h, the subprincipal integrand and the bracket integrand
+negated and the curvature integrand unchanged.
 """
 
 from __future__ import annotations
@@ -36,11 +38,9 @@ from .symbols import (
     EigenJet,
     PhasePoint,
     SymbolField,
-    eigen_jet,
+    eigen_jet,  # not called here; perfbench/inproc.py wraps coefficients.eigen_jet
     eigen_jet_stack,
-    generalized_bracket,
-    require_hermitian,
-    symbol_jet,
+    symbol_jets,
 )
 
 IMAG_RESIDUE_TOL = 1e-6
@@ -86,12 +86,9 @@ class SheetTerms:
 
     sheet: int
     h: float
-    sub_vector: complex        # v^* A_next v
-    sub_projection: complex    # tr(A_next P)
-    bracket_vector: complex    # {v^*, A_lead - h, v}
-    bracket_projection: complex  # tr {P, A_lead - h, P}
+    sub_projection: complex        # tr(A_next P)
+    bracket_projection: complex    # tr {P, A_lead - h, P}
     curvature_projection: complex  # tr {P, P, P}
-    curvature_vector: complex      # {v^*, v}
 
 
 def sheet_terms_at(
@@ -101,35 +98,22 @@ def sheet_terms_at(
     step: float = DEFAULT_STEP,
     simplicity_tol: Optional[float] = None,
 ) -> tuple[EigenJet, list[SheetTerms]]:
-    """Eigen-jet plus the per-sheet scalar integrand terms at one point."""
-    jet = eigen_jet(leading, p, step, simplicity_tol)
-    a_next = nextorder(p) if nextorder is not None else np.zeros(
-        (leading.dim, leading.dim), dtype=complex
+    """Eigen-jet plus the per-sheet projection-form integrand terms at one
+    point: the panel's computation at a single node."""
+    jets, _, _, sub, bracket, curvature = _node_terms(
+        leading, nextorder, p.x, p.xi[None], step, simplicity_tol
     )
-    lead_val = leading(p)
-    ident = np.eye(leading.dim)
-    out = []
-    for pos in range(jet.m):
-        vj = jet.vector_jet(pos)
-        vjh = vj.conjugate_transpose()
-        pj = jet.projection_jet(pos)
-        middle = lead_val - jet.h[pos] * ident
-        v = jet.v[pos]
-        out.append(
-            SheetTerms(
-                sheet=int(jet.sheets[pos]),
-                h=float(jet.h[pos]),
-                sub_vector=complex(np.conj(v) @ a_next @ v),
-                sub_projection=complex(np.trace(a_next @ jet.P[pos])),
-                bracket_vector=complex(generalized_bracket(vjh, middle, vj)[0, 0]),
-                bracket_projection=complex(
-                    np.trace(generalized_bracket(pj, middle, pj))
-                ),
-                curvature_projection=jet.curvature_scalar(pos),
-                curvature_vector=jet.vector_curvature_scalar(pos),
-            )
+    out = [
+        SheetTerms(
+            sheet=int(jets.sheets[0, pos]),
+            h=float(jets.h[0, pos]),
+            sub_projection=complex(sub[0, pos]),
+            bracket_projection=complex(bracket[0, pos]),
+            curvature_projection=complex(curvature[0, pos]),
         )
-    return jet, out
+        for pos in range(leading.dim)
+    ]
+    return jets.at(0, p, step), out
 
 
 @dataclass(frozen=True)
@@ -205,20 +189,53 @@ def _trace_bracket(d_x: np.ndarray, middle: np.ndarray, d_xi: np.ndarray) -> np.
     return np.einsum(path, d_x, middle, d_xi) - np.einsum(path, d_xi, middle, d_x)
 
 
+def _node_terms(
+    leading: SymbolField,
+    nextorder: Optional[SymbolField],
+    x: np.ndarray,
+    xi: np.ndarray,
+    step: float,
+    simplicity_tol: Optional[float],
+) -> tuple:
+    """Eigen-jets and projection-form integrands at x and every row of xi.
+
+    One stacked call of each field and one stacked eigen-jet.  Returns the
+    :class:`~weylsys.symbols.EigenJetStack`, the next-order symbols
+    (N, m, m), the bracket's middle factor A - h_k (N, m, m, m) and the
+    subprincipal, bracket and curvature integrands, each (N, m).
+    """
+    if leading.degree != 1:
+        raise ValueError("eigen jets are defined for degree-1 leading symbols")
+    values, dx, dxi = symbol_jets(leading, x, xi, step)
+    jets = eigen_jet_stack(values, dx, dxi, simplicity_tol)
+    m = leading.dim
+    if nextorder is not None:
+        a_next = nextorder.values(x, xi)
+    else:
+        a_next = np.zeros((len(xi), m, m), dtype=complex)
+    # A - h_k with A symmetrised as in require_hermitian; eigen_jet_stack
+    # has already checked the same matrices
+    sym = 0.5 * (values + values.conj().swapaxes(-1, -2))
+    middle = sym[:, None] - jets.h[..., None, None] * np.eye(m)
+    sub = np.einsum("nij,nkji->nk", a_next, jets.P)
+    bracket = _trace_bracket(jets.dP_x, middle, jets.dP_xi)
+    curvature = _trace_bracket(jets.dP_x, jets.P, jets.dP_xi)
+    return jets, a_next, middle, sub, bracket, curvature
+
+
 class CospherePanel:
     """Per-sheet integrand samples over the cosphere nodes at fixed x.
 
-    Evaluates the symbols at every node, takes one stacked eigen-jet of the
-    leading symbol and keeps the projection-form integrands as (N, m)
-    arrays; the eigenvector forms are computed when asked for.  Without an
-    explicit ``simplicity_tol`` the threshold is relative to the largest
-    eigenvalue magnitude over all nodes, from the same eigensolve: a
-    per-matrix relative threshold would let a uniformly tiny (hence
-    degenerate) symbol through.  Every node must pass the Hermiticity,
-    ellipticity and gap rules, and the sheet signature must be the same at
-    every node.  Quadrature sums run through numpy's pairwise reduction in
-    a fixed node order, so results are reproducible bit-for-bit for a given
-    configuration.
+    Evaluates each symbol field once for all nodes, takes one stacked
+    eigen-jet of the leading symbol and keeps the projection-form
+    integrands as (N, m) arrays.  Without an explicit ``simplicity_tol``
+    the threshold is relative to the largest eigenvalue magnitude over all
+    nodes, from the same eigensolve: a per-matrix relative threshold would
+    let a uniformly tiny (hence degenerate) symbol through.  Every node
+    must pass the Hermiticity, ellipticity and gap rules, and the sheet
+    signature must be the same at every node.  Quadrature sums run through
+    numpy's pairwise reduction in a fixed node order, so results are
+    reproducible bit-for-bit for a given configuration.
 
     ``branch=-1`` in the methods below reads the sign-flipped operator off
     the same panel (see the module docstring).
@@ -233,39 +250,24 @@ class CospherePanel:
         step: float = DEFAULT_STEP,
         simplicity_tol: Optional[float] = None,
     ):
-        if leading.degree != 1:
-            raise ValueError("eigen jets are defined for degree-1 leading symbols")
         x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("non-finite base point")
         self.x = x
         self.n = x.size
         self.quad = quad
         omega, weights = quad.nodes(self.n)
         self.omega = omega
         self.weights = weights
-        points = [PhasePoint(x, row) for row in omega]
-        sym = [symbol_jet(leading, p, step) for p in points]
-        values = np.array([j.value for j in sym])
-        self.jets = eigen_jet_stack(
-            values,
-            np.array([j.dx for j in sym]),
-            np.array([j.dxi for j in sym]),
-            simplicity_tol,
+        (self.jets, self.a_next, self.middle,
+         self.sub, self.bracket, self.curvature) = _node_terms(
+            leading, nextorder, x, omega, step, simplicity_tol
         )
         self.sheets = self.jets.sheets[0]
         if np.any(self.jets.sheets != self.sheets):
             raise NotElliptic("sheet signature changed across the cosphere")
         self.h = self.jets.h
         self.eta = np.abs(self.h)
-        m = leading.dim
-        if nextorder is not None:
-            self.a_next = np.array([nextorder(p) for p in points])
-        else:
-            self.a_next = np.zeros((len(points), m, m), dtype=complex)
-        # A - h_k per node and sheet, the middle factor of the bracket term
-        self.middle = require_hermitian(values)[:, None] - self.h[..., None, None] * np.eye(m)
-        self.sub = np.einsum("nij,nkji->nk", self.a_next, self.jets.P)
-        self.bracket = _trace_bracket(self.jets.dP_x, self.middle, self.jets.dP_xi)
-        self.curvature = _trace_bracket(self.jets.dP_x, self.jets.P, self.jets.dP_xi)
 
     def positions(self) -> range:
         return range(self.sheets.size)
@@ -278,18 +280,6 @@ class CospherePanel:
         operator.
         """
         return [pos for pos in self.positions()[::branch] if branch * self.sheets[pos] > 0]
-
-    def vector_integrands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Eigenvector-form (sub, bracket, curvature) integrands, each (N, m)."""
-        v, dv_x, dv_xi = self.jets.v, self.jets.dv_x, self.jets.dv_xi
-        sub = np.einsum("nki,nij,nkj->nk", v.conj(), self.a_next, v)
-        # {v^*, A - h, v} and -{v^*, v} (the latter equals tr {P, P, P})
-        path = "naki,nkij,nakj->nk"
-        bracket = (np.einsum(path, dv_x.conj(), self.middle, dv_xi)
-                   - np.einsum(path, dv_xi.conj(), self.middle, dv_x))
-        curvature = (np.einsum("naki,naki->nk", dv_xi.conj(), dv_x)
-                     - np.einsum("naki,naki->nk", dv_x.conj(), dv_xi))
-        return sub, bracket, curvature
 
     def region_integral(self, pos: int, samples: np.ndarray) -> complex:
         """Integral of a degree-0 scalar over {|h_sheet| < 1} from node samples."""
@@ -305,28 +295,18 @@ class CospherePanel:
             surface=self.n * vol,
         )
 
-    def second_terms(
-        self, pos: int, form: str = "projection", branch: int = 1
-    ) -> SheetSecondTerms:
+    def second_terms(self, pos: int, branch: int = 1) -> SheetSecondTerms:
         """Region-integrated second-coefficient pieces for one sheet.
 
-        ``form`` selects the projection-based (production) or
-        eigenvector-based (cross-check) integrands.  With ``branch=-1`` the
-        sheet is read as a sheet of the sign-flipped operator: label, h,
-        subprincipal and bracket integrands change sign.
+        With ``branch=-1`` the sheet is read as a sheet of the sign-flipped
+        operator: label, h, subprincipal and bracket integrands change sign.
         """
         n = self.n
         pref = n * (n - 1) / (2.0 * math.pi) ** n
-        if form == "projection":
-            sub, brack, curv = self.sub, self.bracket, self.curvature
-        elif form == "vector":
-            sub, brack, curv = self.vector_integrands()
-        else:
-            raise ValueError("form must be 'projection' or 'vector'")
         h = branch * self.h[:, pos]
-        int_sub = self.region_integral(pos, branch * sub[:, pos])
-        int_brack = self.region_integral(pos, branch * brack[:, pos])
-        int_curv = self.region_integral(pos, h * curv[:, pos])
+        int_sub = self.region_integral(pos, branch * self.sub[:, pos])
+        int_brack = self.region_integral(pos, branch * self.bracket[:, pos])
+        int_curv = self.region_integral(pos, h * self.curvature[:, pos])
         term_sub = -pref * int_sub
         term_bracket = pref * 0.5j * int_brack
         term_curv = (n * 1j / (2.0 * math.pi) ** n) * int_curv
@@ -361,14 +341,12 @@ class CospherePanel:
             total += self.geometry(pos).volume
         return self.n / (2.0 * math.pi) ** self.n * total
 
-    def second_coefficient(
-        self, branch: int = 1, form: str = "projection"
-    ) -> SecondWeylResult:
+    def second_coefficient(self, branch: int = 1) -> SecondWeylResult:
         """Second density of one branch with its per-sheet breakdown."""
         sheets = {}
         total = 0.0
         for pos in self.branch_positions(branch):
-            terms = self.second_terms(pos, form, branch)
+            terms = self.second_terms(pos, branch)
             sheets[terms.sheet] = terms
             total += terms.total
         return SecondWeylResult(total, sheets)
@@ -406,16 +384,14 @@ def second_weyl(
     quad: CosphereQuadrature = CosphereQuadrature(),
     step: float = DEFAULT_STEP,
     simplicity_tol: Optional[float] = None,
-    form: str = "projection",
 ) -> SecondWeylResult:
     """Second local coefficient density with per-term breakdown.
 
-    Sums the subprincipal, bracket and curvature terms over positive
-    sheets.  The production integrands are the gauge-free projection forms;
-    pass form='vector' to use the eigenvector forms instead (cross-check).
+    Sums the subprincipal, bracket and curvature terms, in their gauge-free
+    projection forms, over positive sheets.
     """
     panel = CospherePanel(leading, nextorder, x, quad, step, simplicity_tol)
-    return panel.second_coefficient(form=form)
+    return panel.second_coefficient()
 
 
 def weyl_coefficients(

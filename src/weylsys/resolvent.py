@@ -236,7 +236,7 @@ def b_profile(
     data = []
     for pos in panel.positions():
         geo = panel.geometry(pos)
-        terms = panel.second_terms(pos, "projection")
+        terms = panel.second_terms(pos)
         data.append(
             SheetAngularData(
                 sheet=geo.sheet,

@@ -1,17 +1,20 @@
 """Hermitian matrix symbol fields on phase space and their eigen-jets.
 
 A symbol field assigns an m x m Hermitian matrix to every phase-space
-point (x, xi) with xi != 0.  This module evaluates such fields, computes
-their eigen-decompositions with a deterministic sheet enumeration (signed
-indices, negative eigenvalues get negative indices), differentiates
-eigenvalues, eigenprojections and eigenvectors in all 2n phase-space
-directions, and provides the Poisson bracket and its three-slot
-generalisation on matrix jets.
+point (x, xi) with xi != 0.  Fields are evaluated stacked: one call takes
+a base point x of shape (n,) and N covectors xi of shape (N, n) and
+returns the N matrices, so a cosphere panel is one call per field.  This
+module evaluates such fields, computes their eigen-decompositions with a
+deterministic sheet enumeration (signed indices, negative eigenvalues get
+negative indices), differentiates eigenvalues, eigenprojections and
+eigenvectors in all 2n phase-space directions, and provides the Poisson
+bracket and its three-slot generalisation on matrix jets.
+:class:`PhasePoint` is the single-point face of the same calls (N = 1).
 
 Eigen-jets are exact first-order perturbation theory on the symbol's
 derivative matrices dA (the field's analytic derivatives, or five-point
-central differences of the matrix when the field has none): with
-eigenpairs (h_k, v_k),
+central differences of the matrix, stacked over all N covectors, when the
+field has none): with eigenpairs (h_k, v_k),
 
     dh_k = v_k* dA v_k                               (Hellmann-Feynman)
     dv_k = sum_{j != k} v_j (v_j* dA v_k) / (h_k - h_j)
@@ -32,7 +35,7 @@ are immutable; concurrent callers need no coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -83,20 +86,10 @@ class PhasePoint:
     def xi_norm(self) -> float:
         return float(np.linalg.norm(self.xi))
 
-    def shifted(self, kind: str, axis: int, delta: float) -> "PhasePoint":
-        """Return the point displaced by delta along one x- or xi-axis."""
-        if kind == "x":
-            x = self.x.copy()
-            x[axis] += delta
-            return PhasePoint(x, self.xi)
-        xi = self.xi.copy()
-        xi[axis] += delta
-        return PhasePoint(self.x, xi)
-
 
 @dataclass(frozen=True)
 class SymbolField:
-    """Evaluator for an m x m Hermitian matrix field on phase space.
+    """Stacked evaluator for an m x m Hermitian matrix field on phase space.
 
     Parameters
     ----------
@@ -106,47 +99,52 @@ class SymbolField:
         Positive-homogeneity degree in xi (1 for the leading symbol,
         0 for the next-order one).
     evaluator : callable
-        Maps (x, xi) arrays to an (m, m) complex matrix.
-    derivatives : callable, optional
-        Maps (x, xi) to a pair of (n, m, m) arrays holding the analytic
-        x- and xi-derivatives.  When present, finite differences are
-        bypassed for this field.
+        Maps a base point x of shape (n,) and covectors xi of shape (N, n)
+        to the (N, m, m) complex matrices at (x, xi[i]).
+    jet : callable, optional
+        Same arguments; returns the value together with the analytic x-
+        and xi-derivatives, shapes (N, m, m), (N, n, m, m) and
+        (N, n, m, m).  When present, finite differences are bypassed.
     """
 
     dim: int
     degree: int
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    derivatives: Optional[
-        Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    jet: Optional[
+        Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     ] = None
 
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("matrix dimension must be at least 2")
 
-    def __call__(self, p: PhasePoint) -> np.ndarray:
-        m = np.asarray(self.evaluator(p.x, p.xi), dtype=complex)
-        if m.shape != (self.dim, self.dim):
+    def values(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """The (N, m, m) matrices at x and every row of xi."""
+        m = np.asarray(self.evaluator(x, xi), dtype=complex)
+        if m.shape != (len(xi), self.dim, self.dim):
             raise DimensionMismatch(
-                f"evaluator returned shape {m.shape}, expected {(self.dim, self.dim)}"
+                f"evaluator returned shape {m.shape}, "
+                f"expected {(len(xi), self.dim, self.dim)}"
             )
         return m
+
+    def __call__(self, p: PhasePoint) -> np.ndarray:
+        return self.values(p.x, p.xi[None])[0]
 
     def flipped(self) -> "SymbolField":
         """The field of the sign-flipped operator (matrix negated pointwise)."""
         ev = self.evaluator
-        der = self.derivatives
+        jet = self.jet
 
         def neg_ev(x, xi):
             return -np.asarray(ev(x, xi), dtype=complex)
 
-        neg_der = None
-        if der is not None:
-            def neg_der(x, xi, _d=der):
-                dx, dxi = _d(x, xi)
-                return -np.asarray(dx), -np.asarray(dxi)
+        neg_jet = None
+        if jet is not None:
+            def neg_jet(x, xi, _j=jet):
+                return tuple(-np.asarray(a) for a in _j(x, xi))
 
-        return SymbolField(self.dim, self.degree, neg_ev, neg_der)
+        return SymbolField(self.dim, self.degree, neg_ev, neg_jet)
 
 
 @dataclass(frozen=True)
@@ -164,14 +162,6 @@ class MatrixJet:
     @property
     def n(self) -> int:
         return self.dx.shape[0]
-
-    def conjugate_transpose(self) -> "MatrixJet":
-        swap = (0, 2, 1)
-        return MatrixJet(
-            self.value.conj().T,
-            self.dx.conj().transpose(swap),
-            self.dxi.conj().transpose(swap),
-        )
 
 
 def require_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -281,44 +271,57 @@ def eigen_decompose(
     return EigenSystem(values, sheet_labels(values), vectors, projections, float(gaps[0]))
 
 
+def symbol_jets(
+    field: SymbolField,
+    x: np.ndarray,
+    xi: np.ndarray,
+    step: float = DEFAULT_STEP,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value and first derivatives of a field at x and every row of xi.
+
+    Returns (N, m, m) values and (N, n, m, m) x- and xi-derivatives.  Uses
+    the field's analytic jet when present; otherwise five-point central
+    differences with absolute step ``step`` in x and relative step
+    ``step * |xi|`` in xi, each stencil point one stacked call for all N
+    covectors.  Derivative matrices of square Hermitian fields are
+    re-symmetrised, which removes O(roundoff) asymmetry.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    x = np.asarray(x, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    if field.jet is not None:
+        value, dx, dxi = (np.asarray(a, dtype=complex) for a in field.jet(x, xi))
+    else:
+        value = field.values(x, xi)
+        n = x.size
+        dx = np.empty((len(xi), n, field.dim, field.dim), dtype=complex)
+        dxi = np.empty_like(dx)
+        h_x = step
+        h_xi = step * np.linalg.norm(xi, axis=1)
+        for axis in range(n):
+            unit = np.eye(n)[axis]
+            acc = np.zeros_like(value)
+            for off, w in zip(_OFFSETS, _WEIGHTS):
+                acc += w * field.values(x + off * h_x * unit, xi)
+            dx[:, axis] = acc / h_x
+            acc = np.zeros_like(value)
+            for off, w in zip(_OFFSETS, _WEIGHTS):
+                acc += w * field.values(x, xi + np.outer(off * h_xi, unit))
+            dxi[:, axis] = acc / h_xi[:, None, None]
+    dx = 0.5 * (dx + dx.conj().swapaxes(-1, -2))
+    dxi = 0.5 * (dxi + dxi.conj().swapaxes(-1, -2))
+    return value, dx, dxi
+
+
 def symbol_jet(
     field: SymbolField,
     p: PhasePoint,
     step: float = DEFAULT_STEP,
 ) -> MatrixJet:
-    """Value and first derivatives of a symbol field at a phase-space point.
-
-    Uses the field's analytic derivatives when present; otherwise five-point
-    central differences with absolute step ``step`` in x and relative step
-    ``step * |xi|`` in xi.  Derivative matrices of square Hermitian fields
-    are re-symmetrised, which removes O(roundoff) asymmetry.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    value = field(p)
-    if field.derivatives is not None:
-        dx, dxi = field.derivatives(p.x, p.xi)
-        dx = np.asarray(dx, dtype=complex)
-        dxi = np.asarray(dxi, dtype=complex)
-    else:
-        n = p.n
-        m = field.dim
-        dx = np.empty((n, m, m), dtype=complex)
-        dxi = np.empty((n, m, m), dtype=complex)
-        h_x = step
-        h_xi = step * p.xi_norm
-        for axis in range(n):
-            acc = np.zeros((m, m), dtype=complex)
-            for off, w in zip(_OFFSETS, _WEIGHTS):
-                acc += w * field(p.shifted("x", axis, off * h_x))
-            dx[axis] = acc / h_x
-            acc = np.zeros((m, m), dtype=complex)
-            for off, w in zip(_OFFSETS, _WEIGHTS):
-                acc += w * field(p.shifted("xi", axis, off * h_xi))
-            dxi[axis] = acc / h_xi
-    dx = 0.5 * (dx + dx.conj().transpose(0, 2, 1))
-    dxi = 0.5 * (dxi + dxi.conj().transpose(0, 2, 1))
-    return MatrixJet(value, dx, dxi)
+    """:func:`symbol_jets` at one phase-space point, as a :class:`MatrixJet`."""
+    value, dx, dxi = symbol_jets(field, p.x, p.xi[None], step)
+    return MatrixJet(value[0], dx[0], dxi[0])
 
 
 def poisson_bracket(jet_a: MatrixJet, jet_b: MatrixJet) -> np.ndarray:
@@ -388,14 +391,6 @@ class EigenJet:
     def projection_jet(self, pos: int) -> MatrixJet:
         return MatrixJet(self.P[pos], self.dP_x[:, pos], self.dP_xi[:, pos])
 
-    def vector_jet(self, pos: int) -> MatrixJet:
-        """Column-vector jet of eigenvector ``pos`` (shape (m, 1))."""
-        return MatrixJet(
-            self.v[pos][:, None],
-            self.dv_x[:, pos][:, :, None],
-            self.dv_xi[:, pos][:, :, None],
-        )
-
     def curvature_scalar(self, pos: int) -> complex:
         """tr {P, P, P} for one sheet (purely imaginary)."""
         jet = self.projection_jet(pos)
@@ -403,15 +398,6 @@ class EigenJet:
         for alpha in range(self.point.n):
             acc += np.trace(jet.dx[alpha] @ jet.value @ jet.dxi[alpha])
             acc -= np.trace(jet.dxi[alpha] @ jet.value @ jet.dx[alpha])
-        return complex(acc)
-
-    def vector_curvature_scalar(self, pos: int) -> complex:
-        """{v^*, v} for one sheet (purely imaginary); equals -tr {P, P, P}."""
-        vj = self.vector_jet(pos)
-        acc = 0.0 + 0.0j
-        for alpha in range(self.point.n):
-            acc += (vj.dx[alpha].conj().T @ vj.dxi[alpha])[0, 0]
-            acc -= (vj.dxi[alpha].conj().T @ vj.dx[alpha])[0, 0]
         return complex(acc)
 
 
@@ -498,38 +484,12 @@ def eigen_jet(
 ) -> EigenJet:
     """Eigen-decomposition with exact first derivatives at one point.
 
-    :func:`eigen_jet_stack` on the field's :func:`symbol_jet`; ``step``
-    acts only when the field has no analytic derivatives.  All sheets are
+    :func:`eigen_jet_stack` on the field's :func:`symbol_jets` at N = 1;
+    ``step`` acts only when the field has no analytic jet.  All sheets are
     returned.  Raises the :func:`eigen_decompose` errors.
     """
     if field.degree != 1:
         raise ValueError("eigen jets are defined for degree-1 leading symbols")
-    jet = symbol_jet(field, p, step)
-    stack = eigen_jet_stack(jet.value[None], jet.dx[None], jet.dxi[None], simplicity_tol)
+    stack = eigen_jet_stack(*symbol_jets(field, p.x, p.xi[None], step), simplicity_tol)
     return stack.at(0, p, step)
 
-
-def check_field_contract(
-    field: SymbolField,
-    points: Sequence[PhasePoint],
-    scales: Sequence[float] = (0.5, 2.0, 3.7),
-    tol: float = 1e-9,
-) -> None:
-    """Verify Hermiticity and positive homogeneity on sample points.
-
-    Raises :class:`NotHermitian` or ValueError on violation.  A test helper
-    for hand-built fields; model registration runs its own stacked check
-    (``registration_check`` in :mod:`weylsys.torus`).
-    """
-    for p in points:
-        value = field(p)
-        require_hermitian(value)
-        for t in scales:
-            scaled = field(PhasePoint(p.x, t * p.xi))
-            expected = (t ** field.degree) * value
-            err = np.max(np.abs(scaled - expected))
-            if err > tol * max(1.0, np.max(np.abs(expected))):
-                raise ValueError(
-                    f"homogeneity defect {err:.3e} at scale {t} "
-                    f"(degree {field.degree})"
-                )

@@ -123,28 +123,6 @@ class TrigMatrixField:
         return out
 
 
-def _at_last_x(evaluate):
-    """``evaluate(x)``, reused while x stays the same.
-
-    Every node of a cosphere panel has the same base point, so the fields
-    are evaluated once per panel instead of once per node.  The one-entry
-    memo is swapped in a single assignment, so concurrent callers never
-    pair one x with another x's values.
-    """
-    memo = (None, None)
-
-    def at(x):
-        nonlocal memo
-        x = np.asarray(x, dtype=float)
-        key, result = memo
-        if key != x.tobytes():
-            key, result = x.tobytes(), evaluate(x)
-            memo = (key, result)
-        return result
-
-    return at
-
-
 @dataclass(frozen=True)
 class TorusModel:
     """First-order symmetrized system on the flat 2-torus.
@@ -170,45 +148,41 @@ class TorusModel:
 
     def leading_symbol(self) -> SymbolField:
         coeffs = self.coefficients
-        dim = self.dim
-        values = _at_last_x(lambda x: [fld.value(x) for fld in coeffs])
-        grads = _at_last_x(lambda x: [fld.gradient(x) for fld in coeffs])
+        n, dim = self.n, self.dim
 
-        def ev(x, xi):
-            out = np.zeros((dim, dim), dtype=complex)
-            for alpha, val in enumerate(values(x)):
-                out += val * xi[alpha]
+        def combine(mats, xi):
+            """sum_alpha mats[alpha] xi_alpha for every row of xi."""
+            out = np.zeros((len(xi), dim, dim), dtype=complex)
+            for alpha, mat in enumerate(mats):
+                out += mat * xi[:, alpha, None, None]
             return out
 
-        def der(x, xi):
-            n = len(coeffs)
-            dx = np.zeros((n, dim, dim), dtype=complex)
-            dxi = np.zeros((n, dim, dim), dtype=complex)
-            vals, grad = values(x), grads(x)
-            for alpha in range(n):
-                dxi[alpha] = vals[alpha]
-                for beta in range(n):
-                    dx[alpha] += grad[beta][alpha] * xi[beta]
-            return dx, dxi
+        def ev(x, xi):
+            return combine([fld.value(x) for fld in coeffs], xi)
 
-        return SymbolField(dim, 1, ev, der)
+        # one read of each coefficient field and its gradient per call
+        def jet(x, xi):
+            vals = [fld.value(x) for fld in coeffs]
+            grads = [fld.gradient(x) for fld in coeffs]
+            dx = np.stack(
+                [combine([g[alpha] for g in grads], xi) for alpha in range(n)], axis=1
+            )
+            dxi = np.repeat(np.stack(vals)[None], len(xi), axis=0)
+            return combine(vals, xi), dx, dxi
+
+        return SymbolField(dim, 1, ev, jet)
 
     def subprincipal_symbol(self) -> SymbolField:
         pot = self.potential
-        dim = self.dim
-        value = _at_last_x(pot.value)
-        gradient = _at_last_x(pot.gradient)
 
-        # copies: the memo is shared by every node, the caller owns its result
         def ev(x, xi):
-            return value(x).copy()
+            return np.repeat(pot.value(x)[None], len(xi), axis=0)
 
-        def der(x, xi):
-            dx = gradient(x).copy()
-            dxi = np.zeros_like(dx)
-            return dx, dxi
+        def jet(x, xi):
+            dx = np.repeat(pot.gradient(x)[None], len(xi), axis=0)
+            return ev(x, xi), dx, np.zeros_like(dx)
 
-        return SymbolField(dim, 0, ev, der)
+        return SymbolField(self.dim, 0, ev, jet)
 
     def symbol_fields(self) -> tuple[SymbolField, SymbolField]:
         return self.leading_symbol(), self.subprincipal_symbol()

@@ -30,7 +30,13 @@ from weylsys import (
     weyl_coefficients,
 )
 
-from conftest import radial_profile, random_phase_points
+from conftest import (
+    conjugate_transpose,
+    radial_profile,
+    random_phase_points,
+    vector_curvature_scalar,
+    vector_jet,
+)
 from test_symbols import gauge_gradients, regauged_vector_jet
 
 TWO_PI = 2.0 * math.pi
@@ -142,18 +148,18 @@ def test_criterion_4_gauge_invariance(twisted_model, rng):
         a_sub = sub(p)
         lead_val = lead(p)
         for pos in range(jet.m):
-            vj = jet.vector_jet(pos)
-            vjh = vj.conjugate_transpose()
+            vj = vector_jet(jet, pos)
+            vjh = conjugate_transpose(vj)
             middle = lead_val - jet.h[pos] * np.eye(2)
             base = (
                 (vj.value.conj().T @ a_sub @ vj.value)[0, 0],
                 generalized_bracket(vjh, middle, vj)[0, 0],
-                jet.vector_curvature_scalar(pos),
+                vector_curvature_scalar(jet, pos),
             )
             for _ in range(20):
                 gx, gxi = gauge_gradients(rng.normal(size=4), p)
                 rv = regauged_vector_jet(jet, pos, gx, gxi)
-                rvh = rv.conjugate_transpose()
+                rvh = conjugate_transpose(rv)
                 curv = 0.0 + 0.0j
                 for alpha in range(2):
                     curv += (rv.dx[alpha].conj().T @ rv.dxi[alpha])[0, 0]

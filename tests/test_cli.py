@@ -74,6 +74,10 @@ def test_angle_range_validated():
         "tolerance.cross_rel=nan",
         "model.eps=inf",
         "x_points=(inf,0)",
+        "fit.mu_lo=100",
+        "fit.mu_hi=2",
+        "fit.grid_step=1e-9",
+        "quadrature.n_angles=1000000000",
     ],
 )
 def test_malformed_value_is_a_config_error(setting, tmp_path, capsys):

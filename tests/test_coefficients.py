@@ -16,6 +16,8 @@ from weylsys.coefficients import CospherePanel
 from weylsys.errors import NotElliptic
 from weylsys.symbols import sheet_position
 
+from conftest import pointwise_field, vector_form
+
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
@@ -24,7 +26,7 @@ X0 = np.array([0.4, 1.1])
 
 
 def planar_spin_field(scale1=1.0, scale2=1.0):
-    return SymbolField(
+    return pointwise_field(
         2, 1,
         lambda x, xi: SIGMA1 * scale1 * xi[0] + SIGMA2 * scale2 * xi[1],
     )
@@ -35,6 +37,12 @@ def test_quadrature_validation():
         CosphereQuadrature(n_angles=15)
     with pytest.raises(ValueError):
         CosphereQuadrature(n_angles=8)
+
+
+def test_panel_rejects_non_finite_base_point():
+    for x in ([np.nan, 0.0], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="non-finite"):
+            CospherePanel(planar_spin_field(), None, np.array(x), CosphereQuadrature())
 
 
 def test_sphere_rule_integrates_constants():
@@ -90,7 +98,7 @@ def test_first_weyl_planar_spin():
 
 
 def test_first_weyl_negative_definite_is_zero():
-    f = SymbolField(
+    f = pointwise_field(
         2, 1, lambda x, xi: -np.linalg.norm(xi) * np.diag([1.0, 2.0]).astype(complex)
     )
     assert first_weyl(f, X0) == 0.0
@@ -142,7 +150,7 @@ def lattice_second_coefficient(beta, lam_max=120.0):
 def test_shifted_planar_spin_second_coefficient():
     beta = 0.3
     f = planar_spin_field()
-    sub = SymbolField(2, 0, lambda x, xi: beta * np.eye(2, dtype=complex))
+    sub = pointwise_field(2, 0, lambda x, xi: beta * np.eye(2, dtype=complex))
     res = second_weyl(f, sub, X0)
     want = -beta / TWO_PI
     assert abs(res.value - want) < 1e-12
@@ -170,8 +178,9 @@ def test_vector_and_projection_forms_agree(twisted_model):
     lead, sub = twisted_model.symbol_fields()
     for x1 in (0.0, 0.9, 2.5):
         x = np.array([x1, 0.0])
-        a = second_weyl(lead, sub, x, form="projection")
-        b = second_weyl(lead, sub, x, form="vector")
+        a = second_weyl(lead, sub, x)
+        panel = CospherePanel(lead, sub, x, CosphereQuadrature())
+        b = vector_form(panel).second_coefficient()
         assert abs(a.value - b.value) < 1e-6
 
 
@@ -179,8 +188,8 @@ def form_factors(leading, nextorder, x, sheet):
     """(c_first, c_second) of one sheet from the vector and projection forms."""
     panel = CospherePanel(leading, nextorder, x, CosphereQuadrature())
     pos = sheet_position(panel.sheets, sheet)
-    vect = panel.second_terms(pos, "vector")
-    proj = panel.second_terms(pos, "projection")
+    vect = vector_form(panel).second_terms(pos)
+    proj = panel.second_terms(pos)
     return vect.c_first, proj.c_first, vect.c_second, proj.c_second
 
 
@@ -191,7 +200,7 @@ def test_projection_form_check_constant():
 
 def test_projection_form_check_shifted():
     beta = 0.3
-    sub = SymbolField(2, 0, lambda x, xi: beta * np.eye(2, dtype=complex))
+    sub = pointwise_field(2, 0, lambda x, xi: beta * np.eye(2, dtype=complex))
     first_v, first_p, second_v, second_p = form_factors(planar_spin_field(), sub, X0, 1)
     assert abs(first_v - first_p) < 1e-8
     assert abs(second_v - second_p) < 1e-8
@@ -223,7 +232,7 @@ def test_sign_flip_duality(twisted_model, mass_dirac_model):
     a1_minus_direct = 2.0 / TWO_PI ** 2 * vol_neg
     assert abs(coeffs.a_first_minus - a1_minus_direct) < 1e-12
     panel = CospherePanel(lead, sub, x, quad)
-    neg_terms = panel.second_terms(panel.positions()[0], "projection")
+    neg_terms = panel.second_terms(panel.positions()[0])
     assert panel.sheets[0] == -1
     a0_minus_direct = -neg_terms.total
     assert abs(coeffs.a_second_minus - a0_minus_direct) < 1e-9
@@ -259,7 +268,7 @@ def test_weyl_coefficients_symmetric_model(dirac_model):
 
 def test_not_elliptic_region_integral():
     # leading symbol degenerate along a direction: sigma_1 xi_1 alone
-    f = SymbolField(2, 1, lambda x, xi: SIGMA1 * xi[0])
+    f = pointwise_field(2, 1, lambda x, xi: SIGMA1 * xi[0])
     with pytest.raises(NotElliptic):
         region_volume(f, X0, 1)
 
@@ -269,7 +278,7 @@ def test_complex_residue_detected():
     # into the subprincipal term, which must be flagged, not dropped
     from weylsys.errors import ComplexResidue
 
-    bad_sub = SymbolField(2, 0, lambda x, xi: 1j * np.eye(2, dtype=complex))
+    bad_sub = pointwise_field(2, 0, lambda x, xi: 1j * np.eye(2, dtype=complex))
     with pytest.raises(ComplexResidue):
         second_weyl(planar_spin_field(), bad_sub, X0)
 
@@ -277,7 +286,9 @@ def test_complex_residue_detected():
 def test_three_dimensional_region_volume():
     # n = 3 rule: volume of the unit ball from |h| = |xi|
     f3 = SymbolField(
-        2, 1, lambda x, xi: np.linalg.norm(xi) * np.diag([1.0, -1.0]).astype(complex)
+        2, 1,
+        lambda x, xi: np.linalg.norm(xi, axis=1)[:, None, None]
+        * np.diag([1.0, -1.0]).astype(complex),
     )
     x3 = np.array([0.1, 0.2, 0.3])
     val = region_volume(f3, x3, 1, CosphereQuadrature(n_angles=64, n_polar=24))
@@ -296,12 +307,12 @@ def test_panel_applies_the_node_rules():
         return SIGMA1 * xi[0] + SIGMA2 * xi[1] + (1e-3 * skew if bad else 0.0)
 
     with pytest.raises(NotHermitian):
-        CospherePanel(SymbolField(2, 1, one_bad_node), None, X0, quad)
+        CospherePanel(pointwise_field(2, 1, one_bad_node), None, X0, quad)
 
     # diag(2|xi|, |xi| cos(theta + pi/16)): no node is near a zero or a
     # crossing, but the second eigenvalue changes sign between nodes
     c, s = math.cos(math.pi / 16), math.sin(math.pi / 16)
-    turning = SymbolField(
+    turning = pointwise_field(
         2, 1,
         lambda x, xi: np.diag([2.0 * np.linalg.norm(xi), c * xi[0] - s * xi[1]])
         .astype(complex),

@@ -8,7 +8,6 @@ import pytest
 
 from weylsys import (
     PhasePoint,
-    SymbolField,
     b_profile,
     eigen_jet,
     power_difference_kernel,
@@ -27,7 +26,12 @@ from weylsys.errors import (
 )
 from weylsys.symbols import sheet_position
 
-from conftest import cauchy_derivative, radial_profile, random_phase_points
+from conftest import (
+    cauchy_derivative,
+    pointwise_field,
+    radial_profile,
+    random_phase_points,
+)
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -39,7 +43,7 @@ SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
 # ---------------------------------------------------------------------------
 
 def test_constant_symbol_resolvent_is_plain_inverse():
-    f = SymbolField(2, 1, lambda x, xi: SIGMA3 * np.linalg.norm(xi))
+    f = pointwise_field(2, 1, lambda x, xi: SIGMA3 * np.linalg.norm(xi))
     p = PhasePoint([0.1, 0.7], [0.6, 0.8])
     z = 0.3 + 0.9j
     got = resolvent_symbol(f, None, p, z)
@@ -94,7 +98,7 @@ def test_matrix_trace_equals_sheet_sum(twisted_model, rng):
 
 
 def test_trace_closed_form_constant_diagonal():
-    f = SymbolField(2, 1, lambda x, xi: SIGMA3 * np.linalg.norm(xi))
+    f = pointwise_field(2, 1, lambda x, xi: SIGMA3 * np.linalg.norm(xi))
     p = PhasePoint([0.0, 0.0], [0.6, 0.8])
     z = 1j
     got = power_trace_symbol(f, None, p, z, 2)
@@ -103,9 +107,9 @@ def test_trace_closed_form_constant_diagonal():
 
 
 def test_trace_constant_with_potential(rng):
-    f = SymbolField(2, 1, lambda x, xi: SIGMA3 * np.linalg.norm(xi))
+    f = pointwise_field(2, 1, lambda x, xi: SIGMA3 * np.linalg.norm(xi))
     b = np.array([[0.4, 0.1], [0.1, -0.2]], dtype=complex)
-    sub = SymbolField(2, 0, lambda x, xi: b)
+    sub = pointwise_field(2, 0, lambda x, xi: b)
     p = PhasePoint([0.0, 0.0], [1.0, 0.0])
     z = 0.3 + 1.2j
     got = power_trace_symbol(f, sub, p, z, 2)
@@ -116,9 +120,9 @@ def test_trace_constant_with_potential(rng):
 
 
 def test_power_trace_constant_n3():
-    f = SymbolField(2, 1, lambda x, xi: SIGMA3 * np.linalg.norm(xi))
+    f = pointwise_field(2, 1, lambda x, xi: SIGMA3 * np.linalg.norm(xi))
     b = np.array([[0.4, 0.0], [0.0, -0.2]], dtype=complex)
-    sub = SymbolField(2, 0, lambda x, xi: b)
+    sub = pointwise_field(2, 0, lambda x, xi: b)
     p = PhasePoint([0.0, 0.0], [1.0, 0.0])
     z = 0.2 + 0.9j
     got = power_trace_symbol(f, sub, p, z, 3)

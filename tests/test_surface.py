@@ -3,6 +3,7 @@ names the traced benchmark wraps all exist."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -29,12 +30,35 @@ def test_exported_and_demo_names_exist():
     assert missing == []
 
 
-def test_benchmark_span_wrappers_install():
+def run_with_benchmark_path(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports from perfbench/."""
     env = dict(os.environ)
     paths = [str(ROOT / "perfbench"), str(ROOT / "src"), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import inproc; inproc.install(inproc.Recorder())"],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_benchmark_span_wrappers_install():
+    proc = run_with_benchmark_path("import inproc; inproc.install(inproc.Recorder())")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_references_match_the_direct_route():
+    # the benchmark checks every run against these values, computed through
+    # the public API with the positional call second_weyl(lead, sub, x, quad, step)
+    proc = run_with_benchmark_path(
+        "import json, probe, weylsys\n"
+        "model = weylsys.build_model('twisted')\n"
+        "refs = probe.references(weylsys, model, [[0.0, 0.0]], ['a1', 'a0'])\n"
+        "lead, sub = model.symbol_fields()\n"
+        "quad = weylsys.CosphereQuadrature(n_angles=256)\n"
+        "c = weylsys.weyl_coefficients(lead, sub, [0.0, 0.0], quad)\n"
+        "print(json.dumps([refs, [{'x': [0.0, 0.0], 'a1': c.a_first_plus,\n"
+        "                          'a0': c.a_second_plus}]]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    refs, direct = json.loads(proc.stdout)
+    assert refs == direct

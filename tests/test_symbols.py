@@ -18,11 +18,20 @@ from weylsys.errors import (
     NotElliptic,
     NotHermitian,
 )
-from weylsys.symbols import MatrixJet, check_field_contract, sheet_position
+from weylsys.symbols import MatrixJet, sheet_position
 
 _STENCIL = ((-2.0, 1.0), (-1.0, -8.0), (1.0, 8.0), (2.0, -1.0))
 
-from conftest import random_phase_points
+from conftest import (
+    check_field_contract,
+    conjugate_transpose,
+    pointwise_field,
+    random_phase_points,
+    vector_curvature_scalar,
+    vector_integrands,
+    vector_jet,
+    vector_sheet_terms,
+)
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -31,7 +40,7 @@ SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
 
 def planar_spin_field():
     """xi_1 sigma_1 + xi_2 sigma_2: eigenvalues +-|xi|."""
-    return SymbolField(
+    return pointwise_field(
         2, 1, lambda x, xi: SIGMA1 * xi[0] + SIGMA2 * xi[1]
     )
 
@@ -112,14 +121,14 @@ def test_sheet_counts_add_up(rng):
 # ---------------------------------------------------------------------------
 
 def test_constant_field_has_zero_derivatives():
-    f = SymbolField(2, 0, lambda x, xi: SIGMA3.copy())
+    f = pointwise_field(2, 0, lambda x, xi: SIGMA3.copy())
     jet = symbol_jet(f, PhasePoint([0.1, 0.2], [0.7, -0.4]))
     assert np.max(np.abs(jet.dx)) < 1e-12
     assert np.max(np.abs(jet.dxi)) < 1e-12
 
 
 def test_norm_field_gradient():
-    f = SymbolField(2, 1, lambda x, xi: np.linalg.norm(xi) * np.eye(2, dtype=complex))
+    f = pointwise_field(2, 1, lambda x, xi: np.linalg.norm(xi) * np.eye(2, dtype=complex))
     jet = symbol_jet(f, PhasePoint([0.0, 0.0], [0.0, 1.0]))
     np.testing.assert_allclose(jet.dxi[0][0, 0], 0.0, atol=1e-9)
     np.testing.assert_allclose(jet.dxi[1][0, 0], 1.0, atol=1e-9)
@@ -151,7 +160,7 @@ def quadratic_field():
 @pytest.mark.parametrize("step", [1e-2, 1e-3])
 def test_quadratic_fd_convergence(step):
     ev, ev_dx, ev_dxi = quadratic_field()
-    f = SymbolField(2, 0, ev)
+    f = pointwise_field(2, 0, ev)
     p = PhasePoint([0.4, -0.3], [0.9, 0.5])
     jet = symbol_jet(f, p, step=step)
     err = max(
@@ -165,7 +174,7 @@ def test_quadratic_fd_convergence(step):
 
 def test_analytic_derivatives_bypass_differencing():
     ev, ev_dx, ev_dxi = quadratic_field()
-    f = SymbolField(2, 0, ev, lambda x, xi: (ev_dx(x, xi), ev_dxi(x, xi)))
+    f = pointwise_field(2, 0, ev, lambda x, xi: (ev_dx(x, xi), ev_dxi(x, xi)))
     p = PhasePoint([0.4, -0.3], [0.9, 0.5])
     jet = symbol_jet(f, p, step=1e-1)
     np.testing.assert_allclose(jet.dx, ev_dx(p.x, p.xi), atol=1e-14)
@@ -308,7 +317,7 @@ def test_dimension_mismatch_raises(rng):
 # ---------------------------------------------------------------------------
 
 def test_constant_symbol_jet_derivatives_vanish():
-    f = SymbolField(2, 1, lambda x, xi: SIGMA3 * np.linalg.norm(xi))
+    f = pointwise_field(2, 1, lambda x, xi: SIGMA3 * np.linalg.norm(xi))
     # x-derivatives must vanish identically for an x-independent field
     jet = eigen_jet(f, PhasePoint([0.3, 0.8], [1.0, 0.0]))
     assert np.max(np.abs(jet.dP_x)) < 1e-10
@@ -319,7 +328,7 @@ def test_planar_spin_jet_no_x_dependence():
     f = planar_spin_field()
     jet = eigen_jet(f, PhasePoint([0.0, 0.0], [0.8, 0.6]))
     pos = sheet_position(jet.sheets, 1)
-    assert abs(jet.vector_curvature_scalar(pos)) < 1e-10
+    assert abs(vector_curvature_scalar(jet, pos)) < 1e-10
     assert abs(jet.curvature_scalar(pos)) < 1e-10
 
 
@@ -371,7 +380,7 @@ def test_curvature_identity_on_twisted(twisted_model, rng):
         jet = eigen_jet(lead, PhasePoint(x, xi))
         for pos in range(jet.m):
             lhs = jet.curvature_scalar(pos)
-            rhs = -jet.vector_curvature_scalar(pos)
+            rhs = -vector_curvature_scalar(jet, pos)
             assert abs(lhs - rhs) < 1e-6
             assert abs(lhs.real) < 1e-8  # purely imaginary
 
@@ -403,7 +412,7 @@ def gap_closing_field(angle):
         turn = np.cos(x[0]) * SIGMA3 + np.sin(x[0]) * SIGMA1
         return r * (2.0 * np.eye(2) + g * turn)
 
-    return SymbolField(2, 1, ev)
+    return pointwise_field(2, 1, ev)
 
 
 def test_near_degenerate_gap_raises():
@@ -443,7 +452,7 @@ def test_homogeneity_of_sheets(twisted_model, rng):
 
 def regauged_vector_jet(jet, pos, grad_x, grad_xi):
     """Apply v -> exp(i phi) v with phi(p) = 0 and given gradient."""
-    vj = jet.vector_jet(pos)
+    vj = vector_jet(jet, pos)
     dx = np.array([vj.dx[a] + 1j * grad_x[a] * vj.value for a in range(2)])
     dxi = np.array([vj.dxi[a] + 1j * grad_xi[a] * vj.value for a in range(2)])
     return MatrixJet(vj.value, dx, dxi)
@@ -473,17 +482,17 @@ def test_gauge_invariance_of_integrand_scalars(twisted_model, rng):
         a_sub = sub(p)
         lead_val = lead(p)
         for pos in range(jet.m):
-            vj = jet.vector_jet(pos)
-            vjh = vj.conjugate_transpose()
+            vj = vector_jet(jet, pos)
+            vjh = conjugate_transpose(vj)
             middle = lead_val - jet.h[pos] * np.eye(2)
             base_sub = (vj.value.conj().T @ a_sub @ vj.value)[0, 0]
             base_brack = generalized_bracket(vjh, middle, vj)[0, 0]
-            base_curv = jet.vector_curvature_scalar(pos)
+            base_curv = vector_curvature_scalar(jet, pos)
             for _ in range(4):
                 coeffs = rng.normal(size=4)
                 gx, gxi = gauge_gradients(coeffs, p)
                 rv = regauged_vector_jet(jet, pos, gx, gxi)
-                rvh = rv.conjugate_transpose()
+                rvh = conjugate_transpose(rv)
                 new_sub = (rv.value.conj().T @ a_sub @ rv.value)[0, 0]
                 new_brack = generalized_bracket(rvh, middle, rv)[0, 0]
                 new_curv = 0.0 + 0.0j
@@ -514,7 +523,12 @@ def stencil_jet(field, p, step=1e-3):
         dP = np.zeros((p.n, field.dim, field.dim, field.dim), dtype=complex)
         for axis in range(p.n):
             for off, w in _STENCIL:
-                sys = eigen_decompose(field(p.shifted(kind, axis, off * h)))
+                shift = np.eye(p.n)[axis] * off * h
+                if kind == "x":
+                    moved = PhasePoint(p.x + shift, p.xi)
+                else:
+                    moved = PhasePoint(p.x, p.xi + shift)
+                sys = eigen_decompose(field(moved))
                 dh[axis] += w * sys.values / (12.0 * h)
                 dP[axis] += w * sys.projections / (12.0 * h)
         out += [dh, dP]
@@ -544,7 +558,7 @@ def test_panel_nodes_equal_single_point_jets(twisted_model):
     lead, sub = twisted_model.symbol_fields()
     x = np.array([1.3, 0.4])
     panel = CospherePanel(lead, sub, x, CosphereQuadrature())
-    sub_v, brack_v, curv_v = panel.vector_integrands()
+    sub_v, brack_v, curv_v = vector_integrands(panel)
     assert len(panel.weights) == 256
     for i, row in enumerate(panel.omega):
         p = PhasePoint(x, row)
@@ -557,10 +571,11 @@ def test_panel_nodes_equal_single_point_jets(twisted_model):
                 err_msg=name,
             )
         _, terms = sheet_terms_at(lead, sub, p)
-        for pos, t in enumerate(terms):
+        for pos, (t, t_vec) in enumerate(zip(terms, vector_sheet_terms(lead, sub, p))):
             assert panel.h[i, pos] == t.h
+            sub_vector, bracket_vector, curvature_vector = t_vec
             want = (t.sub_projection, t.bracket_projection, t.curvature_projection,
-                    t.sub_vector, t.bracket_vector, -t.curvature_vector)
+                    sub_vector, bracket_vector, -curvature_vector)
             got = (panel.sub[i, pos], panel.bracket[i, pos], panel.curvature[i, pos],
                    sub_v[i, pos], brack_v[i, pos], curv_v[i, pos])
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

@@ -24,7 +24,7 @@ from weylsys.errors import (
 )
 from scipy.integrate import quad
 
-from weylsys.symbols import PhasePoint, check_field_contract, require_hermitian
+from weylsys.symbols import PhasePoint, require_hermitian
 from weylsys.torus import (
     TorusModel,
     TrigMatrixField,
@@ -32,6 +32,8 @@ from weylsys.torus import (
     plateau_transform,
     registration_check,
 )
+
+from conftest import check_field_contract
 
 TWO_PI = 2.0 * math.pi
 
@@ -92,14 +94,15 @@ def test_twisted_large_coupling_rejected():
 
 
 def scalar_registration(model, n_x=64, n_theta=256):
-    """Reference registration: one symbol, one check, one eigvalsh per node."""
+    """Reference registration: one check and one eigvalsh per node, on the
+    symbols of each chart position's stacked field call."""
     lead = model.leading_symbol()
     min_abs = min_gap = math.inf
+    thetas = TWO_PI * np.arange(n_theta) / n_theta
+    xis = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     for x1 in TWO_PI * np.arange(n_x) / n_x:
-        x = np.array([x1, 0.0])
-        for th in TWO_PI * np.arange(n_theta) / n_theta:
-            xi = np.array([math.cos(th), math.sin(th)])
-            vals = np.linalg.eigvalsh(require_hermitian(lead.evaluator(x, xi)))
+        for symbol in lead.evaluator(np.array([x1, 0.0]), xis):
+            vals = np.linalg.eigvalsh(require_hermitian(symbol))
             min_abs = min(min_abs, float(np.min(np.abs(vals))))
             min_gap = min(min_gap, float(np.min(np.diff(vals))))
     return min_abs, min_gap
@@ -500,7 +503,9 @@ def test_symbols_evaluate_fields_once_per_base_point(twisted_model, monkeypatch)
             calls[key] = 0
         CospherePanel(lead, sub, np.array(x), CosphereQuadrature(n_angles=n_angles))
         seen.append(dict(calls))
-    # per new base point: each of the two coefficient fields and the
-    # potential once, and the gradients of the coefficient fields once
+    # per panel, whatever its node count: each of the two coefficient
+    # fields and the potential once, and the gradients of the coefficient
+    # fields once; nothing is remembered between panels, so a second panel
+    # at the same x makes the same calls again
     assert seen[:2] == [{"value": 3, "gradient": 2}] * 2
-    assert seen[2] == {"value": 0, "gradient": 0}
+    assert seen[2] == {"value": 3, "gradient": 2}
