@@ -37,12 +37,12 @@ print()
 print(f"{'K':>4} {'dim':>6} {'trusted':>8} {'avg a1 fit':>12} "
       f"{'avg a0 fit':>12} {'a0 error':>10}")
 for K in (16, 24, 32):
-    spectrum = assemble_and_solve(model, K)
+    spectrum = assemble_and_solve(model, K, xs)
     mu_hi = 0.6 * K
     mu = np.arange(3.0, mu_hi + 0.025, 0.05)
     a1s, a0s = [], []
-    for x in xs:
-        samples = local_counting_mollified(spectrum, moll, x, mu)
+    for i in range(len(xs)):
+        samples = local_counting_mollified(spectrum, moll, i, mu)
         fit = fit_weyl(samples, 2, (3.0, mu_hi), mollifier=moll)
         a1s.append(fit.a_leading)
         a0s.append(fit.a_second)

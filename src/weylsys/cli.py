@@ -38,6 +38,7 @@ from .kernels import (
 )
 from .resolvent import b_profile, recover_second_weyl
 from .torus import (
+    DEFAULT_BUDGET,
     TRUSTED_FRACTION,
     TorusModel,
     assemble_and_solve,
@@ -70,7 +71,7 @@ class RunConfig:
     angles: tuple = (math.pi / 4, 3 * math.pi / 4)
     limit_angles: tuple = (0.2, 0.1, 0.05)
     truncation: int = 24
-    budget: int = 14000
+    budget: int = DEFAULT_BUDGET
     mollifier_support: float = 3.0
     mu_lo: float = 3.0
     mu_hi: float = 0.0  # 0 means 0.6 * K
@@ -370,15 +371,14 @@ def run_resolvent(cfg: RunConfig, model: TorusModel) -> tuple:
 def run_spectral(cfg: RunConfig, model: TorusModel) -> tuple:
     """Ground-truth pipeline; writes spectral_fit.csv."""
     moll = build_mollifier(cfg.mollifier_support)
-    spectrum = assemble_and_solve(model, cfg.truncation, cfg.budget)
+    spectrum = assemble_and_solve(model, cfg.truncation, cfg.x_points, cfg.budget)
     mu_lo, mu_hi = cfg.fit_window()
     mu = np.arange(mu_lo, mu_hi + cfg.grid_step / 2, cfg.grid_step)
     rows = []
     summary = []
     fits = []
-    for pt in cfg.x_points:
-        x = np.asarray(pt, dtype=float)
-        samples = local_counting_mollified(spectrum, moll, x, mu, "plus")
+    for i, x in enumerate(spectrum.x_points):
+        samples = local_counting_mollified(spectrum, moll, i, mu, "plus")
         fit = fit_weyl(samples, 2, (mu_lo, mu_hi), mollifier=moll)
         rows.append([x[0], x[1], cfg.truncation, fit.a_leading, fit.a_second,
                      fit.residual_rms])

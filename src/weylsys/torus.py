@@ -4,9 +4,11 @@ Concrete first-order systems with trigonometric-polynomial Hermitian
 coefficients are assembled in the Fourier basis, where the symmetrized
 operator has the midpoint form H[k', k] = ((k + k')/2) . C_(k'-k) + B_(k'-k)
 and is manifestly Hermitian.  The mode-coupling graph splits into connected
-components (constant-coefficient models decouple mode by mode), each solved
-with a dense Hermitian eigensolver; the merged spectrum is trusted up to
-0.6 times the truncation.
+components (constant-coefficient models decouple mode by mode), found by
+vectorised min-label propagation.  Components of equal size are assembled
+as one stack of blocks; each block is solved with a dense Hermitian
+eigensolver whose eigenvectors become pointwise weights at once.  The
+merged spectrum is trusted up to 0.6 times the truncation.
 
 The smoothed local counting derivative convolves the pointwise eigenfunction
 weights with a compactly band-limited mollifier (plateau transform, built
@@ -267,10 +269,11 @@ def registration_check(
 
     Scans a grid in the first chart coordinate crossed with cosphere angles
     and returns (min |eigenvalue|, min gap) over the grid, both at |xi| = 1.
-    The coefficient fields are evaluated once per grid position and
-    broadcast over the angles, each position's symbols are checked and
-    symmetrised together, and the whole grid goes through one stacked
-    eigensolve.  Raises
+    x2 = 0 suffices unless a coefficient field has a mode with g2 != 0;
+    then the same grid is scanned in x2 too.  The coefficient fields are
+    evaluated once per grid position and broadcast over the angles, each
+    position's symbols are checked and symmetrised together, and each x2
+    row goes through one stacked eigensolve.  Raises
     :class:`NotHermitian` when a sampled symbol fails the
     ``HERMITICITY_TOL * max(1, |A|)`` rule and
     :class:`EllipticityViolation` when either margin is too small.
@@ -279,25 +282,29 @@ def registration_check(
     thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
     xi = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     m = model.dim
-    symbols = np.zeros((n_x, n_theta, m, m), dtype=complex)
-    # one chart position at a time: all angles at once, while the
-    # temporaries stay a small fraction of the stacked symbol array
-    for row, x1 in zip(symbols, xs):
-        x = np.array([x1, 0.0])
-        for alpha, fld in enumerate(model.coefficients):
-            row += fld.value(x) * xi[:, alpha, None, None]
-        skew = row - row.conj().swapaxes(-1, -2)
-        defect = np.max(np.abs(skew), axis=(-2, -1))
-        scale = np.maximum(1.0, np.max(np.abs(row), axis=(-2, -1)))
-        if np.any(defect > HERMITICITY_TOL * scale):
-            raise NotHermitian(
-                f"model {model.name}: sampled symbol Hermiticity defect "
-                f"{np.max(defect):.3e} exceeds {HERMITICITY_TOL:.1e}"
-            )
-        row -= 0.5 * skew  # = (A + A^H) / 2
-    vals = np.linalg.eigvalsh(symbols)
-    min_abs = float(np.min(np.abs(vals)))
-    min_gap = float(np.min(np.diff(vals, axis=-1))) if m > 1 else math.inf
+    depends_on_x2 = any(g[1] for fld in model.coefficients for g in fld.modes)
+    min_abs = min_gap = math.inf
+    for x2 in xs if depends_on_x2 else (0.0,):
+        symbols = np.zeros((n_x, n_theta, m, m), dtype=complex)
+        # one chart position at a time: all angles at once, while the
+        # temporaries stay a small fraction of the stacked symbol array
+        for row, x1 in zip(symbols, xs):
+            x = np.array([x1, x2])
+            for alpha, fld in enumerate(model.coefficients):
+                row += fld.value(x) * xi[:, alpha, None, None]
+            skew = row - row.conj().swapaxes(-1, -2)
+            defect = np.max(np.abs(skew), axis=(-2, -1))
+            scale = np.maximum(1.0, np.max(np.abs(row), axis=(-2, -1)))
+            if np.any(defect > HERMITICITY_TOL * scale):
+                raise NotHermitian(
+                    f"model {model.name}: sampled symbol Hermiticity defect "
+                    f"{np.max(defect):.3e} exceeds {HERMITICITY_TOL:.1e}"
+                )
+            row -= 0.5 * skew  # = (A + A^H) / 2
+        vals = np.linalg.eigvalsh(symbols)
+        min_abs = min(min_abs, float(np.min(np.abs(vals))))
+        if m > 1:
+            min_gap = min(min_gap, float(np.min(np.diff(vals, axis=-1))))
     if min_abs < ELLIPTICITY_MARGIN:
         raise EllipticityViolation(
             f"model {model.name}: sampled eigenvalue magnitude {min_abs:.3e} "
@@ -327,80 +334,58 @@ def build_model(name: str, params: Optional[dict] = None) -> TorusModel:
     return model
 
 
-def _mode_list(K: int) -> np.ndarray:
-    ks = np.arange(-K, K + 1)
-    k1, k2 = np.meshgrid(ks, ks, indexing="ij")
-    return np.stack([k1.ravel(), k2.ravel()], axis=1)
+def _component_labels(modes: np.ndarray, couplings: set, K: int) -> np.ndarray:
+    """Smallest mode index reachable from each mode through the couplings.
+
+    Each label drops to the minimum over its neighbours k + g and then to
+    the label of its label, until nothing changes.
+    """
+    size = 2 * K + 1
+    edges = []
+    for g in couplings:
+        src = np.flatnonzero(np.all(np.abs(modes + g) <= K, axis=1))
+        edges.append((src, src + g[0] * size + g[1]))
+    labels = np.arange(modes.shape[0])
+    while True:
+        new = labels.copy()
+        for src, dst in edges:
+            new[src] = np.minimum(new[src], labels[dst])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
 
 
-def _components(modes: np.ndarray, couplings: set, K: int) -> list[np.ndarray]:
-    """Connected components of the mode-coupling graph (indices into modes)."""
-    if not couplings:
-        return [np.array([i]) for i in range(modes.shape[0])]
-    index = {tuple(m): i for i, m in enumerate(modes)}
-    seen = np.zeros(modes.shape[0], dtype=bool)
-    comps = []
-    for start in range(modes.shape[0]):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            base = modes[i]
-            for g in couplings:
-                for sign in (1, -1):
-                    nb = (base[0] + sign * g[0], base[1] + sign * g[1])
-                    j = index.get(nb)
-                    if j is not None and not seen[j]:
-                        seen[j] = True
-                        stack.append(j)
-        comps.append(np.array(sorted(comp)))
-    return comps
+def _pointwise_weights(modes: np.ndarray, vectors: np.ndarray, x_points: np.ndarray):
+    """|v_k(x)|^2 of one block's unit eigenvectors, (n_local, n_x), one x
+    at a time; each weight integrates to one over the torus."""
+    # vectors rows are (mode, component) pairs, mode-major
+    resh = vectors.reshape(modes.shape[0], -1, vectors.shape[1])
+    norm = (2.0 * math.pi) ** (-x_points.shape[1])
+    out = np.empty((vectors.shape[1], x_points.shape[0]))
+    for p in range(x_points.shape[0]):
+        phases = np.exp(1j * modes @ x_points[p:p + 1].T)  # (n_modes, 1)
+        amp = np.einsum("gmk,gp->kmp", resh, phases)
+        out[:, p:p + 1] = norm * np.sum(np.abs(amp) ** 2, axis=1)
+    return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectrumResult:
-    """Full spectrum of the truncated operator with eigenvector coefficients.
+    """Spectrum of the truncated operator and its pointwise weights.
 
-    ``eigenvalues`` are globally sorted; ``trusted_max`` = 0.6 K bounds the
-    truncation-unpolluted window.  Eigenvector Fourier coefficients are
-    stored per coupling component to keep memory proportional to the
-    coupling structure.
+    ``eigenvalues`` are globally sorted; ``weights[k, i]`` is the weight
+    |phi_k(x_i)|^2 of eigenfunction k at ``x_points[i]``, each integrating
+    to one over the torus.  No eigenvectors are kept.  ``trusted_max`` =
+    0.6 K bounds the truncation-unpolluted window.
     """
 
     K: int
     dim: int
     eigenvalues: np.ndarray
+    x_points: np.ndarray
+    weights: np.ndarray
     trusted_max: float
-    _components: list = field(default_factory=list, repr=False)
-    _order: np.ndarray = field(default=None, repr=False)
-
-    def weights(self, x_points: np.ndarray) -> np.ndarray:
-        """Pointwise eigenfunction weights ||v_k(x)||^2, shape (n_eig, n_x).
-
-        Eigenvectors are unit vectors in the orthonormal Fourier basis, so
-        each weight integrates to one over the torus.
-        """
-        x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
-        n_eig = self.eigenvalues.size
-        out = np.empty((n_eig, x_points.shape[0]))
-        norm = (2.0 * math.pi) ** (-x_points.shape[1])
-        offset = 0
-        blocks = []
-        for modes, vectors in self._components:
-            phases = np.exp(1j * modes @ x_points.T)  # (n_modes, n_x)
-            n_local = vectors.shape[1]
-            m = self.dim
-            # vectors rows are (mode, component) pairs, mode-major
-            resh = vectors.reshape(modes.shape[0], m, n_local)
-            amp = np.einsum("gmk,gp->kmp", resh, phases)
-            w = norm * np.sum(np.abs(amp) ** 2, axis=1)  # (n_local, n_x)
-            blocks.append(w)
-        stacked = np.concatenate(blocks, axis=0)
-        return stacked[self._order]
 
     def trusted(self) -> np.ndarray:
         lam = self.eigenvalues
@@ -410,74 +395,84 @@ class SpectrumResult:
 def assemble_and_solve(
     model: TorusModel,
     K: int,
+    x_points: np.ndarray,
     budget: int = DEFAULT_BUDGET,
 ) -> SpectrumResult:
     """Assemble the truncated operator over modes |k|_inf <= K and solve.
 
-    The Hermitian matrix in the plane-wave basis is block-diagonal over the
-    connected components of the mode-coupling graph; each block is solved
-    densely.  Raises :class:`BudgetExceeded` when the global dimension
-    m (2K+1)^n exceeds the budget and :class:`SolveFailure` on solver
-    breakdown.
+    The plane-wave matrix is block-diagonal over the components of the
+    mode-coupling graph.  Components of equal size share one stack of
+    blocks, filled by one scatter per Fourier mode of the fields; each
+    block is solved densely and its eigenvectors are reduced to weights at
+    ``x_points`` (n_x, 2), then dropped; (0, 2) gives eigenvalues only.
+    Raises :class:`BudgetExceeded`, before any allocation, when m (2K+1)^2
+    exceeds the budget and :class:`SolveFailure` on solver breakdown.
     """
     if K < 8:
         raise ValueError("truncation K must be at least 8")
     m = model.dim
-    modes = _mode_list(K)
-    dim_total = m * modes.shape[0]
-    if dim_total > budget:
+    size = 2 * K + 1
+    if m * size ** 2 > budget:
         raise BudgetExceeded(
-            f"matrix dimension {dim_total} exceeds budget {budget}"
+            f"matrix dimension {m * size ** 2} exceeds budget {budget}"
         )
-    coeff_modes = {}
-    for alpha, fld in enumerate(model.coefficients):
-        for g, mat in fld.modes.items():
-            coeff_modes.setdefault(g, [None] * (model.n + 1))[alpha] = mat
-    for g, mat in model.potential.modes.items():
-        coeff_modes.setdefault(g, [None] * (model.n + 1))[model.n] = mat
-
-    comps = _components(modes, model.coupling_modes(), K)
-    all_values = []
-    comp_store = []
-    for comp in comps:
-        local_modes = modes[comp]
-        local_index = {tuple(mm): i for i, mm in enumerate(local_modes)}
-        dim_local = m * local_modes.shape[0]
-        block = np.zeros((dim_local, dim_local), dtype=complex)
-        for g, mats in coeff_modes.items():
-            for i, kvec in enumerate(local_modes):
-                target = (kvec[0] + g[0], kvec[1] + g[1])
-                j = local_index.get(target)
-                if j is None:
-                    continue
-                acc = np.zeros((m, m), dtype=complex)
-                for alpha in range(model.n):
-                    if mats[alpha] is not None:
-                        acc += 0.5 * (kvec[alpha] + target[alpha]) * mats[alpha]
-                if mats[model.n] is not None:
-                    acc += mats[model.n]
-                block[j * m:(j + 1) * m, i * m:(i + 1) * m] += acc
-        defect = np.max(np.abs(block - block.conj().T)) if dim_local else 0.0
-        if defect > 1e-10 * max(1.0, K):
-            raise NotHermitian(
-                f"assembled block Hermiticity defect {defect:.3e}"
-            )
-        block = 0.5 * (block + block.conj().T)
-        try:
-            vals, vecs = np.linalg.eigh(block)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise SolveFailure(f"dense eigensolver failed: {exc}") from exc
-        all_values.append(vals)
-        comp_store.append((local_modes.astype(float), vecs))
-    merged = np.concatenate(all_values)
+    x_points = np.array(x_points, dtype=float, ndmin=2)
+    if x_points.shape[1:] != (2,):
+        raise ValueError(f"x_points must have shape (n_x, 2), not {x_points.shape}")
+    ks = np.arange(-K, K + 1)
+    modes = np.stack(np.meshgrid(ks, ks, indexing="ij"), axis=-1).reshape(-1, 2)
+    labels = _component_labels(modes, model.coupling_modes(), K)
+    # components in order of their smallest mode, each in ascending mode order
+    by_label = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.r_[True, np.diff(labels[by_label]) != 0])
+    sizes = np.diff(np.r_[starts, modes.shape[0]])
+    position = np.empty_like(by_label)  # index of each mode in its component
+    position[by_label] = np.arange(by_label.size) - np.repeat(starts, sizes)
+    fields = (*model.coefficients, model.potential)
+    field_modes = dict.fromkeys(g for fld in fields for g in fld.modes)
+    values = [None] * starts.size
+    weights = [None] * starts.size
+    for n_local in np.unique(sizes):
+        group = np.flatnonzero(sizes == n_local)
+        kvec = modes[by_label[starts[group, None] + np.arange(n_local)]]
+        stack = np.zeros((group.size, n_local, m, n_local, m), dtype=complex)
+        for g in field_modes:
+            target = kvec + g
+            comp, i = np.nonzero(np.all(np.abs(target) <= K, axis=-1))
+            k, t = kvec[comp, i], target[comp, i]
+            j = position[(t[:, 0] + K) * size + t[:, 1] + K]
+            acc = np.zeros((comp.size, m, m), dtype=complex)
+            for alpha, fld in enumerate(model.coefficients):
+                if g in fld.modes:
+                    coef = 0.5 * (k[:, alpha] + t[:, alpha])
+                    acc += coef[:, None, None] * fld.modes[g]
+            if g in model.potential.modes:
+                acc += model.potential.modes[g]
+            stack[comp, j, :, i, :] += acc
+        local_modes = kvec.astype(float)
+        for c, block, local in zip(group, stack, local_modes):
+            block = block.reshape(n_local * m, n_local * m)
+            defect = np.max(np.abs(block - block.conj().T))
+            if defect > 1e-10 * max(1.0, K):
+                raise NotHermitian(
+                    f"assembled block Hermiticity defect {defect:.3e}"
+                )
+            block = 0.5 * (block + block.conj().T)
+            try:
+                vals, vecs = np.linalg.eigh(block)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover
+                raise SolveFailure(f"dense eigensolver failed: {exc}") from exc
+            values[c] = vals
+            weights[c] = _pointwise_weights(local, vecs, x_points)
+    merged = np.concatenate(values)
     order = np.argsort(merged, kind="stable")
     return SpectrumResult(
         K=K,
         dim=m,
         eigenvalues=merged[order],
+        x_points=x_points,
+        weights=np.concatenate(weights)[order],
         trusted_max=TRUSTED_FRACTION * K,
-        _components=comp_store,
-        _order=order,
     )
 
 
@@ -714,12 +709,13 @@ class CountingSamples:
 def local_counting_mollified(
     spectrum: SpectrumResult,
     mollifier: Mollifier,
-    x: np.ndarray,
+    i: int,
     mu_grid: np.ndarray,
     branch: str = "plus",
 ) -> CountingSamples:
     """Convolve the weighted spectral measure with the mollifier at one point.
 
+    Reads the weights at ``spectrum.x_points[i]`` and records that point.
     plus branch: sum over positive eigenvalues of rho(mu - lambda) w(x);
     minus branch mirrors through zero.  Raises :class:`WindowViolation`
     when the grid leaves the trusted window.
@@ -739,11 +735,11 @@ def local_counting_mollified(
         centers = -lam[sel]
     else:
         raise ValueError("branch must be 'plus' or 'minus'")
-    weights = spectrum.weights(np.asarray(x, dtype=float))[sel, 0]
+    weights = spectrum.weights[sel, i]
     diffs = mu_grid[:, None] - centers[None, :]
     values = mollifier(diffs) @ weights
     return CountingSamples(
-        x=np.asarray(x, dtype=float),
+        x=spectrum.x_points[i],
         mu=mu_grid,
         values=values,
         branch=branch,

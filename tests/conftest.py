@@ -1,6 +1,7 @@
 import cmath
 import copy
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -16,8 +17,15 @@ from weylsys import (
     generalized_bracket,
     power_difference_kernel,
 )
-from weylsys.errors import AngleOutOfRange, QuadratureFailure
+from weylsys.errors import (
+    AngleOutOfRange,
+    BudgetExceeded,
+    NotHermitian,
+    QuadratureFailure,
+    SolveFailure,
+)
 from weylsys.symbols import require_hermitian
+from weylsys.torus import DEFAULT_BUDGET, TRUSTED_FRACTION
 
 
 @pytest.fixture(scope="session")
@@ -228,3 +236,139 @@ def vector_form(panel):
     out = copy.copy(panel)
     out.sub, out.bracket, out.curvature = vector_integrands(panel)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference Galerkin solve: breadth-first components, entry-by-entry block
+# assembly and per-component eigenvectors, the form that the labelled,
+# scattered solve with weights at given points replaces
+# ---------------------------------------------------------------------------
+
+def mode_list(K: int) -> np.ndarray:
+    ks = np.arange(-K, K + 1)
+    k1, k2 = np.meshgrid(ks, ks, indexing="ij")
+    return np.stack([k1.ravel(), k2.ravel()], axis=1)
+
+
+def reference_components(modes: np.ndarray, couplings: set, K: int) -> list:
+    """Connected components of the mode-coupling graph (indices into modes)."""
+    if not couplings:
+        return [np.array([i]) for i in range(modes.shape[0])]
+    index = {tuple(m): i for i, m in enumerate(modes)}
+    seen = np.zeros(modes.shape[0], dtype=bool)
+    comps = []
+    for start in range(modes.shape[0]):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        comp = []
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            base = modes[i]
+            for g in couplings:
+                for sign in (1, -1):
+                    nb = (base[0] + sign * g[0], base[1] + sign * g[1])
+                    j = index.get(nb)
+                    if j is not None and not seen[j]:
+                        seen[j] = True
+                        stack.append(j)
+        comps.append(np.array(sorted(comp)))
+    return comps
+
+
+@dataclass
+class ReferenceSpectrum:
+    """Full spectrum with eigenvector coefficients stored per component."""
+
+    K: int
+    dim: int
+    eigenvalues: np.ndarray
+    trusted_max: float
+    _components: list = field(default_factory=list, repr=False)
+    _order: np.ndarray = field(default=None, repr=False)
+
+    def weights(self, x_points: np.ndarray) -> np.ndarray:
+        """Pointwise eigenfunction weights ||v_k(x)||^2, shape (n_eig, n_x).
+
+        Eigenvectors are unit vectors in the orthonormal Fourier basis, so
+        each weight integrates to one over the torus.
+        """
+        x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
+        norm = (2.0 * math.pi) ** (-x_points.shape[1])
+        blocks = []
+        for modes, vectors in self._components:
+            phases = np.exp(1j * modes @ x_points.T)  # (n_modes, n_x)
+            n_local = vectors.shape[1]
+            m = self.dim
+            # vectors rows are (mode, component) pairs, mode-major
+            resh = vectors.reshape(modes.shape[0], m, n_local)
+            amp = np.einsum("gmk,gp->kmp", resh, phases)
+            w = norm * np.sum(np.abs(amp) ** 2, axis=1)  # (n_local, n_x)
+            blocks.append(w)
+        stacked = np.concatenate(blocks, axis=0)
+        return stacked[self._order]
+
+
+def reference_spectrum(model, K: int, budget: int = DEFAULT_BUDGET) -> ReferenceSpectrum:
+    """Assemble the truncated operator over modes |k|_inf <= K and solve."""
+    if K < 8:
+        raise ValueError("truncation K must be at least 8")
+    m = model.dim
+    modes = mode_list(K)
+    dim_total = m * modes.shape[0]
+    if dim_total > budget:
+        raise BudgetExceeded(
+            f"matrix dimension {dim_total} exceeds budget {budget}"
+        )
+    coeff_modes = {}
+    for alpha, fld in enumerate(model.coefficients):
+        for g, mat in fld.modes.items():
+            coeff_modes.setdefault(g, [None] * (model.n + 1))[alpha] = mat
+    for g, mat in model.potential.modes.items():
+        coeff_modes.setdefault(g, [None] * (model.n + 1))[model.n] = mat
+
+    comps = reference_components(modes, model.coupling_modes(), K)
+    all_values = []
+    comp_store = []
+    for comp in comps:
+        local_modes = modes[comp]
+        local_index = {tuple(mm): i for i, mm in enumerate(local_modes)}
+        dim_local = m * local_modes.shape[0]
+        block = np.zeros((dim_local, dim_local), dtype=complex)
+        for g, mats in coeff_modes.items():
+            for i, kvec in enumerate(local_modes):
+                target = (kvec[0] + g[0], kvec[1] + g[1])
+                j = local_index.get(target)
+                if j is None:
+                    continue
+                acc = np.zeros((m, m), dtype=complex)
+                for alpha in range(model.n):
+                    if mats[alpha] is not None:
+                        acc += 0.5 * (kvec[alpha] + target[alpha]) * mats[alpha]
+                if mats[model.n] is not None:
+                    acc += mats[model.n]
+                block[j * m:(j + 1) * m, i * m:(i + 1) * m] += acc
+        defect = np.max(np.abs(block - block.conj().T)) if dim_local else 0.0
+        if defect > 1e-10 * max(1.0, K):
+            raise NotHermitian(
+                f"assembled block Hermiticity defect {defect:.3e}"
+            )
+        block = 0.5 * (block + block.conj().T)
+        try:
+            vals, vecs = np.linalg.eigh(block)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise SolveFailure(f"dense eigensolver failed: {exc}") from exc
+        all_values.append(vals)
+        comp_store.append((local_modes.astype(float), vecs))
+    merged = np.concatenate(all_values)
+    order = np.argsort(merged, kind="stable")
+    return ReferenceSpectrum(
+        K=K,
+        dim=m,
+        eigenvalues=merged[order],
+        trusted_max=TRUSTED_FRACTION * K,
+        _components=comp_store,
+        _order=order,
+    )

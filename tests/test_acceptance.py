@@ -215,11 +215,9 @@ def test_criterion_6_constant_coefficient_ground_truth(
     shifted_dirac_model, mass_dirac_model, mollifier_t3
 ):
     started = time.time()
-    spec = assemble_and_solve(shifted_dirac_model, 32)
+    spec = assemble_and_solve(shifted_dirac_model, 32, [[0.3, 0.9]])
     mu = np.arange(3.0, 19.2 + 0.025, 0.05)
-    samples = local_counting_mollified(
-        spec, mollifier_t3, np.array([0.3, 0.9]), mu
-    )
+    samples = local_counting_mollified(spec, mollifier_t3, 0, mu)
     fit = fit_weyl(samples, 2, (3.0, 19.2), mollifier=mollifier_t3)
     a1_want = 1.0 / TWO_PI
     a0_want = -0.3 / TWO_PI
@@ -228,7 +226,7 @@ def test_criterion_6_constant_coefficient_ground_truth(
     assert rel1 < 0.02
     assert rel0 < 0.10
     # mass-dirac eigenvalues against the dispersion closed form
-    specm = assemble_and_solve(mass_dirac_model, 32)
+    specm = assemble_and_solve(mass_dirac_model, 32, np.zeros((0, 2)))
     ks = np.arange(-32, 33)
     k1, k2 = np.meshgrid(ks, ks, indexing="ij")
     mag = np.sqrt((k1 ** 2 + k2 ** 2).ravel() + 0.25)
@@ -251,12 +249,12 @@ def test_criterion_7_x_dependent_ground_truth(twisted_model, mollifier_t3):
     avg_direct = float(np.mean([second_weyl(lead, sub, x).value for x in xs]))
     errs = []
     for K in (16, 24, 32):
-        spec = assemble_and_solve(twisted_model, K)
+        spec = assemble_and_solve(twisted_model, K, xs)
         mu_hi = 0.6 * K
         mu = np.arange(3.0, mu_hi + 0.025, 0.05)
         fits = []
-        for x in xs:
-            samples = local_counting_mollified(spec, mollifier_t3, x, mu)
+        for i in range(len(xs)):
+            samples = local_counting_mollified(spec, mollifier_t3, i, mu)
             fits.append(
                 fit_weyl(samples, 2, (3.0, mu_hi), mollifier=mollifier_t3).a_second
             )
@@ -281,13 +279,12 @@ def test_criterion_8_mollifier_contract(shifted_dirac_model):
         for m in range(1, 7):
             assert moll.moment(m) < 1e-6
     # fitted coefficients under both supports agree within the fit residual
-    spec = assemble_and_solve(shifted_dirac_model, 40)
-    x = np.array([0.3, 0.9])
+    spec = assemble_and_solve(shifted_dirac_model, 40, [[0.3, 0.9]])
     fits = {}
     for moll in (moll1, moll2):
         mu_lo = 4.8
         mu = np.arange(mu_lo, 24.0 + 0.025, 0.05)
-        samples = local_counting_mollified(spec, moll, x, mu)
+        samples = local_counting_mollified(spec, moll, 0, mu)
         fits[moll.support] = fit_weyl(
             samples, 2, (mu_lo, 24.0), mollifier=moll, bottom_columns=False
         )

@@ -124,6 +124,17 @@ def test_ellipticity_violation_exits_two(tmp_path, capsys):
     assert "EllipticityViolation" in capsys.readouterr().err
 
 
+def test_budget_checked_before_allocation(tmp_path, capsys):
+    code = run_cli(
+        ["compute", "--model", "twisted", "--pipeline", "spectral",
+         "-k", "1000000", "--out", str(tmp_path), "--set", "fit.mu_hi=20"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numerical failure: BudgetExceeded")
+    assert "Traceback" not in err
+
+
 def test_compute_direct_dirac(tmp_path, capsys):
     code = run_cli(
         ["compute", "--model", "dirac", "--pipeline", "direct",

@@ -1,5 +1,5 @@
 """Public surface: exported names, the names the demos import, and the
-names the traced benchmark wraps all exist."""
+names the traced benchmark wraps all exist; every demo runs."""
 
 import ast
 import importlib
@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import weylsys
 
@@ -28,6 +30,21 @@ def test_exported_and_demo_names_exist():
                     if not hasattr(module, alias.name)
                 ]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "demo", sorted(path.name for path in (ROOT / "demos").glob("*.py"))
+)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def run_with_benchmark_path(code: str) -> subprocess.CompletedProcess:

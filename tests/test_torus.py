@@ -1,5 +1,6 @@
 """Ground-truth harness tests: models, spectra, mollifier, counting, fits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,10 @@ from scipy.integrate import quad
 
 from weylsys.symbols import PhasePoint, require_hermitian
 from weylsys.torus import (
+    SIGMA1,
+    SIGMA2,
+    SIGMA3,
+    SpectrumResult,
     TorusModel,
     TrigMatrixField,
     bump_step,
@@ -33,9 +38,10 @@ from weylsys.torus import (
     registration_check,
 )
 
-from conftest import check_field_contract
+from conftest import check_field_contract, reference_spectrum
 
 TWO_PI = 2.0 * math.pi
+NO_POINTS = np.zeros((0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +139,20 @@ def test_registration_rejects_non_hermitian_symbol():
         registration_check(model)
 
 
+def test_registration_scans_x2():
+    # a1 = (1 + cos x2) sigma_1 / 2 vanishes at x2 = pi, so the leading
+    # symbol is 0 at x = (0, pi), xi = (1, 0); the x2 = 0 row alone misses it
+    a1 = TrigMatrixField.from_waves(
+        2, [("const", (0, 0), 0.5 * SIGMA1), ("cos", (0, 1), 0.5 * SIGMA1)]
+    )
+    model = TorusModel(
+        "x2-degenerate", {}, (a1, TrigMatrixField.constant(SIGMA2)),
+        TrigMatrixField.constant(np.zeros((2, 2))),
+    )
+    with pytest.raises(EllipticityViolation):
+        registration_check(model)
+
+
 def test_model_symbol_contract(twisted_model, rng):
     lead, sub = twisted_model.symbol_fields()
     pts = []
@@ -170,7 +190,7 @@ def plane_wave_spectrum(K, offset=0.0, mass=0.0):
 
 
 def test_shifted_dirac_spectrum_exact(shifted_dirac_model):
-    spec = assemble_and_solve(shifted_dirac_model, 16)
+    spec = assemble_and_solve(shifted_dirac_model, 16, NO_POINTS)
     # every trusted eigenvalue matches +-|k| + beta over |k| <= 9
     want = plane_wave_spectrum(16, offset=0.3)
     want = want[np.abs(want) <= spec.trusted_max]
@@ -182,14 +202,14 @@ def test_shifted_dirac_spectrum_exact(shifted_dirac_model):
 def test_dirac_chiral_symmetry(dirac_model):
     # conjugation by sigma_3 flips the sign of the operator, so the
     # spectrum is symmetric under lambda -> -lambda
-    spec = assemble_and_solve(dirac_model, 12)
+    spec = assemble_and_solve(dirac_model, 12, NO_POINTS)
     lam = spec.eigenvalues
     np.testing.assert_allclose(np.sort(lam), np.sort(-lam)[::-1] * -1, atol=1e-10)
     np.testing.assert_allclose(lam, -lam[::-1], atol=1e-10)
 
 
 def test_mass_dirac_spectrum(mass_dirac_model):
-    spec = assemble_and_solve(mass_dirac_model, 16)
+    spec = assemble_and_solve(mass_dirac_model, 16, NO_POINTS)
     want = plane_wave_spectrum(16, mass=0.5)
     want = want[np.abs(want) <= spec.trusted_max]
     np.testing.assert_allclose(spec.trusted(), want, atol=1e-10)
@@ -197,37 +217,113 @@ def test_mass_dirac_spectrum(mass_dirac_model):
 
 def test_budget_enforced(dirac_model):
     with pytest.raises(BudgetExceeded):
-        assemble_and_solve(dirac_model, 64)
+        assemble_and_solve(dirac_model, 64, NO_POINTS)
+    # checked before allocation: the mode grid alone would take terabytes
+    with pytest.raises(BudgetExceeded):
+        assemble_and_solve(dirac_model, 10 ** 6, NO_POINTS)
 
 
 def test_minimum_truncation(dirac_model):
     with pytest.raises(ValueError):
-        assemble_and_solve(dirac_model, 4)
+        assemble_and_solve(dirac_model, 4, NO_POINTS)
+
+
+def test_points_must_be_pairs(dirac_model):
+    with pytest.raises(ValueError):
+        assemble_and_solve(dirac_model, 8, np.zeros((2, 3)))
 
 
 def test_constant_weights_are_uniform(shifted_dirac_model):
-    spec = assemble_and_solve(shifted_dirac_model, 8)
     xs = np.array([[0.0, 0.0], [1.0, 2.0], [4.0, 0.5]])
-    w = spec.weights(xs)
+    w = assemble_and_solve(shifted_dirac_model, 8, xs).weights
     np.testing.assert_allclose(w, 1.0 / TWO_PI ** 2, atol=1e-12)
 
 
 def test_weights_nonnegative_and_normalised(twisted_model):
-    spec = assemble_and_solve(twisted_model, 8)
     # weights depend on x1 only and have harmonics up to 2K = 16, so a
     # 32-point uniform average integrates them exactly
     grid = np.stack(
         [np.linspace(0, TWO_PI, 32, endpoint=False), np.zeros(32)], axis=1
     )
-    w = spec.weights(grid)
+    w = assemble_and_solve(twisted_model, 8, grid).weights
     assert np.min(w) >= -1e-13
     avg = np.mean(w, axis=1) * TWO_PI ** 2
     np.testing.assert_allclose(avg, 1.0, atol=1e-10)
 
 
+ORACLE_POINTS = np.array([[0.0, 0.0], [1.3, 4.2], [0.5, 2.0]])
+
+
+def reference_weights(ref, x_points):
+    """The reference weights, one x at a time."""
+    return np.concatenate([ref.weights(x) for x in x_points], axis=1)
+
+
+@pytest.mark.parametrize("K", [8, 12])
+@pytest.mark.parametrize(
+    "name, params",
+    [("dirac", {}), ("shifted-dirac", {"beta": 0.3}), ("mass-dirac", {"b": 0.5}),
+     ("twisted", {"eps": 0.1})],
+)
+def test_solve_matches_reference_on_catalog(name, params, K):
+    model = build_model(name, params)
+    spec = assemble_and_solve(model, K, ORACLE_POINTS)
+    ref = reference_spectrum(model, K)
+    assert np.array_equal(spec.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(spec.weights, reference_weights(ref, ORACLE_POINTS))
+
+
+def x2_coupled_twisted():
+    """Twisted plus eps cos(x2) sigma_3 in a2: one block holds every mode."""
+    twisted = build_model("twisted", {"eps": 0.1})
+    a1, a2 = twisted.coefficients
+    extra = TrigMatrixField.from_waves(2, [("cos", (0, 1), 0.1 * SIGMA3)])
+    a2 = TrigMatrixField(2, {**a2.modes, **extra.modes})
+    return TorusModel("twisted-x2", {}, (a1, a2), twisted.potential)
+
+
+def diagonal_coupled():
+    """Coupled only through (2, 1): components of several sizes."""
+    a1 = TrigMatrixField.from_waves(
+        2, [("const", (0, 0), SIGMA1), ("sin", (2, 1), 0.2 * SIGMA3)]
+    )
+    return TorusModel(
+        "diagonal", {}, (a1, TrigMatrixField.constant(SIGMA2)),
+        TrigMatrixField.constant(0.3 * SIGMA3),
+    )
+
+
+@pytest.mark.parametrize("make_model", [x2_coupled_twisted, diagonal_coupled])
+def test_solve_matches_reference_on_general_couplings(make_model):
+    model = make_model()
+    spec = assemble_and_solve(model, 8, ORACLE_POINTS)
+    ref = reference_spectrum(model, 8)
+    assert np.array_equal(spec.eigenvalues, ref.eigenvalues)
+    np.testing.assert_allclose(
+        spec.weights, reference_weights(ref, ORACLE_POINTS), rtol=0.0, atol=1e-12
+    )
+
+
+def test_general_couplings_block_structure():
+    from conftest import mode_list, reference_components
+
+    modes = mode_list(8)
+    sizes = [c.size for c in reference_components(
+        modes, x2_coupled_twisted().coupling_modes(), 8)]
+    assert sizes == [17 * 17]  # one 578-row block
+    sizes = {c.size for c in reference_components(
+        modes, diagonal_coupled().coupling_modes(), 8)}
+    assert len(sizes) > 2
+
+
+def test_spectrum_keeps_no_eigenvectors():
+    names = [f.name for f in dataclasses.fields(SpectrumResult)]
+    assert names == ["K", "dim", "eigenvalues", "x_points", "weights", "trusted_max"]
+
+
 def test_galerkin_matches_symbol_pipeline_for_twisted(twisted_model):
     # global eigenvalue count vs the two-term phase-space prediction
-    spec = assemble_and_solve(twisted_model, 16)
+    spec = assemble_and_solve(twisted_model, 16, NO_POINTS)
     lam = spec.trusted()
     lam_max = 0.9 * spec.trusted_max
     from weylsys import first_weyl, second_weyl
@@ -356,20 +452,16 @@ def test_mollifier_evaluation_never_extrapolates(mollifier_t3):
 # ---------------------------------------------------------------------------
 
 def test_counting_window_enforced(shifted_dirac_model, mollifier_t3):
-    spec = assemble_and_solve(shifted_dirac_model, 8)
+    spec = assemble_and_solve(shifted_dirac_model, 8, [[0.0, 0.0]])
     with pytest.raises(WindowViolation):
-        local_counting_mollified(
-            spec, mollifier_t3, np.array([0.0, 0.0]), np.arange(1.0, 10.0, 0.5)
-        )
+        local_counting_mollified(spec, mollifier_t3, 0, np.arange(1.0, 10.0, 0.5))
 
 
 def test_local_counting_matches_global(shifted_dirac_model, mollifier_t3):
     # integral over the torus of the local count equals the global count
-    spec = assemble_and_solve(shifted_dirac_model, 12)
+    spec = assemble_and_solve(shifted_dirac_model, 12, [[0.7, 0.2]])
     mu = np.arange(3.0, 7.0, 0.5)
-    samples = local_counting_mollified(
-        spec, mollifier_t3, np.array([0.7, 0.2]), mu
-    )
+    samples = local_counting_mollified(spec, mollifier_t3, 0, mu)
     lam = spec.eigenvalues[spec.eigenvalues > 0]
     global_count = np.array(
         [np.sum(mollifier_t3(m - lam)) for m in mu]
@@ -381,11 +473,9 @@ def test_local_counting_matches_global(shifted_dirac_model, mollifier_t3):
 
 
 def test_minus_branch_counts_negative_spectrum(shifted_dirac_model, mollifier_t3):
-    spec = assemble_and_solve(shifted_dirac_model, 12)
+    spec = assemble_and_solve(shifted_dirac_model, 12, [[0.0, 0.0]])
     mu = np.arange(3.0, 7.0, 0.5)
-    samples = local_counting_mollified(
-        spec, mollifier_t3, np.array([0.0, 0.0]), mu, branch="minus"
-    )
+    samples = local_counting_mollified(spec, mollifier_t3, 0, mu, branch="minus")
     lam = spec.eigenvalues[spec.eigenvalues < 0]
     want = np.array([np.sum(mollifier_t3(m + lam)) for m in mu]) / TWO_PI ** 2
     np.testing.assert_allclose(samples.values, want, atol=1e-10)
@@ -431,22 +521,18 @@ def test_fit_window_respects_smearing_scale(mollifier_t3):
 
 
 def test_shifted_dirac_fit(shifted_dirac_model, mollifier_t3):
-    spec = assemble_and_solve(shifted_dirac_model, 24)
+    spec = assemble_and_solve(shifted_dirac_model, 24, [[0.3, 0.9]])
     mu = np.arange(3.0, 14.4 + 0.025, 0.05)
-    samples = local_counting_mollified(
-        spec, mollifier_t3, np.array([0.3, 0.9]), mu
-    )
+    samples = local_counting_mollified(spec, mollifier_t3, 0, mu)
     fit = fit_weyl(samples, 2, (3.0, 14.4), mollifier=mollifier_t3)
     assert abs(fit.a_leading - 1.0 / TWO_PI) < 0.01 / TWO_PI
     assert abs(fit.a_second - (-0.3 / TWO_PI)) < 0.1 * 0.3 / TWO_PI
 
 
 def test_dirac_fit_second_coefficient_vanishes(dirac_model, mollifier_t3):
-    spec = assemble_and_solve(dirac_model, 32)
+    spec = assemble_and_solve(dirac_model, 32, [[1.0, 0.5]])
     mu = np.arange(3.0, 19.2 + 0.025, 0.05)
-    samples = local_counting_mollified(
-        spec, mollifier_t3, np.array([1.0, 0.5]), mu
-    )
+    samples = local_counting_mollified(spec, mollifier_t3, 0, mu)
     fit = fit_weyl(samples, 2, (3.0, 19.2), mollifier=mollifier_t3)
     assert abs(fit.a_second) < 0.01 * fit.a_leading
 
