@@ -14,7 +14,7 @@ import numpy as np
 from weylsys import (
     assemble_and_solve,
     build_model,
-    default_mollifier,
+    build_mollifier,
     fit_weyl,
     local_counting_mollified,
     second_weyl,
@@ -29,7 +29,7 @@ avg_direct = float(np.mean([second_weyl(lead, sub, x).value for x in xs]))
 print(f"direct x-averaged second coefficient: {avg_direct:+.8f}")
 print()
 
-moll = default_mollifier(3.0)
+moll = build_mollifier(3.0)
 print(f"mollifier: support {moll.support}, mass defect {abs(moll.mass()-1):.1e}, "
       f"moments 1-6 max {max(moll.moment(m) for m in range(1, 7)):.1e}")
 print()

@@ -57,7 +57,6 @@ from .torus import (
     build_model,
     build_mollifier,
     catalog_names,
-    default_mollifier,
     fit_weyl,
     local_counting_mollified,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "build_model",
     "build_mollifier",
     "catalog_names",
-    "default_mollifier",
     "eigen_decompose",
     "eigen_jet",
     "expansion_b_coefficients",

@@ -39,6 +39,7 @@ from .kernels import (
 from .resolvent import b_profile, recover_second_weyl
 from .torus import (
     DEFAULT_BUDGET,
+    MODEL_PARAMETERS,
     TRUSTED_FRACTION,
     TorusModel,
     assemble_and_solve,
@@ -51,7 +52,7 @@ from .torus import (
 
 PIPELINES = ("direct", "resolvent", "spectral", "all", "gn-check")
 
-_MODEL_PARAM_KEYS = ("beta", "b", "eps")
+_MODEL_PARAM_KEYS = sorted({p for params in MODEL_PARAMETERS.values() for p in params})
 
 # Caps on the settings that size allocations: the spectral grid holds
 # (window width / fit.grid_step) points (420 at K = 40 with the defaults)
@@ -215,6 +216,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(
             f"unknown model {cfg.model!r}; catalog: {', '.join(catalog_names())}"
         )
+    for key in cfg.model_params:
+        if key not in MODEL_PARAMETERS[cfg.model]:
+            raise ConfigError(f"model {cfg.model!r} takes no parameter {key!r}")
     for phi in (*cfg.angles, *cfg.limit_angles, *cfg.gn_angles):
         if not 0.0 < phi < math.pi:
             raise ConfigError(f"angle {phi} outside (0, pi)")
@@ -493,7 +497,7 @@ def config_from_args(args) -> RunConfig:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     if args.model:
         settings["model.name"] = args.model
-    for key in ("beta", "b", "eps"):
+    for key in _MODEL_PARAM_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             settings[f"model.{key}"] = str(val)

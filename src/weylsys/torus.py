@@ -12,9 +12,10 @@ merged spectrum is trusted up to 0.6 times the truncation.
 
 The smoothed local counting derivative convolves the pointwise eigenfunction
 weights with a compactly band-limited mollifier (plateau transform, built
-from the standard exp(-1/(1-s^2)) bump), and a least-squares fit over a
-trusted window extracts the two leading growth coefficients, with optional
-next-order and spectral-bottom nuisance columns.
+from the standard exp(-1/(1-s^2)) bump; a cubic Hermite interpolant with
+exact slopes), and a least-squares fit over a trusted window extracts the
+two leading growth coefficients, with optional next-order and
+spectral-bottom nuisance columns.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -37,9 +38,6 @@ from .errors import (
     WindowViolation,
 )
 from .symbols import HERMITICITY_TOL, SymbolField
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -108,20 +106,20 @@ class TrigMatrixField:
         return cls(dim, modes)
 
     def value(self, x: np.ndarray) -> np.ndarray:
+        """The field at points x of shape (..., n), shape (..., dim, dim)."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out = np.zeros(x.shape[:-1] + (self.dim, self.dim), dtype=complex)
         for g, mat in self.modes.items():
-            out += mat * np.exp(1j * float(np.dot(g, x)))
+            out += mat * np.exp(1j * (x @ g))[..., None, None]
         return out
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        """d/dx^alpha of the field, shape (n, dim, dim)."""
+        """d/dx^alpha of the field at x (..., n), shape (..., n, dim, dim)."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros((x.size, self.dim, self.dim), dtype=complex)
+        out = np.zeros(x.shape + (self.dim, self.dim), dtype=complex)
         for g, mat in self.modes.items():
-            phase = 1j * np.exp(1j * float(np.dot(g, x)))
-            for alpha in range(x.size):
-                out[alpha] += g[alpha] * phase * mat
+            phase = 1j * np.exp(1j * (x @ g))
+            out += (phase[..., None] * g)[..., None, None] * mat
         return out
 
 
@@ -254,6 +252,8 @@ _CATALOG = {
     "mass-dirac": (_build_mass_dirac, ("b",)),
     "twisted": (_build_twisted, ("eps",)),
 }
+# the parameter names each catalog model takes
+MODEL_PARAMETERS = {name: params for name, (_, params) in _CATALOG.items()}
 
 
 def catalog_names() -> list[str]:
@@ -270,8 +270,8 @@ def registration_check(
     Scans a grid in the first chart coordinate crossed with cosphere angles
     and returns (min |eigenvalue|, min gap) over the grid, both at |xi| = 1.
     x2 = 0 suffices unless a coefficient field has a mode with g2 != 0;
-    then the same grid is scanned in x2 too.  The coefficient fields are
-    evaluated once per grid position and broadcast over the angles, each
+    then the same grid is scanned in x2 too.  Each coefficient field is
+    evaluated once per x2 row and broadcast over the angles, each
     position's symbols are checked and symmetrised together, and each x2
     row goes through one stacked eigensolve.  Raises
     :class:`NotHermitian` when a sampled symbol fails the
@@ -285,13 +285,14 @@ def registration_check(
     depends_on_x2 = any(g[1] for fld in model.coefficients for g in fld.modes)
     min_abs = min_gap = math.inf
     for x2 in xs if depends_on_x2 else (0.0,):
+        x = np.stack([xs, np.full(n_x, x2)], axis=1)
+        fields = [fld.value(x) for fld in model.coefficients]
         symbols = np.zeros((n_x, n_theta, m, m), dtype=complex)
         # one chart position at a time: all angles at once, while the
         # temporaries stay a small fraction of the stacked symbol array
-        for row, x1 in zip(symbols, xs):
-            x = np.array([x1, x2])
-            for alpha, fld in enumerate(model.coefficients):
-                row += fld.value(x) * xi[:, alpha, None, None]
+        for p, row in enumerate(symbols):
+            for alpha, vals in enumerate(fields):
+                row += vals[p] * xi[:, alpha, None, None]
             skew = row - row.conj().swapaxes(-1, -2)
             defect = np.max(np.abs(skew), axis=(-2, -1))
             scale = np.maximum(1.0, np.max(np.abs(row), axis=(-2, -1)))
@@ -538,48 +539,61 @@ def _symmetric_grid(extent: float, spacing: float) -> np.ndarray:
     return spacing * np.arange(-n, n + 1)
 
 
-# Rows of cos(nu t) per block: 512 x 6001 doubles is 25 MB.
+# Trapezoid nodes of the band on [0, T], the evaluation core (|nu| <= 80,
+# step 0.02) and the step of the moment grid.
+BAND_NODES = 6001
+CORE_MAX = 80.0
+CORE_SPACING = 0.02
+MOMENT_SPACING = 0.25
+# Rows per block: of cos(nu t), 512 x 6001 doubles is 25 MB; of the counting
+# sum, 64 x 6,562 eigenvalues (K = 40) is 3.4 MB per temporary.
 _TRANSFORM_ROWS = 512
+_COUNTING_ROWS = 64
 
 
-def _even_transform(grid: np.ndarray, t: np.ndarray, band: np.ndarray) -> np.ndarray:
-    """(1/pi) sum_k band_k cos(nu t_k) at every nu of a symmetric grid.
+def _even_transform(grid: np.ndarray, t: np.ndarray, band: np.ndarray, slopes=False):
+    """(1/pi) sum_k band_k cos(nu t_k) at every nu of a symmetric grid, and
+    with ``slopes`` its derivative -(1/pi) sum_k band_k t_k sin(nu t_k) too.
 
-    The transform is even in nu, so only the nonnegative half is computed
-    and then mirrored; it runs in row blocks to bound the temporaries.
+    Even (derivative odd) in nu: the nonnegative half is computed, in row
+    blocks to bound the temporaries, and mirrored.
     """
     half = grid[grid.size // 2:]
     vals = np.empty_like(half)
+    ders = np.empty_like(half)
     for i in range(0, half.size, _TRANSFORM_ROWS):
         phase = np.outer(half[i:i + _TRANSFORM_ROWS], t)
+        if slopes:
+            ders[i:i + _TRANSFORM_ROWS] = np.sin(phase) @ (t * band) / -math.pi
         np.cos(phase, out=phase)
         vals[i:i + _TRANSFORM_ROWS] = phase @ band / math.pi
-    return np.concatenate([vals[:0:-1], vals])
+    even = np.concatenate([vals[:0:-1], vals])
+    return (even, np.concatenate([-ders[:0:-1], ders])) if slopes else even
 
 
 @dataclass(frozen=True)
 class Mollifier:
     """Sampled mollifier: inverse transform of a compactly supported plateau.
 
-    Evaluation uses a cubic spline on the fine core.  ``grid``/``samples``
-    hold the realized function on a uniform grid wide enough for moment
-    verification; they are built on first access, since only the moment
-    checks read them.  Moments are verified through the reconstructed
-    transform of the samples (uniform-grid summation is alias-free below
-    the band limit), which is the numerically well-posed face of the
-    vanishing-moment property.
+    Evaluation is the cubic Hermite interpolant of the values and exact
+    slopes on the core grid, zero outside it.  ``grid``/``samples`` hold the
+    realized function on a uniform grid wide enough for moment verification;
+    they are built on first access, since only the moment checks read them.
+    Moments are verified through the reconstructed transform of the samples
+    (uniform-grid summation is alias-free below the band limit), which is
+    the numerically well-posed face of the vanishing-moment property.
     """
 
     support: float
     _t: np.ndarray = field(repr=False)
     _band: np.ndarray = field(repr=False)
-    _spline: CubicSpline = field(repr=False)
+    _values: np.ndarray = field(repr=False)  # rho on the core grid
+    _slopes: np.ndarray = field(repr=False)  # rho' on the core grid
     moment_max: float = 2500.0
-    moment_spacing: float = 0.25
 
     @cached_property
     def grid(self) -> np.ndarray:
-        return _symmetric_grid(self.moment_max, self.moment_spacing)
+        return _symmetric_grid(self.moment_max, MOMENT_SPACING)
 
     @cached_property
     def samples(self) -> np.ndarray:
@@ -587,13 +601,18 @@ class Mollifier:
 
     def __call__(self, nu) -> np.ndarray:
         nu = np.asarray(nu, dtype=float)
-        out = np.zeros_like(nu, dtype=float)
-        # interpolate only on the fine core; beyond it the function is
-        # below the interpolation error anyway, so return zero, never
-        # extrapolate
-        lo, hi = self._spline.x[0], self._spline.x[-1]
-        ok = (nu >= lo) & (nu <= hi)
-        out[ok] = self._spline(nu[ok])
+        out = np.zeros_like(nu)
+        # interpolate only on the core; beyond it the function is below the
+        # interpolation error anyway, so return zero, never extrapolate
+        n = self._values.size // 2
+        ok = np.abs(nu) <= CORE_SPACING * n
+        inner = nu[ok]
+        i = np.clip(np.floor(inner / CORE_SPACING).astype(int) + n, 0, 2 * n - 1)
+        s = (inner - CORE_SPACING * (i - n)) / CORE_SPACING  # in [0, 1]
+        y0, y1 = self._values[i], self._values[i + 1]
+        d0, d1 = CORE_SPACING * self._slopes[i], CORE_SPACING * self._slopes[i + 1]
+        c = y1 - y0
+        out[ok] = y0 + s * (d0 + s * (3.0 * c - 2.0 * d0 - d1 + s * (d0 + d1 - 2.0 * c)))
         return out
 
     def mass(self) -> float:
@@ -642,52 +661,29 @@ class Mollifier:
                             * (1.0 + np.abs(self.grid[mask])) ** p))
 
 
-def build_mollifier(
-    support: float,
-    core_max: float = 80.0,
-    core_spacing: float = 0.02,
-    moment_max: float = 2500.0,
-    moment_spacing: float = 0.25,
-    n_t: int = 6001,
-) -> Mollifier:
+def build_mollifier(support: float, moment_max: float = 2500.0) -> Mollifier:
     """Build the mollifier for a given band support.
 
     Raises :class:`SupportTooLarge` when the support is not below 2 pi (the
-    shortest closed trajectory on the unit-speed torus).  The fine core (for
-    evaluation) is sampled here; the wide uniform moment grid (for the
-    moment contract) is sampled on first use.  Both come from one accurate
-    cosine transform of the plateau, and both grids are symmetric
-    multiples of their spacing.
+    shortest closed trajectory on the unit-speed torus).  The values and
+    slopes on the core grid (for evaluation) come from one pass of the
+    cosine transform of the plateau; the moment grid out to ``moment_max``
+    is sampled on first use.
     """
-    from scipy.interpolate import CubicSpline  # only mollifier runs load scipy
-
     if support <= 0.0:
         raise ValueError("support must be positive")
     if support >= 2.0 * math.pi:
         raise SupportTooLarge(
             f"support {support} not below the loop bound {2 * math.pi:.6f}"
         )
-    t = np.linspace(0.0, support, n_t)
-    w = np.full(n_t, support / (n_t - 1))
+    t = np.linspace(0.0, support, BAND_NODES)
+    w = np.full(BAND_NODES, support / (BAND_NODES - 1))
     w[0] *= 0.5
     w[-1] *= 0.5
     band = plateau_transform(t, support) * w
-    core = _symmetric_grid(core_max, core_spacing)
-    spline = CubicSpline(core, _even_transform(core, t, band))
-    return Mollifier(
-        support=support,
-        _t=t,
-        _band=band,
-        _spline=spline,
-        moment_max=moment_max,
-        moment_spacing=moment_spacing,
-    )
-
-
-@lru_cache(maxsize=8)
-def default_mollifier(support: float) -> Mollifier:
-    """Cached mollifier at default grid settings (used by tests and the CLI)."""
-    return build_mollifier(support)
+    core = _symmetric_grid(CORE_MAX, CORE_SPACING)
+    values, slopes = _even_transform(core, t, band, slopes=True)
+    return Mollifier(support, t, band, values, slopes, moment_max)
 
 
 # ---------------------------------------------------------------------------
@@ -717,8 +713,9 @@ def local_counting_mollified(
 
     Reads the weights at ``spectrum.x_points[i]`` and records that point.
     plus branch: sum over positive eigenvalues of rho(mu - lambda) w(x);
-    minus branch mirrors through zero.  Raises :class:`WindowViolation`
-    when the grid leaves the trusted window.
+    minus branch mirrors through zero, in blocks of grid rows, never one
+    (n_mu, n_eig) array.  Raises :class:`WindowViolation` when the grid
+    leaves the trusted window.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     if np.min(mu_grid) < 0.0 or np.max(mu_grid) > spectrum.trusted_max:
@@ -736,8 +733,10 @@ def local_counting_mollified(
     else:
         raise ValueError("branch must be 'plus' or 'minus'")
     weights = spectrum.weights[sel, i]
-    diffs = mu_grid[:, None] - centers[None, :]
-    values = mollifier(diffs) @ weights
+    values = np.empty(mu_grid.shape)
+    for r in range(0, mu_grid.size, _COUNTING_ROWS):
+        rows = mu_grid[r:r + _COUNTING_ROWS]
+        values[r:r + _COUNTING_ROWS] = mollifier(rows[:, None] - centers) @ weights
     return CountingSamples(
         x=spectrum.x_points[i],
         mu=mu_grid,
@@ -783,7 +782,6 @@ def fit_weyl(
     window: tuple,
     mollifier: Optional[Mollifier] = None,
     nuisance: bool = True,
-    bottom_columns: bool = True,
 ) -> WeylFit:
     """Least-squares fit of the two-term growth law to counting samples.
 
@@ -814,7 +812,7 @@ def fit_weyl(
     if nuisance:
         cols.append(mu ** (n - 3))
         names.append("next-order")
-    if bottom_columns and mollifier is not None:
+    if mollifier is not None:
         shape = mollifier(mu)
         peak = float(np.max(np.abs(shape)))
         mid = float(np.max(np.abs(shape[mu > mu_lo + 0.4 * (mu_hi - mu_lo)])))

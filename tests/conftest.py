@@ -12,7 +12,7 @@ from weylsys import (
     PhasePoint,
     SymbolField,
     build_model,
-    default_mollifier,
+    build_mollifier,
     eigen_jet,
     generalized_bracket,
     power_difference_kernel,
@@ -50,7 +50,7 @@ def twisted_model():
 
 @pytest.fixture(scope="session")
 def mollifier_t3():
-    return default_mollifier(3.0)
+    return build_mollifier(3.0)
 
 
 @pytest.fixture()

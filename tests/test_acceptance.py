@@ -15,7 +15,7 @@ from weylsys import (
     PhasePoint,
     assemble_and_solve,
     b_profile,
-    default_mollifier,
+    build_mollifier,
     eigen_jet,
     expansion_b_coefficients,
     fit_weyl,
@@ -272,8 +272,8 @@ def test_criterion_7_x_dependent_ground_truth(twisted_model, mollifier_t3):
 
 def test_criterion_8_mollifier_contract(shifted_dirac_model):
     started = time.time()
-    moll1 = default_mollifier(1.0)
-    moll2 = default_mollifier(2.0)
+    moll1 = build_mollifier(1.0)
+    moll2 = build_mollifier(2.0)
     for moll in (moll1, moll2):
         assert abs(moll.mass() - 1.0) < 1e-8
         for m in range(1, 7):
@@ -285,9 +285,7 @@ def test_criterion_8_mollifier_contract(shifted_dirac_model):
         mu_lo = 4.8
         mu = np.arange(mu_lo, 24.0 + 0.025, 0.05)
         samples = local_counting_mollified(spec, moll, 0, mu)
-        fits[moll.support] = fit_weyl(
-            samples, 2, (mu_lo, 24.0), mollifier=moll, bottom_columns=False
-        )
+        fits[moll.support] = fit_weyl(samples, 2, (mu_lo, 24.0))
     d0 = abs(fits[1.0].a_second - fits[2.0].a_second)
     d1 = abs(fits[1.0].a_leading - fits[2.0].a_leading)
     residual = fits[1.0].residual_rms + fits[2.0].residual_rms

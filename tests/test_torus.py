@@ -24,9 +24,12 @@ from weylsys.errors import (
     WindowViolation,
 )
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from weylsys.symbols import PhasePoint, require_hermitian
 from weylsys.torus import (
+    CORE_MAX,
+    CORE_SPACING,
     SIGMA1,
     SIGMA2,
     SIGMA3,
@@ -57,8 +60,8 @@ def test_trig_field_hermitian_everywhere(rng):
             ("cos", (2, 1), np.array([[0.3, 0.2j], [-0.2j, -0.1]])),
         ],
     )
-    for _ in range(10):
-        x = rng.uniform(0, TWO_PI, size=2)
+    xs = rng.uniform(0, TWO_PI, size=(10, 2))
+    for x in xs:
         val = fld.value(x)
         assert np.max(np.abs(val - val.conj().T)) < 1e-13
         # gradient vs finite differences
@@ -68,6 +71,16 @@ def test_trig_field_hermitian_everywhere(rng):
             e[alpha] = h
             fd = (fld.value(x + e) - fld.value(x - e)) / (2 * h)
             np.testing.assert_allclose(fld.gradient(x)[alpha], fd, atol=1e-7)
+    # a stack of points of any leading shape gives the per-point values
+    grid = xs.reshape(2, 5, 2)
+    np.testing.assert_allclose(
+        fld.value(grid), [[fld.value(x) for x in row] for row in grid],
+        rtol=0.0, atol=1e-14,
+    )
+    np.testing.assert_allclose(
+        fld.gradient(grid), [[fld.gradient(x) for x in row] for row in grid],
+        rtol=0.0, atol=1e-14,
+    )
 
 
 def test_catalog_contents():
@@ -439,6 +452,43 @@ def test_mollifier_band_vanishes_outside_support():
     assert abs(moll.transform_back(0.25) - 1.0) < 1e-9
 
 
+def exact_transform(moll, nu, rows=500):
+    """(1/pi) sum_k band_k cos(nu t_k) summed directly at every nu."""
+    return np.concatenate([
+        np.cos(np.outer(nu[i:i + rows], moll._t)) @ moll._band / math.pi
+        for i in range(0, nu.size, rows)
+    ])
+
+
+def test_hermite_evaluation_matches_exact_transform(mollifier_t3, rng):
+    # off-grid points against the cosine sum itself, and no worse than a
+    # not-a-knot cubic spline through the same core values
+    core = CORE_SPACING * np.arange(-round(CORE_MAX / CORE_SPACING),
+                                    round(CORE_MAX / CORE_SPACING) + 1)
+    nu = rng.uniform(-CORE_MAX, CORE_MAX, 4000)
+    exact = exact_transform(mollifier_t3, nu)
+    peak = np.max(np.abs(mollifier_t3._values))
+    hermite_err = np.max(np.abs(mollifier_t3(nu) - exact)) / peak
+    spline = CubicSpline(core, mollifier_t3._values)
+    spline_err = np.max(np.abs(spline(nu) - exact)) / peak
+    assert hermite_err <= spline_err
+    assert hermite_err < 1e-8
+    # at the nodes the interpolant reproduces the sampled values
+    np.testing.assert_allclose(mollifier_t3(core), mollifier_t3._values,
+                               rtol=0.0, atol=1e-15 * peak)
+
+
+def test_mollifier_slopes_match_central_differences(mollifier_t3):
+    values, slopes = mollifier_t3._values, mollifier_t3._slopes
+    np.testing.assert_array_equal(slopes[::-1], -slopes)
+    # fourth-order central difference; its own error is h^4 |rho^(5)| / 30
+    diff = (values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]) / (
+        12.0 * CORE_SPACING
+    )
+    scale = np.max(np.abs(slopes))
+    np.testing.assert_allclose(diff, slopes[2:-2], rtol=0.0, atol=1e-6 * scale)
+
+
 def test_mollifier_evaluation_never_extrapolates(mollifier_t3):
     # beyond the fine interpolation core the value is zero, not spline
     # extrapolation garbage
@@ -472,6 +522,17 @@ def test_local_counting_matches_global(shifted_dirac_model, mollifier_t3):
     assert np.max(np.abs(np.diff(samples.values, 2))) < 1.0
 
 
+def test_row_block_counting_matches_dense_evaluation(twisted_model, mollifier_t3):
+    # 145 grid rows: three row blocks, the last one partial
+    spec = assemble_and_solve(twisted_model, 16, [[1.3, 4.2]])
+    mu = np.arange(2.4, 9.6 + 0.025, 0.05)
+    samples = local_counting_mollified(spec, mollifier_t3, 0, mu)
+    lam = spec.eigenvalues
+    sel = lam > 0
+    dense = mollifier_t3(mu[:, None] - lam[sel][None, :]) @ spec.weights[sel, 0]
+    np.testing.assert_allclose(samples.values, dense, rtol=1e-15, atol=0.0)
+
+
 def test_minus_branch_counts_negative_spectrum(shifted_dirac_model, mollifier_t3):
     spec = assemble_and_solve(shifted_dirac_model, 12, [[0.0, 0.0]])
     mu = np.arange(3.0, 7.0, 0.5)
@@ -490,7 +551,7 @@ def test_fit_recovers_exact_polynomial(mollifier_t3):
         x=np.zeros(2), mu=mu, values=values, branch="plus",
         mollifier_support=3.0, trusted_max=20.0,
     )
-    fit = fit_weyl(samples, 2, (3.0, 12.0), nuisance=False, bottom_columns=False)
+    fit = fit_weyl(samples, 2, (3.0, 12.0), nuisance=False)
     assert abs(fit.a_leading - 0.2) < 1e-12
     assert abs(fit.a_second - 0.05) < 1e-12
     assert fit.residual_rms < 1e-14
