@@ -232,6 +232,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"quadrature.n_angles must be even and in [16, {MAX_ANGLES}]")
     if cfg.truncation < 8:
         raise ConfigError("truncation.k must be >= 8")
+    if cfg.budget < 1:
+        raise ConfigError("truncation.budget must be positive")
     if cfg.grid_step <= 0:
         raise ConfigError("fit.grid_step must be positive")
     mu_lo, mu_hi = cfg.fit_window()

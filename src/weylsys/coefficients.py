@@ -40,6 +40,7 @@ from .symbols import (
     SymbolField,
     eigen_jet,  # not called here; perfbench/inproc.py wraps coefficients.eigen_jet
     eigen_jet_stack,
+    require_hermitian,
     symbol_jets,
 )
 
@@ -117,24 +118,10 @@ def sheet_terms_at(
 
 
 @dataclass(frozen=True)
-class SheetGeometry:
-    """Cosphere data for one sheet at a fixed base point x.
-
-    ``volume`` is the phase-space volume of {radial Hamiltonian < 1} for
-    this sheet (using |h| for negative sheets), ``surface`` the induced
-    cosphere measure total, i.e. n * volume for the constant integrand.
-    """
-
-    sheet: int
-    sign: int
-    volume: float
-    surface: float
-
-
-@dataclass(frozen=True)
 class SheetSecondTerms:
-    """Region-integrated second-coefficient pieces for one sheet.
+    """Region-integrated cosphere data for one sheet.
 
+    ``volume`` is the phase-space volume of {|h_sheet| < 1};
     ``c_first``/``c_second`` are the two angular factors (projection-form
     production values); the three ``term_*`` fields give the breakdown of
     this sheet's contribution to the second coefficient density, already
@@ -143,6 +130,7 @@ class SheetSecondTerms:
 
     sheet: int
     sign: int
+    volume: float
     c_first: float
     c_second: float
     term_sub: float
@@ -213,10 +201,8 @@ def _node_terms(
         a_next = nextorder.values(x, xi)
     else:
         a_next = np.zeros((len(xi), m, m), dtype=complex)
-    # A - h_k with A symmetrised as in require_hermitian; eigen_jet_stack
-    # has already checked the same matrices
-    sym = 0.5 * (values + values.conj().swapaxes(-1, -2))
-    middle = sym[:, None] - jets.h[..., None, None] * np.eye(m)
+    # A - h_k, with A symmetrised by the rule eigen_jet_stack has applied
+    middle = require_hermitian(values)[:, None] - jets.h[..., None, None] * np.eye(m)
     sub = np.einsum("nij,nkji->nk", a_next, jets.P)
     bracket = _trace_bracket(jets.dP_x, middle, jets.dP_xi)
     curvature = _trace_bracket(jets.dP_x, jets.P, jets.dP_xi)
@@ -286,14 +272,9 @@ class CospherePanel:
         eta = self.eta[:, pos]
         return np.sum(self.weights * samples * eta ** (-self.n)) / self.n
 
-    def geometry(self, pos: int) -> SheetGeometry:
-        vol = float(self.region_integral(pos, np.ones(len(self.weights))).real)
-        return SheetGeometry(
-            sheet=int(self.sheets[pos]),
-            sign=1 if self.sheets[pos] > 0 else -1,
-            volume=vol,
-            surface=self.n * vol,
-        )
+    def volume(self, pos: int) -> float:
+        """Phase-space volume of {|h_sheet| < 1}, the same for both branches."""
+        return float(self.region_integral(pos, np.ones(len(self.weights))).real)
 
     def second_terms(self, pos: int, branch: int = 1) -> SheetSecondTerms:
         """Region-integrated second-coefficient pieces for one sheet.
@@ -327,6 +308,7 @@ class CospherePanel:
         return SheetSecondTerms(
             sheet=sheet,
             sign=1 if sheet > 0 else -1,
+            volume=self.volume(pos),
             c_first=float(c_first.real),
             c_second=float(c_second.real),
             term_sub=float(term_sub.real),
@@ -338,7 +320,7 @@ class CospherePanel:
         """Leading density of one branch: n (2 pi)^-n sum of its region volumes."""
         total = 0.0
         for pos in self.branch_positions(branch):
-            total += self.geometry(pos).volume
+            total += self.volume(pos)
         return self.n / (2.0 * math.pi) ** self.n * total
 
     def second_coefficient(self, branch: int = 1) -> SecondWeylResult:

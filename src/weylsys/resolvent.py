@@ -38,6 +38,7 @@ from .symbols import (
     SymbolField,
     eigen_jet,  # not called here; perfbench/inproc.py wraps resolvent.eigen_jet
     generalized_bracket,
+    require_hermitian,
     symbol_jet,
 )
 
@@ -72,10 +73,11 @@ def resolvent_symbol(
 
     R - R A_next R + (i/2) {R, A - z, R} with R = (A - z)^-1, everything
     evaluated pointwise; the omitted remainder is one order lower in both
-    the momentum and the spectral parameter.
+    the momentum and the spectral parameter.  Raises :class:`NotHermitian`
+    when A fails the Hermiticity rule of the eigen-jets.
     """
     lead_jet = symbol_jet(leading, p, step)
-    h = np.linalg.eigvalsh(lead_jet.value)
+    h = np.linalg.eigvalsh(require_hermitian(lead_jet.value))
     _check_distance(h, z)
     res_jet = _resolvent_jet(lead_jet, z)
     shifted = lead_jet.value - z * np.eye(leading.dim)
@@ -173,24 +175,15 @@ def radial_factor(n: int, phi: float, sheet_sign: int) -> float:
 
 
 @dataclass(frozen=True)
-class SheetAngularData:
-    """Angle-independent data for one sheet entering the b coefficients."""
-
-    sheet: int
-    sign: int
-    surface: float   # total cosphere measure = n * region volume
-    c_first: float
-    c_second: float
-
-
-@dataclass(frozen=True)
 class BProfile:
     """Angle-resolved expansion coefficients at a fixed base point.
 
-    The angular factors are computed once; evaluation at any angle applies
-    the closed-form radial and kernel factors.  ``panel`` is the cosphere
-    panel they came from, which also gives the direct coefficients
-    (``panel.coefficients()``) without a second panel.
+    ``data`` holds the panel's per-sheet volumes and angular factors
+    (:class:`~weylsys.coefficients.SheetSecondTerms`), computed once;
+    evaluation at any angle applies the closed-form radial and kernel
+    factors.  ``panel`` is the cosphere panel they came from, which also
+    gives the direct coefficients (``panel.coefficients()``) without a
+    second panel.
     """
 
     x: np.ndarray
@@ -209,7 +202,7 @@ class BProfile:
                 moment = kernel_moment_closed(n - 1, z, power=n - 1)
             else:
                 moment = (-1.0) ** (n - 1) * kernel_moment_closed(n - 1, -z, power=n - 1)
-            total += 1j * d.surface * moment
+            total += 1j * (n * d.volume) * moment
         value = total / (2.0 * math.pi) ** n
         return float(value.real)
 
@@ -233,19 +226,7 @@ def b_profile(
 ) -> BProfile:
     """Compute the angle-independent sheet data for the b coefficients."""
     panel = CospherePanel(leading, nextorder, x, quad_rule, step)
-    data = []
-    for pos in panel.positions():
-        geo = panel.geometry(pos)
-        terms = panel.second_terms(pos)
-        data.append(
-            SheetAngularData(
-                sheet=geo.sheet,
-                sign=geo.sign,
-                surface=geo.surface,
-                c_first=terms.c_first,
-                c_second=terms.c_second,
-            )
-        )
+    data = [panel.second_terms(pos) for pos in panel.positions()]
     return BProfile(x=panel.x, n=panel.n, data=data, panel=panel)
 
 

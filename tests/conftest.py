@@ -145,8 +145,9 @@ def check_field_contract(field, points, scales=(0.5, 2.0, 3.7), tol=1e-9):
     """Verify Hermiticity and positive homogeneity on sample points.
 
     Raises :class:`NotHermitian` or ValueError on violation.  A test helper
-    for hand-built fields; model registration runs its own stacked check
-    (``registration_check`` in :mod:`weylsys.torus`).
+    for hand-built fields; model registration applies the same
+    ``require_hermitian`` rule to every sampled symbol but does not test
+    homogeneity (``registration_check`` in :mod:`weylsys.torus`).
     """
     for p in points:
         value = field(p)

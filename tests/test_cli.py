@@ -63,6 +63,8 @@ def test_angle_range_validated():
     [
         "quadrature.n_angles=abc",
         "truncation.k=abc",
+        "truncation.budget=0",
+        "truncation.budget=-3",
         "model.eps=abc",
         "fit.mu_lo=x",
         "gn.orders=x",

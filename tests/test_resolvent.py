@@ -22,6 +22,7 @@ from weylsys.coefficients import sheet_terms_at
 from weylsys.errors import (
     AngleOutOfRange,
     DegenerateAngles,
+    NotHermitian,
     SingularResolvent,
 )
 from weylsys.symbols import sheet_position
@@ -80,6 +81,22 @@ def test_singular_resolvent_raises(dirac_model):
     p = PhasePoint([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(SingularResolvent):
         resolvent_symbol(lead, sub, p, 1.0 + 1e-12j)
+
+
+def test_non_hermitian_symbol_raises_on_every_route():
+    # Hermiticity defect 0.5 in the upper triangle, which eigvalsh never reads
+    skew = np.array([[0.0, 0.5], [0.0, 0.0]])
+    f = pointwise_field(
+        2, 1, lambda x, xi: SIGMA3 * xi[0] + (SIGMA1 + skew) * xi[1]
+    )
+    p = PhasePoint([0.1, 0.7], [0.6, 0.8])
+    z = 0.3 + 0.9j
+    with pytest.raises(NotHermitian):
+        resolvent_symbol(f, None, p, z)
+    with pytest.raises(NotHermitian):
+        eigen_jet(f, p)
+    with pytest.raises(NotHermitian):
+        power_trace_symbol(f, None, p, z, 2)
 
 
 # ---------------------------------------------------------------------------

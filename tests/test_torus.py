@@ -112,30 +112,46 @@ def test_twisted_large_coupling_rejected():
         build_model("twisted", {"eps": 0.9})
 
 
-def scalar_registration(model, n_x=64, n_theta=256):
-    """Reference registration: one check and one eigvalsh per node, on the
-    symbols of each chart position's stacked field call."""
+def scalar_registration(model, n_x=64, n_theta=256, scan_x2=False):
+    """Reference registration: one check and one eigvalsh per node over the
+    whole cosphere, on the symbols of each chart position's stacked field
+    call; x2 = 0 only unless ``scan_x2``."""
     lead = model.leading_symbol()
     min_abs = min_gap = math.inf
+    grid = TWO_PI * np.arange(n_x) / n_x
     thetas = TWO_PI * np.arange(n_theta) / n_theta
     xis = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    for x1 in TWO_PI * np.arange(n_x) / n_x:
-        for symbol in lead.evaluator(np.array([x1, 0.0]), xis):
-            vals = np.linalg.eigvalsh(require_hermitian(symbol))
-            min_abs = min(min_abs, float(np.min(np.abs(vals))))
-            min_gap = min(min_gap, float(np.min(np.diff(vals))))
+    for x2 in grid if scan_x2 else (0.0,):
+        for x1 in grid:
+            for symbol in lead.evaluator(np.array([x1, x2]), xis):
+                vals = np.linalg.eigvalsh(require_hermitian(symbol))
+                min_abs = min(min_abs, float(np.min(np.abs(vals))))
+                min_gap = min(min_gap, float(np.min(np.diff(vals))))
     return min_abs, min_gap
+
+
+def x2_coupled_twisted():
+    """Twisted plus eps cos(x2) sigma_3 in a2: one block holds every mode."""
+    twisted = build_model("twisted", {"eps": 0.1})
+    a1, a2 = twisted.coefficients
+    extra = TrigMatrixField.from_waves(2, [("cos", (0, 1), 0.1 * SIGMA3)])
+    a2 = TrigMatrixField(2, {**a2.modes, **extra.modes})
+    return TorusModel("twisted-x2", {}, (a1, a2), twisted.potential)
 
 
 @pytest.mark.parametrize(
     "name, params",
     [("dirac", {}), ("shifted-dirac", {"beta": 0.3}), ("mass-dirac", {"b": 0.5}),
-     ("twisted", {"eps": 0.2})],
+     ("twisted", {"eps": 0.2}), ("twisted-x2", {})],
 )
 def test_stacked_registration_matches_scalar_loop(name, params):
-    model = build_model(name, params)
-    got = registration_check(model)
-    want = scalar_registration(model)
+    if name == "twisted-x2":
+        # the oracle scans every x2 row node by node, so on a reduced grid
+        model, grid = x2_coupled_twisted(), {"n_x": 16, "n_theta": 64}
+    else:
+        model, grid = build_model(name, params), {}
+    got = registration_check(model, **grid)
+    want = scalar_registration(model, **grid, scan_x2=name == "twisted-x2")
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
@@ -284,15 +300,6 @@ def test_solve_matches_reference_on_catalog(name, params, K):
     ref = reference_spectrum(model, K)
     assert np.array_equal(spec.eigenvalues, ref.eigenvalues)
     assert np.array_equal(spec.weights, reference_weights(ref, ORACLE_POINTS))
-
-
-def x2_coupled_twisted():
-    """Twisted plus eps cos(x2) sigma_3 in a2: one block holds every mode."""
-    twisted = build_model("twisted", {"eps": 0.1})
-    a1, a2 = twisted.coefficients
-    extra = TrigMatrixField.from_waves(2, [("cos", (0, 1), 0.1 * SIGMA3)])
-    a2 = TrigMatrixField(2, {**a2.modes, **extra.modes})
-    return TorusModel("twisted-x2", {}, (a1, a2), twisted.potential)
 
 
 def diagonal_coupled():
