@@ -46,6 +46,7 @@ from .torus import (
     build_model,
     build_mollifier,
     catalog_names,
+    check_fit_window,
     fit_weyl,
     local_counting_mollified,
 )
@@ -191,8 +192,8 @@ _SETTINGS = {
 }
 
 
-def apply_settings(cfg: RunConfig, settings: dict) -> RunConfig:
-    """Apply flat dotted-key settings onto a config, validating keys."""
+def apply_settings(cfg: RunConfig, settings: dict, command: str = "") -> RunConfig:
+    """Apply flat dotted-key settings onto a config and validate it for ``command``."""
     for key, value in settings.items():
         if key not in _SETTINGS:
             if key.startswith("model."):
@@ -207,11 +208,11 @@ def apply_settings(cfg: RunConfig, settings: dict) -> RunConfig:
             cfg.model_params[name] = parsed
         else:
             setattr(cfg, name, parsed)
-    _validate(cfg)
+    _validate(cfg, command)
     return cfg
 
 
-def _validate(cfg: RunConfig) -> None:
+def _validate(cfg: RunConfig, command: str = "") -> None:
     if cfg.model not in catalog_names():
         raise ConfigError(
             f"unknown model {cfg.model!r}; catalog: {', '.join(catalog_names())}"
@@ -249,6 +250,11 @@ def _validate(cfg: RunConfig) -> None:
         )
     if not 0.0 < cfg.mollifier_support < 2 * math.pi:
         raise ConfigError("mollifier.support must lie in (0, 2 pi)")
+    if command == "compute" and cfg.pipeline in ("spectral", "all"):
+        try:  # the fit's own window rules depend on the configuration alone
+            check_fit_window(mu_lo, mu_hi, cfg.mollifier_support)
+        except WeylError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def _fmt(value) -> str:
@@ -514,7 +520,7 @@ def config_from_args(args) -> RunConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         settings[key.strip()] = value.strip()
-    return apply_settings(cfg, settings)
+    return apply_settings(cfg, settings, args.command)
 
 
 def main(argv=None) -> int:

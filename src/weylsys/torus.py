@@ -539,30 +539,43 @@ BAND_NODES = 6001
 CORE_MAX = 80.0
 CORE_SPACING = 0.02
 MOMENT_SPACING = 0.25
-# Rows per block: of cos(nu t), 512 x 6001 doubles is 25 MB; of the counting
-# sum, 64 x 6,562 eigenvalues (K = 40) is 3.4 MB per temporary.
+# Rows per block: of the moment grid's cos(nu t), 512 x 6001 doubles is 25 MB;
+# of the counting sum, 64 x 6,562 eigenvalues (K = 40) is 3.4 MB per temporary.
 _TRANSFORM_ROWS = 512
 _COUNTING_ROWS = 64
 
 
-def _even_transform(grid: np.ndarray, t: np.ndarray, band: np.ndarray, slopes=False):
-    """(1/pi) sum_k band_k cos(nu t_k) at every nu of a symmetric grid, and
-    with ``slopes`` its derivative -(1/pi) sum_k band_k t_k sin(nu t_k) too.
+def _even_transform(grid: np.ndarray, t: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """(1/pi) sum_k band_k cos(nu t_k) at every nu of a symmetric grid.
 
-    Even (derivative odd) in nu: the nonnegative half is computed, in row
-    blocks to bound the temporaries, and mirrored.
+    Even in nu: the nonnegative half is summed directly, in row blocks to
+    bound the temporaries, and mirrored.
     """
     half = grid[grid.size // 2:]
     vals = np.empty_like(half)
-    ders = np.empty_like(half)
     for i in range(0, half.size, _TRANSFORM_ROWS):
         phase = np.outer(half[i:i + _TRANSFORM_ROWS], t)
-        if slopes:
-            ders[i:i + _TRANSFORM_ROWS] = np.sin(phase) @ (t * band) / -math.pi
         np.cos(phase, out=phase)
         vals[i:i + _TRANSFORM_ROWS] = phase @ band / math.pi
-    even = np.concatenate([vals[:0:-1], vals])
-    return (even, np.concatenate([-ders[:0:-1], ders])) if slopes else even
+    return np.concatenate([vals[:0:-1], vals])
+
+
+def _core_transform(n: int, spacing: float, t: np.ndarray, band: np.ndarray) -> tuple:
+    """Values and slopes of the band transform on spacing * (-n, ..., n),
+    by angle addition: node i = b R + r >= 0 is base b R plus offset r, so
+    the sums are four products of cos/sin tables of the bases and offsets.
+    Mirrored: values even, slopes exactly odd."""
+    n_off = math.isqrt(n) + 1  # ceil(sqrt(n + 1)) offsets, ceil((n + 1) / n_off) bases
+    n_base = n // n_off + 1
+    off = np.outer(spacing * np.arange(n_off), t)
+    base = np.outer(spacing * (n_off * np.arange(n_base)), t)
+    cos_o, sin_o = np.cos(off).T, np.sin(off).T
+    cos_b, sin_b = np.cos(base), np.sin(base)
+    tb = t * band
+    # cos(a + c) = cos a cos c - sin a sin c; sin(a + c) = sin a cos c + cos a sin c
+    vals = ((cos_b * band) @ cos_o - (sin_b * band) @ sin_o).ravel()[:n + 1] / math.pi
+    ders = ((sin_b * tb) @ cos_o + (cos_b * tb) @ sin_o).ravel()[:n + 1] / -math.pi
+    return np.concatenate([vals[:0:-1], vals]), np.concatenate([-ders[:0:-1], ders])
 
 
 @dataclass(frozen=True)
@@ -660,8 +673,8 @@ def build_mollifier(support: float, moment_max: float = 2500.0) -> Mollifier:
 
     Raises :class:`SupportTooLarge` when the support is not below 2 pi (the
     shortest closed trajectory on the unit-speed torus).  The values and
-    slopes on the core grid (for evaluation) come from one pass of the
-    cosine transform of the plateau; the moment grid out to ``moment_max``
+    slopes on the core grid (for evaluation) come from the transform of
+    the plateau by angle addition; the moment grid out to ``moment_max``
     is sampled on first use.
     """
     if support <= 0.0:
@@ -675,8 +688,8 @@ def build_mollifier(support: float, moment_max: float = 2500.0) -> Mollifier:
     w[0] *= 0.5
     w[-1] *= 0.5
     band = plateau_transform(t, support) * w
-    core = _symmetric_grid(CORE_MAX, CORE_SPACING)
-    values, slopes = _even_transform(core, t, band, slopes=True)
+    n = round(CORE_MAX / CORE_SPACING)
+    values, slopes = _core_transform(n, CORE_SPACING, t, band)
     return Mollifier(support, t, band, values, slopes, moment_max)
 
 
@@ -770,6 +783,18 @@ class WeylFit:
     columns: tuple
 
 
+def check_fit_window(mu_lo: float, mu_hi: float, support: float) -> None:
+    """The window rules that do not depend on the spectrum: a span of at
+    least a factor 2 (:class:`IllConditionedFit`) and mu_lo at or above the
+    mollifier smearing scale 4 / support (:class:`WindowViolation`)."""
+    if mu_hi <= mu_lo or mu_hi / max(mu_lo, 1e-12) < 2.0:
+        raise IllConditionedFit(f"fit window [{mu_lo:g}, {mu_hi:g}] spans less than "
+                                "a factor 2")
+    if mu_lo < 4.0 / support - 1e-9:
+        raise WindowViolation(f"fit window starts at {mu_lo:g}, below the mollifier "
+                              f"smearing scale 4 / support = {4.0 / support:g}")
+
+
 def fit_weyl(
     samples: CountingSamples,
     n: int,
@@ -786,16 +811,9 @@ def fit_weyl(
     least-squares standard errors and the RMS residual.
     """
     mu_lo, mu_hi = float(window[0]), float(window[1])
-    if mu_hi <= mu_lo or mu_hi / max(mu_lo, 1e-12) < 2.0:
-        raise IllConditionedFit(
-            f"fit window [{mu_lo}, {mu_hi}] spans less than a factor 2"
-        )
+    check_fit_window(mu_lo, mu_hi, samples.mollifier_support)
     if mu_hi > samples.trusted_max + 1e-9:
         raise WindowViolation("fit window exceeds the trusted spectral range")
-    if mu_lo < 4.0 / samples.mollifier_support - 1e-9:
-        raise WindowViolation(
-            "fit window starts below the mollifier smearing scale"
-        )
     mask = (samples.mu >= mu_lo) & (samples.mu <= mu_hi)
     mu = samples.mu[mask]
     y = samples.values[mask]

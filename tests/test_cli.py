@@ -138,6 +138,39 @@ def test_budget_checked_before_allocation(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (["--pipeline", "spectral", "-k", "8"], "spans less than a factor 2"),
+        (["--pipeline", "spectral", "-k", "9"], "spans less than a factor 2"),
+        (["--pipeline", "all", "-k", "8"], "spans less than a factor 2"),
+        (["--pipeline", "spectral", "--set", "mollifier.support=0.3"],
+         "below the mollifier smearing scale"),
+    ],
+)
+def test_fit_window_rules_are_config_errors(args, reason, tmp_path, capsys):
+    # the fit's window rules depend on the configuration alone, so they
+    # fail before the model is built, the mollifier made or a block solved
+    code = run_cli(["compute", "--model", "twisted", "--out", str(tmp_path), *args])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("configuration error")
+    assert reason in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["compute", "--pipeline", "direct", "-k", "8"],
+        ["verify", "--pipeline", "spectral", "-k", "8"],
+    ],
+)
+def test_fit_window_rules_spare_runs_without_a_fit(args, tmp_path):
+    assert run_cli([*args, "--model", "twisted", "--out", str(tmp_path)]) == 0
+
+
 def test_compute_direct_dirac(tmp_path, capsys):
     code = run_cli(
         ["compute", "--model", "dirac", "--pipeline", "direct",

@@ -36,6 +36,7 @@ from weylsys.torus import (
     SpectrumResult,
     TorusModel,
     TrigMatrixField,
+    _core_transform,
     bump_step,
     plateau_transform,
     registration_check,
@@ -502,6 +503,61 @@ def test_mollifier_evaluation_never_extrapolates(mollifier_t3):
     assert float(mollifier_t3(999.0)) == 0.0
     assert float(mollifier_t3(-120.0)) == 0.0
     assert abs(float(mollifier_t3(50.0))) < 1e-4
+
+
+def direct_core(n, spacing, t, band, rows=500):
+    """Values and slopes of the band transform at spacing * (0, ..., n),
+    each a direct sum over the band nodes."""
+    nu = spacing * np.arange(n + 1)
+    vals, ders = [], []
+    for i in range(0, nu.size, rows):
+        phase = np.outer(nu[i:i + rows], t)
+        vals.append(np.cos(phase) @ band / math.pi)
+        ders.append(np.sin(phase) @ (t * band) / -math.pi)
+    return np.concatenate(vals), np.concatenate(ders)
+
+
+# Angle addition rounds the phase nu t as base and offset, the direct sum as
+# one product: the two differ by a few ulps of |nu t| per term, averaged over
+# the band, which was at most 4.4e-15 of the peak on the core.  The bound
+# leaves a factor 4 for other BLAS kernels and thread counts; a wrong sign,
+# table or index is an error of the order of the peak.
+CORE_TRANSFORM_TOL = 2e-14
+
+
+def assert_core_matches_direct_sums(values, slopes, n, spacing, t, band):
+    want_values, want_slopes = direct_core(n, spacing, t, band)
+    np.testing.assert_array_equal(values[::-1], values)
+    np.testing.assert_array_equal(slopes[::-1], -slopes)
+    np.testing.assert_allclose(
+        values[n:], want_values, rtol=0.0,
+        atol=CORE_TRANSFORM_TOL * np.max(np.abs(want_values)),
+    )
+    np.testing.assert_allclose(
+        slopes[n:], want_slopes, rtol=0.0,
+        atol=CORE_TRANSFORM_TOL * np.max(np.abs(want_slopes)),
+    )
+
+
+@pytest.mark.parametrize("support", [0.5, 1.0, 3.0, 6.0])
+def test_core_by_angle_addition_matches_direct_sums(support):
+    moll = build_mollifier(support)
+    n = round(CORE_MAX / CORE_SPACING)
+    assert moll._values.size == 2 * n + 1
+    assert_core_matches_direct_sums(
+        moll._values, moll._slopes, n, CORE_SPACING, moll._t, moll._band
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 10, 15])
+def test_angle_addition_on_a_partial_last_block(n):
+    # at n = 10 the 11 nonnegative nodes are 3 blocks of 4 offsets, the
+    # last cut after 3; n = 15 fills 4 blocks of 4; n = 0 and 1 are one block
+    t = np.linspace(0.0, 2.5, 301)
+    band = plateau_transform(t, 2.5) * (2.5 / 300)
+    values, slopes = _core_transform(n, 0.37, t, band)
+    assert values.shape == slopes.shape == (2 * n + 1,)
+    assert_core_matches_direct_sums(values, slopes, n, 0.37, t, band)
 
 
 # ---------------------------------------------------------------------------
