@@ -12,10 +12,14 @@ merged spectrum is trusted up to 0.6 times the truncation.
 
 The smoothed local counting derivative convolves the pointwise eigenfunction
 weights with a compactly band-limited mollifier (plateau transform, built
-from the standard exp(-1/(1-s^2)) bump; a cubic Hermite interpolant with
-exact slopes), and a least-squares fit over a trusted window extracts the
+from the standard exp(-1/(1-s^2)) bump).  Its band limit means the sample
+reads the local half-wave trace sum_lambda |phi_lambda(x)|^2 e^(-i lambda t)
+only at the band's trapezoid nodes, so the counting is an exact transform
+of the band, by angle addition over the nodes, and no eigenvalue is paired
+with a grid point.  A least-squares fit over a trusted window extracts the
 two leading growth coefficients, with optional next-order and
-spectral-bottom nuisance columns.
+spectral-bottom nuisance columns; the latter evaluate the mollifier as a
+cubic Hermite interpolant with exact slopes.
 """
 
 from __future__ import annotations
@@ -382,6 +386,12 @@ class SpectrumResult:
     weights: np.ndarray
     trusted_max: float
 
+    @cached_property
+    def _characteristic(self) -> dict:
+        """Band characteristic functions of the weights at every x point,
+        kept by :func:`local_counting_mollified` per branch and band."""
+        return {}
+
     def trusted(self) -> np.ndarray:
         lam = self.eigenvalues
         return lam[np.abs(lam) <= self.trusted_max]
@@ -539,10 +549,10 @@ BAND_NODES = 6001
 CORE_MAX = 80.0
 CORE_SPACING = 0.02
 MOMENT_SPACING = 0.25
-# Rows per block: of the moment grid's cos(nu t), 512 x 6001 doubles is 25 MB;
-# of the counting sum, 64 x 6,562 eigenvalues (K = 40) is 3.4 MB per temporary.
+# Rows per block of the moment grid's cos(nu t): 512 x 6001 doubles is 25 MB.
+# Eigenvalues per block of the counting's tables: 77 x 1024 complex is 1.3 MB.
 _TRANSFORM_ROWS = 512
-_COUNTING_ROWS = 64
+_EIGEN_BLOCK = 1024
 
 
 def _even_transform(grid: np.ndarray, t: np.ndarray, band: np.ndarray) -> np.ndarray:
@@ -560,15 +570,24 @@ def _even_transform(grid: np.ndarray, t: np.ndarray, band: np.ndarray) -> np.nda
     return np.concatenate([vals[:0:-1], vals])
 
 
-def _core_transform(n: int, spacing: float, t: np.ndarray, band: np.ndarray) -> tuple:
-    """Values and slopes of the band transform on spacing * (-n, ..., n),
-    by angle addition: node i = b R + r >= 0 is base b R plus offset r, so
-    the sums are four products of cos/sin tables of the bases and offsets.
-    Mirrored: values even, slopes exactly odd."""
+def _angle_split(n: int, spacing: float) -> tuple:
+    """Bases and offsets of the points spacing * (0, ..., n) for angle
+    addition: point i = b R + r is base spacing * b R plus offset
+    spacing * r, with R = isqrt(n) + 1 offsets and n // R + 1 bases, so the
+    last block of R points is partial unless R divides n + 1."""
     n_off = math.isqrt(n) + 1  # ceil(sqrt(n + 1)) offsets, ceil((n + 1) / n_off) bases
     n_base = n // n_off + 1
-    off = np.outer(spacing * np.arange(n_off), t)
-    base = np.outer(spacing * (n_off * np.arange(n_base)), t)
+    return spacing * (n_off * np.arange(n_base)), spacing * np.arange(n_off)
+
+
+def _core_transform(n: int, spacing: float, t: np.ndarray, band: np.ndarray) -> tuple:
+    """Values and slopes of the band transform on spacing * (-n, ..., n),
+    by angle addition (:func:`_angle_split`): the sums are four products of
+    cos/sin tables of the bases and offsets.  Mirrored: values even, slopes
+    exactly odd."""
+    bases, offsets = _angle_split(n, spacing)
+    off = np.outer(offsets, t)
+    base = np.outer(bases, t)
     cos_o, sin_o = np.cos(off).T, np.sin(off).T
     cos_b, sin_b = np.cos(base), np.sin(base)
     tb = t * band
@@ -609,8 +628,12 @@ class Mollifier:
     def __call__(self, nu) -> np.ndarray:
         nu = np.asarray(nu, dtype=float)
         out = np.zeros_like(nu)
-        # interpolate only on the core; beyond it the function is below the
-        # interpolation error anyway, so return zero, never extrapolate
+        # interpolate only on the core and return zero beyond it, never
+        # extrapolate.  The tail there is not negligible: rho(80.5) is
+        # -1.3e-4 at support 0.5 (peak 0.12), 4.8e-6 at support 1 and
+        # -1.5e-7 at support 3 (peak 0.72), against an interpolation error
+        # of 2.5e-9 of the peak.  Only the fit's bottom columns evaluate
+        # here, at |nu| <= 0.6 K; the counting sums the exact band transform.
         n = self._values.size // 2
         ok = np.abs(nu) <= CORE_SPACING * n
         inner = nu[ok]
@@ -709,6 +732,24 @@ class CountingSamples:
     trusted_max: float
 
 
+def _band_characteristic(centers, weights, bases, offsets) -> np.ndarray:
+    """Phi(t) = sum_j weights[j, p] e^(-i centers_j t) for every column p, at
+    t = base + offset, shape (n_p, n_base, n_off).
+
+    e^(-i c (a + s)) = e^(-i c a) e^(-i c s), so each column is one
+    (n_base x n_eig)(n_eig x n_off) product; the eigenvalue tables are built
+    once for all columns, in blocks of ``_EIGEN_BLOCK`` eigenvalues.
+    """
+    out = np.zeros((weights.shape[1], bases.size, offsets.size), dtype=complex)
+    for j in range(0, centers.size, _EIGEN_BLOCK):
+        block = centers[j:j + _EIGEN_BLOCK]
+        base = np.exp(-1j * np.outer(bases, block))
+        off = np.exp(-1j * np.outer(block, offsets))
+        for p, w in enumerate(weights[j:j + _EIGEN_BLOCK].T):
+            out[p] += (base * w) @ off
+    return out
+
+
 def local_counting_mollified(
     spectrum: SpectrumResult,
     mollifier: Mollifier,
@@ -720,9 +761,16 @@ def local_counting_mollified(
 
     Reads the weights at ``spectrum.x_points[i]`` and records that point.
     plus branch: sum over positive eigenvalues of rho(mu - lambda) w(x);
-    minus branch mirrors through zero, in blocks of grid rows, never one
-    (n_mu, n_eig) array.  Raises :class:`WindowViolation` when the grid
-    leaves the trusted window.
+    minus branch mirrors through zero.  rho is the band sum
+    (1/pi) sum_k band_k cos(nu t_k), so the sample is exactly
+    (1/pi) sum_k band_k Re[e^(i mu t_k) Phi(t_k)], where
+    Phi(t) = sum_lambda w(x) e^(-i lambda t) is the local half-wave trace at
+    the band nodes.  Both sums go by angle addition over the nodes' split
+    (:func:`_angle_split`).  Phi at every x point is built once per
+    spectrum, branch and band, and kept on the spectrum; each grid is then
+    one (n_mu x bases)(bases x offsets) product and a row-wise dot with the
+    offset table.  Every eigenvalue counts, however far from the grid.
+    Raises :class:`WindowViolation` when the grid leaves the trusted window.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     if np.min(mu_grid) < 0.0 or np.max(mu_grid) > spectrum.trusted_max:
@@ -739,15 +787,21 @@ def local_counting_mollified(
         centers = -lam[sel]
     else:
         raise ValueError("branch must be 'plus' or 'minus'")
-    weights = spectrum.weights[sel, i]
-    values = np.empty(mu_grid.shape)
-    for r in range(0, mu_grid.size, _COUNTING_ROWS):
-        rows = mu_grid[r:r + _COUNTING_ROWS]
-        values[r:r + _COUNTING_ROWS] = mollifier(rows[:, None] - centers) @ weights
+    t = mollifier._t  # band nodes k t[1], k = 0, ..., t.size - 1
+    bases, offsets = _angle_split(t.size - 1, t[1])
+    key = (branch, t.size, t[1])
+    if key not in spectrum._characteristic:
+        spectrum._characteristic[key] = _band_characteristic(
+            centers, spectrum.weights[sel], bases, offsets
+        )
+    band = np.pad(mollifier._band, (0, bases.size * offsets.size - t.size))
+    terms = band.reshape(bases.size, offsets.size) * spectrum._characteristic[key][i]
+    summed = np.exp(1j * np.outer(mu_grid, bases)) @ terms
+    rotated = summed * np.exp(1j * np.outer(mu_grid, offsets))
     return CountingSamples(
         x=spectrum.x_points[i],
         mu=mu_grid,
-        values=values,
+        values=np.sum(rotated.real, axis=1) / math.pi,
         branch=branch,
         mollifier_support=mollifier.support,
         trusted_max=spectrum.trusted_max,

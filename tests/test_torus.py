@@ -36,6 +36,8 @@ from weylsys.torus import (
     SpectrumResult,
     TorusModel,
     TrigMatrixField,
+    _EIGEN_BLOCK,
+    _angle_split,
     _core_transform,
     bump_step,
     plateau_transform,
@@ -585,15 +587,61 @@ def test_local_counting_matches_global(shifted_dirac_model, mollifier_t3):
     assert np.max(np.abs(np.diff(samples.values, 2))) < 1.0
 
 
-def test_row_block_counting_matches_dense_evaluation(twisted_model, mollifier_t3):
-    # 145 grid rows: three row blocks, the last one partial
-    spec = assemble_and_solve(twisted_model, 16, [[1.3, 4.2]])
-    mu = np.arange(2.4, 9.6 + 0.025, 0.05)
-    samples = local_counting_mollified(spec, mollifier_t3, 0, mu)
+def direct_counting(moll, centers, weights, mu):
+    """(1/pi) sum_k band_k sum_j weights_j cos((mu - centers_j) t_k), the
+    direct cosine sum of :func:`exact_transform` over every eigenvalue with
+    cos(a - b) = cos a cos b + sin a sin b: every phase is one product, with
+    no angle addition over the nodes and no interpolation."""
+    phase = np.outer(moll._t, centers)
+    c, s = np.cos(phase) @ weights, np.sin(phase) @ weights
+    mu_phase = np.outer(mu, moll._t)
+    return (np.cos(mu_phase) @ (moll._band * c)
+            + np.sin(mu_phase) @ (moll._band * s)) / math.pi
+
+
+def test_counting_matches_direct_band_sum(twisted_model, mollifier_t3):
+    # the 6,001 band nodes split into 77 blocks of 78 offsets, the last
+    # holding 73; the 1,089 positive (and negative) eigenvalues fill one
+    # table block of _EIGEN_BLOCK and part of a second
+    bases, offsets = _angle_split(mollifier_t3._t.size - 1, mollifier_t3._t[1])
+    assert bases.size * offsets.size > mollifier_t3._t.size > (bases.size - 1) * offsets.size
+    spec = assemble_and_solve(twisted_model, 16, [[1.3, 4.2], [0.3, 0.9]])
     lam = spec.eigenvalues
-    sel = lam > 0
-    dense = mollifier_t3(mu[:, None] - lam[sel][None, :]) @ spec.weights[sel, 0]
-    np.testing.assert_allclose(samples.values, dense, rtol=1e-15, atol=0.0)
+    mu = np.arange(2.4, 9.6 + 0.025, 0.05)
+    for branch, sel, centers in (("plus", lam > 0, lam[lam > 0]),
+                                 ("minus", lam < 0, -lam[lam < 0])):
+        assert _EIGEN_BLOCK < centers.size < 2 * _EIGEN_BLOCK
+        for i in (1, 0):
+            samples = local_counting_mollified(spec, mollifier_t3, i, mu, branch)
+            want = direct_counting(mollifier_t3, centers, spec.weights[sel, i], mu)
+            np.testing.assert_allclose(samples.values, want, rtol=0.0,
+                                       atol=1e-13 * np.max(np.abs(want)))
+            # the second call at a point reads the kept characteristic function
+            again = local_counting_mollified(spec, mollifier_t3, i, mu, branch)
+            np.testing.assert_array_equal(again.values, samples.values)
+
+
+def test_counting_keeps_eigenvalues_beyond_the_core():
+    # at support 0.5, rho(80.5) = -1.3e-4 against a peak of 0.12: the
+    # mollifier's evaluation, zero beyond CORE_MAX, misses every eigenvalue
+    # more than CORE_MAX above the grid by the order of that tail
+    moll = build_mollifier(0.5)
+    gen = np.random.default_rng(7)
+    lam = np.sort(np.r_[-gen.uniform(0.5, 150.0, 100), gen.uniform(0.5, 150.0, 200)])
+    weights = gen.uniform(0.0, 0.05, (lam.size, 2))
+    spec = SpectrumResult(K=100, dim=2, eigenvalues=lam, x_points=np.zeros((2, 2)),
+                          weights=weights, trusted_max=60.0)
+    mu = np.linspace(2.0, 60.0, 20)
+    samples = local_counting_mollified(spec, moll, 1, mu)
+    nu = mu[:, None] - lam[lam > 0]
+    rho = exact_transform(moll, nu.ravel()).reshape(nu.shape)
+    want = rho @ weights[lam > 0, 1]
+    peak = np.max(np.abs(want))
+    np.testing.assert_allclose(samples.values, want, rtol=0.0, atol=1e-13 * peak)
+    tail = np.where(np.abs(nu) > CORE_MAX, rho, 0.0) @ weights[lam > 0, 1]
+    hermite = moll(nu) @ weights[lam > 0, 1]
+    assert np.max(np.abs(hermite - want)) > 1e-4 * peak
+    np.testing.assert_allclose(hermite, want - tail, rtol=0.0, atol=1e-11 * peak)
 
 
 def test_minus_branch_counts_negative_spectrum(shifted_dirac_model, mollifier_t3):
