@@ -16,10 +16,9 @@ from the standard exp(-1/(1-s^2)) bump).  Its band limit means the sample
 reads the local half-wave trace sum_lambda |phi_lambda(x)|^2 e^(-i lambda t)
 only at the band's trapezoid nodes, so the counting is an exact transform
 of the band, by angle addition over the nodes, and no eigenvalue is paired
-with a grid point.  A least-squares fit over a trusted window extracts the
-two leading growth coefficients, with optional next-order and
-spectral-bottom nuisance columns; the latter evaluate the mollifier as a
-cubic Hermite interpolant with exact slopes.
+with a grid point.  The mollifier itself is evaluated by the same band sum.
+A least-squares fit over a trusted window extracts the two leading growth
+coefficients, with optional next-order and spectral-bottom nuisance columns.
 """
 
 from __future__ import annotations
@@ -543,11 +542,8 @@ def _symmetric_grid(extent: float, spacing: float) -> np.ndarray:
     return spacing * np.arange(-n, n + 1)
 
 
-# Trapezoid nodes of the band on [0, T], the evaluation core (|nu| <= 80,
-# step 0.02) and the step of the moment grid.
+# Trapezoid nodes of the band on [0, T] and the step of the moment grid.
 BAND_NODES = 6001
-CORE_MAX = 80.0
-CORE_SPACING = 0.02
 MOMENT_SPACING = 0.25
 # Rows per block of the moment grid's cos(nu t): 512 x 6001 doubles is 25 MB.
 # Eigenvalues per block of the counting's tables: 77 x 1024 complex is 1.3 MB.
@@ -580,31 +576,15 @@ def _angle_split(n: int, spacing: float) -> tuple:
     return spacing * (n_off * np.arange(n_base)), spacing * np.arange(n_off)
 
 
-def _core_transform(n: int, spacing: float, t: np.ndarray, band: np.ndarray) -> tuple:
-    """Values and slopes of the band transform on spacing * (-n, ..., n),
-    by angle addition (:func:`_angle_split`): the sums are four products of
-    cos/sin tables of the bases and offsets.  Mirrored: values even, slopes
-    exactly odd."""
-    bases, offsets = _angle_split(n, spacing)
-    off = np.outer(offsets, t)
-    base = np.outer(bases, t)
-    cos_o, sin_o = np.cos(off).T, np.sin(off).T
-    cos_b, sin_b = np.cos(base), np.sin(base)
-    tb = t * band
-    # cos(a + c) = cos a cos c - sin a sin c; sin(a + c) = sin a cos c + cos a sin c
-    vals = ((cos_b * band) @ cos_o - (sin_b * band) @ sin_o).ravel()[:n + 1] / math.pi
-    ders = ((sin_b * tb) @ cos_o + (cos_b * tb) @ sin_o).ravel()[:n + 1] / -math.pi
-    return np.concatenate([vals[:0:-1], vals]), np.concatenate([-ders[:0:-1], ders])
-
-
 @dataclass(frozen=True)
 class Mollifier:
     """Sampled mollifier: inverse transform of a compactly supported plateau.
 
-    Evaluation is the cubic Hermite interpolant of the values and exact
-    slopes on the core grid, zero outside it.  ``grid``/``samples`` hold the
-    realized function on a uniform grid wide enough for moment verification;
-    they are built on first access, since only the moment checks read them.
+    Every evaluation is the band sum (1/pi) sum_k band_k cos(nu t_k) over the
+    trapezoid nodes of [0, T] (:meth:`_sum`), exact at every nu.
+    ``grid``/``samples`` hold the realized function on a uniform grid wide
+    enough for moment verification; they are built on first access, since
+    only the moment checks read them.
     Moments are verified through the reconstructed transform of the samples
     (uniform-grid summation is alias-free below the band limit), which is
     the numerically well-posed face of the vanishing-moment property.
@@ -613,8 +593,6 @@ class Mollifier:
     support: float
     _t: np.ndarray = field(repr=False)
     _band: np.ndarray = field(repr=False)
-    _values: np.ndarray = field(repr=False)  # rho on the core grid
-    _slopes: np.ndarray = field(repr=False)  # rho' on the core grid
     moment_max: float = 2500.0
 
     @cached_property
@@ -625,25 +603,27 @@ class Mollifier:
     def samples(self) -> np.ndarray:
         return _even_transform(self.grid, self._t, self._band)
 
+    @cached_property
+    def _split(self) -> tuple:
+        """Bases and offsets of the band nodes (:func:`_angle_split`) and
+        the band as a (bases x offsets) table, zero-padded past the last node."""
+        n = self._t.size - 1  # nodes k t[-1] / n, k = 0, ..., n
+        bases, offsets = _angle_split(n, self._t[-1] / max(n, 1))
+        band = np.pad(self._band, (0, bases.size * offsets.size - self._t.size))
+        return bases, offsets, band.reshape(bases.size, offsets.size)
+
+    def _sum(self, nu: np.ndarray, phi) -> np.ndarray:
+        """(1/pi) sum_k band_k Re[e^(i nu t_k) phi(t_k)] at every nu of a 1-D
+        array, phi a constant or a (bases x offsets) table of node values: one
+        (n_nu x bases)(bases x offsets) product and a dot with the offsets."""
+        bases, offsets, band = self._split
+        summed = np.exp(1j * np.outer(nu, bases)) @ (band * phi)
+        rotated = summed * np.exp(1j * np.outer(nu, offsets))
+        return np.sum(rotated.real, axis=1) / math.pi
+
     def __call__(self, nu) -> np.ndarray:
         nu = np.asarray(nu, dtype=float)
-        out = np.zeros_like(nu)
-        # interpolate only on the core and return zero beyond it, never
-        # extrapolate.  The tail there is not negligible: rho(80.5) is
-        # -1.3e-4 at support 0.5 (peak 0.12), 4.8e-6 at support 1 and
-        # -1.5e-7 at support 3 (peak 0.72), against an interpolation error
-        # of 2.5e-9 of the peak.  Only the fit's bottom columns evaluate
-        # here, at |nu| <= 0.6 K; the counting sums the exact band transform.
-        n = self._values.size // 2
-        ok = np.abs(nu) <= CORE_SPACING * n
-        inner = nu[ok]
-        i = np.clip(np.floor(inner / CORE_SPACING).astype(int) + n, 0, 2 * n - 1)
-        s = (inner - CORE_SPACING * (i - n)) / CORE_SPACING  # in [0, 1]
-        y0, y1 = self._values[i], self._values[i + 1]
-        d0, d1 = CORE_SPACING * self._slopes[i], CORE_SPACING * self._slopes[i + 1]
-        c = y1 - y0
-        out[ok] = y0 + s * (d0 + s * (3.0 * c - 2.0 * d0 - d1 + s * (d0 + d1 - 2.0 * c)))
-        return out
+        return self._sum(nu.ravel(), 1.0).reshape(nu.shape)
 
     def mass(self) -> float:
         """int rho = reconstructed transform at t = 0."""
@@ -668,8 +648,8 @@ class Mollifier:
         """
         if m == 0:
             return self.mass()
-        if m > 6:
-            raise ValueError("moments implemented for m <= 6")
+        if not 0 < m <= 6:
+            raise ValueError("moments implemented for 0 <= m <= 6")
         # 7-point stencil must stay inside the plateau [-T/2, T/2].
         h = min(0.16 * self.support, 0.3)
         pts = np.arange(-3, 4) * h
@@ -695,12 +675,11 @@ def build_mollifier(support: float, moment_max: float = 2500.0) -> Mollifier:
     """Build the mollifier for a given band support.
 
     Raises :class:`SupportTooLarge` when the support is not below 2 pi (the
-    shortest closed trajectory on the unit-speed torus).  The values and
-    slopes on the core grid (for evaluation) come from the transform of
-    the plateau by angle addition; the moment grid out to ``moment_max``
-    is sampled on first use.
+    shortest closed trajectory on the unit-speed torus).  Only the band's
+    nodes and trapezoid-weighted plateau values are made here; the moment
+    grid out to ``moment_max`` is sampled on first use.
     """
-    if support <= 0.0:
+    if not support > 0.0:  # NaN too
         raise ValueError("support must be positive")
     if support >= 2.0 * math.pi:
         raise SupportTooLarge(
@@ -711,9 +690,7 @@ def build_mollifier(support: float, moment_max: float = 2500.0) -> Mollifier:
     w[0] *= 0.5
     w[-1] *= 0.5
     band = plateau_transform(t, support) * w
-    n = round(CORE_MAX / CORE_SPACING)
-    values, slopes = _core_transform(n, CORE_SPACING, t, band)
-    return Mollifier(support, t, band, values, slopes, moment_max)
+    return Mollifier(support, t, band, moment_max)
 
 
 # ---------------------------------------------------------------------------
@@ -761,15 +738,12 @@ def local_counting_mollified(
 
     Reads the weights at ``spectrum.x_points[i]`` and records that point.
     plus branch: sum over positive eigenvalues of rho(mu - lambda) w(x);
-    minus branch mirrors through zero.  rho is the band sum
-    (1/pi) sum_k band_k cos(nu t_k), so the sample is exactly
-    (1/pi) sum_k band_k Re[e^(i mu t_k) Phi(t_k)], where
-    Phi(t) = sum_lambda w(x) e^(-i lambda t) is the local half-wave trace at
-    the band nodes.  Both sums go by angle addition over the nodes' split
-    (:func:`_angle_split`).  Phi at every x point is built once per
-    spectrum, branch and band, and kept on the spectrum; each grid is then
-    one (n_mu x bases)(bases x offsets) product and a row-wise dot with the
-    offset table.  Every eigenvalue counts, however far from the grid.
+    minus branch mirrors through zero.  rho is a band sum, so the sample is
+    exactly the mollifier's :meth:`Mollifier._sum` with phi the local
+    half-wave trace Phi(t) = sum_lambda w(x) e^(-i lambda t) at the band
+    nodes, by angle addition.  Phi at every x point is built once per
+    spectrum, branch and band, and kept on the spectrum.  Every eigenvalue
+    counts, however far from the grid.
     Raises :class:`WindowViolation` when the grid leaves the trusted window.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
@@ -788,20 +762,16 @@ def local_counting_mollified(
     else:
         raise ValueError("branch must be 'plus' or 'minus'")
     t = mollifier._t  # band nodes k t[1], k = 0, ..., t.size - 1
-    bases, offsets = _angle_split(t.size - 1, t[1])
     key = (branch, t.size, t[1])
     if key not in spectrum._characteristic:
+        bases, offsets, _ = mollifier._split
         spectrum._characteristic[key] = _band_characteristic(
             centers, spectrum.weights[sel], bases, offsets
         )
-    band = np.pad(mollifier._band, (0, bases.size * offsets.size - t.size))
-    terms = band.reshape(bases.size, offsets.size) * spectrum._characteristic[key][i]
-    summed = np.exp(1j * np.outer(mu_grid, bases)) @ terms
-    rotated = summed * np.exp(1j * np.outer(mu_grid, offsets))
     return CountingSamples(
         x=spectrum.x_points[i],
         mu=mu_grid,
-        values=np.sum(rotated.real, axis=1) / math.pi,
+        values=mollifier._sum(mu_grid, spectrum._characteristic[key][i]),
         branch=branch,
         mollifier_support=mollifier.support,
         trusted_max=spectrum.trusted_max,
@@ -862,7 +832,9 @@ def fit_weyl(
     and, when a mollifier is given and its shape decays across the window,
     two spectral-bottom columns rho(mu), rho(mu - 1) absorbing the exactly
     known low-spectrum contamination.  Returns coefficients with their
-    least-squares standard errors and the RMS residual.
+    least-squares standard errors and the RMS residual.  Raises
+    :class:`IllConditionedFit` when fewer than 8 samples lie in the window
+    or none lies in its upper 60%, where the shape's decay is judged.
     """
     mu_lo, mu_hi = float(window[0]), float(window[1])
     check_fit_window(mu_lo, mu_hi, samples.mollifier_support)
@@ -873,6 +845,9 @@ def fit_weyl(
     y = samples.values[mask]
     if mu.size < 8:
         raise IllConditionedFit("fewer than 8 samples in the fit window")
+    upper = mu > mu_lo + 0.4 * (mu_hi - mu_lo)
+    if not np.any(upper):
+        raise IllConditionedFit("no sample in the upper 60% of the fit window")
     cols = [mu ** (n - 1), mu ** (n - 2)]
     names = ["leading", "second"]
     if nuisance:
@@ -881,7 +856,7 @@ def fit_weyl(
     if mollifier is not None:
         shape = mollifier(mu)
         peak = float(np.max(np.abs(shape)))
-        mid = float(np.max(np.abs(shape[mu > mu_lo + 0.4 * (mu_hi - mu_lo)])))
+        mid = float(np.max(np.abs(shape[upper])))
         if peak > 0 and mid < 0.05 * peak:
             cols.extend([shape, mollifier(mu - 1.0)])
             names.extend(["bottom-0", "bottom-1"])

@@ -24,21 +24,18 @@ from weylsys.errors import (
     WindowViolation,
 )
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from weylsys.symbols import PhasePoint, require_hermitian
 from weylsys.torus import (
-    CORE_MAX,
-    CORE_SPACING,
     SIGMA1,
     SIGMA2,
     SIGMA3,
+    Mollifier,
     SpectrumResult,
     TorusModel,
     TrigMatrixField,
     _EIGEN_BLOCK,
     _angle_split,
-    _core_transform,
     bump_step,
     plateau_transform,
     registration_check,
@@ -369,6 +366,9 @@ def test_galerkin_matches_symbol_pipeline_for_twisted(twisted_model):
 def test_mollifier_support_bound():
     with pytest.raises(SupportTooLarge):
         build_mollifier(7.0)
+    for support in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            build_mollifier(support)
 
 
 def test_mollifier_contract(mollifier_t3):
@@ -376,6 +376,9 @@ def test_mollifier_contract(mollifier_t3):
     assert abs(moll.mass() - 1.0) < 1e-8
     for m in range(1, 7):
         assert moll.moment(m) < 1e-6
+    for m in (-1, 7):
+        with pytest.raises(ValueError, match="m <= 6"):
+            moll.moment(m)
     # rapid decay: the fourth-power-weighted envelope is finite and falls
     # hard across decades (decay strictly faster than the fourth power;
     # the far bin sits at the roundoff floor of the transform)
@@ -470,96 +473,45 @@ def exact_transform(moll, nu, rows=500):
     ])
 
 
-def test_hermite_evaluation_matches_exact_transform(mollifier_t3, rng):
-    # off-grid points against the cosine sum itself, and no worse than a
-    # not-a-knot cubic spline through the same core values
-    core = CORE_SPACING * np.arange(-round(CORE_MAX / CORE_SPACING),
-                                    round(CORE_MAX / CORE_SPACING) + 1)
-    nu = rng.uniform(-CORE_MAX, CORE_MAX, 4000)
-    exact = exact_transform(mollifier_t3, nu)
-    peak = np.max(np.abs(mollifier_t3._values))
-    hermite_err = np.max(np.abs(mollifier_t3(nu) - exact)) / peak
-    spline = CubicSpline(core, mollifier_t3._values)
-    spline_err = np.max(np.abs(spline(nu) - exact)) / peak
-    assert hermite_err <= spline_err
-    assert hermite_err < 1e-8
-    # at the nodes the interpolant reproduces the sampled values
-    np.testing.assert_allclose(mollifier_t3(core), mollifier_t3._values,
-                               rtol=0.0, atol=1e-15 * peak)
-
-
-def test_mollifier_slopes_match_central_differences(mollifier_t3):
-    values, slopes = mollifier_t3._values, mollifier_t3._slopes
-    np.testing.assert_array_equal(slopes[::-1], -slopes)
-    # fourth-order central difference; its own error is h^4 |rho^(5)| / 30
-    diff = (values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]) / (
-        12.0 * CORE_SPACING
-    )
-    scale = np.max(np.abs(slopes))
-    np.testing.assert_allclose(diff, slopes[2:-2], rtol=0.0, atol=1e-6 * scale)
-
-
-def test_mollifier_evaluation_never_extrapolates(mollifier_t3):
-    # beyond the fine interpolation core the value is zero, not spline
-    # extrapolation garbage
-    assert float(mollifier_t3(999.0)) == 0.0
-    assert float(mollifier_t3(-120.0)) == 0.0
-    assert abs(float(mollifier_t3(50.0))) < 1e-4
-
-
-def direct_core(n, spacing, t, band, rows=500):
-    """Values and slopes of the band transform at spacing * (0, ..., n),
-    each a direct sum over the band nodes."""
-    nu = spacing * np.arange(n + 1)
-    vals, ders = [], []
-    for i in range(0, nu.size, rows):
-        phase = np.outer(nu[i:i + rows], t)
-        vals.append(np.cos(phase) @ band / math.pi)
-        ders.append(np.sin(phase) @ (t * band) / -math.pi)
-    return np.concatenate(vals), np.concatenate(ders)
-
-
-# Angle addition rounds the phase nu t as base and offset, the direct sum as
-# one product: the two differ by a few ulps of |nu t| per term, averaged over
-# the band, which was at most 4.4e-15 of the peak on the core.  The bound
-# leaves a factor 4 for other BLAS kernels and thread counts; a wrong sign,
-# table or index is an error of the order of the peak.
-CORE_TRANSFORM_TOL = 2e-14
-
-
-def assert_core_matches_direct_sums(values, slopes, n, spacing, t, band):
-    want_values, want_slopes = direct_core(n, spacing, t, band)
-    np.testing.assert_array_equal(values[::-1], values)
-    np.testing.assert_array_equal(slopes[::-1], -slopes)
-    np.testing.assert_allclose(
-        values[n:], want_values, rtol=0.0,
-        atol=CORE_TRANSFORM_TOL * np.max(np.abs(want_values)),
-    )
-    np.testing.assert_allclose(
-        slopes[n:], want_slopes, rtol=0.0,
-        atol=CORE_TRANSFORM_TOL * np.max(np.abs(want_slopes)),
-    )
-
-
-@pytest.mark.parametrize("support", [0.5, 1.0, 3.0, 6.0])
-def test_core_by_angle_addition_matches_direct_sums(support):
+@pytest.mark.parametrize("support", [0.5, 3.0, 6.0])
+def test_mollifier_matches_exact_transform(support, rng):
+    # the band sum is exact at every nu, far beyond the fit's |nu| <= 0.6 K
     moll = build_mollifier(support)
-    n = round(CORE_MAX / CORE_SPACING)
-    assert moll._values.size == 2 * n + 1
-    assert_core_matches_direct_sums(
-        moll._values, moll._slopes, n, CORE_SPACING, moll._t, moll._band
-    )
+    nu = rng.uniform(-1000.0, 1000.0, 4000)
+    peak = exact_transform(moll, np.zeros(1))[0]  # the band is nonnegative
+    np.testing.assert_allclose(moll(nu), exact_transform(moll, nu),
+                               rtol=0.0, atol=1e-13 * peak)
+    scalar = moll(-120.0)
+    assert scalar.shape == ()
+    assert abs(scalar - exact_transform(moll, np.array([-120.0]))[0]) < 1e-13 * peak
+    grid = nu[:12].reshape(3, 4)
+    np.testing.assert_array_equal(moll(grid), moll(nu[:12]).reshape(3, 4))
 
 
 @pytest.mark.parametrize("n", [0, 1, 10, 15])
-def test_angle_addition_on_a_partial_last_block(n):
-    # at n = 10 the 11 nonnegative nodes are 3 blocks of 4 offsets, the
-    # last cut after 3; n = 15 fills 4 blocks of 4; n = 0 and 1 are one block
-    t = np.linspace(0.0, 2.5, 301)
-    band = plateau_transform(t, 2.5) * (2.5 / 300)
-    values, slopes = _core_transform(n, 0.37, t, band)
-    assert values.shape == slopes.shape == (2 * n + 1,)
-    assert_core_matches_direct_sums(values, slopes, n, 0.37, t, band)
+def test_angle_addition_on_a_partial_last_block(n, rng):
+    # band nodes 0, ..., n: at n = 10 the 11 nodes are 3 blocks of 4
+    # offsets, the last cut after 3; n = 15 fills 4 blocks of 4; n = 0 and 1
+    # are one block
+    t = np.linspace(0.0, 2.5, n + 1)
+    band = plateau_transform(t, 2.5) * 0.1 + 0.01
+    moll = Mollifier(2.5, t, band, 300.0)
+    bases, offsets, table = moll._split
+    assert table.shape == (bases.size, offsets.size)
+    assert (bases.size * offsets.size == n + 1) == (n != 10)
+    nu = np.linspace(-40.0, 40.0, 161)
+    phase = np.outer(nu, t)
+    phi = rng.normal(size=table.shape) + 1j * rng.normal(size=table.shape)
+    # angle addition rounds each phase nu t as base plus offset, the direct
+    # sum as one product: a few ulps of |nu t| per term apart, while a wrong
+    # sign, table or index is an error of the order of the peak
+    for got, want in (
+        (moll._sum(nu, 1.0), np.cos(phase) @ band / math.pi),
+        (moll._sum(nu, phi),
+         (np.exp(1j * phase) @ (band * phi.ravel()[:n + 1])).real / math.pi),
+    ):
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=2e-14 * np.max(np.abs(want)))
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +575,8 @@ def test_counting_matches_direct_band_sum(twisted_model, mollifier_t3):
 
 def test_counting_keeps_eigenvalues_beyond_the_core():
     # at support 0.5, rho(80.5) = -1.3e-4 against a peak of 0.12: the
-    # mollifier's evaluation, zero beyond CORE_MAX, misses every eigenvalue
-    # more than CORE_MAX above the grid by the order of that tail
+    # counting and the mollifier's own evaluation must both keep every
+    # eigenvalue more than 80 above the grid
     moll = build_mollifier(0.5)
     gen = np.random.default_rng(7)
     lam = np.sort(np.r_[-gen.uniform(0.5, 150.0, 100), gen.uniform(0.5, 150.0, 200)])
@@ -638,10 +590,8 @@ def test_counting_keeps_eigenvalues_beyond_the_core():
     want = rho @ weights[lam > 0, 1]
     peak = np.max(np.abs(want))
     np.testing.assert_allclose(samples.values, want, rtol=0.0, atol=1e-13 * peak)
-    tail = np.where(np.abs(nu) > CORE_MAX, rho, 0.0) @ weights[lam > 0, 1]
-    hermite = moll(nu) @ weights[lam > 0, 1]
-    assert np.max(np.abs(hermite - want)) > 1e-4 * peak
-    np.testing.assert_allclose(hermite, want - tail, rtol=0.0, atol=1e-11 * peak)
+    np.testing.assert_allclose(moll(nu) @ weights[lam > 0, 1], want,
+                               rtol=0.0, atol=1e-13 * peak)
 
 
 def test_minus_branch_counts_negative_spectrum(shifted_dirac_model, mollifier_t3):
@@ -678,6 +628,21 @@ def test_fit_window_must_span_factor_two(mollifier_t3):
     )
     with pytest.raises(IllConditionedFit):
         fit_weyl(samples, 2, (8.0, 12.0))
+
+
+def test_fit_needs_samples_in_the_upper_window(mollifier_t3):
+    from weylsys.torus import CountingSamples
+
+    # 20 samples on [3, 3.95] of the window [3, 12]: none in its upper 60%,
+    # where the bottom-column rule judges the mollifier's decay
+    mu = np.arange(3.0, 4.0, 0.05)
+    samples = CountingSamples(
+        x=np.zeros(2), mu=mu, values=0.2 * mu, branch="plus",
+        mollifier_support=3.0, trusted_max=20.0,
+    )
+    for moll in (None, mollifier_t3):
+        with pytest.raises(IllConditionedFit, match="upper 60%"):
+            fit_weyl(samples, 2, (3.0, 12.0), mollifier=moll)
 
 
 def test_fit_window_respects_smearing_scale(mollifier_t3):
