@@ -5,10 +5,12 @@ coefficients are assembled in the Fourier basis, where the symmetrized
 operator has the midpoint form H[k', k] = ((k + k')/2) . C_(k'-k) + B_(k'-k)
 and is manifestly Hermitian.  The mode-coupling graph splits into connected
 components (constant-coefficient models decouple mode by mode), found by
-vectorised min-label propagation.  Components of equal size are assembled
-as one stack of blocks; each block is solved with a dense Hermitian
-eigensolver whose eigenvectors become pointwise weights at once.  The
-merged spectrum is trusted up to 0.6 times the truncation.
+vectorised min-label propagation.  Components of equal size are filled in
+stacks of at most 1 MiB of blocks (a larger block alone): thousands of tiny
+blocks still share one vectorised scatter, while the stack no longer grows
+like K^3, as one stack of every block did.  Each block is solved with a
+dense Hermitian eigensolver whose eigenvectors become pointwise weights at
+once.  The merged spectrum is trusted up to 0.6 times the truncation.
 
 The smoothed local counting derivative convolves the pointwise eigenfunction
 weights with a compactly band-limited mollifier (plateau transform, built
@@ -405,10 +407,11 @@ def assemble_and_solve(
     """Assemble the truncated operator over modes |k|_inf <= K and solve.
 
     The plane-wave matrix is block-diagonal over the components of the
-    mode-coupling graph.  Components of equal size share one stack of
-    blocks, filled by one scatter per Fourier mode of the fields; each
-    block is solved densely and its eigenvectors are reduced to weights at
-    ``x_points`` (n_x, 2), then dropped; (0, 2) gives eigenvalues only.
+    mode-coupling graph.  Components of equal size are filled in stacks of
+    at most ``_STACK_BYTES`` (one block if it is larger), by one scatter
+    per Fourier mode of the fields; each block is solved densely and its
+    eigenvectors are reduced to weights at ``x_points`` (n_x, 2), then
+    dropped; (0, 2) gives eigenvalues only.
     Raises :class:`BudgetExceeded`, before any allocation, when m (2K+1)^2
     exceeds the budget and :class:`SolveFailure` on solver breakdown.
     """
@@ -437,37 +440,40 @@ def assemble_and_solve(
     values = [None] * starts.size
     weights = [None] * starts.size
     for n_local in np.unique(sizes):
-        group = np.flatnonzero(sizes == n_local)
-        kvec = modes[by_label[starts[group, None] + np.arange(n_local)]]
-        stack = np.zeros((group.size, n_local, m, n_local, m), dtype=complex)
-        for g in field_modes:
-            target = kvec + g
-            comp, i = np.nonzero(np.all(np.abs(target) <= K, axis=-1))
-            k, t = kvec[comp, i], target[comp, i]
-            j = position[(t[:, 0] + K) * size + t[:, 1] + K]
-            acc = np.zeros((comp.size, m, m), dtype=complex)
-            for alpha, fld in enumerate(model.coefficients):
-                if g in fld.modes:
-                    coef = 0.5 * (k[:, alpha] + t[:, alpha])
-                    acc += coef[:, None, None] * fld.modes[g]
-            if g in model.potential.modes:
-                acc += model.potential.modes[g]
-            stack[comp, j, :, i, :] += acc
-        local_modes = kvec.astype(float)
-        for c, block, local in zip(group, stack, local_modes):
-            block = block.reshape(n_local * m, n_local * m)
-            defect = np.max(np.abs(block - block.conj().T))
-            if defect > 1e-10 * max(1.0, K):
-                raise NotHermitian(
-                    f"assembled block Hermiticity defect {defect:.3e}"
-                )
-            block = 0.5 * (block + block.conj().T)
-            try:
-                vals, vecs = np.linalg.eigh(block)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise SolveFailure(f"dense eigensolver failed: {exc}") from exc
-            values[c] = vals
-            weights[c] = _pointwise_weights(local, vecs, x_points)
+        components = np.flatnonzero(sizes == n_local)
+        per_stack = max(1, _STACK_BYTES // (16 * (n_local * m) ** 2))
+        for lo in range(0, components.size, per_stack):
+            group = components[lo:lo + per_stack]
+            kvec = modes[by_label[starts[group, None] + np.arange(n_local)]]
+            stack = np.zeros((group.size, n_local, m, n_local, m), dtype=complex)
+            for g in field_modes:
+                target = kvec + g
+                comp, i = np.nonzero(np.all(np.abs(target) <= K, axis=-1))
+                k, t = kvec[comp, i], target[comp, i]
+                j = position[(t[:, 0] + K) * size + t[:, 1] + K]
+                acc = np.zeros((comp.size, m, m), dtype=complex)
+                for alpha, fld in enumerate(model.coefficients):
+                    if g in fld.modes:
+                        coef = 0.5 * (k[:, alpha] + t[:, alpha])
+                        acc += coef[:, None, None] * fld.modes[g]
+                if g in model.potential.modes:
+                    acc += model.potential.modes[g]
+                stack[comp, j, :, i, :] += acc
+            local_modes = kvec.astype(float)
+            for c, block, local in zip(group, stack, local_modes):
+                block = block.reshape(n_local * m, n_local * m)
+                defect = np.max(np.abs(block - block.conj().T))
+                if defect > 1e-10 * max(1.0, K):
+                    raise NotHermitian(
+                        f"assembled block Hermiticity defect {defect:.3e}"
+                    )
+                block = 0.5 * (block + block.conj().T)
+                try:
+                    vals, vecs = np.linalg.eigh(block)
+                except np.linalg.LinAlgError as exc:  # pragma: no cover
+                    raise SolveFailure(f"dense eigensolver failed: {exc}") from exc
+                values[c] = vals
+                weights[c] = _pointwise_weights(local, vecs, x_points)
     merged = np.concatenate(values)
     order = np.argsort(merged, kind="stable")
     return SpectrumResult(
@@ -547,8 +553,10 @@ BAND_NODES = 6001
 MOMENT_SPACING = 0.25
 # Rows per block of the moment grid's cos(nu t): 512 x 6001 doubles is 25 MB.
 # Eigenvalues per block of the counting's tables: 77 x 1024 complex is 1.3 MB.
+# Bytes per stack of equal-size Galerkin blocks (one block if it is larger).
 _TRANSFORM_ROWS = 512
 _EIGEN_BLOCK = 1024
+_STACK_BYTES = 1 << 20
 
 
 def _even_transform(grid: np.ndarray, t: np.ndarray, band: np.ndarray) -> np.ndarray:
@@ -614,12 +622,13 @@ class Mollifier:
 
     def _sum(self, nu: np.ndarray, phi) -> np.ndarray:
         """(1/pi) sum_k band_k Re[e^(i nu t_k) phi(t_k)] at every nu of a 1-D
-        array, phi a constant or a (bases x offsets) table of node values: one
-        (n_nu x bases)(bases x offsets) product and a dot with the offsets."""
+        array, phi a constant or a (..., bases, offsets) stack of node-value
+        tables, shape (..., n_nu): one (n_nu x bases)(bases x offsets)
+        product per table and a dot with the offsets."""
         bases, offsets, band = self._split
         summed = np.exp(1j * np.outer(nu, bases)) @ (band * phi)
         rotated = summed * np.exp(1j * np.outer(nu, offsets))
-        return np.sum(rotated.real, axis=1) / math.pi
+        return np.sum(rotated.real, axis=-1) / math.pi
 
     def __call__(self, nu) -> np.ndarray:
         nu = np.asarray(nu, dtype=float)
@@ -744,12 +753,16 @@ def local_counting_mollified(
     nodes, by angle addition.  Phi at every x point is built once per
     spectrum, branch and band, and kept on the spectrum.  Every eigenvalue
     counts, however far from the grid.
-    Raises :class:`WindowViolation` when the grid leaves the trusted window.
+    Raises :class:`WindowViolation` when the grid is empty, holds NaN or
+    leaves the trusted window.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
-    if np.min(mu_grid) < 0.0 or np.max(mu_grid) > spectrum.trusted_max:
+    if mu_grid.size == 0:
+        raise WindowViolation("empty mu grid")
+    lo, hi = np.min(mu_grid), np.max(mu_grid)
+    if not (lo >= 0.0 and hi <= spectrum.trusted_max):  # NaN fails too
         raise WindowViolation(
-            f"mu grid [{np.min(mu_grid):.2f}, {np.max(mu_grid):.2f}] outside "
+            f"mu grid [{lo:.2f}, {hi:.2f}] outside "
             f"trusted window [0, {spectrum.trusted_max:.2f}]"
         )
     lam = spectrum.eigenvalues
@@ -854,11 +867,15 @@ def fit_weyl(
         cols.append(mu ** (n - 3))
         names.append("next-order")
     if mollifier is not None:
-        shape = mollifier(mu)
+        # rho(mu) and rho(mu - 1) from one set of exponential tables, as
+        # e^(i (mu - 1) t) = e^(i mu t) e^(-i t)
+        bases, offsets, _ = mollifier._split
+        phi = np.exp(-1j * np.add.outer(bases, offsets))
+        shape, shifted = mollifier._sum(mu, np.stack([np.ones_like(phi), phi]))
         peak = float(np.max(np.abs(shape)))
         mid = float(np.max(np.abs(shape[upper])))
         if peak > 0 and mid < 0.05 * peak:
-            cols.extend([shape, mollifier(mu - 1.0)])
+            cols.extend([shape, shifted])
             names.extend(["bottom-0", "bottom-1"])
     coef, res, se = _least_squares(np.stack(cols, axis=1), y)
     return WeylFit(

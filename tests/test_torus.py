@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from weylsys.errors import (
 )
 from scipy.integrate import quad
 
+from weylsys import torus
 from weylsys.symbols import PhasePoint, require_hermitian
 from weylsys.torus import (
     SIGMA1,
@@ -336,6 +338,35 @@ def test_general_couplings_block_structure():
     assert len(sizes) > 2
 
 
+@pytest.mark.parametrize(
+    "make_model, K, rows",
+    [(lambda: build_model("twisted"), 16, 66), (lambda: build_model("dirac"), 8, 2),
+     (x2_coupled_twisted, 8, 578)],
+    ids=["twisted-16", "dirac-8", "twisted-x2-8"],
+)
+def test_chunked_solve_is_exact(make_model, K, rows, monkeypatch):
+    # 33 twisted blocks of 66 rows, 289 dirac blocks of 2 rows, one x2-coupled
+    # block of 578 rows: stacks of one block, then of two with a partial last
+    model = make_model()
+    whole = assemble_and_solve(model, K, ORACLE_POINTS)
+    for stack_bytes in (1, 2 * 16 * rows ** 2):
+        monkeypatch.setattr(torus, "_STACK_BYTES", stack_bytes)
+        spec = assemble_and_solve(model, K, ORACLE_POINTS)
+        assert np.array_equal(spec.eigenvalues, whole.eigenvalues)
+        assert np.array_equal(spec.weights, whole.weights)
+
+
+def test_solve_memory_is_bounded(twisted_model):
+    # all 65 twisted blocks of 130 rows at K = 32 in one stack take 17.6 MB
+    tracemalloc.start()
+    try:
+        assemble_and_solve(twisted_model, 32, ORACLE_POINTS[:2])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
 def test_spectrum_keeps_no_eigenvectors():
     names = [f.name for f in dataclasses.fields(SpectrumResult)]
     assert names == ["K", "dim", "eigenvalues", "x_points", "weights", "trusted_max"]
@@ -514,6 +545,19 @@ def test_angle_addition_on_a_partial_last_block(n, rng):
                                    atol=2e-14 * np.max(np.abs(want)))
 
 
+def test_stacked_band_sum_shifts_the_mollifier(mollifier_t3):
+    # the stacked tables (1, e^(-i t)) give rho(nu) and rho(nu - 1) at once
+    bases, offsets, _ = mollifier_t3._split
+    phi = np.exp(-1j * np.add.outer(bases, offsets))
+    nu = np.linspace(-30.0, 30.0, 121)
+    both = mollifier_t3._sum(nu, np.stack([np.ones_like(phi), phi]))
+    assert both.shape == (2, nu.size)
+    np.testing.assert_array_equal(both[0], mollifier_t3(nu))
+    peak = float(mollifier_t3(0.0))
+    np.testing.assert_allclose(both[1], mollifier_t3(nu - 1.0), rtol=0.0,
+                               atol=1e-13 * peak)
+
+
 # ---------------------------------------------------------------------------
 # counting and fitting
 # ---------------------------------------------------------------------------
@@ -522,6 +566,14 @@ def test_counting_window_enforced(shifted_dirac_model, mollifier_t3):
     spec = assemble_and_solve(shifted_dirac_model, 8, [[0.0, 0.0]])
     with pytest.raises(WindowViolation):
         local_counting_mollified(spec, mollifier_t3, 0, np.arange(1.0, 10.0, 0.5))
+
+
+def test_counting_rejects_nan_and_empty_grids(shifted_dirac_model, mollifier_t3):
+    # NaN passes both comparisons of a "< 0 or > trusted" check
+    spec = assemble_and_solve(shifted_dirac_model, 8, [[0.0, 0.0]])
+    for mu in ([3.0, np.nan, 4.0], [np.nan], []):
+        with pytest.raises(WindowViolation):
+            local_counting_mollified(spec, mollifier_t3, 0, mu)
 
 
 def test_local_counting_matches_global(shifted_dirac_model, mollifier_t3):
