@@ -10,7 +10,10 @@ stacks of at most 1 MiB of blocks (a larger block alone): thousands of tiny
 blocks still share one vectorised scatter, while the stack no longer grows
 like K^3, as one stack of every block did.  Each block is solved with a
 dense Hermitian eigensolver whose eigenvectors become pointwise weights at
-once.  The merged spectrum is trusted up to 0.6 times the truncation.
+once; the stacks are solved side by side on worker threads that each use
+one BLAS thread, as a threaded eigensolve of a block of a few hundred rows
+gains nothing from a second core.  The merged spectrum is trusted up to 0.6
+times the truncation.
 
 The smoothed local counting derivative convolves the pointwise eigenfunction
 weights with a compactly band-limited mollifier (plateau transform, built
@@ -398,6 +401,63 @@ class SpectrumResult:
         return lam[np.abs(lam) <= self.trusted_max]
 
 
+@lru_cache(maxsize=None)
+def _openblas() -> Optional[tuple]:
+    """(get_num_threads, set_num_threads_local) of the OpenBLAS that numpy
+    loaded, found through /proc/self/maps, or None when no loaded library
+    exports both (another BLAS, another OS, an OpenBLAS before 0.3.27)."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split(maxsplit=5)[-1].strip()
+                            for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return None
+    libs = []
+    for path in paths:
+        try:
+            libs.append(ctypes.CDLL(path))
+        except OSError:
+            continue
+    # numpy's wheel exports the count query under a name that scipy's own
+    # OpenBLAS lacks; other builds export the plain name
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+        for lib in libs:
+            if hasattr(lib, name) and hasattr(lib, "openblas_set_num_threads_local"):
+                get, set_local = getattr(lib, name), lib.openblas_set_num_threads_local
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_local.argtypes, set_local.restype = [ctypes.c_int], ctypes.c_int
+                return get, set_local
+    return None
+
+
+def _map_pinned(fn, items: list) -> list:
+    """[fn(item) for item in items], on min(BLAS threads, len(items)) worker
+    threads that use one BLAS thread each.
+
+    Results come back in item order, so the first failing item raises, with
+    its own exception.  With one worker, or without a pinnable OpenBLAS, the
+    items run in this thread on BLAS's own threads: a single large block
+    gains more from a threaded eigensolve than from a second worker.
+    OpenBLAS's pthreads build applies the workers' "local" count to the
+    whole process, so the count read at the start is set again at the end.
+    """
+    blas = _openblas()
+    threads = blas[0]() if blas else 1
+    workers = min(threads, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    set_threads = blas[1]
+    try:
+        with ThreadPoolExecutor(workers, initializer=set_threads, initargs=(1,)) as pool:
+            return list(pool.map(fn, items))
+    finally:
+        set_threads(threads)
+
+
 def assemble_and_solve(
     model: TorusModel,
     K: int,
@@ -411,7 +471,9 @@ def assemble_and_solve(
     at most ``_STACK_BYTES`` (one block if it is larger), by one scatter
     per Fourier mode of the fields; each block is solved densely and its
     eigenvectors are reduced to weights at ``x_points`` (n_x, 2), then
-    dropped; (0, 2) gives eigenvalues only.
+    dropped; (0, 2) gives eigenvalues only.  The stacks are independent and
+    run on :func:`_map_pinned`'s workers, one BLAS thread each; the result
+    does not depend on their schedule.
     Raises :class:`BudgetExceeded`, before any allocation, when m (2K+1)^2
     exceeds the budget and :class:`SolveFailure` on solver breakdown.
     """
@@ -437,43 +499,54 @@ def assemble_and_solve(
     position[by_label] = np.arange(by_label.size) - np.repeat(starts, sizes)
     fields = (*model.coefficients, model.potential)
     field_modes = dict.fromkeys(g for fld in fields for g in fld.modes)
-    values = [None] * starts.size
-    weights = [None] * starts.size
+    stacks = []  # component indices, by size and then smallest mode
     for n_local in np.unique(sizes):
         components = np.flatnonzero(sizes == n_local)
         per_stack = max(1, _STACK_BYTES // (16 * (n_local * m) ** 2))
-        for lo in range(0, components.size, per_stack):
-            group = components[lo:lo + per_stack]
-            kvec = modes[by_label[starts[group, None] + np.arange(n_local)]]
-            stack = np.zeros((group.size, n_local, m, n_local, m), dtype=complex)
-            for g in field_modes:
-                target = kvec + g
-                comp, i = np.nonzero(np.all(np.abs(target) <= K, axis=-1))
-                k, t = kvec[comp, i], target[comp, i]
-                j = position[(t[:, 0] + K) * size + t[:, 1] + K]
-                acc = np.zeros((comp.size, m, m), dtype=complex)
-                for alpha, fld in enumerate(model.coefficients):
-                    if g in fld.modes:
-                        coef = 0.5 * (k[:, alpha] + t[:, alpha])
-                        acc += coef[:, None, None] * fld.modes[g]
-                if g in model.potential.modes:
-                    acc += model.potential.modes[g]
-                stack[comp, j, :, i, :] += acc
-            local_modes = kvec.astype(float)
-            for c, block, local in zip(group, stack, local_modes):
-                block = block.reshape(n_local * m, n_local * m)
-                defect = np.max(np.abs(block - block.conj().T))
-                if defect > 1e-10 * max(1.0, K):
-                    raise NotHermitian(
-                        f"assembled block Hermiticity defect {defect:.3e}"
-                    )
-                block = 0.5 * (block + block.conj().T)
-                try:
-                    vals, vecs = np.linalg.eigh(block)
-                except np.linalg.LinAlgError as exc:  # pragma: no cover
-                    raise SolveFailure(f"dense eigensolver failed: {exc}") from exc
-                values[c] = vals
-                weights[c] = _pointwise_weights(local, vecs, x_points)
+        stacks.extend(components[lo:lo + per_stack]
+                      for lo in range(0, components.size, per_stack))
+
+    def solve(group):
+        """Eigenvalues and weights of each block of one stack."""
+        n_local = sizes[group[0]]
+        kvec = modes[by_label[starts[group, None] + np.arange(n_local)]]
+        stack = np.zeros((group.size, n_local, m, n_local, m), dtype=complex)
+        for g in field_modes:
+            target = kvec + g
+            comp, i = np.nonzero(np.all(np.abs(target) <= K, axis=-1))
+            k, t = kvec[comp, i], target[comp, i]
+            j = position[(t[:, 0] + K) * size + t[:, 1] + K]
+            acc = np.zeros((comp.size, m, m), dtype=complex)
+            for alpha, fld in enumerate(model.coefficients):
+                if g in fld.modes:
+                    coef = 0.5 * (k[:, alpha] + t[:, alpha])
+                    acc += coef[:, None, None] * fld.modes[g]
+            if g in model.potential.modes:
+                acc += model.potential.modes[g]
+            stack[comp, j, :, i, :] += acc
+        solved = []
+        for block, local in zip(stack, kvec.astype(float)):
+            block = block.reshape(n_local * m, n_local * m)
+            defect = np.max(np.abs(block - block.conj().T))
+            if defect > 1e-10 * max(1.0, K):
+                raise NotHermitian(
+                    f"assembled block Hermiticity defect {defect:.3e}"
+                )
+            block += block.conj().T  # in place: a copy would add a block per worker
+            block *= 0.5
+            try:
+                vals, vecs = np.linalg.eigh(block)
+            except np.linalg.LinAlgError as exc:
+                raise SolveFailure(f"dense eigensolver failed: {exc}") from exc
+            solved.append((vals, _pointwise_weights(local, vecs, x_points)))
+        return solved
+
+    values = [None] * starts.size
+    weights = [None] * starts.size
+    for group, solved in zip(stacks, _map_pinned(solve, stacks)):
+        for c, (vals, w) in zip(group, solved):
+            values[c] = vals
+            weights[c] = w
     merged = np.concatenate(values)
     order = np.argsort(merged, kind="stable")
     return SpectrumResult(
@@ -499,9 +572,16 @@ def _bump(s: np.ndarray) -> np.ndarray:
 
 
 def _bump_integral(v: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Integral of the standard bump over [-1, 2v - 1], for 0 <= v <= 1/2."""
-    s = -1.0 + np.multiply.outer(v, 1.0 + nodes)
-    return (_bump(s) @ weights) * v
+    """Integral of the standard bump over [-1, 2v - 1], for 0 <= v <= 1/2,
+    over ``_STEP_ROWS`` values of v at a time, which bounds the
+    (values x nodes) tables."""
+    v = np.asarray(v, dtype=float)
+    flat = v.ravel()
+    out = np.empty_like(flat)
+    for i in range(0, flat.size, _STEP_ROWS):
+        s = -1.0 + np.multiply.outer(flat[i:i + _STEP_ROWS], 1.0 + nodes)
+        out[i:i + _STEP_ROWS] = _bump(s) @ weights
+    return (out * flat).reshape(v.shape)
 
 
 @lru_cache(maxsize=None)
@@ -554,9 +634,11 @@ MOMENT_SPACING = 0.25
 # Rows per block of the moment grid's cos(nu t): 512 x 6001 doubles is 25 MB.
 # Eigenvalues per block of the counting's tables: 77 x 1024 complex is 1.3 MB.
 # Bytes per stack of equal-size Galerkin blocks (one block if it is larger).
+# Step values per block of the bump integral: 256 x 80 doubles is 164 kB.
 _TRANSFORM_ROWS = 512
 _EIGEN_BLOCK = 1024
 _STACK_BYTES = 1 << 20
+_STEP_ROWS = 256
 
 
 def _even_transform(grid: np.ndarray, t: np.ndarray, band: np.ndarray) -> np.ndarray:

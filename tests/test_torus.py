@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from weylsys.errors import (
     EllipticityViolation,
     IllConditionedFit,
     NotHermitian,
+    SolveFailure,
     SupportTooLarge,
     UnknownModel,
     WindowViolation,
@@ -367,6 +369,69 @@ def test_solve_memory_is_bounded(twisted_model):
     assert peak < 6e6
 
 
+@pytest.mark.parametrize(
+    "make_model, K",
+    [(lambda: build_model("twisted"), 16), (lambda: build_model("dirac"), 8),
+     (x2_coupled_twisted, 8)],
+    ids=["twisted-16", "dirac-8", "twisted-x2-8"],
+)
+def test_pool_changes_only_the_schedule(make_model, K, monkeypatch):
+    # twisted's 3 stacks run on the pool; dirac's one stack of 289 blocks and
+    # the x2-coupled model's one block run in this thread either way
+    model = make_model()
+    pooled = assemble_and_solve(model, K, ORACLE_POINTS)
+    blas = torus._openblas()
+    monkeypatch.setattr(torus, "_openblas", lambda: blas and (lambda: 1, blas[1]))
+    serial = assemble_and_solve(model, K, ORACLE_POINTS)
+    assert np.array_equal(serial.eigenvalues, pooled.eigenvalues)
+    assert np.array_equal(serial.weights, pooled.weights)
+    monkeypatch.setattr(torus, "_openblas", lambda: None)
+    fallback = assemble_and_solve(model, K, ORACLE_POINTS)
+    for got, want in ((fallback.eigenvalues, pooled.eigenvalues),
+                      (fallback.weights, pooled.weights)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_pool_restores_the_blas_thread_count(twisted_model):
+    blas = torus._openblas()
+    if blas is None:
+        pytest.skip("no pinnable OpenBLAS loaded")
+    threads = blas[0]()
+    assemble_and_solve(twisted_model, 16, NO_POINTS)
+    assert blas[0]() == threads
+
+
+def test_worker_solver_failure_is_typed(twisted_model, monkeypatch):
+    # entry (0, 1) of a twisted block is -K - i k2: only the block of the
+    # last component (k2 = K), in the last of three stacks, fails
+    K, eigh, threads = 16, np.linalg.eigh, set()
+
+    def failing(a, *args, **kwargs):
+        if a[0, 1].imag == -K:
+            threads.add(threading.current_thread())
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(SolveFailure) as info:
+        assemble_and_solve(twisted_model, K, ORACLE_POINTS)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    blas = torus._openblas()
+    if blas is not None and blas[0]() > 1:
+        assert threads and threading.main_thread() not in threads
+
+
+def test_worker_hermiticity_failure_is_typed(twisted_model):
+    # an x1 mode of a2 without its conjugate partner: every block whose
+    # modes have k2 != 0 fails the Hermiticity check, on the workers
+    a1, a2 = twisted_model.coefficients
+    broken = TrigMatrixField(2, a2.modes)
+    broken.modes[(1, 0)] = broken.modes[(1, 0)] + 0.1 * SIGMA1
+    model = TorusModel("broken", {}, (a1, broken), twisted_model.potential)
+    with pytest.raises(NotHermitian):
+        assemble_and_solve(model, 16, NO_POINTS)
+
+
 def test_spectrum_keeps_no_eigenvectors():
     names = [f.name for f in dataclasses.fields(SpectrumResult)]
     assert names == ["K", "dim", "eigenvalues", "x_points", "weights", "trusted_max"]
@@ -460,6 +525,22 @@ def test_plateau_transform_uses_the_step():
             0.0, 0.0]
     np.testing.assert_allclose(band, want, rtol=0.0, atol=1e-12)
     assert plateau_transform(-1.6, 3.0) == band[2]
+
+
+def test_step_rows_bound_the_mollifier_build():
+    # the whole (values x nodes) table at once is the reference; the build
+    # held 8.2 MB of it
+    nodes, weights, _ = torus._step_rule()
+    v = np.linspace(0.0, 0.5, 2 * torus._STEP_ROWS + 7)
+    whole = (torus._bump(-1.0 + np.multiply.outer(v, 1.0 + nodes)) @ weights) * v
+    assert np.array_equal(torus._bump_integral(v, nodes, weights), whole)
+    tracemalloc.start()
+    try:
+        build_mollifier(3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def eager_samples(support, grid, n_t=6001):
