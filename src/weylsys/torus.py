@@ -8,12 +8,16 @@ components (constant-coefficient models decouple mode by mode), found by
 vectorised min-label propagation.  Components of equal size are filled in
 stacks of at most 1 MiB of blocks (a larger block alone): thousands of tiny
 blocks still share one vectorised scatter, while the stack no longer grows
-like K^3, as one stack of every block did.  Each block is solved with a
-dense Hermitian eigensolver whose eigenvectors become pointwise weights at
-once; the stacks are solved side by side on worker threads that each use
-one BLAS thread, as a threaded eigensolve of a block of a few hundred rows
-gains nothing from a second core.  The merged spectrum is trusted up to 0.6
-times the truncation.
+like K^3, as one stack of every block did.  A block of 128 rows or more is
+reduced to real tridiagonal form by LAPACK, and only the n_x m probe vectors
+e^(i k.x) (x) e_c are rotated into that basis: the weights |phi(x)|^2 are the
+spectral measures of the probes, so no eigenvector matrix is formed.  A
+smaller block, or any block when numpy's OpenBLAS exports no ILP64 LAPACK,
+goes through a dense Hermitian eigensolver whose eigenvectors become
+weights at once; both give the same eigenvalues.  The stacks are solved
+side by side on worker threads that each use one BLAS thread, as a threaded
+eigensolve of a block of a few hundred rows gains nothing from a second
+core.  The merged spectrum is trusted up to 0.6 times the truncation.
 
 The smoothed local counting derivative convolves the pointwise eigenfunction
 weights with a compactly band-limited mollifier (plateau transform, built
@@ -73,6 +77,8 @@ class TrigMatrixField:
             mat = np.asarray(mat, dtype=complex)
             if mat.shape != (dim, dim):
                 raise ValueError(f"mode {g} has shape {mat.shape}")
+            if not np.all(np.isfinite(mat)):
+                raise ValueError(f"mode {g} has a non-finite entry")
             if np.max(np.abs(mat)) > 0:
                 table[g] = table.get(g, 0) + mat
         for g, mat in table.items():
@@ -402,10 +408,9 @@ class SpectrumResult:
 
 
 @lru_cache(maxsize=None)
-def _openblas() -> Optional[tuple]:
-    """(get_num_threads, set_num_threads_local) of the OpenBLAS that numpy
-    loaded, found through /proc/self/maps, or None when no loaded library
-    exports both (another BLAS, another OS, an OpenBLAS before 0.3.27)."""
+def _openblas_libraries() -> tuple:
+    """ctypes handles of the loaded libraries whose path names OpenBLAS, from
+    one read of /proc/self/maps; empty without that file (another OS)."""
     import ctypes
 
     try:
@@ -413,23 +418,132 @@ def _openblas() -> Optional[tuple]:
             paths = sorted({line.split(maxsplit=5)[-1].strip()
                             for line in maps if "openblas" in line.lower()})
     except OSError:
-        return None
+        return ()
     libs = []
     for path in paths:
         try:
             libs.append(ctypes.CDLL(path))
         except OSError:
             continue
+    return tuple(libs)
+
+
+@lru_cache(maxsize=None)
+def _openblas() -> Optional[tuple]:
+    """(get_num_threads, set_num_threads_local) of the OpenBLAS that numpy
+    loaded, or None when no loaded library exports both (another BLAS,
+    another OS, an OpenBLAS before 0.3.27)."""
+    import ctypes
+
     # numpy's wheel exports the count query under a name that scipy's own
     # OpenBLAS lacks; other builds export the plain name
     for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-        for lib in libs:
+        for lib in _openblas_libraries():
             if hasattr(lib, name) and hasattr(lib, "openblas_set_num_threads_local"):
                 get, set_local = getattr(lib, name), lib.openblas_set_num_threads_local
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_local.argtypes, set_local.restype = [ctypes.c_int], ctypes.c_int
                 return get, set_local
     return None
+
+
+@lru_cache(maxsize=None)
+def _lapack() -> Optional[tuple]:
+    """(zhetrd, zunmtr, dstedc) of the ILP64 LAPACK in numpy's OpenBLAS, or
+    None when no loaded library exports all three (another BLAS, an LP64
+    build, another OS).
+
+    Fortran convention: every argument by reference (arrays as addresses,
+    integers as ``c_int64``), then one hidden length per character argument.
+    """
+    import ctypes
+
+    char, i64, ptr = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    size = ctypes.c_size_t
+    signatures = {
+        # uplo, n, a, lda, d, e, tau, work, lwork, info
+        "scipy_zhetrd_64_": [char, i64, ptr, i64, ptr, ptr, ptr, ptr, i64, i64, size],
+        # side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork, info
+        "scipy_zunmtr_64_": [char, char, char, i64, i64, ptr, i64, ptr, ptr, i64, ptr,
+                             i64, i64, size, size, size],
+        # compz, n, d, e, z, ldz, work, lwork, iwork, liwork, info
+        "scipy_dstedc_64_": [char, i64, ptr, ptr, ptr, i64, ptr, i64, ptr, i64, i64, size],
+    }
+    for lib in _openblas_libraries():
+        if all(hasattr(lib, name) for name in signatures):
+            routines = tuple(getattr(lib, name) for name in signatures)
+            for routine, argtypes in zip(routines, signatures.values()):
+                routine.argtypes, routine.restype = argtypes, None
+            return routines
+    return None
+
+
+@lru_cache(maxsize=None)
+def _workspace(rows: int, probes: int) -> tuple:
+    """LAPACK's own work lengths for :func:`_probe_spectrum` on a block of
+    ``rows`` rows with ``probes`` probe columns: (zhetrd, zunmtr, dstedc
+    real, dstedc integer), as ``c_int64``."""
+    import ctypes
+
+    zhetrd, zunmtr, dstedc = _lapack()
+    i64 = ctypes.c_int64
+    n, query, info = i64(rows), i64(-1), i64()
+    cbuf, rbuf, ibuf = np.zeros(1, complex), np.zeros(1), np.zeros(1, np.int64)
+    c, r = cbuf.ctypes.data, rbuf.ctypes.data
+    zhetrd(b"L", n, c, n, r, r, c, c, query, info, 1)
+    trd = int(cbuf[0].real)
+    zunmtr(b"L", b"L", b"C", n, i64(probes), c, n, c, c, n, c, query, info, 1, 1, 1)
+    mtr = int(cbuf[0].real)
+    dstedc(b"I", n, r, r, r, n, r, query, ibuf.ctypes.data, query, info, 1)
+    return i64(trd), i64(mtr), i64(int(rbuf[0])), i64(int(ibuf[0]))
+
+
+def _probe_spectrum(block: np.ndarray, modes: np.ndarray, x_points: np.ndarray):
+    """Eigenvalues and :func:`_pointwise_weights` of one Hermitian block,
+    without forming its eigenvectors (the Golub-Welsch observation).
+
+    LAPACK reads the C-order block as its conjugate, A^T = Q T Q^H with T
+    real tridiagonal (``zhetrd``, in place), so the block's eigenvectors are
+    conj(Q) z for the eigenvectors z of T (``dstedc``).  The weight of one at
+    x is (2 pi)^-2 sum_c |p_c^T conj(Q) z|^2 = (2 pi)^-2 sum_c |z^T Q^H p_c|^2
+    for the probes p_c = e^(i k.x) (x) e_c, so ``zunmtr`` applies Q^H to the
+    n_x m probes only.  The eigenvalues are ``np.linalg.eigh``'s bits: its
+    ``zheevd`` runs the same two routines on the same matrix.  Raises
+    ``LinAlgError`` on a nonzero LAPACK ``info``.
+    """
+    import ctypes
+
+    zhetrd, zunmtr, dstedc = _lapack()
+    rows, n_x, m = block.shape[0], x_points.shape[0], block.shape[0] // modes.shape[0]
+    if block.shape != (rows, rows) or block.dtype != complex or not block.flags.c_contiguous:
+        raise ValueError("block must be a square C-contiguous complex array")
+    lwork = _workspace(rows, n_x * m)
+    # probe (p, c) is row p m + c of a C-order array, column p m + c in Fortran
+    probes = np.zeros((n_x, m, modes.shape[0], m), dtype=complex)
+    phases = np.exp(1j * x_points @ modes.T)  # (n_x, n_modes)
+    for c in range(m):
+        probes[:, c, :, c] = phases
+    d, e, tau = np.empty(rows), np.empty(rows), np.empty(rows, dtype=complex)
+    work = np.empty(max(lwork[0].value, lwork[1].value), dtype=complex)
+    z, rwork = np.empty((rows, rows)), np.empty(lwork[2].value)
+    iwork = np.empty(lwork[3].value, dtype=np.int64)
+    n, info = ctypes.c_int64(rows), ctypes.c_int64()
+    a = block.ctypes.data
+    zhetrd(b"L", n, a, n, d.ctypes.data, e.ctypes.data, tau.ctypes.data,
+           work.ctypes.data, lwork[0], info, 1)
+    if info.value == 0:
+        zunmtr(b"L", b"L", b"C", n, ctypes.c_int64(n_x * m), a, n, tau.ctypes.data,
+               probes.ctypes.data, n, work.ctypes.data, lwork[1], info, 1, 1, 1)
+    if info.value == 0:
+        dstedc(b"I", n, d.ctypes.data, e.ctypes.data, z.ctypes.data, n,
+               rwork.ctypes.data, lwork[2], iwork.ctypes.data, lwork[3], info, 1)
+    if info.value:
+        raise np.linalg.LinAlgError(f"tridiagonal eigensolver failed: LAPACK info {info.value}")
+    # row j of z is eigenvector j of T; row p m + c of probes is Q^H p_c at x_p
+    rotated = probes.reshape(n_x * m, rows)
+    amp2 = (z @ rotated.real.T) ** 2 + (z @ rotated.imag.T) ** 2
+    norm = (2.0 * math.pi) ** (-x_points.shape[1])
+    return d, norm * amp2.reshape(rows, n_x, m).sum(axis=2)
 
 
 def _map_pinned(fn, items: list) -> list:
@@ -469,13 +583,19 @@ def assemble_and_solve(
     The plane-wave matrix is block-diagonal over the components of the
     mode-coupling graph.  Components of equal size are filled in stacks of
     at most ``_STACK_BYTES`` (one block if it is larger), by one scatter
-    per Fourier mode of the fields; each block is solved densely and its
-    eigenvectors are reduced to weights at ``x_points`` (n_x, 2), then
-    dropped; (0, 2) gives eigenvalues only.  The stacks are independent and
-    run on :func:`_map_pinned`'s workers, one BLAS thread each; the result
-    does not depend on their schedule.
+    per Fourier mode of the fields.  Each block yields its eigenvalues and
+    its weights at ``x_points`` (n_x, 2); (0, 2) gives eigenvalues only.
+    From ``_TRIDIAGONAL_ROWS`` rows, when numpy's OpenBLAS exports the
+    LAPACK routines, the weights come from the tridiagonal form and the
+    rotated probes, with no eigenvector matrix (:func:`_probe_spectrum`);
+    other blocks are solved by ``eigh``, whose eigenvectors are reduced to
+    weights and dropped.  The stacks are independent and run on
+    :func:`_map_pinned`'s workers, one BLAS thread each; the result does not
+    depend on their schedule.
     Raises :class:`BudgetExceeded`, before any allocation, when m (2K+1)^2
-    exceeds the budget and :class:`SolveFailure` on solver breakdown.
+    exceeds the budget, ``ValueError`` on a truncation below 8 or on
+    ``x_points`` that are not finite pairs, and :class:`SolveFailure` on
+    solver breakdown.
     """
     if K < 8:
         raise ValueError("truncation K must be at least 8")
@@ -488,6 +608,8 @@ def assemble_and_solve(
     x_points = np.array(x_points, dtype=float, ndmin=2)
     if x_points.shape[1:] != (2,):
         raise ValueError(f"x_points must have shape (n_x, 2), not {x_points.shape}")
+    if not np.all(np.isfinite(x_points)):
+        raise ValueError("x_points must be finite")
     ks = np.arange(-K, K + 1)
     modes = np.stack(np.meshgrid(ks, ks, indexing="ij"), axis=-1).reshape(-1, 2)
     labels = _component_labels(modes, model.coupling_modes(), K)
@@ -535,10 +657,13 @@ def assemble_and_solve(
             block += block.conj().T  # in place: a copy would add a block per worker
             block *= 0.5
             try:
-                vals, vecs = np.linalg.eigh(block)
+                if block.shape[0] >= _TRIDIAGONAL_ROWS and _lapack() is not None:
+                    solved.append(_probe_spectrum(block, local, x_points))
+                else:
+                    vals, vecs = np.linalg.eigh(block)
+                    solved.append((vals, _pointwise_weights(local, vecs, x_points)))
             except np.linalg.LinAlgError as exc:
                 raise SolveFailure(f"dense eigensolver failed: {exc}") from exc
-            solved.append((vals, _pointwise_weights(local, vecs, x_points)))
         return solved
 
     values = [None] * starts.size
@@ -635,10 +760,12 @@ MOMENT_SPACING = 0.25
 # Eigenvalues per block of the counting's tables: 77 x 1024 complex is 1.3 MB.
 # Bytes per stack of equal-size Galerkin blocks (one block if it is larger).
 # Step values per block of the bump integral: 256 x 80 doubles is 164 kB.
+# Rows from which a Galerkin block is tridiagonalised instead of eigh-solved.
 _TRANSFORM_ROWS = 512
 _EIGEN_BLOCK = 1024
 _STACK_BYTES = 1 << 20
 _STEP_ROWS = 256
+_TRIDIAGONAL_ROWS = 128
 
 
 def _even_transform(grid: np.ndarray, t: np.ndarray, band: np.ndarray) -> np.ndarray:

@@ -1,9 +1,16 @@
 """Ground-truth harness tests: models, spectra, mollifier, counting, fits."""
 
+import ctypes
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +93,17 @@ def test_trig_field_hermitian_everywhere(rng):
         rtol=0.0, atol=1e-14,
     )
 
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_trig_field_rejects_non_finite_modes(bad):
+    # NaN would fail "any entry nonzero" and drop the mode; +-inf would pass
+    # the symmetry check, as inf - inf is NaN and NaN > tol is False
+    mat = np.zeros((2, 2), dtype=complex)
+    mat[0, 1] = mat[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        TrigMatrixField(2, {(0, 0): mat})
+    with pytest.raises(ValueError, match="non-finite"):
+        TrigMatrixField(2, {(1, 0): mat, (-1, 0): mat.conj().T})
 
 def test_catalog_contents():
     assert catalog_names() == ["dirac", "mass-dirac", "shifted-dirac", "twisted"]
@@ -266,6 +284,16 @@ def test_points_must_be_pairs(dirac_model):
         assemble_and_solve(dirac_model, 8, np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_points_must_be_finite(twisted_model, bad, monkeypatch):
+    # rejected before the mode graph is labelled, let alone assembled
+    def unreachable(*args):
+        raise AssertionError("assembly started")
+
+    monkeypatch.setattr(torus, "_component_labels", unreachable)
+    with pytest.raises(ValueError, match="finite"):
+        assemble_and_solve(twisted_model, 16, np.array([[bad, 0.0], [0.5, 1.0]]))
+
 def test_constant_weights_are_uniform(shifted_dirac_model):
     xs = np.array([[0.0, 0.0], [1.0, 2.0], [4.0, 0.5]])
     w = assemble_and_solve(shifted_dirac_model, 8, xs).weights
@@ -431,6 +459,122 @@ def test_worker_hermiticity_failure_is_typed(twisted_model):
     with pytest.raises(NotHermitian):
         assemble_and_solve(model, 16, NO_POINTS)
 
+
+
+# ---------------------------------------------------------------------------
+# weights from the tridiagonal form
+# ---------------------------------------------------------------------------
+
+def require_lapack():
+    if torus._lapack() is None:
+        pytest.skip("no ILP64 LAPACK exported by the loaded OpenBLAS")
+
+
+def test_probe_spectrum_matches_scipy_oracle(rng):
+    # a random Hermitian 200-row block: 100 modes of a 2-vector, two x, so
+    # four probe columns
+    require_lapack()
+    from scipy.linalg import eigh
+
+    rows, x_points = 200, rng.uniform(0.0, TWO_PI, size=(2, 2))
+    modes = rng.integers(-20, 21, size=(rows // 2, 2)).astype(float)
+    a = rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows))
+    a += a.conj().T
+    vals, vecs = eigh(a)
+    phases = np.exp(1j * modes @ x_points.T)  # (n_modes, n_x)
+    amp = np.einsum("gmk,gp->kmp", vecs.reshape(rows // 2, 2, rows), phases)
+    want = np.sum(np.abs(amp) ** 2, axis=1) / TWO_PI ** 2
+    got_vals, got = torus._probe_spectrum(a.copy(), modes, x_points)
+    np.testing.assert_allclose(got_vals, vals, rtol=0.0, atol=1e-12 * np.max(np.abs(vals)))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(np.sum(got, axis=0), rows / TWO_PI ** 2, rtol=1e-12)
+
+
+@lru_cache(maxsize=None)
+def twisted_reference(K):
+    """Eigenvalues and weights at ORACLE_POINTS of twisted by the reference."""
+    ref = reference_spectrum(build_model("twisted"), K)
+    return ref.eigenvalues, reference_weights(ref, ORACLE_POINTS)
+
+
+@pytest.mark.parametrize("route", ["tridiagonal", "fallback"])
+@pytest.mark.parametrize("K", [32, 40])
+def test_large_blocks_match_reference(twisted_model, K, route, monkeypatch):
+    # 2K + 1 twisted blocks of 2 (2K + 1) rows: 130 at K = 32, 162 at K = 40,
+    # all past the cut; the fallback is what runs without the LAPACK lookup
+    if route == "tridiagonal":
+        require_lapack()
+    else:
+        monkeypatch.setattr(torus, "_lapack", lambda: None)
+    probe_spectrum, calls = torus._probe_spectrum, []
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return probe_spectrum(*args)
+
+    monkeypatch.setattr(torus, "_probe_spectrum", counted)
+    spec = assemble_and_solve(twisted_model, K, ORACLE_POINTS)
+    want = [2 * (2 * K + 1)] * (2 * K + 1) if route == "tridiagonal" else []
+    assert sorted(calls) == want
+    eigenvalues, weights = twisted_reference(K)
+    assert np.array_equal(spec.eigenvalues, eigenvalues)
+    np.testing.assert_allclose(spec.weights, weights, rtol=0.0, atol=1e-12)
+
+
+def test_worker_tridiagonal_failure_is_typed(twisted_model, monkeypatch):
+    # K = 32: 65 blocks of 130 rows in stacks of three, the last stack holds
+    # two.  Entry (0, 1) of a twisted block is -K - i k2, so the dstedc call
+    # after the zhetrd that reads it fails only for the last component (k2 = K)
+    require_lapack()
+    zhetrd, zunmtr, dstedc = torus._lapack()
+    K, last, threads = 32, threading.local(), set()
+
+    def tridiagonalise(*args):
+        if args[8].value != -1:  # not a workspace query
+            last.block = ctypes.c_double.from_address(args[2] + 24).value == -K
+        zhetrd(*args)
+
+    def failing(*args):
+        dstedc(*args)
+        if args[7].value != -1 and getattr(last, "block", False):
+            threads.add(threading.current_thread())
+            args[10].value = K + 1
+
+    monkeypatch.setattr(torus, "_lapack", lambda: (tridiagonalise, zunmtr, failing))
+    with pytest.raises(SolveFailure, match="LAPACK info 33") as info:
+        assemble_and_solve(twisted_model, K, ORACLE_POINTS)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    assert len(threads) == 1
+    blas = torus._openblas()
+    if blas is not None and blas[0]() > 1:
+        assert threading.main_thread() not in threads
+
+
+_START_UP_LOOKUPS = """
+import json, sys
+import weylsys.cli
+from weylsys import torus
+
+torus.build_model("twisted")
+print(json.dumps({
+    "lookups": [f.cache_info().currsize for f in
+                (torus._openblas_libraries, torus._openblas, torus._lapack)],
+    "futures": "concurrent.futures" in sys.modules,
+}))
+"""
+
+
+def test_start_up_runs_no_blas_lookup():
+    # a fresh interpreter: importing the CLI and registering a model neither
+    # reads /proc/self/maps nor imports the worker pool
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _START_UP_LOOKUPS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"lookups": [0, 0, 0], "futures": False}
 
 def test_spectrum_keeps_no_eigenvectors():
     names = [f.name for f in dataclasses.fields(SpectrumResult)]
