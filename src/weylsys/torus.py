@@ -508,8 +508,9 @@ def _probe_spectrum(block: np.ndarray, modes: np.ndarray, x_points: np.ndarray):
     x is (2 pi)^-2 sum_c |p_c^T conj(Q) z|^2 = (2 pi)^-2 sum_c |z^T Q^H p_c|^2
     for the probes p_c = e^(i k.x) (x) e_c, so ``zunmtr`` applies Q^H to the
     n_x m probes only.  The eigenvalues are ``np.linalg.eigh``'s bits: its
-    ``zheevd`` runs the same two routines on the same matrix.  Raises
-    ``LinAlgError`` on a nonzero LAPACK ``info``.
+    ``zheevd`` runs the same two routines on the same matrix.  The block is
+    overwritten, last as ``dstedc``'s workspace.  Raises ``LinAlgError`` on
+    a nonzero LAPACK ``info``.
     """
     import ctypes
 
@@ -525,7 +526,12 @@ def _probe_spectrum(block: np.ndarray, modes: np.ndarray, x_points: np.ndarray):
         probes[:, c, :, c] = phases
     d, e, tau = np.empty(rows), np.empty(rows), np.empty(rows, dtype=complex)
     work = np.empty(max(lwork[0].value, lwork[1].value), dtype=complex)
-    z, rwork = np.empty((rows, rows)), np.empty(lwork[2].value)
+    # the block's 2 rows^2 doubles are spent once zunmtr has run and hold
+    # dstedc's real work (at most 1 + 4 rows + rows^2): the solve then holds
+    # the block and z, 1.5 blocks, not 2
+    spent = block.reshape(-1).view(float)
+    rwork = spent if spent.size >= lwork[2].value else np.empty(lwork[2].value)
+    z = np.empty((rows, rows))
     iwork = np.empty(lwork[3].value, dtype=np.int64)
     n, info = ctypes.c_int64(rows), ctypes.c_int64()
     a = block.ctypes.data
@@ -544,6 +550,30 @@ def _probe_spectrum(block: np.ndarray, modes: np.ndarray, x_points: np.ndarray):
     amp2 = (z @ rotated.real.T) ** 2 + (z @ rotated.imag.T) ** 2
     norm = (2.0 * math.pi) ** (-x_points.shape[1])
     return d, norm * amp2.reshape(rows, n_x, m).sum(axis=2)
+
+
+def _hermitian_part(block: np.ndarray, tolerance: float) -> None:
+    """Replace a square block A by (A + A^H) 0.5 in place, after checking
+    max |A - A^H| <= tolerance (:class:`NotHermitian`).
+
+    Row panel I of at most ``_PANEL_BYTES`` holds rows I of the upper
+    triangle, from the diagonal on: S = (A_IJ + A_JI^H) 0.5 goes to A_IJ and
+    S^H to A_JI.  Those are the bits of ``(A + A^H) 0.5`` (the sum commutes
+    exactly), and no temporary is larger than a few panels.
+    """
+    rows, defect, lo = block.shape[0], 0.0, 0
+    while lo < rows:
+        hi = min(rows, lo + max(1, _PANEL_BYTES // (16 * (rows - lo))))
+        upper = block[lo:hi, lo:]
+        mirror = block[lo:, lo:hi].conj().T  # a copy: A_JI^H
+        defect = max(defect, float(np.max(np.abs(upper - mirror))))
+        mirror += upper
+        mirror *= 0.5
+        upper[...] = mirror
+        block[lo:, lo:hi] = np.conjugate(mirror, out=mirror).T
+        lo = hi
+    if defect > tolerance:
+        raise NotHermitian(f"assembled block Hermiticity defect {defect:.3e}")
 
 
 def _map_pinned(fn, items: list) -> list:
@@ -649,13 +679,7 @@ def assemble_and_solve(
         solved = []
         for block, local in zip(stack, kvec.astype(float)):
             block = block.reshape(n_local * m, n_local * m)
-            defect = np.max(np.abs(block - block.conj().T))
-            if defect > 1e-10 * max(1.0, K):
-                raise NotHermitian(
-                    f"assembled block Hermiticity defect {defect:.3e}"
-                )
-            block += block.conj().T  # in place: a copy would add a block per worker
-            block *= 0.5
+            _hermitian_part(block, 1e-10 * max(1.0, K))
             try:
                 if block.shape[0] >= _TRIDIAGONAL_ROWS and _lapack() is not None:
                     solved.append(_probe_spectrum(block, local, x_points))
@@ -759,11 +783,13 @@ MOMENT_SPACING = 0.25
 # Rows per block of the moment grid's cos(nu t): 512 x 6001 doubles is 25 MB.
 # Eigenvalues per block of the counting's tables: 77 x 1024 complex is 1.3 MB.
 # Bytes per stack of equal-size Galerkin blocks (one block if it is larger).
+# Bytes per row panel of a block's symmetrisation: a 162-row block is one.
 # Step values per block of the bump integral: 256 x 80 doubles is 164 kB.
 # Rows from which a Galerkin block is tridiagonalised instead of eigh-solved.
 _TRANSFORM_ROWS = 512
 _EIGEN_BLOCK = 1024
 _STACK_BYTES = 1 << 20
+_PANEL_BYTES = 1 << 20
 _STEP_ROWS = 256
 _TRIDIAGONAL_ROWS = 128
 
@@ -1056,8 +1082,13 @@ def fit_weyl(
     known low-spectrum contamination.  Returns coefficients with their
     least-squares standard errors and the RMS residual.  Raises
     :class:`IllConditionedFit` when fewer than 8 samples lie in the window
-    or none lies in its upper 60%, where the shape's decay is judged.
+    or none lies in its upper 60%, where the shape's decay is judged, and
+    ``ValueError`` when the mollifier's support is not the one the samples
+    were smoothed with (its bottom columns would bias the fit).
     """
+    if mollifier is not None and mollifier.support != samples.mollifier_support:
+        raise ValueError(f"mollifier support {mollifier.support:g} differs from the "
+                         f"samples' support {samples.mollifier_support:g}")
     mu_lo, mu_hi = float(window[0]), float(window[1])
     check_fit_window(mu_lo, mu_hi, samples.mollifier_support)
     if mu_hi > samples.trusted_max + 1e-9:

@@ -3,6 +3,7 @@ import copy
 import math
 from dataclasses import dataclass, field
 
+import weylsys  # before numpy, whose OpenBLAS reads the idle timeout it sets
 import numpy as np
 import pytest
 from scipy.integrate import quad

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import threading
@@ -376,14 +377,32 @@ def test_general_couplings_block_structure():
 )
 def test_chunked_solve_is_exact(make_model, K, rows, monkeypatch):
     # 33 twisted blocks of 66 rows, 289 dirac blocks of 2 rows, one x2-coupled
-    # block of 578 rows: stacks of one block, then of two with a partial last
+    # block of 578 rows: stacks of one block, then of two with a partial last;
+    # then symmetrised in panels of one row and of at most 64 kB
     model = make_model()
     whole = assemble_and_solve(model, K, ORACLE_POINTS)
-    for stack_bytes in (1, 2 * 16 * rows ** 2):
-        monkeypatch.setattr(torus, "_STACK_BYTES", stack_bytes)
+    for name, size in [("_STACK_BYTES", 1), ("_STACK_BYTES", 2 * 16 * rows ** 2),
+                       ("_PANEL_BYTES", 1), ("_PANEL_BYTES", 1 << 16)]:
+        monkeypatch.setattr(torus, name, size)
         spec = assemble_and_solve(model, K, ORACLE_POINTS)
         assert np.array_equal(spec.eigenvalues, whole.eigenvalues)
         assert np.array_equal(spec.weights, whole.weights)
+
+
+def test_symmetrisation_keeps_the_bits(rng):
+    # (A + A^H) 0.5 in panels is the full-block expression, bit for bit, and
+    # the defect is max |A - A^H|
+    a = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    want = (a + a.conj().T) * 0.5
+    for panel_bytes in (1, 1 << 12, 1 << 20):
+        got = a.copy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(torus, "_PANEL_BYTES", panel_bytes)
+            torus._hermitian_part(got, np.inf)
+            with pytest.raises(NotHermitian) as info:
+                torus._hermitian_part(a.copy(), 1.0)
+        assert np.array_equal(got, want)
+        assert str(info.value).endswith(f"{np.max(np.abs(a - a.conj().T)):.3e}")
 
 
 def test_solve_memory_is_bounded(twisted_model):
@@ -395,6 +414,39 @@ def test_solve_memory_is_bounded(twisted_model):
     finally:
         tracemalloc.stop()
     assert peak < 6e6
+
+
+def test_one_block_solve_holds_one_and_a_half_blocks(monkeypatch):
+    # the x2-coupled model at K = 8 is one 578-row block of 5.3 MB: it is
+    # symmetrised in panels, and dstedc works in its spent storage, so the
+    # peak is the block and dstedc's eigenvector matrix of half a block
+    require_lapack()
+    model, block = x2_coupled_twisted(), 16 * 578 ** 2
+    tracemalloc.start()
+    try:
+        spec = assemble_and_solve(model, 8, ORACLE_POINTS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.7 * block
+
+    def whole_block(block, tolerance):
+        block[...] = (block + block.conj().T) * 0.5
+
+    monkeypatch.setattr(torus, "_hermitian_part", whole_block)
+    want = assemble_and_solve(model, 8, ORACLE_POINTS)
+    assert np.array_equal(spec.eigenvalues, want.eigenvalues)
+    assert np.array_equal(spec.weights, want.weights)
+
+
+def test_one_block_hermiticity_failure_is_typed():
+    model = x2_coupled_twisted()
+    a1, a2 = model.coefficients
+    broken = TrigMatrixField(2, dict(a2.modes))
+    broken.modes[(0, 1)] = broken.modes[(0, 1)] + 0.1 * SIGMA1
+    with pytest.raises(NotHermitian):
+        assemble_and_solve(TorusModel("broken", {}, (a1, broken), model.potential),
+                           8, NO_POINTS)
 
 
 @pytest.mark.parametrize(
@@ -564,17 +616,67 @@ print(json.dumps({
 """
 
 
-def test_start_up_runs_no_blas_lookup():
-    # a fresh interpreter: importing the CLI and registering a model neither
-    # reads /proc/self/maps nor imports the worker pool
+def fresh_env(**settings) -> dict:
+    """This environment with the package's sources first on PYTHONPATH and
+    ``settings`` applied; a setting of None removes the variable."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _START_UP_LOOKUPS], env=env,
+    for name, value in settings.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+def test_start_up_runs_no_blas_lookup():
+    # a fresh interpreter: importing the CLI and registering a model neither
+    # reads /proc/self/maps nor imports the worker pool
+    proc = subprocess.run([sys.executable, "-c", _START_UP_LOOKUPS], env=fresh_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report == {"lookups": [0, 0, 0], "futures": False}
+
+
+# four idle spells: after start-up and after each of three threaded products
+_IDLE_WORKERS = """
+import os, time
+import weylsys
+import numpy as np
+
+a = np.ones((256, 256))
+for _ in range(3):
+    time.sleep(0.15)
+    a @ a
+time.sleep(0.15)
+print(os.environ["OPENBLAS_THREAD_TIMEOUT"])
+"""
+
+
+def test_idle_blas_workers_sleep():
+    # OpenBLAS's idle workers busy-wait 2^timeout clock cycles before they
+    # sleep: about 0.1 s of a core per idle spell at its default of 28, under
+    # a millisecond at the package's 20, unless the environment sets it
+    if (os.cpu_count() or 1) < 2 or torus._openblas() is None:
+        pytest.skip("needs 2 CPUs and numpy's OpenBLAS")
+
+    def child(timeout):
+        env = fresh_env(OPENBLAS_NUM_THREADS="2", OPENBLAS_THREAD_TIMEOUT=timeout)
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = subprocess.run([sys.executable, "-c", _IDLE_WORKERS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert proc.returncode == 0, proc.stderr
+        cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+        return proc.stdout.strip(), cpu
+
+    setting, cpu = child(None)
+    assert setting == "20"
+    explicit, cpu_explicit = child("28")  # OpenBLAS's own default
+    assert explicit == "28"
+    assert cpu < cpu_explicit - 0.15
 
 def test_spectrum_keeps_no_eigenvectors():
     names = [f.name for f in dataclasses.fields(SpectrumResult)]
@@ -920,6 +1022,15 @@ def test_fit_needs_samples_in_the_upper_window(mollifier_t3):
     for moll in (None, mollifier_t3):
         with pytest.raises(IllConditionedFit, match="upper 60%"):
             fit_weyl(samples, 2, (3.0, 12.0), mollifier=moll)
+
+
+def test_fit_rejects_another_mollifier(shifted_dirac_model, mollifier_t3):
+    # bottom columns of another shape than the samples' would bias the fit
+    spec = assemble_and_solve(shifted_dirac_model, 24, [[0.3, 0.9]])
+    mu = np.arange(3.0, 14.4 + 0.025, 0.05)
+    samples = local_counting_mollified(spec, mollifier_t3, 0, mu)
+    with pytest.raises(ValueError, match="support 2 differs"):
+        fit_weyl(samples, 2, (3.0, 14.4), mollifier=build_mollifier(2.0))
 
 
 def test_fit_window_respects_smearing_scale(mollifier_t3):
