@@ -2,8 +2,10 @@
 
 Concrete first-order systems with trigonometric-polynomial Hermitian
 coefficients are assembled in the Fourier basis, where the symmetrized
-operator has the midpoint form H[k', k] = ((k + k')/2) . C_(k'-k) + B_(k'-k)
-and is manifestly Hermitian.  The mode-coupling graph splits into connected
+operator has the midpoint form H[k', k] = ((k + k')/2) . C_(k'-k) + B_(k'-k).
+It is Hermitian exactly when C_(-g) = C_g^dagger: that one rule is kept on
+the modes (:func:`_hermitian_modes`), and each block is then Hermitian as
+filled, bit for bit.  The mode-coupling graph splits into connected
 components (constant-coefficient models decouple mode by mode), found by
 vectorised min-label propagation.  Components of equal size are filled in
 stacks of at most 1 MiB of blocks (a larger block alone): thousands of tiny
@@ -49,7 +51,7 @@ from .errors import (
     UnknownModel,
     WindowViolation,
 )
-from .symbols import SymbolField, require_hermitian
+from .symbols import SymbolField
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -65,14 +67,18 @@ GAP_MARGIN = 0.05
 class TrigMatrixField:
     """Hermitian matrix field on the torus with finitely many Fourier modes.
 
-    Stores coefficients C_g for integer wavevectors g with the Hermitian
-    symmetry C_(-g) = C_g^dagger, so values are Hermitian at every x.
+    Stores coefficients C_g for integer wavevectors g (``ValueError`` on a
+    component that is not a finite integer; ``1.0`` is one), each pair made
+    exactly conjugate, C_(-g) = C_g^dagger, by :func:`_hermitian_modes`, so
+    values are Hermitian at every x.
     """
 
     def __init__(self, dim: int, modes: dict):
         self.dim = dim
         table = {}
         for g, mat in modes.items():
+            if not all(math.isfinite(c) and c == int(c) for c in g):
+                raise ValueError(f"wavevector {tuple(g)} is not an integer vector")
             g = tuple(int(c) for c in g)
             mat = np.asarray(mat, dtype=complex)
             if mat.shape != (dim, dim):
@@ -81,12 +87,7 @@ class TrigMatrixField:
                 raise ValueError(f"mode {g} has a non-finite entry")
             if np.max(np.abs(mat)) > 0:
                 table[g] = table.get(g, 0) + mat
-        for g, mat in table.items():
-            neg = tuple(-c for c in g)
-            partner = table.get(neg)
-            if partner is None or np.max(np.abs(partner - mat.conj().T)) > 1e-12:
-                raise NotHermitian(f"coefficient symmetry violated at mode {g}")
-        self.modes = table
+        self.modes = _hermitian_modes(table)
 
     @classmethod
     def constant(cls, mat: np.ndarray) -> "TrigMatrixField":
@@ -101,9 +102,8 @@ class TrigMatrixField:
         """
         modes: dict = {}
 
-        def add(g, mat):
-            g = tuple(int(c) for c in g)
-            modes[g] = modes.get(g, 0) + mat
+        def add(g, mat):  # the constructor checks and converts g
+            modes[tuple(g)] = modes.get(tuple(g), 0) + mat
 
         for kind, g, mat in terms:
             mat = np.asarray(mat, dtype=complex)
@@ -135,6 +135,20 @@ class TrigMatrixField:
             phase = 1j * np.exp(1j * (x @ g))
             out += (phase[..., None] * g)[..., None, None] * mat
         return out
+
+
+def _hermitian_modes(modes: dict) -> dict:
+    """The one Hermiticity rule of torus fields: each mode C_g replaced by
+    (C_g + C_(-g)^dagger) 0.5, so every pair is exactly conjugate and a pair
+    that already is keeps its bits.  Raises :class:`NotHermitian` when a
+    partner is missing or max |C_(-g) - C_g^dagger| > 1e-12."""
+    out = {}
+    for g, mat in modes.items():
+        partner = modes.get(tuple(-c for c in g))
+        if partner is None or np.max(np.abs(partner - mat.conj().T)) > 1e-12:
+            raise NotHermitian(f"coefficient symmetry violated at mode {g}")
+        out[g] = (mat + partner.conj().T) * 0.5
+    return out
 
 
 @dataclass(frozen=True)
@@ -287,32 +301,27 @@ def registration_check(
     [0, pi) is scanned: the leading symbol is linear in xi, so
     A(x, -xi) = -A(x, xi) has the same |eigenvalues| and gaps.  x2 = 0
     suffices unless a coefficient field has a mode with g2 != 0; then the
-    same grid is scanned in x2 too.  Each coefficient field is evaluated
-    once per x2 row and broadcast over the angles, each position's symbols
-    pass :func:`~weylsys.symbols.require_hermitian` together, and each x2
-    row goes through one stacked eigensolve.  Raises
-    :class:`NotHermitian` when a sampled symbol fails the Hermiticity rule
-    and :class:`EllipticityViolation` when either margin is too small.
+    same grid is scanned in x2 too.  Each coefficient field's modes pass
+    :func:`_hermitian_modes` first; each field is evaluated once per x2 row,
+    and the row's symbols are one product with the angles, broadcast over
+    the positions with no temporary of their size, and one stacked
+    eigensolve.  Raises :class:`NotHermitian` when a field's modes fail the
+    Hermiticity rule and :class:`EllipticityViolation` when a margin is too small.
     """
     xs = 2.0 * math.pi * np.arange(n_x) / n_x
     thetas = 2.0 * math.pi * np.arange(n_theta // 2) / n_theta
     xi = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    m = model.dim
+    for fld in model.coefficients:
+        _hermitian_modes(fld.modes)
     depends_on_x2 = any(g[1] for fld in model.coefficients for g in fld.modes)
     min_abs = min_gap = math.inf
     for x2 in xs if depends_on_x2 else (0.0,):
         x = np.stack([xs, np.full(n_x, x2)], axis=1)
-        fields = [fld.value(x) for fld in model.coefficients]
-        symbols = np.zeros((n_x, len(thetas), m, m), dtype=complex)
-        # one chart position at a time: all angles at once, while the
-        # temporaries stay a small fraction of the stacked symbol array
-        for p, row in enumerate(symbols):
-            for alpha, vals in enumerate(fields):
-                row += vals[p] * xi[:, alpha, None, None]
-            row[...] = require_hermitian(row)
+        fields = np.stack([fld.value(x).reshape(n_x, -1) for fld in model.coefficients], 1)
+        symbols = (xi @ fields).reshape(n_x, len(thetas), model.dim, model.dim)
         vals = np.linalg.eigvalsh(symbols)
         min_abs = min(min_abs, float(np.min(np.abs(vals))))
-        if m > 1:
+        if model.dim > 1:
             min_gap = min(min_gap, float(np.min(np.diff(vals, axis=-1))))
     if min_abs < ELLIPTICITY_MARGIN:
         raise EllipticityViolation(
@@ -552,30 +561,6 @@ def _probe_spectrum(block: np.ndarray, modes: np.ndarray, x_points: np.ndarray):
     return d, norm * amp2.reshape(rows, n_x, m).sum(axis=2)
 
 
-def _hermitian_part(block: np.ndarray, tolerance: float) -> None:
-    """Replace a square block A by (A + A^H) 0.5 in place, after checking
-    max |A - A^H| <= tolerance (:class:`NotHermitian`).
-
-    Row panel I of at most ``_PANEL_BYTES`` holds rows I of the upper
-    triangle, from the diagonal on: S = (A_IJ + A_JI^H) 0.5 goes to A_IJ and
-    S^H to A_JI.  Those are the bits of ``(A + A^H) 0.5`` (the sum commutes
-    exactly), and no temporary is larger than a few panels.
-    """
-    rows, defect, lo = block.shape[0], 0.0, 0
-    while lo < rows:
-        hi = min(rows, lo + max(1, _PANEL_BYTES // (16 * (rows - lo))))
-        upper = block[lo:hi, lo:]
-        mirror = block[lo:, lo:hi].conj().T  # a copy: A_JI^H
-        defect = max(defect, float(np.max(np.abs(upper - mirror))))
-        mirror += upper
-        mirror *= 0.5
-        upper[...] = mirror
-        block[lo:, lo:hi] = np.conjugate(mirror, out=mirror).T
-        lo = hi
-    if defect > tolerance:
-        raise NotHermitian(f"assembled block Hermiticity defect {defect:.3e}")
-
-
 def _map_pinned(fn, items: list) -> list:
     """[fn(item) for item in items], on min(BLAS threads, len(items)) worker
     threads that use one BLAS thread each.
@@ -613,8 +598,10 @@ def assemble_and_solve(
     The plane-wave matrix is block-diagonal over the components of the
     mode-coupling graph.  Components of equal size are filled in stacks of
     at most ``_STACK_BYTES`` (one block if it is larger), by one scatter
-    per Fourier mode of the fields.  Each block yields its eigenvalues and
-    its weights at ``x_points`` (n_x, 2); (0, 2) gives eigenvalues only.
+    per Fourier mode of :func:`_hermitian_modes` of the fields: an entry
+    gets one product and its mirror the conjugate of the same product, so
+    each block is Hermitian as filled.  Each block yields its eigenvalues
+    and its weights at ``x_points`` (n_x, 2); (0, 2) gives eigenvalues only.
     From ``_TRIDIAGONAL_ROWS`` rows, when numpy's OpenBLAS exports the
     LAPACK routines, the weights come from the tridiagonal form and the
     rotated probes, with no eigenvector matrix (:func:`_probe_spectrum`);
@@ -624,8 +611,8 @@ def assemble_and_solve(
     depend on their schedule.
     Raises :class:`BudgetExceeded`, before any allocation, when m (2K+1)^2
     exceeds the budget, ``ValueError`` on a truncation below 8 or on
-    ``x_points`` that are not finite pairs, and :class:`SolveFailure` on
-    solver breakdown.
+    ``x_points`` that are not finite pairs, :class:`NotHermitian` on fields
+    that fail the Hermiticity rule and :class:`SolveFailure` on breakdown.
     """
     if K < 8:
         raise ValueError("truncation K must be at least 8")
@@ -649,8 +636,9 @@ def assemble_and_solve(
     sizes = np.diff(np.r_[starts, modes.shape[0]])
     position = np.empty_like(by_label)  # index of each mode in its component
     position[by_label] = np.arange(by_label.size) - np.repeat(starts, sizes)
-    fields = (*model.coefficients, model.potential)
-    field_modes = dict.fromkeys(g for fld in fields for g in fld.modes)
+    *coefficients, potential = (_hermitian_modes(fld.modes)
+                                for fld in (*model.coefficients, model.potential))
+    field_modes = dict.fromkeys(g for fld in (*coefficients, potential) for g in fld)
     stacks = []  # component indices, by size and then smallest mode
     for n_local in np.unique(sizes):
         components = np.flatnonzero(sizes == n_local)
@@ -669,17 +657,16 @@ def assemble_and_solve(
             k, t = kvec[comp, i], target[comp, i]
             j = position[(t[:, 0] + K) * size + t[:, 1] + K]
             acc = np.zeros((comp.size, m, m), dtype=complex)
-            for alpha, fld in enumerate(model.coefficients):
-                if g in fld.modes:
+            for alpha, fld in enumerate(coefficients):
+                if g in fld:
                     coef = 0.5 * (k[:, alpha] + t[:, alpha])
-                    acc += coef[:, None, None] * fld.modes[g]
-            if g in model.potential.modes:
-                acc += model.potential.modes[g]
+                    acc += coef[:, None, None] * fld[g]
+            if g in potential:
+                acc += potential[g]
             stack[comp, j, :, i, :] += acc
         solved = []
         for block, local in zip(stack, kvec.astype(float)):
             block = block.reshape(n_local * m, n_local * m)
-            _hermitian_part(block, 1e-10 * max(1.0, K))
             try:
                 if block.shape[0] >= _TRIDIAGONAL_ROWS and _lapack() is not None:
                     solved.append(_probe_spectrum(block, local, x_points))
@@ -783,13 +770,11 @@ MOMENT_SPACING = 0.25
 # Rows per block of the moment grid's cos(nu t): 512 x 6001 doubles is 25 MB.
 # Eigenvalues per block of the counting's tables: 77 x 1024 complex is 1.3 MB.
 # Bytes per stack of equal-size Galerkin blocks (one block if it is larger).
-# Bytes per row panel of a block's symmetrisation: a 162-row block is one.
 # Step values per block of the bump integral: 256 x 80 doubles is 164 kB.
 # Rows from which a Galerkin block is tridiagonalised instead of eigh-solved.
 _TRANSFORM_ROWS = 512
 _EIGEN_BLOCK = 1024
 _STACK_BYTES = 1 << 20
-_PANEL_BYTES = 1 << 20
 _STEP_ROWS = 256
 _TRIDIAGONAL_ROWS = 128
 

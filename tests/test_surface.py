@@ -79,3 +79,27 @@ def test_benchmark_references_match_the_direct_route():
     assert proc.returncode == 0, proc.stderr
     refs, direct = json.loads(proc.stdout)
     assert refs == direct
+
+
+# imported only so that perfbench/inproc.py can wrap them in the module
+BENCHMARK_HOOKS = {("coefficients.py", "eigen_jet"), ("resolvent.py", "eigen_jet")}
+
+
+def test_every_import_is_used():
+    # a name a module imports must be read in that module, listed in its
+    # __all__ (the package's re-exports) or be a documented benchmark hook
+    unused = []
+    for path in sorted((ROOT / "src" / "weylsys").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = "weylsys" if path.stem == "__init__" else f"weylsys.{path.stem}"
+        used.update(getattr(importlib.import_module(module), "__all__", ()))
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)
+                   if (path.name, name) not in BENCHMARK_HOOKS]
+    assert unused == []

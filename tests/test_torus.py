@@ -106,6 +106,22 @@ def test_trig_field_rejects_non_finite_modes(bad):
     with pytest.raises(ValueError, match="non-finite"):
         TrigMatrixField(2, {(1, 0): mat, (-1, 0): mat.conj().T})
 
+
+@pytest.mark.parametrize("bad", [0.5, 1.0 + 1e-9, math.nan, math.inf])
+def test_trig_field_rejects_non_integer_wavevectors(bad):
+    # int() would truncate: (0.5, 0) and (-0.5, 0) became the constant mode 2A,
+    # and cos((0.5, 0) . x) A the constant A
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="not an integer"):
+        TrigMatrixField(2, {(bad, 0): a, (-bad, 0): a})
+    with pytest.raises(ValueError, match="not an integer"):
+        TrigMatrixField.from_waves(2, [("cos", (0, bad), a)])
+    # integral floats and numpy integers are integer wavevectors
+    fld = TrigMatrixField.from_waves(2, [("cos", (1.0, np.int64(2)), a)])
+    assert sorted(fld.modes) == [(-1, -2), (1, 2)]
+    assert all(type(c) is int for g in fld.modes for c in g)
+
+
 def test_catalog_contents():
     assert catalog_names() == ["dirac", "mass-dirac", "shifted-dirac", "twisted"]
 
@@ -179,8 +195,8 @@ def test_stacked_registration_matches_scalar_loop(name, params):
 
 
 def test_registration_rejects_non_hermitian_symbol():
-    # break the coefficient symmetry after construction, so the sampled
-    # symbol itself fails the Hermiticity rule
+    # break the coefficient symmetry after construction, so registration's
+    # own pass of the field's modes through the Hermiticity rule fails
     skewed = TrigMatrixField.constant(np.array([[0.0, 1.0], [1.0, 0.0]]))
     skewed.modes[(0, 0)] = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]], dtype=complex)
     model = TorusModel(
@@ -377,32 +393,14 @@ def test_general_couplings_block_structure():
 )
 def test_chunked_solve_is_exact(make_model, K, rows, monkeypatch):
     # 33 twisted blocks of 66 rows, 289 dirac blocks of 2 rows, one x2-coupled
-    # block of 578 rows: stacks of one block, then of two with a partial last;
-    # then symmetrised in panels of one row and of at most 64 kB
+    # block of 578 rows: stacks of one block, then of two with a partial last
     model = make_model()
     whole = assemble_and_solve(model, K, ORACLE_POINTS)
-    for name, size in [("_STACK_BYTES", 1), ("_STACK_BYTES", 2 * 16 * rows ** 2),
-                       ("_PANEL_BYTES", 1), ("_PANEL_BYTES", 1 << 16)]:
-        monkeypatch.setattr(torus, name, size)
+    for size in (1, 2 * 16 * rows ** 2):
+        monkeypatch.setattr(torus, "_STACK_BYTES", size)
         spec = assemble_and_solve(model, K, ORACLE_POINTS)
         assert np.array_equal(spec.eigenvalues, whole.eigenvalues)
         assert np.array_equal(spec.weights, whole.weights)
-
-
-def test_symmetrisation_keeps_the_bits(rng):
-    # (A + A^H) 0.5 in panels is the full-block expression, bit for bit, and
-    # the defect is max |A - A^H|
-    a = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
-    want = (a + a.conj().T) * 0.5
-    for panel_bytes in (1, 1 << 12, 1 << 20):
-        got = a.copy()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(torus, "_PANEL_BYTES", panel_bytes)
-            torus._hermitian_part(got, np.inf)
-            with pytest.raises(NotHermitian) as info:
-                torus._hermitian_part(a.copy(), 1.0)
-        assert np.array_equal(got, want)
-        assert str(info.value).endswith(f"{np.max(np.abs(a - a.conj().T)):.3e}")
 
 
 def test_solve_memory_is_bounded(twisted_model):
@@ -416,27 +414,83 @@ def test_solve_memory_is_bounded(twisted_model):
     assert peak < 6e6
 
 
-def test_one_block_solve_holds_one_and_a_half_blocks(monkeypatch):
+def test_one_block_solve_holds_one_and_a_half_blocks():
     # the x2-coupled model at K = 8 is one 578-row block of 5.3 MB: it is
-    # symmetrised in panels, and dstedc works in its spent storage, so the
+    # Hermitian as filled, and dstedc works in its spent storage, so the
     # peak is the block and dstedc's eigenvector matrix of half a block
     require_lapack()
     model, block = x2_coupled_twisted(), 16 * 578 ** 2
     tracemalloc.start()
     try:
-        spec = assemble_and_solve(model, 8, ORACLE_POINTS)
+        assemble_and_solve(model, 8, ORACLE_POINTS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1.7 * block
 
-    def whole_block(block, tolerance):
-        block[...] = (block + block.conj().T) * 0.5
 
-    monkeypatch.setattr(torus, "_hermitian_part", whole_block)
-    want = assemble_and_solve(model, 8, ORACLE_POINTS)
-    assert np.array_equal(spec.eigenvalues, want.eigenvalues)
-    assert np.array_equal(spec.weights, want.weights)
+def near_pair_twisted():
+    """Twisted with a2's (1, 0) mode off its partner's adjoint by 1e-13,
+    inside the Hermiticity rule's 1e-12."""
+    twisted = build_model("twisted", {"eps": 0.1})
+    a1, a2 = twisted.coefficients
+    modes = dict(a2.modes)
+    modes[(1, 0)] = modes[(1, 0)] + 1e-13 * np.array([[1.0, 2.0j], [0.5, -1.0j]])
+    return TorusModel("twisted-near-pair", {}, (a1, TrigMatrixField(2, modes)),
+                      twisted.potential)
+
+
+@pytest.mark.parametrize(
+    "make_model, K, route",
+    [(lambda: build_model("twisted"), 16, "default"),
+     (lambda: build_model("twisted"), 40, "default"),
+     (lambda: build_model("twisted"), 40, "fallback"),
+     (lambda: build_model("dirac"), 8, "default"),
+     (x2_coupled_twisted, 8, "default"),
+     (near_pair_twisted, 16, "default")],
+    ids=["twisted-16", "twisted-40-tridiagonal", "twisted-40-fallback", "dirac-8",
+         "twisted-x2-8", "twisted-near-pair-16"],
+)
+def test_blocks_are_hermitian_as_filled(make_model, K, route, monkeypatch):
+    # every block reaches its solver exactly equal to its conjugate
+    # transpose, with no symmetrisation between the scatter and the solve
+    model = make_model()
+    if route == "fallback":
+        monkeypatch.setattr(torus, "_lapack", lambda: None)
+    eigh, probe_spectrum, seen = np.linalg.eigh, torus._probe_spectrum, []
+
+    def spy(solver):
+        def entry(block, *args, **kwargs):
+            seen.append((block.shape[0], np.array_equal(block, block.conj().T)))
+            return solver(block, *args, **kwargs)
+        return entry
+
+    monkeypatch.setattr(np.linalg, "eigh", spy(eigh))
+    monkeypatch.setattr(torus, "_probe_spectrum", spy(probe_spectrum))
+    spec = assemble_and_solve(model, K, ORACLE_POINTS)
+    assert sum(rows for rows, _ in seen) == spec.eigenvalues.size
+    assert all(exact for _, exact in seen)
+
+
+def test_stored_mode_pairs_are_exact(monkeypatch):
+    # a pair 1e-13 apart is stored exactly conjugate; the catalog's pairs
+    # already are, so every pass through the rule returns its input's bits
+    a2 = near_pair_twisted().coefficients[1]
+    assert np.array_equal(a2.modes[(-1, 0)], a2.modes[(1, 0)].conj().T)
+    rule, calls = torus._hermitian_modes, []
+
+    def recorded(modes):
+        out = rule(modes)
+        calls.append((modes, out))
+        return out
+
+    monkeypatch.setattr(torus, "_hermitian_modes", recorded)
+    for name in catalog_names():
+        assemble_and_solve(build_model(name), 8, NO_POINTS)
+    assert len(calls) == 4 * 3 + 4 * 2 + 4 * 3  # built, registered, assembled
+    for modes, out in calls:
+        assert list(out) == list(modes)
+        assert all(np.array_equal(out[g], modes[g]) for g in modes)
 
 
 def test_one_block_hermiticity_failure_is_typed():
@@ -549,11 +603,16 @@ def twisted_reference(K):
     return ref.eigenvalues, reference_weights(ref, ORACLE_POINTS)
 
 
-@pytest.mark.parametrize("route", ["tridiagonal", "fallback"])
-@pytest.mark.parametrize("K", [32, 40])
-def test_large_blocks_match_reference(twisted_model, K, route, monkeypatch):
+@pytest.mark.parametrize(
+    "K, route, x_points",
+    [pytest.param(K, route, points, id=f"{K}-{route}{suffix}")
+     for points, suffix in ((ORACLE_POINTS, ""), (NO_POINTS, "-no-points"))
+     for K in (32, 40) for route in ("tridiagonal", "fallback")],
+)
+def test_large_blocks_match_reference(twisted_model, K, route, x_points, monkeypatch):
     # 2K + 1 twisted blocks of 2 (2K + 1) rows: 130 at K = 32, 162 at K = 40,
-    # all past the cut; the fallback is what runs without the LAPACK lookup
+    # all past the cut; the fallback is what runs without the LAPACK lookup.
+    # With no points zunmtr rotates zero probe columns: eigenvalues only
     if route == "tridiagonal":
         require_lapack()
     else:
@@ -565,11 +624,13 @@ def test_large_blocks_match_reference(twisted_model, K, route, monkeypatch):
         return probe_spectrum(*args)
 
     monkeypatch.setattr(torus, "_probe_spectrum", counted)
-    spec = assemble_and_solve(twisted_model, K, ORACLE_POINTS)
+    spec = assemble_and_solve(twisted_model, K, x_points)
     want = [2 * (2 * K + 1)] * (2 * K + 1) if route == "tridiagonal" else []
     assert sorted(calls) == want
     eigenvalues, weights = twisted_reference(K)
     assert np.array_equal(spec.eigenvalues, eigenvalues)
+    weights = weights[:, :x_points.shape[0]]  # (n, 0) without points
+    assert spec.weights.shape == weights.shape
     np.testing.assert_allclose(spec.weights, weights, rtol=0.0, atol=1e-12)
 
 
