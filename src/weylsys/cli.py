@@ -2,9 +2,8 @@
 
 Subcommands: ``compute`` (run a pipeline and write CSV reports),
 ``verify`` (run pipelines and compare against tolerances; nonzero exit on
-failure), ``resolvent`` (shorthand for the recovery pipeline), ``gn-check``
-(kernel moment table: closed forms vs quadrature) and ``models`` (list the
-catalog).
+failure), ``gn-check`` (kernel moment table: closed forms vs quadrature)
+and ``models`` (list the catalog).
 
 Configuration is line-oriented ``key = value`` with dotted section prefixes
 (grammar in the README); command line flags override file values.  Output
@@ -12,8 +11,8 @@ files are written atomically (write-then-rename) with a comment line
 carrying the configuration hash, so identical configurations produce
 byte-identical files.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 tolerance failure in verification mode.
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical
+failure, 3 tolerance failure in verification mode.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from .torus import (
     local_counting_mollified,
 )
 
-PIPELINES = ("direct", "resolvent", "spectral", "all", "gn-check")
+PIPELINES = ("direct", "resolvent", "spectral", "all")
 
 _MODEL_PARAM_KEYS = sorted({p for params in MODEL_PARAMETERS.values() for p in params})
 
@@ -386,6 +385,7 @@ def run_spectral(cfg: RunConfig, model: TorusModel) -> tuple:
     spectrum = assemble_and_solve(model, cfg.truncation, cfg.x_points, cfg.budget)
     mu_lo, mu_hi = cfg.fit_window()
     mu = np.arange(mu_lo, mu_hi + cfg.grid_step / 2, cfg.grid_step)
+    mu = mu[mu <= mu_hi]  # the last step may pass the window's edge
     rows = []
     summary = []
     fits = []
@@ -485,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, doc in (
         ("compute", "run a pipeline and write CSV reports"),
         ("verify", "run cross-pipeline checks; exit 3 on tolerance failure"),
-        ("resolvent", "recovery pipeline only"),
         ("gn-check", "kernel moment table: closed forms vs quadrature"),
     ):
         p = sub.add_parser(name, help=doc)
@@ -524,8 +523,10 @@ def config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 after -h
+        return 1 if exc.code else 0
     if args.command == "models":
         for name in catalog_names():
             print(name)
@@ -537,16 +538,12 @@ def main(argv=None) -> int:
         return 1
     try:
         summary: list = []
-        needs_model = args.command in ("verify", "resolvent") or (
-            args.command == "compute" and cfg.pipeline != "gn-check"
-        )
-        # one registration per invocation, shared by every pipeline it runs
-        model = build_model(cfg.model, cfg.model_params) if needs_model else None
+        model = None
+        if args.command != "gn-check":
+            # one registration per invocation, shared by every pipeline it runs
+            model = build_model(cfg.model, cfg.model_params)
         if args.command == "verify":
             summary.extend(run_verify(cfg, model))
-        elif args.command == "resolvent":
-            lines, _, _ = run_resolvent(cfg, model)
-            summary.extend(lines)
         elif args.command == "gn-check":
             lines, _ = run_gn_check(cfg)
             summary.extend(lines)
@@ -562,9 +559,6 @@ def main(argv=None) -> int:
             summary.extend(recovery_lines)
             if pipeline in ("spectral", "all"):
                 lines, _ = run_spectral(cfg, model)
-                summary.extend(lines)
-            if pipeline == "gn-check":
-                lines, _ = run_gn_check(cfg)
                 summary.extend(lines)
     except ToleranceFailure as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)

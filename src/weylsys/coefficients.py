@@ -97,12 +97,11 @@ def sheet_terms_at(
     nextorder: Optional[SymbolField],
     p: PhasePoint,
     step: float = DEFAULT_STEP,
-    simplicity_tol: Optional[float] = None,
 ) -> tuple[EigenJet, list[SheetTerms]]:
     """Eigen-jet plus the per-sheet projection-form integrand terms at one
     point: the panel's computation at a single node."""
     jets, _, _, sub, bracket, curvature = _node_terms(
-        leading, nextorder, p.x, p.xi[None], step, simplicity_tol
+        leading, nextorder, p.x, p.xi[None], step
     )
     out = [
         SheetTerms(
@@ -183,7 +182,6 @@ def _node_terms(
     x: np.ndarray,
     xi: np.ndarray,
     step: float,
-    simplicity_tol: Optional[float],
 ) -> tuple:
     """Eigen-jets and projection-form integrands at x and every row of xi.
 
@@ -195,7 +193,7 @@ def _node_terms(
     if leading.degree != 1:
         raise ValueError("eigen jets are defined for degree-1 leading symbols")
     values, dx, dxi = symbol_jets(leading, x, xi, step)
-    jets = eigen_jet_stack(values, dx, dxi, simplicity_tol)
+    jets = eigen_jet_stack(values, dx, dxi)
     m = leading.dim
     if nextorder is not None:
         a_next = nextorder.values(x, xi)
@@ -214,14 +212,13 @@ class CospherePanel:
 
     Evaluates each symbol field once for all nodes, takes one stacked
     eigen-jet of the leading symbol and keeps the projection-form
-    integrands as (N, m) arrays.  Without an explicit ``simplicity_tol``
-    the threshold is relative to the largest eigenvalue magnitude over all
-    nodes, from the same eigensolve: a per-matrix relative threshold would
-    let a uniformly tiny (hence degenerate) symbol through.  Every node
-    must pass the Hermiticity, ellipticity and gap rules, and the sheet
-    signature must be the same at every node.  Quadrature sums run through
-    numpy's pairwise reduction in a fixed node order, so results are
-    reproducible bit-for-bit for a given configuration.
+    integrands as (N, m) arrays.  Every node must pass the Hermiticity,
+    ellipticity and gap rules, whose one threshold is relative to the
+    largest eigenvalue magnitude over all nodes (a per-matrix threshold
+    would let a uniformly tiny, hence degenerate, symbol through), and the
+    sheet signature must be the same at every node.  Quadrature sums run
+    through numpy's pairwise reduction in a fixed node order, so results
+    are reproducible bit-for-bit for a given configuration.
 
     ``branch=-1`` in the methods below reads the sign-flipped operator off
     the same panel (see the module docstring).
@@ -234,7 +231,6 @@ class CospherePanel:
         x: np.ndarray,
         quad: CosphereQuadrature,
         step: float = DEFAULT_STEP,
-        simplicity_tol: Optional[float] = None,
     ):
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
@@ -247,7 +243,7 @@ class CospherePanel:
         self.weights = weights
         (self.jets, self.a_next, self.middle,
          self.sub, self.bracket, self.curvature) = _node_terms(
-            leading, nextorder, x, omega, step, simplicity_tol
+            leading, nextorder, x, omega, step
         )
         self.sheets = self.jets.sheets[0]
         if np.any(self.jets.sheets != self.sheets):
@@ -350,12 +346,11 @@ def first_weyl(
     leading: SymbolField,
     x: np.ndarray,
     quad: CosphereQuadrature = CosphereQuadrature(),
-    simplicity_tol: Optional[float] = None,
 ) -> float:
     """Leading local coefficient density: n (2 pi)^-n sum of positive-sheet
     region volumes.  Returns 0 when the leading symbol has no positive
     eigenvalues."""
-    panel = CospherePanel(leading, None, x, quad, simplicity_tol=simplicity_tol)
+    panel = CospherePanel(leading, None, x, quad)
     return panel.first_coefficient()
 
 
@@ -365,14 +360,13 @@ def second_weyl(
     x: np.ndarray,
     quad: CosphereQuadrature = CosphereQuadrature(),
     step: float = DEFAULT_STEP,
-    simplicity_tol: Optional[float] = None,
 ) -> SecondWeylResult:
     """Second local coefficient density with per-term breakdown.
 
     Sums the subprincipal, bracket and curvature terms, in their gauge-free
     projection forms, over positive sheets.
     """
-    panel = CospherePanel(leading, nextorder, x, quad, step, simplicity_tol)
+    panel = CospherePanel(leading, nextorder, x, quad, step)
     return panel.second_coefficient()
 
 
@@ -382,11 +376,10 @@ def weyl_coefficients(
     x: np.ndarray,
     quad: CosphereQuadrature = CosphereQuadrature(),
     step: float = DEFAULT_STEP,
-    simplicity_tol: Optional[float] = None,
 ) -> WeylCoefficients:
     """Both branches of the first and second coefficient densities at x.
 
     One panel serves both: the minus branch is the plus-branch formulas
     applied to the sign-flipped symbol pair, read off the negative sheets.
     """
-    return CospherePanel(leading, nextorder, x, quad, step, simplicity_tol).coefficients()
+    return CospherePanel(leading, nextorder, x, quad, step).coefficients()

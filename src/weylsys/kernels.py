@@ -81,6 +81,10 @@ _MAX_INTERVALS = 400
 # Agreement of the two rules counts as converged below this multiple of
 # the integral of |f| (QUADPACK's roundoff floor, 50 machine epsilons).
 _ROUNDOFF = 50.0 * np.finfo(float).eps
+# The numeric moment's cutoff R / |z|, relative accuracy and tail length.
+_CUTOFF_FACTOR = 50.0
+_REL_TOL = 1e-10
+_TAIL_TERMS = 40
 
 
 @lru_cache(maxsize=None)
@@ -126,17 +130,10 @@ def _adaptive_gauss(f, breakpoints, abs_tol: float, rel_tol: float) -> tuple:
     return value, error
 
 
-def kernel_moment_numeric(
-    n: int,
-    z: complex,
-    power: int,
-    cutoff_factor: float = 50.0,
-    tail_terms: int = 40,
-    rel_tol: float = 1e-10,
-) -> complex:
+def kernel_moment_numeric(n: int, z: complex, power: int) -> complex:
     """Numeric moment integral: adaptive quadrature on [0, R] + analytic tail.
 
-    R = cutoff_factor * |z|, with breakpoints at |z| and 2|z|.  The tail
+    R = ``_CUTOFF_FACTOR`` |z|, with breakpoints at |z| and 2|z|.  The tail
     uses the large-mu expansion of the kernel; each term integrates in
     closed form.  Raises :class:`QuadratureFailure` if the adaptive rule
     reports a large error or runs out of intervals.
@@ -146,20 +143,20 @@ def kernel_moment_numeric(
         raise RealSpectralParameter("moment undefined for real spectral parameter")
     if power not in (n, n - 1):
         raise ValueError(f"power must be n or n-1, got {power} with n={n}")
-    radius = cutoff_factor * abs(z)
+    radius = _CUTOFF_FACTOR * abs(z)
 
     def integrand(mu: np.ndarray) -> np.ndarray:
         return power_difference_kernel(mu, z, n).imag * mu ** power
 
     val, err = _adaptive_gauss(
-        integrand, (0.0, abs(z), 2 * abs(z), radius), 1e-12, rel_tol
+        integrand, (0.0, abs(z), 2 * abs(z), radius), 1e-12, _REL_TOL
     )
     if err > 1e-6 * max(1.0, abs(val)):
         raise QuadratureFailure(f"kernel moment error estimate {err:.2e} too large")
     # Tail: sum_k a_k int_R^inf mu^(power-n-k) dmu; exponent power-n-k <= -2
     # for k >= 2 (the k = 0, 1 coefficients vanish identically).
     tail = 0.0 + 0.0j
-    for k, a_k in enumerate(_tail_coefficients(z, n, tail_terms)):
+    for k, a_k in enumerate(_tail_coefficients(z, n, _TAIL_TERMS)):
         expo = power - n - k
         if expo >= -1:
             if a_k != 0:

@@ -48,7 +48,7 @@ from .errors import (
 
 HERMITICITY_TOL = 1e-10
 DEFAULT_STEP = 1e-3
-DEFAULT_SIMPLICITY_FACTOR = 1e-6
+SIMPLICITY_FACTOR = 1e-6
 
 # Five-point central first-derivative stencil at offsets (-2h,-h,+h,+2h).
 _OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
@@ -141,8 +141,8 @@ class SymbolField:
 
         neg_jet = None
         if jet is not None:
-            def neg_jet(x, xi, _j=jet):
-                return tuple(-np.asarray(a) for a in _j(x, xi))
+            def neg_jet(x, xi):
+                return tuple(-np.asarray(a) for a in jet(x, xi))
 
         return SymbolField(self.dim, self.degree, neg_ev, neg_jet)
 
@@ -164,18 +164,21 @@ class MatrixJet:
         return self.dx.shape[0]
 
 
-def require_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate Hermiticity to ``tol`` and return the symmetrised matrix.
+def require_hermitian(matrix: np.ndarray) -> np.ndarray:
+    """Validate Hermiticity and return the symmetrised matrix.
 
     Takes one matrix or a stack (..., m, m); the rule
-    ``defect <= tol * max(1, max |A|)`` applies to each matrix on its own.
+    ``defect <= HERMITICITY_TOL * max(1, max |A|)`` applies to each matrix
+    on its own.
     """
     matrix = np.asarray(matrix, dtype=complex)
     adjoint = matrix.conj().swapaxes(-1, -2)
     defect = np.max(np.abs(matrix - adjoint), axis=(-2, -1))
     scale = np.maximum(1.0, np.max(np.abs(matrix), axis=(-2, -1)))
-    if np.any(defect > tol * scale):
-        raise NotHermitian(f"Hermiticity defect {np.max(defect):.3e} exceeds {tol:.1e}")
+    if np.any(defect > HERMITICITY_TOL * scale):
+        raise NotHermitian(
+            f"Hermiticity defect {np.max(defect):.3e} exceeds {HERMITICITY_TOL:.1e}"
+        )
     return 0.5 * (matrix + adjoint)
 
 
@@ -223,41 +226,33 @@ def sheet_labels(values: np.ndarray) -> np.ndarray:
     return np.where(idx < m_minus, idx - m_minus, idx - m_minus + 1)
 
 
-def _decompose_stack(
-    matrices: np.ndarray,
-    simplicity_tol: Optional[float],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _decompose_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One stacked eigensolve of (N, m, m) matrices with the per-matrix rules.
 
     Returns ascending eigenvalues (N, m), phase-fixed column eigenvectors
-    (N, m, m) and each matrix's smallest adjacent gap (N,).  Without an
-    explicit ``simplicity_tol`` the threshold is relative to the largest
-    eigenvalue magnitude over the whole stack.
+    (N, m, m) and each matrix's smallest adjacent gap (N,).  Every
+    |eigenvalue| and every adjacent gap must reach the threshold
+    ``SIMPLICITY_FACTOR`` times the largest |eigenvalue| of the whole stack.
     """
     values, vectors = np.linalg.eigh(require_hermitian(matrices))
-    if simplicity_tol is None:
-        radius = float(np.max(np.abs(values)))
-        simplicity_tol = DEFAULT_SIMPLICITY_FACTOR * max(radius, 1e-300)
+    radius = float(np.max(np.abs(values)))
+    threshold = SIMPLICITY_FACTOR * max(radius, 1e-300)
     smallest = float(np.min(np.abs(values)))
-    if smallest < simplicity_tol:
+    if smallest < threshold:
         raise NotElliptic(
-            f"eigenvalue of magnitude {smallest:.3e} below "
-            f"threshold {simplicity_tol:.3e}"
+            f"eigenvalue of magnitude {smallest:.3e} below threshold {threshold:.3e}"
         )
     diffs = np.diff(values, axis=-1)
     gaps = np.min(diffs, axis=-1) if diffs.shape[-1] else np.full(len(values), np.inf)
-    if np.min(gaps) < simplicity_tol:
+    if np.min(gaps) < threshold:
         raise DegenerateSpectrum(
             f"adjacent eigenvalue gap {np.min(gaps):.3e} below threshold "
-            f"{simplicity_tol:.3e}"
+            f"{threshold:.3e}"
         )
     return values, _fix_phase(vectors), gaps
 
 
-def eigen_decompose(
-    matrix: np.ndarray,
-    simplicity_tol: Optional[float] = None,
-) -> EigenSystem:
+def eigen_decompose(matrix: np.ndarray) -> EigenSystem:
     """Eigen-decompose a Hermitian matrix with ellipticity/simplicity checks.
 
     Eigenvalues come out in increasing order.  Negative ones receive sheet
@@ -265,7 +260,7 @@ def eigen_decompose(
     :class:`NotHermitian`, :class:`NotElliptic` or
     :class:`DegenerateSpectrum` when the respective precondition fails.
     """
-    values, vectors, gaps = _decompose_stack(np.asarray(matrix)[None], simplicity_tol)
+    values, vectors, gaps = _decompose_stack(np.asarray(matrix)[None])
     values, vectors = values[0], vectors[0]
     projections = np.einsum("ik,jk->kij", vectors, vectors.conj())
     return EigenSystem(values, sheet_labels(values), vectors, projections, float(gaps[0]))
@@ -431,21 +426,17 @@ def eigen_jet_stack(
     values: np.ndarray,
     dx: np.ndarray,
     dxi: np.ndarray,
-    simplicity_tol: Optional[float] = None,
 ) -> EigenJetStack:
     """Exact eigen-jets of a stack of symbol jets by first-order perturbation.
 
     ``values`` (N, m, m) are the symbol matrices, ``dx`` and ``dxi``
-    (N, n, m, m) their Hermitian derivative matrices.  One stacked
-    eigensolve, then for every point, direction and sheet k
-    dh_k = v_k* dA v_k, dv_k = sum_{j != k} v_j (v_j* dA v_k)/(h_k - h_j)
-    and dP_k = dv_k v_k* + v_k dv_k*.  Every matrix must pass the
-    Hermiticity, ellipticity and simplicity rules of
-    :func:`eigen_decompose` (the threshold is relative to the whole stack
-    unless given), else the matching :class:`WeylError` is raised: a small
-    gap would blow up the 1/(h_k - h_j) factors.
+    (N, n, m, m) their Hermitian derivative matrices: one stacked
+    eigensolve, then the module docstring's formulas for every point,
+    direction and sheet.  The stack must pass the rules of
+    :func:`_decompose_stack`, else the matching :class:`WeylError` is
+    raised: a small gap would blow up the 1/(h_k - h_j) factors.
     """
-    h, vecs, gaps = _decompose_stack(values, simplicity_tol)
+    h, vecs, gaps = _decompose_stack(values)
     n = dx.shape[1]
     m = h.shape[-1]
     d_a = np.concatenate([dx, dxi], axis=1)  # x directions, then xi
@@ -480,7 +471,6 @@ def eigen_jet(
     field: SymbolField,
     p: PhasePoint,
     step: float = DEFAULT_STEP,
-    simplicity_tol: Optional[float] = None,
 ) -> EigenJet:
     """Eigen-decomposition with exact first derivatives at one point.
 
@@ -490,6 +480,6 @@ def eigen_jet(
     """
     if field.degree != 1:
         raise ValueError("eigen jets are defined for degree-1 leading symbols")
-    stack = eigen_jet_stack(*symbol_jets(field, p.x, p.xi[None], step), simplicity_tol)
+    stack = eigen_jet_stack(*symbol_jets(field, p.x, p.xi[None], step))
     return stack.at(0, p, step)
 

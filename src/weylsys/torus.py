@@ -8,18 +8,18 @@ the modes (:func:`_hermitian_modes`), and each block is then Hermitian as
 filled, bit for bit.  The mode-coupling graph splits into connected
 components (constant-coefficient models decouple mode by mode), found by
 vectorised min-label propagation.  Components of equal size are filled in
-stacks of at most 1 MiB of blocks (a larger block alone): thousands of tiny
-blocks still share one vectorised scatter, while the stack no longer grows
-like K^3, as one stack of every block did.  A block of 128 rows or more is
-reduced to real tridiagonal form by LAPACK, and only the n_x m probe vectors
-e^(i k.x) (x) e_c are rotated into that basis: the weights |phi(x)|^2 are the
-spectral measures of the probes, so no eigenvector matrix is formed.  A
-smaller block, or any block when numpy's OpenBLAS exports no ILP64 LAPACK,
-goes through a dense Hermitian eigensolver whose eigenvectors become
-weights at once; both give the same eigenvalues.  The stacks are solved
-side by side on worker threads that each use one BLAS thread, as a threaded
-eigensolve of a block of a few hundred rows gains nothing from a second
-core.  The merged spectrum is trusted up to 0.6 times the truncation.
+stacks of at most 1 MiB of blocks (a larger block alone), so thousands of
+tiny blocks share one vectorised scatter in bounded memory.  A block of 128
+rows or more is reduced to real tridiagonal form by LAPACK, and only the
+n_x m probe vectors e^(i k.x) (x) e_c are rotated into that basis: the
+weights |phi(x)|^2 are the spectral measures of the probes, so no
+eigenvector matrix is formed.  A smaller block, or any block when numpy's
+OpenBLAS exports no ILP64 LAPACK, goes through a dense Hermitian
+eigensolver whose eigenvectors become weights at once; both give the same
+eigenvalues.  The stacks are solved side by side on worker threads that
+each use one BLAS thread, as a threaded eigensolve of a block of a few
+hundred rows gains nothing from a second core.  The merged spectrum is
+trusted up to 0.6 times the truncation.
 
 The smoothed local counting derivative convolves the pointwise eigenfunction
 weights with a compactly band-limited mollifier (plateau transform, built
@@ -29,7 +29,8 @@ only at the band's trapezoid nodes, so the counting is an exact transform
 of the band, by angle addition over the nodes, and no eigenvalue is paired
 with a grid point.  The mollifier itself is evaluated by the same band sum.
 A least-squares fit over a trusted window extracts the two leading growth
-coefficients, with optional next-order and spectral-bottom nuisance columns.
+coefficients, with a next-order column and, when the mollifier's shape
+decays across the window, two spectral-bottom columns.
 """
 
 from __future__ import annotations
@@ -893,11 +894,11 @@ class Mollifier:
         }
         return abs(float(np.dot(stencils[m], rb))) / h ** m
 
-    def decay_constant(self, p: int = 4, nu_min: float = 20.0) -> float:
-        """sup |rho(nu)| (1 + |nu|)^p over the sampled range beyond nu_min."""
-        mask = np.abs(self.grid) >= nu_min
+    def decay_constant(self) -> float:
+        """sup |rho(nu)| (1 + |nu|)^4 over the sampled range |nu| >= 20."""
+        mask = np.abs(self.grid) >= 20.0
         return float(np.max(np.abs(self.samples[mask])
-                            * (1.0 + np.abs(self.grid[mask])) ** p))
+                            * (1.0 + np.abs(self.grid[mask])) ** 4))
 
 
 def build_mollifier(support: float, moment_max: float = 2500.0) -> Mollifier:
@@ -1057,13 +1058,12 @@ def fit_weyl(
     n: int,
     window: tuple,
     mollifier: Optional[Mollifier] = None,
-    nuisance: bool = True,
 ) -> WeylFit:
     """Least-squares fit of the two-term growth law to counting samples.
 
-    Basis: mu^(n-1), mu^(n-2), optionally mu^(n-3) (next asymptotic order)
-    and, when a mollifier is given and its shape decays across the window,
-    two spectral-bottom columns rho(mu), rho(mu - 1) absorbing the exactly
+    Basis: mu^(n-1), mu^(n-2), mu^(n-3) (next asymptotic order) and, when
+    a mollifier is given and its shape decays across the window, two
+    spectral-bottom columns rho(mu), rho(mu - 1) absorbing the exactly
     known low-spectrum contamination.  Returns coefficients with their
     least-squares standard errors and the RMS residual.  Raises
     :class:`IllConditionedFit` when fewer than 8 samples lie in the window
@@ -1086,11 +1086,8 @@ def fit_weyl(
     upper = mu > mu_lo + 0.4 * (mu_hi - mu_lo)
     if not np.any(upper):
         raise IllConditionedFit("no sample in the upper 60% of the fit window")
-    cols = [mu ** (n - 1), mu ** (n - 2)]
-    names = ["leading", "second"]
-    if nuisance:
-        cols.append(mu ** (n - 3))
-        names.append("next-order")
+    cols = [mu ** (n - 1), mu ** (n - 2), mu ** (n - 3)]
+    names = ["leading", "second", "next-order"]
     if mollifier is not None:
         # rho(mu) and rho(mu - 1) from one set of exponential tables, as
         # e^(i (mu - 1) t) = e^(i mu t) e^(-i t)

@@ -265,6 +265,41 @@ def test_one_panel_per_base_point(tmp_path, monkeypatch):
     assert body.split(b"\n", 1)[1] == direct.split(b"\n", 1)[1]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["compute", "--bogus"],
+        ["compute", "-k", "abc"],
+        [],
+        ["resolvent", "--model", "twisted"],
+        ["compute", "--pipeline", "gn-check"],
+        ["compute", "--set", "pipeline=gn-check"],
+    ],
+)
+def test_usage_errors_exit_one(args, tmp_path, monkeypatch, capsys):
+    # exit 2 is kept for numerical failures
+    monkeypatch.chdir(tmp_path)  # the default output directory
+    assert run_cli(args) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_zero(capsys):
+    assert run_cli(["compute", "-h"]) == 0
+    assert "--pipeline" in capsys.readouterr().out
+
+
+def test_spectral_grid_ends_inside_its_window(tmp_path):
+    # the window width 11.2 is no multiple of the step 0.25: the last grid
+    # step would pass the trusted edge 0.6 K = 14.4
+    assert run_cli(
+        ["compute", "--model", "twisted", "--pipeline", "spectral", "-k", "24",
+         "--out", str(tmp_path), "--set", "fit.grid_step=0.25",
+         "--set", "fit.mu_lo=3.2"]
+    ) == 0
+    assert len((tmp_path / "spectral_fit.csv").read_text().splitlines()) == 4
+
+
 def test_verify_twisted_passes(tmp_path, capsys):
     code = run_cli(
         ["verify", "--model", "twisted", "--eps", "0.1", "--out", str(tmp_path),

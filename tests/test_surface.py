@@ -103,3 +103,24 @@ def test_every_import_is_used():
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)
                    if (path.name, name) not in BENCHMARK_HOOKS]
     assert unused == []
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads is a setting that silently does nothing;
+    # only the catalog builders keep their uniform builder(params) signature,
+    # and a method's self is no setting (a cached_property may ignore it)
+    unread = []
+    for path in sorted((ROOT / "src" / "weylsys").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg)
+                      if p is not None and p.arg != "self"]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}: {node.name}({p})" for p in params
+                       if p not in read
+                       and not (node.name.startswith("_build_") and p == "params")]
+    assert unread == []

@@ -98,6 +98,35 @@ def test_near_zero_eigenvalue_raises():
         eigen_decompose(np.diag([1e-9, 1.0]))
 
 
+def test_simplicity_threshold_is_relative_to_the_stack():
+    # the one rule: |eigenvalue| and adjacent gap must reach 1e-6 times the
+    # largest |eigenvalue| of the whole stack
+    from weylsys import CosphereQuadrature
+    from weylsys.coefficients import CospherePanel
+
+    with pytest.raises(NotElliptic):
+        eigen_decompose(np.diag([0.9e-6, 1.0]))
+    with pytest.raises(DegenerateSpectrum):
+        eigen_decompose(np.diag([1.0, 1.0 + 0.9e-6]))
+    eigen_decompose(np.diag([1.1e-6, 1.0]))
+    eigen_decompose(np.diag([1.0, 1.0 + 1.1e-6]))
+
+    # every node but one is diag(2, 1) |xi|; that one is diag(small, 1), so
+    # its own largest |eigenvalue| is 1 and the panel's is 2
+    def panel(small):
+        def fn(x, xi):
+            bad = abs(xi[0] - 1.0) < 1e-12  # the node at angle 0 only
+            return np.diag([small if bad else 2.0, 1.0]) * np.linalg.norm(xi)
+
+        zero = np.zeros((2, 2, 2))
+        field = pointwise_field(2, 1, fn, lambda x, xi: (zero, zero))
+        return CospherePanel(field, None, np.zeros(2), CosphereQuadrature(n_angles=16))
+
+    with pytest.raises(NotElliptic):
+        panel(0.9e-6 * 2.0)
+    assert np.min(panel(1.1e-6 * 2.0).eta) == pytest.approx(2.2e-6)
+
+
 def test_non_hermitian_raises():
     with pytest.raises(NotHermitian):
         eigen_decompose(np.array([[0.0, 1.0], [0.0, 0.5]]))

@@ -785,7 +785,7 @@ def test_mollifier_contract(mollifier_t3):
     # rapid decay: the fourth-power-weighted envelope is finite and falls
     # hard across decades (decay strictly faster than the fourth power;
     # the far bin sits at the roundoff floor of the transform)
-    near = moll.decay_constant(p=4, nu_min=20.0)
+    near = moll.decay_constant()
     far_mask = np.abs(moll.grid) >= 600.0
     far = float(
         np.max(np.abs(moll.samples[far_mask])
@@ -1052,7 +1052,7 @@ def test_fit_recovers_exact_polynomial(mollifier_t3):
         x=np.zeros(2), mu=mu, values=values, branch="plus",
         mollifier_support=3.0, trusted_max=20.0,
     )
-    fit = fit_weyl(samples, 2, (3.0, 12.0), nuisance=False)
+    fit = fit_weyl(samples, 2, (3.0, 12.0))
     assert abs(fit.a_leading - 0.2) < 1e-12
     assert abs(fit.a_second - 0.05) < 1e-12
     assert fit.residual_rms < 1e-14
