@@ -12,12 +12,16 @@ carrying the configuration hash, so identical configurations produce
 byte-identical files.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical
-failure, 3 tolerance failure in verification mode.
+failure, 3 tolerance failure in verification mode.  A flag the command
+does not read (``--pipeline`` or ``-k`` on ``verify``, a model flag on
+``gn-check``) is a usage error.  ``python -m weylsys.cli`` and the
+``weylsys`` script both start in :func:`entry`.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import math
 import os
@@ -468,29 +472,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    compute = sub.add_parser("compute", help="run a pipeline and write CSV reports")
+    verify = sub.add_parser(
+        "verify", help="run cross-pipeline checks; exit 3 on tolerance failure")
+    gn_check = sub.add_parser(
+        "gn-check", help="kernel moment table: closed forms vs quadrature")
+    # each command takes only the flags it reads: verify reads no pipeline or
+    # truncation and gn-check no model, so such a flag is a usage error there
+    for p in (compute, verify, gn_check):
         p.add_argument("--config", help="path to a key = value configuration file")
         p.add_argument("--out", help="output directory for CSV reports")
-        p.add_argument("--model", help="catalog model name")
-        p.add_argument("--beta", type=float, help="shifted-dirac shift")
-        p.add_argument("--b", type=float, help="mass-dirac mass")
-        p.add_argument("--eps", type=float, help="twisted coupling strength")
-        p.add_argument("--pipeline", choices=PIPELINES)
-        p.add_argument("-k", "--truncation", type=int, help="Fourier truncation")
         p.add_argument(
             "--set", action="append", default=[], metavar="KEY=VALUE",
             help="override any configuration key",
         )
-
-    for name, doc in (
-        ("compute", "run a pipeline and write CSV reports"),
-        ("verify", "run cross-pipeline checks; exit 3 on tolerance failure"),
-        ("gn-check", "kernel moment table: closed forms vs quadrature"),
-    ):
-        p = sub.add_parser(name, help=doc)
-        common(p)
+    for p in (compute, verify):
+        p.add_argument("--model", help="catalog model name")
+        p.add_argument("--beta", type=float, help="shifted-dirac shift")
+        p.add_argument("--b", type=float, help="mass-dirac mass")
+        p.add_argument("--eps", type=float, help="twisted coupling strength")
+    compute.add_argument("--pipeline", choices=PIPELINES)
+    compute.add_argument("-k", "--truncation", type=int, help="Fourier truncation")
     sub.add_parser("models", help="list the model catalog")
     return parser
+
+
+# flag -> configuration key, for the flags a subcommand takes
+_FLAG_KEYS = {
+    "model": "model.name",
+    **{param: f"model.{param}" for param in _MODEL_PARAM_KEYS},
+    "pipeline": "pipeline",
+    "truncation": "truncation.k",
+    "out": "out",
+}
 
 
 def config_from_args(args) -> RunConfig:
@@ -502,18 +516,10 @@ def config_from_args(args) -> RunConfig:
                 settings.update(parse_config_lines(handle))
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-    if args.model:
-        settings["model.name"] = args.model
-    for key in _MODEL_PARAM_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            settings[f"model.{key}"] = str(val)
-    if args.pipeline:
-        settings["pipeline"] = args.pipeline
-    if args.truncation is not None:
-        settings["truncation.k"] = str(args.truncation)
-    if args.out:
-        settings["out"] = args.out
+    for flag, key in _FLAG_KEYS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            settings[key] = str(value)
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
@@ -576,5 +582,16 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry() -> int:
+    """Process entry of ``python -m weylsys.cli`` and the ``weylsys`` script.
+
+    Freezes the heap built by the imports, so the interpreter's collections,
+    its teardown ones included, no longer traverse it, and runs :func:`main`.
+    ``main`` itself never freezes: in-process callers keep normal collection.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

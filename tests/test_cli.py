@@ -1,5 +1,6 @@
 """Command line front end: config grammar, exit codes, CSV contracts."""
 
+import gc
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 from weylsys.cli import (
     RunConfig,
     apply_settings,
+    entry,
     main,
     parse_config_lines,
 )
@@ -164,7 +166,7 @@ def test_fit_window_rules_are_config_errors(args, reason, tmp_path, capsys):
     "args",
     [
         ["compute", "--pipeline", "direct", "-k", "8"],
-        ["verify", "--pipeline", "spectral", "-k", "8"],
+        ["verify", "--set", "pipeline=spectral", "--set", "truncation.k=8"],
     ],
 )
 def test_fit_window_rules_spare_runs_without_a_fit(args, tmp_path):
@@ -274,6 +276,12 @@ def test_one_panel_per_base_point(tmp_path, monkeypatch):
         ["resolvent", "--model", "twisted"],
         ["compute", "--pipeline", "gn-check"],
         ["compute", "--set", "pipeline=gn-check"],
+        # a flag the command does not read would change only config_sha256
+        ["verify", "-k", "40"],
+        ["verify", "--pipeline", "spectral"],
+        ["gn-check", "--model", "twisted"],
+        ["gn-check", "--eps", "0.5"],
+        ["gn-check", "-k", "40"],
     ],
 )
 def test_usage_errors_exit_one(args, tmp_path, monkeypatch, capsys):
@@ -282,6 +290,21 @@ def test_usage_errors_exit_one(args, tmp_path, monkeypatch, capsys):
     assert run_cli(args) == 1
     assert "Traceback" not in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_process_entry_freezes_the_heap_and_main_does_not(monkeypatch, capsys):
+    # the console script and `python -m weylsys.cli` start in entry()
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert 'weylsys = "weylsys.cli:entry"' in pyproject
+    frozen = gc.get_freeze_count()
+    assert main(["models"]) == 0
+    assert gc.get_freeze_count() == frozen
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append(True))
+    monkeypatch.setattr(sys, "argv", ["weylsys", "models"])
+    assert entry() == 0
+    assert calls == [True]
+    assert "twisted" in capsys.readouterr().out
 
 
 def test_help_exits_zero(capsys):

@@ -701,6 +701,26 @@ def test_start_up_runs_no_blas_lookup():
     assert report == {"lookups": [0, 0, 0], "futures": False}
 
 
+_SPECTRAL_RUN_MODULES = """
+import json, sys
+from weylsys.cli import main
+
+code = main(["compute", "--pipeline", "spectral", "--model", "twisted", "-k", "8",
+             "--set", "fit.mu_lo=2", "--out", sys.argv[1]])
+print(json.dumps({"code": code, "ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_spectral_run_imports_no_masked_arrays(tmp_path):
+    # a fresh interpreter: np.unique imports numpy.ma (12-19 ms and 1 MB of
+    # peak RSS), so the Galerkin solve finds its component sizes without it
+    proc = subprocess.run([sys.executable, "-c", _SPECTRAL_RUN_MODULES, str(tmp_path)],
+                          env=fresh_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"code": 0, "ma": False}
+
+
 # four idle spells: after start-up and after each of three threaded products
 _IDLE_WORKERS = """
 import os, time
@@ -905,6 +925,25 @@ def test_mollifier_matches_exact_transform(support, rng):
     assert abs(scalar - exact_transform(moll, np.array([-120.0]))[0]) < 1e-13 * peak
     grid = nu[:12].reshape(3, 4)
     np.testing.assert_array_equal(moll(grid), moll(nu[:12]).reshape(3, 4))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("n", [1, 2, 10, 77, 78, 6001])
+def test_two_level_phase_table(n, sign, rng):
+    # p = (q S + r) h with S = ceil(sqrt(n)): the last of the blocks of S
+    # points is cut short at n = 10, 77, 78 and 6,001 (S = 4, 9, 9, 78)
+    step = math.isqrt(n - 1) + 1
+    assert (n % step != 0) == (n in (10, 77, 78, 6001))
+    points = (3.0 / 6000) * np.arange(n)
+    freqs = rng.uniform(-1000.0, 1000.0, 300)
+    got = torus._phases(freqs, points, sign)
+    phase = np.outer(freqs, points)
+    want = np.exp(sign * 1j * phase)
+    assert got.shape == (freqs.size, n)
+    # each phase rounds as f p_(q S) plus f p_r instead of as one product:
+    # a few ulps of |f p| apart, plus the roundoff of one complex product
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= 4 * eps * np.maximum(1.0, np.abs(phase)))
 
 
 @pytest.mark.parametrize("n", [0, 1, 10, 15])
