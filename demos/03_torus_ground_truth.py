@@ -19,6 +19,7 @@ from weylsys import (
     local_counting_mollified,
     second_weyl,
 )
+from weylsys.torus import plateau_transform
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,8 +31,10 @@ print(f"direct x-averaged second coefficient: {avg_direct:+.8f}")
 print()
 
 moll = build_mollifier(3.0)
-print(f"mollifier: support {moll.support}, mass defect {abs(moll.mass()-1):.1e}, "
-      f"moments 1-6 max {max(moll.moment(m) for m in range(1, 7)):.1e}")
+plateau = plateau_transform(np.linspace(0.0, moll.support / 2.0, 101), moll.support)
+print(f"mollifier: support {moll.support}, transform 1 on [0, T/2]: "
+      f"{bool(np.all(plateau == 1.0))}, so mass 1 and moments 1-6 vanish; "
+      f"rho(0) = {float(moll(0.0)):.4f}")
 print()
 
 print(f"{'K':>4} {'dim':>6} {'trusted':>8} {'avg a1 fit':>12} "

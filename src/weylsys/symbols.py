@@ -386,15 +386,6 @@ class EigenJet:
     def projection_jet(self, pos: int) -> MatrixJet:
         return MatrixJet(self.P[pos], self.dP_x[:, pos], self.dP_xi[:, pos])
 
-    def curvature_scalar(self, pos: int) -> complex:
-        """tr {P, P, P} for one sheet (purely imaginary)."""
-        jet = self.projection_jet(pos)
-        acc = 0.0 + 0.0j
-        for alpha in range(self.point.n):
-            acc += np.trace(jet.dx[alpha] @ jet.value @ jet.dxi[alpha])
-            acc -= np.trace(jet.dxi[alpha] @ jet.value @ jet.dx[alpha])
-        return complex(acc)
-
 
 @dataclass(frozen=True)
 class EigenJetStack:

@@ -30,7 +30,7 @@ of the band, by angle addition over the nodes, and no eigenvalue is paired
 with a grid point.  The exponential tables of that angle addition are
 built by angle addition once more (:func:`_phases`), 36 exponentials per
 eigenvalue for the 6,001 nodes instead of 155.  The mollifier itself is
-evaluated by the same band sum.
+evaluated by the same band sum and by nothing else.
 A least-squares fit over a trusted window extracts the two leading growth
 coefficients, with a next-order column and, when the mollifier's shape
 decays across the window, two spectral-bottom columns.
@@ -763,40 +763,16 @@ def plateau_transform(t, support: float):
     return out if np.ndim(t) else float(out[0])
 
 
-def _symmetric_grid(extent: float, spacing: float) -> np.ndarray:
-    """spacing * (-n, ..., n) with n = round(extent / spacing)."""
-    n = round(extent / spacing)
-    return spacing * np.arange(-n, n + 1)
-
-
-# Trapezoid nodes of the band on [0, T] and the step of the moment grid.
+# Trapezoid nodes of the band on [0, T].
 BAND_NODES = 6001
-MOMENT_SPACING = 0.25
-# Rows per block of the moment grid's cos(nu t): 512 x 6001 doubles is 25 MB.
 # Eigenvalues per block of the counting's tables: 77 x 1024 complex is 1.3 MB.
 # Bytes per stack of equal-size Galerkin blocks (one block if it is larger).
 # Step values per block of the bump integral: 256 x 80 doubles is 164 kB.
 # Rows from which a Galerkin block is tridiagonalised instead of eigh-solved.
-_TRANSFORM_ROWS = 512
 _EIGEN_BLOCK = 1024
 _STACK_BYTES = 1 << 20
 _STEP_ROWS = 256
 _TRIDIAGONAL_ROWS = 128
-
-
-def _even_transform(grid: np.ndarray, t: np.ndarray, band: np.ndarray) -> np.ndarray:
-    """(1/pi) sum_k band_k cos(nu t_k) at every nu of a symmetric grid.
-
-    Even in nu: the nonnegative half is summed directly, in row blocks to
-    bound the temporaries, and mirrored.
-    """
-    half = grid[grid.size // 2:]
-    vals = np.empty_like(half)
-    for i in range(0, half.size, _TRANSFORM_ROWS):
-        phase = np.outer(half[i:i + _TRANSFORM_ROWS], t)
-        np.cos(phase, out=phase)
-        vals[i:i + _TRANSFORM_ROWS] = phase @ band / math.pi
-    return np.concatenate([vals[:0:-1], vals])
 
 
 def _angle_split(n: int, spacing: float) -> tuple:
@@ -820,35 +796,22 @@ def _phases(freqs: np.ndarray, points: np.ndarray, sign: int) -> np.ndarray:
     coarse = np.exp((sign * 1j) * np.outer(freqs, points[::step]))
     fine = np.exp((sign * 1j) * np.outer(freqs, points[:step]))
     table = coarse[:, :, None] * fine[:, None, :]
-    return table.reshape(freqs.size, -1)[:, :points.size]
+    return table.reshape(freqs.size, coarse.shape[1] * step)[:, :points.size]
 
 
 @dataclass(frozen=True)
 class Mollifier:
     """Sampled mollifier: inverse transform of a compactly supported plateau.
 
-    Every evaluation is the band sum (1/pi) sum_k band_k cos(nu t_k) over the
-    trapezoid nodes of [0, T] (:meth:`_sum`), exact at every nu.
-    ``grid``/``samples`` hold the realized function on a uniform grid wide
-    enough for moment verification; they are built on first access, since
-    only the moment checks read them.
-    Moments are verified through the reconstructed transform of the samples
-    (uniform-grid summation is alias-free below the band limit), which is
-    the numerically well-posed face of the vanishing-moment property.
+    The band holds the trapezoid-weighted plateau values at the nodes ``_t``
+    of [0, T], and every evaluation is the band sum
+    (1/pi) sum_k band_k cos(nu t_k) (:meth:`_sum`), exact at every nu; the
+    counting reads the same sum.
     """
 
     support: float
     _t: np.ndarray = field(repr=False)
     _band: np.ndarray = field(repr=False)
-    moment_max: float = 2500.0
-
-    @cached_property
-    def grid(self) -> np.ndarray:
-        return _symmetric_grid(self.moment_max, MOMENT_SPACING)
-
-    @cached_property
-    def samples(self) -> np.ndarray:
-        return _even_transform(self.grid, self._t, self._band)
 
     @cached_property
     def _split(self) -> tuple:
@@ -874,59 +837,13 @@ class Mollifier:
         nu = np.asarray(nu, dtype=float)
         return self._sum(nu.ravel(), 1.0).reshape(nu.shape)
 
-    def mass(self) -> float:
-        """int rho = reconstructed transform at t = 0."""
-        return float(self.transform_back(0.0))
 
-    def transform_back(self, t) -> np.ndarray:
-        """Reconstruct the band side from the samples: sum rho(nu) cos(nu t) d."""
-        t = np.asarray(t, dtype=float)
-        d = self.grid[1] - self.grid[0]
-        vals = np.array(
-            [np.dot(self.samples, np.cos(self.grid * tt)) * d for tt in np.atleast_1d(t)]
-        )
-        return vals if t.ndim else float(vals[0])
-
-    def moment(self, m: int) -> float:
-        """|m-th moment| of the realized samples, via transform derivatives.
-
-        Well-posed equivalent of the moment integral: the m-th moment is
-        (up to a unit-modulus factor) the m-th derivative of the
-        reconstructed transform at zero, computed by central differences
-        entirely inside the plateau.
-        """
-        if m == 0:
-            return self.mass()
-        if not 0 < m <= 6:
-            raise ValueError("moments implemented for 0 <= m <= 6")
-        # 7-point stencil must stay inside the plateau [-T/2, T/2].
-        h = min(0.16 * self.support, 0.3)
-        pts = np.arange(-3, 4) * h
-        rb = self.transform_back(pts)
-        stencils = {
-            1: np.array([0, 0, -0.5, 0, 0.5, 0, 0]),
-            2: np.array([0, 0, 1, -2, 1, 0, 0]),
-            3: np.array([0, -0.5, 1, 0, -1, 0.5, 0]),
-            4: np.array([0, 1, -4, 6, -4, 1, 0]),
-            5: np.array([-0.5, 2, -2.5, 0, 2.5, -2, 0.5]),
-            6: np.array([1, -6, 15, -20, 15, -6, 1]),
-        }
-        return abs(float(np.dot(stencils[m], rb))) / h ** m
-
-    def decay_constant(self) -> float:
-        """sup |rho(nu)| (1 + |nu|)^4 over the sampled range |nu| >= 20."""
-        mask = np.abs(self.grid) >= 20.0
-        return float(np.max(np.abs(self.samples[mask])
-                            * (1.0 + np.abs(self.grid[mask])) ** 4))
-
-
-def build_mollifier(support: float, moment_max: float = 2500.0) -> Mollifier:
-    """Build the mollifier for a given band support.
+def build_mollifier(support: float) -> Mollifier:
+    """Build the mollifier for a given band support: the ``BAND_NODES``
+    nodes of [0, T] and the trapezoid-weighted plateau values there.
 
     Raises :class:`SupportTooLarge` when the support is not below 2 pi (the
-    shortest closed trajectory on the unit-speed torus).  Only the band's
-    nodes and trapezoid-weighted plateau values are made here; the moment
-    grid out to ``moment_max`` is sampled on first use.
+    shortest closed trajectory on the unit-speed torus).
     """
     if not support > 0.0:  # NaN too
         raise ValueError("support must be positive")
@@ -939,7 +856,7 @@ def build_mollifier(support: float, moment_max: float = 2500.0) -> Mollifier:
     w[0] *= 0.5
     w[-1] *= 0.5
     band = plateau_transform(t, support) * w
-    return Mollifier(support, t, band, moment_max)
+    return Mollifier(support, t, band)
 
 
 # ---------------------------------------------------------------------------
@@ -1015,8 +932,8 @@ def local_counting_mollified(
         centers = -lam[sel]
     else:
         raise ValueError("branch must be 'plus' or 'minus'")
-    t = mollifier._t  # band nodes k t[1], k = 0, ..., t.size - 1
-    key = (branch, t.size, t[1])
+    t = mollifier._t  # band nodes k t[-1] / n, k = 0, ..., n: fixed by n and t[-1]
+    key = (branch, t.size, t[-1])
     if key not in spectrum._characteristic:
         bases, offsets, _ = mollifier._split
         spectrum._characteristic[key] = _band_characteristic(

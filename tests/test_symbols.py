@@ -18,6 +18,7 @@ from weylsys.errors import (
     NotElliptic,
     NotHermitian,
 )
+from weylsys.coefficients import sheet_terms_at
 from weylsys.symbols import MatrixJet, sheet_position
 
 _STENCIL = ((-2.0, 1.0), (-1.0, -8.0), (1.0, 8.0), (2.0, -1.0))
@@ -355,10 +356,10 @@ def test_constant_symbol_jet_derivatives_vanish():
 
 def test_planar_spin_jet_no_x_dependence():
     f = planar_spin_field()
-    jet = eigen_jet(f, PhasePoint([0.0, 0.0], [0.8, 0.6]))
+    jet, terms = sheet_terms_at(f, None, PhasePoint([0.0, 0.0], [0.8, 0.6]))
     pos = sheet_position(jet.sheets, 1)
     assert abs(vector_curvature_scalar(jet, pos)) < 1e-10
-    assert abs(jet.curvature_scalar(pos)) < 1e-10
+    assert abs(terms[pos].curvature_projection) < 1e-10
 
 
 def _twisted_jet(twisted_model, x, xi):
@@ -406,9 +407,9 @@ def test_curvature_identity_on_twisted(twisted_model, rng):
     # tr {P, P, P} = -{v^*, v}, both sides from independent data paths
     lead, _ = twisted_model.symbol_fields()
     for x, xi in random_phase_points(rng, 8):
-        jet = eigen_jet(lead, PhasePoint(x, xi))
+        jet, terms = sheet_terms_at(lead, None, PhasePoint(x, xi))
         for pos in range(jet.m):
-            lhs = jet.curvature_scalar(pos)
+            lhs = terms[pos].curvature_projection
             rhs = -vector_curvature_scalar(jet, pos)
             assert abs(lhs - rhs) < 1e-6
             assert abs(lhs.real) < 1e-8  # purely imaginary
@@ -582,7 +583,7 @@ def test_exact_jets_match_rediagonalisation_stencil(twisted_model):
 
 
 def test_panel_nodes_equal_single_point_jets(twisted_model):
-    from weylsys.coefficients import CospherePanel, CosphereQuadrature, sheet_terms_at
+    from weylsys.coefficients import CospherePanel, CosphereQuadrature
 
     lead, sub = twisted_model.symbol_fields()
     x = np.array([1.3, 0.4])

@@ -53,7 +53,7 @@ from weylsys.torus import (
     registration_check,
 )
 
-from conftest import check_field_contract, reference_spectrum
+from conftest import MomentGrid, check_field_contract, reference_spectrum
 
 TWO_PI = 2.0 * math.pi
 NO_POINTS = np.zeros((0, 2))
@@ -795,7 +795,7 @@ def test_mollifier_support_bound():
 
 
 def test_mollifier_contract(mollifier_t3):
-    moll = mollifier_t3
+    moll = MomentGrid(mollifier_t3)
     assert abs(moll.mass() - 1.0) < 1e-8
     for m in range(1, 7):
         assert moll.moment(m) < 1e-6
@@ -805,12 +805,8 @@ def test_mollifier_contract(mollifier_t3):
     # rapid decay: the fourth-power-weighted envelope is finite and falls
     # hard across decades (decay strictly faster than the fourth power;
     # the far bin sits at the roundoff floor of the transform)
-    near = moll.decay_constant()
-    far_mask = np.abs(moll.grid) >= 600.0
-    far = float(
-        np.max(np.abs(moll.samples[far_mask])
-               * (1.0 + np.abs(moll.grid[far_mask])) ** 4)
-    )
+    near = moll.envelope(20.0)
+    far = moll.envelope(600.0)
     assert np.isfinite(near)
     assert far < 0.2 * near
     # plateau of the realized transform
@@ -870,36 +866,8 @@ def test_step_rows_bound_the_mollifier_build():
     assert peak < 2e6
 
 
-def eager_samples(support, grid, n_t=6001):
-    """Reference moment samples: the full grid, both signs, in one pass."""
-    t = np.linspace(0.0, support, n_t)
-    w = np.full(n_t, support / (n_t - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    band = plateau_transform(t, support) * w
-    return np.cos(np.outer(np.abs(grid), t)) @ band / math.pi
-
-
-def test_lazy_moment_grid_matches_eager_evaluation():
-    lazy = build_mollifier(2.0, moment_max=300.0)
-    assert "samples" not in vars(lazy)
-    # the lazily built grid is the old arange grid, exactly
-    want_grid = np.arange(-300.0, 300.0 + 0.125, 0.25)
-    np.testing.assert_array_equal(lazy.grid, want_grid)
-    values = [lazy.mass(), *(lazy.moment(m) for m in range(1, 7)),
-              lazy.decay_constant()]
-    assert "samples" in vars(lazy)
-
-    eager = build_mollifier(2.0, moment_max=300.0)
-    vars(eager)["samples"] = eager_samples(2.0, want_grid)
-    np.testing.assert_allclose(lazy.samples, eager.samples, rtol=0.0, atol=1e-15)
-    want = [eager.mass(), *(eager.moment(m) for m in range(1, 7)),
-            eager.decay_constant()]
-    np.testing.assert_allclose(values, want, rtol=1e-12, atol=1e-15)
-
-
 def test_mollifier_band_vanishes_outside_support():
-    moll = build_mollifier(1.0)
+    moll = MomentGrid(build_mollifier(1.0))
     assert abs(moll.transform_back(1.5)) < 1e-9
     assert abs(moll.transform_back(0.25) - 1.0) < 1e-9
 
@@ -914,9 +882,10 @@ def exact_transform(moll, nu, rows=500):
 
 @pytest.mark.parametrize("support", [0.5, 3.0, 6.0])
 def test_mollifier_matches_exact_transform(support, rng):
-    # the band sum is exact at every nu, far beyond the fit's |nu| <= 0.6 K
+    # the band sum is exact at every nu, far beyond the fit's |nu| <= 0.6 K,
+    # out to the moment grid's |nu| <= 2500
     moll = build_mollifier(support)
-    nu = rng.uniform(-1000.0, 1000.0, 4000)
+    nu = rng.uniform(-2500.0, 2500.0, 4000)
     peak = exact_transform(moll, np.zeros(1))[0]  # the band is nonnegative
     np.testing.assert_allclose(moll(nu), exact_transform(moll, nu),
                                rtol=0.0, atol=1e-13 * peak)
@@ -925,6 +894,7 @@ def test_mollifier_matches_exact_transform(support, rng):
     assert abs(scalar - exact_transform(moll, np.array([-120.0]))[0]) < 1e-13 * peak
     grid = nu[:12].reshape(3, 4)
     np.testing.assert_array_equal(moll(grid), moll(nu[:12]).reshape(3, 4))
+    assert moll(grid[:, :0]).shape == (3, 0)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -940,6 +910,7 @@ def test_two_level_phase_table(n, sign, rng):
     phase = np.outer(freqs, points)
     want = np.exp(sign * 1j * phase)
     assert got.shape == (freqs.size, n)
+    assert torus._phases(freqs[:0], points, sign).shape == (0, n)
     # each phase rounds as f p_(q S) plus f p_r instead of as one product:
     # a few ulps of |f p| apart, plus the roundoff of one complex product
     eps = np.finfo(float).eps
@@ -953,7 +924,7 @@ def test_angle_addition_on_a_partial_last_block(n, rng):
     # are one block
     t = np.linspace(0.0, 2.5, n + 1)
     band = plateau_transform(t, 2.5) * 0.1 + 0.01
-    moll = Mollifier(2.5, t, band, 300.0)
+    moll = Mollifier(2.5, t, band)
     bases, offsets, table = moll._split
     assert table.shape == (bases.size, offsets.size)
     assert (bases.size * offsets.size == n + 1) == (n != 10)
@@ -993,6 +964,20 @@ def test_counting_window_enforced(shifted_dirac_model, mollifier_t3):
     spec = assemble_and_solve(shifted_dirac_model, 8, [[0.0, 0.0]])
     with pytest.raises(WindowViolation):
         local_counting_mollified(spec, mollifier_t3, 0, np.arange(1.0, 10.0, 0.5))
+
+
+def test_counting_with_a_one_node_mollifier(shifted_dirac_model, mollifier_t3):
+    # one band node, at t = 0: the sample is band_0 / pi times the branch's
+    # local weight sum, and the full mollifier keeps its own cached Phi
+    spec = assemble_and_solve(shifted_dirac_model, 8, [[0.0, 0.0]])
+    mu = np.arange(1.0, 4.0, 0.5)
+    full = local_counting_mollified(spec, mollifier_t3, 0, mu).values
+    one = Mollifier(2.5, np.zeros(1), np.array([0.7]))
+    got = local_counting_mollified(spec, one, 0, mu).values
+    want = 0.7 / math.pi * np.sum(spec.weights[spec.eigenvalues > 0, 0])
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    again = local_counting_mollified(spec, mollifier_t3, 0, mu).values
+    np.testing.assert_array_equal(again, full)
 
 
 def test_counting_rejects_nan_and_empty_grids(shifted_dirac_model, mollifier_t3):
