@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import math
 import os
 import sys
@@ -30,6 +29,14 @@ import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
+
+try:  # hashlib loads OpenSSL's libcrypto, 3.6 MB of peak RSS for one digest
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .coefficients import CosphereQuadrature, weyl_coefficients
@@ -104,7 +111,8 @@ class RunConfig:
         return "\n".join(pairs)
 
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
+        """First 16 hex digits of the SHA-256 of :meth:`canonical_text`."""
+        return sha256(self.canonical_text().encode()).hexdigest()[:16]
 
 
 def _parse_angle_list(text: str) -> tuple:
@@ -240,6 +248,11 @@ def _validate(cfg: RunConfig, command: str = "") -> None:
         raise ConfigError("truncation.budget must be positive")
     if cfg.grid_step <= 0:
         raise ConfigError("fit.grid_step must be positive")
+    # a tolerance at or below 0 fails every check, whatever the deviation
+    for key, tol in (("tolerance.cross_rel", cfg.cross_rel_tol),
+                     ("tolerance.b1_rel", cfg.b1_rel_tol)):
+        if tol <= 0:
+            raise ConfigError(f"{key} must be positive")
     mu_lo, mu_hi = cfg.fit_window()
     if mu_lo >= mu_hi:
         raise ConfigError(

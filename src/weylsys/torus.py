@@ -16,10 +16,10 @@ weights |phi(x)|^2 are the spectral measures of the probes, so no
 eigenvector matrix is formed.  A smaller block, or any block when numpy's
 OpenBLAS exports no ILP64 LAPACK, goes through a dense Hermitian
 eigensolver whose eigenvectors become weights at once; both give the same
-eigenvalues.  The stacks are solved side by side on worker threads that
-each use one BLAS thread, as a threaded eigensolve of a block of a few
-hundred rows gains nothing from a second core.  The merged spectrum is
-trusted up to 0.6 times the truncation.
+eigenvalues.  The stacks are solved side by side by the calling thread and
+helper threads, one BLAS thread each, as a threaded eigensolve of a block
+of a few hundred rows gains nothing from a second core.  The merged
+spectrum is trusted up to 0.6 times the truncation.
 
 The smoothed local counting derivative convolves the pointwise eigenfunction
 weights with a compactly band-limited mollifier (plateau transform, built
@@ -38,7 +38,9 @@ decays across the window, two spectral-bottom columns.
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional
@@ -566,29 +568,57 @@ def _probe_spectrum(block: np.ndarray, modes: np.ndarray, x_points: np.ndarray):
 
 
 def _map_pinned(fn, items: list) -> list:
-    """[fn(item) for item in items], on min(BLAS threads, len(items)) worker
-    threads that use one BLAS thread each.
+    """[fn(item) for item in items], on min(BLAS threads, len(items)) workers
+    that use one BLAS thread each: this thread and one fewer helper threads.
 
-    Results come back in item order, so the first failing item raises, with
-    its own exception.  With one worker, or without a pinnable OpenBLAS, the
-    items run in this thread on BLAS's own threads: a single large block
-    gains more from a threaded eigensolve than from a second worker.
-    OpenBLAS's pthreads build applies the workers' "local" count to the
-    whole process, so the count read at the start is set again at the end.
+    Every worker takes item indices from one shared counter, in order, and
+    none takes an item after a failure; so every item before a failing one
+    has run, and the first failing item in item order raises, with its own
+    exception.  Results come back in item order.  With one worker, or
+    without a pinnable OpenBLAS, the items run in this thread on BLAS's own
+    threads: a single large block gains more from a threaded eigensolve
+    than from a second worker.  OpenBLAS's pthreads build applies the
+    workers' "local" count to the whole process, so the count read at the
+    start is set again at the end.
     """
     blas = _openblas()
     threads = blas[0]() if blas else 1
     workers = min(threads, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
     set_threads = blas[1]
+    results, failures = [None] * len(items), {}
+    lock, taken = threading.Lock(), itertools.count()
+
+    def work():
+        set_threads(1)
+        while True:
+            with lock:
+                i = len(items) if failures else next(taken)
+            if i >= len(items):
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # raised below, in item order
+                with lock:
+                    failures[i] = exc
+                if not isinstance(exc, Exception):
+                    raise  # an interrupt or exit is no item's failure
+
+    helpers = []
     try:
-        with ThreadPoolExecutor(workers, initializer=set_threads, initargs=(1,)) as pool:
-            return list(pool.map(fn, items))
+        for _ in range(workers - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
     finally:
+        for helper in helpers:
+            helper.join()
         set_threads(threads)
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def assemble_and_solve(
@@ -806,12 +836,21 @@ class Mollifier:
     The band holds the trapezoid-weighted plateau values at the nodes ``_t``
     of [0, T], and every evaluation is the band sum
     (1/pi) sum_k band_k cos(nu t_k) (:meth:`_sum`), exact at every nu; the
-    counting reads the same sum.
+    counting reads the same sum.  The angle addition reads the nodes as
+    k t[-1] / n, so any other nodes are a ``ValueError``.
     """
 
     support: float
     _t: np.ndarray = field(repr=False)
     _band: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        t = np.asarray(self._t)
+        if t.ndim != 1 or t.size == 0 or not (  # NaN fails too
+                np.max(np.abs(t - np.linspace(0.0, t[-1], t.size))) <= 1e-12 * abs(t[-1])):
+            raise ValueError("band nodes must be evenly spaced from 0: (0, h, ..., n h)")
+        if np.shape(self._band) != t.shape:
+            raise ValueError(f"band shape {np.shape(self._band)} differs from nodes {t.shape}")
 
     @cached_property
     def _split(self) -> tuple:

@@ -406,3 +406,75 @@ def test_verify_and_gn_check_load_no_scipy(tmp_path):
     assert report["codes"] == [0, 0, 0, 0]
     assert report["before_spectral"] == []
     assert report["after_spectral"] == []
+
+
+@pytest.mark.parametrize("key", ["tolerance.cross_rel", "tolerance.b1_rel"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_tolerance_at_or_below_zero_is_a_config_error(key, value, tmp_path, capsys):
+    # such a tolerance fails every check: a configuration error, not exit 3
+    code = run_cli(["verify", "--model", "twisted", "--out", str(tmp_path),
+                    "--set", f"{key}={value}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("configuration error") and key in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def run_fresh(code: str, *args: str) -> dict:
+    """Run ``code`` in a fresh interpreter on this checkout's sources and
+    return the JSON object on its last line of output."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_HEAVY_MODULES = """
+import json, sys
+from weylsys.cli import main
+
+code = main([*sys.argv[2:], "--out", sys.argv[1]])
+print(json.dumps({"code": code, "loaded": [
+    name for name in ("_hashlib", "concurrent.futures") if name in sys.modules]}))
+"""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["gn-check"], ["verify", "--model", "twisted"],
+     ["compute", "--pipeline", "spectral", "--model", "twisted", "-k", "16"]],
+    ids=["gn-check", "verify", "spectral"],
+)
+def test_commands_load_neither_openssl_nor_a_futures_pool(args, tmp_path):
+    # OpenSSL's libcrypto and concurrent.futures cost 3.6 and 0.6 MB of peak
+    # RSS; at K = 16 the spectral run solves three stacks on the pool
+    report = run_fresh(_HEAVY_MODULES, str(tmp_path), *args)
+    assert report == {"code": 0, "loaded": []}
+
+
+_DIGEST = """
+import json, sys
+if sys.argv[1] == "hashlib":
+    sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from weylsys.cli import RunConfig
+
+cfg = RunConfig()
+print(json.dumps({"text": cfg.canonical_text(), "digest": cfg.digest(),
+                  "hashlib": "hashlib" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("route", ["built-in", "hashlib"])
+def test_config_digest_is_sha256(route):
+    # the interpreter's built-in SHA-256, or hashlib's where it is missing,
+    # gives the digest hashlib gives
+    import hashlib
+
+    report = run_fresh(_DIGEST, route)
+    assert report["text"] == RunConfig().canonical_text()
+    want = hashlib.sha256(report["text"].encode()).hexdigest()[:16]
+    assert report["digest"] == want == RunConfig().digest()
+    assert report["hashlib"] == (route == "hashlib")

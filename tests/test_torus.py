@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from functools import lru_cache
 from pathlib import Path
@@ -535,24 +536,143 @@ def test_pool_restores_the_blas_thread_count(twisted_model):
     assert blas[0]() == threads
 
 
-def test_worker_solver_failure_is_typed(twisted_model, monkeypatch):
-    # entry (0, 1) of a twisted block is -K - i k2: only the block of the
-    # last component (k2 = K), in the last of three stacks, fails
-    K, eigh, threads = 16, np.linalg.eigh, set()
+@pytest.fixture
+def two_workers(monkeypatch):
+    """The pool on two workers, whatever the machine: the count query reads 2,
+    and each count a worker sets is recorded as (thread, count) and passed on
+    to numpy's OpenBLAS, whose own count is set again at teardown."""
+    blas, calls = torus._openblas(), []
+    threads = blas[0]() if blas else 1
+
+    def set_threads(n):
+        calls.append((threading.current_thread(), n))
+        if blas is not None:
+            blas[1](n)
+
+    monkeypatch.setattr(torus, "_openblas", lambda: (lambda: 2, set_threads))
+    yield calls
+    if blas is not None:
+        blas[1](threads)
+
+
+def first_blocks_meet():
+    """True on the first call from each thread, after the first call from a
+    second thread has come too: the caller and a helper then hold one stack
+    each.  False on every later call."""
+    barrier, seen = threading.Barrier(2, timeout=30), set()
+
+    def meet():
+        thread = threading.current_thread()
+        if thread in seen:
+            return False
+        seen.add(thread)
+        barrier.wait()
+        return True
+
+    return meet
+
+
+def eigh_failing_on(main: bool, threads: set):
+    """``np.linalg.eigh`` that fails on the first block of the main thread
+    (``main``) or of the helper, once both have reached their first block;
+    the failing thread goes into ``threads``."""
+    eigh, meet = np.linalg.eigh, first_blocks_meet()
 
     def failing(a, *args, **kwargs):
-        if a[0, 1].imag == -K:
-            threads.add(threading.current_thread())
+        thread = threading.current_thread()
+        if meet() and (thread is threading.main_thread()) == main:
+            threads.add(thread)
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", failing)
+    return failing
+
+
+def test_worker_solver_failure_is_typed(twisted_model, two_workers, monkeypatch):
+    # twisted at K = 16 is three stacks: the caller and the helper each take
+    # one, and the first block the helper solves fails
+    threads = set()
+    monkeypatch.setattr(np.linalg, "eigh", eigh_failing_on(False, threads))
     with pytest.raises(SolveFailure) as info:
-        assemble_and_solve(twisted_model, K, ORACLE_POINTS)
+        assemble_and_solve(twisted_model, 16, ORACLE_POINTS)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
-    blas = torus._openblas()
-    if blas is not None and blas[0]() > 1:
-        assert threads and threading.main_thread() not in threads
+    assert threads and threading.main_thread() not in threads
+
+
+def test_caller_solver_failure_is_typed(twisted_model, two_workers, monkeypatch):
+    # the mirror case: the first block of the caller's own share fails
+    threads = set()
+    monkeypatch.setattr(np.linalg, "eigh", eigh_failing_on(True, threads))
+    with pytest.raises(SolveFailure) as info:
+        assemble_and_solve(twisted_model, 16, ORACLE_POINTS)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    assert threads == {threading.main_thread()}
+
+
+def test_caller_and_helper_both_solve(twisted_model, two_workers, monkeypatch):
+    # each worker sets one BLAS thread, the count read at the start is set
+    # again at the end, and the blocks come out as in one thread
+    eigh, meet, threads = np.linalg.eigh, first_blocks_meet(), set()
+
+    def counted(a, *args, **kwargs):
+        meet()
+        threads.add(threading.current_thread())
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    pooled = assemble_and_solve(twisted_model, 16, ORACLE_POINTS)
+    assert len(threads) == 2 and threading.main_thread() in threads
+    *pinned, restored = two_workers
+    assert sorted(n for _, n in pinned) == [1, 1]
+    assert {thread for thread, _ in pinned} == threads
+    assert restored == (threading.main_thread(), 2)
+    # one worker: the stacks run in this thread, and no count is set
+    monkeypatch.setattr(torus, "_openblas", lambda: (lambda: 1, None))
+    serial = assemble_and_solve(twisted_model, 16, ORACLE_POINTS)
+    assert np.array_equal(serial.eigenvalues, pooled.eigenvalues)
+    assert np.array_equal(serial.weights, pooled.weights)
+
+
+def test_earlier_failure_raises_and_stops_the_pool(two_workers):
+    # item 1 fails first in time and item 0 after it: item 0's exception
+    # raises, and no later item starts once one has failed
+    failed, started = threading.Event(), []
+
+    def fn(i):
+        started.append(i)
+        if i == 1:
+            failed.set()
+            raise KeyError("item 1")
+        if i == 0:
+            assert failed.wait(timeout=30)
+            time.sleep(0.05)
+            raise ValueError("item 0")
+        return i
+
+    with pytest.raises(ValueError, match="item 0"):
+        torus._map_pinned(fn, list(range(6)))
+    assert sorted(started) == [0, 1]
+    assert two_workers[-1] == (threading.main_thread(), 2)
+
+
+def test_pool_takes_each_item_once_under_contention(monkeypatch):
+    # eight workers on two cores, switching threads every microsecond: a
+    # lost update of the shared counter would run an item twice or skip it
+    monkeypatch.setattr(torus, "_openblas", lambda: (lambda: 8, lambda n: 0))
+    runs = [0] * 2000
+
+    def fn(i):
+        runs[i] += 1  # each index is one worker's alone
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = torus._map_pinned(fn, list(range(len(runs))))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [i * i for i in range(len(runs))]
+    assert runs == [1] * len(runs)
 
 
 def test_worker_hermiticity_failure_is_typed(twisted_model):
@@ -634,17 +754,17 @@ def test_large_blocks_match_reference(twisted_model, K, route, x_points, monkeyp
     np.testing.assert_allclose(spec.weights, weights, rtol=0.0, atol=1e-12)
 
 
-def test_worker_tridiagonal_failure_is_typed(twisted_model, monkeypatch):
-    # K = 32: 65 blocks of 130 rows in stacks of three, the last stack holds
-    # two.  Entry (0, 1) of a twisted block is -K - i k2, so the dstedc call
-    # after the zhetrd that reads it fails only for the last component (k2 = K)
+def test_worker_tridiagonal_failure_is_typed(twisted_model, two_workers, monkeypatch):
+    # K = 32: 65 blocks of 130 rows in stacks of three.  The caller and the
+    # helper each take one, and the dstedc call after the helper's first
+    # zhetrd fails
     require_lapack()
     zhetrd, zunmtr, dstedc = torus._lapack()
-    K, last, threads = 32, threading.local(), set()
+    K, last, meet, threads = 32, threading.local(), first_blocks_meet(), set()
 
     def tridiagonalise(*args):
         if args[8].value != -1:  # not a workspace query
-            last.block = ctypes.c_double.from_address(args[2] + 24).value == -K
+            last.block = meet() and threading.current_thread() is not threading.main_thread()
         zhetrd(*args)
 
     def failing(*args):
@@ -658,9 +778,7 @@ def test_worker_tridiagonal_failure_is_typed(twisted_model, monkeypatch):
         assemble_and_solve(twisted_model, K, ORACLE_POINTS)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
     assert len(threads) == 1
-    blas = torus._openblas()
-    if blas is not None and blas[0]() > 1:
-        assert threading.main_thread() not in threads
+    assert threading.main_thread() not in threads
 
 
 _START_UP_LOOKUPS = """
@@ -941,6 +1059,23 @@ def test_angle_addition_on_a_partial_last_block(n, rng):
     ):
         np.testing.assert_allclose(got, want, rtol=0.0,
                                    atol=2e-14 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize(
+    "t, band",
+    [(np.array([1.0]), np.array([0.7])),
+     (np.array([0.5, 1.0, 1.5]), np.array([0.1, 0.2, 0.3])),
+     (np.array([0.0, 1.0, 3.0]), np.array([0.1, 0.2, 0.3])),
+     (np.zeros((1, 1)), np.array([[0.7]])),
+     (np.linspace(0.0, 2.5, 3), np.array([0.1, 0.2]))],
+    ids=["one-node-off-zero", "not-from-zero", "uneven", "not-1-D", "band-shape"],
+)
+def test_mollifier_rejects_nodes_its_band_sum_misreads(t, band):
+    # the band sum reads node k as k t[-1] / n: one node at t = 1 would give
+    # rho(pi) = +0.2228 against (0.7 / pi) cos(pi) = -0.2228, and nodes
+    # (0.5, 1, 1.5) rho(2) = -0.0582 against -0.1038 for the direct sum
+    with pytest.raises(ValueError):
+        Mollifier(2.5, t, band)
 
 
 def test_stacked_band_sum_shifts_the_mollifier(mollifier_t3):
