@@ -248,6 +248,8 @@ def _validate(cfg: RunConfig, command: str = "") -> None:
         raise ConfigError("truncation.budget must be positive")
     if cfg.grid_step <= 0:
         raise ConfigError("fit.grid_step must be positive")
+    if cfg.mu_hi < 0:
+        raise ConfigError("fit.mu_hi must be positive, or 0 for 0.6 * truncation.k")
     # a tolerance at or below 0 fails every check, whatever the deviation
     for key, tol in (("tolerance.cross_rel", cfg.cross_rel_tol),
                      ("tolerance.b1_rel", cfg.b1_rel_tol)):

@@ -96,12 +96,11 @@ def sheet_terms_at(
     leading: SymbolField,
     nextorder: Optional[SymbolField],
     p: PhasePoint,
-    step: float = DEFAULT_STEP,
 ) -> tuple[EigenJet, list[SheetTerms]]:
     """Eigen-jet plus the per-sheet projection-form integrand terms at one
     point: the panel's computation at a single node."""
     jets, _, _, sub, bracket, curvature = _node_terms(
-        leading, nextorder, p.x, p.xi[None], step
+        leading, nextorder, p.x, p.xi[None], DEFAULT_STEP
     )
     out = [
         SheetTerms(
@@ -113,7 +112,7 @@ def sheet_terms_at(
         )
         for pos in range(leading.dim)
     ]
-    return jets.at(0, p, step), out
+    return jets.at(0), out
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,7 @@ def _node_terms(
     """Eigen-jets and projection-form integrands at x and every row of xi.
 
     One stacked call of each field and one stacked eigen-jet.  Returns the
-    :class:`~weylsys.symbols.EigenJetStack`, the next-order symbols
+    :class:`~weylsys.symbols.EigenJet` of the N nodes, the next-order symbols
     (N, m, m), the bracket's middle factor A - h_k (N, m, m, m) and the
     subprincipal, bracket and curvature integrands, each (N, m).
     """
@@ -375,11 +374,10 @@ def weyl_coefficients(
     nextorder: Optional[SymbolField],
     x: np.ndarray,
     quad: CosphereQuadrature = CosphereQuadrature(),
-    step: float = DEFAULT_STEP,
 ) -> WeylCoefficients:
     """Both branches of the first and second coefficient densities at x.
 
     One panel serves both: the minus branch is the plus-branch formulas
     applied to the sign-flipped symbol pair, read off the negative sheets.
     """
-    return CospherePanel(leading, nextorder, x, quad, step).coefficients()
+    return CospherePanel(leading, nextorder, x, quad).coefficients()

@@ -32,7 +32,6 @@ from .errors import (
 )
 from .kernels import kernel_moment_closed
 from .symbols import (
-    DEFAULT_STEP,
     MatrixJet,
     PhasePoint,
     SymbolField,
@@ -67,7 +66,6 @@ def resolvent_symbol(
     nextorder: Optional[SymbolField],
     p: PhasePoint,
     z: complex,
-    step: float = DEFAULT_STEP,
 ) -> np.ndarray:
     """Two leading terms of the resolvent's symmetric-quantization symbol.
 
@@ -76,7 +74,7 @@ def resolvent_symbol(
     the momentum and the spectral parameter.  Raises :class:`NotHermitian`
     when A fails the Hermiticity rule of the eigen-jets.
     """
-    lead_jet = symbol_jet(leading, p, step)
+    lead_jet = symbol_jet(leading, p)
     h = np.linalg.eigvalsh(require_hermitian(lead_jet.value))
     _check_distance(h, z)
     res_jet = _resolvent_jet(lead_jet, z)
@@ -113,10 +111,9 @@ def resolvent_symbol_terms(
     p: PhasePoint,
     z: complex,
     n: int,
-    step: float = DEFAULT_STEP,
 ) -> list[ResolventSymbolTerms]:
     """Per-sheet symbol terms of the traced (1-n)-th resolvent power."""
-    _, terms = sheet_terms_at(leading, nextorder, p, step)
+    _, terms = sheet_terms_at(leading, nextorder, p)
     _check_distance(np.array([t.h for t in terms]), z)
     out = []
     for t in terms:
@@ -142,13 +139,12 @@ def power_trace_symbol(
     p: PhasePoint,
     z: complex,
     n: int,
-    step: float = DEFAULT_STEP,
 ) -> complex:
     """Traced symbol of (A - z)^(1-n), two leading terms, n >= 2."""
     if n < 2:
         raise ValueError("power trace requires n >= 2")
     total = 0.0 + 0.0j
-    for t in resolvent_symbol_terms(leading, nextorder, p, z, n=n, step=step):
+    for t in resolvent_symbol_terms(leading, nextorder, p, z, n=n):
         total += t.s_first + t.s_second
     return total
 
@@ -222,10 +218,9 @@ def b_profile(
     nextorder: Optional[SymbolField],
     x: np.ndarray,
     quad_rule: CosphereQuadrature = CosphereQuadrature(),
-    step: float = DEFAULT_STEP,
 ) -> BProfile:
     """Compute the angle-independent sheet data for the b coefficients."""
-    panel = CospherePanel(leading, nextorder, x, quad_rule, step)
+    panel = CospherePanel(leading, nextorder, x, quad_rule)
     data = [panel.second_terms(pos) for pos in panel.positions()]
     return BProfile(x=panel.x, n=panel.n, data=data, panel=panel)
 

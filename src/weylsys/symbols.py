@@ -11,7 +11,8 @@ eigenvectors in all 2n phase-space directions, and provides the Poisson
 bracket and its three-slot generalisation on matrix jets.
 :class:`PhasePoint` is the single-point face of the same calls (N = 1).
 
-Eigen-jets are exact first-order perturbation theory on the symbol's
+Only the leading symbol is differentiated; the next-order one enters the
+coefficients by its value alone.  Eigen-jets are exact first-order perturbation theory on the symbol's
 derivative matrices dA (the field's analytic derivatives, or five-point
 central differences of the matrix, stacked over all N covectors, when the
 field has none): with eigenpairs (h_k, v_k),
@@ -22,11 +23,15 @@ field has none): with eigenpairs (h_k, v_k),
          = sum_{j != k} (P_j dA P_k + h.c.) / (h_k - h_j)   (Kato).
 
 One construction, :func:`eigen_jet_stack`, serves a whole stack of points
-with one stacked eigensolve; :func:`eigen_jet` is that construction at one
-point.  Eigenvectors carry a fixed phase (largest component real positive)
-and their derivatives the parallel gauge v_k* dv_k = 0; the published
-scalar quantities built from them are phase-invariant, so the convention
-is unobservable downstream.
+with one stacked eigensolve into one record, :class:`EigenJet`, with a
+node axis; :func:`eigen_jet` is its node 0 at one point.  Only
+:func:`symbol_jets`, :func:`symbol_jet` and the cosphere panel
+(``second_weyl`` -> ``CospherePanel``) take a differencing step; elsewhere
+a field without an analytic jet is differenced at ``DEFAULT_STEP``.
+Eigenvectors carry a fixed phase (largest component real positive) and
+their derivatives the parallel gauge v_k* dv_k = 0; the published scalar
+quantities built from them are phase-invariant, so the convention is
+unobservable downstream.
 
 Everything here is a pure function of its inputs and all returned values
 are immutable; concurrent callers need no coordination.
@@ -352,48 +357,14 @@ def generalized_bracket(
 
 @dataclass(frozen=True)
 class EigenJet:
-    """Eigenvalues, projections and eigenvectors of a leading symbol at one
-    point, together with their first derivatives in all phase-space
-    directions.
+    """Eigenvalues, projections and eigenvectors of a leading symbol,
+    together with their first derivatives in all phase-space directions.
 
     Arrays are indexed by sorted sheet position; ``sheets`` maps positions
-    to signed labels.  Shapes: h (m,), dh_* (n, m), P (m, m, m),
-    dP_* (n, m, m, m), v (m, m) rows, dv_* (n, m, m) rows.
-    """
-
-    point: PhasePoint
-    step: float
-    sheets: np.ndarray
-    h: np.ndarray
-    dh_x: np.ndarray
-    dh_xi: np.ndarray
-    P: np.ndarray
-    dP_x: np.ndarray
-    dP_xi: np.ndarray
-    v: np.ndarray
-    dv_x: np.ndarray
-    dv_xi: np.ndarray
-    gap: float
-
-    @property
-    def m(self) -> int:
-        return self.h.size
-
-    @property
-    def m_plus(self) -> int:
-        return int(np.sum(self.h > 0))
-
-    def projection_jet(self, pos: int) -> MatrixJet:
-        return MatrixJet(self.P[pos], self.dP_x[:, pos], self.dP_xi[:, pos])
-
-
-@dataclass(frozen=True)
-class EigenJetStack:
-    """Eigen-jets at N points, stacked on a leading axis.
-
-    Shapes: sheets and h (N, m), dh_* (N, n, m), P (N, m, m, m),
-    dP_* (N, n, m, m, m), v (N, m, m) rows, dv_* (N, n, m, m) rows and
-    gap (N,); entry i is the :class:`EigenJet` of point i.
+    to signed labels.  At one point: sheets and h (m,), dh_* (n, m),
+    P (m, m, m), dP_* (n, m, m, m), v (m, m) rows, dv_* (n, m, m) rows and
+    a scalar gap.  :func:`eigen_jet_stack` puts a node axis N in front of
+    each; :meth:`at` takes one node out.
     """
 
     sheets: np.ndarray
@@ -408,16 +379,23 @@ class EigenJetStack:
     dv_xi: np.ndarray
     gap: np.ndarray
 
-    def at(self, i: int, point: PhasePoint, step: float) -> EigenJet:
-        """The eigen-jet of point i, which was taken at ``point``."""
-        return EigenJet(point, step, **{k: a[i] for k, a in vars(self).items()})
+    @property
+    def m(self) -> int:
+        return self.h.shape[-1]
+
+    def at(self, i: int) -> "EigenJet":
+        """The eigen-jet of node i of a jet of N points."""
+        return EigenJet(**{k: a[i] for k, a in vars(self).items()})
+
+    def projection_jet(self, pos: int) -> MatrixJet:
+        return MatrixJet(self.P[pos], self.dP_x[:, pos], self.dP_xi[:, pos])
 
 
 def eigen_jet_stack(
     values: np.ndarray,
     dx: np.ndarray,
     dxi: np.ndarray,
-) -> EigenJetStack:
+) -> EigenJet:
     """Exact eigen-jets of a stack of symbol jets by first-order perturbation.
 
     ``values`` (N, m, m) are the symbol matrices, ``dx`` and ``dxi``
@@ -443,7 +421,7 @@ def eigen_jet_stack(
     P = v[..., :, None] * v.conj()[..., None, :]
     half = dv[..., :, None] * v.conj()[:, None, :, None, :]  # dv_k v_k*
     dP = half + half.conj().swapaxes(-1, -2)
-    return EigenJetStack(
+    return EigenJet(
         sheets=sheet_labels(h),
         h=h,
         dh_x=dh[:, :n],
@@ -458,19 +436,14 @@ def eigen_jet_stack(
     )
 
 
-def eigen_jet(
-    field: SymbolField,
-    p: PhasePoint,
-    step: float = DEFAULT_STEP,
-) -> EigenJet:
+def eigen_jet(field: SymbolField, p: PhasePoint) -> EigenJet:
     """Eigen-decomposition with exact first derivatives at one point.
 
-    :func:`eigen_jet_stack` on the field's :func:`symbol_jets` at N = 1;
-    ``step`` acts only when the field has no analytic jet.  All sheets are
-    returned.  Raises the :func:`eigen_decompose` errors.
+    :func:`eigen_jet_stack` on the field's :func:`symbol_jets` at N = 1,
+    node 0 taken out.  All sheets are returned.  Raises the
+    :func:`eigen_decompose` errors.
     """
     if field.degree != 1:
         raise ValueError("eigen jets are defined for degree-1 leading symbols")
-    stack = eigen_jet_stack(*symbol_jets(field, p.x, p.xi[None], step))
-    return stack.at(0, p, step)
+    return eigen_jet_stack(*symbol_jets(field, p.x, p.xi[None])).at(0)
 

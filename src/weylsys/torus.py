@@ -212,11 +212,7 @@ class TorusModel:
         def ev(x, xi):
             return np.repeat(pot.value(x)[None], len(xi), axis=0)
 
-        def jet(x, xi):
-            dx = np.repeat(pot.gradient(x)[None], len(xi), axis=0)
-            return ev(x, xi), dx, np.zeros_like(dx)
-
-        return SymbolField(self.dim, 0, ev, jet)
+        return SymbolField(self.dim, 0, ev)
 
     def symbol_fields(self) -> tuple[SymbolField, SymbolField]:
         return self.leading_symbol(), self.subprincipal_symbol()
@@ -644,12 +640,16 @@ def assemble_and_solve(
     :func:`_map_pinned`'s workers, one BLAS thread each; the result does not
     depend on their schedule.
     Raises :class:`BudgetExceeded`, before any allocation, when m (2K+1)^2
-    exceeds the budget, ``ValueError`` on a truncation below 8 or on
-    ``x_points`` that are not finite pairs, :class:`NotHermitian` on fields
-    that fail the Hermiticity rule and :class:`SolveFailure` on breakdown.
+    exceeds the budget, ``ValueError`` on a truncation below 8 or not an
+    integer (``16.0`` is one) or on ``x_points`` that are not finite pairs,
+    :class:`NotHermitian` on fields that fail the Hermiticity rule and
+    :class:`SolveFailure` on breakdown.
     """
+    if not (math.isfinite(K) and K == int(K)):
+        raise ValueError(f"truncation K must be an integer, not {K!r}")
     if K < 8:
         raise ValueError("truncation K must be at least 8")
+    K = int(K)
     m = model.dim
     size = 2 * K + 1
     if m * size ** 2 > budget:

@@ -250,7 +250,7 @@ def vector_curvature_scalar(jet, pos):
     """{v^*, v} for one sheet (purely imaginary); equals -tr {P, P, P}."""
     vj = vector_jet(jet, pos)
     acc = 0.0 + 0.0j
-    for alpha in range(jet.point.n):
+    for alpha in range(vj.n):
         acc += (vj.dx[alpha].conj().T @ vj.dxi[alpha])[0, 0]
         acc -= (vj.dxi[alpha].conj().T @ vj.dx[alpha])[0, 0]
     return complex(acc)

@@ -80,6 +80,7 @@ def test_angle_range_validated():
         "x_points=(inf,0)",
         "fit.mu_lo=100",
         "fit.mu_hi=2",
+        "fit.mu_hi=-5",  # only 0 stands for the automatic edge 0.6 K
         "fit.grid_step=1e-9",
         "quadrature.n_angles=1000000000",
         "model.b=0.5",

@@ -124,3 +124,57 @@ def test_every_parameter_is_read():
                        if p not in read
                        and not (node.name.startswith("_build_") and p == "params")]
     assert unread == []
+
+
+def _defaulted_parameters(tree):
+    """(called name, parameter, positional index or None) for every
+    parameter with a default of a function or method; an ``__init__`` is
+    called by its class name, and a method's self or cls is never passed."""
+    classes = {id(fn): node.name for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for fn in node.body}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = classes[id(node)] if node.name == "__init__" else node.name
+        a = node.args
+        positional = [p.arg for p in (*a.posonlyargs, *a.args)]
+        if id(node) in classes and positional[:1] in (["self"], ["cls"]):
+            positional = positional[1:]
+        first = len(positional) - len(a.defaults)
+        out += [(name, p, i) for i, p in enumerate(positional) if i >= first]
+        out += [(name, p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                if d is not None]
+    return out
+
+
+def _passes(call, param, index):
+    """Whether ``call`` passes ``param``: by position (``*args`` passes every
+    position) or by keyword (``**kwargs`` passes every keyword)."""
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or len(call.args) > index)
+
+
+def test_every_default_is_passed_somewhere():
+    # a default no call ever overrides is a fixed rule dressed as a setting:
+    # every defaulted parameter of src/weylsys must be passed by at least one
+    # call in src, tests, demos or perfbench (calls match by function or
+    # class name; a method call by its attribute name)
+    calls = {}
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    never = []
+    for path in sorted((ROOT / "src" / "weylsys").glob("*.py")):
+        for name, param, index in _defaulted_parameters(ast.parse(path.read_text())):
+            if not any(_passes(call, param, index) for call in calls.get(name, ())):
+                never.append(f"{path.name}: {name}({param})")
+    assert never == []

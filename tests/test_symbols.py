@@ -593,9 +593,9 @@ def test_panel_nodes_equal_single_point_jets(twisted_model):
     for i, row in enumerate(panel.omega):
         p = PhasePoint(x, row)
         jet = eigen_jet(lead, p)
-        stacked = panel.jets.at(i, p, jet.step)
+        stacked = panel.jets.at(i)
         for name in ("sheets", "h", "dh_x", "dh_xi", "P", "dP_x", "dP_xi",
-                     "v", "dv_x", "dv_xi"):
+                     "v", "dv_x", "dv_xi", "gap"):
             np.testing.assert_allclose(
                 getattr(stacked, name), getattr(jet, name), rtol=0, atol=1e-12,
                 err_msg=name,

@@ -297,6 +297,21 @@ def test_minimum_truncation(dirac_model):
         assemble_and_solve(dirac_model, 4, NO_POINTS)
 
 
+@pytest.mark.parametrize("name", ["dirac_model", "twisted_model"])
+def test_truncation_must_be_an_integer(name, request):
+    model = request.getfixturevalue(name)
+    for bad in (8.5, 16.25, math.nan, math.inf):
+        with pytest.raises(ValueError, match="integer"):
+            assemble_and_solve(model, bad, [[0.0, 0.0]])
+    # an integral float or numpy integer is that integer
+    want = assemble_and_solve(model, 8, [[0.0, 0.0]])
+    for K in (8.0, np.int64(8)):
+        got = assemble_and_solve(model, K, [[0.0, 0.0]])
+        assert type(got.K) is int
+        np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+        np.testing.assert_array_equal(got.weights, want.weights)
+
+
 def test_points_must_be_pairs(dirac_model):
     with pytest.raises(ValueError):
         assemble_and_solve(dirac_model, 8, np.zeros((2, 3)))
