@@ -154,7 +154,9 @@ def kernel_moment_numeric(n: int, z: complex, power: int) -> complex:
     if err > 1e-6 * max(1.0, abs(val)):
         raise QuadratureFailure(f"kernel moment error estimate {err:.2e} too large")
     # Tail: sum_k a_k int_R^inf mu^(power-n-k) dmu; exponent power-n-k <= -2
-    # for k >= 2 (the k = 0, 1 coefficients vanish identically).
+    # for k >= 2 (the k = 0, 1 coefficients vanish identically).  All
+    # _TAIL_TERMS terms: a_k ~ Im z^k vanishes at k = 6 for every angle that
+    # is a multiple of pi/6, while later terms do not.
     tail = 0.0 + 0.0j
     for k, a_k in enumerate(_tail_coefficients(z, n, _TAIL_TERMS)):
         expo = power - n - k
@@ -162,10 +164,7 @@ def kernel_moment_numeric(n: int, z: complex, power: int) -> complex:
             if a_k != 0:
                 raise QuadratureFailure("non-integrable tail term; bad power")
             continue
-        term = a_k * (-(radius ** (expo + 1)) / (expo + 1))
-        tail += term
-        if abs(term) < 1e-16 * max(1.0, abs(val)) and k > 4:
-            break
+        tail += a_k * (-(radius ** (expo + 1)) / (expo + 1))
     return 1j * val + tail
 
 

@@ -87,10 +87,6 @@ class PhasePoint:
     def n(self) -> int:
         return self.x.size
 
-    @property
-    def xi_norm(self) -> float:
-        return float(np.linalg.norm(self.xi))
-
 
 @dataclass(frozen=True)
 class SymbolField:
@@ -135,21 +131,6 @@ class SymbolField:
 
     def __call__(self, p: PhasePoint) -> np.ndarray:
         return self.values(p.x, p.xi[None])[0]
-
-    def flipped(self) -> "SymbolField":
-        """The field of the sign-flipped operator (matrix negated pointwise)."""
-        ev = self.evaluator
-        jet = self.jet
-
-        def neg_ev(x, xi):
-            return -np.asarray(ev(x, xi), dtype=complex)
-
-        neg_jet = None
-        if jet is not None:
-            def neg_jet(x, xi):
-                return tuple(-np.asarray(a) for a in jet(x, xi))
-
-        return SymbolField(self.dim, self.degree, neg_ev, neg_jet)
 
 
 @dataclass(frozen=True)
@@ -211,14 +192,6 @@ class EigenSystem:
     @property
     def m_minus(self) -> int:
         return int(np.sum(self.values < 0))
-
-
-def sheet_position(sheets: np.ndarray, sheet: int) -> int:
-    """Index of a signed sheet label in a row of labels; ValueError if absent."""
-    hits = np.nonzero(sheets == sheet)[0]
-    if hits.size != 1:
-        raise ValueError(f"no sheet {sheet}; labels are {sheets.tolist()}")
-    return int(hits[0])
 
 
 def sheet_labels(values: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ the modes (:func:`_hermitian_modes`), and each block is then Hermitian as
 filled, bit for bit.  The mode-coupling graph splits into connected
 components (constant-coefficient models decouple mode by mode), found by
 vectorised min-label propagation.  Components of equal size are filled in
-stacks of at most 1 MiB of blocks (a larger block alone), so thousands of
+stacks of at most 256 KiB of blocks (a larger block alone), so thousands of
 tiny blocks share one vectorised scatter in bounded memory.  A block of 128
 rows or more is reduced to real tridiagonal form by LAPACK, and only the
 n_x m probe vectors e^(i k.x) (x) e_c are rotated into that basis: the
@@ -30,7 +30,9 @@ of the band, by angle addition over the nodes, and no eigenvalue is paired
 with a grid point.  The exponential tables of that angle addition are
 built by angle addition once more (:func:`_phases`), 36 exponentials per
 eigenvalue for the 6,001 nodes instead of 155.  The mollifier itself is
-evaluated by the same band sum and by nothing else.
+evaluated by the same band sum and by nothing else.  Every transient table
+of the run (a Galerkin stack, a block of eigenvalues, of nu rows or of step
+values) takes as many rows as fit one 256 KiB budget, ``_TABLE_BYTES``.
 A least-squares fit over a trusted window extracts the two leading growth
 coefficients, with a next-order column and, when the mollifier's shape
 decays across the window, two spectral-bottom columns.
@@ -627,7 +629,7 @@ def assemble_and_solve(
 
     The plane-wave matrix is block-diagonal over the components of the
     mode-coupling graph.  Components of equal size are filled in stacks of
-    at most ``_STACK_BYTES`` (one block if it is larger), by one scatter
+    at most ``_TABLE_BYTES`` (one block if it is larger), by one scatter
     per Fourier mode of :func:`_hermitian_modes` of the fields: an entry
     gets one product and its mirror the conjugate of the same product, so
     each block is Hermitian as filled.  Each block yields its eigenvalues
@@ -677,7 +679,7 @@ def assemble_and_solve(
     # not np.unique: it imports numpy.ma, 12-19 ms and 1 MB of peak RSS
     for n_local in sorted(set(sizes.tolist())):
         components = np.flatnonzero(sizes == n_local)
-        per_stack = max(1, _STACK_BYTES // (16 * (n_local * m) ** 2))
+        per_stack = _table_rows(16 * (n_local * m) ** 2)
         stacks.extend(components[lo:lo + per_stack]
                       for lo in range(0, components.size, per_stack))
 
@@ -744,14 +746,15 @@ def _bump(s: np.ndarray) -> np.ndarray:
 
 def _bump_integral(v: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Integral of the standard bump over [-1, 2v - 1], for 0 <= v <= 1/2,
-    over ``_STEP_ROWS`` values of v at a time, which bounds the
-    (values x nodes) tables."""
+    over the values of v whose (values x nodes) tables s and bump(s) fit
+    :func:`_table_rows`."""
     v = np.asarray(v, dtype=float)
     flat = v.ravel()
     out = np.empty_like(flat)
-    for i in range(0, flat.size, _STEP_ROWS):
-        s = -1.0 + np.multiply.outer(flat[i:i + _STEP_ROWS], 1.0 + nodes)
-        out[i:i + _STEP_ROWS] = _bump(s) @ weights
+    rows = _table_rows(2 * 8 * nodes.size)
+    for i in range(0, flat.size, rows):
+        s = -1.0 + np.multiply.outer(flat[i:i + rows], 1.0 + nodes)
+        out[i:i + rows] = _bump(s) @ weights
     return (out * flat).reshape(v.shape)
 
 
@@ -795,14 +798,19 @@ def plateau_transform(t, support: float):
 
 # Trapezoid nodes of the band on [0, T].
 BAND_NODES = 6001
-# Eigenvalues per block of the counting's tables: 77 x 1024 complex is 1.3 MB.
-# Bytes per stack of equal-size Galerkin blocks (one block if it is larger).
-# Step values per block of the bump integral: 256 x 80 doubles is 164 kB.
+# Bytes of one transient table of the spectral run: a Galerkin stack, a
+# block of the counting's eigenvalue tables, a block of nu rows of the band
+# sum, a block of step values of the bump integral.  Each sizes its rows
+# from it (:func:`_table_rows`); a row larger than the budget goes alone.
 # Rows from which a Galerkin block is tridiagonalised instead of eigh-solved.
-_EIGEN_BLOCK = 1024
-_STACK_BYTES = 1 << 20
-_STEP_ROWS = 256
+_TABLE_BYTES = 1 << 18
 _TRIDIAGONAL_ROWS = 128
+
+
+def _table_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` bytes each that fit in ``_TABLE_BYTES``, at
+    least one."""
+    return max(1, _TABLE_BYTES // row_bytes)
 
 
 def _angle_split(n: int, spacing: float) -> tuple:
@@ -827,6 +835,13 @@ def _phases(freqs: np.ndarray, points: np.ndarray, sign: int) -> np.ndarray:
     fine = np.exp((sign * 1j) * np.outer(freqs, points[:step]))
     table = coarse[:, :, None] * fine[:, None, :]
     return table.reshape(freqs.size, coarse.shape[1] * step)[:, :points.size]
+
+
+def _phases_bytes(bases: np.ndarray, offsets: np.ndarray) -> int:
+    """Bytes per frequency of the two tables :func:`_phases` builds for the
+    bases and the offsets, each with its partial last block (at most
+    ceil(sqrt(n))^2 entries for n points)."""
+    return sum(16 * (math.isqrt(p.size - 1) + 1) ** 2 for p in (bases, offsets))
 
 
 @dataclass(frozen=True)
@@ -866,11 +881,18 @@ class Mollifier:
         array, phi a constant or a (..., bases, offsets) stack of node-value
         tables, shape (..., n_nu): one (n_nu x bases)(bases x offsets)
         product per table and a dot with the offsets, both exponential
-        tables by :func:`_phases`."""
+        tables by :func:`_phases`, over the nu rows whose two tables and
+        products for every stacked table fit :func:`_table_rows`."""
         bases, offsets, band = self._split
-        summed = _phases(nu, bases, 1) @ (band * phi)
-        rotated = summed * _phases(nu, offsets, 1)
-        return np.sum(rotated.real, axis=-1) / math.pi
+        weighted = band * phi
+        stacked = weighted.size // band.size
+        rows = _table_rows(_phases_bytes(bases, offsets) + 2 * 16 * stacked * offsets.size)
+        out = np.empty(weighted.shape[:-2] + nu.shape)
+        for i in range(0, nu.size, rows):
+            block = nu[i:i + rows]
+            rotated = (_phases(block, bases, 1) @ weighted) * _phases(block, offsets, 1)
+            out[..., i:i + rows] = np.sum(rotated.real, axis=-1)
+        return out / math.pi
 
     def __call__(self, nu) -> np.ndarray:
         nu = np.asarray(nu, dtype=float)
@@ -920,15 +942,16 @@ def _band_characteristic(centers, weights, bases, offsets) -> np.ndarray:
 
     e^(-i c (a + s)) = e^(-i c a) e^(-i c s), so each column is one
     (n_base x n_eig)(n_eig x n_off) product; the eigenvalue tables are built
-    by :func:`_phases` once for all columns, in blocks of ``_EIGEN_BLOCK``
-    eigenvalues.
+    by :func:`_phases` once for all columns, in blocks of the eigenvalues
+    whose two tables and weighted copy ``base * w`` fit :func:`_table_rows`.
     """
     out = np.zeros((weights.shape[1], bases.size, offsets.size), dtype=complex)
-    for j in range(0, centers.size, _EIGEN_BLOCK):
-        block = centers[j:j + _EIGEN_BLOCK]
+    rows = _table_rows(_phases_bytes(bases, offsets) + 16 * bases.size)
+    for j in range(0, centers.size, rows):
+        block = centers[j:j + rows]
         base = _phases(block, bases, -1).T
         off = _phases(block, offsets, -1)
-        for p, w in enumerate(weights[j:j + _EIGEN_BLOCK].T):
+        for p, w in enumerate(weights[j:j + rows].T):
             out[p] += (base * w) @ off
     return out
 

@@ -201,6 +201,34 @@ def pointwise_field(dim, degree, fn, derivatives=None):
     return SymbolField(dim, degree, evaluator, jet)
 
 
+def flipped_field(field):
+    """The field of the sign-flipped operator (matrix negated pointwise)."""
+    ev, jet = field.evaluator, field.jet
+
+    def neg_ev(x, xi):
+        return -np.asarray(ev(x, xi), dtype=complex)
+
+    neg_jet = None
+    if jet is not None:
+        def neg_jet(x, xi):
+            return tuple(-np.asarray(a) for a in jet(x, xi))
+
+    return SymbolField(field.dim, field.degree, neg_ev, neg_jet)
+
+
+def sheet_position(sheets, sheet):
+    """Index of a signed sheet label in a row of labels; ValueError if absent."""
+    hits = np.nonzero(sheets == sheet)[0]
+    if hits.size != 1:
+        raise ValueError(f"no sheet {sheet}; labels are {sheets.tolist()}")
+    return int(hits[0])
+
+
+def xi_norm(p):
+    """|xi| of a :class:`PhasePoint`."""
+    return float(np.linalg.norm(p.xi))
+
+
 def check_field_contract(field, points, scales=(0.5, 2.0, 3.7), tol=1e-9):
     """Verify Hermiticity and positive homogeneity on sample points.
 

@@ -14,9 +14,8 @@ from weylsys import (
 )
 from weylsys.coefficients import CospherePanel
 from weylsys.errors import NotElliptic
-from weylsys.symbols import sheet_position
 
-from conftest import pointwise_field, vector_form
+from conftest import flipped_field, pointwise_field, sheet_position, vector_form
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -243,7 +242,7 @@ def test_sign_flip_duality(twisted_model, mass_dirac_model):
         lead, sub = model.symbol_fields()
         for x in (np.array([0.7, 0.0]), np.array([2.9, 1.6])):
             coeffs = weyl_coefficients(lead, sub, x, quad)
-            flip_lead, flip_sub = lead.flipped(), sub.flipped()
+            flip_lead, flip_sub = flipped_field(lead), flipped_field(sub)
             assert abs(coeffs.a_first_minus - first_weyl(flip_lead, x, quad)) < 1e-12
             flipped = second_weyl(flip_lead, flip_sub, x, quad)
             assert abs(coeffs.a_second_minus - flipped.value) < 1e-10

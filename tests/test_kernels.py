@@ -134,6 +134,18 @@ def test_numeric_matches_closed(n, phi):
         assert abs(closed - numeric) < 1e-6 * max(1.0, abs(closed))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("phi", [math.pi / 2, math.pi / 6], ids=["z=i", "z=e^(i pi/6)"])
+def test_numeric_tail_sums_past_vanishing_terms(n, phi):
+    # a_k ~ Im z^k vanishes at k = 6 for both z (and at every even k for
+    # z = i); a tail stopped there misses a_7, 2.7e-9 for n = 1 at z = i
+    z = cmath.exp(1j * phi)
+    for power in (n, n - 1):
+        closed = kernel_moment_closed(n, z, power)
+        numeric = kernel_moment_numeric(n, z, power)
+        assert abs(closed - numeric) <= 1e-12 * abs(closed)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_numeric_matches_adaptive_quadpack(n):
     from scipy.integrate import quad

@@ -25,13 +25,13 @@ from weylsys.errors import (
     NotHermitian,
     SingularResolvent,
 )
-from weylsys.symbols import sheet_position
 
 from conftest import (
     cauchy_derivative,
     pointwise_field,
     radial_profile,
     random_phase_points,
+    sheet_position,
 )
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -47,7 +47,6 @@ from weylsys.torus import (
     SpectrumResult,
     TorusModel,
     TrigMatrixField,
-    _EIGEN_BLOCK,
     _angle_split,
     bump_step,
     plateau_transform,
@@ -413,7 +412,7 @@ def test_chunked_solve_is_exact(make_model, K, rows, monkeypatch):
     model = make_model()
     whole = assemble_and_solve(model, K, ORACLE_POINTS)
     for size in (1, 2 * 16 * rows ** 2):
-        monkeypatch.setattr(torus, "_STACK_BYTES", size)
+        monkeypatch.setattr(torus, "_TABLE_BYTES", size)
         spec = assemble_and_solve(model, K, ORACLE_POINTS)
         assert np.array_equal(spec.eigenvalues, whole.eigenvalues)
         assert np.array_equal(spec.weights, whole.weights)
@@ -987,7 +986,9 @@ def test_step_rows_bound_the_mollifier_build():
     # the whole (values x nodes) table at once is the reference; the build
     # held 8.2 MB of it
     nodes, weights, _ = torus._step_rule()
-    v = np.linspace(0.0, 0.5, 2 * torus._STEP_ROWS + 7)
+    # a row is the tables s and bump(s), two of 80 doubles
+    rows = torus._TABLE_BYTES // (2 * 8 * nodes.size)
+    v = np.linspace(0.0, 0.5, 2 * rows + 7)
     whole = (torus._bump(-1.0 + np.multiply.outer(v, 1.0 + nodes)) @ weights) * v
     assert np.array_equal(torus._bump_integral(v, nodes, weights), whole)
     tracemalloc.start()
@@ -1167,16 +1168,19 @@ def direct_counting(moll, centers, weights, mu):
 
 def test_counting_matches_direct_band_sum(twisted_model, mollifier_t3):
     # the 6,001 band nodes split into 77 blocks of 78 offsets, the last
-    # holding 73; the 1,089 positive (and negative) eigenvalues fill one
-    # table block of _EIGEN_BLOCK and part of a second
+    # holding 73; an eigenvalue takes two 81-wide phase tables and a
+    # 77-wide weighted copy, so a block of the budget holds 68: the 1,090
+    # positive eigenvalues fill 16 blocks and end in a partial 17th, and
+    # the 1,088 negative ones fill 16 blocks exactly
     bases, offsets = _angle_split(mollifier_t3._t.size - 1, mollifier_t3._t[1])
     assert bases.size * offsets.size > mollifier_t3._t.size > (bases.size - 1) * offsets.size
+    rows = torus._TABLE_BYTES // (16 * (81 + 81 + bases.size))
     spec = assemble_and_solve(twisted_model, 16, [[1.3, 4.2], [0.3, 0.9]])
     lam = spec.eigenvalues
     mu = np.arange(2.4, 9.6 + 0.025, 0.05)
-    for branch, sel, centers in (("plus", lam > 0, lam[lam > 0]),
-                                 ("minus", lam < 0, -lam[lam < 0])):
-        assert _EIGEN_BLOCK < centers.size < 2 * _EIGEN_BLOCK
+    for branch, sel, centers, partial in (("plus", lam > 0, lam[lam > 0], 2),
+                                          ("minus", lam < 0, -lam[lam < 0], 0)):
+        assert centers.size > rows and centers.size % rows == partial
         for i in (1, 0):
             samples = local_counting_mollified(spec, mollifier_t3, i, mu, branch)
             want = direct_counting(mollifier_t3, centers, spec.weights[sel, i], mu)
@@ -1206,6 +1210,28 @@ def test_counting_keeps_eigenvalues_beyond_the_core():
     np.testing.assert_allclose(samples.values, want, rtol=0.0, atol=1e-13 * peak)
     np.testing.assert_allclose(moll(nu) @ weights[lam > 0, 1], want,
                                rtol=0.0, atol=1e-13 * peak)
+
+
+def test_spectral_tables_stay_within_the_budget(twisted_model):
+    # the counting and fit of the CLI's spectral run at K = 40 and two x,
+    # and the mollifier at the 10,001 points MomentGrid reads; with tables
+    # of 1,024 eigenvalues and all nu rows at once they held 4.7 and 36 MB
+    spec = assemble_and_solve(twisted_model, 40, ORACLE_POINTS[:2])
+    moll = build_mollifier(3.0)
+    mu = np.arange(3.0, 24.0 + 0.025, 0.05)
+    nu = 0.25 * np.arange(10001.0)
+    tracemalloc.start()
+    try:
+        for i in (0, 1):
+            fit_weyl(local_counting_mollified(spec, moll, i, mu), 2, (3.0, 24.0), moll)
+        _, counting = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        moll(nu)
+        _, call = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counting < 1.5e6
+    assert call < 2e6
 
 
 def test_minus_branch_counts_negative_spectrum(shifted_dirac_model, mollifier_t3):
