@@ -46,7 +46,7 @@ from .kernels import (
     kernel_moment_closed,
     kernel_moment_numeric,
 )
-from .resolvent import b_profile, recover_second_weyl
+from .resolvent import b_profile, check_recovery_angles, recover_second_weyl
 from .torus import (
     DEFAULT_BUDGET,
     MODEL_PARAMETERS,
@@ -101,6 +101,12 @@ class RunConfig:
         """(mu_lo, mu_hi): mu_hi is fit.mu_hi, or 0.6 K when 0, capped at 0.6 K."""
         trusted = TRUSTED_FRACTION * self.truncation
         return self.mu_lo, min(self.mu_hi if self.mu_hi > 0 else trusted, trusted)
+
+    def fit_grid(self) -> np.ndarray:
+        """The spectral samples' mu grid: fit.grid_step apart across the fit window."""
+        mu_lo, mu_hi = self.fit_window()
+        mu = np.arange(mu_lo, mu_hi + self.grid_step / 2, self.grid_step)
+        return mu[mu <= mu_hi]  # the last step may pass the window's edge
 
     def canonical_text(self) -> str:
         """Every setting that shapes the results; the output directory does not."""
@@ -234,10 +240,12 @@ def _validate(cfg: RunConfig, command: str = "") -> None:
     for phi in (*cfg.angles, *cfg.limit_angles, *cfg.gn_angles):
         if not 0.0 < phi < math.pi:
             raise ConfigError(f"angle {phi} outside (0, pi)")
-    if len(cfg.angles) < 2 or cfg.angles[0] == cfg.angles[1]:
-        raise ConfigError("angles must start with two distinct recovery angles")
-    if len(set(cfg.limit_angles)) < 2:
-        raise ConfigError("limit_angles needs at least two distinct angles")
+    for key, angles, method in (("angles", cfg.angles[:2], "two-angle"),
+                                ("limit_angles", cfg.limit_angles, "limit")):
+        try:
+            check_recovery_angles(angles, method)
+        except (WeylError, ValueError) as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
     if min(cfg.gn_orders) < 1:
         raise ConfigError("gn.orders entries must be >= 1")
     if cfg.n_angles < 16 or cfg.n_angles % 2 or cfg.n_angles > MAX_ANGLES:
@@ -270,7 +278,7 @@ def _validate(cfg: RunConfig, command: str = "") -> None:
         raise ConfigError("mollifier.support must lie in (0, 2 pi)")
     if command == "compute" and cfg.pipeline in ("spectral", "all"):
         try:  # the fit's own window rules depend on the configuration alone
-            check_fit_window(mu_lo, mu_hi, cfg.mollifier_support)
+            check_fit_window(cfg.fit_grid(), mu_lo, mu_hi, cfg.mollifier_support)
         except WeylError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -403,8 +411,7 @@ def run_spectral(cfg: RunConfig, model: TorusModel) -> tuple:
     moll = build_mollifier(cfg.mollifier_support)
     spectrum = assemble_and_solve(model, cfg.truncation, cfg.x_points, cfg.budget)
     mu_lo, mu_hi = cfg.fit_window()
-    mu = np.arange(mu_lo, mu_hi + cfg.grid_step / 2, cfg.grid_step)
-    mu = mu[mu <= mu_hi]  # the last step may pass the window's edge
+    mu = cfg.fit_grid()
     rows = []
     summary = []
     fits = []

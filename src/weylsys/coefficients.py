@@ -17,11 +17,12 @@ of the earlier literature serve only as a test oracle, in
 All of it comes from one :class:`CospherePanel` per base point: one
 stacked call of each symbol field over every cosphere node, one stacked
 eigen-jet (:func:`~weylsys.symbols.eigen_jet_stack`), and per-sheet
-integrand arrays; :func:`sheet_terms_at` is the same path at one point.
-Both branches read the same panel.  The sign-flipped operator has the same
-projections and negated sheets, so its positive sheets are the negative
-sheets here with h, the subprincipal integrand and the bracket integrand
-negated and the curvature integrand unchanged.
+integrand arrays; :func:`_node_terms` builds them for any stack of
+covectors, a single one included.  Both branches read the same panel.
+The sign-flipped operator has the same projections and negated sheets, so
+its positive sheets are the negative sheets here with h, the subprincipal
+integrand and the bracket integrand negated and the curvature integrand
+unchanged.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ import numpy as np
 from .errors import ComplexResidue, NotElliptic
 from .symbols import (
     DEFAULT_STEP,
-    EigenJet,
-    PhasePoint,
     SymbolField,
     eigen_jet,  # not called here; perfbench/inproc.py wraps coefficients.eigen_jet
     eigen_jet_stack,
@@ -79,40 +78,6 @@ class CosphereQuadrature:
             weights = np.repeat(w_c * (2.0 * math.pi / self.n_angles), self.n_angles)
             return omega.reshape(-1, 3), weights
         raise ValueError(f"cosphere quadrature implemented for n in {{2, 3}}, got {n}")
-
-
-@dataclass(frozen=True)
-class SheetTerms:
-    """Pointwise scalar integrand data for one sheet at one cosphere node."""
-
-    sheet: int
-    h: float
-    sub_projection: complex        # tr(A_next P)
-    bracket_projection: complex    # tr {P, A_lead - h, P}
-    curvature_projection: complex  # tr {P, P, P}
-
-
-def sheet_terms_at(
-    leading: SymbolField,
-    nextorder: Optional[SymbolField],
-    p: PhasePoint,
-) -> tuple[EigenJet, list[SheetTerms]]:
-    """Eigen-jet plus the per-sheet projection-form integrand terms at one
-    point: the panel's computation at a single node."""
-    jets, _, _, sub, bracket, curvature = _node_terms(
-        leading, nextorder, p.x, p.xi[None], DEFAULT_STEP
-    )
-    out = [
-        SheetTerms(
-            sheet=int(jets.sheets[0, pos]),
-            h=float(jets.h[0, pos]),
-            sub_projection=complex(sub[0, pos]),
-            bracket_projection=complex(bracket[0, pos]),
-            curvature_projection=complex(curvature[0, pos]),
-        )
-        for pos in range(leading.dim)
-    ]
-    return jets.at(0), out
 
 
 @dataclass(frozen=True)
@@ -236,7 +201,6 @@ class CospherePanel:
             raise ValueError("non-finite base point")
         self.x = x
         self.n = x.size
-        self.quad = quad
         omega, weights = quad.nodes(self.n)
         self.omega = omega
         self.weights = weights

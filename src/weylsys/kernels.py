@@ -55,6 +55,8 @@ def kernel_moment_closed(n: int, z: complex, power: int) -> complex:
     power = n   ->  4 n i (ln 2) Im z
     power = n-1 ->  i pi (1 + sgn Im z) - i Arg(z^2),  Arg in [0, 2pi).
     """
+    if n < 1:
+        raise ValueError("kernel index must be >= 1")
     z = complex(z)
     if z.imag == 0.0:
         raise RealSpectralParameter("moment undefined for real spectral parameter")

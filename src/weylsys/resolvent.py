@@ -23,7 +23,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .coefficients import CospherePanel, CosphereQuadrature, sheet_terms_at
+from .coefficients import CospherePanel, CosphereQuadrature, _node_terms
 from .errors import (
     AngleOutOfRange,
     DegenerateAngles,
@@ -32,6 +32,7 @@ from .errors import (
 )
 from .kernels import kernel_moment_closed
 from .symbols import (
+    DEFAULT_STEP,
     MatrixJet,
     PhasePoint,
     SymbolField,
@@ -113,18 +114,20 @@ def resolvent_symbol_terms(
     n: int,
 ) -> list[ResolventSymbolTerms]:
     """Per-sheet symbol terms of the traced (1-n)-th resolvent power."""
-    _, terms = sheet_terms_at(leading, nextorder, p)
-    _check_distance(np.array([t.h for t in terms]), z)
+    jets, _, _, sub, bracket, curvature = _node_terms(
+        leading, nextorder, p.x, p.xi[None], DEFAULT_STEP
+    )
+    _check_distance(jets.h[0], z)
     out = []
-    for t in terms:
-        h = t.h
+    for pos in range(leading.dim):
+        h = float(jets.h[0, pos])
         pole = (
-            -(n - 1) * t.sub_projection + 0.5j * (n - 1) * t.bracket_projection
+            -(n - 1) * complex(sub[0, pos]) + 0.5j * (n - 1) * complex(bracket[0, pos])
         ) / (h - z) ** n
-        curv = 1j * t.curvature_projection / (h - z) ** (n - 1)
+        curv = 1j * complex(curvature[0, pos]) / (h - z) ** (n - 1)
         out.append(
             ResolventSymbolTerms(
-                sheet=t.sheet,
+                sheet=int(jets.sheets[0, pos]),
                 s_first=(h - z) ** (1 - n),
                 s_second_pole=pole,
                 s_second_curvature=curv,
@@ -160,6 +163,8 @@ def radial_factor(n: int, phi: float, sheet_sign: int) -> float:
     """
     if not 0.0 < phi < math.pi:
         raise AngleOutOfRange(f"phi must lie in (0, pi), got {phi}")
+    if sheet_sign not in (1, -1):
+        raise ValueError(f"sheet sign must be 1 or -1, got {sheet_sign}")
     z = cmath.exp(1j * phi)
     if sheet_sign > 0:
         val = 1j * kernel_moment_closed(n, z, power=n - 1)
@@ -177,13 +182,11 @@ class BProfile:
     ``data`` holds the panel's per-sheet volumes and angular factors
     (:class:`~weylsys.coefficients.SheetSecondTerms`), computed once;
     evaluation at any angle applies the closed-form radial and kernel
-    factors.  ``panel`` is the cosphere panel they came from, which also
-    gives the direct coefficients (``panel.coefficients()``) without a
-    second panel.
+    factors.  ``panel`` is the cosphere panel they came from: it holds the
+    base point and dimension, and gives the direct coefficients
+    (``panel.coefficients()``) without a second panel.
     """
 
-    x: np.ndarray
-    n: int
     data: list
     panel: CospherePanel
 
@@ -192,7 +195,7 @@ class BProfile:
             raise AngleOutOfRange(f"phi must lie in (0, pi), got {phi}")
         z = cmath.exp(1j * phi)
         total = 0.0 + 0.0j
-        n = self.n
+        n = self.panel.n
         for d in self.data:
             if d.sign > 0:
                 moment = kernel_moment_closed(n - 1, z, power=n - 1)
@@ -203,14 +206,15 @@ class BProfile:
         return float(value.real)
 
     def b0_sheet(self, phi: float, sheet: int) -> float:
+        n = self.panel.n
         for d in self.data:
             if d.sheet == sheet:
-                return (d.c_first + d.c_second) * radial_factor(self.n, phi, d.sign)
+                return (d.c_first + d.c_second) * radial_factor(n, phi, d.sign)
         raise ValueError(f"no sheet {sheet}")
 
     def b0(self, phi: float) -> float:
         total = sum(self.b0_sheet(phi, d.sheet) for d in self.data)
-        return total / (2.0 * math.pi) ** self.n
+        return total / (2.0 * math.pi) ** self.panel.n
 
 
 def b_profile(
@@ -222,7 +226,29 @@ def b_profile(
     """Compute the angle-independent sheet data for the b coefficients."""
     panel = CospherePanel(leading, nextorder, x, quad_rule)
     data = [panel.second_terms(pos) for pos in panel.positions()]
-    return BProfile(x=panel.x, n=panel.n, data=data, panel=panel)
+    return BProfile(data=data, panel=panel)
+
+
+def check_recovery_angles(angles, method: str) -> list:
+    """The angles a recovery ``method`` can invert, sorted ascending.
+
+    Each must lie in (0, pi) (:class:`AngleOutOfRange`); 'two-angle' takes
+    exactly two and 'limit' at least two (``ValueError``), and they must
+    spread over at least 1e-6 (:class:`DegenerateAngles`).
+    """
+    angles = sorted(angles)
+    for a in angles:
+        if not 0.0 < a < math.pi:
+            raise AngleOutOfRange(f"angle {a} outside (0, pi)")
+    if method not in ("two-angle", "limit"):
+        raise ValueError("method must be 'two-angle' or 'limit'")
+    if method == "two-angle" and len(angles) != 2:
+        raise ValueError("two-angle recovery needs exactly two angles")
+    if len(angles) < 2:
+        raise ValueError("limit recovery needs at least two angles")
+    if angles[-1] - angles[0] < 1e-6:
+        raise DegenerateAngles(f"angles {angles} spread less than 1e-6")
+    return angles
 
 
 def recover_second_weyl(
@@ -233,30 +259,17 @@ def recover_second_weyl(
 
     'two-angle' uses exactly two angles; 'limit' fits an affine model to a
     decreasing angle sequence and extrapolates to zero angle (exact for the
-    affine dependence the expansion guarantees).  Raises
-    :class:`DegenerateAngles` when the angles cannot separate the branches.
+    affine dependence the expansion guarantees).  The angles must pass
+    :func:`check_recovery_angles`.
     """
-    angles = sorted(b0_values)
-    for a in angles:
-        if not 0.0 < a < math.pi:
-            raise AngleOutOfRange(f"angle {a} outside (0, pi)")
+    angles = check_recovery_angles(b0_values, method)
     if method == "two-angle":
-        if len(angles) != 2:
-            raise ValueError("two-angle recovery needs exactly two angles")
         p1, p2 = angles
-        if abs(p2 - p1) < 1e-6:
-            raise DegenerateAngles(f"angles {p1} and {p2} too close")
         return (p1 * b0_values[p2] - p2 * b0_values[p1]) / (
             2.0 * math.pi * (p2 - p1)
         )
-    if method == "limit":
-        if len(angles) < 2:
-            raise ValueError("limit recovery needs at least two angles")
-        if max(angles) - min(angles) < 1e-6:
-            raise DegenerateAngles("angle spread too small for extrapolation")
-        arr = np.array(angles)
-        vals = np.array([b0_values[a] for a in angles])
-        design = np.stack([np.ones_like(arr), arr], axis=1)
-        coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-        return -coef[0] / (2.0 * math.pi)
-    raise ValueError("method must be 'two-angle' or 'limit'")
+    arr = np.array(angles)
+    vals = np.array([b0_values[a] for a in angles])
+    design = np.stack([np.ones_like(arr), arr], axis=1)
+    coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
+    return -coef[0] / (2.0 * math.pi)

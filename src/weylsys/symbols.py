@@ -24,7 +24,8 @@ field has none): with eigenpairs (h_k, v_k),
 
 One construction, :func:`eigen_jet_stack`, serves a whole stack of points
 with one stacked eigensolve into one record, :class:`EigenJet`, with a
-node axis; :func:`eigen_jet` is its node 0 at one point.  Only
+node axis; :func:`eigen_jet` is its node 0 at one point, and
+:func:`eigen_decompose` at one bare matrix, over zero directions.  Only
 :func:`symbol_jets`, :func:`symbol_jet` and the cosphere panel
 (``second_weyl`` -> ``CospherePanel``) take a differencing step; elsewhere
 a field without an analytic jet is differenced at ``DEFAULT_STEP``.
@@ -175,25 +176,6 @@ def _fix_phase(vectors: np.ndarray) -> np.ndarray:
     return vectors * (np.conj(piv) / np.abs(piv))
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Sorted eigen-decomposition of one Hermitian matrix with signed sheets."""
-
-    values: np.ndarray        # ascending, shape (m,)
-    sheets: np.ndarray        # signed sheet labels, shape (m,)
-    vectors: np.ndarray       # (m, m), column i belongs to values[i]
-    projections: np.ndarray   # (m, m, m), projections[i] = v_i v_i^*
-    gap: float
-
-    @property
-    def m_plus(self) -> int:
-        return int(np.sum(self.values > 0))
-
-    @property
-    def m_minus(self) -> int:
-        return int(np.sum(self.values < 0))
-
-
 def sheet_labels(values: np.ndarray) -> np.ndarray:
     """Signed sheet labels for ascending eigenvalues: -m_minus..-1, 1..m_plus.
 
@@ -228,20 +210,6 @@ def _decompose_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
             f"{threshold:.3e}"
         )
     return values, _fix_phase(vectors), gaps
-
-
-def eigen_decompose(matrix: np.ndarray) -> EigenSystem:
-    """Eigen-decompose a Hermitian matrix with ellipticity/simplicity checks.
-
-    Eigenvalues come out in increasing order.  Negative ones receive sheet
-    labels -m_minus..-1 and positive ones 1..m_plus.  Raises
-    :class:`NotHermitian`, :class:`NotElliptic` or
-    :class:`DegenerateSpectrum` when the respective precondition fails.
-    """
-    values, vectors, gaps = _decompose_stack(np.asarray(matrix)[None])
-    values, vectors = values[0], vectors[0]
-    projections = np.einsum("ik,jk->kij", vectors, vectors.conj())
-    return EigenSystem(values, sheet_labels(values), vectors, projections, float(gaps[0]))
 
 
 def symbol_jets(
@@ -337,7 +305,8 @@ class EigenJet:
     to signed labels.  At one point: sheets and h (m,), dh_* (n, m),
     P (m, m, m), dP_* (n, m, m, m), v (m, m) rows, dv_* (n, m, m) rows and
     a scalar gap.  :func:`eigen_jet_stack` puts a node axis N in front of
-    each; :meth:`at` takes one node out.
+    each; :meth:`at` takes one node out.  n may be 0: the jet of a bare
+    matrix, which :func:`eigen_decompose` returns.
     """
 
     sheets: np.ndarray
@@ -407,6 +376,17 @@ def eigen_jet_stack(
         dv_xi=dv[:, n:],
         gap=gaps,
     )
+
+
+def eigen_decompose(matrix: np.ndarray) -> EigenJet:
+    """The :class:`EigenJet` of one Hermitian matrix over zero phase-space
+    directions: its derivative arrays have shape (0, ...).  Raises
+    :class:`NotHermitian`, :class:`NotElliptic` or
+    :class:`DegenerateSpectrum` when the respective precondition fails.
+    """
+    matrix = np.asarray(matrix)[None]
+    none = np.zeros((1, 0, *matrix.shape[1:]))
+    return eigen_jet_stack(matrix, none, none).at(0)
 
 
 def eigen_jet(field: SymbolField, p: PhasePoint) -> EigenJet:

@@ -1040,16 +1040,23 @@ class WeylFit:
     columns: tuple
 
 
-def check_fit_window(mu_lo: float, mu_hi: float, support: float) -> None:
-    """The window rules that do not depend on the spectrum: a span of at
-    least a factor 2 (:class:`IllConditionedFit`) and mu_lo at or above the
-    mollifier smearing scale 4 / support (:class:`WindowViolation`)."""
+def check_fit_window(mu, mu_lo: float, mu_hi: float, support: float) -> np.ndarray:
+    """Mask of the sample grid ``mu`` in the window, by the rules that do not
+    depend on the spectrum: a span of at least a factor 2 and 8 grid points,
+    one in the upper 60% (:class:`IllConditionedFit`), and mu_lo at or above
+    the mollifier smearing scale 4 / support (:class:`WindowViolation`)."""
     if mu_hi <= mu_lo or mu_hi / max(mu_lo, 1e-12) < 2.0:
         raise IllConditionedFit(f"fit window [{mu_lo:g}, {mu_hi:g}] spans less than "
                                 "a factor 2")
     if mu_lo < 4.0 / support - 1e-9:
         raise WindowViolation(f"fit window starts at {mu_lo:g}, below the mollifier "
                               f"smearing scale 4 / support = {4.0 / support:g}")
+    mask = (mu >= mu_lo) & (mu <= mu_hi)
+    if np.count_nonzero(mask) < 8:
+        raise IllConditionedFit("fewer than 8 samples in the fit window")
+    if not np.any(mu[mask] > mu_lo + 0.4 * (mu_hi - mu_lo)):
+        raise IllConditionedFit("no sample in the upper 60% of the fit window")
+    return mask
 
 
 def fit_weyl(
@@ -1064,27 +1071,22 @@ def fit_weyl(
     a mollifier is given and its shape decays across the window, two
     spectral-bottom columns rho(mu), rho(mu - 1) absorbing the exactly
     known low-spectrum contamination.  Returns coefficients with their
-    least-squares standard errors and the RMS residual.  Raises
-    :class:`IllConditionedFit` when fewer than 8 samples lie in the window
-    or none lies in its upper 60%, where the shape's decay is judged, and
-    ``ValueError`` when the mollifier's support is not the one the samples
-    were smoothed with (its bottom columns would bias the fit).
+    least-squares standard errors and the RMS residual.  Raises the
+    :func:`check_fit_window` errors (the shape's decay is judged in the
+    window's upper 60%), and ``ValueError`` when the mollifier's support is
+    not the one the samples were smoothed with (its bottom columns would
+    bias the fit).
     """
     if mollifier is not None and mollifier.support != samples.mollifier_support:
         raise ValueError(f"mollifier support {mollifier.support:g} differs from the "
                          f"samples' support {samples.mollifier_support:g}")
     mu_lo, mu_hi = float(window[0]), float(window[1])
-    check_fit_window(mu_lo, mu_hi, samples.mollifier_support)
+    mask = check_fit_window(samples.mu, mu_lo, mu_hi, samples.mollifier_support)
     if mu_hi > samples.trusted_max + 1e-9:
         raise WindowViolation("fit window exceeds the trusted spectral range")
-    mask = (samples.mu >= mu_lo) & (samples.mu <= mu_hi)
     mu = samples.mu[mask]
     y = samples.values[mask]
-    if mu.size < 8:
-        raise IllConditionedFit("fewer than 8 samples in the fit window")
     upper = mu > mu_lo + 0.4 * (mu_hi - mu_lo)
-    if not np.any(upper):
-        raise IllConditionedFit("no sample in the upper 60% of the fit window")
     cols = [mu ** (n - 1), mu ** (n - 2), mu ** (n - 3)]
     names = ["leading", "second", "next-order"]
     if mollifier is not None:

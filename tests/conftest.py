@@ -25,7 +25,8 @@ from weylsys.errors import (
     QuadratureFailure,
     SolveFailure,
 )
-from weylsys.symbols import require_hermitian
+from weylsys.coefficients import _node_terms
+from weylsys.symbols import DEFAULT_STEP, require_hermitian
 from weylsys.torus import DEFAULT_BUDGET, TRUSTED_FRACTION
 
 
@@ -222,6 +223,15 @@ def sheet_position(sheets, sheet):
     if hits.size != 1:
         raise ValueError(f"no sheet {sheet}; labels are {sheets.tolist()}")
     return int(hits[0])
+
+
+def node_terms(leading, nextorder, p):
+    """The cosphere panel's computation at the one node p.xi: the eigen-jet
+    and the subprincipal, bracket and curvature integrands, each (m,)."""
+    jets, _, _, sub, bracket, curvature = _node_terms(
+        leading, nextorder, p.x, p.xi[None], DEFAULT_STEP
+    )
+    return jets.at(0), sub[0], bracket[0], curvature[0]
 
 
 def xi_norm(p):

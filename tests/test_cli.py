@@ -73,8 +73,11 @@ def test_angle_range_validated():
         "gn.orders=0",
         "angles=0.5",
         "angles=0.5,0.5",
+        "angles=0.5,0.5000001",
         "limit_angles=0.1",
+        "limit_angles=0.2,0.2000001",
         "fit.grid_step=nan",
+        "fit.grid_step=2",  # 4 grid points in the K = 24 window [3, 14.4]
         "tolerance.cross_rel=nan",
         "model.eps=inf",
         "x_points=(inf,0)",

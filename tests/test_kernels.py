@@ -186,6 +186,14 @@ def test_moment_rejects_bad_power():
         kernel_moment_closed(3, 1j, power=1)
 
 
+@pytest.mark.parametrize("power", [0, -1])
+def test_moments_reject_a_kernel_index_below_one(power):
+    # the kernel k_0 is not defined; both evaluators refuse it alike
+    for moment in (kernel_moment_closed, kernel_moment_numeric):
+        with pytest.raises(ValueError, match="kernel index"):
+            moment(0, 1j, power)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form expansion coefficients
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from weylsys import (
     resolvent_symbol_terms,
     second_weyl,
 )
-from weylsys.coefficients import sheet_terms_at
 from weylsys.errors import (
     AngleOutOfRange,
     DegenerateAngles,
@@ -28,6 +27,7 @@ from weylsys.errors import (
 
 from conftest import (
     cauchy_derivative,
+    node_terms,
     pointwise_field,
     radial_profile,
     random_phase_points,
@@ -199,6 +199,12 @@ def test_radial_factor_negative_sheet(phi):
         assert abs(radial_factor(n, phi, -1) - want) < 1e-12
 
 
+def test_radial_factor_rejects_sign_zero():
+    # a sheet sign is 1 or -1; 0 is no sheet and must not read as negative
+    with pytest.raises(ValueError):
+        radial_factor(2, 1.0, 0)
+
+
 def test_radial_profile_matches_closed_form():
     for phi in (math.pi / 6, math.pi / 2, 2.5):
         for k in (1, 2):
@@ -271,15 +277,16 @@ def test_factorization_against_direct_plane_quadrature(twisted_model):
         omega = np.array([math.cos(theta), math.sin(theta)])
         for r, jw in zip(rad, jac):
             p = PhasePoint(x, r * omega)
-            _, terms = sheet_terms_at(lead, sub, p)
-            for tm in terms:
+            jet, sub_p, bracket_p, curvature_p = node_terms(lead, sub, p)
+            for pos in range(jet.m):
                 # next-order symbol of the traced power: pole part + curvature
-                pole_num = -(n - 1) * (tm.sub_projection - 0.5j * tm.bracket_projection)
-                combo = pole_num * power_difference_kernel(tm.h, z, n)
-                combo += 1j * tm.curvature_projection * power_difference_kernel(
-                    tm.h, z, n - 1
+                pole_num = -(n - 1) * (sub_p[pos] - 0.5j * bracket_p[pos])
+                combo = pole_num * power_difference_kernel(jet.h[pos], z, n)
+                combo += 1j * curvature_p[pos] * power_difference_kernel(
+                    jet.h[pos], z, n - 1
                 )
-                total[tm.sheet] += 1j * combo * r * jw * (2.0 * math.pi / n_theta)
+                weight = r * jw * (2.0 * math.pi / n_theta)
+                total[int(jet.sheets[pos])] += 1j * combo * weight
     prof = b_profile(lead, sub, x)
     for sheet in (1, -1):
         direct = total[sheet]

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,33 @@ def test_every_import_is_used():
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)
                    if (path.name, name) not in BENCHMARK_HOOKS]
     assert unused == []
+
+
+def _names(tree) -> Counter:
+    """How often each identifier occurs as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_definition_serves_the_package():
+    # a module-level function or class of src/weylsys must be named outside
+    # its own definition in src, demos/ or perfbench/, or be exported in an
+    # __all__: code that only the tests reach does not belong in the package
+    trees = {path: ast.parse(path.read_text())
+             for folder in ("src", "demos", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))}
+    names = sum(map(_names, trees.values()), Counter())
+    modules = sorted((ROOT / "src" / "weylsys").glob("*.py"))
+    exported = set()
+    for path in modules:
+        module = "weylsys" if path.stem == "__init__" else f"weylsys.{path.stem}"
+        exported.update(getattr(importlib.import_module(module), "__all__", ()))
+    unserved = [f"{path.name}: {node.name}" for path in modules
+                for node in trees[path].body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name not in exported
+                and names[node.name] == _names(node)[node.name]]
+    assert unserved == []
 
 
 def test_every_parameter_is_read():

@@ -18,7 +18,6 @@ from weylsys.errors import (
     NotElliptic,
     NotHermitian,
 )
-from weylsys.coefficients import sheet_terms_at
 from weylsys.symbols import MatrixJet
 
 _STENCIL = ((-2.0, 1.0), (-1.0, -8.0), (1.0, 8.0), (2.0, -1.0))
@@ -26,6 +25,7 @@ _STENCIL = ((-2.0, 1.0), (-1.0, -8.0), (1.0, 8.0), (2.0, -1.0))
 from conftest import (
     check_field_contract,
     conjugate_transpose,
+    node_terms,
     pointwise_field,
     random_phase_points,
     sheet_position,
@@ -74,9 +74,9 @@ def test_field_contract_on_planar_spin(rng):
 def test_diagonal_matrix_sheets():
     sys = eigen_decompose(np.diag([-1.0, 1.0]))
     assert sys.sheets.tolist() == [-1, 1]
-    np.testing.assert_allclose(sys.values, [-1.0, 1.0])
-    np.testing.assert_allclose(sys.projections[0], np.diag([1.0, 0.0]), atol=1e-14)
-    np.testing.assert_allclose(sys.projections[1], np.diag([0.0, 1.0]), atol=1e-14)
+    np.testing.assert_allclose(sys.h, [-1.0, 1.0])
+    np.testing.assert_allclose(sys.P[0], np.diag([1.0, 0.0]), atol=1e-14)
+    np.testing.assert_allclose(sys.P[1], np.diag([0.0, 1.0]), atol=1e-14)
 
 
 def test_planar_spin_eigenvectors():
@@ -84,8 +84,8 @@ def test_planar_spin_eigenvectors():
     # the positive eigenvector is (1, 1)/sqrt(2) up to phase.
     f = planar_spin_field()
     sys = eigen_decompose(f(PhasePoint([0.0, 0.0], [1.0, 0.0])))
-    np.testing.assert_allclose(sys.values, [-1.0, 1.0], atol=1e-14)
-    v = sys.vectors[:, 1]
+    np.testing.assert_allclose(sys.h, [-1.0, 1.0], atol=1e-14)
+    v = sys.v[1]
     phase = v[np.argmax(np.abs(v))]
     v = v * np.conj(phase) / abs(phase)
     np.testing.assert_allclose(v, np.array([1.0, 1.0]) / np.sqrt(2), atol=1e-14)
@@ -143,9 +143,21 @@ def test_sheet_counts_add_up(rng):
             sys = eigen_decompose(h)
         except (NotElliptic, DegenerateSpectrum):
             continue
-        assert sys.m_plus + sys.m_minus == 3
+        assert np.count_nonzero(np.sign(sys.h)) == 3
         for pos, sheet in enumerate(sys.sheets):
-            assert (sheet > 0) == (sys.values[pos] > 0)
+            assert (sheet > 0) == (sys.h[pos] > 0)
+
+
+def test_eigen_decompose_is_the_eigen_jet_without_directions(twisted_model, rng):
+    # one construction: the bare matrix's record is the eigen-jet's, with
+    # derivative arrays over zero phase-space directions
+    lead, _ = twisted_model.symbol_fields()
+    for x, xi in random_phase_points(rng, 10):
+        p = PhasePoint(x, xi)
+        bare, jet = eigen_decompose(lead(p)), eigen_jet(lead, p)
+        for name in ("sheets", "h", "P", "v", "gap"):
+            assert np.array_equal(getattr(bare, name), getattr(jet, name)), name
+        assert bare.dh_x.shape == (0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +370,10 @@ def test_constant_symbol_jet_derivatives_vanish():
 
 def test_planar_spin_jet_no_x_dependence():
     f = planar_spin_field()
-    jet, terms = sheet_terms_at(f, None, PhasePoint([0.0, 0.0], [0.8, 0.6]))
+    jet, _, _, curvature = node_terms(f, None, PhasePoint([0.0, 0.0], [0.8, 0.6]))
     pos = sheet_position(jet.sheets, 1)
     assert abs(vector_curvature_scalar(jet, pos)) < 1e-10
-    assert abs(terms[pos].curvature_projection) < 1e-10
+    assert abs(curvature[pos]) < 1e-10
 
 
 def _twisted_jet(twisted_model, x, xi):
@@ -409,9 +421,9 @@ def test_curvature_identity_on_twisted(twisted_model, rng):
     # tr {P, P, P} = -{v^*, v}, both sides from independent data paths
     lead, _ = twisted_model.symbol_fields()
     for x, xi in random_phase_points(rng, 8):
-        jet, terms = sheet_terms_at(lead, None, PhasePoint(x, xi))
+        jet, _, _, curvature = node_terms(lead, None, PhasePoint(x, xi))
         for pos in range(jet.m):
-            lhs = terms[pos].curvature_projection
+            lhs = curvature[pos]
             rhs = -vector_curvature_scalar(jet, pos)
             assert abs(lhs - rhs) < 1e-6
             assert abs(lhs.real) < 1e-8  # purely imaginary
@@ -561,8 +573,8 @@ def stencil_jet(field, p, step=1e-3):
                 else:
                     moved = PhasePoint(p.x, p.xi + shift)
                 sys = eigen_decompose(field(moved))
-                dh[axis] += w * sys.values / (12.0 * h)
-                dP[axis] += w * sys.projections / (12.0 * h)
+                dh[axis] += w * sys.h / (12.0 * h)
+                dP[axis] += w * sys.P / (12.0 * h)
         out += [dh, dP]
     dh_x, dP_x, dh_xi, dP_xi = out
     return dh_x, dh_xi, dP_x, dP_xi
@@ -602,11 +614,11 @@ def test_panel_nodes_equal_single_point_jets(twisted_model):
                 getattr(stacked, name), getattr(jet, name), rtol=0, atol=1e-12,
                 err_msg=name,
             )
-        _, terms = sheet_terms_at(lead, sub, p)
-        for pos, (t, t_vec) in enumerate(zip(terms, vector_sheet_terms(lead, sub, p))):
-            assert panel.h[i, pos] == t.h
+        node, sub_p, bracket_p, curvature_p = node_terms(lead, sub, p)
+        for pos, t_vec in enumerate(vector_sheet_terms(lead, sub, p)):
+            assert panel.h[i, pos] == node.h[pos]
             sub_vector, bracket_vector, curvature_vector = t_vec
-            want = (t.sub_projection, t.bracket_projection, t.curvature_projection,
+            want = (sub_p[pos], bracket_p[pos], curvature_p[pos],
                     sub_vector, bracket_vector, -curvature_vector)
             got = (panel.sub[i, pos], panel.bracket[i, pos], panel.curvature[i, pos],
                    sub_v[i, pos], brack_v[i, pos], curv_v[i, pos])
