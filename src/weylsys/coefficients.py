@@ -18,7 +18,10 @@ All of it comes from one :class:`CospherePanel` per base point: one
 stacked call of each symbol field over every cosphere node, one stacked
 eigen-jet (:func:`~weylsys.symbols.eigen_jet_stack`), and per-sheet
 integrand arrays; :func:`_node_terms` builds them for any stack of
-covectors, a single one included.  Both branches read the same panel.
+covectors, a single one included.  The bracket and the curvature share one
+trace, T[k, j] = tr {P_k, P_j, P_k}: since A - h_k = sum_j (h_j - h_k) P_j,
+the bracket integrand tr {P_k, A - h_k, P_k} is sum_j (h_j - h_k) T[k, j],
+and the curvature integrand is T[k, k].  Both branches read the same panel.
 The sign-flipped operator has the same projections and negated sheets, so
 its positive sheets are the negative sheets here with h, the subprincipal
 integrand and the bracket integrand negated and the curvature integrand
@@ -39,7 +42,6 @@ from .symbols import (
     SymbolField,
     eigen_jet,  # not called here; perfbench/inproc.py wraps coefficients.eigen_jet
     eigen_jet_stack,
-    require_hermitian,
     symbol_jets,
 )
 
@@ -131,13 +133,14 @@ class SecondWeylResult:
 
 
 def _trace_bracket(d_x: np.ndarray, middle: np.ndarray, d_xi: np.ndarray) -> np.ndarray:
-    """tr {F, G, F} = sum_alpha tr(F_x G F_xi - F_xi G F_x) per node and sheet.
+    """T[k, j] = tr {F_k, G_j, F_k} = sum_alpha tr(G_j [F_xi, F_x]_k), (N, m, m).
 
     ``d_x``/``d_xi`` are (N, n, m, m, m) sheet-matrix derivatives indexed
-    [node, axis, sheet], ``middle`` is (N, m, m, m) indexed [node, sheet].
+    [node, axis, sheet k], ``middle`` is (N, m, m, m) indexed [node, sheet j].
     """
-    path = "nakij,nkjl,nakli->nk"
-    return np.einsum(path, d_x, middle, d_xi) - np.einsum(path, d_xi, middle, d_x)
+    path = "nakij,nakjl->nkil"
+    commutator = np.einsum(path, d_xi, d_x) - np.einsum(path, d_x, d_xi)
+    return np.einsum("nkil,njli->nkj", commutator, middle)
 
 
 def _node_terms(
@@ -149,26 +152,22 @@ def _node_terms(
 ) -> tuple:
     """Eigen-jets and projection-form integrands at x and every row of xi.
 
-    One stacked call of each field and one stacked eigen-jet.  Returns the
-    :class:`~weylsys.symbols.EigenJet` of the N nodes, the next-order symbols
-    (N, m, m), the bracket's middle factor A - h_k (N, m, m, m) and the
-    subprincipal, bracket and curvature integrands, each (N, m).
+    One stacked call of each field, one stacked eigen-jet and one trace
+    T[k, j] = tr {P_k, P_j, P_k}: the curvature integrand is T[k, k] and the
+    bracket integrand sum_j (h_j - h_k) T[k, j].  Returns the
+    :class:`~weylsys.symbols.EigenJet` of the N nodes and the subprincipal,
+    bracket and curvature integrands, each (N, m).
     """
     if leading.degree != 1:
         raise ValueError("eigen jets are defined for degree-1 leading symbols")
-    values, dx, dxi = symbol_jets(leading, x, xi, step)
-    jets = eigen_jet_stack(values, dx, dxi)
-    m = leading.dim
-    if nextorder is not None:
-        a_next = nextorder.values(x, xi)
-    else:
-        a_next = np.zeros((len(xi), m, m), dtype=complex)
-    # A - h_k, with A symmetrised by the rule eigen_jet_stack has applied
-    middle = require_hermitian(values)[:, None] - jets.h[..., None, None] * np.eye(m)
-    sub = np.einsum("nij,nkji->nk", a_next, jets.P)
-    bracket = _trace_bracket(jets.dP_x, middle, jets.dP_xi)
-    curvature = _trace_bracket(jets.dP_x, jets.P, jets.dP_xi)
-    return jets, a_next, middle, sub, bracket, curvature
+    jets = eigen_jet_stack(*symbol_jets(leading, x, xi, step))
+    sub = (np.einsum("nij,nkji->nk", nextorder.values(x, xi), jets.P)
+           if nextorder is not None else np.zeros(jets.h.shape, dtype=complex))
+    trace = _trace_bracket(jets.dP_x, jets.P, jets.dP_xi)
+    split = jets.h[:, None, :] - jets.h[:, :, None]  # [k, j] = h_j - h_k
+    bracket = np.einsum("nkj,nkj->nk", split, trace)
+    curvature = trace.diagonal(axis1=1, axis2=2)
+    return jets, sub, bracket, curvature
 
 
 class CospherePanel:
@@ -201,11 +200,8 @@ class CospherePanel:
             raise ValueError("non-finite base point")
         self.x = x
         self.n = x.size
-        omega, weights = quad.nodes(self.n)
-        self.omega = omega
-        self.weights = weights
-        (self.jets, self.a_next, self.middle,
-         self.sub, self.bracket, self.curvature) = _node_terms(
+        omega, self.weights = quad.nodes(self.n)
+        self.jets, self.sub, self.bracket, self.curvature = _node_terms(
             leading, nextorder, x, omega, step
         )
         self.sheets = self.jets.sheets[0]

@@ -114,7 +114,7 @@ def resolvent_symbol_terms(
     n: int,
 ) -> list[ResolventSymbolTerms]:
     """Per-sheet symbol terms of the traced (1-n)-th resolvent power."""
-    jets, _, _, sub, bracket, curvature = _node_terms(
+    jets, sub, bracket, curvature = _node_terms(
         leading, nextorder, p.x, p.xi[None], DEFAULT_STEP
     )
     _check_distance(jets.h[0], z)

@@ -225,10 +225,11 @@ def symbol_jets(
     differences with absolute step ``step`` in x and relative step
     ``step * |xi|`` in xi, each stencil point one stacked call for all N
     covectors.  Derivative matrices of square Hermitian fields are
-    re-symmetrised, which removes O(roundoff) asymmetry.
+    re-symmetrised, which removes O(roundoff) asymmetry.  ``ValueError``
+    unless 0 < step < inf, or when a returned array has a non-finite entry.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     if field.jet is not None:
@@ -252,6 +253,8 @@ def symbol_jets(
             dxi[:, axis] = acc / h_xi[:, None, None]
     dx = 0.5 * (dx + dx.conj().swapaxes(-1, -2))
     dxi = 0.5 * (dxi + dxi.conj().swapaxes(-1, -2))
+    if not all(np.all(np.isfinite(a)) for a in (value, dx, dxi)):
+        raise ValueError("non-finite symbol jet")
     return value, dx, dxi
 
 

@@ -9,9 +9,11 @@ import pytest
 from scipy.integrate import quad
 
 from weylsys import (
+    CosphereQuadrature,
     MatrixJet,
     PhasePoint,
     SymbolField,
+    TorusModel,
     build_model,
     build_mollifier,
     eigen_jet,
@@ -26,8 +28,8 @@ from weylsys.errors import (
     SolveFailure,
 )
 from weylsys.coefficients import _node_terms
-from weylsys.symbols import DEFAULT_STEP, require_hermitian
-from weylsys.torus import DEFAULT_BUDGET, TRUSTED_FRACTION
+from weylsys.symbols import DEFAULT_STEP, require_hermitian, symbol_jets
+from weylsys.torus import DEFAULT_BUDGET, TRUSTED_FRACTION, TrigMatrixField
 
 
 @pytest.fixture(scope="session")
@@ -228,7 +230,7 @@ def sheet_position(sheets, sheet):
 def node_terms(leading, nextorder, p):
     """The cosphere panel's computation at the one node p.xi: the eigen-jet
     and the subprincipal, bracket and curvature integrands, each (m,)."""
-    jets, _, _, sub, bracket, curvature = _node_terms(
+    jets, sub, bracket, curvature = _node_terms(
         leading, nextorder, p.x, p.xi[None], DEFAULT_STEP
     )
     return jets.at(0), sub[0], bracket[0], curvature[0]
@@ -316,25 +318,136 @@ def vector_sheet_terms(leading, nextorder, p):
     return out
 
 
-def vector_integrands(panel):
-    """Eigenvector-form (sub, bracket, curvature) integrands, each (N, m)."""
+def vector_integrands(panel, leading, nextorder):
+    """Eigenvector-form (sub, bracket, curvature) integrands, each (N, m).
+
+    Only the eigenvectors and sheet values come from the panel, which must
+    be on the default quadrature; A and A_next are evaluated here at its
+    nodes.
+    """
+    omega, weights = CosphereQuadrature().nodes(panel.n)
+    np.testing.assert_array_equal(weights, panel.weights)
+    lead = leading.values(panel.x, omega)
+    a_next = (nextorder.values(panel.x, omega) if nextorder is not None
+              else np.zeros_like(lead))
     v, dv_x, dv_xi = panel.jets.v, panel.jets.dv_x, panel.jets.dv_xi
-    sub = np.einsum("nki,nij,nkj->nk", v.conj(), panel.a_next, v)
+    middle = lead[:, None] - panel.h[..., None, None] * np.eye(lead.shape[-1])
+    sub = np.einsum("nki,nij,nkj->nk", v.conj(), a_next, v)
     # {v^*, A - h, v} and -{v^*, v} (the latter equals tr {P, P, P})
     path = "naki,nkij,nakj->nk"
-    bracket = (np.einsum(path, dv_x.conj(), panel.middle, dv_xi)
-               - np.einsum(path, dv_xi.conj(), panel.middle, dv_x))
+    bracket = (np.einsum(path, dv_x.conj(), middle, dv_xi)
+               - np.einsum(path, dv_xi.conj(), middle, dv_x))
     curvature = (np.einsum("naki,naki->nk", dv_xi.conj(), dv_x)
                  - np.einsum("naki,naki->nk", dv_x.conj(), dv_xi))
     return sub, bracket, curvature
 
 
-def vector_form(panel):
+def vector_form(panel, leading, nextorder):
     """A copy of ``panel`` whose integrands are the eigenvector forms, so
     its ``second_terms``/``second_coefficient`` integrate those instead."""
     out = copy.copy(panel)
-    out.sub, out.bracket, out.curvature = vector_integrands(panel)
+    out.sub, out.bracket, out.curvature = vector_integrands(panel, leading, nextorder)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Pauli-form oracle: both coefficients of a 2 x 2 system with no
+# eigendecomposition
+# ---------------------------------------------------------------------------
+
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+                 dtype=complex)
+
+
+def pauli_vector(mats):
+    """(a0, a) with mats = a0 I + a . sigma, for Hermitian (..., 2, 2)."""
+    a0 = 0.5 * np.trace(mats, axis1=-2, axis2=-1).real
+    a = 0.5 * np.einsum("...ij,sji->...s", mats, PAULI).real
+    return a0, a
+
+
+def pauli_coefficients(leading, nextorder, x):
+    """(a1+, a1-, a0+, a0-) of a 2 x 2 system from its Pauli vectors.
+
+    At every node of the default quadrature, with A = a0 I + a . sigma, n = a/|a| and
+    B = A_next: h+- = a0 +- |a|,
+    curvature+- = +-(i/2) sum_alpha n . (d_xi_alpha n x d_x_alpha n),
+    bracket+- = +-2|a| curvature+- and sub+- = tr B / 2 +- tr(B n . sigma) / 2.
+    A sheet counts in the branch whose sign its h has at the first node;
+    the branch sums are the panel's region integrals and prefactors.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    omega, weights = CosphereQuadrature().nodes(n)
+    value, dx, dxi = symbol_jets(leading, x, omega)
+    a0, a = pauli_vector(value)
+    radius = np.linalg.norm(a, axis=-1)
+    unit = a / radius[:, None]
+
+    def d_unit(d_mats):
+        da = pauli_vector(d_mats)[1]
+        along = np.einsum("nas,ns->na", da, unit)[..., None] * unit[:, None]
+        return (da - along) / radius[:, None, None]
+
+    berry = 0.5j * np.einsum("ns,nas->n", unit, np.cross(d_unit(dxi), d_unit(dx)))
+    b0, b = (pauli_vector(nextorder.values(x, omega)) if nextorder is not None
+             else (np.zeros(len(omega)), np.zeros((len(omega), 3))))
+    b_along = np.einsum("ns,ns->n", b, unit)
+    pref = n * (n - 1) / (2.0 * math.pi) ** n
+    first = {1: 0.0, -1: 0.0}
+    second = {1: 0.0, -1: 0.0}
+    for s in (1, -1):
+        h = a0 + s * radius
+        curvature = s * berry
+        bracket = 2.0 * s * radius * curvature
+        sub = b0 + s * b_along
+        branch = 1 if h[0] > 0 else -1
+
+        def region(samples):
+            return np.sum(weights * samples * np.abs(h) ** (-n)) / n
+
+        first[branch] += n / (2.0 * math.pi) ** n * region(1.0).real
+        second[branch] += (-pref * region(branch * sub)
+                           + 0.5j * pref * region(branch * bracket)
+                           + n * 1j / (2.0 * math.pi) ** n
+                           * region(branch * h * curvature)).real
+    return first[1], first[-1], second[1], second[-1]
+
+
+# ---------------------------------------------------------------------------
+# Gauge twins: a torus model conjugated by a periodic unitary, the same
+# operator up to unitary equivalence
+# ---------------------------------------------------------------------------
+
+def gauge_twin(model, g):
+    """The 2 x 2 ``model`` conjugated by U = diag(e^(i g.x), 1), g integer.
+
+    C'^j = U C^j U* and B' = U B U* - (1/2) sum_j g_j {C'^j, Pi_1} with
+    Pi_1 = diag(1, 0): in mode terms, entry (0, 1) of every mode moves by
+    +g and entry (1, 0) by -g.  Unitarily equivalent on L^2(T^2), so the
+    spectrum, the pointwise weights and every local coefficient are the
+    model's.  Built directly: registration of an x2-dependent twin scans a
+    full x grid and is not needed for a twin of a registered model.
+    """
+    shifts = np.array([[0, 1], [-1, 0]])  # entry (i, j) moves by shifts[i, j] g
+
+    def conjugate(fld):
+        modes = {}
+        for k, mat in fld.modes.items():
+            for (i, j), s in np.ndenumerate(shifts):
+                key = (k[0] + s * g[0], k[1] + s * g[1])
+                modes.setdefault(key, np.zeros((2, 2), dtype=complex))[i, j] += mat[i, j]
+        return TrigMatrixField(2, modes)
+
+    coefficients = tuple(conjugate(fld) for fld in model.coefficients)
+    potential = dict(conjugate(model.potential).modes)
+    projector = np.diag([1.0, 0.0]).astype(complex)
+    for g_j, fld in zip(g, coefficients):
+        for k, mat in fld.modes.items():
+            anti = mat @ projector + projector @ mat
+            potential[k] = potential.get(k, 0) - 0.5 * g_j * anti
+    return TorusModel(f"{model.name}-twin", {**model.params, "g": tuple(g)},
+                      coefficients, TrigMatrixField(2, potential))
 
 
 # ---------------------------------------------------------------------------

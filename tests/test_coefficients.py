@@ -8,14 +8,25 @@ import pytest
 from weylsys import (
     CosphereQuadrature,
     SymbolField,
+    b_profile,
+    build_model,
     first_weyl,
+    recover_second_weyl,
     second_weyl,
     weyl_coefficients,
 )
-from weylsys.coefficients import CospherePanel
+from weylsys.coefficients import CospherePanel, _node_terms, _trace_bracket
 from weylsys.errors import NotElliptic
+from weylsys.symbols import DEFAULT_STEP
 
-from conftest import flipped_field, pointwise_field, sheet_position, vector_form
+from conftest import (
+    flipped_field,
+    gauge_twin,
+    pauli_coefficients,
+    pointwise_field,
+    sheet_position,
+    vector_form,
+)
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -179,7 +190,7 @@ def test_vector_and_projection_forms_agree(twisted_model):
         x = np.array([x1, 0.0])
         a = second_weyl(lead, sub, x)
         panel = CospherePanel(lead, sub, x, CosphereQuadrature())
-        b = vector_form(panel).second_coefficient()
+        b = vector_form(panel, lead, sub).second_coefficient()
         assert abs(a.value - b.value) < 1e-6
 
 
@@ -187,7 +198,7 @@ def form_factors(leading, nextorder, x, sheet):
     """(c_first, c_second) of one sheet from the vector and projection forms."""
     panel = CospherePanel(leading, nextorder, x, CosphereQuadrature())
     pos = sheet_position(panel.sheets, sheet)
-    vect = vector_form(panel).second_terms(pos)
+    vect = vector_form(panel, leading, nextorder).second_terms(pos)
     proj = panel.second_terms(pos)
     return vect.c_first, proj.c_first, vect.c_second, proj.c_second
 
@@ -318,3 +329,129 @@ def test_panel_applies_the_node_rules():
     )
     with pytest.raises(NotElliptic, match="signature"):
         CospherePanel(turning, None, X0, quad)
+
+
+# ---------------------------------------------------------------------------
+# one trace for the bracket and the curvature
+# ---------------------------------------------------------------------------
+
+COEFFICIENT_NAMES = ("a_first_plus", "a_first_minus", "a_second_plus", "a_second_minus")
+ORACLE_POINTS = (np.array([0.0, 0.0]), np.array([1.3, 4.2]), np.array([2.5, 0.7]))
+
+
+def coefficient_values(model, x):
+    lead, sub = model.symbol_fields()
+    coeffs = weyl_coefficients(lead, sub, x)
+    return np.array([getattr(coeffs, name) for name in COEFFICIENT_NAMES]), coeffs
+
+
+def test_pauli_oracle_matches_the_panel(dirac_model, shifted_dirac_model,
+                                        mass_dirac_model, twisted_model):
+    # a1 and a0+- of a 2 x 2 system with no eigendecomposition at all
+    models = (dirac_model, shifted_dirac_model, mass_dirac_model, twisted_model,
+              build_model("twisted", {"eps": 0.2}))
+    for model in models:
+        lead, sub = model.symbol_fields()
+        for x in ORACLE_POINTS:
+            values, _ = coefficient_values(model, x)
+            oracle = pauli_coefficients(lead, sub, x)
+            np.testing.assert_allclose(oracle, values, rtol=0, atol=1e-13,
+                                       err_msg=f"{model.name} at {x}")
+
+
+def recovered_second(model, x):
+    """Two-angle and limit recoveries of a0+ at x."""
+    lead, sub = model.symbol_fields()
+    prof = b_profile(lead, sub, x)
+    two = recover_second_weyl(
+        {p: prof.b0(p) for p in (math.pi / 4, 3 * math.pi / 4)}, "two-angle"
+    )
+    lim = recover_second_weyl({p: prof.b0(p) for p in (0.2, 0.1, 0.05)}, "limit")
+    return np.array([two, lim])
+
+
+@pytest.mark.parametrize("g", [(1, 0), (2, 0), (0, 1)], ids=lambda g: f"g={g[0]},{g[1]}")
+def test_gauge_twins_keep_every_coefficient(twisted_model, g):
+    # the twin is unitarily equivalent, so every local coefficient is the
+    # model's, while the per-sheet terms, which are not invariant, move
+    twin = gauge_twin(twisted_model, g)
+    lead, sub = twin.symbol_fields()
+    moves = []
+    for x in ORACLE_POINTS:
+        want, base = coefficient_values(twisted_model, x)
+        got, coeffs = coefficient_values(twin, x)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(recovered_second(twin, x),
+                                   recovered_second(twisted_model, x), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pauli_coefficients(lead, sub, x), got,
+                                   rtol=0, atol=1e-13)
+        moved, kept = coeffs.breakdown[1], base.breakdown[1]
+        moves += [abs(moved.term_sub - kept.term_sub),
+                  abs(moved.term_bracket - kept.term_bracket)]
+    assert max(moves) > 1e-3
+
+
+def random_linear_field(rng, m):
+    """A(x, xi) = sum_a xi_a (C_a + sum_b x_b D_ab), seeded random Hermitian
+    C and D, with its analytic jet."""
+    def hermitian():
+        g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        return g + g.conj().T
+
+    c = np.array([hermitian() for _ in range(2)])
+    d = np.array([[hermitian() for _ in range(2)] for _ in range(2)])
+
+    def slopes(x):
+        return c + np.einsum("b,abij->aij", x, d)
+
+    def derivatives(x, xi):
+        return np.einsum("a,abij->bij", xi, d), slopes(x)
+
+    return pointwise_field(m, 1, lambda x, xi: np.einsum("a,aij->ij", xi, slopes(x)),
+                           derivatives)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_one_trace_gives_bracket_and_curvature(rng, m):
+    # the bracket's middle factor A - h_k, formed here, against the
+    # panel's sum_j (h_j - h_k) tr {P_k, P_j, P_k}; every row of that
+    # trace sums to tr {P, I, P} = 0
+    field = random_linear_field(rng, m)
+    x = rng.uniform(0.0, 2.0 * math.pi, size=2)
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=12)
+    xi = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    jets, _, bracket, curvature = _node_terms(field, None, x, xi, DEFAULT_STEP)
+    middle = field.values(x, xi)[:, None] - jets.h[..., None, None] * np.eye(m)
+    path = "nakij,nkjl,nakli->nk"
+    for got, centre in ((bracket, middle), (curvature, jets.P)):
+        want = (np.einsum(path, jets.dP_x, centre, jets.dP_xi)
+                - np.einsum(path, jets.dP_xi, centre, jets.dP_x))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    trace = _trace_bracket(jets.dP_x, jets.P, jets.dP_xi)
+    scale = np.maximum(1.0, np.max(np.abs(trace), axis=(1, 2)))
+    assert np.all(np.abs(trace.sum(axis=2)) <= 1e-12 * scale[:, None])
+
+
+# ---------------------------------------------------------------------------
+# non-finite steps and jets
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
+def test_differencing_step_must_be_positive_and_finite(twisted_model, step):
+    lead, sub = twisted_model.symbol_fields()
+    bare = SymbolField(2, 1, lead.evaluator)  # takes the differencing fallback
+    with pytest.raises(ValueError, match="step"):
+        second_weyl(bare, sub, np.array([0.3, 0.0]), step=step)
+
+
+def test_non_finite_jet_is_rejected(twisted_model):
+    lead, sub = twisted_model.symbol_fields()
+
+    def jet(x, xi):
+        value, dx, dxi = lead.jet(x, xi)
+        dx = dx.copy()
+        dx[0, 0, 0, 0] = np.nan
+        return value, dx, dxi
+
+    with pytest.raises(ValueError, match="non-finite"):
+        weyl_coefficients(SymbolField(2, 1, lead.evaluator, jet), sub, np.array([0.3, 0.0]))

@@ -133,6 +133,24 @@ def test_every_definition_serves_the_package():
     assert unserved == []
 
 
+def test_every_attribute_is_read():
+    # an attribute a src/weylsys class assigns on self must be read as an
+    # attribute somewhere in src, demos/ or perfbench/ (matched by name):
+    # state that only the tests read does not belong in the package
+    loads = set()
+    for folder in ("src", "demos", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            loads.update(n.attr for n in ast.walk(ast.parse(path.read_text()))
+                         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    unread = []
+    for path in sorted((ROOT / "src" / "weylsys").glob("*.py")):
+        stored = {n.attr for n in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                  and isinstance(n.value, ast.Name) and n.value.id == "self"}
+        unread += [f"{path.name}: {name}" for name in sorted(stored - loads)]
+    assert unread == []
+
+
 def test_every_parameter_is_read():
     # a parameter no body reads is a setting that silently does nothing;
     # only the catalog builders keep their uniform builder(params) signature,

@@ -602,9 +602,9 @@ def test_panel_nodes_equal_single_point_jets(twisted_model):
     lead, sub = twisted_model.symbol_fields()
     x = np.array([1.3, 0.4])
     panel = CospherePanel(lead, sub, x, CosphereQuadrature())
-    sub_v, brack_v, curv_v = vector_integrands(panel)
+    sub_v, brack_v, curv_v = vector_integrands(panel, lead, sub)
     assert len(panel.weights) == 256
-    for i, row in enumerate(panel.omega):
+    for i, row in enumerate(CosphereQuadrature().nodes(2)[0]):
         p = PhasePoint(x, row)
         jet = eigen_jet(lead, p)
         stacked = panel.jets.at(i)
