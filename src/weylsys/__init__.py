@@ -48,17 +48,14 @@ from .resolvent import (
     radial_factor,
     recover_second_weyl,
     resolvent_symbol,
-    resolvent_symbol_terms,
 )
 from .symbols import (
     EigenJet,
     MatrixJet,
     PhasePoint,
     SymbolField,
-    eigen_decompose,
     eigen_jet,
     generalized_bracket,
-    poisson_bracket,
     symbol_jet,
 )
 from .torus import (
@@ -94,7 +91,6 @@ __all__ = [
     "build_model",
     "build_mollifier",
     "catalog_names",
-    "eigen_decompose",
     "eigen_jet",
     "expansion_b_coefficients",
     "first_weyl",
@@ -103,13 +99,11 @@ __all__ = [
     "kernel_moment_closed",
     "kernel_moment_numeric",
     "local_counting_mollified",
-    "poisson_bracket",
     "power_difference_kernel",
     "power_trace_symbol",
     "radial_factor",
     "recover_second_weyl",
     "resolvent_symbol",
-    "resolvent_symbol_terms",
     "second_weyl",
     "symbol_jet",
     "weyl_coefficients",

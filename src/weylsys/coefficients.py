@@ -40,6 +40,7 @@ from .errors import ComplexResidue, NotElliptic
 from .symbols import (
     DEFAULT_STEP,
     SymbolField,
+    check_symbol_pair,
     eigen_jet,  # not called here; perfbench/inproc.py wraps coefficients.eigen_jet
     eigen_jet_stack,
     symbol_jets,
@@ -156,10 +157,10 @@ def _node_terms(
     T[k, j] = tr {P_k, P_j, P_k}: the curvature integrand is T[k, k] and the
     bracket integrand sum_j (h_j - h_k) T[k, j].  Returns the
     :class:`~weylsys.symbols.EigenJet` of the N nodes and the subprincipal,
-    bracket and curvature integrands, each (N, m).
+    bracket and curvature integrands, each (N, m).  The pair must pass
+    :func:`~weylsys.symbols.check_symbol_pair`.
     """
-    if leading.degree != 1:
-        raise ValueError("eigen jets are defined for degree-1 leading symbols")
+    check_symbol_pair(leading, nextorder)
     jets = eigen_jet_stack(*symbol_jets(leading, x, xi, step))
     sub = (np.einsum("nij,nkji->nk", nextorder.values(x, xi), jets.P)
            if nextorder is not None else np.zeros(jets.h.shape, dtype=complex))

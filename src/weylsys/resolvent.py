@@ -36,6 +36,7 @@ from .symbols import (
     MatrixJet,
     PhasePoint,
     SymbolField,
+    check_symbol_pair,
     eigen_jet,  # not called here; perfbench/inproc.py wraps resolvent.eigen_jet
     generalized_bracket,
     require_hermitian,
@@ -72,9 +73,11 @@ def resolvent_symbol(
 
     R - R A_next R + (i/2) {R, A - z, R} with R = (A - z)^-1, everything
     evaluated pointwise; the omitted remainder is one order lower in both
-    the momentum and the spectral parameter.  Raises :class:`NotHermitian`
+    the momentum and the spectral parameter.  The pair must pass
+    :func:`~weylsys.symbols.check_symbol_pair`; raises :class:`NotHermitian`
     when A fails the Hermiticity rule of the eigen-jets.
     """
+    check_symbol_pair(leading, nextorder)
     lead_jet = symbol_jet(leading, p)
     h = np.linalg.eigvalsh(require_hermitian(lead_jet.value))
     _check_distance(h, z)
@@ -87,55 +90,6 @@ def resolvent_symbol(
     return out
 
 
-@dataclass(frozen=True)
-class ResolventSymbolTerms:
-    """Scalar symbol terms of tr (A - z)^(1-n) for one sheet at one point.
-
-    ``s_first`` is the leading term (h - z)^(1-n); ``s_second`` the
-    next-order term, split into its pole-of-order-n part and its
-    curvature part.
-    """
-
-    sheet: int
-    s_first: complex
-    s_second_pole: complex
-    s_second_curvature: complex
-
-    @property
-    def s_second(self) -> complex:
-        return self.s_second_pole + self.s_second_curvature
-
-
-def resolvent_symbol_terms(
-    leading: SymbolField,
-    nextorder: Optional[SymbolField],
-    p: PhasePoint,
-    z: complex,
-    n: int,
-) -> list[ResolventSymbolTerms]:
-    """Per-sheet symbol terms of the traced (1-n)-th resolvent power."""
-    jets, sub, bracket, curvature = _node_terms(
-        leading, nextorder, p.x, p.xi[None], DEFAULT_STEP
-    )
-    _check_distance(jets.h[0], z)
-    out = []
-    for pos in range(leading.dim):
-        h = float(jets.h[0, pos])
-        pole = (
-            -(n - 1) * complex(sub[0, pos]) + 0.5j * (n - 1) * complex(bracket[0, pos])
-        ) / (h - z) ** n
-        curv = 1j * complex(curvature[0, pos]) / (h - z) ** (n - 1)
-        out.append(
-            ResolventSymbolTerms(
-                sheet=int(jets.sheets[0, pos]),
-                s_first=(h - z) ** (1 - n),
-                s_second_pole=pole,
-                s_second_curvature=curv,
-            )
-        )
-    return out
-
-
 def power_trace_symbol(
     leading: SymbolField,
     nextorder: Optional[SymbolField],
@@ -143,12 +97,24 @@ def power_trace_symbol(
     z: complex,
     n: int,
 ) -> complex:
-    """Traced symbol of (A - z)^(1-n), two leading terms, n >= 2."""
+    """Traced symbol of (A - z)^(1-n), two leading terms, n >= 2.
+
+    A sum over sheets, from one :func:`_node_terms` call at p, of the
+    leading term (h - z)^(1-n) and the next-order term: the pole
+    (-(n-1) s + (i/2)(n-1) b) / (h - z)^n of the subprincipal and bracket
+    integrands s and b, plus the curvature term i c / (h - z)^(n-1).
+    """
     if n < 2:
         raise ValueError("power trace requires n >= 2")
+    jets, sub, bracket, curvature = _node_terms(
+        leading, nextorder, p.x, p.xi[None], DEFAULT_STEP
+    )
+    _check_distance(jets.h[0], z)
     total = 0.0 + 0.0j
-    for t in resolvent_symbol_terms(leading, nextorder, p, z, n=n):
-        total += t.s_first + t.s_second
+    for h, s, b, c in zip(*(a[0].tolist() for a in (jets.h, sub, bracket, curvature))):
+        pole = (-(n - 1) * s + 0.5j * (n - 1) * b) / (h - z) ** n
+        curv = 1j * c / (h - z) ** (n - 1)
+        total += (h - z) ** (1 - n) + (pole + curv)
     return total
 
 

@@ -6,33 +6,34 @@ a base point x of shape (n,) and N covectors xi of shape (N, n) and
 returns the N matrices, so a cosphere panel is one call per field.  This
 module evaluates such fields, computes their eigen-decompositions with a
 deterministic sheet enumeration (signed indices, negative eigenvalues get
-negative indices), differentiates eigenvalues, eigenprojections and
-eigenvectors in all 2n phase-space directions, and provides the Poisson
-bracket and its three-slot generalisation on matrix jets.
-:class:`PhasePoint` is the single-point face of the same calls (N = 1).
+negative indices), differentiates the eigenprojections in all 2n
+phase-space directions, and provides the three-slot bracket on matrix
+jets.  :class:`PhasePoint` is the single-point face of the same calls
+(N = 1).
 
 Only the leading symbol is differentiated; the next-order one enters the
-coefficients by its value alone.  Eigen-jets are exact first-order perturbation theory on the symbol's
-derivative matrices dA (the field's analytic derivatives, or five-point
-central differences of the matrix, stacked over all N covectors, when the
-field has none): with eigenpairs (h_k, v_k),
+coefficients by its value alone.  Eigen-jets are exact first-order
+perturbation theory on the symbol's derivative matrices dA (the field's
+analytic derivatives, or five-point central differences of the matrix,
+stacked over all N covectors, when the field has none): with eigenpairs
+(h_k, v_k),
 
-    dh_k = v_k* dA v_k                               (Hellmann-Feynman)
     dv_k = sum_{j != k} v_j (v_j* dA v_k) / (h_k - h_j)
     dP_k = dv_k v_k* + v_k dv_k*
          = sum_{j != k} (P_j dA P_k + h.c.) / (h_k - h_j)   (Kato).
 
+The resolvent's trace reads only h, P and dP, so :class:`EigenJet` holds
+those alone; eigenvectors are intermediates of :func:`eigen_jet_stack`.
+They still get a fixed phase (largest component real positive) before
+P = v v* is formed: P is phase-invariant, but its rounding is not, and the
+fixed phase makes its bits independent of the phases LAPACK returns.
+
 One construction, :func:`eigen_jet_stack`, serves a whole stack of points
 with one stacked eigensolve into one record, :class:`EigenJet`, with a
-node axis; :func:`eigen_jet` is its node 0 at one point, and
-:func:`eigen_decompose` at one bare matrix, over zero directions.  Only
+node axis; :func:`eigen_jet` is its node 0 at one point.  Only
 :func:`symbol_jets`, :func:`symbol_jet` and the cosphere panel
 (``second_weyl`` -> ``CospherePanel``) take a differencing step; elsewhere
 a field without an analytic jet is differenced at ``DEFAULT_STEP``.
-Eigenvectors carry a fixed phase (largest component real positive) and
-their derivatives the parallel gauge v_k* dv_k = 0; the published scalar
-quantities built from them are phase-invariant, so the convention is
-unobservable downstream.
 
 Everything here is a pure function of its inputs and all returned values
 are immutable; concurrent callers need no coordination.
@@ -102,7 +103,7 @@ class SymbolField:
         0 for the next-order one).
     evaluator : callable
         Maps a base point x of shape (n,) and covectors xi of shape (N, n)
-        to the (N, m, m) complex matrices at (x, xi[i]).
+        to the (N, m, m) complex matrices at (x, xi[i]), all finite.
     jet : callable, optional
         Same arguments; returns the value together with the analytic x-
         and xi-derivatives, shapes (N, m, m), (N, n, m, m) and
@@ -121,17 +122,38 @@ class SymbolField:
             raise ValueError("matrix dimension must be at least 2")
 
     def values(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """The (N, m, m) matrices at x and every row of xi."""
+        """The (N, m, m) matrices at x and every row of xi.
+
+        :class:`DimensionMismatch` on a wrong shape, ``ValueError`` on a
+        non-finite entry.
+        """
         m = np.asarray(self.evaluator(x, xi), dtype=complex)
         if m.shape != (len(xi), self.dim, self.dim):
             raise DimensionMismatch(
                 f"evaluator returned shape {m.shape}, "
                 f"expected {(len(xi), self.dim, self.dim)}"
             )
+        if not np.all(np.isfinite(m)):
+            raise ValueError("non-finite symbol value")
         return m
 
     def __call__(self, p: PhasePoint) -> np.ndarray:
         return self.values(p.x, p.xi[None])[0]
+
+
+def check_symbol_pair(leading: SymbolField, nextorder: Optional[SymbolField]) -> None:
+    """The rule on a symbol pair, checked before any work: the leading
+    symbol has degree 1 (``ValueError``); the next-order one, when given,
+    has the leading symbol's size (:class:`DimensionMismatch`) and degree 0
+    (``ValueError``)."""
+    if leading.degree != 1:
+        raise ValueError("eigen jets are defined for degree-1 leading symbols")
+    if nextorder is not None and nextorder.dim != leading.dim:
+        raise DimensionMismatch(
+            f"next-order symbol is {nextorder.dim} x {nextorder.dim}, leading {leading.dim}"
+        )
+    if nextorder is not None and nextorder.degree != 0:
+        raise ValueError(f"next-order symbols have degree 0, not {nextorder.degree}")
 
 
 @dataclass(frozen=True)
@@ -186,13 +208,13 @@ def sheet_labels(values: np.ndarray) -> np.ndarray:
     return np.where(idx < m_minus, idx - m_minus, idx - m_minus + 1)
 
 
-def _decompose_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _decompose_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One stacked eigensolve of (N, m, m) matrices with the per-matrix rules.
 
-    Returns ascending eigenvalues (N, m), phase-fixed column eigenvectors
-    (N, m, m) and each matrix's smallest adjacent gap (N,).  Every
-    |eigenvalue| and every adjacent gap must reach the threshold
-    ``SIMPLICITY_FACTOR`` times the largest |eigenvalue| of the whole stack.
+    Returns ascending eigenvalues (N, m) and phase-fixed column eigenvectors
+    (N, m, m).  Every |eigenvalue| and every adjacent gap must reach the
+    threshold ``SIMPLICITY_FACTOR`` times the largest |eigenvalue| of the
+    whole stack.
     """
     values, vectors = np.linalg.eigh(require_hermitian(matrices))
     radius = float(np.max(np.abs(values)))
@@ -202,14 +224,13 @@ def _decompose_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
         raise NotElliptic(
             f"eigenvalue of magnitude {smallest:.3e} below threshold {threshold:.3e}"
         )
-    diffs = np.diff(values, axis=-1)
-    gaps = np.min(diffs, axis=-1) if diffs.shape[-1] else np.full(len(values), np.inf)
-    if np.min(gaps) < threshold:
+    gap = float(np.min(np.diff(values, axis=-1)))
+    if gap < threshold:
         raise DegenerateSpectrum(
-            f"adjacent eigenvalue gap {np.min(gaps):.3e} below threshold "
+            f"adjacent eigenvalue gap {gap:.3e} below threshold "
             f"{threshold:.3e}"
         )
-    return values, _fix_phase(vectors), gaps
+    return values, _fix_phase(vectors)
 
 
 def symbol_jets(
@@ -268,11 +289,6 @@ def symbol_jet(
     return MatrixJet(value[0], dx[0], dxi[0])
 
 
-def poisson_bracket(jet_a: MatrixJet, jet_b: MatrixJet) -> np.ndarray:
-    """{A, B} = sum_alpha (A_x B_xi - A_xi B_x): the bracket {A, I, B}."""
-    return generalized_bracket(jet_a, np.eye(jet_a.value.shape[1]), jet_b)
-
-
 def generalized_bracket(
     jet_f: MatrixJet,
     middle: np.ndarray,
@@ -281,7 +297,8 @@ def generalized_bracket(
     """{F, G, H} = sum_alpha (F_x G H_xi - F_xi G H_x); G is not differentiated.
 
     F may be (p, m), G (m, m') and H (m', q); the result is (p, q).  Scalar
-    brackets such as {v^*, G, v} are the 1 x 1 case.
+    brackets such as {v^*, G, v} are the 1 x 1 case, and the Poisson
+    bracket {A, B} is {A, I, B}.
     """
     n = jet_f.n
     if jet_h.n != n:
@@ -301,28 +318,20 @@ def generalized_bracket(
 
 @dataclass(frozen=True)
 class EigenJet:
-    """Eigenvalues, projections and eigenvectors of a leading symbol,
-    together with their first derivatives in all phase-space directions.
+    """Eigenvalues and eigenprojections of a leading symbol, with the
+    projections' first derivatives in all phase-space directions.
 
     Arrays are indexed by sorted sheet position; ``sheets`` maps positions
-    to signed labels.  At one point: sheets and h (m,), dh_* (n, m),
-    P (m, m, m), dP_* (n, m, m, m), v (m, m) rows, dv_* (n, m, m) rows and
-    a scalar gap.  :func:`eigen_jet_stack` puts a node axis N in front of
-    each; :meth:`at` takes one node out.  n may be 0: the jet of a bare
-    matrix, which :func:`eigen_decompose` returns.
+    to signed labels.  At one point: sheets and h (m,), P (m, m, m) and
+    dP_* (n, m, m, m).  :func:`eigen_jet_stack` puts a node axis N in
+    front of each; :meth:`at` takes one node out.
     """
 
     sheets: np.ndarray
     h: np.ndarray
-    dh_x: np.ndarray
-    dh_xi: np.ndarray
     P: np.ndarray
     dP_x: np.ndarray
     dP_xi: np.ndarray
-    v: np.ndarray
-    dv_x: np.ndarray
-    dv_xi: np.ndarray
-    gap: np.ndarray
 
     @property
     def m(self) -> int:
@@ -346,17 +355,18 @@ def eigen_jet_stack(
     ``values`` (N, m, m) are the symbol matrices, ``dx`` and ``dxi``
     (N, n, m, m) their Hermitian derivative matrices: one stacked
     eigensolve, then the module docstring's formulas for every point,
-    direction and sheet.  The stack must pass the rules of
-    :func:`_decompose_stack`, else the matching :class:`WeylError` is
-    raised: a small gap would blow up the 1/(h_k - h_j) factors.
+    direction and sheet.  The eigenvectors and their parallel-gauge
+    derivatives are formed on the way to P and dP and not kept.  The
+    stack must pass the rules of :func:`_decompose_stack`, else the
+    matching :class:`WeylError` is raised: a small gap would blow up the
+    1/(h_k - h_j) factors.
     """
-    h, vecs, gaps = _decompose_stack(values)
+    h, vecs = _decompose_stack(values)
     n = dx.shape[1]
     m = h.shape[-1]
     d_a = np.concatenate([dx, dxi], axis=1)  # x directions, then xi
     # coupling[..., j, k] = v_j* dA v_k, one (m, m) block per direction
     coupling = vecs.conj().swapaxes(-1, -2)[:, None] @ d_a @ vecs[:, None]
-    dh = coupling.diagonal(axis1=-2, axis2=-1).real
     off = ~np.eye(m, dtype=bool)
     split = h[:, None, :] - h[:, :, None]  # [j, k] = h_k - h_j
     inverse = np.where(off, 1.0 / np.where(off, split, 1.0), 0.0)
@@ -367,39 +377,19 @@ def eigen_jet_stack(
     half = dv[..., :, None] * v.conj()[:, None, :, None, :]  # dv_k v_k*
     dP = half + half.conj().swapaxes(-1, -2)
     return EigenJet(
-        sheets=sheet_labels(h),
-        h=h,
-        dh_x=dh[:, :n],
-        dh_xi=dh[:, n:],
-        P=P,
-        dP_x=dP[:, :n],
-        dP_xi=dP[:, n:],
-        v=v,
-        dv_x=dv[:, :n],
-        dv_xi=dv[:, n:],
-        gap=gaps,
+        sheets=sheet_labels(h), h=h, P=P, dP_x=dP[:, :n], dP_xi=dP[:, n:]
     )
-
-
-def eigen_decompose(matrix: np.ndarray) -> EigenJet:
-    """The :class:`EigenJet` of one Hermitian matrix over zero phase-space
-    directions: its derivative arrays have shape (0, ...).  Raises
-    :class:`NotHermitian`, :class:`NotElliptic` or
-    :class:`DegenerateSpectrum` when the respective precondition fails.
-    """
-    matrix = np.asarray(matrix)[None]
-    none = np.zeros((1, 0, *matrix.shape[1:]))
-    return eigen_jet_stack(matrix, none, none).at(0)
 
 
 def eigen_jet(field: SymbolField, p: PhasePoint) -> EigenJet:
     """Eigen-decomposition with exact first derivatives at one point.
 
     :func:`eigen_jet_stack` on the field's :func:`symbol_jets` at N = 1,
-    node 0 taken out.  All sheets are returned.  Raises the
-    :func:`eigen_decompose` errors.
+    node 0 taken out.  All sheets are returned.  Raises ``ValueError``
+    unless the field has degree 1 (:func:`check_symbol_pair`), and
+    :class:`NotHermitian`, :class:`NotElliptic` or
+    :class:`DegenerateSpectrum` when the respective rule fails.
     """
-    if field.degree != 1:
-        raise ValueError("eigen jets are defined for degree-1 leading symbols")
+    check_symbol_pair(field, None)
     return eigen_jet_stack(*symbol_jets(field, p.x, p.xi[None])).at(0)
 

@@ -28,7 +28,7 @@ from weylsys.errors import (
     SolveFailure,
 )
 from weylsys.coefficients import _node_terms
-from weylsys.symbols import DEFAULT_STEP, require_hermitian, symbol_jets
+from weylsys.symbols import DEFAULT_STEP, eigen_jet_stack, require_hermitian, symbol_jets
 from weylsys.torus import DEFAULT_BUDGET, TRUSTED_FRACTION, TrigMatrixField
 
 
@@ -227,6 +227,14 @@ def sheet_position(sheets, sheet):
     return int(hits[0])
 
 
+def bare_jet(matrix):
+    """The eigen-jet of one Hermitian matrix over zero phase-space
+    directions: its derivative arrays have shape (0, ...)."""
+    matrix = np.asarray(matrix)[None]
+    none = np.zeros((1, 0, *matrix.shape[1:]))
+    return eigen_jet_stack(matrix, none, none).at(0)
+
+
 def node_terms(leading, nextorder, p):
     """The cosphere panel's computation at the one node p.xi: the eigen-jet
     and the subprincipal, bracket and curvature integrands, each (m,)."""
@@ -265,8 +273,28 @@ def check_field_contract(field, points, scales=(0.5, 2.0, 3.7), tol=1e-9):
 
 # ---------------------------------------------------------------------------
 # Eigenvector-form oracle: the form of the second-coefficient integrands
-# that the gauge-free projection form replaces
+# that the gauge-free projection form replaces, with eigenvectors and their
+# derivatives derived from an eigen-jet's projections
 # ---------------------------------------------------------------------------
+
+def eigenvector_jets(jet):
+    """(v, dv_x, dv_xi) of an eigen-jet at one node or a stack of nodes.
+
+    v_k (rows, [..., k, i]) is the largest column of P_k, normalised, with
+    its largest component made real positive; dv_k = dP_k v_k is the
+    parallel gauge v_k* dv_k = 0, since P dP P = 0.  Derivatives are
+    [..., axis, k, i].
+    """
+    norms = np.linalg.norm(jet.P, axis=-2)  # [..., k, j] = |column j of P_k|
+    j = np.argmax(norms, axis=-1)[..., None]
+    v = (np.take_along_axis(jet.P, j[..., None, :], axis=-1)[..., 0]
+         / np.take_along_axis(norms, j, axis=-1))
+    pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
+    v = v * (np.conj(pivot) / np.abs(pivot))
+    dv_x, dv_xi = (np.einsum("...akij,...kj->...aki", d, v)
+                   for d in (jet.dP_x, jet.dP_xi))
+    return v, dv_x, dv_xi
+
 
 def conjugate_transpose(jet):
     swap = (0, 2, 1)
@@ -278,12 +306,11 @@ def conjugate_transpose(jet):
 
 
 def vector_jet(jet, pos):
-    """Column-vector jet of eigenvector ``pos`` (shape (m, 1))."""
-    return MatrixJet(
-        jet.v[pos][:, None],
-        jet.dv_x[:, pos][:, :, None],
-        jet.dv_xi[:, pos][:, :, None],
-    )
+    """Column-vector jet of eigenvector ``pos`` (shape (m, 1)) of a
+    one-node eigen-jet."""
+    v, dv_x, dv_xi = eigenvector_jets(jet)
+    return MatrixJet(v[pos][:, None], dv_x[:, pos][:, :, None],
+                     dv_xi[:, pos][:, :, None])
 
 
 def vector_curvature_scalar(jet, pos):
@@ -309,7 +336,7 @@ def vector_sheet_terms(leading, nextorder, p):
         vj = vector_jet(jet, pos)
         vjh = conjugate_transpose(vj)
         middle = lead_val - jet.h[pos] * ident
-        v = jet.v[pos]
+        v = vj.value[:, 0]
         out.append((
             complex(np.conj(v) @ a_next @ v),
             complex(generalized_bracket(vjh, middle, vj)[0, 0]),
@@ -318,20 +345,18 @@ def vector_sheet_terms(leading, nextorder, p):
     return out
 
 
-def vector_integrands(panel, leading, nextorder):
-    """Eigenvector-form (sub, bracket, curvature) integrands, each (N, m).
+def vector_integrands(jets, leading, nextorder, x, xi):
+    """Eigenvector-form (sub, bracket, curvature) integrands, each (N, m),
+    at x and the N rows of xi.
 
-    Only the eigenvectors and sheet values come from the panel, which must
-    be on the default quadrature; A and A_next are evaluated here at its
-    nodes.
+    Only the projections and sheet values come from ``jets``, the
+    eigen-jets of those N nodes; A and A_next are evaluated here.
     """
-    omega, weights = CosphereQuadrature().nodes(panel.n)
-    np.testing.assert_array_equal(weights, panel.weights)
-    lead = leading.values(panel.x, omega)
-    a_next = (nextorder.values(panel.x, omega) if nextorder is not None
+    lead = leading.values(x, xi)
+    a_next = (nextorder.values(x, xi) if nextorder is not None
               else np.zeros_like(lead))
-    v, dv_x, dv_xi = panel.jets.v, panel.jets.dv_x, panel.jets.dv_xi
-    middle = lead[:, None] - panel.h[..., None, None] * np.eye(lead.shape[-1])
+    v, dv_x, dv_xi = eigenvector_jets(jets)
+    middle = lead[:, None] - jets.h[..., None, None] * np.eye(lead.shape[-1])
     sub = np.einsum("nki,nij,nkj->nk", v.conj(), a_next, v)
     # {v^*, A - h, v} and -{v^*, v} (the latter equals tr {P, P, P})
     path = "naki,nkij,nakj->nk"
@@ -343,10 +368,15 @@ def vector_integrands(panel, leading, nextorder):
 
 
 def vector_form(panel, leading, nextorder):
-    """A copy of ``panel`` whose integrands are the eigenvector forms, so
-    its ``second_terms``/``second_coefficient`` integrate those instead."""
+    """A copy of ``panel``, which must be on the default quadrature, whose
+    integrands are the eigenvector forms, so its
+    ``second_terms``/``second_coefficient`` integrate those instead."""
+    omega, weights = CosphereQuadrature().nodes(panel.n)
+    np.testing.assert_array_equal(weights, panel.weights)
     out = copy.copy(panel)
-    out.sub, out.bracket, out.curvature = vector_integrands(panel, leading, nextorder)
+    out.sub, out.bracket, out.curvature = vector_integrands(
+        panel.jets, leading, nextorder, panel.x, omega
+    )
     return out
 
 

@@ -26,6 +26,7 @@ from conftest import (
     pointwise_field,
     sheet_position,
     vector_form,
+    vector_integrands,
 )
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -430,6 +431,21 @@ def test_one_trace_gives_bracket_and_curvature(rng, m):
     trace = _trace_bracket(jets.dP_x, jets.P, jets.dP_xi)
     scale = np.maximum(1.0, np.max(np.abs(trace), axis=(1, 2)))
     assert np.all(np.abs(trace.sum(axis=2)) <= 1e-12 * scale[:, None])
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_eigenvector_forms_match_the_node_terms(rng, m):
+    # v* A_next v, {v*, A - h, v} and -{v*, v}, with v and dv derived from
+    # the projections, against the panel's projection-form integrands
+    field = random_linear_field(rng, m)
+    g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    sub = pointwise_field(m, 0, lambda x, xi: g + g.conj().T)
+    x = rng.uniform(0.0, 2.0 * math.pi, size=2)
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=12)
+    xi = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    jets, *terms = _node_terms(field, sub, x, xi, DEFAULT_STEP)
+    for got, want in zip(vector_integrands(jets, field, sub, x, xi), terms):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 # ---------------------------------------------------------------------------

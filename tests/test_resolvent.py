@@ -8,6 +8,7 @@ import pytest
 
 from weylsys import (
     PhasePoint,
+    SymbolField,
     b_profile,
     eigen_jet,
     power_difference_kernel,
@@ -15,12 +16,13 @@ from weylsys import (
     radial_factor,
     recover_second_weyl,
     resolvent_symbol,
-    resolvent_symbol_terms,
     second_weyl,
+    weyl_coefficients,
 )
 from weylsys.errors import (
     AngleOutOfRange,
     DegenerateAngles,
+    DimensionMismatch,
     NotHermitian,
     SingularResolvent,
 )
@@ -31,7 +33,6 @@ from conftest import (
     pointwise_field,
     radial_profile,
     random_phase_points,
-    sheet_position,
 )
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -97,6 +98,49 @@ def test_non_hermitian_symbol_raises_on_every_route():
         eigen_jet(f, p)
     with pytest.raises(NotHermitian):
         power_trace_symbol(f, None, p, z, 2)
+
+
+def every_route(lead, sub):
+    """The direct coefficients, the traced sheet sum and the matrix
+    resolvent symbol of one symbol pair, each as a call."""
+    p = PhasePoint([0.3, 0.0], [0.6, 0.8])
+    z = 0.3 + 0.9j
+    return (lambda: weyl_coefficients(lead, sub, p.x),
+            lambda: power_trace_symbol(lead, sub, p, z, 2),
+            lambda: resolvent_symbol(lead, sub, p, z))
+
+
+def test_non_finite_next_order_symbol_raises_on_every_route(twisted_model):
+    lead, _ = twisted_model.symbol_fields()
+    nan_sub = pointwise_field(2, 0, lambda x, xi: np.full((2, 2), np.nan))
+    for route in every_route(lead, nan_sub):
+        with pytest.raises(ValueError, match="non-finite"):
+            route()
+
+
+def test_degree_one_next_order_symbol_raises_on_every_route(twisted_model):
+    # the leading symbol passed again as the next-order one
+    lead, _ = twisted_model.symbol_fields()
+    for route in every_route(lead, lead):
+        with pytest.raises(ValueError, match="degree 0"):
+            route()
+
+
+def test_next_order_symbol_of_another_size_raises_on_every_route(twisted_model):
+    lead, _ = twisted_model.symbol_fields()
+    sub = pointwise_field(3, 0, lambda x, xi: np.eye(3, dtype=complex))
+    for route in every_route(lead, sub):
+        with pytest.raises(DimensionMismatch):
+            route()
+
+
+def test_degree_zero_leading_symbol_raises_on_every_route(twisted_model):
+    lead, sub = twisted_model.symbol_fields()
+    flat = SymbolField(lead.dim, 0, lead.evaluator, lead.jet)
+    p = PhasePoint([0.3, 0.0], [0.6, 0.8])
+    for route in (*every_route(flat, sub), lambda: eigen_jet(flat, p)):
+        with pytest.raises(ValueError, match="degree-1"):
+            route()
 
 
 # ---------------------------------------------------------------------------
@@ -166,20 +210,6 @@ def test_power_trace_matches_contour_derivative(twisted_model, rng):
 
             want = cauchy_derivative(fn, z, n - 2, radius) / math.factorial(n - 2)
             assert abs(got - want) < 1e-7 * max(1.0, abs(want))
-
-
-def test_symbol_terms_structure(twisted_model):
-    lead, sub = twisted_model.symbol_fields()
-    p = PhasePoint([1.1, 0.0], [0.8, 0.3])
-    z = cmath.exp(0.9j)
-    for n in (2, 3):
-        terms = resolvent_symbol_terms(lead, sub, p, z, n)
-        jet = eigen_jet(lead, p)
-        for t in terms:
-            pos = sheet_position(jet.sheets, t.sheet)
-            want = (jet.h[pos] - z) ** (1 - n)
-            assert abs(t.s_first - want) < 1e-12 * abs(want)
-            assert t.s_second == t.s_second_pole + t.s_second_curvature
 
 
 # ---------------------------------------------------------------------------

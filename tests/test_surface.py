@@ -133,6 +133,25 @@ def test_every_definition_serves_the_package():
     assert unserved == []
 
 
+def test_every_export_serves_a_route():
+    # a name in weylsys.__all__ must be named outside its own definition in
+    # src/weylsys (the re-export in __init__.py aside), in demos/, in
+    # perfbench/ or in the acceptance suite: an export that only the other
+    # tests call is no route's
+    paths = [path for path in sorted((ROOT / "src" / "weylsys").glob("*.py"))
+             if path.name != "__init__.py"]
+    paths += sorted((ROOT / "demos").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    paths.append(ROOT / "tests" / "test_acceptance.py")
+    trees = [ast.parse(path.read_text()) for path in paths]
+    names = sum(map(_names, trees), Counter())
+    own = Counter()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own[node.name] += _names(node)[node.name]
+    assert [name for name in weylsys.__all__ if names[name] == own[name]] == []
+
+
 def test_every_attribute_is_read():
     # an attribute a src/weylsys class assigns on self must be read as an
     # attribute somewhere in src, demos/ or perfbench/ (matched by name):

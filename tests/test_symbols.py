@@ -6,10 +6,8 @@ import pytest
 from weylsys import (
     PhasePoint,
     SymbolField,
-    eigen_decompose,
     eigen_jet,
     generalized_bracket,
-    poisson_bracket,
     symbol_jet,
 )
 from weylsys.errors import (
@@ -23,6 +21,7 @@ from weylsys.symbols import MatrixJet
 _STENCIL = ((-2.0, 1.0), (-1.0, -8.0), (1.0, 8.0), (2.0, -1.0))
 
 from conftest import (
+    bare_jet,
     check_field_contract,
     conjugate_transpose,
     node_terms,
@@ -68,11 +67,11 @@ def test_field_contract_on_planar_spin(rng):
 
 
 # ---------------------------------------------------------------------------
-# eigen_decompose
+# eigen-jets of bare matrices
 # ---------------------------------------------------------------------------
 
 def test_diagonal_matrix_sheets():
-    sys = eigen_decompose(np.diag([-1.0, 1.0]))
+    sys = bare_jet(np.diag([-1.0, 1.0]))
     assert sys.sheets.tolist() == [-1, 1]
     np.testing.assert_allclose(sys.h, [-1.0, 1.0])
     np.testing.assert_allclose(sys.P[0], np.diag([1.0, 0.0]), atol=1e-14)
@@ -81,24 +80,21 @@ def test_diagonal_matrix_sheets():
 
 def test_planar_spin_eigenvectors():
     # 2x2 characteristic-polynomial oracle at xi = (1, 0): eigenvalues +-1,
-    # the positive eigenvector is (1, 1)/sqrt(2) up to phase.
+    # the positive eigenvector is (1, 1)/sqrt(2), so P+ = [[1, 1], [1, 1]]/2.
     f = planar_spin_field()
-    sys = eigen_decompose(f(PhasePoint([0.0, 0.0], [1.0, 0.0])))
+    sys = bare_jet(f(PhasePoint([0.0, 0.0], [1.0, 0.0])))
     np.testing.assert_allclose(sys.h, [-1.0, 1.0], atol=1e-14)
-    v = sys.v[1]
-    phase = v[np.argmax(np.abs(v))]
-    v = v * np.conj(phase) / abs(phase)
-    np.testing.assert_allclose(v, np.array([1.0, 1.0]) / np.sqrt(2), atol=1e-14)
+    np.testing.assert_allclose(sys.P[1], np.full((2, 2), 0.5), atol=1e-14)
 
 
 def test_degenerate_gap_raises():
     with pytest.raises(DegenerateSpectrum):
-        eigen_decompose(np.diag([1.0, 1.0 + 1e-9]))
+        bare_jet(np.diag([1.0, 1.0 + 1e-9]))
 
 
 def test_near_zero_eigenvalue_raises():
     with pytest.raises(NotElliptic):
-        eigen_decompose(np.diag([1e-9, 1.0]))
+        bare_jet(np.diag([1e-9, 1.0]))
 
 
 def test_simplicity_threshold_is_relative_to_the_stack():
@@ -108,11 +104,11 @@ def test_simplicity_threshold_is_relative_to_the_stack():
     from weylsys.coefficients import CospherePanel
 
     with pytest.raises(NotElliptic):
-        eigen_decompose(np.diag([0.9e-6, 1.0]))
+        bare_jet(np.diag([0.9e-6, 1.0]))
     with pytest.raises(DegenerateSpectrum):
-        eigen_decompose(np.diag([1.0, 1.0 + 0.9e-6]))
-    eigen_decompose(np.diag([1.1e-6, 1.0]))
-    eigen_decompose(np.diag([1.0, 1.0 + 1.1e-6]))
+        bare_jet(np.diag([1.0, 1.0 + 0.9e-6]))
+    bare_jet(np.diag([1.1e-6, 1.0]))
+    bare_jet(np.diag([1.0, 1.0 + 1.1e-6]))
 
     # every node but one is diag(2, 1) |xi|; that one is diag(small, 1), so
     # its own largest |eigenvalue| is 1 and the panel's is 2
@@ -132,7 +128,7 @@ def test_simplicity_threshold_is_relative_to_the_stack():
 
 def test_non_hermitian_raises():
     with pytest.raises(NotHermitian):
-        eigen_decompose(np.array([[0.0, 1.0], [0.0, 0.5]]))
+        bare_jet(np.array([[0.0, 1.0], [0.0, 0.5]]))
 
 
 def test_sheet_counts_add_up(rng):
@@ -140,7 +136,7 @@ def test_sheet_counts_add_up(rng):
         h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         h = h + h.conj().T + 5.0 * np.eye(3)
         try:
-            sys = eigen_decompose(h)
+            sys = bare_jet(h)
         except (NotElliptic, DegenerateSpectrum):
             continue
         assert np.count_nonzero(np.sign(sys.h)) == 3
@@ -148,16 +144,16 @@ def test_sheet_counts_add_up(rng):
             assert (sheet > 0) == (sys.h[pos] > 0)
 
 
-def test_eigen_decompose_is_the_eigen_jet_without_directions(twisted_model, rng):
+def test_bare_jet_is_the_eigen_jet_without_directions(twisted_model, rng):
     # one construction: the bare matrix's record is the eigen-jet's, with
     # derivative arrays over zero phase-space directions
     lead, _ = twisted_model.symbol_fields()
     for x, xi in random_phase_points(rng, 10):
         p = PhasePoint(x, xi)
-        bare, jet = eigen_decompose(lead(p)), eigen_jet(lead, p)
-        for name in ("sheets", "h", "P", "v", "gap"):
+        bare, jet = bare_jet(lead(p)), eigen_jet(lead, p)
+        for name in ("sheets", "h", "P"):
             assert np.array_equal(getattr(bare, name), getattr(jet, name)), name
-        assert bare.dh_x.shape == (0, 2)
+        assert bare.dP_x.shape == (0, 2, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +293,7 @@ def test_canonical_pair_bracket():
     pm_x = PolyMatrix([(ident, (1, 0, 0, 0))])
     pm_xi = PolyMatrix([(ident, (0, 0, 1, 0))])
     x, xi = np.array([0.3, 0.7]), np.array([0.2, -1.1])
-    val = poisson_bracket(pm_x.jet(x, xi), pm_xi.jet(x, xi))
+    val = generalized_bracket(pm_x.jet(x, xi), ident, pm_xi.jet(x, xi))
     np.testing.assert_allclose(val, ident, atol=1e-14)
 
 
@@ -305,7 +301,7 @@ def test_scalar_self_bracket_vanishes(rng):
     pm = random_poly(rng, dim=2, n_terms=3)
     scalar = PolyMatrix([(c[0, 0] * np.eye(2), e) for c, e in pm.terms])
     x, xi = np.array([0.5, 1.2]), np.array([0.4, 0.8])
-    val = poisson_bracket(scalar.jet(x, xi), scalar.jet(x, xi))
+    val = generalized_bracket(scalar.jet(x, xi), np.eye(2), scalar.jet(x, xi))
     np.testing.assert_allclose(val, 0.0, atol=1e-12)
 
 
@@ -313,7 +309,7 @@ def test_poisson_bracket_matches_polynomial_oracle(rng):
     for _ in range(6):
         pm_a, pm_b = random_poly(rng), random_poly(rng)
         x, xi = rng.normal(size=2), rng.normal(size=2) + np.array([1.5, 0.0])
-        got = poisson_bracket(pm_a.jet(x, xi), pm_b.jet(x, xi))
+        got = generalized_bracket(pm_a.jet(x, xi), np.eye(2), pm_b.jet(x, xi))
         want = poisson_oracle(pm_a, pm_b, x, xi)
         np.testing.assert_allclose(got, want, atol=1e-8)
 
@@ -326,17 +322,6 @@ def test_generalized_bracket_matches_polynomial_oracle(rng):
         got = generalized_bracket(pm_f.jet(x, xi), g, pm_h.jet(x, xi))
         want = generalized_oracle(pm_f, g, pm_h, x, xi)
         np.testing.assert_allclose(got, want, atol=1e-8)
-
-
-def test_identity_middle_factor_reduces_to_poisson(rng):
-    pm_f, pm_h = random_poly(rng), random_poly(rng)
-    x, xi = np.array([0.1, 0.9]), np.array([1.3, -0.2])
-    jf, jh = pm_f.jet(x, xi), pm_h.jet(x, xi)
-    np.testing.assert_allclose(
-        generalized_bracket(jf, np.eye(2), jh),
-        poisson_bracket(jf, jh),
-        atol=1e-12,
-    )
 
 
 def test_x_independent_arguments_vanish(rng):
@@ -353,7 +338,7 @@ def test_dimension_mismatch_raises(rng):
     b = random_poly(rng, dim=3)
     x, xi = np.array([0.1, 0.2]), np.array([0.5, 0.6])
     with pytest.raises(DimensionMismatch):
-        poisson_bracket(a.jet(x, xi), b.jet(x, xi))
+        generalized_bracket(a.jet(x, xi), np.eye(2), b.jet(x, xi))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +350,6 @@ def test_constant_symbol_jet_derivatives_vanish():
     # x-derivatives must vanish identically for an x-independent field
     jet = eigen_jet(f, PhasePoint([0.3, 0.8], [1.0, 0.0]))
     assert np.max(np.abs(jet.dP_x)) < 1e-10
-    assert np.max(np.abs(jet.dh_x)) < 1e-10
 
 
 def test_planar_spin_jet_no_x_dependence():
@@ -395,12 +379,10 @@ def test_eigen_jet_invariants_on_twisted(twisted_model, rng):
         for i in range(jet.m):
             np.testing.assert_allclose(jet.P[i] @ jet.P[i], jet.P[i], atol=1e-12)
             assert abs(np.trace(jet.P[i]) - 1.0) < 1e-12
-            outer = np.outer(jet.v[i], jet.v[i].conj())
-            np.testing.assert_allclose(jet.P[i], outer, atol=1e-12)
             for j in range(jet.m):
                 if j != i:
                     assert np.max(np.abs(jet.P[i] @ jet.P[j])) < 1e-12
-        assert jet.gap > 1e-6 * np.max(np.abs(jet.h))
+        assert np.min(np.diff(jet.h)) > 1e-6 * np.max(np.abs(jet.h))
 
 
 def test_projection_derivative_identity_on_twisted(twisted_model, rng):
@@ -437,7 +419,7 @@ def test_self_bracket_trace_vanishes(twisted_model, rng):
         jet = eigen_jet(lead, PhasePoint(x, xi))
         for pos in range(jet.m):
             pj = jet.projection_jet(pos)
-            val = poisson_bracket(pj, pj)
+            val = generalized_bracket(pj, np.eye(2), pj)
             assert abs(np.trace(val)) < 1e-12
 
 
@@ -554,16 +536,14 @@ def test_gauge_invariance_of_integrand_scalars(twisted_model, rng):
 # ---------------------------------------------------------------------------
 
 def stencil_jet(field, p, step=1e-3):
-    """Five-point central differences of re-diagonalised h and P (oracle).
+    """Five-point central differences of re-diagonalised P (oracle).
 
-    Every stencil point gets its own eigen-decomposition; h and P are
-    gauge-free, so no phase alignment is needed.  Absolute step in x,
-    relative step in xi.  Returns dh_x, dh_xi (n, m), dP_x, dP_xi
-    (n, m, m, m).
+    Every stencil point gets its own eigen-decomposition; P is gauge-free,
+    so no phase alignment is needed.  Absolute step in x, relative step in
+    xi.  Returns dP_x, dP_xi (n, m, m, m).
     """
     out = []
     for kind, h in (("x", step), ("xi", step * xi_norm(p))):
-        dh = np.zeros((p.n, field.dim))
         dP = np.zeros((p.n, field.dim, field.dim, field.dim), dtype=complex)
         for axis in range(p.n):
             for off, w in _STENCIL:
@@ -572,12 +552,9 @@ def stencil_jet(field, p, step=1e-3):
                     moved = PhasePoint(p.x + shift, p.xi)
                 else:
                     moved = PhasePoint(p.x, p.xi + shift)
-                sys = eigen_decompose(field(moved))
-                dh[axis] += w * sys.h / (12.0 * h)
-                dP[axis] += w * sys.P / (12.0 * h)
-        out += [dh, dP]
-    dh_x, dP_x, dh_xi, dP_xi = out
-    return dh_x, dh_xi, dP_x, dP_xi
+                dP[axis] += w * bare_jet(field(moved)).P / (12.0 * h)
+        out.append(dP)
+    return tuple(out)
 
 
 def test_exact_jets_match_rediagonalisation_stencil(twisted_model):
@@ -589,9 +566,7 @@ def test_exact_jets_match_rediagonalisation_stencil(twisted_model):
         for x, xi in pts:
             p = PhasePoint(x, xi)
             jet = eigen_jet(field, p)
-            dh_x, dh_xi, dP_x, dP_xi = stencil_jet(lead, p)
-            np.testing.assert_allclose(jet.dh_x, dh_x, rtol=0, atol=1e-8)
-            np.testing.assert_allclose(jet.dh_xi, dh_xi, rtol=0, atol=1e-8)
+            dP_x, dP_xi = stencil_jet(lead, p)
             np.testing.assert_allclose(jet.dP_x, dP_x, rtol=0, atol=1e-8)
             np.testing.assert_allclose(jet.dP_xi, dP_xi, rtol=0, atol=1e-8)
 
@@ -602,14 +577,14 @@ def test_panel_nodes_equal_single_point_jets(twisted_model):
     lead, sub = twisted_model.symbol_fields()
     x = np.array([1.3, 0.4])
     panel = CospherePanel(lead, sub, x, CosphereQuadrature())
-    sub_v, brack_v, curv_v = vector_integrands(panel, lead, sub)
+    omega = CosphereQuadrature().nodes(2)[0]
+    sub_v, brack_v, curv_v = vector_integrands(panel.jets, lead, sub, x, omega)
     assert len(panel.weights) == 256
-    for i, row in enumerate(CosphereQuadrature().nodes(2)[0]):
+    for i, row in enumerate(omega):
         p = PhasePoint(x, row)
         jet = eigen_jet(lead, p)
         stacked = panel.jets.at(i)
-        for name in ("sheets", "h", "dh_x", "dh_xi", "P", "dP_x", "dP_xi",
-                     "v", "dv_x", "dv_xi", "gap"):
+        for name in ("sheets", "h", "P", "dP_x", "dP_xi"):
             np.testing.assert_allclose(
                 getattr(stacked, name), getattr(jet, name), rtol=0, atol=1e-12,
                 err_msg=name,
