@@ -43,6 +43,7 @@ from .symbols import (
     check_symbol_pair,
     eigen_jet,  # not called here; perfbench/inproc.py wraps coefficients.eigen_jet
     eigen_jet_stack,
+    require_hermitian,
     symbol_jets,
 )
 
@@ -158,11 +159,12 @@ def _node_terms(
     bracket integrand sum_j (h_j - h_k) T[k, j].  Returns the
     :class:`~weylsys.symbols.EigenJet` of the N nodes and the subprincipal,
     bracket and curvature integrands, each (N, m).  The pair must pass
-    :func:`~weylsys.symbols.check_symbol_pair`.
+    :func:`~weylsys.symbols.check_symbol_pair`, and both symbols' values
+    :func:`~weylsys.symbols.require_hermitian` (:class:`NotHermitian`).
     """
     check_symbol_pair(leading, nextorder)
     jets = eigen_jet_stack(*symbol_jets(leading, x, xi, step))
-    sub = (np.einsum("nij,nkji->nk", nextorder.values(x, xi), jets.P)
+    sub = (np.einsum("nij,nkji->nk", require_hermitian(nextorder.values(x, xi)), jets.P)
            if nextorder is not None else np.zeros(jets.h.shape, dtype=complex))
     trace = _trace_bracket(jets.dP_x, jets.P, jets.dP_xi)
     split = jets.h[:, None, :] - jets.h[:, :, None]  # [k, j] = h_j - h_k

@@ -75,7 +75,7 @@ def resolvent_symbol(
     evaluated pointwise; the omitted remainder is one order lower in both
     the momentum and the spectral parameter.  The pair must pass
     :func:`~weylsys.symbols.check_symbol_pair`; raises :class:`NotHermitian`
-    when A fails the Hermiticity rule of the eigen-jets.
+    when A or A_next fails the Hermiticity rule of the eigen-jets.
     """
     check_symbol_pair(leading, nextorder)
     lead_jet = symbol_jet(leading, p)
@@ -85,7 +85,7 @@ def resolvent_symbol(
     shifted = lead_jet.value - z * np.eye(leading.dim)
     out = res_jet.value.copy()
     if nextorder is not None:
-        out -= res_jet.value @ nextorder(p) @ res_jet.value
+        out -= res_jet.value @ require_hermitian(nextorder(p)) @ res_jet.value
     out += 0.5j * generalized_bracket(res_jet, shifted, res_jet)
     return out
 

@@ -9,17 +9,17 @@ filled, bit for bit.  The mode-coupling graph splits into connected
 components (constant-coefficient models decouple mode by mode), found by
 vectorised min-label propagation.  Components of equal size are filled in
 stacks of at most 256 KiB of blocks (a larger block alone), so thousands of
-tiny blocks share one vectorised scatter in bounded memory.  A block of 128
-rows or more is reduced to real tridiagonal form by LAPACK, and only the
-n_x m probe vectors e^(i k.x) (x) e_c are rotated into that basis: the
-weights |phi(x)|^2 are the spectral measures of the probes, so no
-eigenvector matrix is formed.  A smaller block, or any block when numpy's
-OpenBLAS exports no ILP64 LAPACK, goes through a dense Hermitian
-eigensolver whose eigenvectors become weights at once; both give the same
-eigenvalues.  The stacks are solved side by side by the calling thread and
-helper threads, one BLAS thread each, as a threaded eigensolve of a block
-of a few hundred rows gains nothing from a second core.  The merged
-spectrum is trusted up to 0.6 times the truncation.
+tiny blocks share one vectorised scatter and one dense Hermitian
+eigensolve, whose eigenvectors become weights at once.  A block of 128
+rows or more is instead reduced to real tridiagonal form by LAPACK, block
+by block, and only the n_x m probe vectors e^(i k.x) (x) e_c are rotated
+into that basis: the weights |phi(x)|^2 are the spectral measures of the
+probes, so no eigenvector matrix is formed.  When numpy's OpenBLAS exports
+no ILP64 LAPACK, every stack takes the dense eigensolve; both routes give
+the same eigenvalues.  The stacks are solved side by side by the calling
+thread and helper threads, one BLAS thread each, as a threaded eigensolve
+of a block of a few hundred rows gains nothing from a second core.  The
+merged spectrum is trusted up to 0.6 times the truncation.
 
 The smoothed local counting derivative convolves the pointwise eigenfunction
 weights with a compactly band-limited mollifier (plateau transform, built
@@ -379,16 +379,17 @@ def _component_labels(modes: np.ndarray, couplings: set, K: int) -> np.ndarray:
 
 
 def _pointwise_weights(modes: np.ndarray, vectors: np.ndarray, x_points: np.ndarray):
-    """|v_k(x)|^2 of one block's unit eigenvectors, (n_local, n_x), one x
-    at a time; each weight integrates to one over the torus."""
+    """|v_k(x)|^2 of a stack of blocks' unit eigenvectors, modes (S, n_modes,
+    2) and vectors (S, rows, rows) to (S, rows, n_x), one x at a time; each
+    weight integrates to one over the torus."""
     # vectors rows are (mode, component) pairs, mode-major
-    resh = vectors.reshape(modes.shape[0], -1, vectors.shape[1])
+    resh = vectors.reshape(modes.shape[:2] + (-1, vectors.shape[-1]))
     norm = (2.0 * math.pi) ** (-x_points.shape[1])
-    out = np.empty((vectors.shape[1], x_points.shape[0]))
+    out = np.empty(vectors.shape[:2] + x_points.shape[:1])
     for p in range(x_points.shape[0]):
-        phases = np.exp(1j * modes @ x_points[p:p + 1].T)  # (n_modes, 1)
-        amp = np.einsum("gmk,gp->kmp", resh, phases)
-        out[:, p:p + 1] = norm * np.sum(np.abs(amp) ** 2, axis=1)
+        phases = np.exp(1j * modes @ x_points[p:p + 1].T)  # (S, n_modes, 1)
+        amp = np.einsum("sgmk,sgp->skmp", resh, phases)
+        out[..., p:p + 1] = norm * np.sum(np.abs(amp) ** 2, axis=2)
     return out
 
 
@@ -634,13 +635,13 @@ def assemble_and_solve(
     gets one product and its mirror the conjugate of the same product, so
     each block is Hermitian as filled.  Each block yields its eigenvalues
     and its weights at ``x_points`` (n_x, 2); (0, 2) gives eigenvalues only.
-    From ``_TRIDIAGONAL_ROWS`` rows, when numpy's OpenBLAS exports the
-    LAPACK routines, the weights come from the tridiagonal form and the
-    rotated probes, with no eigenvector matrix (:func:`_probe_spectrum`);
-    other blocks are solved by ``eigh``, whose eigenvectors are reduced to
-    weights and dropped.  The stacks are independent and run on
-    :func:`_map_pinned`'s workers, one BLAS thread each; the result does not
-    depend on their schedule.
+    A stack of blocks below ``_TRIDIAGONAL_ROWS`` rows, or any stack when
+    numpy's OpenBLAS exports no LAPACK routines, is solved by one ``eigh``
+    call, whose eigenvectors are reduced to weights and dropped; each larger
+    block's weights come from its tridiagonal form and the rotated probes,
+    with no eigenvector matrix (:func:`_probe_spectrum`).  The stacks are
+    independent and run on :func:`_map_pinned`'s workers, one BLAS thread
+    each; the result does not depend on their schedule.
     Raises :class:`BudgetExceeded`, before any allocation, when m (2K+1)^2
     exceeds the budget, ``ValueError`` on a truncation below 8 or not an
     integer (``16.0`` is one) or on ``x_points`` that are not finite pairs,
@@ -684,7 +685,7 @@ def assemble_and_solve(
                       for lo in range(0, components.size, per_stack))
 
     def solve(group):
-        """Eigenvalues and weights of each block of one stack."""
+        """(eigenvalues, weights) of each block of one stack."""
         n_local = sizes[group[0]]
         kvec = modes[by_label[starts[group, None] + np.arange(n_local)]]
         stack = np.zeros((group.size, n_local, m, n_local, m), dtype=complex)
@@ -701,25 +702,20 @@ def assemble_and_solve(
             if g in potential:
                 acc += potential[g]
             stack[comp, j, :, i, :] += acc
-        solved = []
-        for block, local in zip(stack, kvec.astype(float)):
-            block = block.reshape(n_local * m, n_local * m)
-            try:
-                if block.shape[0] >= _TRIDIAGONAL_ROWS and _lapack() is not None:
-                    solved.append(_probe_spectrum(block, local, x_points))
-                else:
-                    vals, vecs = np.linalg.eigh(block)
-                    solved.append((vals, _pointwise_weights(local, vecs, x_points)))
-            except np.linalg.LinAlgError as exc:
-                raise SolveFailure(f"dense eigensolver failed: {exc}") from exc
-        return solved
+        rows, local = n_local * m, kvec.astype(float)
+        try:
+            if rows < _TRIDIAGONAL_ROWS or _lapack() is None:
+                vals, vecs = np.linalg.eigh(stack.reshape(group.size, rows, rows))
+                return zip(vals, _pointwise_weights(local, vecs, x_points))
+            return [_probe_spectrum(block.reshape(rows, rows), k, x_points)
+                    for block, k in zip(stack, local)]
+        except np.linalg.LinAlgError as exc:
+            raise SolveFailure(f"dense eigensolver failed: {exc}") from exc
 
-    values = [None] * starts.size
-    weights = [None] * starts.size
-    for group, solved in zip(stacks, _map_pinned(solve, stacks)):
-        for c, (vals, w) in zip(group, solved):
-            values[c] = vals
-            weights[c] = w
+    solved = {}  # (eigenvalues, weights) of each component
+    for group, pairs in zip(stacks, _map_pinned(solve, stacks)):
+        solved.update(zip(group.tolist(), pairs))
+    values, weights = zip(*(solved[c] for c in range(starts.size)))
     merged = np.concatenate(values)
     order = np.argsort(merged, kind="stable")
     return SpectrumResult(
@@ -802,8 +798,8 @@ BAND_NODES = 6001
 # block of the counting's eigenvalue tables, a block of nu rows of the band
 # sum, a block of step values of the bump integral.  Each sizes its rows
 # from it (:func:`_table_rows`); a row larger than the budget goes alone.
-# Rows from which a Galerkin block is tridiagonalised instead of eigh-solved.
 _TABLE_BYTES = 1 << 18
+# Rows from which a Galerkin block is tridiagonalised instead of eigh-solved.
 _TRIDIAGONAL_ROWS = 128
 
 
@@ -1040,11 +1036,12 @@ class WeylFit:
     columns: tuple
 
 
-def check_fit_window(mu, mu_lo: float, mu_hi: float, support: float) -> np.ndarray:
-    """Mask of the sample grid ``mu`` in the window, by the rules that do not
-    depend on the spectrum: a span of at least a factor 2 and 8 grid points,
-    one in the upper 60% (:class:`IllConditionedFit`), and mu_lo at or above
-    the mollifier smearing scale 4 / support (:class:`WindowViolation`)."""
+def check_fit_window(mu, mu_lo: float, mu_hi: float, support: float) -> tuple:
+    """Masks of the sample grid ``mu`` in the window and of those samples in
+    its upper 60%, by the rules that do not depend on the spectrum: a span
+    of at least a factor 2 and 8 grid points, one in the upper 60%
+    (:class:`IllConditionedFit`), and mu_lo at or above the mollifier
+    smearing scale 4 / support (:class:`WindowViolation`)."""
     if mu_hi <= mu_lo or mu_hi / max(mu_lo, 1e-12) < 2.0:
         raise IllConditionedFit(f"fit window [{mu_lo:g}, {mu_hi:g}] spans less than "
                                 "a factor 2")
@@ -1054,9 +1051,10 @@ def check_fit_window(mu, mu_lo: float, mu_hi: float, support: float) -> np.ndarr
     mask = (mu >= mu_lo) & (mu <= mu_hi)
     if np.count_nonzero(mask) < 8:
         raise IllConditionedFit("fewer than 8 samples in the fit window")
-    if not np.any(mu[mask] > mu_lo + 0.4 * (mu_hi - mu_lo)):
+    upper = mu[mask] > mu_lo + 0.4 * (mu_hi - mu_lo)
+    if not np.any(upper):
         raise IllConditionedFit("no sample in the upper 60% of the fit window")
-    return mask
+    return mask, upper
 
 
 def fit_weyl(
@@ -1081,12 +1079,11 @@ def fit_weyl(
         raise ValueError(f"mollifier support {mollifier.support:g} differs from the "
                          f"samples' support {samples.mollifier_support:g}")
     mu_lo, mu_hi = float(window[0]), float(window[1])
-    mask = check_fit_window(samples.mu, mu_lo, mu_hi, samples.mollifier_support)
+    mask, upper = check_fit_window(samples.mu, mu_lo, mu_hi, samples.mollifier_support)
     if mu_hi > samples.trusted_max + 1e-9:
         raise WindowViolation("fit window exceeds the trusted spectral range")
     mu = samples.mu[mask]
     y = samples.values[mask]
-    upper = mu > mu_lo + 0.4 * (mu_hi - mu_lo)
     cols = [mu ** (n - 1), mu ** (n - 2), mu ** (n - 3)]
     names = ["leading", "second", "next-order"]
     if mollifier is not None:

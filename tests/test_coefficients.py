@@ -285,13 +285,16 @@ def test_not_elliptic_region_integral():
 
 
 def test_complex_residue_detected():
-    # an anti-Hermitian next-order symbol leaks a constant imaginary part
-    # into the subprincipal term, which must be flagged, not dropped
+    # a constant imaginary part of the subprincipal integrand must be
+    # flagged, not dropped.  An anti-Hermitian next-order symbol such as i I
+    # fails the Hermiticity rule before any integral, so the integrand it
+    # would give, tr(i P_k) = i, goes onto the panel directly
     from weylsys.errors import ComplexResidue
 
-    bad_sub = pointwise_field(2, 0, lambda x, xi: 1j * np.eye(2, dtype=complex))
+    panel = CospherePanel(planar_spin_field(), None, X0, CosphereQuadrature())
+    panel.sub = panel.sub + 1j
     with pytest.raises(ComplexResidue):
-        second_weyl(planar_spin_field(), bad_sub, X0)
+        panel.second_coefficient()
 
 
 def test_three_dimensional_region_volume():

@@ -118,6 +118,17 @@ def test_non_finite_next_order_symbol_raises_on_every_route(twisted_model):
             route()
 
 
+@pytest.mark.parametrize("route", range(3), ids=["coefficients", "power-trace", "resolvent"])
+def test_non_hermitian_next_order_symbol_raises(twisted_model, route):
+    # twisted's next-order symbol 0.3 I with 1e-3 added to entry (0, 1): the
+    # leading symbol's Hermiticity rule applies to it on every route
+    lead, _ = twisted_model.symbol_fields()
+    value = np.array([[0.3, 1e-3], [0.0, 0.3]])
+    bent = pointwise_field(2, 0, lambda x, xi: value)
+    with pytest.raises(NotHermitian):
+        every_route(lead, bent)[route]()
+
+
 def test_degree_one_next_order_symbol_raises_on_every_route(twisted_model):
     # the leading symbol passed again as the next-order one
     lead, _ = twisted_model.symbol_fields()

@@ -403,12 +403,14 @@ def test_general_couplings_block_structure():
 @pytest.mark.parametrize(
     "make_model, K, rows",
     [(lambda: build_model("twisted"), 16, 66), (lambda: build_model("dirac"), 8, 2),
-     (x2_coupled_twisted, 8, 578)],
-    ids=["twisted-16", "dirac-8", "twisted-x2-8"],
+     (x2_coupled_twisted, 8, 578), (diagonal_coupled, 8, 18)],
+    ids=["twisted-16", "dirac-8", "twisted-x2-8", "diagonal-8"],
 )
 def test_chunked_solve_is_exact(make_model, K, rows, monkeypatch):
     # 33 twisted blocks of 66 rows, 289 dirac blocks of 2 rows, one x2-coupled
-    # block of 578 rows: stacks of one block, then of two with a partial last
+    # block of 578 rows: stacks of one block, then of two with a partial last;
+    # the diagonal model's blocks of 2 to 18 rows then fill stacks of 2 to
+    # 162, several of them partial
     model = make_model()
     whole = assemble_and_solve(model, K, ORACLE_POINTS)
     for size in (1, 2 * 16 * rows ** 2):
@@ -475,9 +477,10 @@ def test_blocks_are_hermitian_as_filled(make_model, K, route, monkeypatch):
     eigh, probe_spectrum, seen = np.linalg.eigh, torus._probe_spectrum, []
 
     def spy(solver):
-        def entry(block, *args, **kwargs):
-            seen.append((block.shape[0], np.array_equal(block, block.conj().T)))
-            return solver(block, *args, **kwargs)
+        def entry(a, *args, **kwargs):  # one block or a stack of them
+            seen.append((a.shape[-1] * math.prod(a.shape[:-2]),
+                         np.array_equal(a, a.conj().swapaxes(-1, -2))))
+            return solver(a, *args, **kwargs)
         return entry
 
     monkeypatch.setattr(np.linalg, "eigh", spy(eigh))
@@ -485,6 +488,26 @@ def test_blocks_are_hermitian_as_filled(make_model, K, route, monkeypatch):
     spec = assemble_and_solve(model, K, ORACLE_POINTS)
     assert sum(rows for rows, _ in seen) == spec.eigenvalues.size
     assert all(exact for _, exact in seen)
+
+
+@pytest.mark.parametrize(
+    "name, K, calls",
+    [("dirac", 32, 2), ("twisted", 16, 11)],
+    ids=["dirac-32", "twisted-16"],
+)
+def test_one_eigensolve_per_stack(name, K, calls, monkeypatch):
+    # dirac's 4,225 two-row blocks fill two stacks and twisted's 33 blocks of
+    # 66 rows fill 11 stacks of three: one eigh each, whatever the block count
+    model, eigh, shapes = build_model(name), np.linalg.eigh, []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    spec = assemble_and_solve(model, K, ORACLE_POINTS[:2])
+    assert len(shapes) == calls
+    assert sum(math.prod(shape[:-1]) for shape in shapes) == spec.eigenvalues.size
 
 
 def test_stored_mode_pairs_are_exact(monkeypatch):
@@ -525,7 +548,7 @@ def test_one_block_hermiticity_failure_is_typed():
     ids=["twisted-16", "dirac-8", "twisted-x2-8"],
 )
 def test_pool_changes_only_the_schedule(make_model, K, monkeypatch):
-    # twisted's 3 stacks run on the pool; dirac's one stack of 289 blocks and
+    # twisted's 11 stacks run on the pool; dirac's one stack of 289 blocks and
     # the x2-coupled model's one block run in this thread either way
     model = make_model()
     pooled = assemble_and_solve(model, K, ORACLE_POINTS)
@@ -587,8 +610,8 @@ def first_blocks_meet():
 
 
 def eigh_failing_on(main: bool, threads: set):
-    """``np.linalg.eigh`` that fails on the first block of the main thread
-    (``main``) or of the helper, once both have reached their first block;
+    """``np.linalg.eigh`` that fails on the first stack of the main thread
+    (``main``) or of the helper, once both have reached their first stack;
     the failing thread goes into ``threads``."""
     eigh, meet = np.linalg.eigh, first_blocks_meet()
 
@@ -603,8 +626,8 @@ def eigh_failing_on(main: bool, threads: set):
 
 
 def test_worker_solver_failure_is_typed(twisted_model, two_workers, monkeypatch):
-    # twisted at K = 16 is three stacks: the caller and the helper each take
-    # one, and the first block the helper solves fails
+    # twisted at K = 16 is 11 stacks: the caller and the helper each take
+    # one, and the first stack the helper solves fails
     threads = set()
     monkeypatch.setattr(np.linalg, "eigh", eigh_failing_on(False, threads))
     with pytest.raises(SolveFailure) as info:
@@ -614,7 +637,7 @@ def test_worker_solver_failure_is_typed(twisted_model, two_workers, monkeypatch)
 
 
 def test_caller_solver_failure_is_typed(twisted_model, two_workers, monkeypatch):
-    # the mirror case: the first block of the caller's own share fails
+    # the mirror case: the first stack of the caller's own share fails
     threads = set()
     monkeypatch.setattr(np.linalg, "eigh", eigh_failing_on(True, threads))
     with pytest.raises(SolveFailure) as info:
