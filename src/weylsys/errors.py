@@ -23,7 +23,7 @@ class DegenerateSpectrum(WeylError):
 
 
 class DimensionMismatch(WeylError):
-    """Incompatible matrix / vector dimensions in a bracket or product."""
+    """Incompatible dimensions: of a bracket or product, or of a torus model's fields."""
 
 
 class ComplexResidue(WeylError):

@@ -3,8 +3,8 @@
 Concrete first-order systems with trigonometric-polynomial Hermitian
 coefficients are assembled in the Fourier basis, where the symmetrized
 operator has the midpoint form H[k', k] = ((k + k')/2) . C_(k'-k) + B_(k'-k).
-It is Hermitian exactly when C_(-g) = C_g^dagger: that one rule is kept on
-the modes (:func:`_hermitian_modes`), and each block is then Hermitian as
+It is Hermitian exactly when C_(-g) = C_g^dagger: a field keeps that rule
+on its modes, read-only once made, so each block is Hermitian as
 filled, bit for bit.  The mode-coupling graph splits into connected
 components (constant-coefficient models decouple mode by mode), found by
 vectorised min-label propagation.  Components of equal size are filled in
@@ -45,12 +45,14 @@ import math
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import (
     BudgetExceeded,
+    DimensionMismatch,
     EllipticityViolation,
     IllConditionedFit,
     NotHermitian,
@@ -76,9 +78,12 @@ class TrigMatrixField:
     """Hermitian matrix field on the torus with finitely many Fourier modes.
 
     Stores coefficients C_g for integer wavevectors g (``ValueError`` on a
-    component that is not a finite integer; ``1.0`` is one), each pair made
-    exactly conjugate, C_(-g) = C_g^dagger, by :func:`_hermitian_modes`, so
-    values are Hermitian at every x.
+    component that is not a finite integer; ``1.0`` is one) as
+    (C_g + C_(-g)^dagger) 0.5: the one Hermiticity rule of torus fields,
+    run once, makes every pair exactly conjugate and keeps the bits of one
+    that already is (:class:`NotHermitian` when a partner is missing or
+    max |C_(-g) - C_g^dagger| > 1e-12).  ``modes`` is a read-only mapping of
+    read-only arrays, so values stay Hermitian at every x.
     """
 
     def __init__(self, dim: int, modes: dict):
@@ -95,7 +100,14 @@ class TrigMatrixField:
                 raise ValueError(f"mode {g} has a non-finite entry")
             if np.max(np.abs(mat)) > 0:
                 table[g] = table.get(g, 0) + mat
-        self.modes = _hermitian_modes(table)
+        stored = {}
+        for g, mat in table.items():
+            partner = table.get(tuple(-c for c in g))
+            if partner is None or np.max(np.abs(partner - mat.conj().T)) > 1e-12:
+                raise NotHermitian(f"coefficient symmetry violated at mode {g}")
+            stored[g] = (mat + partner.conj().T) * 0.5
+            stored[g].flags.writeable = False
+        self.modes = MappingProxyType(stored)
 
     @classmethod
     def constant(cls, mat: np.ndarray) -> "TrigMatrixField":
@@ -145,20 +157,6 @@ class TrigMatrixField:
         return out
 
 
-def _hermitian_modes(modes: dict) -> dict:
-    """The one Hermiticity rule of torus fields: each mode C_g replaced by
-    (C_g + C_(-g)^dagger) 0.5, so every pair is exactly conjugate and a pair
-    that already is keeps its bits.  Raises :class:`NotHermitian` when a
-    partner is missing or max |C_(-g) - C_g^dagger| > 1e-12."""
-    out = {}
-    for g, mat in modes.items():
-        partner = modes.get(tuple(-c for c in g))
-        if partner is None or np.max(np.abs(partner - mat.conj().T)) > 1e-12:
-            raise NotHermitian(f"coefficient symmetry violated at mode {g}")
-        out[g] = (mat + partner.conj().T) * 0.5
-    return out
-
-
 @dataclass(frozen=True)
 class TorusModel:
     """First-order symmetrized system on the flat 2-torus.
@@ -167,12 +165,23 @@ class TorusModel:
     The leading symbol is sum_alpha C^alpha(x) xi_alpha; the invariantly
     defined next-order symbol of the symmetrized form equals B(x) exactly
     (the symmetrization correction cancels the mixed-derivative term).
+    Raises :class:`DimensionMismatch` unless there are two coefficient
+    fields, every wavevector has two components and every field is m x m
+    for one m.
     """
 
     name: str
-    params: dict
     coefficients: tuple  # one TrigMatrixField per axis
     potential: TrigMatrixField
+
+    def __post_init__(self):
+        fields = (*self.coefficients, self.potential)
+        if len(self.coefficients) != 2 or any(len(g) != 2 for fld in fields for g in fld.modes):
+            raise DimensionMismatch(f"model {self.name} is not on the 2-torus: it needs 2 "
+                                    "coefficient fields and wavevectors of 2 components")
+        if len({fld.dim for fld in fields}) != 1:
+            raise DimensionMismatch(f"model {self.name}: fields of sizes "
+                                    f"{[fld.dim for fld in fields]}, not one m")
 
     @property
     def n(self) -> int:
@@ -234,27 +243,18 @@ def _dirac_fields():
 
 
 def _build_dirac(params: dict) -> TorusModel:
-    return TorusModel("dirac", {}, _dirac_fields(), TrigMatrixField.constant(np.zeros((2, 2))))
+    return TorusModel("dirac", _dirac_fields(), TrigMatrixField.constant(np.zeros((2, 2))))
 
 
 def _build_shifted_dirac(params: dict) -> TorusModel:
     beta = float(params.get("beta", 0.3))
-    return TorusModel(
-        "shifted-dirac",
-        {"beta": beta},
-        _dirac_fields(),
-        TrigMatrixField.constant(beta * IDENTITY2),
-    )
+    return TorusModel("shifted-dirac", _dirac_fields(),
+                      TrigMatrixField.constant(beta * IDENTITY2))
 
 
 def _build_mass_dirac(params: dict) -> TorusModel:
     b = float(params.get("b", 0.5))
-    return TorusModel(
-        "mass-dirac",
-        {"b": b},
-        _dirac_fields(),
-        TrigMatrixField.constant(b * SIGMA3),
-    )
+    return TorusModel("mass-dirac", _dirac_fields(), TrigMatrixField.constant(b * SIGMA3))
 
 
 def _build_twisted(params: dict) -> TorusModel:
@@ -275,7 +275,7 @@ def _build_twisted(params: dict) -> TorusModel:
         ],
     )
     pot = TrigMatrixField.constant(3.0 * eps * IDENTITY2)
-    return TorusModel("twisted", {"eps": eps}, (a1, a2), pot)
+    return TorusModel("twisted", (a1, a2), pot)
 
 
 _CATALOG = {
@@ -305,18 +305,16 @@ def registration_check(
     [0, pi) is scanned: the leading symbol is linear in xi, so
     A(x, -xi) = -A(x, xi) has the same |eigenvalues| and gaps.  x2 = 0
     suffices unless a coefficient field has a mode with g2 != 0; then the
-    same grid is scanned in x2 too.  Each coefficient field's modes pass
-    :func:`_hermitian_modes` first; each field is evaluated once per x2 row,
-    and the row's symbols are one product with the angles, broadcast over
-    the positions with no temporary of their size, and one stacked
-    eigensolve.  Raises :class:`NotHermitian` when a field's modes fail the
-    Hermiticity rule and :class:`EllipticityViolation` when a margin is too small.
+    same grid is scanned in x2 too.  The fields' modes are Hermitian pairs
+    from construction (:class:`TrigMatrixField`), so no Hermiticity pass runs
+    here.  Each field is evaluated once per x2 row, and the row's symbols
+    are one product with the angles, broadcast over the positions with no
+    temporary of their size, and one stacked eigensolve.  Raises
+    :class:`EllipticityViolation` when a margin is too small.
     """
     xs = 2.0 * math.pi * np.arange(n_x) / n_x
     thetas = 2.0 * math.pi * np.arange(n_theta // 2) / n_theta
     xi = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    for fld in model.coefficients:
-        _hermitian_modes(fld.modes)
     depends_on_x2 = any(g[1] for fld in model.coefficients for g in fld.modes)
     min_abs = min_gap = math.inf
     for x2 in xs if depends_on_x2 else (0.0,):
@@ -400,7 +398,9 @@ class SpectrumResult:
     ``eigenvalues`` are globally sorted; ``weights[k, i]`` is the weight
     |phi_k(x_i)|^2 of eigenfunction k at ``x_points[i]``, each integrating
     to one over the torus.  No eigenvectors are kept.  ``trusted_max`` =
-    0.6 K bounds the truncation-unpolluted window.
+    0.6 K bounds the truncation-unpolluted window.  The three arrays are
+    read-only views (a caller's own stay writable), so the half-wave trace
+    kept on the spectrum cannot go stale.
     """
 
     K: int
@@ -409,6 +409,12 @@ class SpectrumResult:
     x_points: np.ndarray
     weights: np.ndarray
     trusted_max: float
+
+    def __post_init__(self):
+        for name in ("eigenvalues", "x_points", "weights"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @cached_property
     def _characteristic(self) -> dict:
@@ -631,7 +637,7 @@ def assemble_and_solve(
     The plane-wave matrix is block-diagonal over the components of the
     mode-coupling graph.  Components of equal size are filled in stacks of
     at most ``_TABLE_BYTES`` (one block if it is larger), by one scatter
-    per Fourier mode of :func:`_hermitian_modes` of the fields: an entry
+    per Fourier mode of the fields (exactly conjugate pairs): an entry
     gets one product and its mirror the conjugate of the same product, so
     each block is Hermitian as filled.  Each block yields its eigenvalues
     and its weights at ``x_points`` (n_x, 2); (0, 2) gives eigenvalues only.
@@ -645,8 +651,7 @@ def assemble_and_solve(
     Raises :class:`BudgetExceeded`, before any allocation, when m (2K+1)^2
     exceeds the budget, ``ValueError`` on a truncation below 8 or not an
     integer (``16.0`` is one) or on ``x_points`` that are not finite pairs,
-    :class:`NotHermitian` on fields that fail the Hermiticity rule and
-    :class:`SolveFailure` on breakdown.
+    and :class:`SolveFailure` on breakdown.
     """
     if not (math.isfinite(K) and K == int(K)):
         raise ValueError(f"truncation K must be an integer, not {K!r}")
@@ -673,8 +678,7 @@ def assemble_and_solve(
     sizes = np.diff(np.r_[starts, modes.shape[0]])
     position = np.empty_like(by_label)  # index of each mode in its component
     position[by_label] = np.arange(by_label.size) - np.repeat(starts, sizes)
-    *coefficients, potential = (_hermitian_modes(fld.modes)
-                                for fld in (*model.coefficients, model.potential))
+    *coefficients, potential = (fld.modes for fld in (*model.coefficients, model.potential))
     field_modes = dict.fromkeys(g for fld in (*coefficients, potential) for g in fld)
     stacks = []  # component indices, by size and then smallest mode
     # not np.unique: it imports numpy.ma, 12-19 ms and 1 MB of peak RSS
@@ -844,32 +848,27 @@ def _phases_bytes(bases: np.ndarray, offsets: np.ndarray) -> int:
 class Mollifier:
     """Sampled mollifier: inverse transform of a compactly supported plateau.
 
-    The band holds the trapezoid-weighted plateau values at the nodes ``_t``
-    of [0, T], and every evaluation is the band sum
-    (1/pi) sum_k band_k cos(nu t_k) (:meth:`_sum`), exact at every nu; the
-    counting reads the same sum.  The angle addition reads the nodes as
-    k t[-1] / n, so any other nodes are a ``ValueError``.
+    The band holds the trapezoid-weighted plateau values at the nodes
+    t_k = k T / n of [0, T], T the support and n + 1 the band's size
+    (``ValueError`` on an empty or not 1-D band), and every evaluation is
+    the band sum (1/pi) sum_k band_k cos(nu t_k) (:meth:`_sum`), exact at
+    every nu; the counting reads the same sum.
     """
 
     support: float
-    _t: np.ndarray = field(repr=False)
     _band: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        t = np.asarray(self._t)
-        if t.ndim != 1 or t.size == 0 or not (  # NaN fails too
-                np.max(np.abs(t - np.linspace(0.0, t[-1], t.size))) <= 1e-12 * abs(t[-1])):
-            raise ValueError("band nodes must be evenly spaced from 0: (0, h, ..., n h)")
-        if np.shape(self._band) != t.shape:
-            raise ValueError(f"band shape {np.shape(self._band)} differs from nodes {t.shape}")
+        if np.ndim(self._band) != 1 or np.size(self._band) == 0:
+            raise ValueError(f"band must be a non-empty 1-D array, not {np.shape(self._band)}")
 
     @cached_property
     def _split(self) -> tuple:
         """Bases and offsets of the band nodes (:func:`_angle_split`) and
         the band as a (bases x offsets) table, zero-padded past the last node."""
-        n = self._t.size - 1  # nodes k t[-1] / n, k = 0, ..., n
-        bases, offsets = _angle_split(n, self._t[-1] / max(n, 1))
-        band = np.pad(self._band, (0, bases.size * offsets.size - self._t.size))
+        n = self._band.size - 1  # nodes k T / n, k = 0, ..., n
+        bases, offsets = _angle_split(n, self.support / max(n, 1))
+        band = np.pad(self._band, (0, bases.size * offsets.size - self._band.size))
         return bases, offsets, band.reshape(bases.size, offsets.size)
 
     def _sum(self, nu: np.ndarray, phi) -> np.ndarray:
@@ -913,7 +912,7 @@ def build_mollifier(support: float) -> Mollifier:
     w[0] *= 0.5
     w[-1] *= 0.5
     band = plateau_transform(t, support) * w
-    return Mollifier(support, t, band)
+    return Mollifier(support, band)
 
 
 # ---------------------------------------------------------------------------
@@ -990,8 +989,7 @@ def local_counting_mollified(
         centers = -lam[sel]
     else:
         raise ValueError("branch must be 'plus' or 'minus'")
-    t = mollifier._t  # band nodes k t[-1] / n, k = 0, ..., n: fixed by n and t[-1]
-    key = (branch, t.size, t[-1])
+    key = (branch, mollifier._band.size, mollifier.support)  # fixes the nodes
     if key not in spectrum._characteristic:
         bases, offsets, _ = mollifier._split
         spectrum._characteristic[key] = _band_characteristic(

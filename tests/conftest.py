@@ -476,8 +476,7 @@ def gauge_twin(model, g):
         for k, mat in fld.modes.items():
             anti = mat @ projector + projector @ mat
             potential[k] = potential.get(k, 0) - 0.5 * g_j * anti
-    return TorusModel(f"{model.name}-twin", {**model.params, "g": tuple(g)},
-                      coefficients, TrigMatrixField(2, potential))
+    return TorusModel(f"{model.name}-twin", coefficients, TrigMatrixField(2, potential))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -84,6 +85,19 @@ def test_benchmark_references_match_the_direct_route():
 
 # imported only so that perfbench/inproc.py can wrap them in the module
 BENCHMARK_HOOKS = {("coefficients.py", "eigen_jet"), ("resolvent.py", "eigen_jet")}
+
+
+def test_built_records_hold_no_writable_table():
+    # a registered model's modes and a solved spectrum's arrays are checked
+    # or cached once, when made, so none of them may change after that
+    for name in weylsys.catalog_names():
+        model = weylsys.build_model(name)
+        for fld in (*model.coefficients, model.potential):
+            assert isinstance(fld.modes, MappingProxyType), name
+            assert not any(mat.flags.writeable for mat in fld.modes.values()), name
+        spec = weylsys.assemble_and_solve(model, 8, [[0.0, 0.0]])
+        assert not any(arr.flags.writeable
+                       for arr in (spec.eigenvalues, spec.x_points, spec.weights)), name
 
 
 def test_every_import_is_used():

@@ -27,6 +27,7 @@ from weylsys import (
 )
 from weylsys.errors import (
     BudgetExceeded,
+    DimensionMismatch,
     EllipticityViolation,
     IllConditionedFit,
     NotHermitian,
@@ -122,6 +123,48 @@ def test_trig_field_rejects_non_integer_wavevectors(bad):
     assert all(type(c) is int for g in fld.modes for c in g)
 
 
+@pytest.mark.parametrize(
+    "modes",
+    [{(1, 0): SIGMA1},
+     {(0, 0): np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]])},
+     {(1, 0): SIGMA1, (-1, 0): SIGMA1 + 1e-6 * SIGMA3}],
+    ids=["missing-partner", "constant-1e-6-apart", "pair-1e-6-apart"],
+)
+def test_field_rejects_non_hermitian_modes(modes):
+    # the field's constructor is the one place the Hermiticity rule runs
+    with pytest.raises(NotHermitian):
+        TrigMatrixField(2, modes)
+
+
+def test_field_modes_are_read_only():
+    # neither the mapping nor a mode can be edited past the rule
+    fld = TrigMatrixField.from_waves(2, [("cos", (1, 0), SIGMA1)])
+    with pytest.raises(TypeError):
+        fld.modes[(1, 0)] = SIGMA2
+    with pytest.raises(ValueError):
+        fld.modes[(1, 0)][0, 1] = 2.0
+
+
+@pytest.mark.parametrize(
+    "coefficients, potential",
+    [((TrigMatrixField.constant(SIGMA1),), TrigMatrixField.constant(SIGMA3)),
+     ((TrigMatrixField.constant(SIGMA1), TrigMatrixField.constant(SIGMA2),
+       TrigMatrixField.constant(SIGMA3)), TrigMatrixField.constant(SIGMA3)),
+     ((TrigMatrixField.constant(SIGMA1), TrigMatrixField.constant(SIGMA2)),
+      TrigMatrixField.constant(np.eye(3))),
+     ((TrigMatrixField.constant(SIGMA1),
+       TrigMatrixField.from_waves(2, [("const", (0, 0), SIGMA2),
+                                      ("cos", (1, 0, 0), 0.1 * SIGMA3)])),
+      TrigMatrixField.constant(SIGMA3))],
+    ids=["one-field", "three-fields", "sizes-2-and-3", "three-component-wavevector"],
+)
+def test_model_rejects_fields_off_the_two_torus(coefficients, potential):
+    # unchecked, each reaches registration or assembly as an untyped numpy
+    # error, or, with one field, as the spectrum of a one-axis operator
+    with pytest.raises(DimensionMismatch):
+        TorusModel("mismatched", coefficients, potential)
+
+
 def test_catalog_contents():
     assert catalog_names() == ["dirac", "mass-dirac", "shifted-dirac", "twisted"]
 
@@ -175,7 +218,7 @@ def x2_coupled_twisted():
     a1, a2 = twisted.coefficients
     extra = TrigMatrixField.from_waves(2, [("cos", (0, 1), 0.1 * SIGMA3)])
     a2 = TrigMatrixField(2, {**a2.modes, **extra.modes})
-    return TorusModel("twisted-x2", {}, (a1, a2), twisted.potential)
+    return TorusModel("twisted-x2", (a1, a2), twisted.potential)
 
 
 @pytest.mark.parametrize(
@@ -194,19 +237,6 @@ def test_stacked_registration_matches_scalar_loop(name, params):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
-def test_registration_rejects_non_hermitian_symbol():
-    # break the coefficient symmetry after construction, so registration's
-    # own pass of the field's modes through the Hermiticity rule fails
-    skewed = TrigMatrixField.constant(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    skewed.modes[(0, 0)] = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]], dtype=complex)
-    model = TorusModel(
-        "skewed", {}, (skewed, TrigMatrixField.constant(np.diag([1.0, -1.0]))),
-        TrigMatrixField.constant(np.zeros((2, 2))),
-    )
-    with pytest.raises(NotHermitian):
-        registration_check(model)
-
-
 def test_registration_scans_x2():
     # a1 = (1 + cos x2) sigma_1 / 2 vanishes at x2 = pi, so the leading
     # symbol is 0 at x = (0, pi), xi = (1, 0); the x2 = 0 row alone misses it
@@ -214,7 +244,7 @@ def test_registration_scans_x2():
         2, [("const", (0, 0), 0.5 * SIGMA1), ("cos", (0, 1), 0.5 * SIGMA1)]
     )
     model = TorusModel(
-        "x2-degenerate", {}, (a1, TrigMatrixField.constant(SIGMA2)),
+        "x2-degenerate", (a1, TrigMatrixField.constant(SIGMA2)),
         TrigMatrixField.constant(np.zeros((2, 2))),
     )
     with pytest.raises(EllipticityViolation):
@@ -372,7 +402,7 @@ def diagonal_coupled():
         2, [("const", (0, 0), SIGMA1), ("sin", (2, 1), 0.2 * SIGMA3)]
     )
     return TorusModel(
-        "diagonal", {}, (a1, TrigMatrixField.constant(SIGMA2)),
+        "diagonal", (a1, TrigMatrixField.constant(SIGMA2)),
         TrigMatrixField.constant(0.3 * SIGMA3),
     )
 
@@ -453,7 +483,7 @@ def near_pair_twisted():
     a1, a2 = twisted.coefficients
     modes = dict(a2.modes)
     modes[(1, 0)] = modes[(1, 0)] + 1e-13 * np.array([[1.0, 2.0j], [0.5, -1.0j]])
-    return TorusModel("twisted-near-pair", {}, (a1, TrigMatrixField(2, modes)),
+    return TorusModel("twisted-near-pair", (a1, TrigMatrixField(2, modes)),
                       twisted.potential)
 
 
@@ -510,35 +540,21 @@ def test_one_eigensolve_per_stack(name, K, calls, monkeypatch):
     assert sum(math.prod(shape[:-1]) for shape in shapes) == spec.eigenvalues.size
 
 
-def test_stored_mode_pairs_are_exact(monkeypatch):
-    # a pair 1e-13 apart is stored exactly conjugate; the catalog's pairs
-    # already are, so every pass through the rule returns its input's bits
+def test_stored_mode_pairs_are_exact():
+    # a pair 1e-13 apart is stored exactly conjugate; every stored pair of
+    # the catalog is, so the rule run again on a field's modes returns
+    # their bits, in their order
     a2 = near_pair_twisted().coefficients[1]
     assert np.array_equal(a2.modes[(-1, 0)], a2.modes[(1, 0)].conj().T)
-    rule, calls = torus._hermitian_modes, []
-
-    def recorded(modes):
-        out = rule(modes)
-        calls.append((modes, out))
-        return out
-
-    monkeypatch.setattr(torus, "_hermitian_modes", recorded)
     for name in catalog_names():
-        assemble_and_solve(build_model(name), 8, NO_POINTS)
-    assert len(calls) == 4 * 3 + 4 * 2 + 4 * 3  # built, registered, assembled
-    for modes, out in calls:
-        assert list(out) == list(modes)
-        assert all(np.array_equal(out[g], modes[g]) for g in modes)
-
-
-def test_one_block_hermiticity_failure_is_typed():
-    model = x2_coupled_twisted()
-    a1, a2 = model.coefficients
-    broken = TrigMatrixField(2, dict(a2.modes))
-    broken.modes[(0, 1)] = broken.modes[(0, 1)] + 0.1 * SIGMA1
-    with pytest.raises(NotHermitian):
-        assemble_and_solve(TorusModel("broken", {}, (a1, broken), model.potential),
-                           8, NO_POINTS)
+        model = build_model(name)
+        for fld in (*model.coefficients, model.potential):
+            modes = fld.modes
+            assert all(np.array_equal(modes[tuple(-c for c in g)], mat.conj().T)
+                       for g, mat in modes.items())
+            again = TrigMatrixField(fld.dim, modes).modes
+            assert list(again) == list(modes)
+            assert all(np.array_equal(again[g], modes[g]) for g in modes)
 
 
 @pytest.mark.parametrize(
@@ -711,16 +727,6 @@ def test_pool_takes_each_item_once_under_contention(monkeypatch):
     assert got == [i * i for i in range(len(runs))]
     assert runs == [1] * len(runs)
 
-
-def test_worker_hermiticity_failure_is_typed(twisted_model):
-    # an x1 mode of a2 without its conjugate partner: every block whose
-    # modes have k2 != 0 fails the Hermiticity check, on the workers
-    a1, a2 = twisted_model.coefficients
-    broken = TrigMatrixField(2, a2.modes)
-    broken.modes[(1, 0)] = broken.modes[(1, 0)] + 0.1 * SIGMA1
-    model = TorusModel("broken", {}, (a1, broken), twisted_model.potential)
-    with pytest.raises(NotHermitian):
-        assemble_and_solve(model, 16, NO_POINTS)
 
 
 
@@ -1029,10 +1035,16 @@ def test_mollifier_band_vanishes_outside_support():
     assert abs(moll.transform_back(0.25) - 1.0) < 1e-9
 
 
+def band_nodes(moll):
+    """The mollifier's band nodes k T / n, k = 0, ..., n."""
+    return np.linspace(0.0, moll.support, moll._band.size)
+
+
 def exact_transform(moll, nu, rows=500):
     """(1/pi) sum_k band_k cos(nu t_k) summed directly at every nu."""
+    t = band_nodes(moll)
     return np.concatenate([
-        np.cos(np.outer(nu[i:i + rows], moll._t)) @ moll._band / math.pi
+        np.cos(np.outer(nu[i:i + rows], t)) @ moll._band / math.pi
         for i in range(0, nu.size, rows)
     ])
 
@@ -1081,7 +1093,7 @@ def test_angle_addition_on_a_partial_last_block(n, rng):
     # are one block
     t = np.linspace(0.0, 2.5, n + 1)
     band = plateau_transform(t, 2.5) * 0.1 + 0.01
-    moll = Mollifier(2.5, t, band)
+    moll = Mollifier(2.5, band)
     bases, offsets, table = moll._split
     assert table.shape == (bases.size, offsets.size)
     assert (bases.size * offsets.size == n + 1) == (n != 10)
@@ -1101,20 +1113,14 @@ def test_angle_addition_on_a_partial_last_block(n, rng):
 
 
 @pytest.mark.parametrize(
-    "t, band",
-    [(np.array([1.0]), np.array([0.7])),
-     (np.array([0.5, 1.0, 1.5]), np.array([0.1, 0.2, 0.3])),
-     (np.array([0.0, 1.0, 3.0]), np.array([0.1, 0.2, 0.3])),
-     (np.zeros((1, 1)), np.array([[0.7]])),
-     (np.linspace(0.0, 2.5, 3), np.array([0.1, 0.2]))],
-    ids=["one-node-off-zero", "not-from-zero", "uneven", "not-1-D", "band-shape"],
+    "band", [np.array([[0.7]]), np.zeros(0)], ids=["not-1-D", "empty"],
 )
-def test_mollifier_rejects_nodes_its_band_sum_misreads(t, band):
-    # the band sum reads node k as k t[-1] / n: one node at t = 1 would give
-    # rho(pi) = +0.2228 against (0.7 / pi) cos(pi) = -0.2228, and nodes
-    # (0.5, 1, 1.5) rho(2) = -0.0582 against -0.1038 for the direct sum
+def test_mollifier_rejects_nodes_its_band_sum_misreads(band):
+    # the band's size fixes the nodes k T / n, k = 0, ..., n, that the band
+    # sum reads: a band that is not 1-D, or has not even the node t = 0, is
+    # no band of nodes
     with pytest.raises(ValueError):
-        Mollifier(2.5, t, band)
+        Mollifier(2.5, band)
 
 
 def test_stacked_band_sum_shifts_the_mollifier(mollifier_t3):
@@ -1146,12 +1152,32 @@ def test_counting_with_a_one_node_mollifier(shifted_dirac_model, mollifier_t3):
     spec = assemble_and_solve(shifted_dirac_model, 8, [[0.0, 0.0]])
     mu = np.arange(1.0, 4.0, 0.5)
     full = local_counting_mollified(spec, mollifier_t3, 0, mu).values
-    one = Mollifier(2.5, np.zeros(1), np.array([0.7]))
+    one = Mollifier(2.5, np.array([0.7]))
     got = local_counting_mollified(spec, one, 0, mu).values
     want = 0.7 / math.pi * np.sum(spec.weights[spec.eigenvalues > 0, 0])
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
     again = local_counting_mollified(spec, mollifier_t3, 0, mu).values
     np.testing.assert_array_equal(again, full)
+
+
+def test_counting_reads_a_spectrum_that_cannot_change(shifted_dirac_model, mollifier_t3):
+    # Phi is kept on the spectrum from the first counting call on: an edit
+    # of the spectrum's arrays past it would leave later calls reading the
+    # old spectrum, so every edit raises
+    spec = assemble_and_solve(shifted_dirac_model, 16, [[0.3, 0.9]])
+    mu = np.arange(2.0, 9.0, 0.5)
+    first = local_counting_mollified(spec, mollifier_t3, 0, mu).values
+    for arr in (spec.eigenvalues, spec.weights, spec.x_points):
+        with pytest.raises(ValueError):
+            arr *= 2
+    doubled = dataclasses.replace(spec, weights=2 * spec.weights)
+    np.testing.assert_array_equal(
+        local_counting_mollified(doubled, mollifier_t3, 0, mu).values, 2 * first)
+    # a caller's own arrays stay writable
+    own = np.array([-1.0, 2.0]), np.zeros((1, 2)), np.ones((2, 1))
+    SpectrumResult(K=8, dim=2, eigenvalues=own[0], x_points=own[1], weights=own[2],
+                   trusted_max=4.8)
+    assert all(arr.flags.writeable for arr in own)
 
 
 def test_counting_rejects_nan_and_empty_grids(shifted_dirac_model, mollifier_t3):
@@ -1182,9 +1208,10 @@ def direct_counting(moll, centers, weights, mu):
     direct cosine sum of :func:`exact_transform` over every eigenvalue with
     cos(a - b) = cos a cos b + sin a sin b: every phase is one product, with
     no angle addition over the nodes and no interpolation."""
-    phase = np.outer(moll._t, centers)
+    t = band_nodes(moll)
+    phase = np.outer(t, centers)
     c, s = np.cos(phase) @ weights, np.sin(phase) @ weights
-    mu_phase = np.outer(mu, moll._t)
+    mu_phase = np.outer(mu, t)
     return (np.cos(mu_phase) @ (moll._band * c)
             + np.sin(mu_phase) @ (moll._band * s)) / math.pi
 
@@ -1195,8 +1222,9 @@ def test_counting_matches_direct_band_sum(twisted_model, mollifier_t3):
     # 77-wide weighted copy, so a block of the budget holds 68: the 1,090
     # positive eigenvalues fill 16 blocks and end in a partial 17th, and
     # the 1,088 negative ones fill 16 blocks exactly
-    bases, offsets = _angle_split(mollifier_t3._t.size - 1, mollifier_t3._t[1])
-    assert bases.size * offsets.size > mollifier_t3._t.size > (bases.size - 1) * offsets.size
+    n = mollifier_t3._band.size - 1
+    bases, offsets = _angle_split(n, mollifier_t3.support / n)
+    assert bases.size * offsets.size > n + 1 > (bases.size - 1) * offsets.size
     rows = torus._TABLE_BYTES // (16 * (81 + 81 + bases.size))
     spec = assemble_and_solve(twisted_model, 16, [[1.3, 4.2], [0.3, 0.9]])
     lam = spec.eigenvalues
