@@ -56,7 +56,6 @@ from .symbols import (
     SymbolField,
     eigen_jet,
     generalized_bracket,
-    symbol_jet,
 )
 from .torus import (
     CountingSamples,
@@ -105,6 +104,5 @@ __all__ = [
     "recover_second_weyl",
     "resolvent_symbol",
     "second_weyl",
-    "symbol_jet",
     "weyl_coefficients",
 ]

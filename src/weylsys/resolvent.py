@@ -7,7 +7,9 @@ every phase-space integral into an angular factor times a universal radial
 factor.  The radial factors have closed forms; the angular factors are the
 same cosphere quadratures the direct route uses.  The two angle-resolved
 coefficients b1, b0 then recover the second coefficient either from two
-angles or from an extrapolated small-angle limit.
+angles or from an extrapolated small-angle limit.  The matrix symbol
+itself, :func:`resolvent_symbol`, is R + R M R in closed form with
+R = (A - z)^-1: one jet of A and one inverse, no jet of R.
 
 Negative sheets enter b0 with a radial factor proportional to the angle
 itself, so they drop out of the small-angle limit; the two-angle inversion
@@ -33,26 +35,15 @@ from .errors import (
 from .kernels import kernel_moment_closed
 from .symbols import (
     DEFAULT_STEP,
-    MatrixJet,
     PhasePoint,
     SymbolField,
     check_symbol_pair,
     eigen_jet,  # not called here; perfbench/inproc.py wraps resolvent.eigen_jet
-    generalized_bracket,
     require_hermitian,
-    symbol_jet,
+    symbol_jets,
 )
 
 RESOLVENT_DISTANCE_TOL = 1e-8
-
-
-def _resolvent_jet(lead_jet: MatrixJet, z: complex) -> MatrixJet:
-    """Jet of (A - z)^-1 from the jet of A (exact matrix calculus)."""
-    m = lead_jet.value.shape[0]
-    res = np.linalg.inv(lead_jet.value - z * np.eye(m))
-    dx = np.array([-res @ d @ res for d in lead_jet.dx])
-    dxi = np.array([-res @ d @ res for d in lead_jet.dxi])
-    return MatrixJet(res, dx, dxi)
 
 
 def _check_distance(h: np.ndarray, z: complex) -> None:
@@ -73,21 +64,22 @@ def resolvent_symbol(
 
     R - R A_next R + (i/2) {R, A - z, R} with R = (A - z)^-1, everything
     evaluated pointwise; the omitted remainder is one order lower in both
-    the momentum and the spectral parameter.  The pair must pass
+    the momentum and the spectral parameter.  Since dR = -R dA R and
+    R (A - z) R = R, the bracket is R [sum_alpha (A_x R A_xi - A_xi R A_x)] R,
+    so the symbol is R + R M R with
+    M = (i/2) sum_alpha (A_x R A_xi - A_xi R A_x) - A_next: one jet of A,
+    one inverse, no jet of R.  The pair must pass
     :func:`~weylsys.symbols.check_symbol_pair`; raises :class:`NotHermitian`
     when A or A_next fails the Hermiticity rule of the eigen-jets.
     """
     check_symbol_pair(leading, nextorder)
-    lead_jet = symbol_jet(leading, p)
-    h = np.linalg.eigvalsh(require_hermitian(lead_jet.value))
-    _check_distance(h, z)
-    res_jet = _resolvent_jet(lead_jet, z)
-    shifted = lead_jet.value - z * np.eye(leading.dim)
-    out = res_jet.value.copy()
+    (value,), (dx,), (dxi,) = symbol_jets(leading, p.x, p.xi[None])
+    _check_distance(np.linalg.eigvalsh(require_hermitian(value)), z)
+    res = np.linalg.inv(value - z * np.eye(leading.dim))
+    middle = 0.5j * np.sum(dx @ res @ dxi - dxi @ res @ dx, axis=0)
     if nextorder is not None:
-        out -= res_jet.value @ require_hermitian(nextorder(p)) @ res_jet.value
-    out += 0.5j * generalized_bracket(res_jet, shifted, res_jet)
-    return out
+        middle -= require_hermitian(nextorder(p))
+    return res + res @ middle @ res
 
 
 def power_trace_symbol(

@@ -31,9 +31,9 @@ fixed phase makes its bits independent of the phases LAPACK returns.
 One construction, :func:`eigen_jet_stack`, serves a whole stack of points
 with one stacked eigensolve into one record, :class:`EigenJet`, with a
 node axis; :func:`eigen_jet` is its node 0 at one point.  Only
-:func:`symbol_jets`, :func:`symbol_jet` and the cosphere panel
-(``second_weyl`` -> ``CospherePanel``) take a differencing step; elsewhere
-a field without an analytic jet is differenced at ``DEFAULT_STEP``.
+:func:`symbol_jets` and the cosphere panel (``second_weyl`` ->
+``CospherePanel``) take a differencing step; elsewhere a field without an
+analytic jet is differenced at ``DEFAULT_STEP``.
 
 Everything here is a pure function of its inputs and all returned values
 are immutable; concurrent callers need no coordination.
@@ -277,16 +277,6 @@ def symbol_jets(
     if not all(np.all(np.isfinite(a)) for a in (value, dx, dxi)):
         raise ValueError("non-finite symbol jet")
     return value, dx, dxi
-
-
-def symbol_jet(
-    field: SymbolField,
-    p: PhasePoint,
-    step: float = DEFAULT_STEP,
-) -> MatrixJet:
-    """:func:`symbol_jets` at one phase-space point, as a :class:`MatrixJet`."""
-    value, dx, dxi = symbol_jets(field, p.x, p.xi[None], step)
-    return MatrixJet(value[0], dx[0], dxi[0])
 
 
 def generalized_bracket(

@@ -82,8 +82,8 @@ class TrigMatrixField:
     (C_g + C_(-g)^dagger) 0.5: the one Hermiticity rule of torus fields,
     run once, makes every pair exactly conjugate and keeps the bits of one
     that already is (:class:`NotHermitian` when a partner is missing or
-    max |C_(-g) - C_g^dagger| > 1e-12).  ``modes`` is a read-only mapping of
-    read-only arrays, so values stay Hermitian at every x.
+    max |C_(-g) - C_g^dagger| > 1e-12).  ``modes`` (no setter) is a read-only
+    mapping of read-only arrays, so values stay Hermitian at every x.
     """
 
     def __init__(self, dim: int, modes: dict):
@@ -107,7 +107,11 @@ class TrigMatrixField:
                 raise NotHermitian(f"coefficient symmetry violated at mode {g}")
             stored[g] = (mat + partner.conj().T) * 0.5
             stored[g].flags.writeable = False
-        self.modes = MappingProxyType(stored)
+        self._modes = MappingProxyType(stored)
+
+    @property
+    def modes(self) -> MappingProxyType:
+        return self._modes
 
     @classmethod
     def constant(cls, mat: np.ndarray) -> "TrigMatrixField":
@@ -861,6 +865,9 @@ class Mollifier:
     def __post_init__(self):
         if np.ndim(self._band) != 1 or np.size(self._band) == 0:
             raise ValueError(f"band must be a non-empty 1-D array, not {np.shape(self._band)}")
+        band = np.asarray(self._band).view()  # read-only: _split caches a copy
+        band.flags.writeable = False
+        object.__setattr__(self, "_band", band)
 
     @cached_property
     def _split(self) -> tuple:

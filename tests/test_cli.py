@@ -18,6 +18,7 @@ from weylsys.cli import (
     parse_config_lines,
 )
 from weylsys.errors import ConfigError
+from weylsys.kernels import expansion_b_coefficients
 
 
 def run_cli(args):
@@ -365,14 +366,19 @@ def test_spectral_pipeline_csv(tmp_path):
     assert abs(float(row[3]) - 1.0 / (2.0 * math.pi)) < 0.02 / (2.0 * math.pi)
 
 
-def test_tolerance_failure_exits_three(tmp_path, capsys):
-    # impossible tolerance forces exit code 3
-    code = run_cli(
-        ["verify", "--model", "twisted", "--eps", "0.1", "--out", str(tmp_path),
-         "--set", "tolerance.b1_rel=1e-30", "--set", "x_points=(0.4,0.0)"]
-    )
+def test_tolerance_failure_exits_three(tmp_path, capsys, monkeypatch):
+    # a closed-form b1 off by 1e-3 relative fails the default b1 tolerance
+    # and exits 3, whatever the roundoff of the b profile at the point
+    def skewed(*args):
+        b1, b0 = expansion_b_coefficients(*args)
+        return b1 * (1.0 + 1e-3), b0
+
+    monkeypatch.setattr("weylsys.cli.expansion_b_coefficients", skewed)
+    code = run_cli(["verify", "--model", "twisted", "--eps", "0.1", "--out", str(tmp_path)])
     assert code == 3
-    assert "tolerance failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "tolerance failure" in err
+    assert "b1" in err
 
 
 _START_UP_PROBE = """

@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from weylsys import (
+    MatrixJet,
     PhasePoint,
     SymbolField,
     b_profile,
+    build_model,
+    catalog_names,
     eigen_jet,
+    generalized_bracket,
     power_difference_kernel,
     power_trace_symbol,
     radial_factor,
@@ -26,6 +30,7 @@ from weylsys.errors import (
     NotHermitian,
     SingularResolvent,
 )
+from weylsys.symbols import symbol_jets
 
 from conftest import (
     cauchy_derivative,
@@ -75,6 +80,25 @@ def test_conjugate_symmetry(twisted_model, rng):
         a = resolvent_symbol(lead, sub, p, np.conj(z))
         b = resolvent_symbol(lead, sub, p, z).conj().T
         assert np.max(np.abs(a - b)) < 1e-8
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_closed_form_matches_bracket_definition(name, rng):
+    # R + R M R against the definition R - R A_next R + (i/2) {R, A - z, R},
+    # with R's jet formed here from A's (dR = -R dA R); 3 + 0.05i lies near
+    # the spectrum, where R is large
+    lead, sub = build_model(name).symbol_fields()
+    for x, xi in random_phase_points(rng, 25):
+        p = PhasePoint(x, xi)
+        (a,), (a_dx,), (a_dxi,) = symbol_jets(lead, x, xi[None])
+        for z in (0.6 + 0.9j, -1.3 + 0.2j, 3.0 + 0.05j):
+            shifted = a - z * np.eye(lead.dim)
+            res = np.linalg.inv(shifted)
+            jet = MatrixJet(res, -res @ a_dx @ res, -res @ a_dxi @ res)
+            want = (res - res @ sub(p) @ res
+                    + 0.5j * generalized_bracket(jet, shifted, jet))
+            got = resolvent_symbol(lead, sub, p, z)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_singular_resolvent_raises(dirac_model):

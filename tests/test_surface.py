@@ -88,16 +88,23 @@ BENCHMARK_HOOKS = {("coefficients.py", "eigen_jet"), ("resolvent.py", "eigen_jet
 
 
 def test_built_records_hold_no_writable_table():
-    # a registered model's modes and a solved spectrum's arrays are checked
-    # or cached once, when made, so none of them may change after that
+    # a registered model's modes, a solved spectrum's arrays and a mollifier's
+    # band are checked or cached once, when made, so none of them may change
+    # after that, nor be replaced: a non-Hermitian table assigned to modes
+    # would skip the Hermiticity rule
     for name in weylsys.catalog_names():
         model = weylsys.build_model(name)
         for fld in (*model.coefficients, model.potential):
             assert isinstance(fld.modes, MappingProxyType), name
             assert not any(mat.flags.writeable for mat in fld.modes.values()), name
+            with pytest.raises(AttributeError):
+                fld.modes = {(0, 0): [[0, 1], [2, 0]]}
         spec = weylsys.assemble_and_solve(model, 8, [[0.0, 0.0]])
         assert not any(arr.flags.writeable
                        for arr in (spec.eigenvalues, spec.x_points, spec.weights)), name
+    band = weylsys.build_mollifier(3.0)._band
+    with pytest.raises(ValueError):
+        band[:] *= 2.0
 
 
 def test_every_import_is_used():

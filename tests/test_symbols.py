@@ -8,7 +8,6 @@ from weylsys import (
     SymbolField,
     eigen_jet,
     generalized_bracket,
-    symbol_jet,
 )
 from weylsys.errors import (
     DegenerateSpectrum,
@@ -16,7 +15,7 @@ from weylsys.errors import (
     NotElliptic,
     NotHermitian,
 )
-from weylsys.symbols import MatrixJet
+from weylsys.symbols import MatrixJet, symbol_jets
 
 _STENCIL = ((-2.0, 1.0), (-1.0, -8.0), (1.0, 8.0), (2.0, -1.0))
 
@@ -157,21 +156,21 @@ def test_bare_jet_is_the_eigen_jet_without_directions(twisted_model, rng):
 
 
 # ---------------------------------------------------------------------------
-# symbol_jet
+# symbol_jets at one node
 # ---------------------------------------------------------------------------
 
 def test_constant_field_has_zero_derivatives():
     f = pointwise_field(2, 0, lambda x, xi: SIGMA3.copy())
-    jet = symbol_jet(f, PhasePoint([0.1, 0.2], [0.7, -0.4]))
-    assert np.max(np.abs(jet.dx)) < 1e-12
-    assert np.max(np.abs(jet.dxi)) < 1e-12
+    _, (dx,), (dxi,) = symbol_jets(f, [0.1, 0.2], [[0.7, -0.4]])
+    assert np.max(np.abs(dx)) < 1e-12
+    assert np.max(np.abs(dxi)) < 1e-12
 
 
 def test_norm_field_gradient():
     f = pointwise_field(2, 1, lambda x, xi: np.linalg.norm(xi) * np.eye(2, dtype=complex))
-    jet = symbol_jet(f, PhasePoint([0.0, 0.0], [0.0, 1.0]))
-    np.testing.assert_allclose(jet.dxi[0][0, 0], 0.0, atol=1e-9)
-    np.testing.assert_allclose(jet.dxi[1][0, 0], 1.0, atol=1e-9)
+    _, _, (dxi,) = symbol_jets(f, [0.0, 0.0], [[0.0, 1.0]])
+    np.testing.assert_allclose(dxi[0][0, 0], 0.0, atol=1e-9)
+    np.testing.assert_allclose(dxi[1][0, 0], 1.0, atol=1e-9)
 
 
 def quadratic_field():
@@ -202,10 +201,10 @@ def test_quadratic_fd_convergence(step):
     ev, ev_dx, ev_dxi = quadratic_field()
     f = pointwise_field(2, 0, ev)
     p = PhasePoint([0.4, -0.3], [0.9, 0.5])
-    jet = symbol_jet(f, p, step=step)
+    _, (dx,), (dxi,) = symbol_jets(f, p.x, p.xi[None], step=step)
     err = max(
-        np.max(np.abs(jet.dx - ev_dx(p.x, p.xi))),
-        np.max(np.abs(jet.dxi - ev_dxi(p.x, p.xi))),
+        np.max(np.abs(dx - ev_dx(p.x, p.xi))),
+        np.max(np.abs(dxi - ev_dxi(p.x, p.xi))),
     )
     # five-point stencils on polynomials of degree two are exact up to
     # roundoff; demand far better than the O(step^2) contract
@@ -216,9 +215,9 @@ def test_analytic_derivatives_bypass_differencing():
     ev, ev_dx, ev_dxi = quadratic_field()
     f = pointwise_field(2, 0, ev, lambda x, xi: (ev_dx(x, xi), ev_dxi(x, xi)))
     p = PhasePoint([0.4, -0.3], [0.9, 0.5])
-    jet = symbol_jet(f, p, step=1e-1)
-    np.testing.assert_allclose(jet.dx, ev_dx(p.x, p.xi), atol=1e-14)
-    np.testing.assert_allclose(jet.dxi, ev_dxi(p.x, p.xi), atol=1e-14)
+    _, (dx,), (dxi,) = symbol_jets(f, p.x, p.xi[None], step=1e-1)
+    np.testing.assert_allclose(dx, ev_dx(p.x, p.xi), atol=1e-14)
+    np.testing.assert_allclose(dxi, ev_dxi(p.x, p.xi), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
