@@ -17,8 +17,6 @@ from weylsys import (
     build_model,
     expansion_b_coefficients,
     recover_second_weyl,
-    second_weyl,
-    weyl_coefficients,
 )
 
 model = build_model("twisted", {"eps": 0.1})
@@ -26,6 +24,7 @@ lead, sub = model.symbol_fields()
 x = np.array([0.9, 0.0])
 
 prof = b_profile(lead, sub, x)
+coeffs = prof.coefficients  # the direct coefficients, from the same panel
 print("b0 as a function of the angle (affine):")
 print(f"{'phi':>8} {'b1':>14} {'b0':>14} {'b0 sheet +1':>14} {'b0 sheet -1':>14}")
 for phi in (0.1, 0.4, 0.8, 1.6, 2.4, 3.0):
@@ -34,7 +33,7 @@ for phi in (0.1, 0.4, 0.8, 1.6, 2.4, 3.0):
         f"{prof.b0_sheet(phi, 1):14.8f} {prof.b0_sheet(phi, -1):14.8f}"
     )
 
-direct = second_weyl(lead, sub, x).value
+direct = coeffs.a_second_plus
 two = recover_second_weyl(
     {phi: prof.b0(phi) for phi in (math.pi / 4, 3 * math.pi / 4)}, "two-angle"
 )
@@ -44,7 +43,6 @@ print(f"direct second coefficient : {direct:+.10f}")
 print(f"two-angle recovery        : {two:+.10f}")
 print(f"small-angle extrapolation : {lim:+.10f}")
 
-coeffs = weyl_coefficients(lead, sub, x)
 phi = 1.2
 b1_closed, b0_closed = expansion_b_coefficients(
     coeffs.a_first_plus, coeffs.a_first_minus,

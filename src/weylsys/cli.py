@@ -355,8 +355,8 @@ def run_direct(cfg: RunConfig, model: TorusModel, coefficients=None) -> list:
 def run_resolvent(cfg: RunConfig, model: TorusModel) -> tuple:
     """Recovery pipeline; writes resolvent_recovery.csv.
 
-    Returns (summary lines, per-point dicts with the recovered values and
-    the direct coefficients from the same panel, max b1 deviation).
+    Returns (summary lines, per-point (direct coefficients from the same
+    panel, two-angle value, limit value), max b1 deviation).
     """
     lead, sub = model.symbol_fields()
     quad = CosphereQuadrature(n_angles=cfg.n_angles)
@@ -372,7 +372,7 @@ def run_resolvent(cfg: RunConfig, model: TorusModel) -> tuple:
         rec_two = recover_second_weyl(two, "two-angle")
         lim = {phi: prof.b0(phi) for phi in cfg.limit_angles}
         rec_lim = recover_second_weyl(lim, "limit")
-        coeffs = prof.panel.coefficients()
+        coeffs = prof.coefficients
         for phi in cfg.angles:
             b1_closed, _ = expansion_b_coefficients(
                 coeffs.a_first_plus, coeffs.a_first_minus,
@@ -383,14 +383,7 @@ def run_resolvent(cfg: RunConfig, model: TorusModel) -> tuple:
                 max_b1_dev, abs(b1_val - b1_closed) / max(abs(b1_closed), 1e-12)
             )
             rows.append([x[0], x[1], phi, b1_val, prof.b0(phi), rec_two, rec_lim])
-        comparisons.append(
-            {
-                "x": x,
-                "coefficients": coeffs,
-                "two_angle": rec_two,
-                "limit": rec_lim,
-            }
-        )
+        comparisons.append((coeffs, rec_two, rec_lim))
         summary.append(
             f"resolvent: x=({x[0]:.4f},{x[1]:.4f}) "
             f"a0+(two-angle)={rec_two:+.8f} a0+(limit)={rec_lim:+.8f} "
@@ -465,14 +458,14 @@ def run_verify(cfg: RunConfig, model: TorusModel) -> list:
     """Cross-pipeline verification at configured tolerances."""
     summary, comparisons, max_b1_dev = run_resolvent(cfg, model)
     failures = []
-    for comp in comparisons:
-        direct = comp["coefficients"].a_second_plus
+    for coeffs, rec_two, rec_lim in comparisons:
+        direct, x = coeffs.a_second_plus, coeffs.x
         scale = max(abs(direct), 1e-12)
-        for method in ("two_angle", "limit"):
-            rel = abs(comp[method] - direct) / scale
+        for method, recovered in (("two_angle", rec_two), ("limit", rec_lim)):
+            rel = abs(recovered - direct) / scale
             if rel > cfg.cross_rel_tol:
                 failures.append(
-                    f"x=({comp['x'][0]:.4f},{comp['x'][1]:.4f}) {method} "
+                    f"x=({x[0]:.4f},{x[1]:.4f}) {method} "
                     f"rel dev {rel:.2e} > {cfg.cross_rel_tol:.1e}"
                 )
     if max_b1_dev > cfg.b1_rel_tol:
@@ -581,7 +574,7 @@ def main(argv=None) -> int:
             if pipeline in ("resolvent", "all"):
                 recovery_lines, comparisons, _ = run_resolvent(cfg, model)
                 # "all" reads the direct coefficients off the same panels
-                shared = [c["coefficients"] for c in comparisons]
+                shared = [coeffs for coeffs, _, _ in comparisons]
             if pipeline in ("direct", "all"):
                 summary.extend(run_direct(cfg, model, shared))
             summary.extend(recovery_lines)

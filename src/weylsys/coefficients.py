@@ -21,17 +21,19 @@ integrand arrays; :func:`_node_terms` builds them for any stack of
 covectors, a single one included.  The bracket and the curvature share one
 trace, T[k, j] = tr {P_k, P_j, P_k}: since A - h_k = sum_j (h_j - h_k) P_j,
 the bracket integrand tr {P_k, A - h_k, P_k} is sum_j (h_j - h_k) T[k, j],
-and the curvature integrand is T[k, k].  Both branches read the same panel.
-The sign-flipped operator has the same projections and negated sheets, so
+and the curvature integrand is T[k, k].  Every sheet is read once, as a
+sheet of the original operator.  The minus branch is the plus branch of the
+sign-flipped operator, which has the same projections and negated sheets:
 its positive sheets are the negative sheets here with h, the subprincipal
 integrand and the bracket integrand negated and the curvature integrand
-unchanged.
+unchanged, so each of its region integrals, hence each of its terms, is the
+exact negative of the one read here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -96,13 +98,16 @@ class SheetSecondTerms:
     """
 
     sheet: int
-    sign: int
     volume: float
     c_first: float
     c_second: float
     term_sub: float
     term_bracket: float
     term_curvature: float
+
+    @property
+    def sign(self) -> int:
+        return 1 if self.sheet > 0 else -1
 
     @property
     def total(self) -> float:
@@ -113,9 +118,10 @@ class SheetSecondTerms:
 class WeylCoefficients:
     """Leading and second local coefficient densities at one point.
 
-    ``breakdown`` maps each positive sheet label of the original operator
-    to its :class:`SheetSecondTerms`; the minus-branch values are those of
-    the sign-flipped operator.
+    ``terms`` holds every sheet's :class:`SheetSecondTerms`, in ascending
+    sheet order, read once off the original operator; the minus-branch
+    values are those of the sign-flipped operator, whose terms are the
+    exact negatives of the negative sheets' terms.
     """
 
     x: np.ndarray
@@ -123,7 +129,12 @@ class WeylCoefficients:
     a_first_minus: float
     a_second_plus: float
     a_second_minus: float
-    breakdown: dict = field(default_factory=dict)
+    terms: tuple
+
+    @property
+    def breakdown(self) -> dict:
+        """Positive sheet label -> its :class:`SheetSecondTerms`."""
+        return {t.sheet: t for t in self.terms if t.sheet > 0}
 
 
 @dataclass(frozen=True)
@@ -185,9 +196,6 @@ class CospherePanel:
     sheet signature must be the same at every node.  Quadrature sums run
     through numpy's pairwise reduction in a fixed node order, so results
     are reproducible bit-for-bit for a given configuration.
-
-    ``branch=-1`` in the methods below reads the sign-flipped operator off
-    the same panel (see the module docstring).
     """
 
     def __init__(
@@ -216,36 +224,19 @@ class CospherePanel:
     def positions(self) -> range:
         return range(self.sheets.size)
 
-    def branch_positions(self, branch: int = 1) -> list:
-        """Positions of one branch's sheets, in that branch's ascending order.
-
-        The positive sheets for ``branch=1``; for ``branch=-1`` the
-        negative sheets, which are the positive sheets of the sign-flipped
-        operator.
-        """
-        return [pos for pos in self.positions()[::branch] if branch * self.sheets[pos] > 0]
-
     def region_integral(self, pos: int, samples: np.ndarray) -> complex:
         """Integral of a degree-0 scalar over {|h_sheet| < 1} from node samples."""
         eta = self.eta[:, pos]
         return np.sum(self.weights * samples * eta ** (-self.n)) / self.n
 
-    def volume(self, pos: int) -> float:
-        """Phase-space volume of {|h_sheet| < 1}, the same for both branches."""
-        return float(self.region_integral(pos, np.ones(len(self.weights))).real)
-
-    def second_terms(self, pos: int, branch: int = 1) -> SheetSecondTerms:
-        """Region-integrated second-coefficient pieces for one sheet.
-
-        With ``branch=-1`` the sheet is read as a sheet of the sign-flipped
-        operator: label, h, subprincipal and bracket integrands change sign.
-        """
+    def second_terms(self, pos: int) -> SheetSecondTerms:
+        """Region-integrated second-coefficient pieces for one sheet."""
         n = self.n
         pref = n * (n - 1) / (2.0 * math.pi) ** n
-        h = branch * self.h[:, pos]
-        int_sub = self.region_integral(pos, branch * self.sub[:, pos])
-        int_brack = self.region_integral(pos, branch * self.bracket[:, pos])
-        int_curv = self.region_integral(pos, h * self.curvature[:, pos])
+        volume = self.region_integral(pos, np.ones(len(self.weights)))
+        int_sub = self.region_integral(pos, self.sub[:, pos])
+        int_brack = self.region_integral(pos, self.bracket[:, pos])
+        int_curv = self.region_integral(pos, self.h[:, pos] * self.curvature[:, pos])
         term_sub = -pref * int_sub
         term_bracket = pref * 0.5j * int_brack
         term_curv = (n * 1j / (2.0 * math.pi) ** n) * int_curv
@@ -262,11 +253,9 @@ class CospherePanel:
                 raise ComplexResidue(
                     f"{name} term has imaginary residue {val.imag:.3e}"
                 )
-        sheet = branch * int(self.sheets[pos])
         return SheetSecondTerms(
-            sheet=sheet,
-            sign=1 if sheet > 0 else -1,
-            volume=self.volume(pos),
+            sheet=int(self.sheets[pos]),
+            volume=float(volume.real),
             c_first=float(c_first.real),
             c_second=float(c_second.real),
             term_sub=float(term_sub.real),
@@ -274,34 +263,40 @@ class CospherePanel:
             term_curvature=float(term_curv.real),
         )
 
-    def first_coefficient(self, branch: int = 1) -> float:
-        """Leading density of one branch: n (2 pi)^-n sum of its region volumes."""
-        total = 0.0
-        for pos in self.branch_positions(branch):
-            total += self.volume(pos)
-        return self.n / (2.0 * math.pi) ** self.n * total
-
-    def second_coefficient(self, branch: int = 1) -> SecondWeylResult:
-        """Second density of one branch with its per-sheet breakdown."""
-        sheets = {}
-        total = 0.0
-        for pos in self.branch_positions(branch):
-            terms = self.second_terms(pos, branch)
-            sheets[terms.sheet] = terms
-            total += terms.total
-        return SecondWeylResult(total, sheets)
-
     def coefficients(self) -> WeylCoefficients:
-        """Both branches of both coefficient densities at this base point."""
-        plus = self.second_coefficient(1)
+        """Both branches of both coefficient densities at this base point.
+
+        The minus branch takes the negative sheets with their terms negated
+        (sheet -k is sheet k of the sign-flipped operator), and each branch
+        sums in the ascending order of its own labels, |sheet|.  The leading
+        density is n (2 pi)^-n times the sum of the region volumes.
+        """
+        terms = tuple(self.second_terms(pos) for pos in self.positions())
+        scale = self.n / (2.0 * math.pi) ** self.n
+        first = {1: 0.0, -1: 0.0}
+        second = {1: 0.0, -1: 0.0}
+        for t in sorted(terms, key=lambda t: abs(t.sheet)):
+            first[t.sign] += t.volume
+            second[t.sign] += t.sign * t.total
         return WeylCoefficients(
             x=self.x,
-            a_first_plus=self.first_coefficient(1),
-            a_first_minus=self.first_coefficient(-1),
-            a_second_plus=plus.value,
-            a_second_minus=self.second_coefficient(-1).value,
-            breakdown=plus.sheets,
+            a_first_plus=scale * first[1],
+            a_first_minus=scale * first[-1],
+            a_second_plus=second[1],
+            a_second_minus=second[-1],
+            terms=terms,
         )
+
+
+def weyl_coefficients(
+    leading: SymbolField,
+    nextorder: Optional[SymbolField],
+    x: np.ndarray,
+    quad: CosphereQuadrature = CosphereQuadrature(),
+) -> WeylCoefficients:
+    """Both branches of the first and second coefficient densities at x,
+    from one panel that reads each sheet once."""
+    return CospherePanel(leading, nextorder, x, quad).coefficients()
 
 
 def first_weyl(
@@ -312,8 +307,7 @@ def first_weyl(
     """Leading local coefficient density: n (2 pi)^-n sum of positive-sheet
     region volumes.  Returns 0 when the leading symbol has no positive
     eigenvalues."""
-    panel = CospherePanel(leading, None, x, quad)
-    return panel.first_coefficient()
+    return weyl_coefficients(leading, None, x, quad).a_first_plus
 
 
 def second_weyl(
@@ -328,19 +322,5 @@ def second_weyl(
     Sums the subprincipal, bracket and curvature terms, in their gauge-free
     projection forms, over positive sheets.
     """
-    panel = CospherePanel(leading, nextorder, x, quad, step)
-    return panel.second_coefficient()
-
-
-def weyl_coefficients(
-    leading: SymbolField,
-    nextorder: Optional[SymbolField],
-    x: np.ndarray,
-    quad: CosphereQuadrature = CosphereQuadrature(),
-) -> WeylCoefficients:
-    """Both branches of the first and second coefficient densities at x.
-
-    One panel serves both: the minus branch is the plus-branch formulas
-    applied to the sign-flipped symbol pair, read off the negative sheets.
-    """
-    return CospherePanel(leading, nextorder, x, quad).coefficients()
+    coeffs = CospherePanel(leading, nextorder, x, quad, step).coefficients()
+    return SecondWeylResult(coeffs.a_second_plus, coeffs.breakdown)

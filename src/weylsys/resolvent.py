@@ -1,15 +1,17 @@
 """Resolvent-symbol route to the second coefficient.
 
-An independent pipeline: expand the resolvent's symmetric-quantization
-symbol in its two leading terms, take its matrix trace (which collapses to
-a single sheet sum), weight with the power-difference kernels, and split
-every phase-space integral into an angular factor times a universal radial
-factor.  The radial factors have closed forms; the angular factors are the
-same cosphere quadratures the direct route uses.  The two angle-resolved
-coefficients b1, b0 then recover the second coefficient either from two
-angles or from an extrapolated small-angle limit.  The matrix symbol
-itself, :func:`resolvent_symbol`, is R + R M R in closed form with
-R = (A - z)^-1: one jet of A and one inverse, no jet of R.
+Expand the resolvent's symmetric-quantization symbol in its two leading
+terms, take its matrix trace (which collapses to a single sheet sum),
+weight with the power-difference kernels, and split every phase-space
+integral into an angular factor times a universal radial factor.  The
+radial factors have closed forms.  The angular factors are the direct
+route's own per-sheet terms: :func:`b_profile` wraps the base point's
+:class:`~weylsys.coefficients.WeylCoefficients`, so a recovered value
+checks the radial factors and the inversion, not the panel's integrands.
+The two angle-resolved coefficients b1, b0 then recover the second
+coefficient either from two angles or from an extrapolated small-angle
+limit.  The matrix symbol itself, :func:`resolvent_symbol`, is R + R M R in
+closed form with R = (A - z)^-1: one jet of A and one inverse, no jet of R.
 
 Negative sheets enter b0 with a radial factor proportional to the angle
 itself, so they drop out of the small-angle limit; the two-angle inversion
@@ -25,7 +27,12 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .coefficients import CospherePanel, CosphereQuadrature, _node_terms
+from .coefficients import (
+    CosphereQuadrature,
+    WeylCoefficients,
+    _node_terms,
+    weyl_coefficients,
+)
 from .errors import (
     AngleOutOfRange,
     DegenerateAngles,
@@ -137,24 +144,22 @@ def radial_factor(n: int, phi: float, sheet_sign: int) -> float:
 class BProfile:
     """Angle-resolved expansion coefficients at a fixed base point.
 
-    ``data`` holds the panel's per-sheet volumes and angular factors
-    (:class:`~weylsys.coefficients.SheetSecondTerms`), computed once;
-    evaluation at any angle applies the closed-form radial and kernel
-    factors.  ``panel`` is the cosphere panel they came from: it holds the
-    base point and dimension, and gives the direct coefficients
-    (``panel.coefficients()``) without a second panel.
+    ``coefficients`` is the base point's
+    :class:`~weylsys.coefficients.WeylCoefficients`: its per-sheet volumes
+    and angular factors (``terms``) are computed once, and evaluation at
+    any angle applies the closed-form radial and kernel factors.  It gives
+    the direct coefficients too, from the same panel.
     """
 
-    data: list
-    panel: CospherePanel
+    coefficients: WeylCoefficients
 
     def b1(self, phi: float) -> float:
         if not 0.0 < phi < math.pi:
             raise AngleOutOfRange(f"phi must lie in (0, pi), got {phi}")
         z = cmath.exp(1j * phi)
         total = 0.0 + 0.0j
-        n = self.panel.n
-        for d in self.data:
+        n = self.coefficients.x.size
+        for d in self.coefficients.terms:
             if d.sign > 0:
                 moment = kernel_moment_closed(n - 1, z, power=n - 1)
             else:
@@ -164,15 +169,15 @@ class BProfile:
         return float(value.real)
 
     def b0_sheet(self, phi: float, sheet: int) -> float:
-        n = self.panel.n
-        for d in self.data:
+        n = self.coefficients.x.size
+        for d in self.coefficients.terms:
             if d.sheet == sheet:
                 return (d.c_first + d.c_second) * radial_factor(n, phi, d.sign)
         raise ValueError(f"no sheet {sheet}")
 
     def b0(self, phi: float) -> float:
-        total = sum(self.b0_sheet(phi, d.sheet) for d in self.data)
-        return total / (2.0 * math.pi) ** self.panel.n
+        total = sum(self.b0_sheet(phi, d.sheet) for d in self.coefficients.terms)
+        return total / (2.0 * math.pi) ** self.coefficients.x.size
 
 
 def b_profile(
@@ -182,9 +187,7 @@ def b_profile(
     quad_rule: CosphereQuadrature = CosphereQuadrature(),
 ) -> BProfile:
     """Compute the angle-independent sheet data for the b coefficients."""
-    panel = CospherePanel(leading, nextorder, x, quad_rule)
-    data = [panel.second_terms(pos) for pos in panel.positions()]
-    return BProfile(data=data, panel=panel)
+    return BProfile(weyl_coefficients(leading, nextorder, x, quad_rule))
 
 
 def check_recovery_angles(angles, method: str) -> list:

@@ -370,7 +370,7 @@ def vector_integrands(jets, leading, nextorder, x, xi):
 def vector_form(panel, leading, nextorder):
     """A copy of ``panel``, which must be on the default quadrature, whose
     integrands are the eigenvector forms, so its
-    ``second_terms``/``second_coefficient`` integrate those instead."""
+    ``second_terms``/``coefficients`` integrate those instead."""
     omega, weights = CosphereQuadrature().nodes(panel.n)
     np.testing.assert_array_equal(weights, panel.weights)
     out = copy.copy(panel)

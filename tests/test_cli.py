@@ -240,7 +240,7 @@ def test_fd_step_key_removed():
 def test_one_panel_per_base_point(tmp_path, monkeypatch):
     import numpy as np
 
-    from weylsys import build_model, coefficients, resolvent, weyl_coefficients
+    from weylsys import build_model, coefficients, weyl_coefficients
 
     built = []
 
@@ -250,7 +250,6 @@ def test_one_panel_per_base_point(tmp_path, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(coefficients, "CospherePanel", CountedPanel)
-    monkeypatch.setattr(resolvent, "CospherePanel", CountedPanel)
     lead, sub = build_model("twisted", {"eps": 0.1}).symbol_fields()
     weyl_coefficients(lead, sub, np.array([0.3, 0.0]))
     assert len(built) == 1
@@ -270,6 +269,28 @@ def test_one_panel_per_base_point(tmp_path, monkeypatch):
     assert len(built) == 2
     body = (tmp_path / "all" / "weyl_coefficients.csv").read_bytes()
     assert body.split(b"\n", 1)[1] == direct.split(b"\n", 1)[1]
+
+
+def test_one_reading_per_sheet(tmp_path, monkeypatch):
+    # both branches, the breakdown and the b profile read each sheet of a
+    # panel once: two sheets, two second_terms calls per point
+    from weylsys import coefficients
+
+    calls = []
+    read = coefficients.CospherePanel.second_terms
+
+    def counted(panel, *args):
+        calls.append(args)
+        return read(panel, *args)
+
+    monkeypatch.setattr(coefficients.CospherePanel, "second_terms", counted)
+    points = ["--set", "x_points=(0.0,0.0);(1.2,0.5)"]
+    assert run_cli(["verify", "--model", "twisted", "--out", str(tmp_path), *points]) == 0
+    assert len(calls) == 4
+    calls.clear()
+    assert run_cli(["compute", "--model", "twisted", "--pipeline", "all", "-k", "12",
+                    "--out", str(tmp_path / "all"), *points]) == 0
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize(

@@ -191,8 +191,8 @@ def test_vector_and_projection_forms_agree(twisted_model):
         x = np.array([x1, 0.0])
         a = second_weyl(lead, sub, x)
         panel = CospherePanel(lead, sub, x, CosphereQuadrature())
-        b = vector_form(panel, lead, sub).second_coefficient()
-        assert abs(a.value - b.value) < 1e-6
+        b = vector_form(panel, lead, sub).coefficients()
+        assert abs(a.value - b.a_second_plus) < 1e-6
 
 
 def form_factors(leading, nextorder, x, sheet):
@@ -258,14 +258,37 @@ def test_sign_flip_duality(twisted_model, mass_dirac_model):
             assert abs(coeffs.a_first_minus - first_weyl(flip_lead, x, quad)) < 1e-12
             flipped = second_weyl(flip_lead, flip_sub, x, quad)
             assert abs(coeffs.a_second_minus - flipped.value) < 1e-10
-            minus = CospherePanel(lead, sub, x, quad).second_coefficient(branch=-1)
-            assert sorted(minus.sheets) == sorted(flipped.sheets) == [1]
+            # the minus branch's sheet k is sheet -k here, its terms negated
+            panel = CospherePanel(lead, sub, x, quad)
+            minus = {-int(panel.sheets[pos]): panel.second_terms(pos)
+                     for pos in panel.positions() if panel.sheets[pos] < 0}
+            assert sorted(minus) == sorted(flipped.sheets) == [1]
             for sheet, terms in flipped.sheets.items():
-                got = minus.sheets[sheet]
-                assert got.sign == terms.sign == 1
+                got = minus[sheet]
+                assert got.sign == -terms.sign == -1
                 for name in ("term_sub", "term_bracket", "term_curvature",
                              "c_first", "c_second"):
-                    assert abs(getattr(got, name) - getattr(terms, name)) < 1e-10
+                    assert abs(-getattr(got, name) - getattr(terms, name)) < 1e-10
+
+
+def test_one_reading_feeds_every_entry_point(twisted_model, mass_dirac_model):
+    # the minus branch is the exact negation of the negative sheets, and the
+    # entry points are reads of one WeylCoefficients, bit for bit
+    for model in (twisted_model, mass_dirac_model):
+        lead, sub = model.symbol_fields()
+        x = np.array([0.7, 0.3])
+        coeffs = weyl_coefficients(lead, sub, x)
+        negative = [t for t in coeffs.terms if t.sheet < 0]
+        assert [t.sheet for t in coeffs.terms] == [-1, 1]
+        assert coeffs.a_second_minus == -sum(t.total for t in negative)
+        assert coeffs.breakdown == {1: coeffs.terms[1]}
+        assert first_weyl(lead, x) == coeffs.a_first_plus
+        assert second_weyl(lead, sub, x).value == coeffs.a_second_plus
+        again = b_profile(lead, sub, x).coefficients
+        assert again.terms == coeffs.terms
+        assert (again.a_first_plus, again.a_first_minus, again.a_second_plus,
+                again.a_second_minus) == (coeffs.a_first_plus, coeffs.a_first_minus,
+                                          coeffs.a_second_plus, coeffs.a_second_minus)
 
 
 def test_weyl_coefficients_symmetric_model(dirac_model):
@@ -294,7 +317,7 @@ def test_complex_residue_detected():
     panel = CospherePanel(planar_spin_field(), None, X0, CosphereQuadrature())
     panel.sub = panel.sub + 1j
     with pytest.raises(ComplexResidue):
-        panel.second_coefficient()
+        panel.coefficients()
 
 
 def test_three_dimensional_region_volume():
