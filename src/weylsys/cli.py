@@ -6,8 +6,10 @@ failure), ``gn-check`` (kernel moment table: closed forms vs quadrature)
 and ``models`` (list the catalog).
 
 Configuration is line-oriented ``key = value`` with dotted section prefixes
-(grammar in the README); command line flags override file values.  Output
-files are written atomically (write-then-rename) with a comment line
+(grammar in the README); command line flags override file values.  A flag's
+``dest`` is the key it sets, and the model flags, one per catalog parameter
+(:data:`MODEL_PARAMETERS`), are generated with their defaults in the help.
+Output files are written atomically (write-then-rename) with a comment line
 carrying the configuration hash, so identical configurations produce
 byte-identical files.
 
@@ -40,7 +42,7 @@ except ImportError:
 
 from . import __version__
 from .coefficients import CosphereQuadrature, weyl_coefficients
-from .errors import ConfigError, WeylError
+from .errors import ConfigError, UnknownModel, WeylError
 from .kernels import (
     expansion_b_coefficients,
     kernel_moment_closed,
@@ -57,13 +59,12 @@ from .torus import (
     build_mollifier,
     catalog_names,
     check_fit_window,
+    check_model,
     fit_weyl,
     local_counting_mollified,
 )
 
 PIPELINES = ("direct", "resolvent", "spectral", "all")
-
-_MODEL_PARAM_KEYS = sorted({p for params in MODEL_PARAMETERS.values() for p in params})
 
 # Caps on the settings that size allocations: the spectral grid holds
 # (window width / fit.grid_step) points (420 at K = 40 with the defaults)
@@ -185,11 +186,12 @@ def _parse_int_list(text: str) -> tuple:
     return tuple(int(v) for v in text.split(","))
 
 
-# key -> (RunConfig field, parser); a model parameter field names its
-# entry in RunConfig.model_params
+# key -> (RunConfig field, parser); a model parameter's value goes to
+# RunConfig.model_params under its own name
 _SETTINGS = {
     "model.name": ("model", str),
-    **{f"model.{param}": (param, _parse_float) for param in _MODEL_PARAM_KEYS},
+    **{f"model.{param}": ("model_params", _parse_float)
+       for defaults in MODEL_PARAMETERS.values() for param in defaults},
     "pipeline": ("pipeline", _parse_pipeline),
     "quadrature.n_angles": ("n_angles", int),
     "angles": ("angles", _parse_angle_list),
@@ -221,8 +223,8 @@ def apply_settings(cfg: RunConfig, settings: dict, command: str = "") -> RunConf
             parsed = parse(value)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
-        if name in _MODEL_PARAM_KEYS:
-            cfg.model_params[name] = parsed
+        if name == "model_params":
+            cfg.model_params[key.split(".", 1)[1]] = parsed
         else:
             setattr(cfg, name, parsed)
     _validate(cfg, command)
@@ -230,13 +232,10 @@ def apply_settings(cfg: RunConfig, settings: dict, command: str = "") -> RunConf
 
 
 def _validate(cfg: RunConfig, command: str = "") -> None:
-    if cfg.model not in catalog_names():
-        raise ConfigError(
-            f"unknown model {cfg.model!r}; catalog: {', '.join(catalog_names())}"
-        )
-    for key in cfg.model_params:
-        if key not in MODEL_PARAMETERS[cfg.model]:
-            raise ConfigError(f"model {cfg.model!r} takes no parameter {key!r}")
+    try:
+        check_model(cfg.model, cfg.model_params)
+    except UnknownModel as exc:
+        raise ConfigError(str(exc)) from exc
     for phi in (*cfg.angles, *cfg.limit_angles, *cfg.gn_angles):
         if not 0.0 < phi < math.pi:
             raise ConfigError(f"angle {phi} outside (0, pi)")
@@ -399,21 +398,19 @@ def run_resolvent(cfg: RunConfig, model: TorusModel) -> tuple:
     return summary, comparisons, max_b1_dev
 
 
-def run_spectral(cfg: RunConfig, model: TorusModel) -> tuple:
-    """Ground-truth pipeline; writes spectral_fit.csv."""
+def run_spectral(cfg: RunConfig, model: TorusModel) -> list:
+    """Ground-truth pipeline; returns summary lines, writes spectral_fit.csv."""
     moll = build_mollifier(cfg.mollifier_support)
     spectrum = assemble_and_solve(model, cfg.truncation, cfg.x_points, cfg.budget)
     mu_lo, mu_hi = cfg.fit_window()
     mu = cfg.fit_grid()
     rows = []
     summary = []
-    fits = []
     for i, x in enumerate(spectrum.x_points):
         samples = local_counting_mollified(spectrum, moll, i, mu, "plus")
         fit = fit_weyl(samples, 2, (mu_lo, mu_hi), mollifier=moll)
         rows.append([x[0], x[1], cfg.truncation, fit.a_leading, fit.a_second,
                      fit.residual_rms])
-        fits.append(fit)
         summary.append(
             f"spectral: x=({x[0]:.4f},{x[1]:.4f}) K={cfg.truncation} "
             f"a1_fit={fit.a_leading:.8f} a0_fit={fit.a_second:+.8f} "
@@ -425,11 +422,11 @@ def run_spectral(cfg: RunConfig, model: TorusModel) -> tuple:
         rows,
         cfg,
     )
-    return summary, fits
+    return summary
 
 
-def run_gn_check(cfg: RunConfig) -> tuple:
-    """Kernel moment table; writes gn_check.csv; returns (summary, max err)."""
+def run_gn_check(cfg: RunConfig) -> list:
+    """Kernel moment table; returns its summary line, writes gn_check.csv."""
     rows = []
     max_err = 0.0
     for n in cfg.gn_orders:
@@ -447,7 +444,7 @@ def run_gn_check(cfg: RunConfig) -> tuple:
         rows,
         cfg,
     )
-    return [f"gn-check: {len(rows)} cases, max rel err {max_err:.2e}"], max_err
+    return [f"gn-check: {len(rows)} cases, max rel err {max_err:.2e}"]
 
 
 class ToleranceFailure(Exception):
@@ -502,24 +499,16 @@ def build_parser() -> argparse.ArgumentParser:
             help="override any configuration key",
         )
     for p in (compute, verify):
-        p.add_argument("--model", help="catalog model name")
-        p.add_argument("--beta", type=float, help="shifted-dirac shift")
-        p.add_argument("--b", type=float, help="mass-dirac mass")
-        p.add_argument("--eps", type=float, help="twisted coupling strength")
+        p.add_argument("--model", dest="model.name", help="catalog model name")
+        for name, defaults in MODEL_PARAMETERS.items():
+            for param, default in defaults.items():
+                p.add_argument(f"--{param}", dest=f"model.{param}", type=float,
+                               help=f"{name} parameter (default {default})")
     compute.add_argument("--pipeline", choices=PIPELINES)
-    compute.add_argument("-k", "--truncation", type=int, help="Fourier truncation")
+    compute.add_argument("-k", "--truncation", dest="truncation.k", type=int,
+                         help="Fourier truncation")
     sub.add_parser("models", help="list the model catalog")
     return parser
-
-
-# flag -> configuration key, for the flags a subcommand takes
-_FLAG_KEYS = {
-    "model": "model.name",
-    **{param: f"model.{param}" for param in _MODEL_PARAM_KEYS},
-    "pipeline": "pipeline",
-    "truncation": "truncation.k",
-    "out": "out",
-}
 
 
 def config_from_args(args) -> RunConfig:
@@ -531,9 +520,8 @@ def config_from_args(args) -> RunConfig:
                 settings.update(parse_config_lines(handle))
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-    for flag, key in _FLAG_KEYS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
+    for key, value in vars(args).items():
+        if key in _SETTINGS and value is not None:
             settings[key] = str(value)
     for item in args.set:
         if "=" not in item:
@@ -558,19 +546,16 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     try:
-        summary: list = []
-        model = None
-        if args.command != "gn-check":
+        if args.command == "gn-check":
+            summary = run_gn_check(cfg)
+        else:
             # one registration per invocation, shared by every pipeline it runs
             model = build_model(cfg.model, cfg.model_params)
         if args.command == "verify":
-            summary.extend(run_verify(cfg, model))
-        elif args.command == "gn-check":
-            lines, _ = run_gn_check(cfg)
-            summary.extend(lines)
-        else:  # compute
+            summary = run_verify(cfg, model)
+        elif args.command == "compute":
             pipeline = cfg.pipeline
-            recovery_lines, shared = [], None
+            summary, recovery_lines, shared = [], [], None
             if pipeline in ("resolvent", "all"):
                 recovery_lines, comparisons, _ = run_resolvent(cfg, model)
                 # "all" reads the direct coefficients off the same panels
@@ -579,8 +564,7 @@ def main(argv=None) -> int:
                 summary.extend(run_direct(cfg, model, shared))
             summary.extend(recovery_lines)
             if pipeline in ("spectral", "all"):
-                lines, _ = run_spectral(cfg, model)
-                summary.extend(lines)
+                summary.extend(run_spectral(cfg, model))
     except ToleranceFailure as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)
         return 3

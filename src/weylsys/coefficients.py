@@ -121,10 +121,11 @@ class WeylCoefficients:
     ``terms`` holds every sheet's :class:`SheetSecondTerms`, in ascending
     sheet order, read once off the original operator; the minus-branch
     values are those of the sign-flipped operator, whose terms are the
-    exact negatives of the negative sheets' terms.
+    exact negatives of the negative sheets' terms.  ``x`` is a tuple of
+    floats, so records compare with ``==`` and keep no caller's array.
     """
 
-    x: np.ndarray
+    x: tuple
     a_first_plus: float
     a_first_minus: float
     a_second_plus: float
@@ -279,7 +280,7 @@ class CospherePanel:
             first[t.sign] += t.volume
             second[t.sign] += t.sign * t.total
         return WeylCoefficients(
-            x=self.x,
+            x=tuple(self.x.tolist()),
             a_first_plus=scale * first[1],
             a_first_minus=scale * first[-1],
             a_second_plus=second[1],

@@ -158,7 +158,7 @@ class BProfile:
             raise AngleOutOfRange(f"phi must lie in (0, pi), got {phi}")
         z = cmath.exp(1j * phi)
         total = 0.0 + 0.0j
-        n = self.coefficients.x.size
+        n = len(self.coefficients.x)
         for d in self.coefficients.terms:
             if d.sign > 0:
                 moment = kernel_moment_closed(n - 1, z, power=n - 1)
@@ -169,7 +169,7 @@ class BProfile:
         return float(value.real)
 
     def b0_sheet(self, phi: float, sheet: int) -> float:
-        n = self.coefficients.x.size
+        n = len(self.coefficients.x)
         for d in self.coefficients.terms:
             if d.sheet == sheet:
                 return (d.c_first + d.c_second) * radial_factor(n, phi, d.sign)
@@ -177,7 +177,7 @@ class BProfile:
 
     def b0(self, phi: float) -> float:
         total = sum(self.b0_sheet(phi, d.sheet) for d in self.coefficients.terms)
-        return total / (2.0 * math.pi) ** self.coefficients.x.size
+        return total / (2.0 * math.pi) ** len(self.coefficients.x)
 
 
 def b_profile(

@@ -246,23 +246,20 @@ def _dirac_fields():
     )
 
 
-def _build_dirac(params: dict) -> TorusModel:
+def _build_dirac() -> TorusModel:
     return TorusModel("dirac", _dirac_fields(), TrigMatrixField.constant(np.zeros((2, 2))))
 
 
-def _build_shifted_dirac(params: dict) -> TorusModel:
-    beta = float(params.get("beta", 0.3))
+def _build_shifted_dirac(beta: float) -> TorusModel:
     return TorusModel("shifted-dirac", _dirac_fields(),
                       TrigMatrixField.constant(beta * IDENTITY2))
 
 
-def _build_mass_dirac(params: dict) -> TorusModel:
-    b = float(params.get("b", 0.5))
+def _build_mass_dirac(b: float) -> TorusModel:
     return TorusModel("mass-dirac", _dirac_fields(), TrigMatrixField.constant(b * SIGMA3))
 
 
-def _build_twisted(params: dict) -> TorusModel:
-    eps = float(params.get("eps", 0.1))
+def _build_twisted(eps: float) -> TorusModel:
     a1 = TrigMatrixField.from_waves(
         2,
         [
@@ -282,14 +279,17 @@ def _build_twisted(params: dict) -> TorusModel:
     return TorusModel("twisted", (a1, a2), pot)
 
 
+# name -> (builder taking its parameters by name, {parameter: default})
 _CATALOG = {
-    "dirac": (_build_dirac, ()),
-    "shifted-dirac": (_build_shifted_dirac, ("beta",)),
-    "mass-dirac": (_build_mass_dirac, ("b",)),
-    "twisted": (_build_twisted, ("eps",)),
+    "dirac": (_build_dirac, {}),
+    "shifted-dirac": (_build_shifted_dirac, {"beta": 0.3}),
+    "mass-dirac": (_build_mass_dirac, {"b": 0.5}),
+    "twisted": (_build_twisted, {"eps": 0.1}),
 }
-# the parameter names each catalog model takes
-MODEL_PARAMETERS = {name: params for name, (_, params) in _CATALOG.items()}
+# the same name -> {parameter: default}, read-only
+MODEL_PARAMETERS = MappingProxyType(
+    {name: MappingProxyType(defaults) for name, (_, defaults) in _CATALOG.items()}
+)
 
 
 def catalog_names() -> list[str]:
@@ -342,18 +342,23 @@ def registration_check(
     return min_abs, min_gap
 
 
-def build_model(name: str, params: Optional[dict] = None) -> TorusModel:
-    """Instantiate a catalog model and run its registration checks."""
+def check_model(name: str, params) -> None:
+    """Raise :class:`UnknownModel` unless catalog model ``name`` takes ``params``."""
     if name not in _CATALOG:
         raise UnknownModel(
             f"unknown model {name!r}; catalog: {', '.join(catalog_names())}"
         )
-    builder, allowed = _CATALOG[name]
-    params = dict(params or {})
     for key in params:
-        if key not in allowed:
+        if key not in MODEL_PARAMETERS[name]:
             raise UnknownModel(f"model {name!r} takes no parameter {key!r}")
-    model = builder(params)
+
+
+def build_model(name: str, params: Optional[dict] = None) -> TorusModel:
+    """Instantiate a catalog model, at its row's defaults, and register it."""
+    check_model(name, params or {})
+    builder, defaults = _CATALOG[name]
+    model = builder(**{key: float(value)
+                       for key, value in {**defaults, **(params or {})}.items()})
     registration_check(model)
     return model
 
@@ -655,7 +660,7 @@ def assemble_and_solve(
     Raises :class:`BudgetExceeded`, before any allocation, when m (2K+1)^2
     exceeds the budget, ``ValueError`` on a truncation below 8 or not an
     integer (``16.0`` is one) or on ``x_points`` that are not finite pairs,
-    and :class:`SolveFailure` on breakdown.
+    and :class:`SolveFailure` on breakdown or on a weight that is not finite.
     """
     if not (math.isfinite(K) and K == int(K)):
         raise ValueError(f"truncation K must be an integer, not {K!r}")
@@ -724,6 +729,9 @@ def assemble_and_solve(
     for group, pairs in zip(stacks, _map_pinned(solve, stacks)):
         solved.update(zip(group.tolist(), pairs))
     values, weights = zip(*(solved[c] for c in range(starts.size)))
+    weights = np.concatenate(weights)
+    if not np.all(np.isfinite(weights)):  # NaN phases k.x at a huge finite x
+        raise SolveFailure("weights not finite: the phases k.x overflow at some x")
     merged = np.concatenate(values)
     order = np.argsort(merged, kind="stable")
     return SpectrumResult(
@@ -731,7 +739,7 @@ def assemble_and_solve(
         dim=m,
         eigenvalues=merged[order],
         x_points=x_points,
-        weights=np.concatenate(weights)[order],
+        weights=weights[order],
         trusted_max=TRUSTED_FRACTION * K,
     )
 
@@ -928,7 +936,7 @@ def build_mollifier(support: float) -> Mollifier:
 
 @dataclass(frozen=True)
 class CountingSamples:
-    """Smoothed local counting derivative on a grid of spectral positions."""
+    """Smoothed local counting derivative on a grid ``mu`` (a read-only copy)."""
 
     x: np.ndarray
     mu: np.ndarray
@@ -936,6 +944,11 @@ class CountingSamples:
     branch: str
     mollifier_support: float
     trusted_max: float
+
+    def __post_init__(self):
+        mu = np.array(self.mu, dtype=float)
+        mu.flags.writeable = False
+        object.__setattr__(self, "mu", mu)
 
 
 def _band_characteristic(centers, weights, bases, offsets) -> np.ndarray:

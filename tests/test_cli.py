@@ -11,12 +11,15 @@ from pathlib import Path
 import pytest
 
 from weylsys.cli import (
+    _SETTINGS,
     RunConfig,
     apply_settings,
+    build_parser,
     entry,
     main,
     parse_config_lines,
 )
+from weylsys.torus import MODEL_PARAMETERS
 from weylsys.errors import ConfigError
 from weylsys.kernels import expansion_b_coefficients
 
@@ -316,6 +319,56 @@ def test_usage_errors_exit_one(args, tmp_path, monkeypatch, capsys):
     assert run_cli(args) == 1
     assert "Traceback" not in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def _subcommand_actions():
+    """Each flag-taking subcommand's name and its parser's actions."""
+    subcommands = next(a for a in build_parser()._actions if a.dest == "command")
+    return [(name, subcommands.choices[name]._actions) for name in ("compute", "verify")]
+
+
+def test_every_flag_is_its_configuration_key():
+    # a flag's dest is the key it sets, so no second table maps one to the other
+    for name, actions in _subcommand_actions():
+        dests = {a.dest for a in actions} - {"help", "command", "config", "set"}
+        assert dests - set(_SETTINGS) == set(), name
+        # the model flags: one --<param> per catalog parameter, naming its default
+        flags = [a for a in actions if a.dest.startswith("model.") and a.dest != "model.name"]
+        assert sorted(flag for a in flags for flag in a.option_strings) == sorted(
+            f"--{param}" for defaults in MODEL_PARAMETERS.values() for param in defaults)
+        for a in flags:
+            param = a.dest.split(".", 1)[1]
+            (default,) = [d[param] for d in MODEL_PARAMETERS.values() if param in d]
+            assert f"(default {default})" in a.help, a.help
+
+
+def test_readme_tables_match_the_settings_and_catalog():
+    # the configuration-grammar table lists every key, and the model-catalog
+    # table every model with its parameters and their defaults
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    def first_columns(heading):
+        section = readme.split(heading + "\n", 1)[1].split("\n#", 1)[0]
+        rows = [line.split("|")[1:3] for line in section.splitlines()
+                if line.startswith("| `")]
+        return {key.strip().strip("`"): rest.strip() for key, rest in rows}
+
+    assert set(first_columns("### Configuration grammar")) == set(_SETTINGS)
+    catalog = {}
+    for name, params in first_columns("## Model catalog").items():
+        pairs = [] if params == "—" else [p.split() for p in params.split(",")]
+        catalog[name] = {p.strip("`"): float(d.strip("()")) for p, d in pairs}
+    assert catalog == {name: dict(d) for name, d in MODEL_PARAMETERS.items()}
+
+
+@pytest.mark.filterwarnings("ignore:.* encountered in:RuntimeWarning")
+def test_overflowing_point_exits_two_before_the_fit_is_written(tmp_path, capsys):
+    # k.x overflows at x1 = 1e308: the weights there are NaN, not a fit
+    code = run_cli(["compute", "--model", "twisted", "--pipeline", "spectral",
+                    "-k", "16", "--set", "x_points=(1e308,0)", "--out", str(tmp_path)])
+    assert code == 2
+    assert "SolveFailure" in capsys.readouterr().err
+    assert not (tmp_path / "spectral_fit.csv").exists()
 
 
 def test_process_entry_freezes_the_heap_and_main_does_not(monkeypatch, capsys):

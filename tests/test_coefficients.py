@@ -291,6 +291,18 @@ def test_one_reading_feeds_every_entry_point(twisted_model, mass_dirac_model):
                                           coeffs.a_second_plus, coeffs.a_second_minus)
 
 
+def test_records_compare_and_keep_no_caller_array(twisted_model):
+    # the base point is kept as a tuple of floats: records compare with ==,
+    # and an edit of the caller's array afterwards moves no record
+    lead, sub = twisted_model.symbol_fields()
+    x = np.array([0.7, 0.3])
+    coeffs = weyl_coefficients(lead, sub, x)
+    assert coeffs == weyl_coefficients(lead, sub, [0.7, 0.3])
+    x[0] = 5.0
+    assert coeffs.x == (0.7, 0.3)
+    assert b_profile(lead, sub, x) != b_profile(lead, sub, [0.7, 0.3])
+
+
 def test_weyl_coefficients_symmetric_model(dirac_model):
     lead, sub = dirac_model.symbol_fields()
     coeffs = weyl_coefficients(lead, sub, np.array([0.2, 0.4]))

@@ -193,8 +193,7 @@ def test_every_attribute_is_read():
 
 def test_every_parameter_is_read():
     # a parameter no body reads is a setting that silently does nothing;
-    # only the catalog builders keep their uniform builder(params) signature,
-    # and a method's self is no setting (a cached_property may ignore it)
+    # a method's self is no setting (a cached_property may ignore it)
     unread = []
     for path in sorted((ROOT / "src" / "weylsys").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -207,8 +206,7 @@ def test_every_parameter_is_read():
             read = {n.id for stmt in node.body for n in ast.walk(stmt)
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             unread += [f"{path.name}: {node.name}({p})" for p in params
-                       if p not in read
-                       and not (node.name.startswith("_build_") and p == "params")]
+                       if p not in read]
     assert unread == []
 
 

@@ -797,6 +797,18 @@ def test_large_blocks_match_reference(twisted_model, K, route, x_points, monkeyp
     np.testing.assert_allclose(spec.weights, weights, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:.* encountered in:RuntimeWarning")
+@pytest.mark.parametrize("K, route", [(16, "eigh"), (40, "tridiagonal")])
+def test_overflowing_point_is_a_solve_failure(twisted_model, K, route):
+    # a finite x so large that k.x overflows makes every weight there NaN;
+    # 66-row blocks at K = 16 take the stacked eigh, 162-row ones at K = 40
+    # the tridiagonal route
+    if route == "tridiagonal":
+        require_lapack()
+    with pytest.raises(SolveFailure, match="not finite"):
+        assemble_and_solve(twisted_model, K, [[0.3, 0.0], [1e308, 0.0]])
+
+
 def test_worker_tridiagonal_failure_is_typed(twisted_model, two_workers, monkeypatch):
     # K = 32: 65 blocks of 130 rows in stacks of three.  The caller and the
     # helper each take one, and the dstedc call after the helper's first
@@ -1334,6 +1346,18 @@ def test_fit_needs_samples_in_the_upper_window(mollifier_t3):
     for moll in (None, mollifier_t3):
         with pytest.raises(IllConditionedFit, match="upper 60%"):
             fit_weyl(samples, 2, (3.0, 12.0), mollifier=moll)
+
+
+def test_counting_keeps_its_own_grid(shifted_dirac_model, mollifier_t3):
+    # the samples hold a read-only copy of the grid, so editing the caller's
+    # grid afterwards cannot move a fit of them
+    spec = assemble_and_solve(shifted_dirac_model, 16, [[0.3, 0.9]])
+    mu = np.arange(3.0, 9.6, 0.05)
+    samples = local_counting_mollified(spec, mollifier_t3, 0, mu)
+    before = fit_weyl(samples, 2, (3.0, 9.6), mollifier=mollifier_t3)
+    assert samples.mu is not mu and not samples.mu.flags.writeable
+    mu *= 1.01
+    assert fit_weyl(samples, 2, (3.0, 9.6), mollifier=mollifier_t3) == before
 
 
 def test_fit_rejects_another_mollifier(shifted_dirac_model, mollifier_t3):
