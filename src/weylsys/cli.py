@@ -292,14 +292,14 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: str, header: list, rows: list, cfg: RunConfig) -> None:
-    """RFC-4180 style CSV with a leading comment line, written atomically."""
+    """RFC-4180 style CSV with a leading comment line, written atomically
+    into an existing directory (:func:`main` makes the output directory)."""
     lines = [f"# config_sha256={cfg.digest()} tool_version={__version__}"]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     body = "\n".join(lines) + "\n"
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-csv-")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
@@ -542,6 +542,10 @@ def main(argv=None) -> int:
         return 0
     try:
         cfg = config_from_args(args)
+        try:  # before any pipeline runs, so an unusable directory wastes no run
+            os.makedirs(os.path.abspath(cfg.out_dir), exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from exc
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

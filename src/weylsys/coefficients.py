@@ -39,6 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ComplexResidue, NotElliptic
+from .kernels import gauss_legendre
 from .symbols import (
     DEFAULT_STEP,
     SymbolField,
@@ -76,7 +77,7 @@ class CosphereQuadrature:
             weights = np.full(self.n_angles, 2.0 * math.pi / self.n_angles)
             return omega, weights
         if n == 3:
-            c, w_c = np.polynomial.legendre.leggauss(self.n_polar)
+            c, w_c = gauss_legendre(self.n_polar)
             phi = 2.0 * math.pi * np.arange(self.n_angles) / self.n_angles
             sin_t = np.sqrt(1.0 - c ** 2)[:, None]
             polar = np.broadcast_to(c[:, None], (self.n_polar, self.n_angles))

@@ -89,10 +89,21 @@ _REL_TOL = 1e-10
 _TAIL_TERMS = 40
 
 
+def gauss_legendre(n: int) -> tuple:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1] by Golub-Welsch:
+    the eigenvalues of the Jacobi matrix (off-diagonal k / sqrt(4 k^2 - 1))
+    and 2 v_0^2 from its unit eigenvectors, symmetrised as numpy's
+    ``leggauss`` does, which would import ``numpy.polynomial``."""
+    k = np.arange(1.0, n)
+    nodes, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    weights = 2.0 * vectors[0] ** 2
+    return (nodes - nodes[::-1]) / 2.0, (weights + weights[::-1]) / 2.0
+
+
 @lru_cache(maxsize=None)
 def _gauss_pair() -> tuple:
     """20- and 40-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(20), np.polynomial.legendre.leggauss(40)
+    return gauss_legendre(20), gauss_legendre(40)
 
 
 def _adaptive_gauss(f, breakpoints, abs_tol: float, rel_tol: float) -> tuple:

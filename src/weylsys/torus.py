@@ -27,10 +27,14 @@ from the standard exp(-1/(1-s^2)) bump).  Its band limit means the sample
 reads the local half-wave trace sum_lambda |phi_lambda(x)|^2 e^(-i lambda t)
 only at the band's trapezoid nodes, so the counting is an exact transform
 of the band, by angle addition over the nodes, and no eigenvalue is paired
-with a grid point.  The exponential tables of that angle addition are
-built by angle addition once more (:func:`_phases`), 36 exponentials per
-eigenvalue for the 6,001 nodes instead of 155.  The mollifier itself is
-evaluated by the same band sum and by nothing else.  Every transient table
+with a grid point.  The counting and the fit reach only |nu| <= R, so they
+read every d-th node, whose aliases of those frequencies lie where the
+plateau's transform is below roundoff (:meth:`Mollifier._stride`): 376 of
+the 6,001 nodes at support 3 up to K = 72.  The exponential tables of that
+angle addition are built by angle addition once more (:func:`_phases`), 18
+exponentials per eigenvalue for the 376 nodes instead of 39.  The
+mollifier itself is evaluated by the same band sum over every node and by
+nothing else.  Every transient table
 of the run (a Galerkin stack, a block of eigenvalues, of nu rows or of step
 values) takes as many rows as fit one 256 KiB budget, ``_TABLE_BYTES``.
 A least-squares fit over a trusted window extracts the two leading growth
@@ -61,6 +65,7 @@ from .errors import (
     UnknownModel,
     WindowViolation,
 )
+from .kernels import gauss_legendre
 from .symbols import SymbolField
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -660,7 +665,8 @@ def assemble_and_solve(
     Raises :class:`BudgetExceeded`, before any allocation, when m (2K+1)^2
     exceeds the budget, ``ValueError`` on a truncation below 8 or not an
     integer (``16.0`` is one) or on ``x_points`` that are not finite pairs,
-    and :class:`SolveFailure` on breakdown or on a weight that is not finite.
+    and :class:`SolveFailure` on breakdown, on a weight that is not finite
+    or, before any mode is labelled, when K (|x1| + |x2|) overflows.
     """
     if not (math.isfinite(K) and K == int(K)):
         raise ValueError(f"truncation K must be an integer, not {K!r}")
@@ -678,6 +684,9 @@ def assemble_and_solve(
         raise ValueError(f"x_points must have shape (n_x, 2), not {x_points.shape}")
     if not np.all(np.isfinite(x_points)):
         raise ValueError("x_points must be finite")
+    # the largest phase |k.x| over the modes is K (|x1| + |x2|)
+    if not math.isfinite(K * max((abs(a) + abs(b) for a, b in x_points.tolist()), default=0)):
+        raise SolveFailure("weights not finite: the phases k.x overflow at some x")
     ks = np.arange(-K, K + 1)
     modes = np.stack(np.meshgrid(ks, ks, indexing="ij"), axis=-1).reshape(-1, 2)
     labels = _component_labels(modes, model.coupling_modes(), K)
@@ -730,7 +739,7 @@ def assemble_and_solve(
         solved.update(zip(group.tolist(), pairs))
     values, weights = zip(*(solved[c] for c in range(starts.size)))
     weights = np.concatenate(weights)
-    if not np.all(np.isfinite(weights)):  # NaN phases k.x at a huge finite x
+    if not np.all(np.isfinite(weights)):
         raise SolveFailure("weights not finite: the phases k.x overflow at some x")
     merged = np.concatenate(values)
     order = np.argsort(merged, kind="stable")
@@ -774,13 +783,14 @@ def _bump_integral(v: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.
 def _step_rule() -> tuple:
     """Nodes, weights and bump norm of the one rule behind every step value.
 
-    The bump is flat to all orders at -1, so 80 Gauss-Legendre nodes reach
-    the roundoff floor: on the half-support intervals used by
+    The bump is flat to all orders at -1, so 80 Gauss-Legendre nodes
+    (:func:`~weylsys.kernels.gauss_legendre`) reach the roundoff floor: on
+    the half-support intervals used by
     :func:`bump_step`, 160 nodes move no step value by more than 4e-16
     (40 nodes would still be 9e-12 off).  Built on first use, so runs
     without a mollifier never pay for it.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(80)
+    nodes, weights = gauss_legendre(80)
     norm = 2.0 * float(_bump_integral(np.array(0.5), nodes, weights))
     return nodes, weights, norm
 
@@ -810,6 +820,9 @@ def plateau_transform(t, support: float):
 
 # Trapezoid nodes of the band on [0, T].
 BAND_NODES = 6001
+# nu T from which the plateau's transform stays below 1e-14 of its peak; the
+# plateau is scaled by T, so the same at every support (1e-12 from 1,296).
+_ALIAS_FREE = 2000.0
 # Bytes of one transient table of the spectral run: a Galerkin stack, a
 # block of the counting's eigenvalue tables, a block of nu rows of the band
 # sum, a block of step values of the bump integral.  Each sizes its rows
@@ -864,7 +877,9 @@ class Mollifier:
     t_k = k T / n of [0, T], T the support and n + 1 the band's size
     (``ValueError`` on an empty or not 1-D band), and every evaluation is
     the band sum (1/pi) sum_k band_k cos(nu t_k) (:meth:`_sum`), exact at
-    every nu; the counting reads the same sum.
+    every nu.  The counting and the fit read the same sum on every d-th
+    node only (:meth:`_stride`), which is the full sum up to roundoff at
+    the frequencies they reach.
     """
 
     support: float
@@ -873,27 +888,51 @@ class Mollifier:
     def __post_init__(self):
         if np.ndim(self._band) != 1 or np.size(self._band) == 0:
             raise ValueError(f"band must be a non-empty 1-D array, not {np.shape(self._band)}")
-        band = np.asarray(self._band).view()  # read-only: _split caches a copy
+        band = np.asarray(self._band).view()  # read-only: _strided caches copies
         band.flags.writeable = False
         object.__setattr__(self, "_band", band)
 
     @cached_property
-    def _split(self) -> tuple:
-        """Bases and offsets of the band nodes (:func:`_angle_split`) and
-        the band as a (bases x offsets) table, zero-padded past the last node."""
-        n = self._band.size - 1  # nodes k T / n, k = 0, ..., n
-        bases, offsets = _angle_split(n, self.support / max(n, 1))
-        band = np.pad(self._band, (0, bases.size * offsets.size - self._band.size))
-        return bases, offsets, band.reshape(bases.size, offsets.size)
+    def _splits(self) -> dict:
+        """:meth:`_strided` tables by stride, kept on the mollifier."""
+        return {}
 
-    def _sum(self, nu: np.ndarray, phi) -> np.ndarray:
+    def _strided(self, stride: int) -> tuple:
+        """Bases and offsets of every stride-th band node (:func:`_angle_split`)
+        and their trapezoid weights stride * band[::stride] as a (bases x
+        offsets) table, zero-padded past the last node; stride divides n."""
+        if stride not in self._splits:
+            n = (self._band.size - 1) // stride  # nodes k T / n, k = 0, ..., n
+            bases, offsets = _angle_split(n, self.support / max(n, 1))
+            band = np.pad(stride * self._band[::stride], (0, bases.size * offsets.size - n - 1))
+            self._splits[stride] = bases, offsets, band.reshape(bases.size, offsets.size)
+        return self._splits[stride]
+
+    @property
+    def _split(self) -> tuple:
+        """:meth:`_strided` tables of the whole band."""
+        return self._strided(1)
+
+    def _stride(self, reach: float) -> int:
+        """Largest divisor d of n with d (T reach + ``_ALIAS_FREE``) <= 2 pi n.
+
+        The trapezoid rule on every d-th node is the band sum plus its
+        aliases at nu + 2 pi j n / (d T), j != 0; for |nu| <= reach each
+        alias lies where the plateau's transform is below 1e-14 of its
+        peak.  1 for a one-node band or a reach that no divisor clears."""
+        n = self._band.size - 1
+        top = min(n, int(2.0 * math.pi * n / (self.support * reach + _ALIAS_FREE)))
+        return max((d for d in range(1, top + 1) if n % d == 0), default=1)
+
+    def _sum(self, nu: np.ndarray, phi, stride: int = 1) -> np.ndarray:
         """(1/pi) sum_k band_k Re[e^(i nu t_k) phi(t_k)] at every nu of a 1-D
-        array, phi a constant or a (..., bases, offsets) stack of node-value
-        tables, shape (..., n_nu): one (n_nu x bases)(bases x offsets)
-        product per table and a dot with the offsets, both exponential
-        tables by :func:`_phases`, over the nu rows whose two tables and
-        products for every stacked table fit :func:`_table_rows`."""
-        bases, offsets, band = self._split
+        array over every stride-th node, phi a constant or a (..., bases,
+        offsets) stack of node-value tables of :meth:`_strided`, shape
+        (..., n_nu): one (n_nu x bases)(bases x offsets) product per table
+        and a dot with the offsets, both exponential tables by
+        :func:`_phases`, over the nu rows whose two tables and products for
+        every stacked table fit :func:`_table_rows`."""
+        bases, offsets, band = self._strided(stride)
         weighted = band * phi
         stacked = weighted.size // band.size
         rows = _table_rows(_phases_bytes(bases, offsets) + 2 * 16 * stacked * offsets.size)
@@ -953,7 +992,8 @@ class CountingSamples:
 
 def _band_characteristic(centers, weights, bases, offsets) -> np.ndarray:
     """Phi(t) = sum_j weights[j, p] e^(-i centers_j t) for every column p, at
-    t = base + offset, shape (n_p, n_base, n_off).
+    the nodes t = base + offset of one :meth:`Mollifier._strided` split,
+    shape (n_p, n_base, n_off).
 
     e^(-i c (a + s)) = e^(-i c a) e^(-i c s), so each column is one
     (n_base x n_eig)(n_eig x n_off) product; the eigenvalue tables are built
@@ -984,10 +1024,11 @@ def local_counting_mollified(
     plus branch: sum over positive eigenvalues of rho(mu - lambda) w(x);
     minus branch mirrors through zero.  rho is a band sum, so the sample is
     exactly the mollifier's :meth:`Mollifier._sum` with phi the local
-    half-wave trace Phi(t) = sum_lambda w(x) e^(-i lambda t) at the band
-    nodes, by angle addition.  Phi at every x point is built once per
-    spectrum, branch and band, and kept on the spectrum.  Every eigenvalue
-    counts, however far from the grid.
+    half-wave trace Phi(t) = sum_lambda w(x) e^(-i lambda t) at every
+    d-th band node (:meth:`Mollifier._stride` of the reach
+    max(max |lambda|, trusted_max)), by angle addition.  Phi at every x
+    point is built once per spectrum, branch and band, and kept on the
+    spectrum.  Every eigenvalue counts, however far from the grid.
     Raises :class:`WindowViolation` when the grid is empty, holds NaN or
     leaves the trusted window.
     """
@@ -1009,16 +1050,17 @@ def local_counting_mollified(
         centers = -lam[sel]
     else:
         raise ValueError("branch must be 'plus' or 'minus'")
+    stride = mollifier._stride(np.max(np.abs(lam), initial=spectrum.trusted_max))
     key = (branch, mollifier._band.size, mollifier.support)  # fixes the nodes
     if key not in spectrum._characteristic:
-        bases, offsets, _ = mollifier._split
+        bases, offsets, _ = mollifier._strided(stride)
         spectrum._characteristic[key] = _band_characteristic(
             centers, spectrum.weights[sel], bases, offsets
         )
     return CountingSamples(
         x=spectrum.x_points[i],
         mu=mu_grid,
-        values=mollifier._sum(mu_grid, spectrum._characteristic[key][i]),
+        values=mollifier._sum(mu_grid, spectrum._characteristic[key][i], stride),
         branch=branch,
         mollifier_support=mollifier.support,
         trusted_max=spectrum.trusted_max,
@@ -1105,11 +1147,12 @@ def fit_weyl(
     cols = [mu ** (n - 1), mu ** (n - 2), mu ** (n - 3)]
     names = ["leading", "second", "next-order"]
     if mollifier is not None:
-        # rho(mu) and rho(mu - 1) from one set of exponential tables, as
-        # e^(i (mu - 1) t) = e^(i mu t) e^(-i t)
-        bases, offsets, _ = mollifier._split
+        # rho(mu) and rho(mu - 1), |nu| <= trusted_max + 1, from one set of
+        # exponential tables, as e^(i (mu - 1) t) = e^(i mu t) e^(-i t)
+        stride = mollifier._stride(samples.trusted_max + 1.0)
+        bases, offsets, _ = mollifier._strided(stride)
         phi = np.exp(-1j * np.add.outer(bases, offsets))
-        shape, shifted = mollifier._sum(mu, np.stack([np.ones_like(phi), phi]))
+        shape, shifted = mollifier._sum(mu, np.stack([np.ones_like(phi), phi]), stride)
         peak = float(np.max(np.abs(shape)))
         mid = float(np.max(np.abs(shape[upper])))
         if peak > 0 and mid < 0.05 * peak:

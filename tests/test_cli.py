@@ -361,7 +361,6 @@ def test_readme_tables_match_the_settings_and_catalog():
     assert catalog == {name: dict(d) for name, d in MODEL_PARAMETERS.items()}
 
 
-@pytest.mark.filterwarnings("ignore:.* encountered in:RuntimeWarning")
 def test_overflowing_point_exits_two_before_the_fit_is_written(tmp_path, capsys):
     # k.x overflows at x1 = 1e308: the weights there are NaN, not a fit
     code = run_cli(["compute", "--model", "twisted", "--pipeline", "spectral",
@@ -369,6 +368,25 @@ def test_overflowing_point_exits_two_before_the_fit_is_written(tmp_path, capsys)
     assert code == 2
     assert "SolveFailure" in capsys.readouterr().err
     assert not (tmp_path / "spectral_fit.csv").exists()
+
+
+def test_unusable_output_directory_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # the output directory is made before any pipeline runs: a path under
+    # a plain file is a configuration error, and no spectrum is solved
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+
+    def solve(*args, **kwargs):
+        raise AssertionError("the spectral run started")
+
+    monkeypatch.setattr("weylsys.cli.assemble_and_solve", solve)
+    for args in (["gn-check"],
+                 ["compute", "--model", "twisted", "--pipeline", "spectral", "-k", "16"]):
+        code = run_cli([*args, "--out", str(afile / "sub")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error: cannot create output directory")
+    assert afile.read_text() == "not a directory\n"
 
 
 def test_process_entry_freezes_the_heap_and_main_does_not(monkeypatch, capsys):
@@ -537,6 +555,28 @@ def test_commands_load_neither_openssl_nor_a_futures_pool(args, tmp_path):
     # RSS; at K = 16 the spectral run solves three stacks on the pool
     report = run_fresh(_HEAVY_MODULES, str(tmp_path), *args)
     assert report == {"code": 0, "loaded": []}
+
+
+_POLYNOMIAL = """
+import json, sys
+from weylsys.cli import main
+
+code = main([*sys.argv[2:], "--out", sys.argv[1]])
+print(json.dumps({"code": code, "polynomial": "numpy.polynomial" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["gn-check"],
+     ["compute", "--pipeline", "spectral", "--model", "twisted", "-k", "16"]],
+    ids=["gn-check", "spectral"],
+)
+def test_gauss_rules_leave_numpy_polynomial_unloaded(args, tmp_path):
+    # the Gauss-Legendre rules of the kernel moments and the bump step are
+    # one Golub-Welsch eigensolve each; numpy.polynomial costs 7 ms to load
+    report = run_fresh(_POLYNOMIAL, str(tmp_path), *args)
+    assert report == {"code": 0, "polynomial": False}
 
 
 _DIGEST = """

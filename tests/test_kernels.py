@@ -13,7 +13,7 @@ from weylsys import (
     power_difference_kernel,
 )
 from weylsys.errors import AngleOutOfRange, QuadratureFailure, RealSpectralParameter
-from weylsys.kernels import _adaptive_gauss, arg_positive_cut
+from weylsys.kernels import _adaptive_gauss, arg_positive_cut, gauss_legendre
 
 
 def test_kernel_is_purely_imaginary(rng):
@@ -161,6 +161,23 @@ def test_numeric_matches_adaptive_quadpack(n):
             got, err = _adaptive_gauss(integrand, (0.0, 1.0, 2.0, 50.0), 1e-12, 1e-10)
             assert abs(got - want) <= 1e-9 * abs(want)
             assert err <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("n", [3, 20, 32, 40, 80])
+def test_golub_welsch_rule_matches_numpy(n):
+    # the rules of the adaptive pair, the polar cosine and the bump step;
+    # leggauss's weights are themselves 7e-14 to 1.1e-12 off at n = 20-80
+    nodes, weights = gauss_legendre(n)
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(nodes - want_nodes)) <= 4.4e-16
+    np.testing.assert_allclose(weights, want_weights, rtol=2e-12, atol=0.0)
+    np.testing.assert_array_equal(nodes, -nodes[::-1])
+    np.testing.assert_array_equal(weights, weights[::-1])
+    # exact on every monomial up to x^(2n - 1)
+    powers = np.arange(2 * n)
+    exact = np.where(powers % 2 == 0, 2.0 / (powers + 1), 0.0)
+    np.testing.assert_allclose((nodes[:, None] ** powers).T @ weights, exact,
+                               rtol=0.0, atol=4e-15)
 
 
 def test_adaptive_rule_resolves_a_narrow_peak():

@@ -797,7 +797,6 @@ def test_large_blocks_match_reference(twisted_model, K, route, x_points, monkeyp
     np.testing.assert_allclose(spec.weights, weights, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:.* encountered in:RuntimeWarning")
 @pytest.mark.parametrize("K, route", [(16, "eigh"), (40, "tridiagonal")])
 def test_overflowing_point_is_a_solve_failure(twisted_model, K, route):
     # a finite x so large that k.x overflows makes every weight there NaN;
@@ -807,6 +806,19 @@ def test_overflowing_point_is_a_solve_failure(twisted_model, K, route):
         require_lapack()
     with pytest.raises(SolveFailure, match="not finite"):
         assemble_and_solve(twisted_model, K, [[0.3, 0.0], [1e308, 0.0]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [(1e308, 0.0), (0.0, -1e308), (1e308, 1e308)])
+def test_overflowing_phase_bound_fails_before_labelling(twisted_model, x, monkeypatch):
+    # K (|x1| + |x2|) bounds every phase |k.x|: past the largest float the
+    # run stops before the modes are labelled, with no numpy warning
+    def labels(*args):
+        raise AssertionError("labelled the modes")
+
+    monkeypatch.setattr(torus, "_component_labels", labels)
+    with pytest.raises(SolveFailure, match="weights not finite"):
+        assemble_and_solve(twisted_model, 16, [[0.3, 0.0], list(x)])
 
 
 def test_worker_tridiagonal_failure_is_typed(twisted_model, two_workers, monkeypatch):
@@ -1229,20 +1241,22 @@ def direct_counting(moll, centers, weights, mu):
 
 
 def test_counting_matches_direct_band_sum(twisted_model, mollifier_t3):
-    # the 6,001 band nodes split into 77 blocks of 78 offsets, the last
-    # holding 73; an eigenvalue takes two 81-wide phase tables and a
-    # 77-wide weighted copy, so a block of the budget holds 68: the 1,090
-    # positive eigenvalues fill 16 blocks and end in a partial 17th, and
-    # the 1,088 negative ones fill 16 blocks exactly
-    n = mollifier_t3._band.size - 1
-    bases, offsets = _angle_split(n, mollifier_t3.support / n)
-    assert bases.size * offsets.size > n + 1 > (bases.size - 1) * offsets.size
-    rows = torus._TABLE_BYTES // (16 * (81 + 81 + bases.size))
+    # the spectrum reaches 24, so the counting reads every 16th band node:
+    # the 376 nodes split into 19 blocks of 20 offsets, the last holding
+    # 16; an eigenvalue takes two 25-wide phase tables and a 19-wide
+    # weighted copy, so a block of the budget holds 237: the 1,090 positive
+    # eigenvalues fill 4 blocks and end in a partial 5th of 142, the 1,088
+    # negative ones in one of 140
     spec = assemble_and_solve(twisted_model, 16, [[1.3, 4.2], [0.3, 0.9]])
     lam = spec.eigenvalues
+    assert mollifier_t3._stride(np.max(np.abs(lam))) == 16
+    n = (mollifier_t3._band.size - 1) // 16
+    bases, offsets = _angle_split(n, mollifier_t3.support / n)
+    assert bases.size * offsets.size > n + 1 > (bases.size - 1) * offsets.size
+    rows = torus._TABLE_BYTES // (16 * (25 + 25 + bases.size))
     mu = np.arange(2.4, 9.6 + 0.025, 0.05)
-    for branch, sel, centers, partial in (("plus", lam > 0, lam[lam > 0], 2),
-                                          ("minus", lam < 0, -lam[lam < 0], 0)):
+    for branch, sel, centers, partial in (("plus", lam > 0, lam[lam > 0], 142),
+                                          ("minus", lam < 0, -lam[lam < 0], 140)):
         assert centers.size > rows and centers.size % rows == partial
         for i in (1, 0):
             samples = local_counting_mollified(spec, mollifier_t3, i, mu, branch)
@@ -1252,6 +1266,77 @@ def test_counting_matches_direct_band_sum(twisted_model, mollifier_t3):
             # the second call at a point reads the kept characteristic function
             again = local_counting_mollified(spec, mollifier_t3, i, mu, branch)
             np.testing.assert_array_equal(again.values, samples.values)
+
+
+@pytest.mark.parametrize("support", [0.5, 1.0, 3.0, 6.0])
+def test_plateau_transform_is_roundoff_from_the_alias_free_bound(support):
+    # the plateau is scaled by T, so its transform is below 1e-14 of its
+    # peak from nu T = 2000 at every support: read through the full band,
+    # whose own aliases lie beyond nu T = 2 pi 6000 - 2000
+    moll = build_mollifier(support)
+    nu = np.linspace(torus._ALIAS_FREE, 20000.0, 3601) / support
+    assert np.max(np.abs(moll(nu))) <= 1e-14 * moll(0.0)
+
+
+SEED_POINTS = [[0.844235, 5.324583], [4.798937, 1.602646]]
+
+
+@pytest.mark.parametrize("K", [16, 40])
+def test_strided_counting_matches_the_full_band(twisted_model, mollifier_t3, K,
+                                                monkeypatch):
+    # the counting and the fit on every 16th band node against the same
+    # band read whole, stride 1, on a fresh spectrum (the half-wave trace
+    # is kept per spectrum)
+    spec = assemble_and_solve(twisted_model, K, SEED_POINTS)
+    full = dataclasses.replace(spec)
+    mu = np.arange(3.0, 0.6 * K + 0.025, 0.05)
+    strided = {(branch, i): local_counting_mollified(spec, mollifier_t3, i, mu, branch)
+               for branch in ("plus", "minus") for i in (0, 1)}
+    fits = [fit_weyl(strided["plus", i], 2, (3.0, 0.6 * K), mollifier_t3) for i in (0, 1)]
+    monkeypatch.setattr(Mollifier, "_stride", lambda self, reach: 1)
+    for (branch, i), samples in strided.items():
+        want = local_counting_mollified(full, mollifier_t3, i, mu, branch).values
+        np.testing.assert_allclose(samples.values, want, rtol=0.0,
+                                   atol=1e-14 * np.max(np.abs(want)))
+    for i, fit in enumerate(fits):
+        want = fit_weyl(strided["plus", i], 2, (3.0, 0.6 * K), mollifier_t3)
+        assert fit.columns == want.columns
+        assert abs(fit.a_leading - want.a_leading) <= 1e-14
+        assert abs(fit.a_second - want.a_second) <= 1e-14
+
+
+def test_stride_is_the_largest_alias_free_divisor(twisted_model, mollifier_t3):
+    # at the K = 40 defaults the spectrum reaches 60.7: 16 (3 * 60.7 + 2000)
+    # is below 2 pi 6000 and 20, the next divisor of 6,000, is not
+    spec = assemble_and_solve(twisted_model, 40, np.zeros((0, 2)))
+    reach = np.max(np.abs(spec.eigenvalues))
+    assert 60.0 < reach < 61.0
+    assert mollifier_t3._stride(reach) == 16
+    assert mollifier_t3._stride(spec.trusted_max + 1.0) == 16
+    # no divisor clears a reach of 1e5, and a one-node band has none
+    assert mollifier_t3._stride(1e5) == 1
+    assert Mollifier(2.5, np.array([0.4]))._stride(10.0) == 1
+
+
+def test_half_wave_trace_is_kept_once_per_branch_and_band(twisted_model, mollifier_t3,
+                                                           monkeypatch):
+    # the stride depends on the spectrum alone, so two mu grids share the
+    # half-wave trace of a branch
+    built = []
+
+    def counted(*args):
+        built.append(args[0].size)
+        return band_characteristic(*args)
+
+    band_characteristic = torus._band_characteristic
+    monkeypatch.setattr(torus, "_band_characteristic", counted)
+    spec = assemble_and_solve(twisted_model, 16, SEED_POINTS)
+    for mu in (np.arange(3.0, 9.6, 0.05), np.linspace(0.5, 4.0, 9)):
+        for i in (0, 1):
+            local_counting_mollified(spec, mollifier_t3, i, mu)
+    assert len(built) == 1 and len(spec._characteristic) == 1
+    local_counting_mollified(spec, mollifier_t3, 0, np.linspace(0.5, 4.0, 9), "minus")
+    assert len(built) == 2 and len(spec._characteristic) == 2
 
 
 def test_counting_keeps_eigenvalues_beyond_the_core():
