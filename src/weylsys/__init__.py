@@ -6,14 +6,17 @@ Three independent pipelines at desk scale:
   second local coefficient densities,
 * ``resolvent`` -- recovery of the same quantities from the traced
   resolvent symbol through angle-resolved expansion coefficients,
-* ``torus`` -- ground truth: dense spectra of concrete systems on the flat
-  two-torus, smoothed counting functions, and asymptotic fits.
+* ``torus`` -- ground truth: dense spectra of the concrete systems of
+  ``models`` on the flat two-torus, smoothed counting functions, and
+  asymptotic fits.
 
 ``symbols`` holds the shared eigen-jet and bracket machinery, ``kernels``
-the closed-form moment integrals behind the recovery route, and ``cli``
-the command line front end.
+the closed-form moment integrals behind the recovery route, ``models`` the
+torus models and their catalog, and ``cli`` the command line front end.
+An exported name loads its home module on first use.
 """
 
+import importlib
 import os
 
 # OpenBLAS reads this once, when numpy loads it, so it must be set before the
@@ -27,48 +30,33 @@ import os
 # and no result bit depends on it; a value set in the environment wins.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
-from .coefficients import (
-    CosphereQuadrature,
-    SecondWeylResult,
-    WeylCoefficients,
-    first_weyl,
-    second_weyl,
-    weyl_coefficients,
-)
-from .errors import WeylError
-from .kernels import (
-    expansion_b_coefficients,
-    kernel_moment_closed,
-    kernel_moment_numeric,
-    power_difference_kernel,
-)
-from .resolvent import (
-    b_profile,
-    power_trace_symbol,
-    radial_factor,
-    recover_second_weyl,
-    resolvent_symbol,
-)
-from .symbols import (
-    EigenJet,
-    MatrixJet,
-    PhasePoint,
-    SymbolField,
-    eigen_jet,
-    generalized_bracket,
-)
-from .torus import (
-    CountingSamples,
-    Mollifier,
-    SpectrumResult,
-    TorusModel,
-    assemble_and_solve,
-    build_model,
-    build_mollifier,
-    catalog_names,
-    fit_weyl,
-    local_counting_mollified,
-)
+# each export's home module, imported when the name is first read (PEP 562)
+_HOMES = {name: module for module, names in {
+    "coefficients": ("CosphereQuadrature", "SecondWeylResult", "WeylCoefficients",
+                     "first_weyl", "second_weyl", "weyl_coefficients"),
+    "errors": ("WeylError",),
+    "kernels": ("expansion_b_coefficients", "kernel_moment_closed",
+                "kernel_moment_numeric", "power_difference_kernel"),
+    "models": ("TorusModel", "build_model", "catalog_names"),
+    "resolvent": ("b_profile", "power_trace_symbol", "radial_factor",
+                  "recover_second_weyl", "resolvent_symbol"),
+    "symbols": ("EigenJet", "MatrixJet", "PhasePoint", "SymbolField", "eigen_jet",
+                "generalized_bracket"),
+    "torus": ("CountingSamples", "Mollifier", "SpectrumResult", "assemble_and_solve",
+              "build_mollifier", "fit_weyl", "local_counting_mollified"),
+}.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import math
 import os
 import sys
@@ -41,28 +42,50 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from .coefficients import CosphereQuadrature, weyl_coefficients
 from .errors import ConfigError, UnknownModel, WeylError
 from .kernels import (
+    check_recovery_angles,
     expansion_b_coefficients,
     kernel_moment_closed,
     kernel_moment_numeric,
 )
-from .resolvent import b_profile, check_recovery_angles, recover_second_weyl
-from .torus import (
+from .models import (
     DEFAULT_BUDGET,
     MODEL_PARAMETERS,
     TRUSTED_FRACTION,
     TorusModel,
-    assemble_and_solve,
     build_model,
-    build_mollifier,
     catalog_names,
-    check_fit_window,
     check_model,
-    fit_weyl,
-    local_counting_mollified,
 )
+
+# The names this module calls from each route module, bound into its globals
+# by :func:`_bind` when a command first needs them, so a process imports only
+# the routes its command runs.  A name set before (the benchmark's tracer, a
+# test's monkeypatch) is kept, and :func:`__getattr__` serves the names to a
+# caller that reads them first.  Once no caller patches names here, these can
+# become imports inside the functions that call them.
+_ROUTES = {
+    "coefficients": ("CosphereQuadrature", "weyl_coefficients"),
+    "resolvent": ("b_profile", "recover_second_weyl"),
+    "torus": ("assemble_and_solve", "build_mollifier", "check_fit_window", "fit_weyl",
+              "local_counting_mollified"),
+}
+
+
+def _bind(*modules) -> None:
+    for module in modules:
+        home = importlib.import_module(f"{__package__}.{module}")
+        for name in _ROUTES[module]:
+            globals().setdefault(name, getattr(home, name))
+
+
+def __getattr__(name):
+    for module, names in _ROUTES.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 PIPELINES = ("direct", "resolvent", "spectral", "all")
 
@@ -276,6 +299,7 @@ def _validate(cfg: RunConfig, command: str = "") -> None:
     if not 0.0 < cfg.mollifier_support < 2 * math.pi:
         raise ConfigError("mollifier.support must lie in (0, 2 pi)")
     if command == "compute" and cfg.pipeline in ("spectral", "all"):
+        _bind("torus")
         try:  # the fit's own window rules depend on the configuration alone
             check_fit_window(cfg.fit_grid(), mu_lo, mu_hi, cfg.mollifier_support)
         except WeylError as exc:
@@ -319,6 +343,7 @@ def run_direct(cfg: RunConfig, model: TorusModel, coefficients=None) -> list:
     x point gets its own panel here.
     """
     if coefficients is None:
+        _bind("coefficients")
         lead, sub = model.symbol_fields()
         quad = CosphereQuadrature(n_angles=cfg.n_angles)
         coefficients = [
@@ -357,6 +382,7 @@ def run_resolvent(cfg: RunConfig, model: TorusModel) -> tuple:
     Returns (summary lines, per-point (direct coefficients from the same
     panel, two-angle value, limit value), max b1 deviation).
     """
+    _bind("coefficients", "resolvent")
     lead, sub = model.symbol_fields()
     quad = CosphereQuadrature(n_angles=cfg.n_angles)
     rows = []
@@ -400,6 +426,7 @@ def run_resolvent(cfg: RunConfig, model: TorusModel) -> tuple:
 
 def run_spectral(cfg: RunConfig, model: TorusModel) -> list:
     """Ground-truth pipeline; returns summary lines, writes spectral_fit.csv."""
+    _bind("torus")
     moll = build_mollifier(cfg.mollifier_support)
     spectrum = assemble_and_solve(model, cfg.truncation, cfg.x_points, cfg.budget)
     mu_lo, mu_hi = cfg.fit_window()
@@ -588,9 +615,10 @@ def main(argv=None) -> int:
 def entry() -> int:
     """Process entry of ``python -m weylsys.cli`` and the ``weylsys`` script.
 
-    Freezes the heap built by the imports, so the interpreter's collections,
-    its teardown ones included, no longer traverse it, and runs :func:`main`.
-    ``main`` itself never freezes: in-process callers keep normal collection.
+    Freezes the heap of the start-up imports (a command's routes load later,
+    at no measured exit cost), so the interpreter's collections, teardown
+    included, no longer traverse it, and runs :func:`main`.  ``main`` itself
+    never freezes: in-process callers keep normal collection.
     """
     gc.freeze()
     return main()

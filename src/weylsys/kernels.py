@@ -14,7 +14,9 @@ The numeric moment evaluator is deliberately independent of the closed
 forms: adaptive Gauss-Legendre quadrature on [0, R] (a 20/40-point pair on
 every interval, halving all unconverged intervals at once) plus an analytic
 large-mu tail summed from the kernel's asymptotic expansion.  It serves as
-the standing oracle for the closed forms.  The module needs numpy only.
+the standing oracle for the closed forms.  :func:`check_recovery_angles`
+lives here so the CLI checks a configuration without loading the recovery
+route.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AngleOutOfRange, QuadratureFailure, RealSpectralParameter
+from .errors import AngleOutOfRange, DegenerateAngles, QuadratureFailure, RealSpectralParameter
 
 
 def power_difference_kernel(mu, z: complex, n: int):
@@ -202,3 +204,25 @@ def expansion_b_coefficients(
     )
     b0 = -2.0 * ((math.pi - phi) * a_second_plus + sign * phi * a_second_minus)
     return b1, b0
+
+
+def check_recovery_angles(angles, method: str) -> list:
+    """The angles a recovery ``method`` can invert, sorted ascending.
+
+    Each must lie in (0, pi) (:class:`AngleOutOfRange`); 'two-angle' takes
+    exactly two and 'limit' at least two (``ValueError``), and they must
+    spread over at least 1e-6 (:class:`DegenerateAngles`).
+    """
+    angles = sorted(angles)
+    for a in angles:
+        if not 0.0 < a < math.pi:
+            raise AngleOutOfRange(f"angle {a} outside (0, pi)")
+    if method not in ("two-angle", "limit"):
+        raise ValueError("method must be 'two-angle' or 'limit'")
+    if method == "two-angle" and len(angles) != 2:
+        raise ValueError("two-angle recovery needs exactly two angles")
+    if len(angles) < 2:
+        raise ValueError("limit recovery needs at least two angles")
+    if angles[-1] - angles[0] < 1e-6:
+        raise DegenerateAngles(f"angles {angles} spread less than 1e-6")
+    return angles

@@ -33,13 +33,8 @@ from .coefficients import (
     _node_terms,
     weyl_coefficients,
 )
-from .errors import (
-    AngleOutOfRange,
-    DegenerateAngles,
-    QuadratureFailure,
-    SingularResolvent,
-)
-from .kernels import kernel_moment_closed
+from .errors import AngleOutOfRange, QuadratureFailure, SingularResolvent
+from .kernels import check_recovery_angles, kernel_moment_closed
 from .symbols import (
     DEFAULT_STEP,
     PhasePoint,
@@ -190,28 +185,6 @@ def b_profile(
     return BProfile(weyl_coefficients(leading, nextorder, x, quad_rule))
 
 
-def check_recovery_angles(angles, method: str) -> list:
-    """The angles a recovery ``method`` can invert, sorted ascending.
-
-    Each must lie in (0, pi) (:class:`AngleOutOfRange`); 'two-angle' takes
-    exactly two and 'limit' at least two (``ValueError``), and they must
-    spread over at least 1e-6 (:class:`DegenerateAngles`).
-    """
-    angles = sorted(angles)
-    for a in angles:
-        if not 0.0 < a < math.pi:
-            raise AngleOutOfRange(f"angle {a} outside (0, pi)")
-    if method not in ("two-angle", "limit"):
-        raise ValueError("method must be 'two-angle' or 'limit'")
-    if method == "two-angle" and len(angles) != 2:
-        raise ValueError("two-angle recovery needs exactly two angles")
-    if len(angles) < 2:
-        raise ValueError("limit recovery needs at least two angles")
-    if angles[-1] - angles[0] < 1e-6:
-        raise DegenerateAngles(f"angles {angles} spread less than 1e-6")
-    return angles
-
-
 def recover_second_weyl(
     b0_values: Mapping[float, float],
     method: str = "two-angle",
@@ -221,7 +194,7 @@ def recover_second_weyl(
     'two-angle' uses exactly two angles; 'limit' fits an affine model to a
     decreasing angle sequence and extrapolates to zero angle (exact for the
     affine dependence the expansion guarantees).  The angles must pass
-    :func:`check_recovery_angles`.
+    :func:`~weylsys.kernels.check_recovery_angles`.
     """
     angles = check_recovery_angles(b0_values, method)
     if method == "two-angle":

@@ -29,7 +29,7 @@ from weylsys.errors import (
 )
 from weylsys.coefficients import _node_terms
 from weylsys.symbols import DEFAULT_STEP, eigen_jet_stack, require_hermitian, symbol_jets
-from weylsys.torus import DEFAULT_BUDGET, TRUSTED_FRACTION, TrigMatrixField
+from weylsys.models import DEFAULT_BUDGET, TRUSTED_FRACTION, TrigMatrixField
 
 
 @pytest.fixture(scope="session")
@@ -255,7 +255,7 @@ def check_field_contract(field, points, scales=(0.5, 2.0, 3.7), tol=1e-9):
     Raises :class:`NotHermitian` or ValueError on violation.  A test helper
     for hand-built fields; model registration applies the same
     ``require_hermitian`` rule to every sampled symbol but does not test
-    homogeneity (``registration_check`` in :mod:`weylsys.torus`).
+    homogeneity (``registration_check`` in :mod:`weylsys.models`).
     """
     for p in points:
         value = field(p)

@@ -19,7 +19,7 @@ from weylsys.cli import (
     main,
     parse_config_lines,
 )
-from weylsys.torus import MODEL_PARAMETERS
+from weylsys.models import MODEL_PARAMETERS
 from weylsys.errors import ConfigError
 from weylsys.kernels import expansion_b_coefficients
 
@@ -361,13 +361,29 @@ def test_readme_tables_match_the_settings_and_catalog():
     assert catalog == {name: dict(d) for name, d in MODEL_PARAMETERS.items()}
 
 
-def test_overflowing_point_exits_two_before_the_fit_is_written(tmp_path, capsys):
-    # k.x overflows at x1 = 1e308: the weights there are NaN, not a fit
-    code = run_cli(["compute", "--model", "twisted", "--pipeline", "spectral",
-                    "-k", "16", "--set", "x_points=(1e308,0)", "--out", str(tmp_path)])
-    assert code == 2
-    assert "SolveFailure" in capsys.readouterr().err
-    assert not (tmp_path / "spectral_fit.csv").exists()
+def test_huge_point_fits_at_its_angle(tmp_path, capsys):
+    # a huge x1 is the point whose cos and sin libm gives, the angle
+    # atan2(sin x1, cos x1) mod 2 pi: the CLI fits there and exits 0, and
+    # the direct route at 1e17 agrees with the direct route at that angle
+    def rows(x1, pipeline, name):
+        out = tmp_path / f"{pipeline}-{x1!r}"
+        code = run_cli(["compute", "--model", "twisted", "--pipeline", pipeline, "-k", "16",
+                        "--set", f"x_points=({x1!r},0)", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        return [line.split(",") for line in (out / name).read_text().splitlines()[2:]]
+
+    for x1 in (1e17, 1e308):
+        angle = math.atan2(math.sin(x1), math.cos(x1)) % (2.0 * math.pi)
+        fit = rows(x1, "spectral", "spectral_fit.csv")
+        assert float(fit[0][0]) == x1
+        assert [row[2:] for row in fit] == [
+            row[2:] for row in rows(angle, "spectral", "spectral_fit.csv")]
+    angle = math.atan2(math.sin(1e17), math.cos(1e17)) % (2.0 * math.pi)
+    direct = rows(1e17, "direct", "weyl_coefficients.csv")
+    at_angle = rows(angle, "direct", "weyl_coefficients.csv")
+    assert len(direct) == len(at_angle) > 0
+    for row, want in zip(direct, at_angle):
+        assert all(abs(float(a) - float(b)) <= 1e-12 for a, b in zip(row[2:], want[2:]))
 
 
 def test_unusable_output_directory_is_a_config_error(tmp_path, capsys, monkeypatch):
@@ -555,6 +571,80 @@ def test_commands_load_neither_openssl_nor_a_futures_pool(args, tmp_path):
     # RSS; at K = 16 the spectral run solves three stacks on the pool
     report = run_fresh(_HEAVY_MODULES, str(tmp_path), *args)
     assert report == {"code": 0, "loaded": []}
+
+
+_ROUTE_MODULES = """
+import json, sys
+if sys.argv[2:]:
+    from weylsys.cli import main
+    code = main([*sys.argv[2:], "--out", sys.argv[1]])
+else:
+    import weylsys
+    code = 0
+print(json.dumps({"code": code, "loaded": sorted(
+    name.split(".")[1] for name in sys.modules if name.startswith("weylsys."))}))
+"""
+
+
+@pytest.mark.parametrize(
+    "args, unloaded",
+    [([], {"cli", "coefficients", "errors", "kernels", "models", "resolvent", "symbols",
+           "torus"}),
+     (["gn-check"], {"symbols", "coefficients", "resolvent", "torus"}),
+     (["verify", "--model", "twisted"], {"torus"}),
+     (["compute", "--pipeline", "spectral", "--model", "twisted", "-k", "16"],
+      {"symbols", "coefficients", "resolvent"})],
+    ids=["import", "gn-check", "verify", "spectral"],
+)
+def test_each_command_loads_only_its_route(args, unloaded, tmp_path):
+    # a fresh interpreter per case: a bare import of the package loads no
+    # submodule, and each command only the modules it runs (numpy itself
+    # loads ctypes and threading, so only weylsys modules are checked)
+    report = run_fresh(_ROUTE_MODULES, str(tmp_path), *args)
+    assert report["code"] == 0
+    assert unloaded.isdisjoint(report["loaded"]), report["loaded"]
+
+
+_NAME_BINDING = """
+import importlib, json, sys
+import weylsys
+import weylsys.cli as cli
+
+calls = []
+
+def replace(name):  # as the benchmark's tracer does: getattr, then setattr
+    original = getattr(cli, name)
+
+    def replacement(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    setattr(cli, name, replacement)
+
+for name in ("assemble_and_solve", "weyl_coefficients", "b_profile"):
+    replace(name)
+out = sys.argv[1]
+codes = [cli.main(["compute", "--model", "twisted", "--pipeline", pipeline, "-k", "8",
+                   "--set", "fit.mu_lo=2", "--out", out]) for pipeline in ("spectral", "direct")]
+codes.append(cli.main(["verify", "--model", "twisted", "--out", out]))
+print(json.dumps({
+    "codes": codes, "calls": sorted(set(calls)),
+    "table": sorted(weylsys._HOMES) == sorted(weylsys.__all__),
+    "homes": [name for name, home in weylsys._HOMES.items() if getattr(weylsys, name)
+              is not getattr(importlib.import_module(f"weylsys.{home}"), name)],
+    "dir": sorted(set(weylsys.__all__) - set(dir(weylsys))),
+}))
+"""
+
+
+def test_replaced_route_names_survive_binding(tmp_path):
+    # route names read off weylsys.cli before main runs are bound then, and
+    # main keeps a replacement set on them; every exported name of the
+    # package is the object of its home module, and dir() lists it
+    report = run_fresh(_NAME_BINDING, str(tmp_path))
+    assert report == {"codes": [0, 0, 0],
+                      "calls": ["assemble_and_solve", "b_profile", "weyl_coefficients"],
+                      "table": True, "homes": [], "dir": []}
 
 
 _POLYNOMIAL = """

@@ -39,20 +39,16 @@ from weylsys.errors import (
 from scipy.integrate import quad
 
 from weylsys import torus
-from weylsys.symbols import PhasePoint, require_hermitian
-from weylsys.torus import (
+from weylsys.models import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
-    Mollifier,
-    SpectrumResult,
     TorusModel,
     TrigMatrixField,
-    _angle_split,
-    bump_step,
-    plateau_transform,
     registration_check,
 )
+from weylsys.symbols import PhasePoint, require_hermitian
+from weylsys.torus import Mollifier, SpectrumResult, _angle_split, bump_step, plateau_transform
 
 from conftest import MomentGrid, check_field_contract, reference_spectrum
 
@@ -797,28 +793,37 @@ def test_large_blocks_match_reference(twisted_model, K, route, x_points, monkeyp
     np.testing.assert_allclose(spec.weights, weights, rtol=0.0, atol=1e-12)
 
 
+def libm_angle(x: float) -> float:
+    """The angle in [0, 2 pi) whose cos and sin are libm's for x."""
+    return math.atan2(math.sin(x), math.cos(x)) % TWO_PI
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("K, route", [(16, "eigh"), (40, "tridiagonal")])
-def test_overflowing_point_is_a_solve_failure(twisted_model, K, route):
-    # a finite x so large that k.x overflows makes every weight there NaN;
-    # 66-row blocks at K = 16 take the stacked eigh, 162-row ones at K = 40
-    # the tridiagonal route
+def test_huge_point_is_solved_at_its_angle(twisted_model, K, route):
+    # k x keeps no digit of the angle at x = 1e17 and overflows at 1e308;
+    # each is probed at its libm angle, the point the direct route
+    # evaluates.  66-row blocks at K = 16 take the stacked eigh, 162-row
+    # ones at K = 40 the tridiagonal route
     if route == "tridiagonal":
         require_lapack()
-    with pytest.raises(SolveFailure, match="not finite"):
-        assemble_and_solve(twisted_model, K, [[0.3, 0.0], [1e308, 0.0]])
+    for x in (1e17, 1e308):
+        spec = assemble_and_solve(twisted_model, K, [[0.3, 0.0], [x, 0.0]])
+        at_angle = assemble_and_solve(twisted_model, K, [[0.3, 0.0], [libm_angle(x), 0.0]])
+        assert np.array_equal(spec.eigenvalues, at_angle.eigenvalues)
+        assert np.array_equal(spec.weights, at_angle.weights)
+        assert spec.x_points.tolist() == [[0.3, 0.0], [x, 0.0]]
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("x", [(1e308, 0.0), (0.0, -1e308), (1e308, 1e308)])
-def test_overflowing_phase_bound_fails_before_labelling(twisted_model, x, monkeypatch):
-    # K (|x1| + |x2|) bounds every phase |k.x|: past the largest float the
-    # run stops before the modes are labelled, with no numpy warning
-    def labels(*args):
-        raise AssertionError("labelled the modes")
-
-    monkeypatch.setattr(torus, "_component_labels", labels)
-    with pytest.raises(SolveFailure, match="weights not finite"):
-        assemble_and_solve(twisted_model, 16, [[0.3, 0.0], list(x)])
+def test_huge_coordinates_need_no_phase_guard(twisted_model, x):
+    # each coordinate outside [0, 2 pi) is probed at its own libm angle, so
+    # no phase k.x can overflow and no numpy warning is raised
+    spec = assemble_and_solve(twisted_model, 16, [[0.3, 0.0], list(x)])
+    angles = [libm_angle(c) if not 0.0 <= c < TWO_PI else c for c in x]
+    at_angle = assemble_and_solve(twisted_model, 16, [[0.3, 0.0], angles])
+    assert np.array_equal(spec.weights, at_angle.weights)
 
 
 def test_worker_tridiagonal_failure_is_typed(twisted_model, two_workers, monkeypatch):
@@ -852,8 +857,9 @@ _START_UP_LOOKUPS = """
 import json, sys
 import weylsys.cli
 from weylsys import torus
+from weylsys.models import build_model
 
-torus.build_model("twisted")
+build_model("twisted")
 print(json.dumps({
     "lookups": [f.cache_info().currsize for f in
                 (torus._openblas_libraries, torus._openblas, torus._lapack)],
