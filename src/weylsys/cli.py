@@ -315,6 +315,12 @@ def _fmt(value) -> str:
     return format(value, ".17g")
 
 
+def _point(x) -> str:
+    """A point for the console: four decimals, or four significant digits
+    in exponent form from 1e6 on, so a huge coordinate keeps the line short."""
+    return "(" + ",".join(f"{c:.4f}" if abs(c) < 1e6 else f"{c:.4e}" for c in x) + ")"
+
+
 def write_csv(path: str, header: list, rows: list, cfg: RunConfig) -> None:
     """RFC-4180 style CSV with a leading comment line, written atomically
     into an existing directory (:func:`main` makes the output directory)."""
@@ -363,7 +369,7 @@ def run_direct(cfg: RunConfig, model: TorusModel, coefficients=None) -> list:
                 ]
             )
         summary.append(
-            f"direct: x=({x[0]:.4f},{x[1]:.4f}) "
+            f"direct: x={_point(x)} "
             f"a1+={coeffs.a_first_plus:.8f} a0+={coeffs.a_second_plus:+.8f}"
         )
     write_csv(
@@ -410,7 +416,7 @@ def run_resolvent(cfg: RunConfig, model: TorusModel) -> tuple:
             rows.append([x[0], x[1], phi, b1_val, prof.b0(phi), rec_two, rec_lim])
         comparisons.append((coeffs, rec_two, rec_lim))
         summary.append(
-            f"resolvent: x=({x[0]:.4f},{x[1]:.4f}) "
+            f"resolvent: x={_point(x)} "
             f"a0+(two-angle)={rec_two:+.8f} a0+(limit)={rec_lim:+.8f} "
             f"a0+(direct)={coeffs.a_second_plus:+.8f}"
         )
@@ -439,7 +445,7 @@ def run_spectral(cfg: RunConfig, model: TorusModel) -> list:
         rows.append([x[0], x[1], cfg.truncation, fit.a_leading, fit.a_second,
                      fit.residual_rms])
         summary.append(
-            f"spectral: x=({x[0]:.4f},{x[1]:.4f}) K={cfg.truncation} "
+            f"spectral: x={_point(x)} K={cfg.truncation} "
             f"a1_fit={fit.a_leading:.8f} a0_fit={fit.a_second:+.8f} "
             f"rms={fit.residual_rms:.2e}"
         )
@@ -489,7 +495,7 @@ def run_verify(cfg: RunConfig, model: TorusModel) -> list:
             rel = abs(recovered - direct) / scale
             if rel > cfg.cross_rel_tol:
                 failures.append(
-                    f"x=({x[0]:.4f},{x[1]:.4f}) {method} "
+                    f"x={_point(x)} {method} "
                     f"rel dev {rel:.2e} > {cfg.cross_rel_tol:.1e}"
                 )
     if max_b1_dev > cfg.b1_rel_tol:

@@ -31,13 +31,11 @@ of the band, by angle addition over the nodes, and no eigenvalue is paired
 with a grid point.  The counting and the fit reach only |nu| <= R, so they
 read every d-th node, whose aliases of those frequencies lie where the
 plateau's transform is below roundoff (:meth:`Mollifier._stride`): 376 of
-the 6,001 nodes at support 3 up to K = 72.  The exponential tables of that
-angle addition are built by angle addition once more (:func:`_phases`), 18
-exponentials per eigenvalue for the 376 nodes instead of 39.  The
-mollifier itself is evaluated by the same band sum over every node and by
-nothing else.  Every transient table
-of the run (a Galerkin stack, a block of eigenvalues, of nu rows or of step
-values) takes as many rows as fit one 256 KiB budget, ``_TABLE_BYTES``.
+the 6,001 nodes at support 3 up to K = 72.  The mollifier itself is
+evaluated by the same band sum over every node and by nothing else.  Every
+transient table of the run (a Galerkin stack, a block of eigenvalues, of nu
+rows or of step values) takes as many rows as fit one 256 KiB budget,
+``_TABLE_BYTES``.
 A least-squares fit over a trusted window extracts the two leading growth
 coefficients, with a next-order column and, when the mollifier's shape
 decays across the window, two spectral-bottom columns.
@@ -548,27 +546,6 @@ def _angle_split(n: int, spacing: float) -> tuple:
     return spacing * (n_off * np.arange(n_base)), spacing * np.arange(n_off)
 
 
-def _phases(freqs: np.ndarray, points: np.ndarray, sign: int) -> np.ndarray:
-    """e^(sign i f p) for every f of a 1-D array and p of the progression
-    points = (0, h, ..., (n - 1) h), shape (freqs.size, n).
-
-    Angle addition once more: p_(q S + r) = p_(q S) + p_r with S =
-    ceil(sqrt(n)), so each frequency takes 2 S exponentials and n complex
-    products instead of n exponentials; a partial last block is cut off."""
-    step = math.isqrt(points.size - 1) + 1  # ceil(sqrt(n))
-    coarse = np.exp((sign * 1j) * np.outer(freqs, points[::step]))
-    fine = np.exp((sign * 1j) * np.outer(freqs, points[:step]))
-    table = coarse[:, :, None] * fine[:, None, :]
-    return table.reshape(freqs.size, coarse.shape[1] * step)[:, :points.size]
-
-
-def _phases_bytes(bases: np.ndarray, offsets: np.ndarray) -> int:
-    """Bytes per frequency of the two tables :func:`_phases` builds for the
-    bases and the offsets, each with its partial last block (at most
-    ceil(sqrt(n))^2 entries for n points)."""
-    return sum(16 * (math.isqrt(p.size - 1) + 1) ** 2 for p in (bases, offsets))
-
-
 @dataclass(frozen=True)
 class Mollifier:
     """Sampled mollifier: inverse transform of a compactly supported plateau.
@@ -579,7 +556,8 @@ class Mollifier:
     the band sum (1/pi) sum_k band_k cos(nu t_k) (:meth:`_sum`), exact at
     every nu.  The counting and the fit read the same sum on every d-th
     node only (:meth:`_stride`), which is the full sum up to roundoff at
-    the frequencies they reach.
+    the frequencies they reach.  The band is a read-only view, like the
+    rest of the frozen record.
     """
 
     support: float
@@ -588,30 +566,18 @@ class Mollifier:
     def __post_init__(self):
         if np.ndim(self._band) != 1 or np.size(self._band) == 0:
             raise ValueError(f"band must be a non-empty 1-D array, not {np.shape(self._band)}")
-        band = np.asarray(self._band).view()  # read-only: _strided caches copies
+        band = np.asarray(self._band).view()  # read-only: the record is frozen
         band.flags.writeable = False
         object.__setattr__(self, "_band", band)
-
-    @cached_property
-    def _splits(self) -> dict:
-        """:meth:`_strided` tables by stride, kept on the mollifier."""
-        return {}
 
     def _strided(self, stride: int) -> tuple:
         """Bases and offsets of every stride-th band node (:func:`_angle_split`)
         and their trapezoid weights stride * band[::stride] as a (bases x
         offsets) table, zero-padded past the last node; stride divides n."""
-        if stride not in self._splits:
-            n = (self._band.size - 1) // stride  # nodes k T / n, k = 0, ..., n
-            bases, offsets = _angle_split(n, self.support / max(n, 1))
-            band = np.pad(stride * self._band[::stride], (0, bases.size * offsets.size - n - 1))
-            self._splits[stride] = bases, offsets, band.reshape(bases.size, offsets.size)
-        return self._splits[stride]
-
-    @property
-    def _split(self) -> tuple:
-        """:meth:`_strided` tables of the whole band."""
-        return self._strided(1)
+        n = (self._band.size - 1) // stride  # nodes k T / n, k = 0, ..., n
+        bases, offsets = _angle_split(n, self.support / max(n, 1))
+        band = np.pad(stride * self._band[::stride], (0, bases.size * offsets.size - n - 1))
+        return bases, offsets, band.reshape(bases.size, offsets.size)
 
     def _stride(self, reach: float) -> int:
         """Largest divisor d of n with d (T reach + ``_ALIAS_FREE``) <= 2 pi n.
@@ -626,21 +592,20 @@ class Mollifier:
 
     def _sum(self, nu: np.ndarray, phi, stride: int = 1) -> np.ndarray:
         """(1/pi) sum_k band_k Re[e^(i nu t_k) phi(t_k)] at every nu of a 1-D
-        array over every stride-th node, phi a constant or a (..., bases,
-        offsets) stack of node-value tables of :meth:`_strided`, shape
-        (..., n_nu): one (n_nu x bases)(bases x offsets) product per table
-        and a dot with the offsets, both exponential tables by
-        :func:`_phases`, over the nu rows whose two tables and products for
-        every stacked table fit :func:`_table_rows`."""
+        array over every stride-th node, phi a constant or one (bases x
+        offsets) node-value table of :meth:`_strided`: one (n_nu x
+        bases)(bases x offsets) product of exponential tables and a dot with
+        the offsets' table, over the nu rows whose two tables and products
+        fit :func:`_table_rows`."""
         bases, offsets, band = self._strided(stride)
         weighted = band * phi
-        stacked = weighted.size // band.size
-        rows = _table_rows(_phases_bytes(bases, offsets) + 2 * 16 * stacked * offsets.size)
-        out = np.empty(weighted.shape[:-2] + nu.shape)
+        rows = _table_rows(16 * (bases.size + 3 * offsets.size))
+        out = np.empty(nu.shape)
         for i in range(0, nu.size, rows):
             block = nu[i:i + rows]
-            rotated = (_phases(block, bases, 1) @ weighted) * _phases(block, offsets, 1)
-            out[..., i:i + rows] = np.sum(rotated.real, axis=-1)
+            rotated = ((np.exp(1j * np.outer(block, bases)) @ weighted)
+                       * np.exp(1j * np.outer(block, offsets)))
+            out[i:i + rows] = np.sum(rotated.real, axis=-1)
         return out / math.pi
 
     def __call__(self, nu) -> np.ndarray:
@@ -697,15 +662,15 @@ def _band_characteristic(centers, weights, bases, offsets) -> np.ndarray:
 
     e^(-i c (a + s)) = e^(-i c a) e^(-i c s), so each column is one
     (n_base x n_eig)(n_eig x n_off) product; the eigenvalue tables are built
-    by :func:`_phases` once for all columns, in blocks of the eigenvalues
-    whose two tables and weighted copy ``base * w`` fit :func:`_table_rows`.
+    once for all columns, in blocks of the eigenvalues whose two tables and
+    weighted copy ``base * w`` fit :func:`_table_rows`.
     """
     out = np.zeros((weights.shape[1], bases.size, offsets.size), dtype=complex)
-    rows = _table_rows(_phases_bytes(bases, offsets) + 16 * bases.size)
+    rows = _table_rows(16 * (2 * bases.size + offsets.size))
     for j in range(0, centers.size, rows):
         block = centers[j:j + rows]
-        base = _phases(block, bases, -1).T
-        off = _phases(block, offsets, -1)
+        base = np.exp(-1j * np.outer(bases, block))
+        off = np.exp(-1j * np.outer(block, offsets))
         for p, w in enumerate(weights[j:j + rows].T):
             out[p] += (base * w) @ off
     return out
@@ -847,16 +812,13 @@ def fit_weyl(
     cols = [mu ** (n - 1), mu ** (n - 2), mu ** (n - 3)]
     names = ["leading", "second", "next-order"]
     if mollifier is not None:
-        # rho(mu) and rho(mu - 1), |nu| <= trusted_max + 1, from one set of
-        # exponential tables, as e^(i (mu - 1) t) = e^(i mu t) e^(-i t)
+        # rho(mu) and rho(mu - 1) reach |nu| <= trusted_max + 1
         stride = mollifier._stride(samples.trusted_max + 1.0)
-        bases, offsets, _ = mollifier._strided(stride)
-        phi = np.exp(-1j * np.add.outer(bases, offsets))
-        shape, shifted = mollifier._sum(mu, np.stack([np.ones_like(phi), phi]), stride)
+        shape = mollifier._sum(mu, 1.0, stride)
         peak = float(np.max(np.abs(shape)))
         mid = float(np.max(np.abs(shape[upper])))
         if peak > 0 and mid < 0.05 * peak:
-            cols.extend([shape, shifted])
+            cols.extend([shape, mollifier._sum(mu - 1.0, 1.0, stride)])
             names.extend(["bottom-0", "bottom-1"])
     coef, res, se = _least_squares(np.stack(cols, axis=1), y)
     return WeylFit(

@@ -374,8 +374,13 @@ def test_huge_point_fits_at_its_angle(tmp_path, capsys):
 
     for x1 in (1e17, 1e308):
         angle = math.atan2(math.sin(x1), math.cos(x1)) % (2.0 * math.pi)
+        capsys.readouterr()
         fit = rows(x1, "spectral", "spectral_fit.csv")
         assert float(fit[0][0]) == x1
+        # the console shows the huge coordinate in exponent form, on a short line
+        line, = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("spectral:")]
+        assert len(line) < 120 and f"{x1:.4e}" in line
         assert [row[2:] for row in fit] == [
             row[2:] for row in rows(angle, "spectral", "spectral_fit.csv")]
     angle = math.atan2(math.sin(1e17), math.cos(1e17)) % (2.0 * math.pi)

@@ -157,6 +157,33 @@ def test_every_definition_serves_the_package():
     assert unserved == []
 
 
+def test_every_private_definition_is_read():
+    # a private module-level function, class or assignment of src/weylsys,
+    # and a private method or field of one of its classes, must be read as a
+    # name or an attribute somewhere in src: a helper that only the tests
+    # reach, or one the code has left behind, does not belong in the package
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "weylsys").glob("*.py"))}
+    read = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+    unread = []
+    for path, tree in trees.items():
+        classes = [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+        for node in (node for body in (tree.body, *classes) for node in body):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            unread += [f"{path.name}: {name}" for name in names
+                       if name.startswith("_") and not name.endswith("__")
+                       and name not in read]
+    assert unread == []
+
+
 def test_every_export_serves_a_route():
     # a name in weylsys.__all__ must be named outside its own definition in
     # src/weylsys (the re-export in __init__.py aside), in demos/, in

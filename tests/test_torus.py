@@ -1096,26 +1096,6 @@ def test_mollifier_matches_exact_transform(support, rng):
     assert moll(grid[:, :0]).shape == (3, 0)
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("n", [1, 2, 10, 77, 78, 6001])
-def test_two_level_phase_table(n, sign, rng):
-    # p = (q S + r) h with S = ceil(sqrt(n)): the last of the blocks of S
-    # points is cut short at n = 10, 77, 78 and 6,001 (S = 4, 9, 9, 78)
-    step = math.isqrt(n - 1) + 1
-    assert (n % step != 0) == (n in (10, 77, 78, 6001))
-    points = (3.0 / 6000) * np.arange(n)
-    freqs = rng.uniform(-1000.0, 1000.0, 300)
-    got = torus._phases(freqs, points, sign)
-    phase = np.outer(freqs, points)
-    want = np.exp(sign * 1j * phase)
-    assert got.shape == (freqs.size, n)
-    assert torus._phases(freqs[:0], points, sign).shape == (0, n)
-    # each phase rounds as f p_(q S) plus f p_r instead of as one product:
-    # a few ulps of |f p| apart, plus the roundoff of one complex product
-    eps = np.finfo(float).eps
-    assert np.all(np.abs(got - want) <= 4 * eps * np.maximum(1.0, np.abs(phase)))
-
-
 @pytest.mark.parametrize("n", [0, 1, 10, 15])
 def test_angle_addition_on_a_partial_last_block(n, rng):
     # band nodes 0, ..., n: at n = 10 the 11 nodes are 3 blocks of 4
@@ -1124,7 +1104,7 @@ def test_angle_addition_on_a_partial_last_block(n, rng):
     t = np.linspace(0.0, 2.5, n + 1)
     band = plateau_transform(t, 2.5) * 0.1 + 0.01
     moll = Mollifier(2.5, band)
-    bases, offsets, table = moll._split
+    bases, offsets, table = moll._strided(1)
     assert table.shape == (bases.size, offsets.size)
     assert (bases.size * offsets.size == n + 1) == (n != 10)
     nu = np.linspace(-40.0, 40.0, 161)
@@ -1151,19 +1131,6 @@ def test_mollifier_rejects_nodes_its_band_sum_misreads(band):
     # no band of nodes
     with pytest.raises(ValueError):
         Mollifier(2.5, band)
-
-
-def test_stacked_band_sum_shifts_the_mollifier(mollifier_t3):
-    # the stacked tables (1, e^(-i t)) give rho(nu) and rho(nu - 1) at once
-    bases, offsets, _ = mollifier_t3._split
-    phi = np.exp(-1j * np.add.outer(bases, offsets))
-    nu = np.linspace(-30.0, 30.0, 121)
-    both = mollifier_t3._sum(nu, np.stack([np.ones_like(phi), phi]))
-    assert both.shape == (2, nu.size)
-    np.testing.assert_array_equal(both[0], mollifier_t3(nu))
-    peak = float(mollifier_t3(0.0))
-    np.testing.assert_allclose(both[1], mollifier_t3(nu - 1.0), rtol=0.0,
-                               atol=1e-13 * peak)
 
 
 # ---------------------------------------------------------------------------
@@ -1249,20 +1216,20 @@ def direct_counting(moll, centers, weights, mu):
 def test_counting_matches_direct_band_sum(twisted_model, mollifier_t3):
     # the spectrum reaches 24, so the counting reads every 16th band node:
     # the 376 nodes split into 19 blocks of 20 offsets, the last holding
-    # 16; an eigenvalue takes two 25-wide phase tables and a 19-wide
-    # weighted copy, so a block of the budget holds 237: the 1,090 positive
-    # eigenvalues fill 4 blocks and end in a partial 5th of 142, the 1,088
-    # negative ones in one of 140
+    # 16; an eigenvalue takes a 19-wide base table, its 19-wide weighted
+    # copy and a 20-wide offset table, 16 (2 * 19 + 20) bytes, so a block
+    # of the budget holds 282: the 1,090 positive eigenvalues fill 3 blocks
+    # and end in a partial 4th of 244, the 1,088 negative ones in one of 242
     spec = assemble_and_solve(twisted_model, 16, [[1.3, 4.2], [0.3, 0.9]])
     lam = spec.eigenvalues
     assert mollifier_t3._stride(np.max(np.abs(lam))) == 16
     n = (mollifier_t3._band.size - 1) // 16
     bases, offsets = _angle_split(n, mollifier_t3.support / n)
     assert bases.size * offsets.size > n + 1 > (bases.size - 1) * offsets.size
-    rows = torus._TABLE_BYTES // (16 * (25 + 25 + bases.size))
+    rows = torus._TABLE_BYTES // (16 * (2 * bases.size + offsets.size))
     mu = np.arange(2.4, 9.6 + 0.025, 0.05)
-    for branch, sel, centers, partial in (("plus", lam > 0, lam[lam > 0], 142),
-                                          ("minus", lam < 0, -lam[lam < 0], 140)):
+    for branch, sel, centers, partial in (("plus", lam > 0, lam[lam > 0], 244),
+                                          ("minus", lam < 0, -lam[lam < 0], 242)):
         assert centers.size > rows and centers.size % rows == partial
         for i in (1, 0):
             samples = local_counting_mollified(spec, mollifier_t3, i, mu, branch)
@@ -1449,6 +1416,22 @@ def test_counting_keeps_its_own_grid(shifted_dirac_model, mollifier_t3):
     assert samples.mu is not mu and not samples.mu.flags.writeable
     mu *= 1.01
     assert fit_weyl(samples, 2, (3.0, 9.6), mollifier=mollifier_t3) == before
+
+
+def test_fit_bottom_columns_are_the_mollifier_and_its_shift(twisted_model, mollifier_t3):
+    # at K = 40 the shape decays across [3, 24], so the fit takes the bottom
+    # columns rho(mu) and rho(mu - 1), each its own band sum: a sign slip in
+    # the shift would move the fit off the full-band design
+    spec = assemble_and_solve(twisted_model, 40, SEED_POINTS[:1])
+    mu = np.arange(3.0, 24.0 + 0.025, 0.05)
+    samples = local_counting_mollified(spec, mollifier_t3, 0, mu)
+    fit = fit_weyl(samples, 2, (3.0, 24.0), mollifier=mollifier_t3)
+    assert fit.columns == ("leading", "second", "next-order", "bottom-0", "bottom-1")
+    design = np.stack([mu, np.ones_like(mu), 1.0 / mu, mollifier_t3(mu),
+                       mollifier_t3(mu - 1.0)], axis=1)
+    want, *_ = np.linalg.lstsq(design, samples.values, rcond=None)
+    assert abs(fit.a_leading - want[0]) <= 1e-12
+    assert abs(fit.a_second - want[1]) <= 1e-12
 
 
 def test_fit_rejects_another_mollifier(shifted_dirac_model, mollifier_t3):
