@@ -122,9 +122,14 @@ class RunConfig:
     )
 
     def fit_window(self) -> tuple[float, float]:
-        """(mu_lo, mu_hi): mu_hi is fit.mu_hi, or 0.6 K when 0, capped at 0.6 K."""
+        """(mu_lo, mu_hi): mu_hi is fit.mu_hi, or 0.6 K when 0.
+
+        Validation refuses a fit.mu_hi more than 1e-9 above 0.6 K; one within
+        that, such as 10.8 at K = 18 (0.6 * 18 = 10.799999999999999), reads as
+        0.6 K, so no grid point passes the trusted edge.
+        """
         trusted = TRUSTED_FRACTION * self.truncation
-        return self.mu_lo, min(self.mu_hi if self.mu_hi > 0 else trusted, trusted)
+        return self.mu_lo, min(self.mu_hi or trusted, trusted)
 
     def fit_grid(self) -> np.ndarray:
         """The spectral samples' mu grid: fit.grid_step apart across the fit window."""
@@ -280,6 +285,12 @@ def _validate(cfg: RunConfig, command: str = "") -> None:
         raise ConfigError("fit.grid_step must be positive")
     if cfg.mu_hi < 0:
         raise ConfigError("fit.mu_hi must be positive, or 0 for 0.6 * truncation.k")
+    trusted = TRUSTED_FRACTION * cfg.truncation
+    if cfg.mu_hi > trusted + 1e-9:  # the slack of fit_weyl's own edge check
+        raise ConfigError(
+            f"fit.mu_hi {cfg.mu_hi:g} lies above the trusted spectral edge "
+            f"0.6 * truncation.k = {trusted:g}"
+        )
     # a tolerance at or below 0 fails every check, whatever the deviation
     for key, tol in (("tolerance.cross_rel", cfg.cross_rel_tol),
                      ("tolerance.b1_rel", cfg.b1_rel_tol)):
@@ -611,8 +622,10 @@ def main(argv=None) -> int:
     except WeylError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    print(f"weylsys {__version__} | model={cfg.model} {cfg.model_params} "
-          f"| config {cfg.digest()}")
+    header = f"weylsys {__version__} | "
+    if args.command != "gn-check":  # gn-check reads no model
+        header += f"model={cfg.model} {cfg.model_params} | "
+    print(f"{header}config {cfg.digest()}")
     for line in summary:
         print(line)
     return 0

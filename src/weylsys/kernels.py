@@ -150,8 +150,9 @@ def kernel_moment_numeric(n: int, z: complex, power: int) -> complex:
 
     R = ``_CUTOFF_FACTOR`` |z|, with breakpoints at |z| and 2|z|.  The tail
     uses the large-mu expansion of the kernel; each term integrates in
-    closed form.  Raises :class:`QuadratureFailure` if the adaptive rule
-    reports a large error or runs out of intervals.
+    closed form.  Raises :class:`QuadratureFailure` if the integrand is not
+    finite at a node (a high order overflows), or the adaptive rule reports
+    a large error or runs out of intervals.
     """
     z = complex(z)
     if z.imag == 0.0:
@@ -161,11 +162,17 @@ def kernel_moment_numeric(n: int, z: complex, power: int) -> complex:
     radius = _CUTOFF_FACTOR * abs(z)
 
     def integrand(mu: np.ndarray) -> np.ndarray:
-        return power_difference_kernel(mu, z, n).imag * mu ** power
+        values = power_difference_kernel(mu, z, n).imag * mu ** power
+        if not np.isfinite(values).all():
+            raise QuadratureFailure(f"kernel moment integrand of order {n} is not finite")
+        return values
 
-    val, err = _adaptive_gauss(
-        integrand, (0.0, abs(z), 2 * abs(z), radius), 1e-12, _REL_TOL
-    )
+    # a high order overflows the kernel's powers: the integrand's check
+    # raises in place of numpy's floating-point warnings
+    with np.errstate(all="ignore"):
+        val, err = _adaptive_gauss(
+            integrand, (0.0, abs(z), 2 * abs(z), radius), 1e-12, _REL_TOL
+        )
     if err > 1e-6 * max(1.0, abs(val)):
         raise QuadratureFailure(f"kernel moment error estimate {err:.2e} too large")
     # Tail: sum_k a_k int_R^inf mu^(power-n-k) dmu; exponent power-n-k <= -2

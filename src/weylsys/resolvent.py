@@ -193,8 +193,12 @@ def recover_second_weyl(
 
     'two-angle' uses exactly two angles; 'limit' fits an affine model to a
     decreasing angle sequence and extrapolates to zero angle (exact for the
-    affine dependence the expansion guarantees).  The angles must pass
-    :func:`~weylsys.kernels.check_recovery_angles`.
+    affine dependence the expansion guarantees).  The limit fit is the
+    least-squares line in closed form, from centred sums: slope
+    sum (phi - mean phi)(b0 - mean b0) / sum (phi - mean phi)^2 and intercept
+    mean b0 - slope * mean phi.  The angles must pass
+    :func:`~weylsys.kernels.check_recovery_angles`, whose spread of at least
+    1e-6 keeps the slope's denominator away from zero.
     """
     angles = check_recovery_angles(b0_values, method)
     if method == "two-angle":
@@ -204,6 +208,6 @@ def recover_second_weyl(
         )
     arr = np.array(angles)
     vals = np.array([b0_values[a] for a in angles])
-    design = np.stack([np.ones_like(arr), arr], axis=1)
-    coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-    return -coef[0] / (2.0 * math.pi)
+    dphi = arr - arr.mean()
+    slope = (dphi @ (vals - vals.mean())) / (dphi @ dphi)
+    return -(vals.mean() - slope * arr.mean()) / (2.0 * math.pi)

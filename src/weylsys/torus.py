@@ -735,14 +735,19 @@ def local_counting_mollified(
 def _least_squares(design: np.ndarray, y: np.ndarray) -> tuple:
     """Coefficients, residuals and coefficient standard errors of a fit.
 
-    The errors come from the thin SVD of the design, as sigma * |row of
-    V diag(1/s)|, never from inverting the normal matrix: its condition
-    number is the square of the design's.
+    One thin SVD of the design gives both.  The coefficients are the
+    minimum-norm solution V diag(1/s) U^T y with numpy's least-squares
+    default cutoff: singular values below eps * max(M, N) * s_max contribute
+    nothing.  The errors are sigma * |row of V diag(1/s)|, never from
+    inverting the normal matrix: its condition number is the square of the
+    design's.
     """
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    u, sing, vt = np.linalg.svd(design, full_matrices=False)
+    keep = sing > np.finfo(float).eps * max(design.shape) * sing[0]
+    inv = np.divide(1.0, sing, out=np.zeros_like(sing), where=keep)
+    coef = vt.T @ (inv * (u.T @ y))
     res = y - design @ coef
     dof = max(y.size - design.shape[1], 1)
-    _, sing, vt = np.linalg.svd(design, full_matrices=False)
     se = np.sqrt(res @ res / dof) * np.linalg.norm(vt.T / sing, axis=1)
     return coef, res, se
 

@@ -6,10 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from weylsys import __version__
 from weylsys.cli import (
     _SETTINGS,
     RunConfig,
@@ -88,6 +91,7 @@ def test_angle_range_validated():
         "fit.mu_lo=100",
         "fit.mu_hi=2",
         "fit.mu_hi=-5",  # only 0 stands for the automatic edge 0.6 K
+        "fit.mu_hi=30",  # above the trusted edge 0.6 K = 14.4
         "fit.grid_step=1e-9",
         "quadrature.n_angles=1000000000",
         "model.b=0.5",
@@ -441,6 +445,16 @@ def test_spectral_grid_ends_inside_its_window(tmp_path):
     assert len((tmp_path / "spectral_fit.csv").read_text().splitlines()) == 4
 
 
+def test_upper_edge_written_in_decimals_is_the_trusted_edge(tmp_path):
+    # 0.6 * 18 rounds to 10.799999999999999, below the 10.8 typed here and the
+    # grid's last point 3 + 13 * 0.6
+    assert run_cli(
+        ["compute", "--model", "twisted", "--pipeline", "spectral", "-k", "18",
+         "--out", str(tmp_path), "--set", "fit.mu_hi=10.8",
+         "--set", "fit.grid_step=0.6"]
+    ) == 0
+
+
 def test_verify_twisted_passes(tmp_path, capsys):
     code = run_cli(
         ["verify", "--model", "twisted", "--eps", "0.1", "--out", str(tmp_path),
@@ -463,6 +477,42 @@ def test_gn_check_csv(tmp_path, capsys):
     assert len(lines) == 2 + 2 * 2 * 2  # orders x angles x powers
     for row in lines[2:]:
         assert float(row.split(",")[-1]) < 1e-6
+
+
+def test_gn_check_header_names_no_model(tmp_path, capsys):
+    # gn-check reads no model; the digest is the one its CSV carries
+    assert run_cli(["gn-check", "--out", str(tmp_path), "--set", "gn.orders=2"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    digest = (tmp_path / "gn_check.csv").read_text().split()[1].split("=")[1]
+    assert header == f"weylsys {__version__} | config {digest}"
+
+
+def test_gn_check_overflowing_order_fails_without_warnings(tmp_path, capsys):
+    # order 200 overflows the kernel's powers: a typed failure, and numpy
+    # writes nothing to stderr before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["gn-check", "--out", str(tmp_path), "--set", "gn.orders=200"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numerical failure: QuadratureFailure")
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["verify", "--model", "twisted"],
+     ["compute", "--pipeline", "all", "--model", "twisted", "-k", "16"]],
+    ids=["verify", "all"],
+)
+def test_fits_call_no_lstsq(args, tmp_path, monkeypatch):
+    # the limit recovery is a closed-form line and the spectral fit reads its
+    # coefficients off the SVD it takes for the errors
+    def refuse(*_, **__):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    assert run_cli(args + ["--out", str(tmp_path)]) == 0
 
 
 def test_spectral_pipeline_csv(tmp_path):

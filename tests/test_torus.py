@@ -1504,6 +1504,21 @@ def test_fit_errors_finite_on_nearly_collinear_design():
     assert np.all(np.isfinite(se)) and np.all(se > 0.0)
 
 
+@pytest.mark.parametrize("repeat", [False, True], ids=["full-rank", "repeated-column"])
+def test_least_squares_coefficients_match_lstsq(repeat, rng):
+    from weylsys.torus import _least_squares
+
+    # a repeated column makes the design rank-deficient: both give the
+    # minimum-norm solution under the same singular-value cutoff
+    design = rng.normal(size=(60, 4))
+    if repeat:
+        design[:, 3] = design[:, 1]
+    y = rng.normal(size=60)
+    want, *_ = np.linalg.lstsq(design, y, rcond=None)
+    coef, _, _ = _least_squares(design, y)
+    assert np.max(np.abs(coef - want)) <= 1e-12
+
+
 def test_symbols_evaluate_fields_once_per_base_point(twisted_model, monkeypatch):
     from weylsys import CosphereQuadrature
     from weylsys.coefficients import CospherePanel
