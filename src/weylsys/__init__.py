@@ -45,6 +45,7 @@ _HOMES = {name: module for module, names in {
     "torus": ("CountingSamples", "Mollifier", "SpectrumResult", "assemble_and_solve",
               "build_mollifier", "fit_weyl", "local_counting_mollified"),
 }.items() for name in names}
+__all__ = sorted(_HOMES)
 
 
 def __getattr__(name):
@@ -59,38 +60,3 @@ def __dir__():
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CosphereQuadrature",
-    "CountingSamples",
-    "EigenJet",
-    "MatrixJet",
-    "Mollifier",
-    "PhasePoint",
-    "SecondWeylResult",
-    "SpectrumResult",
-    "SymbolField",
-    "TorusModel",
-    "WeylCoefficients",
-    "WeylError",
-    "assemble_and_solve",
-    "b_profile",
-    "build_model",
-    "build_mollifier",
-    "catalog_names",
-    "eigen_jet",
-    "expansion_b_coefficients",
-    "first_weyl",
-    "fit_weyl",
-    "generalized_bracket",
-    "kernel_moment_closed",
-    "kernel_moment_numeric",
-    "local_counting_mollified",
-    "power_difference_kernel",
-    "power_trace_symbol",
-    "radial_factor",
-    "recover_second_weyl",
-    "resolvent_symbol",
-    "second_weyl",
-    "weyl_coefficients",
-]

@@ -150,15 +150,15 @@ class RunConfig:
         return sha256(self.canonical_text().encode()).hexdigest()[:16]
 
 
-def _parse_angle_list(text: str) -> tuple:
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if piece:
-            out.append(float(piece))
-    if not out:
-        raise ConfigError("empty angle list")
-    return tuple(out)
+def _parse_list(kind):
+    """The parser of a comma-separated list of ``kind`` values: empty pieces
+    are skipped, and a list with none left is an error."""
+    def parse(text: str) -> tuple:
+        values = tuple(kind(piece) for piece in text.split(",") if piece.strip())
+        if not values:
+            raise ValueError("empty list")
+        return values
+    return parse
 
 
 def _parse_points(text: str) -> tuple:
@@ -210,10 +210,6 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_int_list(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(","))
-
-
 # key -> (RunConfig field, parser); a model parameter's value goes to
 # RunConfig.model_params under its own name
 _SETTINGS = {
@@ -222,8 +218,8 @@ _SETTINGS = {
        for defaults in MODEL_PARAMETERS.values() for param in defaults},
     "pipeline": ("pipeline", _parse_pipeline),
     "quadrature.n_angles": ("n_angles", int),
-    "angles": ("angles", _parse_angle_list),
-    "limit_angles": ("limit_angles", _parse_angle_list),
+    "angles": ("angles", _parse_list(float)),
+    "limit_angles": ("limit_angles", _parse_list(float)),
     "truncation.k": ("truncation", int),
     "truncation.budget": ("budget", int),
     "mollifier.support": ("mollifier_support", _parse_float),
@@ -234,8 +230,8 @@ _SETTINGS = {
     "out": ("out_dir", str),
     "tolerance.cross_rel": ("cross_rel_tol", _parse_float),
     "tolerance.b1_rel": ("b1_rel_tol", _parse_float),
-    "gn.orders": ("gn_orders", _parse_int_list),
-    "gn.angles": ("gn_angles", _parse_angle_list),
+    "gn.orders": ("gn_orders", _parse_list(int)),
+    "gn.angles": ("gn_angles", _parse_list(float)),
 }
 
 
@@ -421,7 +417,8 @@ def run_resolvent(cfg: RunConfig, model: TorusModel) -> tuple:
                 coeffs.a_second_plus, coeffs.a_second_minus, 2, phi,
             )
             b1_val = prof.b1(phi)
-            max_b1_dev = max(
+            # np.maximum keeps a NaN deviation, which max() may drop
+            max_b1_dev = np.maximum(
                 max_b1_dev, abs(b1_val - b1_closed) / max(abs(b1_closed), 1e-12)
             )
             rows.append([x[0], x[1], phi, b1_val, prof.b0(phi), rec_two, rec_lim])
@@ -496,7 +493,7 @@ class ToleranceFailure(Exception):
 
 
 def run_verify(cfg: RunConfig, model: TorusModel) -> list:
-    """Cross-pipeline verification at configured tolerances."""
+    """Cross-pipeline verification at configured tolerances (NaN fails)."""
     summary, comparisons, max_b1_dev = run_resolvent(cfg, model)
     failures = []
     for coeffs, rec_two, rec_lim in comparisons:
@@ -504,12 +501,12 @@ def run_verify(cfg: RunConfig, model: TorusModel) -> list:
         scale = max(abs(direct), 1e-12)
         for method, recovered in (("two_angle", rec_two), ("limit", rec_lim)):
             rel = abs(recovered - direct) / scale
-            if rel > cfg.cross_rel_tol:
+            if not rel <= cfg.cross_rel_tol:
                 failures.append(
                     f"x={_point(x)} {method} "
                     f"rel dev {rel:.2e} > {cfg.cross_rel_tol:.1e}"
                 )
-    if max_b1_dev > cfg.b1_rel_tol:
+    if not max_b1_dev <= cfg.b1_rel_tol:
         failures.append(f"b1 rel dev {max_b1_dev:.2e} > {cfg.b1_rel_tol:.1e}")
     summary.append(
         f"verify: b1 max rel dev {max_b1_dev:.2e}; "

@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ComplexResidue, NotElliptic
+from .errors import ComplexResidue, NotElliptic, QuadratureFailure
 from .kernels import gauss_legendre
 from .symbols import (
     DEFAULT_STEP,
@@ -232,25 +232,26 @@ class CospherePanel:
         return np.sum(self.weights * samples * eta ** (-self.n)) / self.n
 
     def second_terms(self, pos: int) -> SheetSecondTerms:
-        """Region-integrated second-coefficient pieces for one sheet."""
+        """Region-integrated second-coefficient pieces for one sheet; a piece
+        that is not finite raises :class:`QuadratureFailure`."""
         n = self.n
         pref = n * (n - 1) / (2.0 * math.pi) ** n
-        volume = self.region_integral(pos, np.ones(len(self.weights)))
-        int_sub = self.region_integral(pos, self.sub[:, pos])
-        int_brack = self.region_integral(pos, self.bracket[:, pos])
-        int_curv = self.region_integral(pos, self.h[:, pos] * self.curvature[:, pos])
-        term_sub = -pref * int_sub
-        term_bracket = pref * 0.5j * int_brack
-        term_curv = (n * 1j / (2.0 * math.pi) ** n) * int_curv
-        c_first = -n * (n - 1) * (int_sub - 0.5j * int_brack)
-        c_second = n * 1j * int_curv
-        for name, val in (
-            ("subprincipal", term_sub),
-            ("bracket", term_bracket),
-            ("curvature", term_curv),
-            ("c_first", c_first),
-            ("c_second", c_second),
-        ):
+        # a sum that overflows is caught below as a term that is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            volume = self.region_integral(pos, np.ones(len(self.weights)))
+            int_sub = self.region_integral(pos, self.sub[:, pos])
+            int_brack = self.region_integral(pos, self.bracket[:, pos])
+            int_curv = self.region_integral(pos, self.h[:, pos] * self.curvature[:, pos])
+            term_sub = -pref * int_sub
+            term_bracket = pref * 0.5j * int_brack
+            term_curv = (n * 1j / (2.0 * math.pi) ** n) * int_curv
+            c_first = -n * (n - 1) * (int_sub - 0.5j * int_brack)
+            c_second = n * 1j * int_curv
+        for name, val in (("volume", volume), ("subprincipal", term_sub),
+                          ("bracket", term_bracket), ("curvature", term_curv),
+                          ("c_first", c_first), ("c_second", c_second)):
+            if not np.isfinite(val):
+                raise QuadratureFailure(f"{name} term is not finite")
             if abs(val.imag) > IMAG_RESIDUE_TOL * max(1.0, abs(val.real)):
                 raise ComplexResidue(
                     f"{name} term has imaginary residue {val.imag:.3e}"

@@ -43,7 +43,7 @@ class DegenerateAngles(WeylError):
 
 
 class QuadratureFailure(WeylError):
-    """Adaptive quadrature did not converge to the requested accuracy."""
+    """A quadrature did not converge, or a value built on it is not finite."""
 
 
 class RealSpectralParameter(WeylError):

@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, EllipticityViolation, NotHermitian, UnknownModel
+from .errors import (ConfigError, DimensionMismatch, EllipticityViolation, NotHermitian,
+                     UnknownModel)
 
 if TYPE_CHECKING:
     from .symbols import SymbolField
@@ -38,9 +39,10 @@ class TrigMatrixField:
 
     Stores coefficients C_g for integer wavevectors g (``ValueError`` on a
     component that is not a finite integer; ``1.0`` is one) as
-    (C_g + C_(-g)^dagger) 0.5: the one Hermiticity rule of torus fields,
-    run once, makes every pair exactly conjugate and keeps the bits of one
-    that already is (:class:`NotHermitian` when a partner is missing or
+    C_g/2 + C_(-g)^dagger/2, or C_g where that equals C_(-g)^dagger: the one
+    Hermiticity rule of torus fields, run once, makes every pair exactly
+    conjugate and keeps the bits of one that already is at any finite size
+    (:class:`NotHermitian` when a partner is missing or
     max |C_(-g) - C_g^dagger| > 1e-12).  ``modes`` (no setter) is a read-only
     mapping of read-only arrays, so values stay Hermitian at every x.
     """
@@ -64,7 +66,8 @@ class TrigMatrixField:
             partner = table.get(tuple(-c for c in g))
             if partner is None or np.max(np.abs(partner - mat.conj().T)) > 1e-12:
                 raise NotHermitian(f"coefficient symmetry violated at mode {g}")
-            stored[g] = (mat + partner.conj().T) * 0.5
+            adjoint = partner.conj().T  # halves, as a sum near the largest float overflows
+            stored[g] = np.where(adjoint == mat, mat, 0.5 * mat + 0.5 * adjoint)
             stored[g].flags.writeable = False
         self._modes = MappingProxyType(stored)
 
@@ -277,7 +280,8 @@ def registration_check(
     here.  Each field is evaluated once per x2 row, and the row's symbols
     are one product with the angles, broadcast over the positions with no
     temporary of their size, and one stacked eigensolve.  Raises
-    :class:`EllipticityViolation` when a margin is too small.
+    :class:`EllipticityViolation` when a margin is too small or a sampled
+    symbol or eigenvalue is not finite.
     """
     xs = 2.0 * math.pi * np.arange(n_x) / n_x
     thetas = 2.0 * math.pi * np.arange(n_theta // 2) / n_theta
@@ -286,9 +290,13 @@ def registration_check(
     min_abs = min_gap = math.inf
     for x2 in xs if depends_on_x2 else (0.0,):
         x = np.stack([xs, np.full(n_x, x2)], axis=1)
-        fields = np.stack([fld.value(x).reshape(n_x, -1) for fld in model.coefficients], 1)
-        symbols = (xi @ fields).reshape(n_x, len(thetas), model.dim, model.dim)
-        vals = np.linalg.eigvalsh(symbols)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            fields = np.stack([fld.value(x).reshape(n_x, -1) for fld in model.coefficients], 1)
+            symbols = (xi @ fields).reshape(n_x, len(thetas), model.dim, model.dim)
+            vals = np.linalg.eigvalsh(symbols)
+        # eigvalsh reads one triangle, so a NaN in the other shows in no value
+        if not (np.isfinite(symbols).all() and np.isfinite(vals).all()):
+            raise EllipticityViolation(f"model {model.name}: sampled symbol not finite")
         min_abs = min(min_abs, float(np.min(np.abs(vals))))
         if model.dim > 1:
             min_gap = min(min_gap, float(np.min(np.diff(vals, axis=-1))))
@@ -317,10 +325,17 @@ def check_model(name: str, params) -> None:
 
 
 def build_model(name: str, params: Optional[dict] = None) -> TorusModel:
-    """Instantiate a catalog model, at its row's defaults, and register it."""
+    """Instantiate a catalog model, at its row's defaults, and register it;
+    a parameter that overflows a field is a :class:`ConfigError`."""
     check_model(name, params or {})
     builder, defaults = _CATALOG[name]
-    model = builder(**{key: float(value)
-                       for key, value in {**defaults, **(params or {})}.items()})
+    values = {key: float(value) for key, value in {**defaults, **(params or {})}.items()}
+    try:
+        # an overflow surfaces as the field's non-finite entry, not as numpy's warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            model = builder(**values)
+    except ValueError as exc:
+        given = ", ".join(f"{key}={value:g}" for key, value in values.items())
+        raise ConfigError(f"model {name} at {given} overflows a field: {exc}") from exc
     registration_check(model)
     return model

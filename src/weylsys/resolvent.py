@@ -172,7 +172,10 @@ class BProfile:
 
     def b0(self, phi: float) -> float:
         total = sum(self.b0_sheet(phi, d.sheet) for d in self.coefficients.terms)
-        return total / (2.0 * math.pi) ** len(self.coefficients.x)
+        value = total / (2.0 * math.pi) ** len(self.coefficients.x)
+        if not math.isfinite(value):  # a finite panel term times a radial factor overflows
+            raise QuadratureFailure(f"b0 at phi = {phi:g} is not finite")
+        return value
 
 
 def b_profile(
@@ -198,16 +201,22 @@ def recover_second_weyl(
     sum (phi - mean phi)(b0 - mean b0) / sum (phi - mean phi)^2 and intercept
     mean b0 - slope * mean phi.  The angles must pass
     :func:`~weylsys.kernels.check_recovery_angles`, whose spread of at least
-    1e-6 keeps the slope's denominator away from zero.
+    1e-6 keeps the slope's denominator away from zero.  A value that is not
+    finite raises :class:`QuadratureFailure`.
     """
     angles = check_recovery_angles(b0_values, method)
     if method == "two-angle":
         p1, p2 = angles
-        return (p1 * b0_values[p2] - p2 * b0_values[p1]) / (
+        value = (p1 * b0_values[p2] - p2 * b0_values[p1]) / (
             2.0 * math.pi * (p2 - p1)
         )
-    arr = np.array(angles)
-    vals = np.array([b0_values[a] for a in angles])
-    dphi = arr - arr.mean()
-    slope = (dphi @ (vals - vals.mean())) / (dphi @ dphi)
-    return -(vals.mean() - slope * arr.mean()) / (2.0 * math.pi)
+    else:
+        arr = np.array(angles)
+        vals = np.array([b0_values[a] for a in angles])
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            dphi = arr - arr.mean()
+            slope = (dphi @ (vals - vals.mean())) / (dphi @ dphi)
+            value = -(vals.mean() - slope * arr.mean()) / (2.0 * math.pi)
+    if not math.isfinite(value):
+        raise QuadratureFailure(f"{method} recovery is not finite")
+    return value

@@ -178,7 +178,8 @@ def require_hermitian(matrix: np.ndarray) -> np.ndarray:
 
     Takes one matrix or a stack (..., m, m); the rule
     ``defect <= HERMITICITY_TOL * max(1, max |A|)`` applies to each matrix
-    on its own.
+    on its own.  The mean of the two triangles is taken from their halves,
+    so an entry near the largest float does not overflow.
     """
     matrix = np.asarray(matrix, dtype=complex)
     adjoint = matrix.conj().swapaxes(-1, -2)
@@ -188,7 +189,7 @@ def require_hermitian(matrix: np.ndarray) -> np.ndarray:
         raise NotHermitian(
             f"Hermiticity defect {np.max(defect):.3e} exceeds {HERMITICITY_TOL:.1e}"
         )
-    return 0.5 * (matrix + adjoint)
+    return 0.5 * matrix + 0.5 * adjoint
 
 
 def _fix_phase(vectors: np.ndarray) -> np.ndarray:

@@ -55,6 +55,7 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     IllConditionedFit,
+    QuadratureFailure,
     SolveFailure,
     SupportTooLarge,
     WindowViolation,
@@ -695,7 +696,8 @@ def local_counting_mollified(
     point is built once per spectrum, branch and band, and kept on the
     spectrum.  Every eigenvalue counts, however far from the grid.
     Raises :class:`WindowViolation` when the grid is empty, holds NaN or
-    leaves the trusted window.
+    leaves the trusted window, and :class:`QuadratureFailure` when a band
+    phase, a node times an eigenvalue, is not finite.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     if mu_grid.size == 0:
@@ -715,7 +717,10 @@ def local_counting_mollified(
         centers = -lam[sel]
     else:
         raise ValueError("branch must be 'plus' or 'minus'")
-    stride = mollifier._stride(np.max(np.abs(lam), initial=spectrum.trusted_max))
+    reach = float(np.max(np.abs(lam), initial=spectrum.trusted_max))
+    if not math.isfinite(mollifier.support * reach):  # NaN too
+        raise QuadratureFailure(f"band phases overflow at eigenvalue reach {reach:.3e}")
+    stride = mollifier._stride(reach)
     key = (branch, mollifier._band.size, mollifier.support)  # fixes the nodes
     if key not in spectrum._characteristic:
         bases, offsets, _ = mollifier._strided(stride)

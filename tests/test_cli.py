@@ -95,6 +95,7 @@ def test_angle_range_validated():
         "fit.grid_step=1e-9",
         "quadrature.n_angles=1000000000",
         "model.b=0.5",
+        "gn.orders=,",
     ],
 )
 def test_malformed_value_is_a_config_error(setting, tmp_path, capsys):
@@ -105,6 +106,25 @@ def test_malformed_value_is_a_config_error(setting, tmp_path, capsys):
     assert err.startswith("configuration error")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "key, text, want",
+    [("angles", "0.5,,1.0", (0.5, 1.0)),
+     ("limit_angles", "0.2,0.1,", (0.2, 0.1)),
+     ("gn.orders", "2,3,", (2, 3)),
+     ("gn.angles", " ,0.5, 1.5", (0.5, 1.5))],
+)
+def test_list_keys_skip_empty_pieces(key, text, want):
+    # one list rule for every list key: empty pieces are skipped
+    field = _SETTINGS[key][0]
+    assert getattr(apply_settings(RunConfig(), {key: text}), field) == want
+
+
+@pytest.mark.parametrize("key", ["angles", "limit_angles", "gn.orders", "gn.angles"])
+def test_empty_list_names_its_key(key):
+    with pytest.raises(ConfigError, match=f"^{key}: empty list"):
+        apply_settings(RunConfig(), {key: " , "})
 
 
 def test_x_points_parsing():
@@ -542,6 +562,90 @@ def test_tolerance_failure_exits_three(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "tolerance failure" in err
     assert "b1" in err
+
+
+@pytest.mark.parametrize(
+    "name, patched, checks",
+    [("recover_second_weyl", lambda *_: math.nan, ("two_angle", "limit")),
+     ("expansion_b_coefficients", lambda *_: (math.nan, 0.0), ("b1",))],
+    ids=["recovery", "b1"],
+)
+def test_nan_deviation_is_a_tolerance_failure(
+    name, patched, checks, tmp_path, capsys, monkeypatch
+):
+    # NaN compares false with every tolerance, so a check must fail closed
+    monkeypatch.setattr(f"weylsys.cli.{name}", patched)
+    code = run_cli(["verify", "--model", "twisted", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("tolerance failure")
+    for check in checks:
+        assert f"{check} rel dev nan" in err
+
+
+# (model, parameter, value, command) -> exit code; every other case exits 2
+_HUGE_EXITS = {
+    **{("twisted", "eps", "1e308", command): 1
+       for command in ("verify", "direct", "resolvent")},
+    **{("shifted-dirac", "beta", "1e300", command): 0
+       for command in ("verify", "direct", "resolvent")},
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "direct", "resolvent"])
+@pytest.mark.parametrize("value", ["1e308", "5e307", "1e300"])
+@pytest.mark.parametrize(
+    "model, param", [("twisted", "eps"), ("shifted-dirac", "beta"), ("mass-dirac", "b")]
+)
+def test_huge_parameter_ends_in_a_result_or_one_typed_line(
+    model, param, value, command, tmp_path, capsys
+):
+    # a parameter that overflows a field is a configuration error, a value
+    # that overflows on the way is a numerical failure, and numpy warns of
+    # neither (the suite turns warnings into errors)
+    args = ["verify"] if command == "verify" else ["compute", "--pipeline", command]
+    code = run_cli([*args, "--model", model, f"--{param}", value, "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == _HUGE_EXITS.get((model, param, value, command), 2)
+    if code == 0:
+        assert err == ""
+        written = out + "".join(p.read_text() for p in tmp_path.glob("*.csv"))
+        assert "nan" not in written.lower() and "inf" not in written.lower()
+    else:
+        assert len(err.splitlines()) == 1
+        assert err.startswith("configuration error" if code == 1 else "numerical failure")
+    if code == 1:
+        assert f"model {model} at {param}=1e+308 overflows a field" in err
+
+
+def test_huge_shift_reads_its_second_coefficient(tmp_path):
+    # shifted-dirac's a0 is -beta / (2 pi) at every point, however large beta
+    assert run_cli(["compute", "--model", "shifted-dirac", "--beta", "1e300",
+                    "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "weyl_coefficients.csv").read_text().splitlines()[2:]
+    for row in rows:
+        a0 = float(row.split(",")[4])
+        assert a0 == pytest.approx(-1e300 / (2.0 * math.pi), rel=1e-12)
+
+
+def test_overflowing_panel_names_its_term(tmp_path, capsys):
+    # the cosphere sum of the subprincipal term overflows at beta = 5e307
+    code = run_cli(["verify", "--model", "shifted-dirac", "--beta", "5e307",
+                    "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("numerical failure: QuadratureFailure: "
+                   "subprincipal term is not finite\n")
+
+
+def test_overflowing_band_phase_is_a_numerical_failure(tmp_path, capsys):
+    # eigenvalues near 1e308 times the band's nodes overflow the phases
+    code = run_cli(["compute", "--model", "shifted-dirac", "--beta", "1e308",
+                    "--pipeline", "spectral", "-k", "16", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numerical failure: QuadratureFailure: band phases overflow")
+    assert len(err.splitlines()) == 1
 
 
 _START_UP_PROBE = """

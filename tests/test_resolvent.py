@@ -28,6 +28,7 @@ from weylsys.errors import (
     DegenerateAngles,
     DimensionMismatch,
     NotHermitian,
+    QuadratureFailure,
     SingularResolvent,
 )
 from weylsys.symbols import symbol_jets
@@ -377,6 +378,26 @@ def test_recover_synthetic_affine():
 def test_recover_rejects_equal_angles():
     with pytest.raises(DegenerateAngles):
         recover_second_weyl({0.7: 1.0, 0.7 + 1e-9: 1.1}, "two-angle")
+
+
+@pytest.mark.parametrize(
+    "method, b0",
+    [("two-angle", {0.5: 1e308, 2.5: -1e308}),
+     ("limit", {0.2: 1.7e308, 0.1: 1.7e308, 0.05: 1.7e308})],
+)
+def test_recovery_that_overflows_is_a_quadrature_failure(method, b0):
+    # finite b0 values near the largest float overflow the inversion
+    with pytest.raises(QuadratureFailure, match=f"{method} recovery is not finite"):
+        recover_second_weyl(b0, method)
+
+
+def test_b0_that_overflows_is_a_quadrature_failure():
+    # at beta = 1e307 the panel's terms are finite, but a term times the
+    # radial factor -2 (pi - phi) is not
+    lead, sub = build_model("shifted-dirac", {"beta": 1e307}).symbol_fields()
+    prof = b_profile(lead, sub, np.array([0.0, 0.0]))
+    with pytest.raises(QuadratureFailure, match="b0 at phi = 0.785398 is not finite"):
+        prof.b0(math.pi / 4)
 
 
 def test_angle_range_enforced(dirac_model):

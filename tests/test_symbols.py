@@ -15,7 +15,7 @@ from weylsys.errors import (
     NotElliptic,
     NotHermitian,
 )
-from weylsys.symbols import MatrixJet, symbol_jets
+from weylsys.symbols import MatrixJet, require_hermitian, symbol_jets
 
 _STENCIL = ((-2.0, 1.0), (-1.0, -8.0), (1.0, 8.0), (2.0, -1.0))
 
@@ -128,6 +128,12 @@ def test_simplicity_threshold_is_relative_to_the_stack():
 def test_non_hermitian_raises():
     with pytest.raises(NotHermitian):
         bare_jet(np.array([[0.0, 1.0], [0.0, 0.5]]))
+
+
+def test_hermitian_matrix_near_the_largest_float_keeps_its_entries():
+    # the mean of the triangles is taken from halves, so nothing overflows
+    mat = 1e308 * (SIGMA1 + SIGMA3)
+    assert np.array_equal(require_hermitian(mat), mat)
 
 
 def test_sheet_counts_add_up(rng):

@@ -27,6 +27,7 @@ from weylsys import (
 )
 from weylsys.errors import (
     BudgetExceeded,
+    ConfigError,
     DimensionMismatch,
     EllipticityViolation,
     IllConditionedFit,
@@ -130,6 +131,36 @@ def test_field_rejects_non_hermitian_modes(modes):
     # the field's constructor is the one place the Hermiticity rule runs
     with pytest.raises(NotHermitian):
         TrigMatrixField(2, modes)
+
+
+def test_conjugate_pair_keeps_its_bits_near_the_largest_float():
+    # (C + C^dagger) / 2 overflowed a Hermitian 1e308 mode to inf
+    mat = 1e308 * SIGMA3
+    fld = TrigMatrixField.constant(mat)
+    assert fld.modes[(0, 0)].tobytes() == mat.tobytes()
+    assert np.array_equal(fld.value(np.zeros(2)), mat)
+    wave = TrigMatrixField.from_waves(2, [("cos", (1, 0), 1e308 * SIGMA1)])
+    plus, minus = wave.modes[(1, 0)], wave.modes[(-1, 0)]
+    assert np.all(np.isfinite(plus)) and np.array_equal(plus, minus.conj().T)
+    assert np.array_equal(wave.value(np.zeros(2)), 1e308 * SIGMA1)
+
+
+def test_parameter_that_overflows_a_field_is_a_config_error():
+    # eps (sigma_3 + 1) doubles eps, so twisted's (1, 0) mode is infinite
+    with pytest.raises(ConfigError, match="model twisted at eps=1e\\+308 overflows a field"):
+        build_model("twisted", {"eps": 1e308})
+
+
+def test_registration_fails_closed_on_an_overflowing_symbol():
+    # finite modes whose sum overflows at x = 0; eigvalsh of such a symbol
+    # may return NaN, which passes a "margin < bound" test
+    a1 = TrigMatrixField.from_waves(
+        2, [("cos", (1, 0), 1.5e308 * SIGMA1), ("cos", (2, 0), 1.5e308 * SIGMA1)]
+    )
+    model = TorusModel("overflowing", (a1, TrigMatrixField.constant(SIGMA2)),
+                       TrigMatrixField.constant(np.zeros((2, 2))))
+    with pytest.raises(EllipticityViolation, match="not finite"):
+        registration_check(model)
 
 
 def test_field_modes_are_read_only():
