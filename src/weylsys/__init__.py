@@ -22,12 +22,11 @@ import os
 # OpenBLAS reads this once, when numpy loads it, so it must be set before the
 # first import of numpy.  Its idle worker threads busy-wait 2^timeout clock
 # cycles before they sleep: at OpenBLAS's default of 28 that is about 0.1 s of
-# a core at start-up and after every threaded BLAS call, 0.04-0.08 s of CPU
-# per CLI process on 2 threads, and it stalls other threads now and then
-# (twisted, K = 40, 15 fresh processes: the counting took up to 0.47 s at 28,
-# up to 0.17 s at 20).  At 20 the workers spin under a millisecond, which
-# still keeps them warm across back-to-back LAPACK calls.  No thread count
-# and no result bit depends on it; a value set in the environment wins.
+# a core at start-up and after every threaded BLAS call (a lone Galerkin
+# block's eigensolve, or any caller's own product), 0.04-0.08 s of CPU per
+# CLI process on 2 threads.  At 20 the workers spin under a millisecond,
+# which still keeps them warm across back-to-back LAPACK calls.  No thread
+# count and no result bit depends on it; a value set in the environment wins.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
 # each export's home module, imported when the name is first read (PEP 562)

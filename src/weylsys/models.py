@@ -64,9 +64,10 @@ class TrigMatrixField:
         stored = {}
         for g, mat in table.items():
             partner = table.get(tuple(-c for c in g))
-            if partner is None or np.max(np.abs(partner - mat.conj().T)) > 1e-12:
+            adjoint = None if partner is None else partner.conj().T
+            # halves: a difference or a sum near the largest float overflows
+            if adjoint is None or np.max(np.abs(0.5 * adjoint - 0.5 * mat)) > 0.5e-12:
                 raise NotHermitian(f"coefficient symmetry violated at mode {g}")
-            adjoint = partner.conj().T  # halves, as a sum near the largest float overflows
             stored[g] = np.where(adjoint == mat, mat, 0.5 * mat + 0.5 * adjoint)
             stored[g].flags.writeable = False
         self._modes = MappingProxyType(stored)

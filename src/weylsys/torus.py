@@ -19,8 +19,9 @@ matrix is formed.  When numpy's OpenBLAS exports no ILP64 LAPACK, every
 stack takes the dense eigensolve; both routes give the same eigenvalues.
 The stacks are solved side by side by the calling thread and helper
 threads, one BLAS thread each, as a threaded eigensolve of a block of a few
-hundred rows gains nothing from a second core.  The merged spectrum is
-trusted up to 0.6 times the truncation.
+hundred rows gains nothing from a second core; only a lone block keeps
+BLAS's own threads.  The merged spectrum is trusted up to 0.6 times the
+truncation.
 
 The smoothed local counting derivative convolves the pointwise eigenfunction
 weights with a compactly band-limited mollifier (plateau transform, built
@@ -35,7 +36,9 @@ the 6,001 nodes at support 3 up to K = 72.  The mollifier itself is
 evaluated by the same band sum over every node and by nothing else.  Every
 transient table of the run (a Galerkin stack, a block of eigenvalues, of nu
 rows or of step values) takes as many rows as fit one 256 KiB budget,
-``_TABLE_BYTES``.
+``_TABLE_BYTES``, and the band sums' products run on one BLAS thread
+(:func:`_one_blas_thread`), so no result bit depends on the thread count
+but a lone block's.
 A least-squares fit over a trusted window extracts the two leading growth
 coefficients, with a next-order column and, when the mollifier's shape
 decays across the window, two spectral-bottom columns.
@@ -46,6 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -282,6 +286,24 @@ def _probe_spectrum(block: np.ndarray, modes: np.ndarray, x_points: np.ndarray):
     return d, norm * amp2.reshape(rows, n_x, m).sum(axis=2)
 
 
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread, where numpy's OpenBLAS can be
+    pinned (:func:`_openblas`), and set the count read on entry again on
+    exit, also when the body raises.  OpenBLAS's pthreads build applies the
+    "local" count to the whole process.  Works as a decorator too."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    threads = blas[0]()
+    blas[1](1)
+    try:
+        yield
+    finally:
+        blas[1](threads)
+
+
 def _map_pinned(fn, items: list) -> list:
     """[fn(item) for item in items], on min(BLAS threads, len(items)) workers
     that use one BLAS thread each: this thread and one fewer helper threads.
@@ -292,21 +314,17 @@ def _map_pinned(fn, items: list) -> list:
     exception.  Results come back in item order.  With one worker, or
     without a pinnable OpenBLAS, the items run in this thread on BLAS's own
     threads: a single large block gains more from a threaded eigensolve
-    than from a second worker.  OpenBLAS's pthreads build applies the
-    workers' "local" count to the whole process, so the count read at the
-    start is set again at the end.
+    than from a second worker.  This thread's pin is
+    :func:`_one_blas_thread`'s, and each helper sets its own.
     """
     blas = _openblas()
-    threads = blas[0]() if blas else 1
-    workers = min(threads, len(items))
+    workers = min(blas[0]() if blas else 1, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
-    set_threads = blas[1]
     results, failures = [None] * len(items), {}
     lock, taken = threading.Lock(), itertools.count()
 
     def work():
-        set_threads(1)
         while True:
             with lock:
                 i = len(items) if failures else next(taken)
@@ -320,17 +338,21 @@ def _map_pinned(fn, items: list) -> list:
                 if not isinstance(exc, Exception):
                     raise  # an interrupt or exit is no item's failure
 
-    helpers = []
-    try:
-        for _ in range(workers - 1):
-            helper = threading.Thread(target=work)
-            helper.start()
-            helpers.append(helper)
+    def pinned_work():
+        blas[1](1)
         work()
-    finally:
-        for helper in helpers:
-            helper.join()
-        set_threads(threads)
+
+    helpers = []
+    with _one_blas_thread():
+        try:
+            for _ in range(workers - 1):
+                helper = threading.Thread(target=pinned_work)
+                helper.start()
+                helpers.append(helper)
+            work()
+        finally:
+            for helper in helpers:
+                helper.join()
     if failures:
         raise failures[min(failures)]
     return results
@@ -591,13 +613,14 @@ class Mollifier:
         top = min(n, int(2.0 * math.pi * n / (self.support * reach + _ALIAS_FREE)))
         return max((d for d in range(1, top + 1) if n % d == 0), default=1)
 
+    @_one_blas_thread()
     def _sum(self, nu: np.ndarray, phi, stride: int = 1) -> np.ndarray:
         """(1/pi) sum_k band_k Re[e^(i nu t_k) phi(t_k)] at every nu of a 1-D
         array over every stride-th node, phi a constant or one (bases x
         offsets) node-value table of :meth:`_strided`: one (n_nu x
         bases)(bases x offsets) product of exponential tables and a dot with
         the offsets' table, over the nu rows whose two tables and products
-        fit :func:`_table_rows`."""
+        fit :func:`_table_rows`, on one BLAS thread (:func:`_band_characteristic`)."""
         bases, offsets, band = self._strided(stride)
         weighted = band * phi
         rows = _table_rows(16 * (bases.size + 3 * offsets.size))
@@ -656,6 +679,7 @@ class CountingSamples:
         object.__setattr__(self, "mu", mu)
 
 
+@_one_blas_thread()
 def _band_characteristic(centers, weights, bases, offsets) -> np.ndarray:
     """Phi(t) = sum_j weights[j, p] e^(-i centers_j t) for every column p, at
     the nodes t = base + offset of one :meth:`Mollifier._strided` split,
@@ -664,7 +688,11 @@ def _band_characteristic(centers, weights, bases, offsets) -> np.ndarray:
     e^(-i c (a + s)) = e^(-i c a) e^(-i c s), so each column is one
     (n_base x n_eig)(n_eig x n_off) product; the eigenvalue tables are built
     once for all columns, in blocks of the eigenvalues whose two tables and
-    weighted copy ``base * w`` fit :func:`_table_rows`.
+    weighted copy ``base * w`` fit :func:`_table_rows`.  The products run on
+    one BLAS thread (:func:`_one_blas_thread`): OpenBLAS threads a complex
+    product from about 65,000 multiply-adds, below these tables' size, and
+    waking a sleeping worker costs more than the product, while a sum split
+    across threads would round with the thread count.
     """
     out = np.zeros((weights.shape[1], bases.size, offsets.size), dtype=complex)
     rows = _table_rows(16 * (2 * bases.size + offsets.size))
@@ -696,8 +724,9 @@ def local_counting_mollified(
     point is built once per spectrum, branch and band, and kept on the
     spectrum.  Every eigenvalue counts, however far from the grid.
     Raises :class:`WindowViolation` when the grid is empty, holds NaN or
-    leaves the trusted window, and :class:`QuadratureFailure` when a band
-    phase, a node times an eigenvalue, is not finite.
+    leaves the trusted window, or when the branch has no eigenvalue in that
+    window (a shift past the truncation), and :class:`QuadratureFailure`
+    when a band phase, a node times an eigenvalue, is not finite.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     if mu_grid.size == 0:
@@ -720,6 +749,11 @@ def local_counting_mollified(
     reach = float(np.max(np.abs(lam), initial=spectrum.trusted_max))
     if not math.isfinite(mollifier.support * reach):  # NaN too
         raise QuadratureFailure(f"band phases overflow at eigenvalue reach {reach:.3e}")
+    if not np.any(centers <= spectrum.trusted_max):
+        raise WindowViolation(
+            f"{branch} branch has no eigenvalue in the trusted window "
+            f"[0, {spectrum.trusted_max:.2f}]"
+        )
     stride = mollifier._stride(reach)
     key = (branch, mollifier._band.size, mollifier.support)  # fixes the nodes
     if key not in spectrum._characteristic:

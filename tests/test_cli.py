@@ -648,6 +648,17 @@ def test_overflowing_band_phase_is_a_numerical_failure(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+
+def test_branch_without_a_trusted_eigenvalue_is_a_numerical_failure(tmp_path, capsys):
+    # at beta = 1e300 every eigenvalue rounds to 1e300, so the plus branch
+    # has none in [0, 0.6 K]; the fit of its empty window exited 0
+    code = run_cli(["compute", "--model", "shifted-dirac", "--beta", "1e300",
+                    "--pipeline", "spectral", "-k", "16", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("numerical failure: WindowViolation: plus branch has no eigenvalue "
+                   "in the trusted window [0, 9.60]\n")
+
 _START_UP_PROBE = """
 import json, sys
 from weylsys.cli import main
@@ -822,11 +833,26 @@ print(json.dumps({"code": code, "polynomial": "numpy.polynomial" in sys.modules}
     ids=["gn-check", "spectral"],
 )
 def test_gauss_rules_leave_numpy_polynomial_unloaded(args, tmp_path):
-    # the Gauss-Legendre rules of the kernel moments and the bump step are
-    # one Golub-Welsch eigensolve each; numpy.polynomial costs 7 ms to load
+    # the Gauss-Legendre rules of the kernel moments and the bump step come
+    # from gauss_legendre's Newton steps; numpy.polynomial costs 7 ms to load
     report = run_fresh(_POLYNOMIAL, str(tmp_path), *args)
     assert report == {"code": 0, "polynomial": False}
 
+
+
+def test_gauss_rules_call_no_eigensolver(tmp_path, monkeypatch):
+    # the mollifier's step rule and gn-check's adaptive pair, built afresh
+    # with eigh unavailable
+    from weylsys import kernels, torus
+
+    def refuse(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    torus._step_rule.cache_clear()
+    kernels._gauss_pair.cache_clear()
+    assert torus.build_mollifier(3.0).support == 3.0
+    assert run_cli(["gn-check", "--out", str(tmp_path)]) == 0
 
 _DIGEST = """
 import json, sys

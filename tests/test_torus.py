@@ -145,6 +145,13 @@ def test_conjugate_pair_keeps_its_bits_near_the_largest_float():
     assert np.array_equal(wave.value(np.zeros(2)), 1e308 * SIGMA1)
 
 
+
+def test_opposite_pair_near_the_largest_float_is_not_hermitian():
+    # C_(-g) - C_g^dagger overflowed with a numpy warning (an error in this
+    # suite) before the check could raise; a difference of halves cannot
+    with pytest.raises(NotHermitian, match="mode \\(1, 0\\)"):
+        TrigMatrixField(2, {(1, 0): [[1e308, 0], [0, 0]], (-1, 0): [[-1e308, 0], [0, 0]]})
+
 def test_parameter_that_overflows_a_field_is_a_config_error():
     # eps (sigma_3 + 1) doubles eps, so twisted's (1, 0) mode is infinite
     with pytest.raises(ConfigError, match="model twisted at eps=1e\\+308 overflows a field"):
@@ -757,6 +764,32 @@ def test_pool_takes_each_item_once_under_contention(monkeypatch):
 
 
 
+
+def test_band_sums_run_on_one_blas_thread(twisted_model, mollifier_t3, monkeypatch):
+    # the counting's characteristic and band sum and the fit's mollifier
+    # shape (no bottom columns on this window) each set one BLAS thread and
+    # then the caller's count (3 here) again, also when a sum raises
+    spec = assemble_and_solve(twisted_model, 16, ORACLE_POINTS[:1])
+    mu = np.arange(3.0, 9.6, 0.05)
+    calls = []
+    monkeypatch.setattr(torus, "_openblas", lambda: (lambda: 3, calls.append))
+    samples = local_counting_mollified(spec, mollifier_t3, 0, mu)
+    assert calls == [1, 3, 1, 3]
+    calls.clear()
+    fit_weyl(samples, 2, (3.0, 9.6), mollifier_t3)
+    assert calls == [1, 3]
+
+    def failing(row_bytes):
+        raise RuntimeError("table")
+
+    monkeypatch.setattr(torus, "_table_rows", failing)
+    for run in (lambda: local_counting_mollified(spec, mollifier_t3, 0, mu, "minus"),
+                lambda: fit_weyl(samples, 2, (3.0, 9.6), mollifier_t3)):
+        calls.clear()
+        with pytest.raises(RuntimeError, match="table"):
+            run()
+        assert calls == [1, 3]
+
 # ---------------------------------------------------------------------------
 # weights from the tridiagonal form
 # ---------------------------------------------------------------------------
@@ -980,6 +1013,33 @@ def test_idle_blas_workers_sleep():
     explicit, cpu_explicit = child("28")  # OpenBLAS's own default
     assert explicit == "28"
     assert cpu < cpu_explicit - 0.15
+
+
+def test_spectral_fit_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the solve's stacks and the band sums run on one BLAS thread each; with
+    # the band sums threaded, a second thread moved a0_fit in its last bits
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "weylsys.cli", "compute", "--model", "twisted",
+             "--pipeline", "spectral", "-k", "16", "--out", str(out)],
+            env=fresh_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written.append((out / "spectral_fit.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+def test_branch_without_a_trusted_eigenvalue_is_a_window_violation(branch, mollifier_t3):
+    # beta = 30 puts every eigenvalue at K = 8 in [18.6, 41.4]: the plus branch
+    # has none in [0, 4.8] and the minus branch none at all
+    spec = assemble_and_solve(build_model("shifted-dirac", {"beta": 30.0}), 8, [[0.0, 0.0]])
+    with pytest.raises(WindowViolation, match=f"^{branch} branch has no eigenvalue in "
+                                              "the trusted window \\[0, 4.80\\]$"):
+        local_counting_mollified(spec, mollifier_t3, 0, np.arange(2.0, 4.8, 0.1), branch)
 
 def test_spectrum_keeps_no_eigenvectors():
     names = [f.name for f in dataclasses.fields(SpectrumResult)]
