@@ -138,12 +138,11 @@ class RunConfig:
         return mu[mu <= mu_hi]  # the last step may pass the window's edge
 
     def canonical_text(self) -> str:
-        """Every setting that shapes the results; the output directory does not."""
-        pairs = []
-        for key in sorted(vars(self)):
-            if key != "out_dir":
-                pairs.append(f"{key}={vars(self)[key]!r}")
-        return "\n".join(pairs)
+        """Every setting that shapes the results, model parameters by name;
+        the output directory does not."""
+        settings = {**vars(self), "model_params": dict(sorted(self.model_params.items()))}
+        return "\n".join(f"{key}={settings[key]!r}" for key in sorted(settings)
+                         if key != "out_dir")
 
     def digest(self) -> str:
         """First 16 hex digits of the SHA-256 of :meth:`canonical_text`."""
@@ -621,7 +620,7 @@ def main(argv=None) -> int:
         return 2
     header = f"weylsys {__version__} | "
     if args.command != "gn-check":  # gn-check reads no model
-        header += f"model={cfg.model} {cfg.model_params} | "
+        header += f"model={cfg.model} {dict(sorted(cfg.model_params.items()))} | "
     print(f"{header}config {cfg.digest()}")
     for line in summary:
         print(line)

@@ -27,18 +27,17 @@ The smoothed local counting derivative convolves the pointwise eigenfunction
 weights with a compactly band-limited mollifier (plateau transform, built
 from the standard exp(-1/(1-s^2)) bump).  Its band limit means the sample
 reads the local half-wave trace sum_lambda |phi_lambda(x)|^2 e^(-i lambda t)
-only at the band's trapezoid nodes, so the counting is an exact transform
-of the band, by angle addition over the nodes, and no eigenvalue is paired
-with a grid point.  The counting and the fit reach only |nu| <= R, so they
-read every d-th node, whose aliases of those frequencies lie where the
-plateau's transform is below roundoff (:meth:`Mollifier._stride`): 376 of
-the 6,001 nodes at support 3 up to K = 72.  The mollifier itself is
-evaluated by the same band sum over every node and by nothing else.  Every
-transient table of the run (a Galerkin stack, a block of eigenvalues, of nu
-rows or of step values) takes as many rows as fit one 256 KiB budget,
-``_TABLE_BYTES``, and the band sums' products run on one BLAS thread
-(:func:`_one_blas_thread`), so no result bit depends on the thread count
-but a lone block's.
+only at trapezoid nodes of the band [0, T], so the counting is an exact
+transform of the band, by angle addition over the nodes, and no eigenvalue
+is paired with a grid point.  Every band sum, the mollifier's own
+evaluation included, takes its nodes from one rule
+(:meth:`Mollifier._nodes`): as many as put every alias of the frequencies
+it reaches where the plateau's transform is below roundoff, 342 to 380 at
+support 3 up to K = 72.  Every transient table of the run (a Galerkin
+stack, a block of eigenvalues, of nu rows or of step values) takes as many
+rows as fit one 256 KiB budget, ``_TABLE_BYTES``, and the band sums'
+products run on one BLAS thread (:func:`_one_blas_thread`), so no result
+bit depends on the thread count but a lone block's.
 A least-squares fit over a trusted window extracts the two leading growth
 coefficients, with a next-order column and, when the mollifier's shape
 decays across the window, two spectral-bottom columns.
@@ -50,7 +49,7 @@ import itertools
 import math
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -133,7 +132,7 @@ class SpectrumResult:
     @cached_property
     def _characteristic(self) -> dict:
         """Band characteristic functions of the weights at every x point,
-        kept by :func:`local_counting_mollified` per branch and band."""
+        kept by :func:`local_counting_mollified` per (branch, n, support)."""
         return {}
 
     def trusted(self) -> np.ndarray:
@@ -539,8 +538,6 @@ def plateau_transform(t, support: float):
     return out if np.ndim(t) else float(out[0])
 
 
-# Trapezoid nodes of the band on [0, T].
-BAND_NODES = 6001
 # nu T from which the plateau's transform stays below 1e-14 of its peak; the
 # plateau is scaled by T, so the same at every support (1e-12 from 1,296).
 _ALIAS_FREE = 2000.0
@@ -562,8 +559,7 @@ def _table_rows(row_bytes: int) -> int:
 def _angle_split(n: int, spacing: float) -> tuple:
     """Bases and offsets of the points spacing * (0, ..., n) for angle
     addition: point i = b R + r is base spacing * b R plus offset
-    spacing * r, with R = isqrt(n) + 1 offsets and n // R + 1 bases, so the
-    last block of R points is partial unless R divides n + 1."""
+    spacing * r, with R = isqrt(n) + 1 offsets and n // R + 1 bases."""
     n_off = math.isqrt(n) + 1  # ceil(sqrt(n + 1)) offsets, ceil((n + 1) / n_off) bases
     n_base = n // n_off + 1
     return spacing * (n_off * np.arange(n_base)), spacing * np.arange(n_off)
@@ -573,73 +569,69 @@ def _angle_split(n: int, spacing: float) -> tuple:
 class Mollifier:
     """Sampled mollifier: inverse transform of a compactly supported plateau.
 
-    The band holds the trapezoid-weighted plateau values at the nodes
-    t_k = k T / n of [0, T], T the support and n + 1 the band's size
-    (``ValueError`` on an empty or not 1-D band), and every evaluation is
-    the band sum (1/pi) sum_k band_k cos(nu t_k) (:meth:`_sum`), exact at
-    every nu.  The counting and the fit read the same sum on every d-th
-    node only (:meth:`_stride`), which is the full sum up to roundoff at
-    the frequencies they reach.  The band is a read-only view, like the
-    rest of the frozen record.
+    Every evaluation is a band sum (1/pi) sum_k w_k cos(nu t_k) of the
+    trapezoid-weighted plateau values w_k at the nodes t_k = k T / n of
+    [0, T], T the support (:meth:`_sum`), with n from the one node rule of
+    :meth:`_nodes` at the largest |nu| the sum reaches, so every sum is the
+    plateau's transform up to roundoff.  A call at a nu that is not finite
+    or past the rule's table raises :class:`QuadratureFailure`.
     """
 
     support: float
-    _band: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if np.ndim(self._band) != 1 or np.size(self._band) == 0:
-            raise ValueError(f"band must be a non-empty 1-D array, not {np.shape(self._band)}")
-        band = np.asarray(self._band).view()  # read-only: the record is frozen
-        band.flags.writeable = False
-        object.__setattr__(self, "_band", band)
-
-    def _strided(self, stride: int) -> tuple:
-        """Bases and offsets of every stride-th band node (:func:`_angle_split`)
-        and their trapezoid weights stride * band[::stride] as a (bases x
-        offsets) table, zero-padded past the last node; stride divides n."""
-        n = (self._band.size - 1) // stride  # nodes k T / n, k = 0, ..., n
-        bases, offsets = _angle_split(n, self.support / max(n, 1))
-        band = np.pad(stride * self._band[::stride], (0, bases.size * offsets.size - n - 1))
-        return bases, offsets, band.reshape(bases.size, offsets.size)
-
-    def _stride(self, reach: float) -> int:
-        """Largest divisor d of n with d (T reach + ``_ALIAS_FREE``) <= 2 pi n.
-
-        The trapezoid rule on every d-th node is the band sum plus its
-        aliases at nu + 2 pi j n / (d T), j != 0; for |nu| <= reach each
-        alias lies where the plateau's transform is below 1e-14 of its
-        peak.  1 for a one-node band or a reach that no divisor clears."""
-        n = self._band.size - 1
-        top = min(n, int(2.0 * math.pi * n / (self.support * reach + _ALIAS_FREE)))
-        return max((d for d in range(1, top + 1) if n % d == 0), default=1)
+    def _nodes(self, reach: float) -> int:
+        """n of the nodes k T / n, k = 0, ..., n, of a band sum reaching
+        |nu| <= ``reach``: their trapezoid rule is the plateau's transform
+        plus aliases at nu + 2 pi j n / T, j != 0, so the least n with
+        2 pi n >= T reach + ``_ALIAS_FREE`` puts each alias below 1e-14 of
+        the peak; it is rounded up until the n + 1 nodes fill
+        :func:`_angle_split`'s table.  :class:`QuadratureFailure`, naming
+        the reach, when that table of complex values would not fit
+        ``_TABLE_BYTES`` (a reach above about 33,600 at support 3, or not
+        finite)."""
+        cap = _TABLE_BYTES // 16
+        need = (self.support * reach + _ALIAS_FREE) / (2.0 * math.pi)
+        n = math.ceil(need) if need < cap else cap  # NaN too
+        n_off = math.isqrt(n) + 1
+        n = -(-(n + 1) // n_off) * n_off - 1
+        if n + 1 > cap:
+            raise QuadratureFailure(f"band reach {reach:.3e} needs more than the {cap} "
+                                    "nodes of one band table")
+        return n
 
     @_one_blas_thread()
-    def _sum(self, nu: np.ndarray, phi, stride: int = 1) -> np.ndarray:
-        """(1/pi) sum_k band_k Re[e^(i nu t_k) phi(t_k)] at every nu of a 1-D
-        array over every stride-th node, phi a constant or one (bases x
-        offsets) node-value table of :meth:`_strided`: one (n_nu x
-        bases)(bases x offsets) product of exponential tables and a dot with
-        the offsets' table, over the nu rows whose two tables and products
+    def _sum(self, nu: np.ndarray, phi, n: int) -> np.ndarray:
+        """(1/pi) sum_k w_k Re[e^(i nu t_k) phi(t_k)] at every nu of a 1-D
+        array over the n + 1 nodes of :meth:`_nodes`, phi a constant or one
+        (bases x offsets) node-value table of :func:`_angle_split`: one
+        (n_nu x bases)(bases x offsets) product of exponential tables, bases
+        counted from the middle one (half the rounding of nu t), and a dot
+        with the offsets' table, over the nu rows whose tables and products
         fit :func:`_table_rows`, on one BLAS thread (:func:`_band_characteristic`)."""
-        bases, offsets, band = self._strided(stride)
-        weighted = band * phi
+        bases, offsets = _angle_split(n, self.support / n)
+        mid = bases[bases.size // 2]
+        t = np.linspace(0.0, self.support, n + 1)
+        weights = plateau_transform(t, self.support) * (self.support / n)
+        weights[0] *= 0.5  # the plateau vanishes at the last node, t = T
+        weighted = weights.reshape(bases.size, offsets.size) * phi
         rows = _table_rows(16 * (bases.size + 3 * offsets.size))
         out = np.empty(nu.shape)
         for i in range(0, nu.size, rows):
             block = nu[i:i + rows]
-            rotated = ((np.exp(1j * np.outer(block, bases)) @ weighted)
+            rotated = ((np.exp(1j * np.outer(block, bases - mid)) @ weighted)
                        * np.exp(1j * np.outer(block, offsets)))
-            out[i:i + rows] = np.sum(rotated.real, axis=-1)
+            out[i:i + rows] = (np.exp(1j * mid * block) * np.sum(rotated, axis=-1)).real
         return out / math.pi
 
     def __call__(self, nu) -> np.ndarray:
         nu = np.asarray(nu, dtype=float)
-        return self._sum(nu.ravel(), 1.0).reshape(nu.shape)
+        reach = float(np.max(np.abs(nu), initial=0.0))
+        return self._sum(nu.ravel(), 1.0, self._nodes(reach)).reshape(nu.shape)
 
 
 def build_mollifier(support: float) -> Mollifier:
-    """Build the mollifier for a given band support: the ``BAND_NODES``
-    nodes of [0, T] and the trapezoid-weighted plateau values there.
+    """The mollifier of a given band support; its band sums make their own
+    nodes (:meth:`Mollifier._nodes`).
 
     Raises :class:`SupportTooLarge` when the support is not below 2 pi (the
     shortest closed trajectory on the unit-speed torus).
@@ -650,12 +642,7 @@ def build_mollifier(support: float) -> Mollifier:
         raise SupportTooLarge(
             f"support {support} not below the loop bound {2 * math.pi:.6f}"
         )
-    t = np.linspace(0.0, support, BAND_NODES)
-    w = np.full(BAND_NODES, support / (BAND_NODES - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    band = plateau_transform(t, support) * w
-    return Mollifier(support, band)
+    return Mollifier(support)
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +669,8 @@ class CountingSamples:
 @_one_blas_thread()
 def _band_characteristic(centers, weights, bases, offsets) -> np.ndarray:
     """Phi(t) = sum_j weights[j, p] e^(-i centers_j t) for every column p, at
-    the nodes t = base + offset of one :meth:`Mollifier._strided` split,
-    shape (n_p, n_base, n_off).
+    the nodes t = base + offset of :func:`_angle_split`, shape (n_p, n_base,
+    n_off).
 
     e^(-i c (a + s)) = e^(-i c a) e^(-i c s), so each column is one
     (n_base x n_eig)(n_eig x n_off) product; the eigenvalue tables are built
@@ -718,15 +705,17 @@ def local_counting_mollified(
     plus branch: sum over positive eigenvalues of rho(mu - lambda) w(x);
     minus branch mirrors through zero.  rho is a band sum, so the sample is
     exactly the mollifier's :meth:`Mollifier._sum` with phi the local
-    half-wave trace Phi(t) = sum_lambda w(x) e^(-i lambda t) at every
-    d-th band node (:meth:`Mollifier._stride` of the reach
-    max(max |lambda|, trusted_max)), by angle addition.  Phi at every x
-    point is built once per spectrum, branch and band, and kept on the
-    spectrum.  Every eigenvalue counts, however far from the grid.
+    half-wave trace Phi(t) = sum_lambda w(x) e^(-i lambda t) at the nodes
+    of :meth:`Mollifier._nodes` at the reach R = max(largest center of the
+    branch, trusted_max), by angle addition (a far eigenvalue of the other
+    branch adds no node).  Phi at every x point is built once per spectrum,
+    branch and node count, and kept on the spectrum.  Every eigenvalue
+    counts, however far from the grid.
     Raises :class:`WindowViolation` when the grid is empty, holds NaN or
     leaves the trusted window, or when the branch has no eigenvalue in that
     window (a shift past the truncation), and :class:`QuadratureFailure`
-    when a band phase, a node times an eigenvalue, is not finite.
+    when a band phase, a node times an eigenvalue, is not finite, or, after
+    that, when R is past the band table (:meth:`Mollifier._nodes`).
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     if mu_grid.size == 0:
@@ -746,7 +735,7 @@ def local_counting_mollified(
         centers = -lam[sel]
     else:
         raise ValueError("branch must be 'plus' or 'minus'")
-    reach = float(np.max(np.abs(lam), initial=spectrum.trusted_max))
+    reach = float(np.max(centers, initial=spectrum.trusted_max))
     if not math.isfinite(mollifier.support * reach):  # NaN too
         raise QuadratureFailure(f"band phases overflow at eigenvalue reach {reach:.3e}")
     if not np.any(centers <= spectrum.trusted_max):
@@ -754,17 +743,17 @@ def local_counting_mollified(
             f"{branch} branch has no eigenvalue in the trusted window "
             f"[0, {spectrum.trusted_max:.2f}]"
         )
-    stride = mollifier._stride(reach)
-    key = (branch, mollifier._band.size, mollifier.support)  # fixes the nodes
+    n = mollifier._nodes(reach)
+    key = (branch, n, mollifier.support)  # fixes the nodes
     if key not in spectrum._characteristic:
-        bases, offsets, _ = mollifier._strided(stride)
+        bases, offsets = _angle_split(n, mollifier.support / n)
         spectrum._characteristic[key] = _band_characteristic(
             centers, spectrum.weights[sel], bases, offsets
         )
     return CountingSamples(
         x=spectrum.x_points[i],
         mu=mu_grid,
-        values=mollifier._sum(mu_grid, spectrum._characteristic[key][i], stride),
+        values=mollifier._sum(mu_grid, spectrum._characteristic[key][i], n),
         branch=branch,
         mollifier_support=mollifier.support,
         trusted_max=spectrum.trusted_max,
@@ -836,8 +825,9 @@ def fit_weyl(
 
     Basis: mu^(n-1), mu^(n-2), mu^(n-3) (next asymptotic order) and, when
     a mollifier is given and its shape decays across the window, two
-    spectral-bottom columns rho(mu), rho(mu - 1) absorbing the exactly
-    known low-spectrum contamination.  Returns coefficients with their
+    spectral-bottom columns rho(mu), rho(mu - 1), band sums at the reach
+    trusted_max + 1 (:meth:`Mollifier._nodes`), absorbing the exactly known
+    low-spectrum contamination.  Returns coefficients with their
     least-squares standard errors and the RMS residual.  Raises the
     :func:`check_fit_window` errors (the shape's decay is judged in the
     window's upper 60%), and ``ValueError`` when the mollifier's support is
@@ -857,12 +847,12 @@ def fit_weyl(
     names = ["leading", "second", "next-order"]
     if mollifier is not None:
         # rho(mu) and rho(mu - 1) reach |nu| <= trusted_max + 1
-        stride = mollifier._stride(samples.trusted_max + 1.0)
-        shape = mollifier._sum(mu, 1.0, stride)
+        n = mollifier._nodes(samples.trusted_max + 1.0)
+        shape = mollifier._sum(mu, 1.0, n)
         peak = float(np.max(np.abs(shape)))
         mid = float(np.max(np.abs(shape[upper])))
         if peak > 0 and mid < 0.05 * peak:
-            cols.extend([shape, mollifier._sum(mu - 1.0, 1.0, stride)])
+            cols.extend([shape, mollifier._sum(mu - 1.0, 1.0, n)])
             names.extend(["bottom-0", "bottom-1"])
     coef, res, se = _least_squares(np.stack(cols, axis=1), y)
     return WeylFit(

@@ -140,6 +140,14 @@ def test_config_digest_stable():
     assert a.digest() != c.digest()
 
 
+def test_config_digest_does_not_depend_on_the_parameter_order():
+    # the same settings given in another order are one configuration
+    first = RunConfig(model="twisted", model_params={"eps": 0.1, "beta": 0.3})
+    second = RunConfig(model="twisted", model_params={"beta": 0.3, "eps": 0.1})
+    assert first.canonical_text() == second.canonical_text()
+    assert first.digest() == second.digest() == "96c29c4909ee44c6"
+
+
 def test_models_subcommand(capsys):
     assert run_cli(["models"]) == 0
     out = capsys.readouterr().out.split()
@@ -685,6 +693,7 @@ def test_verify_and_gn_check_load_no_scipy(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error"  # the suite's own warning rule
     proc = subprocess.run(
         [sys.executable, "-c", _START_UP_PROBE, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=300,
@@ -714,6 +723,7 @@ def run_fresh(code: str, *args: str) -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error"  # the suite's own warning rule
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -841,8 +851,8 @@ def test_gauss_rules_leave_numpy_polynomial_unloaded(args, tmp_path):
 
 
 def test_gauss_rules_call_no_eigensolver(tmp_path, monkeypatch):
-    # the mollifier's step rule and gn-check's adaptive pair, built afresh
-    # with eigh unavailable
+    # the mollifier's step rule (built by its first band sum) and gn-check's
+    # adaptive pair, built afresh with eigh unavailable
     from weylsys import kernels, torus
 
     def refuse(*args, **kwargs):
@@ -852,6 +862,7 @@ def test_gauss_rules_call_no_eigensolver(tmp_path, monkeypatch):
     torus._step_rule.cache_clear()
     kernels._gauss_pair.cache_clear()
     assert torus.build_mollifier(3.0).support == 3.0
+    assert torus.build_mollifier(3.0)(0.0) > 0.0
     assert run_cli(["gn-check", "--out", str(tmp_path)]) == 0
 
 _DIGEST = """

@@ -32,6 +32,7 @@ from weylsys.errors import (
     EllipticityViolation,
     IllConditionedFit,
     NotHermitian,
+    QuadratureFailure,
     SolveFailure,
     SupportTooLarge,
     UnknownModel,
@@ -933,11 +934,13 @@ print(json.dumps({
 
 
 def fresh_env(**settings) -> dict:
-    """This environment with the package's sources first on PYTHONPATH and
-    ``settings`` applied; a setting of None removes the variable."""
+    """This environment with the package's sources first on PYTHONPATH,
+    every warning an error and ``settings`` applied; a setting of None
+    removes the variable."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error"  # the suite's own warning rule
     for name, value in settings.items():
         if value is None:
             env.pop(name, None)
@@ -1133,8 +1136,8 @@ def test_plateau_transform_uses_the_step():
 
 
 def test_step_rows_bound_the_mollifier_build():
-    # the whole (values x nodes) table at once is the reference; the build
-    # held 8.2 MB of it
+    # the whole (values x nodes) table at once is the reference; the plateau
+    # of the largest band table, at 16,384 nodes, would hold 10.5 MB of it
     nodes, weights, _ = torus._step_rule()
     # a row is the tables s and bump(s), two of 80 doubles
     rows = torus._TABLE_BYTES // (2 * 8 * nodes.size)
@@ -1143,7 +1146,7 @@ def test_step_rows_bound_the_mollifier_build():
     assert np.array_equal(torus._bump_integral(v, nodes, weights), whole)
     tracemalloc.start()
     try:
-        build_mollifier(3.0)
+        build_mollifier(3.0)(33645.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1156,18 +1159,44 @@ def test_mollifier_band_vanishes_outside_support():
     assert abs(moll.transform_back(0.25) - 1.0) < 1e-9
 
 
-def band_nodes(moll):
-    """The mollifier's band nodes k T / n, k = 0, ..., n."""
-    return np.linspace(0.0, moll.support, moll._band.size)
+def plateau_band(support, n):
+    """The nodes k T / n, k = 0, ..., n, of [0, T] and their
+    trapezoid-weighted plateau values."""
+    t = np.linspace(0.0, support, n + 1)
+    band = plateau_transform(t, support) * (support / n)
+    band[0] *= 0.5
+    return t, band
 
 
 def exact_transform(moll, nu, rows=500):
-    """(1/pi) sum_k band_k cos(nu t_k) summed directly at every nu."""
-    t = band_nodes(moll)
+    """(1/pi) sum_k band_k cos(nu t_k) summed directly at every nu, on the
+    rule's nodes at the largest |nu|."""
+    t, band = plateau_band(moll.support, moll._nodes(np.max(np.abs(nu), initial=0.0)))
     return np.concatenate([
-        np.cos(np.outer(nu[i:i + rows], t)) @ moll._band / math.pi
+        np.cos(np.outer(nu[i:i + rows], t)) @ band / math.pi
         for i in range(0, nu.size, rows)
     ])
+
+
+def dense_transform(support, nu, n=1 << 15, rows=16):
+    """(1/pi) int_0^T plateau(t) cos(nu t) dt by the trapezoid rule on a
+    fixed 2^15 + 1 nodes, whatever the rule reads: its aliases lie past
+    nu T = 2 pi 2^15 - 2000, beyond every nu asked of it here.  Each phase
+    nu h k is exact but for the one rounding of nu h: nu h is split into
+    26-bit halves, whose products with k < 2^26 round nowhere.  Rounded
+    products nu t_k err alike across a regular grid and summed to 3e-13 of
+    the peak at nu T = 8e4."""
+    k = np.arange(n + 1.0)
+    _, band = plateau_band(support, n)
+    step = np.asarray(nu, dtype=float) * (support / n)
+    hi = step * 134217729.0  # Dekker's split, 2^27 + 1
+    hi -= hi - step
+    lo = step - hi
+    out = []
+    for i in range(0, step.size, rows):
+        a, b = np.outer(hi[i:i + rows], k), np.outer(lo[i:i + rows], k)
+        out.append((np.cos(a) * np.cos(b) - np.sin(a) * np.sin(b)) @ band / math.pi)
+    return np.concatenate(out)
 
 
 @pytest.mark.parametrize("support", [0.5, 3.0, 6.0])
@@ -1187,41 +1216,66 @@ def test_mollifier_matches_exact_transform(support, rng):
     assert moll(grid[:, :0]).shape == (3, 0)
 
 
-@pytest.mark.parametrize("n", [0, 1, 10, 15])
-def test_angle_addition_on_a_partial_last_block(n, rng):
-    # band nodes 0, ..., n: at n = 10 the 11 nodes are 3 blocks of 4
-    # offsets, the last cut after 3; n = 15 fills 4 blocks of 4; n = 0 and 1
-    # are one block
-    t = np.linspace(0.0, 2.5, n + 1)
-    band = plateau_transform(t, 2.5) * 0.1 + 0.01
-    moll = Mollifier(2.5, band)
-    bases, offsets, table = moll._strided(1)
-    assert table.shape == (bases.size, offsets.size)
-    assert (bases.size * offsets.size == n + 1) == (n != 10)
+@pytest.mark.parametrize("support, reach", [(0.5, 3e4), (3.0, 3e4), (6.0, 1.6e4)])
+def test_mollifier_matches_a_dense_quadrature(support, reach, rng):
+    # a fixed band of 6,001 nodes aliased past nu T = 2 pi 6000 - 2000:
+    # at support 3 it read rho(4000 pi) as rho(0); the node rule reads any
+    # reach its table holds (16,800 at support 6) at roundoff
+    moll = build_mollifier(support)
+    nu = np.r_[0.0, 4000.0 * math.pi, reach, -reach, rng.uniform(-reach, reach, 150),
+               rng.uniform(-2500.0, 2500.0, 150)]
+    want = dense_transform(support, nu)
+    np.testing.assert_allclose(moll(nu), want, rtol=0.0, atol=1e-13 * want[0])
+    assert abs(moll(4000.0 * math.pi) - want[1]) < 1e-13 * want[0]
+
+
+def fills_the_split(n):
+    bases, offsets = _angle_split(n, 1.0)
+    return bases.size * offsets.size == n + 1
+
+
+def test_node_count_is_the_least_alias_free_fill(twisted_model, mollifier_t3):
+    # at every reach, n puts the aliases past nu T = 2000 and its n + 1
+    # nodes fill the angle-addition table, and no smaller alias-free count
+    # does; the counting at the K = 40 defaults reads 361 nodes, its fit 342
+    for support in (0.5, 3.0, 6.0):
+        moll = build_mollifier(support)
+        for reach in np.r_[0.0, np.geomspace(0.1, 1e4, 300)]:
+            n = moll._nodes(reach)
+            need = math.ceil((support * reach + torus._ALIAS_FREE) / TWO_PI)
+            assert n >= need and fills_the_split(n)
+            assert not any(fills_the_split(m) for m in range(need, n))
+    spec = assemble_and_solve(twisted_model, 40, np.zeros((0, 2)))
+    reach = np.max(spec.eigenvalues)
+    assert 60.0 < reach < 61.0
+    assert mollifier_t3._nodes(reach) == 360
+    assert mollifier_t3._nodes(spec.trusted_max + 1.0) == 341
+    # the last reach whose 16,384 nodes fit one 256 KiB table
+    assert mollifier_t3._nodes(33645.0) == 128 ** 2 - 1
+
+
+@pytest.mark.parametrize("n", [1, 3, 15, 341, 379])
+def test_angle_addition_matches_the_direct_sum(n, rng):
+    # nodes 0, ..., n in blocks of isqrt(n) + 1 offsets, every block full:
+    # 1 x 2, 2 x 2 (n = 3), 4 x 4, 18 x 19 and 19 x 20 (the node rule's
+    # counts at support 3)
+    moll = build_mollifier(2.5)
+    t, band = plateau_band(2.5, n)
+    bases, offsets = _angle_split(n, 2.5 / n)
     nu = np.linspace(-40.0, 40.0, 161)
     phase = np.outer(nu, t)
-    phi = rng.normal(size=table.shape) + 1j * rng.normal(size=table.shape)
+    phi = rng.normal(size=(bases.size, offsets.size)) + 1j * rng.normal(
+        size=(bases.size, offsets.size))
     # angle addition rounds each phase nu t as base plus offset, the direct
     # sum as one product: a few ulps of |nu t| per term apart, while a wrong
     # sign, table or index is an error of the order of the peak
     for got, want in (
-        (moll._sum(nu, 1.0), np.cos(phase) @ band / math.pi),
-        (moll._sum(nu, phi),
+        (moll._sum(nu, 1.0, n), np.cos(phase) @ band / math.pi),
+        (moll._sum(nu, phi, n),
          (np.exp(1j * phase) @ (band * phi.ravel()[:n + 1])).real / math.pi),
     ):
         np.testing.assert_allclose(got, want, rtol=0.0,
                                    atol=2e-14 * np.max(np.abs(want)))
-
-
-@pytest.mark.parametrize(
-    "band", [np.array([[0.7]]), np.zeros(0)], ids=["not-1-D", "empty"],
-)
-def test_mollifier_rejects_nodes_its_band_sum_misreads(band):
-    # the band's size fixes the nodes k T / n, k = 0, ..., n, that the band
-    # sum reads: a band that is not 1-D, or has not even the node t = 0, is
-    # no band of nodes
-    with pytest.raises(ValueError):
-        Mollifier(2.5, band)
 
 
 # ---------------------------------------------------------------------------
@@ -1232,20 +1286,6 @@ def test_counting_window_enforced(shifted_dirac_model, mollifier_t3):
     spec = assemble_and_solve(shifted_dirac_model, 8, [[0.0, 0.0]])
     with pytest.raises(WindowViolation):
         local_counting_mollified(spec, mollifier_t3, 0, np.arange(1.0, 10.0, 0.5))
-
-
-def test_counting_with_a_one_node_mollifier(shifted_dirac_model, mollifier_t3):
-    # one band node, at t = 0: the sample is band_0 / pi times the branch's
-    # local weight sum, and the full mollifier keeps its own cached Phi
-    spec = assemble_and_solve(shifted_dirac_model, 8, [[0.0, 0.0]])
-    mu = np.arange(1.0, 4.0, 0.5)
-    full = local_counting_mollified(spec, mollifier_t3, 0, mu).values
-    one = Mollifier(2.5, np.array([0.7]))
-    got = local_counting_mollified(spec, one, 0, mu).values
-    want = 0.7 / math.pi * np.sum(spec.weights[spec.eigenvalues > 0, 0])
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-    again = local_counting_mollified(spec, mollifier_t3, 0, mu).values
-    np.testing.assert_array_equal(again, full)
 
 
 def test_counting_reads_a_spectrum_that_cannot_change(shifted_dirac_model, mollifier_t3):
@@ -1291,40 +1331,40 @@ def test_local_counting_matches_global(shifted_dirac_model, mollifier_t3):
     assert np.max(np.abs(np.diff(samples.values, 2))) < 1.0
 
 
-def direct_counting(moll, centers, weights, mu):
-    """(1/pi) sum_k band_k sum_j weights_j cos((mu - centers_j) t_k), the
-    direct cosine sum of :func:`exact_transform` over every eigenvalue with
+def direct_counting(moll, reach, centers, weights, mu):
+    """(1/pi) sum_k band_k sum_j weights_j cos((mu - centers_j) t_k) on the
+    rule's nodes at ``reach``, the direct cosine sum of
+    :func:`exact_transform` over every eigenvalue with
     cos(a - b) = cos a cos b + sin a sin b: every phase is one product, with
     no angle addition over the nodes and no interpolation."""
-    t = band_nodes(moll)
+    t, band = plateau_band(moll.support, moll._nodes(reach))
     phase = np.outer(t, centers)
     c, s = np.cos(phase) @ weights, np.sin(phase) @ weights
     mu_phase = np.outer(mu, t)
-    return (np.cos(mu_phase) @ (moll._band * c)
-            + np.sin(mu_phase) @ (moll._band * s)) / math.pi
+    return (np.cos(mu_phase) @ (band * c) + np.sin(mu_phase) @ (band * s)) / math.pi
 
 
 def test_counting_matches_direct_band_sum(twisted_model, mollifier_t3):
-    # the spectrum reaches 24, so the counting reads every 16th band node:
-    # the 376 nodes split into 19 blocks of 20 offsets, the last holding
-    # 16; an eigenvalue takes a 19-wide base table, its 19-wide weighted
-    # copy and a 20-wide offset table, 16 (2 * 19 + 20) bytes, so a block
-    # of the budget holds 282: the 1,090 positive eigenvalues fill 3 blocks
-    # and end in a partial 4th of 244, the 1,088 negative ones in one of 242
+    # the branches reach 24.0 and 23.4, so the counting reads the rule's 342
+    # nodes, 18 blocks of 19 offsets; an eigenvalue takes an 18-wide base
+    # table, its 18-wide weighted copy and a 19-wide offset table,
+    # 16 (2 * 18 + 19) bytes, so a block of the budget holds 297: the 1,090
+    # positive eigenvalues fill 3 blocks and end in a partial 4th of 199,
+    # the 1,088 negative ones in one of 197
     spec = assemble_and_solve(twisted_model, 16, [[1.3, 4.2], [0.3, 0.9]])
     lam = spec.eigenvalues
-    assert mollifier_t3._stride(np.max(np.abs(lam))) == 16
-    n = (mollifier_t3._band.size - 1) // 16
-    bases, offsets = _angle_split(n, mollifier_t3.support / n)
-    assert bases.size * offsets.size > n + 1 > (bases.size - 1) * offsets.size
-    rows = torus._TABLE_BYTES // (16 * (2 * bases.size + offsets.size))
     mu = np.arange(2.4, 9.6 + 0.025, 0.05)
-    for branch, sel, centers, partial in (("plus", lam > 0, lam[lam > 0], 244),
-                                          ("minus", lam < 0, -lam[lam < 0], 242)):
+    for branch, sel, centers, partial in (("plus", lam > 0, lam[lam > 0], 199),
+                                          ("minus", lam < 0, -lam[lam < 0], 197)):
+        reach = np.max(centers)
+        n = mollifier_t3._nodes(reach)
+        bases, offsets = _angle_split(n, mollifier_t3.support / n)
+        assert (bases.size, offsets.size) == (18, 19)
+        rows = torus._TABLE_BYTES // (16 * (2 * bases.size + offsets.size))
         assert centers.size > rows and centers.size % rows == partial
         for i in (1, 0):
             samples = local_counting_mollified(spec, mollifier_t3, i, mu, branch)
-            want = direct_counting(mollifier_t3, centers, spec.weights[sel, i], mu)
+            want = direct_counting(mollifier_t3, reach, centers, spec.weights[sel, i], mu)
             np.testing.assert_allclose(samples.values, want, rtol=0.0,
                                        atol=1e-13 * np.max(np.abs(want)))
             # the second call at a point reads the kept characteristic function
@@ -1332,11 +1372,68 @@ def test_counting_matches_direct_band_sum(twisted_model, mollifier_t3):
             np.testing.assert_array_equal(again.values, samples.values)
 
 
+def dirac_plus(shift: float) -> TorusModel:
+    """Dirac (+) (Dirac + shift): 4 x 4 fields, two decoupled Dirac systems."""
+    def doubled(mat, second):
+        return TrigMatrixField.constant(np.block([[mat, np.zeros((2, 2))],
+                                                  [np.zeros((2, 2)), second]]))
+
+    return TorusModel("dirac-pair", (doubled(SIGMA1, SIGMA1), doubled(SIGMA2, SIGMA2)),
+                      doubled(np.zeros((2, 2)), shift * np.eye(2)))
+
+
+def test_counting_keeps_a_far_copy_of_the_spectrum_apart(dirac_model, mollifier_t3):
+    # the copy at 4000 pi adds rho(mu - lambda) below roundoff; a band of
+    # nodes 3 / 6000 apart read it as the copy's own rho(mu - lambda + 4000 pi),
+    # a second Dirac counting, 100% of the peak
+    x, mu = [[0.3, 0.9]], np.arange(3.0, 9.6 + 0.025, 0.05)
+    want = local_counting_mollified(assemble_and_solve(dirac_model, 16, x),
+                                    mollifier_t3, 0, mu).values
+    spec = assemble_and_solve(dirac_plus(4000.0 * math.pi), 16, x)
+    got = local_counting_mollified(spec, mollifier_t3, 0, mu).values
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_counting_reads_its_own_branch_reach(dirac_model, mollifier_t3):
+    # a copy of the spectrum at -5e4 is the minus branch's alone: the plus
+    # counting's nodes come from the plus branch's reach, where the reach of
+    # every eigenvalue would pass the band table
+    x, mu = [[0.3, 0.9]], np.arange(3.0, 9.6 + 0.025, 0.05)
+    want = local_counting_mollified(assemble_and_solve(dirac_model, 16, x),
+                                    mollifier_t3, 0, mu).values
+    spec = assemble_and_solve(dirac_plus(-5e4), 16, x)
+    got = local_counting_mollified(spec, mollifier_t3, 0, mu).values
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+    with pytest.raises(QuadratureFailure, match=r"^band reach 5\.002e\+04 needs more"):
+        local_counting_mollified(spec, mollifier_t3, 0, mu, "minus")
+
+
+def test_reach_past_the_band_table_is_a_quadrature_failure(mollifier_t3):
+    # 16,384 nodes fill the 256 KiB table: past that reach, and at a nu that
+    # is not finite, the sum raises before it builds a table
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureFailure, match=r"^band reach 3\.365e\+04 needs more"):
+            mollifier_t3(np.full(1000, 33647.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    for bad in (np.inf, -np.inf, np.nan, [1.0, np.nan]):
+        with pytest.raises(QuadratureFailure, match="^band reach (inf|nan) "):
+            mollifier_t3(bad)
+    spec = SpectrumResult(K=100, dim=2, eigenvalues=np.array([-1.0, 3.0, 4e4]),
+                          x_points=np.zeros((1, 2)), weights=np.ones((3, 1)),
+                          trusted_max=60.0)
+    with pytest.raises(QuadratureFailure, match=r"^band reach 4\.000e\+04 needs more"):
+        local_counting_mollified(spec, mollifier_t3, 0, np.arange(3.0, 9.0))
+
+
 @pytest.mark.parametrize("support", [0.5, 1.0, 3.0, 6.0])
 def test_plateau_transform_is_roundoff_from_the_alias_free_bound(support):
     # the plateau is scaled by T, so its transform is below 1e-14 of its
-    # peak from nu T = 2000 at every support: read through the full band,
-    # whose own aliases lie beyond nu T = 2 pi 6000 - 2000
+    # peak from nu T = 2000 at every support: read through the rule's nodes
+    # at the reach 20000 / T, whose own aliases lie beyond it
     moll = build_mollifier(support)
     nu = np.linspace(torus._ALIAS_FREE, 20000.0, 3601) / support
     assert np.max(np.abs(moll(nu))) <= 1e-14 * moll(0.0)
@@ -1348,16 +1445,17 @@ SEED_POINTS = [[0.844235, 5.324583], [4.798937, 1.602646]]
 @pytest.mark.parametrize("K", [16, 40])
 def test_strided_counting_matches_the_full_band(twisted_model, mollifier_t3, K,
                                                 monkeypatch):
-    # the counting and the fit on every 16th band node against the same
-    # band read whole, stride 1, on a fresh spectrum (the half-wave trace
-    # is kept per spectrum)
+    # the counting and the fit on the rule's 342 to 361 nodes against the
+    # same sums on the rule's 5,112 nodes of reach 1e4, on a fresh spectrum
+    # (the half-wave trace is kept per spectrum)
     spec = assemble_and_solve(twisted_model, K, SEED_POINTS)
     full = dataclasses.replace(spec)
     mu = np.arange(3.0, 0.6 * K + 0.025, 0.05)
     strided = {(branch, i): local_counting_mollified(spec, mollifier_t3, i, mu, branch)
                for branch in ("plus", "minus") for i in (0, 1)}
     fits = [fit_weyl(strided["plus", i], 2, (3.0, 0.6 * K), mollifier_t3) for i in (0, 1)]
-    monkeypatch.setattr(Mollifier, "_stride", lambda self, reach: 1)
+    nodes = Mollifier._nodes
+    monkeypatch.setattr(Mollifier, "_nodes", lambda self, reach: nodes(self, 1e4))
     for (branch, i), samples in strided.items():
         want = local_counting_mollified(full, mollifier_t3, i, mu, branch).values
         np.testing.assert_allclose(samples.values, want, rtol=0.0,
@@ -1369,23 +1467,10 @@ def test_strided_counting_matches_the_full_band(twisted_model, mollifier_t3, K,
         assert abs(fit.a_second - want.a_second) <= 1e-14
 
 
-def test_stride_is_the_largest_alias_free_divisor(twisted_model, mollifier_t3):
-    # at the K = 40 defaults the spectrum reaches 60.7: 16 (3 * 60.7 + 2000)
-    # is below 2 pi 6000 and 20, the next divisor of 6,000, is not
-    spec = assemble_and_solve(twisted_model, 40, np.zeros((0, 2)))
-    reach = np.max(np.abs(spec.eigenvalues))
-    assert 60.0 < reach < 61.0
-    assert mollifier_t3._stride(reach) == 16
-    assert mollifier_t3._stride(spec.trusted_max + 1.0) == 16
-    # no divisor clears a reach of 1e5, and a one-node band has none
-    assert mollifier_t3._stride(1e5) == 1
-    assert Mollifier(2.5, np.array([0.4]))._stride(10.0) == 1
-
-
 def test_half_wave_trace_is_kept_once_per_branch_and_band(twisted_model, mollifier_t3,
                                                            monkeypatch):
-    # the stride depends on the spectrum alone, so two mu grids share the
-    # half-wave trace of a branch
+    # the node count depends on the branch's spectrum alone, so two mu
+    # grids share the half-wave trace of a branch
     built = []
 
     def counted(*args):
