@@ -27,7 +27,8 @@ The smoothed local counting derivative convolves the pointwise eigenfunction
 weights with a compactly band-limited mollifier (plateau transform, built
 from the standard exp(-1/(1-s^2)) bump).  Its band limit means the sample
 reads the local half-wave trace sum_lambda |phi_lambda(x)|^2 e^(-i lambda t)
-only at trapezoid nodes of the band [0, T], so the counting is an exact
+only at trapezoid nodes of the band [0, T], T below the shortest loop 2 pi
+(checked when a :class:`Mollifier` is made), so the counting is an exact
 transform of the band, by angle addition over the nodes, and no eigenvalue
 is paired with a grid point.  Every band sum, the mollifier's own
 evaluation included, takes its nodes from one rule
@@ -574,10 +575,19 @@ class Mollifier:
     [0, T], T the support (:meth:`_sum`), with n from the one node rule of
     :meth:`_nodes` at the largest |nu| the sum reaches, so every sum is the
     plateau's transform up to roundoff.  A call at a nu that is not finite
-    or past the rule's table raises :class:`QuadratureFailure`.
+    or past the rule's table raises :class:`QuadratureFailure`.  T must lie
+    below 2 pi, the shortest closed trajectory on the unit-speed torus
+    (:class:`SupportTooLarge`), and be positive (``ValueError``, NaN too).
     """
 
     support: float
+
+    def __post_init__(self):
+        if not self.support > 0.0:  # NaN too
+            raise ValueError("support must be positive")
+        if self.support >= 2.0 * math.pi:
+            raise SupportTooLarge(f"support {self.support} not below the loop "
+                                  f"bound {2 * math.pi:.6f}")
 
     def _nodes(self, reach: float) -> int:
         """n of the nodes k T / n, k = 0, ..., n, of a band sum reaching
@@ -629,20 +639,7 @@ class Mollifier:
         return self._sum(nu.ravel(), 1.0, self._nodes(reach)).reshape(nu.shape)
 
 
-def build_mollifier(support: float) -> Mollifier:
-    """The mollifier of a given band support; its band sums make their own
-    nodes (:meth:`Mollifier._nodes`).
-
-    Raises :class:`SupportTooLarge` when the support is not below 2 pi (the
-    shortest closed trajectory on the unit-speed torus).
-    """
-    if not support > 0.0:  # NaN too
-        raise ValueError("support must be positive")
-    if support >= 2.0 * math.pi:
-        raise SupportTooLarge(
-            f"support {support} not below the loop bound {2 * math.pi:.6f}"
-        )
-    return Mollifier(support)
+build_mollifier = Mollifier
 
 
 # ---------------------------------------------------------------------------
@@ -714,8 +711,9 @@ def local_counting_mollified(
     Raises :class:`WindowViolation` when the grid is empty, holds NaN or
     leaves the trusted window, or when the branch has no eigenvalue in that
     window (a shift past the truncation), and :class:`QuadratureFailure`
-    when a band phase, a node times an eigenvalue, is not finite, or, after
-    that, when R is past the band table (:meth:`Mollifier._nodes`).
+    when an eigenvalue or the point's weight is not finite, when a band
+    phase, a node times an eigenvalue, is not finite, or, after that, when
+    R is past the band table (:meth:`Mollifier._nodes`).
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     if mu_grid.size == 0:
@@ -726,7 +724,10 @@ def local_counting_mollified(
             f"mu grid [{lo:.2f}, {hi:.2f}] outside "
             f"trusted window [0, {spectrum.trusted_max:.2f}]"
         )
-    lam = spectrum.eigenvalues
+    lam, w = spectrum.eigenvalues, spectrum.weights[:, i]
+    for name, arr in (("eigenvalues", lam), (f"weights at point {i}", w)):
+        if not np.all(np.isfinite(arr)):
+            raise QuadratureFailure(f"spectrum {name} not finite")
     if branch == "plus":
         sel = lam > 0
         centers = lam[sel]
@@ -830,8 +831,9 @@ def fit_weyl(
     low-spectrum contamination.  Returns coefficients with their
     least-squares standard errors and the RMS residual.  Raises the
     :func:`check_fit_window` errors (the shape's decay is judged in the
-    window's upper 60%), and ``ValueError`` when the mollifier's support is
-    not the one the samples were smoothed with (its bottom columns would
+    window's upper 60%), :class:`QuadratureFailure` when a sample in the
+    window is not finite, and ``ValueError`` when the mollifier's support
+    is not the one the samples were smoothed with (its bottom columns would
     bias the fit).
     """
     if mollifier is not None and mollifier.support != samples.mollifier_support:
@@ -843,6 +845,8 @@ def fit_weyl(
         raise WindowViolation("fit window exceeds the trusted spectral range")
     mu = samples.mu[mask]
     y = samples.values[mask]
+    if not np.all(np.isfinite(y)):
+        raise QuadratureFailure("counting samples in the fit window not finite")
     cols = [mu ** (n - 1), mu ** (n - 2), mu ** (n - 3)]
     names = ["leading", "second", "next-order"]
     if mollifier is not None:

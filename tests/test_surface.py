@@ -67,6 +67,28 @@ def test_benchmark_span_wrappers_install():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_benchmark_span_wrappers_stay_on_the_call_path(tmp_path):
+    # install() alone calls through no wrapper: a name the CLI stopped
+    # looking up at call time would leave its span empty without a word
+    proc = run_with_benchmark_path(
+        "import json, inproc, weylsys.cli as cli\n"
+        "rec = inproc.Recorder()\n"
+        "inproc.install(rec)\n"
+        f"out = {str(tmp_path)!r}\n"
+        "codes = [cli.main(['compute', '--model', 'twisted', '--pipeline', 'spectral',\n"
+        "                   '-k', '16', '--out', out + '/compute']),\n"
+        "         cli.main(['verify', '--model', 'twisted', '--out', out + '/verify'])]\n"
+        "print(json.dumps([codes, sorted({span.name for span in rec.spans})]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, spans = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    want = {"torus.build_model", "torus.mollifier", "torus.assemble", "torus.counting",
+            "torus.fit", "cli.write_csv", "resolvent.b_profile", "resolvent.recover",
+            "coefficients.panel", "kernels.moment"}
+    assert want - set(spans) == set()
+
+
 def test_benchmark_references_match_the_direct_route():
     # the benchmark checks every run against these values, computed through
     # the public API with the positional call second_weyl(lead, sub, x, quad, step)

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import weylsys
 from weylsys import (
     assemble_and_solve,
     build_model,
@@ -1072,11 +1073,18 @@ def test_galerkin_matches_symbol_pipeline_for_twisted(twisted_model):
 # ---------------------------------------------------------------------------
 
 def test_mollifier_support_bound():
-    with pytest.raises(SupportTooLarge):
-        build_mollifier(7.0)
-    for support in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="positive"):
-            build_mollifier(support)
+    # the exported class is the one checked constructor: past the loop
+    # bound its band would read the closed trajectories of the trace, and a
+    # support that is not positive has no band at all
+    assert weylsys.build_mollifier is weylsys.Mollifier is build_mollifier is Mollifier
+    for support in (7.0, TWO_PI, math.inf):
+        with pytest.raises(SupportTooLarge) as info:
+            Mollifier(support)
+        assert str(info.value) == f"support {support} not below the loop bound 6.283185"
+    for support in (0.0, -1.0, -3.0, math.nan):
+        with pytest.raises(ValueError) as info:
+            Mollifier(support)
+        assert str(info.value) == "support must be positive"
 
 
 def test_mollifier_contract(mollifier_t3):
@@ -1316,6 +1324,27 @@ def test_counting_rejects_nan_and_empty_grids(shifted_dirac_model, mollifier_t3)
             local_counting_mollified(spec, mollifier_t3, 0, mu)
 
 
+@pytest.mark.parametrize("table, bad", [
+    ("weights", np.nan), ("weights", np.inf), ("eigenvalues", np.nan), ("eigenvalues", -np.inf),
+])
+def test_counting_refuses_a_spectrum_that_is_not_finite(shifted_dirac_model, mollifier_t3,
+                                                        table, bad):
+    # a NaN weight made every sample NaN, and a NaN eigenvalue is neither
+    # > 0 nor < 0, so it fell out of both branches without a word
+    spec = assemble_and_solve(shifted_dirac_model, 8, [[0.0, 0.0], [0.3, 0.9]])
+    arr = getattr(spec, table).copy()
+    arr[(5, 0) if table == "weights" else 5] = bad
+    spoiled = dataclasses.replace(spec, **{table: arr})
+    name = "weights at point 0" if table == "weights" else table
+    mu = np.arange(3.0, 4.8, 0.25)
+    for branch in ("plus", "minus"):
+        with pytest.raises(QuadratureFailure, match=f"^spectrum {name} not finite$"):
+            local_counting_mollified(spoiled, mollifier_t3, 0, mu, branch)
+    if table == "weights":  # another point's weight spoils no sample here
+        assert np.array_equal(local_counting_mollified(spoiled, mollifier_t3, 1, mu).values,
+                              local_counting_mollified(spec, mollifier_t3, 1, mu).values)
+
+
 def test_local_counting_matches_global(shifted_dirac_model, mollifier_t3):
     # integral over the torus of the local count equals the global count
     spec = assemble_and_solve(shifted_dirac_model, 12, [[0.7, 0.2]])
@@ -1553,6 +1582,27 @@ def test_fit_recovers_exact_polynomial(mollifier_t3):
     assert abs(fit.a_leading - 0.2) < 1e-12
     assert abs(fit.a_second - 0.05) < 1e-12
     assert fit.residual_rms < 1e-14
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_refuses_samples_that_are_not_finite(mollifier_t3, bad):
+    from weylsys.torus import CountingSamples
+
+    # a NaN sample made every coefficient NaN, and an inf one tripped
+    # numpy's invalid-value warning inside the least-squares products
+    mu = np.arange(3.0, 12.0, 0.05)
+    values = 0.2 * mu + 0.05
+    values[0] = bad
+    samples = CountingSamples(
+        x=np.zeros(2), mu=mu, values=values, branch="plus",
+        mollifier_support=3.0, trusted_max=20.0,
+    )
+    for moll in (None, mollifier_t3):
+        with pytest.raises(QuadratureFailure,
+                           match="^counting samples in the fit window not finite$"):
+            fit_weyl(samples, 2, (3.0, 12.0), mollifier=moll)
+        # a sample outside the window is never read
+        assert abs(fit_weyl(samples, 2, (3.5, 12.0), mollifier=moll).a_leading - 0.2) < 1e-9
 
 
 def test_fit_window_must_span_factor_two(mollifier_t3):
