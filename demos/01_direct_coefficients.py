@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from weylsys import build_model, second_weyl, weyl_coefficients
+from weylsys import build_model, weyl_coefficients
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,10 +38,10 @@ lead, sub = model.symbol_fields()
 print(f"{'x1':>6} {'a0+':>12} {'subprincipal':>14} {'bracket':>12} {'curvature':>12}")
 for i in range(8):
     x = np.array([TWO_PI * i / 8.0, 0.0])
-    res = second_weyl(lead, sub, x)
-    t = res.sheets[1]
+    c = weyl_coefficients(lead, sub, x)
+    t = c.breakdown[1]
     print(
-        f"{x[0]:6.3f} {res.value:12.6f} {t.term_sub:14.6f} "
+        f"{x[0]:6.3f} {c.a_second_plus:12.6f} {t.term_sub:14.6f} "
         f"{t.term_bracket:12.6f} {t.term_curvature:12.6f}"
     )
 

@@ -17,7 +17,7 @@ from weylsys import (
     build_mollifier,
     fit_weyl,
     local_counting_mollified,
-    second_weyl,
+    weyl_coefficients,
 )
 from weylsys.torus import plateau_transform
 
@@ -26,7 +26,7 @@ TWO_PI = 2.0 * math.pi
 model = build_model("twisted", {"eps": 0.1})
 lead, sub = model.symbol_fields()
 xs = [np.array([TWO_PI * i / 8.0, 0.0]) for i in range(8)]
-avg_direct = float(np.mean([second_weyl(lead, sub, x).value for x in xs]))
+avg_direct = float(np.mean([weyl_coefficients(lead, sub, x).a_second_plus for x in xs]))
 print(f"direct x-averaged second coefficient: {avg_direct:+.8f}")
 print()
 

@@ -188,17 +188,13 @@ def kernel_moment_numeric(n: int, z: complex, power: int) -> complex:
         )
     if err > 1e-6 * max(1.0, abs(val)):
         raise QuadratureFailure(f"kernel moment error estimate {err:.2e} too large")
-    # Tail: sum_k a_k int_R^inf mu^(power-n-k) dmu; exponent power-n-k <= -2
-    # for k >= 2 (the k = 0, 1 coefficients vanish identically).  All
+    # Tail: sum_k a_k int_R^inf mu^(power-n-k) dmu, from k = 2: a_0 ~ Im z^0
+    # and a_1 ~ 2 - 2^1 vanish, and power - n - k <= -2 from there.  All
     # _TAIL_TERMS terms: a_k ~ Im z^k vanishes at k = 6 for every angle that
     # is a multiple of pi/6, while later terms do not.
     tail = 0.0 + 0.0j
-    for k, a_k in enumerate(_tail_coefficients(z, n, _TAIL_TERMS)):
+    for k, a_k in enumerate(_tail_coefficients(z, n, _TAIL_TERMS)[2:], start=2):
         expo = power - n - k
-        if expo >= -1:
-            if a_k != 0:
-                raise QuadratureFailure("non-integrable tail term; bad power")
-            continue
         tail += a_k * (-(radius ** (expo + 1)) / (expo + 1))
     return 1j * val + tail
 

@@ -90,6 +90,14 @@ class PhasePoint:
         return self.x.size
 
 
+def _shaped(a, shape: tuple, what: str) -> np.ndarray:
+    """``a`` as a complex array, :class:`DimensionMismatch` unless of ``shape``."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape != shape:
+        raise DimensionMismatch(f"{what} returned shape {a.shape}, expected {shape}")
+    return a
+
+
 @dataclass(frozen=True)
 class SymbolField:
     """Stacked evaluator for an m x m Hermitian matrix field on phase space.
@@ -127,12 +135,7 @@ class SymbolField:
         :class:`DimensionMismatch` on a wrong shape, ``ValueError`` on a
         non-finite entry.
         """
-        m = np.asarray(self.evaluator(x, xi), dtype=complex)
-        if m.shape != (len(xi), self.dim, self.dim):
-            raise DimensionMismatch(
-                f"evaluator returned shape {m.shape}, "
-                f"expected {(len(xi), self.dim, self.dim)}"
-            )
+        m = _shaped(self.evaluator(x, xi), (len(xi), self.dim, self.dim), "evaluator")
         if not np.all(np.isfinite(m)):
             raise ValueError("non-finite symbol value")
         return m
@@ -248,14 +251,17 @@ def symbol_jets(
     ``step * |xi|`` in xi, each stencil point one stacked call for all N
     covectors.  Derivative matrices of square Hermitian fields are
     re-symmetrised, which removes O(roundoff) asymmetry.  ``ValueError``
-    unless 0 < step < inf, or when a returned array has a non-finite entry.
+    unless 0 < step < inf, or when a returned array has a non-finite entry;
+    :class:`DimensionMismatch` when a jet's array has another shape.
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     if field.jet is not None:
-        value, dx, dxi = (np.asarray(a, dtype=complex) for a in field.jet(x, xi))
+        value, dx, dxi = field.jet(x, xi)
+        value = _shaped(value, (len(xi), field.dim, field.dim), "jet")
+        dx, dxi = (_shaped(d, (len(xi), x.size) + value.shape[1:], "jet") for d in (dx, dxi))
     else:
         value = field.values(x, xi)
         n = x.size

@@ -30,15 +30,16 @@ reads the local half-wave trace sum_lambda |phi_lambda(x)|^2 e^(-i lambda t)
 only at trapezoid nodes of the band [0, T], T below the shortest loop 2 pi
 (checked when a :class:`Mollifier` is made), so the counting is an exact
 transform of the band, by angle addition over the nodes, and no eigenvalue
-is paired with a grid point.  Every band sum, the mollifier's own
-evaluation included, takes its nodes from one rule
-(:meth:`Mollifier._nodes`): as many as put every alias of the frequencies
-it reaches where the plateau's transform is below roundoff, 342 to 380 at
-support 3 up to K = 72.  Every transient table of the run (a Galerkin
-stack, a block of eigenvalues, of nu rows or of step values) takes as many
-rows as fit one 256 KiB budget, ``_TABLE_BYTES``, and the band sums'
-products run on one BLAS thread (:func:`_one_blas_thread`), so no result
-bit depends on the thread count but a lone block's.
+is paired with a grid point; each call builds the trace at its own point,
+and nothing is kept on the spectrum.  Every band sum, the mollifier's own
+evaluation included, takes its nodes from one rule (:meth:`Mollifier._nodes`):
+as many as put every alias of the frequencies it reaches where the
+plateau's transform is below roundoff, 342 to 380 at support 3 up to K = 72.
+Every transient table of the run (a Galerkin stack, a block of eigenvalues,
+of nu rows or of step values) takes as many rows as fit one 256 KiB budget,
+``_TABLE_BYTES``, and the band sums' products run on one BLAS thread
+(:func:`_one_blas_thread`), so no result bit depends on the thread count
+but a lone block's.
 A least-squares fit over a trusted window extracts the two leading growth
 coefficients, with a next-order column and, when the mollifier's shape
 decays across the window, two spectral-bottom columns.
@@ -51,7 +52,7 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -113,12 +114,11 @@ class SpectrumResult:
     |phi_k(x_i)|^2 of eigenfunction k at ``x_points[i]``, each integrating
     to one over the torus.  No eigenvectors are kept.  ``trusted_max`` =
     0.6 K bounds the truncation-unpolluted window.  The three arrays are
-    read-only views (a caller's own stay writable), so the half-wave trace
-    kept on the spectrum cannot go stale.
+    read-only views (a caller's own stay writable); nothing derived from
+    them is kept, so a record reads them as they are at each call.
     """
 
     K: int
-    dim: int
     eigenvalues: np.ndarray
     x_points: np.ndarray
     weights: np.ndarray
@@ -129,12 +129,6 @@ class SpectrumResult:
             view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
-
-    @cached_property
-    def _characteristic(self) -> dict:
-        """Band characteristic functions of the weights at every x point,
-        kept by :func:`local_counting_mollified` per (branch, n, support)."""
-        return {}
 
     def trusted(self) -> np.ndarray:
         lam = self.eigenvalues
@@ -466,7 +460,6 @@ def assemble_and_solve(
     order = np.argsort(merged, kind="stable")
     return SpectrumResult(
         K=K,
-        dim=m,
         eigenvalues=merged[order],
         x_points=x_points,
         weights=weights[order],
@@ -650,10 +643,8 @@ build_mollifier = Mollifier
 class CountingSamples:
     """Smoothed local counting derivative on a grid ``mu`` (a read-only copy)."""
 
-    x: np.ndarray
     mu: np.ndarray
     values: np.ndarray
-    branch: str
     mollifier_support: float
     trusted_max: float
 
@@ -665,27 +656,25 @@ class CountingSamples:
 
 @_one_blas_thread()
 def _band_characteristic(centers, weights, bases, offsets) -> np.ndarray:
-    """Phi(t) = sum_j weights[j, p] e^(-i centers_j t) for every column p, at
-    the nodes t = base + offset of :func:`_angle_split`, shape (n_p, n_base,
-    n_off).
+    """Phi(t) = sum_j weights[j] e^(-i centers_j t) at the nodes t = base +
+    offset of :func:`_angle_split`, shape (n_base, n_off).
 
-    e^(-i c (a + s)) = e^(-i c a) e^(-i c s), so each column is one
-    (n_base x n_eig)(n_eig x n_off) product; the eigenvalue tables are built
-    once for all columns, in blocks of the eigenvalues whose two tables and
-    weighted copy ``base * w`` fit :func:`_table_rows`.  The products run on
-    one BLAS thread (:func:`_one_blas_thread`): OpenBLAS threads a complex
-    product from about 65,000 multiply-adds, below these tables' size, and
-    waking a sleeping worker costs more than the product, while a sum split
-    across threads would round with the thread count.
+    e^(-i c (a + s)) = e^(-i c a) e^(-i c s), so Phi is one
+    (n_base x n_eig)(n_eig x n_off) product, summed over blocks of the
+    eigenvalues whose two tables and weighted copy ``base * w`` fit
+    :func:`_table_rows`.  The products run on one BLAS thread
+    (:func:`_one_blas_thread`): OpenBLAS threads a complex product from
+    about 65,000 multiply-adds, below these tables' size, and waking a
+    sleeping worker costs more than the product, while a sum split across
+    threads would round with the thread count.
     """
-    out = np.zeros((weights.shape[1], bases.size, offsets.size), dtype=complex)
+    out = np.zeros((bases.size, offsets.size), dtype=complex)
     rows = _table_rows(16 * (2 * bases.size + offsets.size))
     for j in range(0, centers.size, rows):
         block = centers[j:j + rows]
         base = np.exp(-1j * np.outer(bases, block))
         off = np.exp(-1j * np.outer(block, offsets))
-        for p, w in enumerate(weights[j:j + rows].T):
-            out[p] += (base * w) @ off
+        out += (base * weights[j:j + rows]) @ off
     return out
 
 
@@ -698,16 +687,16 @@ def local_counting_mollified(
 ) -> CountingSamples:
     """Convolve the weighted spectral measure with the mollifier at one point.
 
-    Reads the weights at ``spectrum.x_points[i]`` and records that point.
+    Reads the weights at ``spectrum.x_points[i]``.
     plus branch: sum over positive eigenvalues of rho(mu - lambda) w(x);
     minus branch mirrors through zero.  rho is a band sum, so the sample is
     exactly the mollifier's :meth:`Mollifier._sum` with phi the local
     half-wave trace Phi(t) = sum_lambda w(x) e^(-i lambda t) at the nodes
     of :meth:`Mollifier._nodes` at the reach R = max(largest center of the
     branch, trusted_max), by angle addition (a far eigenvalue of the other
-    branch adds no node).  Phi at every x point is built once per spectrum,
-    branch and node count, and kept on the spectrum.  Every eigenvalue
-    counts, however far from the grid.
+    branch adds no node).  Each call builds Phi at its own point, and
+    nothing is kept on the spectrum.  Every eigenvalue counts, however far
+    from the grid.
     Raises :class:`WindowViolation` when the grid is empty, holds NaN or
     leaves the trusted window, or when the branch has no eigenvalue in that
     window (a shift past the truncation), and :class:`QuadratureFailure`
@@ -745,17 +734,10 @@ def local_counting_mollified(
             f"[0, {spectrum.trusted_max:.2f}]"
         )
     n = mollifier._nodes(reach)
-    key = (branch, n, mollifier.support)  # fixes the nodes
-    if key not in spectrum._characteristic:
-        bases, offsets = _angle_split(n, mollifier.support / n)
-        spectrum._characteristic[key] = _band_characteristic(
-            centers, spectrum.weights[sel], bases, offsets
-        )
+    phi = _band_characteristic(centers, w[sel], *_angle_split(n, mollifier.support / n))
     return CountingSamples(
-        x=spectrum.x_points[i],
         mu=mu_grid,
-        values=mollifier._sum(mu_grid, spectrum._characteristic[key][i], n),
-        branch=branch,
+        values=mollifier._sum(mu_grid, phi, n),
         mollifier_support=mollifier.support,
         trusted_max=spectrum.trusted_max,
     )
@@ -790,7 +772,6 @@ class WeylFit:
     residual_rms: float
     se_leading: float
     se_second: float
-    window: tuple
     n_samples: int
     columns: tuple
 
@@ -865,7 +846,6 @@ def fit_weyl(
         residual_rms=float(np.sqrt(np.mean(res ** 2))),
         se_leading=float(se[0]),
         se_second=float(se[1]),
-        window=(mu_lo, mu_hi),
         n_samples=int(mu.size),
         columns=tuple(names),
     )

@@ -242,6 +242,25 @@ def test_every_attribute_is_read():
     assert unread == []
 
 
+def test_every_record_field_is_read():
+    # a field of a src/weylsys dataclass must be read as an attribute
+    # somewhere in src, demos/, perfbench/ or tests/ (matched by name): a
+    # field nothing reads is state a record carries for no reader
+    loads = set()
+    for folder in ("src", "demos", "perfbench", "tests"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            loads.update(n.attr for n in ast.walk(ast.parse(path.read_text()))
+                         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    unread = []
+    for path in sorted((ROOT / "src" / "weylsys").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in cls.decorator_list):
+                unread += [f"{path.name}: {cls.name}.{n.target.id}" for n in cls.body
+                           if isinstance(n, ast.AnnAssign) and n.target.id not in loads]
+    assert unread == []
+
+
 def test_every_parameter_is_read():
     # a parameter no body reads is a setting that silently does nothing;
     # a method's self is no setting (a cached_property may ignore it)

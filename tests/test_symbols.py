@@ -346,6 +346,23 @@ def test_dimension_mismatch_raises(rng):
         generalized_bracket(a.jet(x, xi), np.eye(2), b.jet(x, xi))
 
 
+@pytest.mark.parametrize("malformed", [
+    lambda v, dx, dxi: (v, dx[:, :1], dxi),  # one of the two x-directions
+    lambda v, dx, dxi: (v[:1], dx, dxi),  # one node of the panel's 256
+    lambda v, dx, dxi: (v, dx[..., :1, :1], dxi[..., :1, :1]),  # 1 x 1 blocks
+], ids=["dx-one-direction", "value-one-node", "one-by-one-derivatives"])
+def test_malformed_jet_is_a_dimension_mismatch(twisted_model, malformed):
+    # the first two gave a wrong a0+ at x = (0.3, 0) with no error, the last
+    # numpy's untyped ValueError
+    from weylsys import weyl_coefficients
+
+    lead, sub = twisted_model.symbol_fields()
+    bad = SymbolField(lead.dim, lead.degree, lead.evaluator,
+                      lambda x, xi: malformed(*lead.jet(x, xi)))
+    with pytest.raises(DimensionMismatch, match="^jet returned shape "):
+        weyl_coefficients(bad, sub, np.array([0.3, 0.0]))
+
+
 # ---------------------------------------------------------------------------
 # eigen_jet invariants
 # ---------------------------------------------------------------------------

@@ -1047,7 +1047,7 @@ def test_branch_without_a_trusted_eigenvalue_is_a_window_violation(branch, molli
 
 def test_spectrum_keeps_no_eigenvectors():
     names = [f.name for f in dataclasses.fields(SpectrumResult)]
-    assert names == ["K", "dim", "eigenvalues", "x_points", "weights", "trusted_max"]
+    assert names == ["K", "eigenvalues", "x_points", "weights", "trusted_max"]
 
 
 def test_galerkin_matches_symbol_pipeline_for_twisted(twisted_model):
@@ -1297,9 +1297,8 @@ def test_counting_window_enforced(shifted_dirac_model, mollifier_t3):
 
 
 def test_counting_reads_a_spectrum_that_cannot_change(shifted_dirac_model, mollifier_t3):
-    # Phi is kept on the spectrum from the first counting call on: an edit
-    # of the spectrum's arrays past it would leave later calls reading the
-    # old spectrum, so every edit raises
+    # a built record is fixed when made: every edit through its arrays
+    # raises, and a record with other arrays counts those
     spec = assemble_and_solve(shifted_dirac_model, 16, [[0.3, 0.9]])
     mu = np.arange(2.0, 9.0, 0.5)
     first = local_counting_mollified(spec, mollifier_t3, 0, mu).values
@@ -1311,9 +1310,27 @@ def test_counting_reads_a_spectrum_that_cannot_change(shifted_dirac_model, molli
         local_counting_mollified(doubled, mollifier_t3, 0, mu).values, 2 * first)
     # a caller's own arrays stay writable
     own = np.array([-1.0, 2.0]), np.zeros((1, 2)), np.ones((2, 1))
-    SpectrumResult(K=8, dim=2, eigenvalues=own[0], x_points=own[1], weights=own[2],
+    SpectrumResult(K=8, eigenvalues=own[0], x_points=own[1], weights=own[2],
                    trusted_max=4.8)
     assert all(arr.flags.writeable for arr in own)
+
+
+def test_counting_reads_a_callers_arrays_as_they_are_now(shifted_dirac_model, mollifier_t3):
+    # nothing is kept on the spectrum: a record over a caller's own arrays,
+    # which the caller edits after a first count, counts what a fresh record
+    # of those arrays counts
+    built = assemble_and_solve(shifted_dirac_model, 16, [[0.3, 0.9]])
+    weights = np.array(built.weights)
+    spec = SpectrumResult(K=16, eigenvalues=np.array(built.eigenvalues),
+                          x_points=np.array(built.x_points), weights=weights,
+                          trusted_max=built.trusted_max)
+    mu = np.arange(2.0, 9.0, 0.5)
+    first = local_counting_mollified(spec, mollifier_t3, 0, mu).values
+    weights *= 2
+    again = local_counting_mollified(spec, mollifier_t3, 0, mu).values
+    fresh = local_counting_mollified(dataclasses.replace(spec), mollifier_t3, 0, mu).values
+    np.testing.assert_array_equal(again, fresh)
+    np.testing.assert_array_equal(again, 2 * first)
 
 
 def test_counting_rejects_nan_and_empty_grids(shifted_dirac_model, mollifier_t3):
@@ -1451,7 +1468,7 @@ def test_reach_past_the_band_table_is_a_quadrature_failure(mollifier_t3):
     for bad in (np.inf, -np.inf, np.nan, [1.0, np.nan]):
         with pytest.raises(QuadratureFailure, match="^band reach (inf|nan) "):
             mollifier_t3(bad)
-    spec = SpectrumResult(K=100, dim=2, eigenvalues=np.array([-1.0, 3.0, 4e4]),
+    spec = SpectrumResult(K=100, eigenvalues=np.array([-1.0, 3.0, 4e4]),
                           x_points=np.zeros((1, 2)), weights=np.ones((3, 1)),
                           trusted_max=60.0)
     with pytest.raises(QuadratureFailure, match=r"^band reach 4\.000e\+04 needs more"):
@@ -1475,10 +1492,8 @@ SEED_POINTS = [[0.844235, 5.324583], [4.798937, 1.602646]]
 def test_strided_counting_matches_the_full_band(twisted_model, mollifier_t3, K,
                                                 monkeypatch):
     # the counting and the fit on the rule's 342 to 361 nodes against the
-    # same sums on the rule's 5,112 nodes of reach 1e4, on a fresh spectrum
-    # (the half-wave trace is kept per spectrum)
+    # same sums on the rule's 5,112 nodes of reach 1e4
     spec = assemble_and_solve(twisted_model, K, SEED_POINTS)
-    full = dataclasses.replace(spec)
     mu = np.arange(3.0, 0.6 * K + 0.025, 0.05)
     strided = {(branch, i): local_counting_mollified(spec, mollifier_t3, i, mu, branch)
                for branch in ("plus", "minus") for i in (0, 1)}
@@ -1486,7 +1501,7 @@ def test_strided_counting_matches_the_full_band(twisted_model, mollifier_t3, K,
     nodes = Mollifier._nodes
     monkeypatch.setattr(Mollifier, "_nodes", lambda self, reach: nodes(self, 1e4))
     for (branch, i), samples in strided.items():
-        want = local_counting_mollified(full, mollifier_t3, i, mu, branch).values
+        want = local_counting_mollified(spec, mollifier_t3, i, mu, branch).values
         np.testing.assert_allclose(samples.values, want, rtol=0.0,
                                    atol=1e-14 * np.max(np.abs(want)))
     for i, fit in enumerate(fits):
@@ -1494,27 +1509,6 @@ def test_strided_counting_matches_the_full_band(twisted_model, mollifier_t3, K,
         assert fit.columns == want.columns
         assert abs(fit.a_leading - want.a_leading) <= 1e-14
         assert abs(fit.a_second - want.a_second) <= 1e-14
-
-
-def test_half_wave_trace_is_kept_once_per_branch_and_band(twisted_model, mollifier_t3,
-                                                           monkeypatch):
-    # the node count depends on the branch's spectrum alone, so two mu
-    # grids share the half-wave trace of a branch
-    built = []
-
-    def counted(*args):
-        built.append(args[0].size)
-        return band_characteristic(*args)
-
-    band_characteristic = torus._band_characteristic
-    monkeypatch.setattr(torus, "_band_characteristic", counted)
-    spec = assemble_and_solve(twisted_model, 16, SEED_POINTS)
-    for mu in (np.arange(3.0, 9.6, 0.05), np.linspace(0.5, 4.0, 9)):
-        for i in (0, 1):
-            local_counting_mollified(spec, mollifier_t3, i, mu)
-    assert len(built) == 1 and len(spec._characteristic) == 1
-    local_counting_mollified(spec, mollifier_t3, 0, np.linspace(0.5, 4.0, 9), "minus")
-    assert len(built) == 2 and len(spec._characteristic) == 2
 
 
 def test_counting_keeps_eigenvalues_beyond_the_core():
@@ -1525,7 +1519,7 @@ def test_counting_keeps_eigenvalues_beyond_the_core():
     gen = np.random.default_rng(7)
     lam = np.sort(np.r_[-gen.uniform(0.5, 150.0, 100), gen.uniform(0.5, 150.0, 200)])
     weights = gen.uniform(0.0, 0.05, (lam.size, 2))
-    spec = SpectrumResult(K=100, dim=2, eigenvalues=lam, x_points=np.zeros((2, 2)),
+    spec = SpectrumResult(K=100, eigenvalues=lam, x_points=np.zeros((2, 2)),
                           weights=weights, trusted_max=60.0)
     mu = np.linspace(2.0, 60.0, 20)
     samples = local_counting_mollified(spec, moll, 1, mu)
@@ -1575,7 +1569,7 @@ def test_fit_recovers_exact_polynomial(mollifier_t3):
     mu = np.arange(3.0, 12.0, 0.05)
     values = 0.2 * mu + 0.05
     samples = CountingSamples(
-        x=np.zeros(2), mu=mu, values=values, branch="plus",
+        mu=mu, values=values,
         mollifier_support=3.0, trusted_max=20.0,
     )
     fit = fit_weyl(samples, 2, (3.0, 12.0))
@@ -1594,7 +1588,7 @@ def test_fit_refuses_samples_that_are_not_finite(mollifier_t3, bad):
     values = 0.2 * mu + 0.05
     values[0] = bad
     samples = CountingSamples(
-        x=np.zeros(2), mu=mu, values=values, branch="plus",
+        mu=mu, values=values,
         mollifier_support=3.0, trusted_max=20.0,
     )
     for moll in (None, mollifier_t3):
@@ -1610,7 +1604,7 @@ def test_fit_window_must_span_factor_two(mollifier_t3):
 
     mu = np.arange(8.0, 12.0, 0.05)
     samples = CountingSamples(
-        x=np.zeros(2), mu=mu, values=np.ones_like(mu), branch="plus",
+        mu=mu, values=np.ones_like(mu),
         mollifier_support=3.0, trusted_max=20.0,
     )
     with pytest.raises(IllConditionedFit):
@@ -1624,7 +1618,7 @@ def test_fit_needs_samples_in_the_upper_window(mollifier_t3):
     # where the bottom-column rule judges the mollifier's decay
     mu = np.arange(3.0, 4.0, 0.05)
     samples = CountingSamples(
-        x=np.zeros(2), mu=mu, values=0.2 * mu, branch="plus",
+        mu=mu, values=0.2 * mu,
         mollifier_support=3.0, trusted_max=20.0,
     )
     for moll in (None, mollifier_t3):
@@ -1674,7 +1668,7 @@ def test_fit_window_respects_smearing_scale(mollifier_t3):
 
     mu = np.arange(0.5, 12.0, 0.05)
     samples = CountingSamples(
-        x=np.zeros(2), mu=mu, values=np.ones_like(mu), branch="plus",
+        mu=mu, values=np.ones_like(mu),
         mollifier_support=1.0, trusted_max=20.0,
     )
     with pytest.raises(WindowViolation):
@@ -1704,7 +1698,7 @@ def test_fit_errors_match_normal_equations_when_well_conditioned(rng):
     mu = np.arange(3.0, 14.0, 0.05)
     values = 0.3 * mu + 0.1 - 0.4 / mu + rng.normal(0.0, 1e-3, mu.size)
     samples = CountingSamples(
-        x=np.zeros(2), mu=mu, values=values, branch="plus",
+        mu=mu, values=values,
         mollifier_support=3.0, trusted_max=20.0,
     )
     fit = fit_weyl(samples, 2, (3.0, 14.0))
