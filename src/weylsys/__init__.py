@@ -41,8 +41,8 @@ _HOMES = {name: module for module, names in {
                   "recover_second_weyl", "resolvent_symbol"),
     "symbols": ("EigenJet", "MatrixJet", "PhasePoint", "SymbolField", "eigen_jet",
                 "generalized_bracket"),
-    "torus": ("CountingSamples", "Mollifier", "SpectrumResult", "assemble_and_solve",
-              "build_mollifier", "fit_weyl", "local_counting_mollified"),
+    "torus": ("CountingSamples", "SpectrumResult", "assemble_and_solve", "build_mollifier",
+              "fit_weyl", "local_counting_mollified"),
 }.items() for name in names}
 __all__ = sorted(_HOMES)
 

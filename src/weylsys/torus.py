@@ -10,12 +10,12 @@ graph splits into connected components (constant-coefficient models
 decouple mode by mode), found by vectorised min-label propagation.
 Components of equal size are filled in stacks of at most 256 KiB of blocks
 (a larger block alone), so thousands of tiny blocks share one vectorised
-scatter and one dense Hermitian eigensolve, whose eigenvectors become
-weights at once.  A block of 128 rows or more is instead reduced to real
-tridiagonal form by LAPACK, block by block, and only the n_x m probe
-vectors e^(i k.x) (x) e_c are rotated into that basis: the weights
-|phi(x)|^2 are the spectral measures of the probes, so no eigenvector
-matrix is formed.  When numpy's OpenBLAS exports no ILP64 LAPACK, every
+scatter and one dense Hermitian eigensolve.  A block of 128 rows or more
+is instead reduced to real tridiagonal form by LAPACK, block by block, and
+only the probes are rotated into that basis.  Both read one probe matrix
+per stack, rows e^(i k.x) (x) e_c, and one reduction turns the amplitudes
+into the weights |phi(x)|^2 = (2 pi)^-2 sum_c |amplitude|^2, the probes'
+spectral measures.  When numpy's OpenBLAS exports no ILP64 LAPACK, every
 stack takes the dense eigensolve; both routes give the same eigenvalues.
 The stacks are solved side by side by the calling thread and helper
 threads, one BLAS thread each, as a threaded eigensolve of a block of a few
@@ -91,19 +91,19 @@ def _component_labels(modes: np.ndarray, couplings: set, K: int) -> np.ndarray:
         labels = new
 
 
-def _pointwise_weights(modes: np.ndarray, vectors: np.ndarray, x_points: np.ndarray):
-    """|v_k(x)|^2 of a stack of blocks' unit eigenvectors, modes (S, n_modes,
-    2) and vectors (S, rows, rows) to (S, rows, n_x), one x at a time; each
-    weight integrates to one over the torus."""
-    # vectors rows are (mode, component) pairs, mode-major
-    resh = vectors.reshape(modes.shape[:2] + (-1, vectors.shape[-1]))
-    norm = (2.0 * math.pi) ** (-x_points.shape[1])
-    out = np.empty(vectors.shape[:2] + x_points.shape[:1])
-    for p in range(x_points.shape[0]):
-        phases = np.exp(1j * modes @ x_points[p:p + 1].T)  # (S, n_modes, 1)
-        amp = np.einsum("sgmk,sgp->skmp", resh, phases)
-        out[..., p:p + 1] = norm * np.sum(np.abs(amp) ** 2, axis=2)
-    return out
+def _probe_matrix(modes: np.ndarray, m: int, x_points: np.ndarray) -> np.ndarray:
+    """Probe matrices (S, n_x m, rows) of a stack's blocks of modes (S, n_modes,
+    2): row p m + c is e^(i k.x_p) (x) e_c over the (mode, component) rows."""
+    phases = np.exp(1j * x_points @ modes.swapaxes(1, 2))[:, :, None, :, None]
+    return (phases * np.eye(m)[:, None, :]).reshape(modes.shape[0], -1, modes.shape[1] * m)
+
+
+def _probe_weights(re: np.ndarray, im: np.ndarray, m: int) -> np.ndarray:
+    """Weights (..., rows, n_x) of probe amplitudes on unit eigenvectors, real
+    and imaginary parts (..., n_x m, rows): (2 pi)^-2 sum_c (Re^2 + Im^2)
+    over each point's m probes, each integrating to one over the torus."""
+    amp2 = (re ** 2 + im ** 2).reshape(re.shape[:-2] + (-1, m, re.shape[-1]))
+    return (2.0 * math.pi) ** -2 * amp2.sum(axis=-2).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -226,32 +226,28 @@ def _workspace(rows: int, probes: int) -> tuple:
     return i64(trd), i64(mtr), i64(int(rbuf[0])), i64(int(ibuf[0]))
 
 
-def _probe_spectrum(block: np.ndarray, modes: np.ndarray, x_points: np.ndarray):
-    """Eigenvalues and :func:`_pointwise_weights` of one Hermitian block,
-    without forming its eigenvectors (the Golub-Welsch observation).
+def _probe_spectrum(block: np.ndarray, probes: np.ndarray):
+    """Eigenvalues of one Hermitian block and its eigenvectors' amplitudes on
+    the rows of ``probes``, real and imaginary parts (n_probes, rows), with
+    no eigenvector matrix formed (the Golub-Welsch observation).
 
     LAPACK reads the C-order block as its conjugate, A^T = Q T Q^H with T
     real tridiagonal (``zhetrd``, in place), so the block's eigenvectors are
-    conj(Q) z for the eigenvectors z of T (``dstedc``).  The weight of one at
-    x is (2 pi)^-2 sum_c |p_c^T conj(Q) z|^2 = (2 pi)^-2 sum_c |z^T Q^H p_c|^2
-    for the probes p_c = e^(i k.x) (x) e_c, so ``zunmtr`` applies Q^H to the
-    n_x m probes only.  The eigenvalues are ``np.linalg.eigh``'s bits: its
-    ``zheevd`` runs the same two routines on the same matrix.  The block is
-    overwritten, last as ``dstedc``'s workspace.  Raises ``LinAlgError`` on
-    a nonzero LAPACK ``info``.
+    conj(Q) z for the eigenvectors z of T (``dstedc``), and the amplitude of
+    one on a probe p is p^T conj(Q) z = z^T Q^H p: ``zunmtr`` rotates the
+    probes, Fortran's columns, in place.  The eigenvalues are
+    ``np.linalg.eigh``'s bits: its ``zheevd`` runs the same two routines on
+    the same matrix.  The block is overwritten, last as ``dstedc``'s
+    workspace.  Raises ``LinAlgError`` on a nonzero LAPACK ``info``.
     """
     import ctypes
 
     zhetrd, zunmtr, dstedc = _lapack()
-    rows, n_x, m = block.shape[0], x_points.shape[0], block.shape[0] // modes.shape[0]
-    if block.shape != (rows, rows) or block.dtype != complex or not block.flags.c_contiguous:
-        raise ValueError("block must be a square C-contiguous complex array")
-    lwork = _workspace(rows, n_x * m)
-    # probe (p, c) is row p m + c of a C-order array, column p m + c in Fortran
-    probes = np.zeros((n_x, m, modes.shape[0], m), dtype=complex)
-    phases = np.exp(1j * x_points @ modes.T)  # (n_x, n_modes)
-    for c in range(m):
-        probes[:, c, :, c] = phases
+    rows, n_probes = block.shape[0], probes.shape[0]
+    for name, arr, shape in (("block", block, (rows, rows)), ("probes", probes, (n_probes, rows))):
+        if arr.shape != shape or arr.dtype != complex or not arr.flags.c_contiguous:
+            raise ValueError(f"{name} must be a C-contiguous complex {shape} array")
+    lwork = _workspace(rows, n_probes)
     d, e, tau = np.empty(rows), np.empty(rows), np.empty(rows, dtype=complex)
     work = np.empty(max(lwork[0].value, lwork[1].value), dtype=complex)
     # the block's 2 rows^2 doubles are spent once zunmtr has run and hold
@@ -266,18 +262,15 @@ def _probe_spectrum(block: np.ndarray, modes: np.ndarray, x_points: np.ndarray):
     zhetrd(b"L", n, a, n, d.ctypes.data, e.ctypes.data, tau.ctypes.data,
            work.ctypes.data, lwork[0], info, 1)
     if info.value == 0:
-        zunmtr(b"L", b"L", b"C", n, ctypes.c_int64(n_x * m), a, n, tau.ctypes.data,
+        zunmtr(b"L", b"L", b"C", n, ctypes.c_int64(n_probes), a, n, tau.ctypes.data,
                probes.ctypes.data, n, work.ctypes.data, lwork[1], info, 1, 1, 1)
     if info.value == 0:
         dstedc(b"I", n, d.ctypes.data, e.ctypes.data, z.ctypes.data, n,
                rwork.ctypes.data, lwork[2], iwork.ctypes.data, lwork[3], info, 1)
     if info.value:
         raise np.linalg.LinAlgError(f"tridiagonal eigensolver failed: LAPACK info {info.value}")
-    # row j of z is eigenvector j of T; row p m + c of probes is Q^H p_c at x_p
-    rotated = probes.reshape(n_x * m, rows)
-    amp2 = (z @ rotated.real.T) ** 2 + (z @ rotated.imag.T) ** 2
-    norm = (2.0 * math.pi) ** (-x_points.shape[1])
-    return d, norm * amp2.reshape(rows, n_x, m).sum(axis=2)
+    # row j of z is eigenvector j of T; real products make no complex copy of z
+    return d, probes.real @ z.T, probes.imag @ z.T
 
 
 @contextmanager
@@ -369,11 +362,11 @@ def assemble_and_solve(
     and its weights at ``x_points`` (n_x, 2); (0, 2) gives eigenvalues only.
     A stack of blocks below ``_TRIDIAGONAL_ROWS`` rows, or any stack when
     numpy's OpenBLAS exports no LAPACK routines, is solved by one ``eigh``
-    call, whose eigenvectors are reduced to weights and dropped; each larger
-    block's weights come from its tridiagonal form and the rotated probes,
-    with no eigenvector matrix (:func:`_probe_spectrum`).  The stacks are
-    independent and run on :func:`_map_pinned`'s workers, one BLAS thread
-    each; the result does not depend on their schedule.
+    call, its eigenvectors times the stack's probes (:func:`_probe_matrix`)
+    giving the amplitudes; a larger block's come from its tridiagonal form
+    (:func:`_probe_spectrum`).  :func:`_probe_weights` reduces both.  The
+    stacks are independent and run on :func:`_map_pinned`'s workers, one
+    BLAS thread each; the result does not depend on their schedule.
     A coordinate outside [0, 2 pi) is probed at atan2(sin x, cos x) mod
     2 pi, whose cos and sin are libm's for x (the direct route's point); one
     inside keeps its bits, and the result keeps the caller's ``x_points``.
@@ -399,7 +392,7 @@ def assemble_and_solve(
     if not np.all(np.isfinite(x_points)):
         raise ValueError("x_points must be finite")
     # k x itself keeps no digit of the angle once x passes about 1e16
-    probes = np.array([[c if 0.0 <= c < 2.0 * math.pi
+    angles = np.array([[c if 0.0 <= c < 2.0 * math.pi
                         else math.atan2(math.sin(c), math.cos(c)) % (2.0 * math.pi)
                         for c in pt] for pt in x_points.tolist()]).reshape(x_points.shape)
     ks = np.arange(-K, K + 1)
@@ -439,13 +432,14 @@ def assemble_and_solve(
             if g in potential:
                 acc += potential[g]
             stack[comp, j, :, i, :] += acc
-        rows, local = n_local * m, kvec.astype(float)
+        rows, probes = n_local * m, _probe_matrix(kvec.astype(float), m, angles)
         try:
             if rows < _TRIDIAGONAL_ROWS or _lapack() is None:
                 vals, vecs = np.linalg.eigh(stack.reshape(group.size, rows, rows))
-                return zip(vals, _pointwise_weights(local, vecs, probes))
-            return [_probe_spectrum(block.reshape(rows, rows), k, probes)
-                    for block, k in zip(stack, local)]
+                amp = probes @ vecs
+                return zip(vals, _probe_weights(amp.real, amp.imag, m))
+            spectra = map(_probe_spectrum, stack.reshape(-1, rows, rows), probes)
+            return [(vals, _probe_weights(re, im, m)) for vals, re, im in spectra]
         except np.linalg.LinAlgError as exc:
             raise SolveFailure(f"dense eigensolver failed: {exc}") from exc
 
@@ -699,10 +693,12 @@ def local_counting_mollified(
     from the grid.
     Raises :class:`WindowViolation` when the grid is empty, holds NaN or
     leaves the trusted window, or when the branch has no eigenvalue in that
-    window (a shift past the truncation), and :class:`QuadratureFailure`
-    when an eigenvalue or the point's weight is not finite, when a band
-    phase, a node times an eigenvalue, is not finite, or, after that, when
-    R is past the band table (:meth:`Mollifier._nodes`).
+    window (a shift past the truncation), ``ValueError`` unless ``i`` is an
+    integer (not a bool) in [0, n_x) or on an unknown branch, and
+    :class:`QuadratureFailure` when an eigenvalue or the point's weight is
+    not finite, when a band phase, a node times an eigenvalue, is not
+    finite, or, after that, when R is past the band table
+    (:meth:`Mollifier._nodes`).
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     if mu_grid.size == 0:
@@ -713,6 +709,9 @@ def local_counting_mollified(
             f"mu grid [{lo:.2f}, {hi:.2f}] outside "
             f"trusted window [0, {spectrum.trusted_max:.2f}]"
         )
+    n_x = spectrum.weights.shape[1]
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < n_x:
+        raise ValueError(f"point index i must be an integer in [0, {n_x}), not {i!r}")
     lam, w = spectrum.eigenvalues, spectrum.weights[:, i]
     for name, arr in (("eigenvalues", lam), (f"weights at point {i}", w)):
         if not np.all(np.isfinite(arr)):

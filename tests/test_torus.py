@@ -426,10 +426,14 @@ def reference_weights(ref, x_points):
 )
 def test_solve_matches_reference_on_catalog(name, params, K):
     model = build_model(name, params)
+    # the eigenvalues are the reference's bits; the weights are probe
+    # products of the same eigenvectors, summed in another order
     spec = assemble_and_solve(model, K, ORACLE_POINTS)
     ref = reference_spectrum(model, K)
     assert np.array_equal(spec.eigenvalues, ref.eigenvalues)
-    assert np.array_equal(spec.weights, reference_weights(ref, ORACLE_POINTS))
+    np.testing.assert_allclose(
+        spec.weights, reference_weights(ref, ORACLE_POINTS), rtol=0.0, atol=1e-15
+    )
 
 
 def diagonal_coupled():
@@ -815,7 +819,9 @@ def test_probe_spectrum_matches_scipy_oracle(rng):
     phases = np.exp(1j * modes @ x_points.T)  # (n_modes, n_x)
     amp = np.einsum("gmk,gp->kmp", vecs.reshape(rows // 2, 2, rows), phases)
     want = np.sum(np.abs(amp) ** 2, axis=1) / TWO_PI ** 2
-    got_vals, got = torus._probe_spectrum(a.copy(), modes, x_points)
+    # probe row 2 p + c is e^(i k.x_p) (x) e_c
+    got_vals, re, im = torus._probe_spectrum(a.copy(), np.kron(phases.T, np.eye(2)))
+    got = torus._probe_weights(re, im, 2)
     np.testing.assert_allclose(got_vals, vals, rtol=0.0, atol=1e-12 * np.max(np.abs(vals)))
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(np.sum(got, axis=0), rows / TWO_PI ** 2, rtol=1e-12)
@@ -1073,10 +1079,12 @@ def test_galerkin_matches_symbol_pipeline_for_twisted(twisted_model):
 # ---------------------------------------------------------------------------
 
 def test_mollifier_support_bound():
-    # the exported class is the one checked constructor: past the loop
-    # bound its band would read the closed trajectories of the trace, and a
-    # support that is not positive has no band at all
-    assert weylsys.build_mollifier is weylsys.Mollifier is build_mollifier is Mollifier
+    # the class is the one checked constructor, exported once, as
+    # build_mollifier: past the loop bound its band would read the closed
+    # trajectories of the trace, and a support that is not positive has no
+    # band at all
+    assert weylsys.build_mollifier is build_mollifier is Mollifier
+    assert "Mollifier" not in weylsys.__all__
     for support in (7.0, TWO_PI, math.inf):
         with pytest.raises(SupportTooLarge) as info:
             Mollifier(support)
@@ -1294,6 +1302,19 @@ def test_counting_window_enforced(shifted_dirac_model, mollifier_t3):
     spec = assemble_and_solve(shifted_dirac_model, 8, [[0.0, 0.0]])
     with pytest.raises(WindowViolation):
         local_counting_mollified(spec, mollifier_t3, 0, np.arange(1.0, 10.0, 0.5))
+
+
+def test_counting_checks_its_point_index(shifted_dirac_model, mollifier_t3):
+    # an index past the points raised an untyped IndexError, a bool failed
+    # to broadcast, and -1 counted the last point
+    spec = assemble_and_solve(shifted_dirac_model, 8, [[0.0, 0.0], [0.3, 0.9]])
+    mu = np.arange(3.0, 4.8, 0.25)
+    for i in (2, -1, True, False, 1.0, None):
+        with pytest.raises(ValueError, match=r"^point index i must be an integer in "
+                                             rf"\[0, 2\), not {i!r}$"):
+            local_counting_mollified(spec, mollifier_t3, i, mu)
+    assert np.array_equal(local_counting_mollified(spec, mollifier_t3, np.int64(1), mu).values,
+                          local_counting_mollified(spec, mollifier_t3, 1, mu).values)
 
 
 def test_counting_reads_a_spectrum_that_cannot_change(shifted_dirac_model, mollifier_t3):
