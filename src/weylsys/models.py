@@ -32,6 +32,18 @@ TRUSTED_FRACTION = 0.6
 DEFAULT_BUDGET = 14000
 ELLIPTICITY_MARGIN = 0.05
 GAP_MARGIN = 0.05
+# Bytes of one transient table of a run: a block of registration's symbols,
+# a Galerkin stack, a block of the counting's eigenvalue tables, a block of
+# nu rows of the band sum, a block of step values of the bump integral.
+# Each sizes its rows from it (:func:`_table_rows`); a row larger than the
+# budget goes alone.
+_TABLE_BYTES = 1 << 18
+
+
+def _table_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` bytes each that fit in ``_TABLE_BYTES``, at
+    least one."""
+    return max(1, _TABLE_BYTES // row_bytes)
 
 
 class TrigMatrixField:
@@ -278,9 +290,10 @@ def registration_check(
     suffices unless a coefficient field has a mode with g2 != 0; then the
     same grid is scanned in x2 too.  The fields' modes are Hermitian pairs
     from construction (:class:`TrigMatrixField`), so no Hermiticity pass runs
-    here.  Each field is evaluated once per x2 row, and the row's symbols
-    are one product with the angles, broadcast over the positions with no
-    temporary of their size, and one stacked eigensolve.  Raises
+    here.  Each field is evaluated once per x2 row; the row's symbols are
+    products with the angles, broadcast over the positions with no
+    temporary of their size, and stacked eigensolves, over as many
+    positions as fit one transient table (:func:`_table_rows`).  Raises
     :class:`EllipticityViolation` when a margin is too small or a sampled
     symbol or eigenvalue is not finite.
     """
@@ -288,19 +301,24 @@ def registration_check(
     thetas = 2.0 * math.pi * np.arange(n_theta // 2) / n_theta
     xi = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     depends_on_x2 = any(g[1] for fld in model.coefficients for g in fld.modes)
+    positions = _table_rows(16 * thetas.size * model.dim ** 2)
     min_abs = min_gap = math.inf
     for x2 in xs if depends_on_x2 else (0.0,):
         x = np.stack([xs, np.full(n_x, x2)], axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
             fields = np.stack([fld.value(x).reshape(n_x, -1) for fld in model.coefficients], 1)
-            symbols = (xi @ fields).reshape(n_x, len(thetas), model.dim, model.dim)
-            vals = np.linalg.eigvalsh(symbols)
-        # eigvalsh reads one triangle, so a NaN in the other shows in no value
-        if not (np.isfinite(symbols).all() and np.isfinite(vals).all()):
-            raise EllipticityViolation(f"model {model.name}: sampled symbol not finite")
-        min_abs = min(min_abs, float(np.min(np.abs(vals))))
-        if model.dim > 1:
-            min_gap = min(min_gap, float(np.min(np.diff(vals, axis=-1))))
+        for lo in range(0, n_x, positions):
+            with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+                symbols = (xi @ fields[lo:lo + positions]).reshape(
+                    -1, thetas.size, model.dim, model.dim)
+                vals = np.linalg.eigvalsh(symbols)
+            # eigvalsh reads one triangle, so a NaN in the other shows in no value
+            if not (np.isfinite(symbols).all() and np.isfinite(vals).all()):
+                raise EllipticityViolation(f"model {model.name}: sampled symbol not finite")
+            min_abs = min(min_abs, float(np.min(np.abs(vals))))
+            if model.dim > 1:
+                min_gap = min(min_gap, float(np.min(np.diff(vals, axis=-1))))
+            del symbols, vals  # else held while the next block's are made
     if min_abs < ELLIPTICITY_MARGIN:
         raise EllipticityViolation(
             f"model {model.name}: sampled eigenvalue magnitude {min_abs:.3e} "

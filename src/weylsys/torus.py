@@ -10,18 +10,18 @@ graph splits into connected components (constant-coefficient models
 decouple mode by mode), found by vectorised min-label propagation.
 Components of equal size are filled in stacks of at most 256 KiB of blocks
 (a larger block alone), so thousands of tiny blocks share one vectorised
-scatter and one dense Hermitian eigensolve.  A block of 128 rows or more
-is instead reduced to real tridiagonal form by LAPACK, block by block, and
-only the probes are rotated into that basis.  Both read one probe matrix
-per stack, rows e^(i k.x) (x) e_c, and one reduction turns the amplitudes
-into the weights |phi(x)|^2 = (2 pi)^-2 sum_c |amplitude|^2, the probes'
-spectral measures.  When numpy's OpenBLAS exports no ILP64 LAPACK, every
-stack takes the dense eigensolve; both routes give the same eigenvalues.
-The stacks are solved side by side by the calling thread and helper
-threads, one BLAS thread each, as a threaded eigensolve of a block of a few
-hundred rows gains nothing from a second core; only a lone block keeps
-BLAS's own threads.  The merged spectrum is trusted up to 0.6 times the
-truncation.
+scatter and one dense Hermitian eigensolve.  A block of 24 rows or more,
+the measured crossover, is instead reduced to real tridiagonal form by
+LAPACK, block by block in the stack's own storage, and only the probes are
+rotated into that basis.  Both read one probe matrix per stack, rows
+e^(i k.x) (x) e_c, and one reduction turns the amplitudes into the weights
+|phi(x)|^2 = (2 pi)^-2 sum_c |amplitude|^2, the probes' spectral measures.
+When numpy's OpenBLAS exports no ILP64 LAPACK, every stack takes the
+dense eigensolve; both routes give the same eigenvalues.  The stacks are
+solved side by side by the calling thread and helper threads, one BLAS
+thread each, as a threaded eigensolve of a block of a few hundred rows
+gains nothing from a second core; only a lone block keeps BLAS's own
+threads.  The merged spectrum is trusted up to 0.6 times the truncation.
 
 The smoothed local counting derivative convolves the pointwise eigenfunction
 weights with a compactly band-limited mollifier (plateau transform, built
@@ -36,8 +36,9 @@ evaluation included, takes its nodes from one rule (:meth:`Mollifier._nodes`):
 as many as put every alias of the frequencies it reaches where the
 plateau's transform is below roundoff, 342 to 380 at support 3 up to K = 72.
 Every transient table of the run (a Galerkin stack, a block of eigenvalues,
-of nu rows or of step values) takes as many rows as fit one 256 KiB budget,
-``_TABLE_BYTES``, and the band sums' products run on one BLAS thread
+of nu rows or of step values, and registration's symbols) takes as many
+rows as fit one 256 KiB budget, :mod:`weylsys.models`' ``_TABLE_BYTES``,
+and the band sums' products run on one BLAS thread
 (:func:`_one_blas_thread`), so no result bit depends on the thread count
 but a lone block's.
 A least-squares fit over a trusted window extracts the two leading growth
@@ -49,7 +50,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import mmap
 import threading
+import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,7 +69,7 @@ from .errors import (
     WindowViolation,
 )
 from .kernels import gauss_legendre
-from .models import DEFAULT_BUDGET, TRUSTED_FRACTION, TorusModel
+from .models import DEFAULT_BUDGET, TRUSTED_FRACTION, TorusModel, _TABLE_BYTES, _table_rows
 
 
 def _component_labels(modes: np.ndarray, couplings: set, K: int) -> np.ndarray:
@@ -226,51 +229,90 @@ def _workspace(rows: int, probes: int) -> tuple:
     return i64(trd), i64(mtr), i64(int(rbuf[0])), i64(int(ibuf[0]))
 
 
-def _probe_spectrum(block: np.ndarray, probes: np.ndarray):
-    """Eigenvalues of one Hermitian block and its eigenvectors' amplitudes on
-    the rows of ``probes``, real and imaginary parts (n_probes, rows), with
-    no eigenvector matrix formed (the Golub-Welsch observation).
+def _mapping(size: int) -> mmap.mmap:
+    """A zero-filled anonymous mapping of ``size`` bytes, unmapped once the
+    last reference to it goes, so none of it stays resident, as a freed heap
+    block can (glibc keeps one once its mmap threshold has risen past it)."""
+    return mmap.mmap(-1, size)
 
-    LAPACK reads the C-order block as its conjugate, A^T = Q T Q^H with T
-    real tridiagonal (``zhetrd``, in place), so the block's eigenvectors are
-    conj(Q) z for the eigenvectors z of T (``dstedc``), and the amplitude of
-    one on a probe p is p^T conj(Q) z = z^T Q^H p: ``zunmtr`` rotates the
-    probes, Fortran's columns, in place.  The eigenvalues are
-    ``np.linalg.eigh``'s bits: its ``zheevd`` runs the same two routines on
-    the same matrix.  The block is overwritten, last as ``dstedc``'s
-    workspace.  Raises ``LinAlgError`` on a nonzero LAPACK ``info``.
+
+def _carve(buffer, layout) -> list:
+    """Consecutive views of ``buffer``, one 1-D array per (dtype, count) of
+    ``layout``, from its start."""
+    views, offset = [], 0
+    for dtype, count in layout:
+        views.append(np.frombuffer(buffer, dtype, count, offset))
+        offset += views[-1].nbytes
+    return views
+
+
+def _probe_layout(blocks: int, rows: int, probes: int) -> tuple:
+    """(dtype, count) of the arrays of :func:`_probe_spectrum` on a stack of
+    ``blocks`` blocks of ``rows`` rows, ``probes`` probe rows each: the
+    blocks' doubles and ``dstedc``'s spare after them, then tau, work, d, e
+    and iwork."""
+    trd, mtr, lrwork, liwork = (length.value for length in _workspace(rows, probes))
+    square = rows * rows
+    # a spent block's 2 rows^2 doubles hold z and then the real work, 1 + 4
+    # rows + rows^2 doubles at most, so the last block needs a spare after it
+    spare = max(0, lrwork - square)
+    return ((float, 2 * blocks * square + spare), (complex, rows),
+            (complex, max(trd, mtr)), (float, rows), (float, rows), (np.int64, liwork))
+
+
+def _probe_spectrum(space: list, probes: np.ndarray) -> list:
+    """Eigenvalues of each Hermitian block of a stack and its eigenvectors'
+    amplitudes on the block's probe rows, real and imaginary parts
+    (n_probes, rows), in block order, with no eigenvector matrix formed
+    (the Golub-Welsch observation).
+
+    ``space`` is :func:`_carve` of :func:`_probe_layout`, with the blocks,
+    C order, at the start of its first array, and ``probes`` is
+    (blocks, n_probes, rows).  LAPACK reads a C-order block as its
+    conjugate, A^T = Q T Q^H with T real tridiagonal (``zhetrd``, in place),
+    so the block's eigenvectors are conj(Q) z for the eigenvectors z of T
+    (``dstedc``), and the amplitude of one on a probe p is p^T conj(Q) z =
+    z^T Q^H p: ``zunmtr`` rotates the probes, Fortran's columns, in place.
+    The eigenvalues are ``np.linalg.eigh``'s bits: its ``zheevd`` runs the
+    same two routines on the same matrix.  The blocks are solved last to
+    first, so block i is spent once ``zunmtr`` has run, and ``dstedc``'s z
+    and real work fill it and run on into the blocks after it, already
+    solved, and the spare: the stack is solved in its own storage plus
+    4 rows + 1 doubles, and only the results are allocated.  The blocks and
+    the probes are overwritten.  Raises ``LinAlgError`` on a nonzero LAPACK
+    ``info``, and ``ValueError`` on a ``space`` that is not the layout's.
     """
     import ctypes
 
     zhetrd, zunmtr, dstedc = _lapack()
-    rows, n_probes = block.shape[0], probes.shape[0]
-    for name, arr, shape in (("block", block, (rows, rows)), ("probes", probes, (n_probes, rows))):
-        if arr.shape != shape or arr.dtype != complex or not arr.flags.c_contiguous:
-            raise ValueError(f"{name} must be a C-contiguous complex {shape} array")
+    if probes.ndim != 3 or probes.dtype != complex or not probes.flags.c_contiguous:
+        raise ValueError("probes must be a C-contiguous complex (blocks, n_probes, rows) array")
+    blocks, n_probes, rows = probes.shape
+    layout = _probe_layout(blocks, rows, n_probes)
+    if [(view.dtype, view.size) for view in space] != [(np.dtype(t), c) for t, c in layout]:
+        raise ValueError("space must be carved from the stack's probe layout")
+    store, tau, work, d, e, iwork = space
     lwork = _workspace(rows, n_probes)
-    d, e, tau = np.empty(rows), np.empty(rows), np.empty(rows, dtype=complex)
-    work = np.empty(max(lwork[0].value, lwork[1].value), dtype=complex)
-    # the block's 2 rows^2 doubles are spent once zunmtr has run and hold
-    # dstedc's real work (at most 1 + 4 rows + rows^2): the solve then holds
-    # the block and z, 1.5 blocks, not 2
-    spent = block.reshape(-1).view(float)
-    rwork = spent if spent.size >= lwork[2].value else np.empty(lwork[2].value)
-    z = np.empty((rows, rows))
-    iwork = np.empty(lwork[3].value, dtype=np.int64)
-    n, info = ctypes.c_int64(rows), ctypes.c_int64()
-    a = block.ctypes.data
-    zhetrd(b"L", n, a, n, d.ctypes.data, e.ctypes.data, tau.ctypes.data,
-           work.ctypes.data, lwork[0], info, 1)
-    if info.value == 0:
-        zunmtr(b"L", b"L", b"C", n, ctypes.c_int64(n_probes), a, n, tau.ctypes.data,
-               probes.ctypes.data, n, work.ctypes.data, lwork[1], info, 1, 1, 1)
-    if info.value == 0:
-        dstedc(b"I", n, d.ctypes.data, e.ctypes.data, z.ctypes.data, n,
-               rwork.ctypes.data, lwork[2], iwork.ctypes.data, lwork[3], info, 1)
-    if info.value:
-        raise np.linalg.LinAlgError(f"tridiagonal eigensolver failed: LAPACK info {info.value}")
-    # row j of z is eigenvector j of T; real products make no complex copy of z
-    return d, probes.real @ z.T, probes.imag @ z.T
+    square, n, info = rows * rows, ctypes.c_int64(rows), ctypes.c_int64()
+    spectra = [None] * blocks
+    for i in reversed(range(blocks)):
+        spent = store[2 * i * square:]
+        a = spent.ctypes.data
+        zhetrd(b"L", n, a, n, d.ctypes.data, e.ctypes.data, tau.ctypes.data,
+               work.ctypes.data, lwork[0], info, 1)
+        if info.value == 0:
+            zunmtr(b"L", b"L", b"C", n, ctypes.c_int64(n_probes), a, n, tau.ctypes.data,
+                   probes[i].ctypes.data, n, work.ctypes.data, lwork[1], info, 1, 1, 1)
+        if info.value == 0:
+            dstedc(b"I", n, d.ctypes.data, e.ctypes.data, a, n, spent[square:].ctypes.data,
+                   lwork[2], iwork.ctypes.data, lwork[3], info, 1)
+        if info.value:
+            raise np.linalg.LinAlgError(
+                f"tridiagonal eigensolver failed: LAPACK info {info.value}")
+        # row j of z is eigenvector j of T; real products make no complex copy of z
+        z = spent[:square].reshape(rows, rows)
+        spectra[i] = (d.copy(), probes[i].real @ z.T, probes[i].imag @ z.T)
+    return spectra
 
 
 @contextmanager
@@ -341,7 +383,9 @@ def _map_pinned(fn, items: list) -> list:
             for helper in helpers:
                 helper.join()
     if failures:
-        raise failures[min(failures)]
+        first = failures[min(failures)]
+        failures.clear()  # a later failure's frames would outlive the call
+        raise first
     return results
 
 
@@ -366,7 +410,12 @@ def assemble_and_solve(
     giving the amplitudes; a larger block's come from its tridiagonal form
     (:func:`_probe_spectrum`).  :func:`_probe_weights` reduces both.  The
     stacks are independent and run on :func:`_map_pinned`'s workers, one
-    BLAS thread each; the result does not depend on their schedule.
+    BLAS thread each; the result does not depend on their schedule.  Each
+    worker fills and solves its stacks in one zero-filled mapping
+    (:func:`_mapping`), grown only when a larger stack arrives, and writes
+    each block's eigenvalues and weights into the block's rows of the
+    spectrum; every mapping is released when the call returns, also when
+    it raises, so none of the solve stays resident after it.
     A coordinate outside [0, 2 pi) is probed at atan2(sin x, cos x) mod
     2 pi, whose cos and sin are libm's for x (the direct route's point); one
     inside keeps its bits, and the result keeps the caller's ``x_points``.
@@ -414,11 +463,33 @@ def assemble_and_solve(
         stacks.extend(components[lo:lo + per_stack]
                       for lo in range(0, components.size, per_stack))
 
+    # each component's rows of the spectrum, in component order, filled in
+    # place by the stacks' workers
+    offsets = np.r_[0, np.cumsum(sizes * m)]
+    values, weights = np.empty(offsets[-1]), np.empty((offsets[-1], angles.shape[0]))
+    held = {}  # each worker's mapping, by thread
+
+    def carve(layout):
+        """Views of this worker's mapping, grown first if ``layout`` needs more."""
+        nbytes = sum(np.dtype(dtype).itemsize * count for dtype, count in layout)
+        worker = threading.get_ident()
+        if worker not in held or len(held[worker]) < nbytes:
+            held[worker] = _mapping(nbytes)  # the last stack's views went with its solve
+        return _carve(held[worker], layout)
+
     def solve(group):
-        """(eigenvalues, weights) of each block of one stack."""
+        """Eigenvalues and weights of each block of one stack, into its rows."""
         n_local = sizes[group[0]]
+        rows = n_local * m
+        slots = offsets[group, None] + np.arange(rows)
         kvec = modes[by_label[starts[group, None] + np.arange(n_local)]]
-        stack = np.zeros((group.size, n_local, m, n_local, m), dtype=complex)
+        probes = _probe_matrix(kvec.astype(float), m, angles)
+        tridiagonal = rows >= _TRIDIAGONAL_ROWS and _lapack() is not None
+        doubles = 2 * group.size * rows ** 2
+        space = carve(_probe_layout(group.size, rows, probes.shape[1]) if tridiagonal
+                      else ((float, doubles),))
+        stack = space[0][:doubles].view(complex).reshape(group.size, n_local, m, n_local, m)
+        stack.fill(0.0)
         for g in field_modes:
             target = kvec + g
             comp, i = np.nonzero(np.all(np.abs(target) <= K, axis=-1))
@@ -432,29 +503,33 @@ def assemble_and_solve(
             if g in potential:
                 acc += potential[g]
             stack[comp, j, :, i, :] += acc
-        rows, probes = n_local * m, _probe_matrix(kvec.astype(float), m, angles)
         try:
-            if rows < _TRIDIAGONAL_ROWS or _lapack() is None:
-                vals, vecs = np.linalg.eigh(stack.reshape(group.size, rows, rows))
+            if not tridiagonal:
+                values[slots], vecs = np.linalg.eigh(stack.reshape(group.size, rows, rows))
                 amp = probes @ vecs
-                return zip(vals, _probe_weights(amp.real, amp.imag, m))
-            spectra = map(_probe_spectrum, stack.reshape(-1, rows, rows), probes)
-            return [(vals, _probe_weights(re, im, m)) for vals, re, im in spectra]
+                weights[slots] = _probe_weights(amp.real, amp.imag, m)
+                return
+            for slot, (vals, re, im) in zip(slots, _probe_spectrum(space, probes)):
+                values[slot], weights[slot] = vals, _probe_weights(re, im, m)
         except np.linalg.LinAlgError as exc:
             raise SolveFailure(f"dense eigensolver failed: {exc}") from exc
 
-    solved = {}  # (eigenvalues, weights) of each component
-    for group, pairs in zip(stacks, _map_pinned(solve, stacks)):
-        solved.update(zip(group.tolist(), pairs))
-    values, weights = zip(*(solved[c] for c in range(starts.size)))
-    weights = np.concatenate(weights)
+    try:
+        _map_pinned(solve, stacks)
+    except BaseException as exc:
+        # the failing stack's frames hold views of its worker's mapping
+        while exc is not None:
+            traceback.clear_frames(exc.__traceback__)
+            exc = exc.__context__
+        raise
+    finally:
+        held.clear()  # each mapping is unmapped with its last view
     if not np.all(np.isfinite(weights)):
         raise SolveFailure("weights not finite")
-    merged = np.concatenate(values)
-    order = np.argsort(merged, kind="stable")
+    order = np.argsort(values, kind="stable")
     return SpectrumResult(
         K=K,
-        eigenvalues=merged[order],
+        eigenvalues=values[order],
         x_points=x_points,
         weights=weights[order],
         trusted_max=TRUSTED_FRACTION * K,
@@ -529,19 +604,16 @@ def plateau_transform(t, support: float):
 # nu T from which the plateau's transform stays below 1e-14 of its peak; the
 # plateau is scaled by T, so the same at every support (1e-12 from 1,296).
 _ALIAS_FREE = 2000.0
-# Bytes of one transient table of the spectral run: a Galerkin stack, a
-# block of the counting's eigenvalue tables, a block of nu rows of the band
-# sum, a block of step values of the bump integral.  Each sizes its rows
-# from it (:func:`_table_rows`); a row larger than the budget goes alone.
-_TABLE_BYTES = 1 << 18
-# Rows from which a Galerkin block is tridiagonalised instead of eigh-solved.
-_TRIDIAGONAL_ROWS = 128
-
-
-def _table_rows(row_bytes: int) -> int:
-    """Rows of ``row_bytes`` bytes each that fit in ``_TABLE_BYTES``, at
-    least one."""
-    return max(1, _TABLE_BYTES // row_bytes)
+# Rows from which a Galerkin block is tridiagonalised instead of eigh-solved:
+# the measured crossover.  Per block, in 256 KiB stacks of random Hermitian
+# blocks with four probe rows, one BLAS thread, best of nine (SkylakeX
+# OpenBLAS 0.3.31, 2 vCPU):
+#   rows             16     20     24     34     50     66     98    162
+#   eigh, us       42.8   75.2  121.3  153.1  338.4  613.4   1482   4752
+#   tridiagonal    53.7   70.5   93.8  147.4  275.2  445.0    984   2704
+# From 26 to 32 rows zheevd's divide and conquer (past LAPACK's 25 rows)
+# runs 2-12% ahead of dstedc's; no catalog block has that size.
+_TRIDIAGONAL_ROWS = 24
 
 
 def _angle_split(n: int, spacing: float) -> tuple:

@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from functools import lru_cache
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from weylsys.errors import (
 )
 from scipy.integrate import quad
 
-from weylsys import torus
+from weylsys import models, torus
 from weylsys.models import (
     SIGMA1,
     SIGMA2,
@@ -287,6 +288,26 @@ def test_registration_scans_x2():
         registration_check(model)
 
 
+def test_registration_holds_one_table_of_symbols():
+    # a row of 64 positions by 128 angles of m x m symbols is 0.5 MB at
+    # m = 2 and 2 MB at m = 4; registration scans it in blocks of positions
+    # that fit one transient table, so its peak is a table and its
+    # eigenvalues, at any m and with the x2 rows scanned too
+    d = np.diag([1.0, 2.0])
+    four = TorusModel("four-component", (TrigMatrixField.constant(np.kron(SIGMA1, d)),
+                                         TrigMatrixField.constant(np.kron(SIGMA2, d))),
+                      TrigMatrixField.constant(np.zeros((4, 4))))
+    for model in (build_model("twisted"), x2_coupled_twisted(), four):
+        registration_check(model)  # first-call set-up outside the trace
+        tracemalloc.start()
+        try:
+            registration_check(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * models._TABLE_BYTES, model.name
+
+
 def test_model_symbol_contract(twisted_model, rng):
     lead, sub = twisted_model.symbol_fields()
     pts = []
@@ -484,13 +505,28 @@ def test_chunked_solve_is_exact(make_model, K, rows, monkeypatch):
     model = make_model()
     whole = assemble_and_solve(model, K, ORACLE_POINTS)
     for size in (1, 2 * 16 * rows ** 2):
-        monkeypatch.setattr(torus, "_TABLE_BYTES", size)
+        monkeypatch.setattr(models, "_TABLE_BYTES", size)
         spec = assemble_and_solve(model, K, ORACLE_POINTS)
         assert np.array_equal(spec.eigenvalues, whole.eigenvalues)
         assert np.array_equal(spec.weights, whole.weights)
 
 
-def test_solve_memory_is_bounded(twisted_model):
+@pytest.fixture
+def mappings(monkeypatch):
+    """Every mapping the solve's workers make, as (bytes, weak reference):
+    tracemalloc sees no mapping, so a memory bound adds their bytes."""
+    made, mapping = [], torus._mapping
+
+    def recorded(size):
+        buffer = mapping(size)
+        made.append((size, weakref.ref(buffer)))
+        return buffer
+
+    monkeypatch.setattr(torus, "_mapping", recorded)
+    return made
+
+
+def test_solve_memory_is_bounded(twisted_model, mappings):
     # all 65 twisted blocks of 130 rows at K = 32 in one stack take 17.6 MB
     tracemalloc.start()
     try:
@@ -498,13 +534,15 @@ def test_solve_memory_is_bounded(twisted_model):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6e6
+    assert mappings
+    assert peak + sum(size for size, _ in mappings) < 6e6
 
 
-def test_one_block_solve_holds_one_and_a_half_blocks():
+def test_one_block_solve_holds_one_block(mappings):
     # the x2-coupled model at K = 8 is one 578-row block of 5.3 MB: it is
-    # Hermitian as filled, and dstedc works in its spent storage, so the
-    # peak is the block and dstedc's eigenvector matrix of half a block
+    # Hermitian as filled, and dstedc's z and real work fill its spent
+    # storage and a spare of 4 rows + 1 doubles, so the solve maps the block,
+    # the spare and LAPACK's small work arrays, 1.07 blocks, and traces 0.05
     require_lapack()
     model, block = x2_coupled_twisted(), 16 * 578 ** 2
     tracemalloc.start()
@@ -513,7 +551,30 @@ def test_one_block_solve_holds_one_and_a_half_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.7 * block
+    assert len(mappings) == 1
+    assert peak + mappings[0][0] < 1.15 * block
+
+
+def test_every_mapping_is_released_on_return(twisted_model, two_workers, mappings,
+                                             monkeypatch):
+    # twisted at K = 16 is 11 stacks, the diagonal model at K = 8 nine: each
+    # worker's one mapping is gone once the solve returns, and when a stack
+    # raises, on either route, or a stack of each worker does, the
+    # exceptions keep no view of one
+    require_lapack()
+    assemble_and_solve(twisted_model, 16, ORACLE_POINTS)
+    assert len(mappings) == 2 and all(ref() is None for _, ref in mappings)
+    for module, name, model, K, main in (
+            (torus, "_probe_spectrum", twisted_model, 16, False),
+            (np.linalg, "eigh", diagonal_coupled(), 8, False),
+            (torus, "_probe_spectrum", twisted_model, 16, None)):
+        mappings.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, failing_on(getattr(module, name), main, set()))
+            with pytest.raises(SolveFailure) as info:
+                assemble_and_solve(model, K, ORACLE_POINTS)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        assert mappings and all(ref() is None for _, ref in mappings)
 
 
 def near_pair_twisted():
@@ -546,38 +607,54 @@ def test_blocks_are_hermitian_as_filled(make_model, K, route, monkeypatch):
         monkeypatch.setattr(torus, "_lapack", lambda: None)
     eigh, probe_spectrum, seen = np.linalg.eigh, torus._probe_spectrum, []
 
-    def spy(solver):
-        def entry(a, *args, **kwargs):  # one block or a stack of them
-            seen.append((a.shape[-1] * math.prod(a.shape[:-2]),
-                         np.array_equal(a, a.conj().swapaxes(-1, -2))))
-            return solver(a, *args, **kwargs)
-        return entry
+    def check(a):  # a stack of blocks
+        seen.append((a.shape[0] * a.shape[-1], np.array_equal(a, a.conj().swapaxes(-1, -2))))
 
-    monkeypatch.setattr(np.linalg, "eigh", spy(eigh))
-    monkeypatch.setattr(torus, "_probe_spectrum", spy(probe_spectrum))
+    def eigh_spy(a, *args, **kwargs):
+        check(a)
+        return eigh(a, *args, **kwargs)
+
+    def probe_spy(space, probes):
+        blocks, _, rows = probes.shape
+        check(space[0][:2 * blocks * rows ** 2].view(complex).reshape(blocks, rows, rows))
+        return probe_spectrum(space, probes)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+    monkeypatch.setattr(torus, "_probe_spectrum", probe_spy)
     spec = assemble_and_solve(model, K, ORACLE_POINTS)
     assert sum(rows for rows, _ in seen) == spec.eigenvalues.size
     assert all(exact for _, exact in seen)
 
 
 @pytest.mark.parametrize(
-    "name, K, calls",
-    [("dirac", 32, 2), ("twisted", 16, 11)],
-    ids=["dirac-32", "twisted-16"],
+    "make_model, K, eigh_calls, probe_calls",
+    [(lambda: build_model("dirac"), 32, 2, 0), (diagonal_coupled, 8, 9, 0),
+     (lambda: build_model("twisted"), 16, 0, 11)],
+    ids=["dirac-32", "diagonal-8", "twisted-16"],
 )
-def test_one_eigensolve_per_stack(name, K, calls, monkeypatch):
-    # dirac's 4,225 two-row blocks fill two stacks and twisted's 33 blocks of
-    # 66 rows fill 11 stacks of three: one eigh each, whatever the block count
-    model, eigh, shapes = build_model(name), np.linalg.eigh, []
+def test_one_eigensolve_per_stack(make_model, K, eigh_calls, probe_calls, monkeypatch):
+    # dirac's 4,225 two-row blocks fill two stacks and the diagonal model's
+    # blocks of 2 to 18 rows one stack per size: one eigh each, whatever the
+    # block count.  Twisted's 33 blocks of 66 rows, past the tridiagonal cut,
+    # fill 11 stacks of three: one _probe_spectrum call each
+    if probe_calls:
+        require_lapack()
+    eigh, probe_spectrum, shapes = np.linalg.eigh, torus._probe_spectrum, ([], [])
 
-    def counted(a, *args, **kwargs):
-        shapes.append(a.shape)
+    def counted_eigh(a, *args, **kwargs):
+        shapes[0].append(a.shape[:-1])  # (blocks, rows)
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    spec = assemble_and_solve(model, K, ORACLE_POINTS[:2])
-    assert len(shapes) == calls
-    assert sum(math.prod(shape[:-1]) for shape in shapes) == spec.eigenvalues.size
+    def counted_probes(space, probes):
+        shapes[1].append(probes.shape[::2])
+        return probe_spectrum(space, probes)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(torus, "_probe_spectrum", counted_probes)
+    spec = assemble_and_solve(make_model(), K, ORACLE_POINTS[:2])
+    assert [len(calls) for calls in shapes] == [eigh_calls, probe_calls]
+    assert all(rows < torus._TRIDIAGONAL_ROWS for _, rows in shapes[0])
+    assert sum(math.prod(shape) for calls in shapes for shape in calls) == spec.eigenvalues.size
 
 
 def test_stored_mode_pairs_are_exact():
@@ -665,47 +742,65 @@ def first_blocks_meet():
     return meet
 
 
-def eigh_failing_on(main: bool, threads: set):
-    """``np.linalg.eigh`` that fails on the first stack of the main thread
-    (``main``) or of the helper, once both have reached their first stack;
-    the failing thread goes into ``threads``."""
-    eigh, meet = np.linalg.eigh, first_blocks_meet()
+def failing_on(solver, main: bool, threads: set):
+    """``solver`` failing with a ``LinAlgError`` on the first stack of the
+    main thread (``main`` True), of the helper (False) or of both (None),
+    once both have reached their first stack; each failing thread goes
+    into ``threads``."""
+    meet = first_blocks_meet()
 
-    def failing(a, *args, **kwargs):
+    def failing(*args, **kwargs):
         thread = threading.current_thread()
-        if meet() and (thread is threading.main_thread()) == main:
+        if meet() and main in (None, thread is threading.main_thread()):
             threads.add(thread)
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigh(a, *args, **kwargs)
+        return solver(*args, **kwargs)
 
     return failing
 
 
-def test_worker_solver_failure_is_typed(twisted_model, two_workers, monkeypatch):
-    # twisted at K = 16 is 11 stacks: the caller and the helper each take
-    # one, and the first stack the helper solves fails
+def test_worker_solver_failure_is_typed(two_workers, monkeypatch):
+    # the diagonal model at K = 8 is nine stacks of blocks of 2 to 18 rows,
+    # below the tridiagonal cut: the caller and the helper each take one,
+    # and the first stack the helper solves fails in eigh
     threads = set()
-    monkeypatch.setattr(np.linalg, "eigh", eigh_failing_on(False, threads))
+    monkeypatch.setattr(np.linalg, "eigh", failing_on(np.linalg.eigh, False, threads))
     with pytest.raises(SolveFailure) as info:
-        assemble_and_solve(twisted_model, 16, ORACLE_POINTS)
+        assemble_and_solve(diagonal_coupled(), 8, ORACLE_POINTS)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
     assert threads and threading.main_thread() not in threads
 
 
-def test_caller_solver_failure_is_typed(twisted_model, two_workers, monkeypatch):
+def test_caller_solver_failure_is_typed(two_workers, monkeypatch):
     # the mirror case: the first stack of the caller's own share fails
     threads = set()
-    monkeypatch.setattr(np.linalg, "eigh", eigh_failing_on(True, threads))
+    monkeypatch.setattr(np.linalg, "eigh", failing_on(np.linalg.eigh, True, threads))
     with pytest.raises(SolveFailure) as info:
-        assemble_and_solve(twisted_model, 16, ORACLE_POINTS)
+        assemble_and_solve(diagonal_coupled(), 8, ORACLE_POINTS)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
     assert threads == {threading.main_thread()}
 
 
-def test_caller_and_helper_both_solve(twisted_model, two_workers, monkeypatch):
+@pytest.mark.parametrize("main", [True, False], ids=["caller", "helper"])
+def test_tridiagonal_solver_failure_is_typed(twisted_model, two_workers, main, monkeypatch):
+    # twisted at K = 16 is 11 stacks of three 66-row blocks on the
+    # tridiagonal route: a LinAlgError from the first stack of the caller's
+    # or of the helper's share is a SolveFailure with that cause
+    require_lapack()
+    threads = set()
+    monkeypatch.setattr(torus, "_probe_spectrum",
+                        failing_on(torus._probe_spectrum, main, threads))
+    with pytest.raises(SolveFailure) as info:
+        assemble_and_solve(twisted_model, 16, ORACLE_POINTS)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    assert len(threads) == 1 and (threading.main_thread() in threads) == main
+
+
+def test_caller_and_helper_both_solve(two_workers, monkeypatch):
     # each worker sets one BLAS thread, the count read at the start is set
-    # again at the end, and the blocks come out as in one thread
-    eigh, meet, threads = np.linalg.eigh, first_blocks_meet(), set()
+    # again at the end, and the diagonal model's nine eigh stacks come out
+    # as in one thread
+    model, eigh, meet, threads = diagonal_coupled(), np.linalg.eigh, first_blocks_meet(), set()
 
     def counted(a, *args, **kwargs):
         meet()
@@ -713,7 +808,7 @@ def test_caller_and_helper_both_solve(twisted_model, two_workers, monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    pooled = assemble_and_solve(twisted_model, 16, ORACLE_POINTS)
+    pooled = assemble_and_solve(model, 8, ORACLE_POINTS)
     assert len(threads) == 2 and threading.main_thread() in threads
     *pinned, restored = two_workers
     assert sorted(n for _, n in pinned) == [1, 1]
@@ -721,7 +816,7 @@ def test_caller_and_helper_both_solve(twisted_model, two_workers, monkeypatch):
     assert restored == (threading.main_thread(), 2)
     # one worker: the stacks run in this thread, and no count is set
     monkeypatch.setattr(torus, "_openblas", lambda: (lambda: 1, None))
-    serial = assemble_and_solve(twisted_model, 16, ORACLE_POINTS)
+    serial = assemble_and_solve(model, 8, ORACLE_POINTS)
     assert np.array_equal(serial.eigenvalues, pooled.eigenvalues)
     assert np.array_equal(serial.weights, pooled.weights)
 
@@ -806,25 +901,38 @@ def require_lapack():
 
 
 def test_probe_spectrum_matches_scipy_oracle(rng):
-    # a random Hermitian 200-row block: 100 modes of a 2-vector, two x, so
-    # four probe columns
+    # stacks of random Hermitian blocks: modes of a 2-vector, two x, so four
+    # probe rows.  Two 200-row blocks take dstedc's divide and conquer, the
+    # first block's z and work running on into the second and the second's
+    # into the spare; three 24-row blocks take its QL/QR branch (25 rows or
+    # fewer).  The space is carved from a plain buffer
     require_lapack()
     from scipy.linalg import eigh
 
-    rows, x_points = 200, rng.uniform(0.0, TWO_PI, size=(2, 2))
-    modes = rng.integers(-20, 21, size=(rows // 2, 2)).astype(float)
-    a = rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows))
-    a += a.conj().T
-    vals, vecs = eigh(a)
-    phases = np.exp(1j * modes @ x_points.T)  # (n_modes, n_x)
-    amp = np.einsum("gmk,gp->kmp", vecs.reshape(rows // 2, 2, rows), phases)
-    want = np.sum(np.abs(amp) ** 2, axis=1) / TWO_PI ** 2
-    # probe row 2 p + c is e^(i k.x_p) (x) e_c
-    got_vals, re, im = torus._probe_spectrum(a.copy(), np.kron(phases.T, np.eye(2)))
-    got = torus._probe_weights(re, im, 2)
-    np.testing.assert_allclose(got_vals, vals, rtol=0.0, atol=1e-12 * np.max(np.abs(vals)))
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(np.sum(got, axis=0), rows / TWO_PI ** 2, rtol=1e-12)
+    for blocks, rows in ((2, 200), (3, 24)):
+        x_points = rng.uniform(0.0, TWO_PI, size=(2, 2))
+        modes = rng.integers(-20, 21, size=(blocks, rows // 2, 2)).astype(float)
+        a = (rng.standard_normal((blocks, rows, rows))
+             + 1j * rng.standard_normal((blocks, rows, rows)))
+        a += a.conj().swapaxes(1, 2)
+        phases = np.exp(1j * modes @ x_points.T)  # (blocks, n_modes, n_x)
+        # probe row 2 p + c is e^(i k.x_p) (x) e_c
+        probes = np.stack([np.kron(phase.T, np.eye(2)) for phase in phases])
+        layout = torus._probe_layout(blocks, rows, 4)
+        space = torus._carve(bytearray(sum(np.dtype(t).itemsize * c for t, c in layout)),
+                             layout)
+        space[0][:2 * blocks * rows ** 2] = a.reshape(-1).view(float)
+        spectra = torus._probe_spectrum(space, probes)
+        for block, phase, (got_vals, re, im) in zip(a, phases, spectra):
+            vals, vecs = eigh(block)
+            amp = np.einsum("gmk,gp->kmp", vecs.reshape(rows // 2, 2, rows), phase)
+            want = np.sum(np.abs(amp) ** 2, axis=1) / TWO_PI ** 2
+            got = torus._probe_weights(re, im, 2)
+            np.testing.assert_allclose(got_vals, vals, rtol=0.0,
+                                       atol=1e-12 * np.max(np.abs(vals)))
+            assert np.array_equal(got_vals, np.linalg.eigh(block)[0])
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(np.sum(got, axis=0), rows / TWO_PI ** 2, rtol=1e-12)
 
 
 @lru_cache(maxsize=None)
@@ -838,21 +946,22 @@ def twisted_reference(K):
     "K, route, x_points",
     [pytest.param(K, route, points, id=f"{K}-{route}{suffix}")
      for points, suffix in ((ORACLE_POINTS, ""), (NO_POINTS, "-no-points"))
-     for K in (32, 40) for route in ("tridiagonal", "fallback")],
+     for K in (12, 16, 24, 32, 40) for route in ("tridiagonal", "fallback")],
 )
 def test_large_blocks_match_reference(twisted_model, K, route, x_points, monkeypatch):
-    # 2K + 1 twisted blocks of 2 (2K + 1) rows: 130 at K = 32, 162 at K = 40,
-    # all past the cut; the fallback is what runs without the LAPACK lookup.
-    # With no points zunmtr rotates zero probe columns: eigenvalues only
+    # 2K + 1 twisted blocks of 2 (2K + 1) rows: 50, 66, 98, 130 and 162 at
+    # K = 12 to 40, all past the cut; the fallback is what runs without the
+    # LAPACK lookup.  With no points zunmtr rotates zero probe columns:
+    # eigenvalues only
     if route == "tridiagonal":
         require_lapack()
     else:
         monkeypatch.setattr(torus, "_lapack", lambda: None)
     probe_spectrum, calls = torus._probe_spectrum, []
 
-    def counted(*args):
-        calls.append(args[0].shape[0])
-        return probe_spectrum(*args)
+    def counted(space, probes):
+        calls.extend([probes.shape[2]] * probes.shape[0])
+        return probe_spectrum(space, probes)
 
     monkeypatch.setattr(torus, "_probe_spectrum", counted)
     spec = assemble_and_solve(twisted_model, K, x_points)
@@ -872,13 +981,15 @@ def libm_angle(x: float) -> float:
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("K, route", [(16, "eigh"), (40, "tridiagonal")])
-def test_huge_point_is_solved_at_its_angle(twisted_model, K, route):
+def test_huge_point_is_solved_at_its_angle(twisted_model, K, route, monkeypatch):
     # k x keeps no digit of the angle at x = 1e17 and overflows at 1e308;
     # each is probed at its libm angle, the point the direct route
-    # evaluates.  66-row blocks at K = 16 take the stacked eigh, 162-row
-    # ones at K = 40 the tridiagonal route
+    # evaluates.  66-row blocks at K = 16 take the stacked eigh, as without
+    # the LAPACK lookup, 162-row ones at K = 40 the tridiagonal route
     if route == "tridiagonal":
         require_lapack()
+    else:
+        monkeypatch.setattr(torus, "_lapack", lambda: None)
     for x in (1e17, 1e308):
         spec = assemble_and_solve(twisted_model, K, [[0.3, 0.0], [x, 0.0]])
         at_angle = assemble_and_solve(twisted_model, K, [[0.3, 0.0], [libm_angle(x), 0.0]])
@@ -899,7 +1010,7 @@ def test_huge_coordinates_need_no_phase_guard(twisted_model, x):
 
 
 def test_worker_tridiagonal_failure_is_typed(twisted_model, two_workers, monkeypatch):
-    # K = 32: 65 blocks of 130 rows in stacks of three.  The caller and the
+    # K = 32: 65 blocks of 130 rows, each a stack of its own.  The caller and the
     # helper each take one, and the dstedc call after the helper's first
     # zhetrd fails
     require_lapack()
@@ -1156,7 +1267,7 @@ def test_step_rows_bound_the_mollifier_build():
     # of the largest band table, at 16,384 nodes, would hold 10.5 MB of it
     nodes, weights, _ = torus._step_rule()
     # a row is the tables s and bump(s), two of 80 doubles
-    rows = torus._TABLE_BYTES // (2 * 8 * nodes.size)
+    rows = models._TABLE_BYTES // (2 * 8 * nodes.size)
     v = np.linspace(0.0, 0.5, 2 * rows + 7)
     whole = (torus._bump(-1.0 + np.multiply.outer(v, 1.0 + nodes)) @ weights) * v
     assert np.array_equal(torus._bump_integral(v, nodes, weights), whole)
@@ -1427,7 +1538,7 @@ def test_counting_matches_direct_band_sum(twisted_model, mollifier_t3):
         n = mollifier_t3._nodes(reach)
         bases, offsets = _angle_split(n, mollifier_t3.support / n)
         assert (bases.size, offsets.size) == (18, 19)
-        rows = torus._TABLE_BYTES // (16 * (2 * bases.size + offsets.size))
+        rows = models._TABLE_BYTES // (16 * (2 * bases.size + offsets.size))
         assert centers.size > rows and centers.size % rows == partial
         for i in (1, 0):
             samples = local_counting_mollified(spec, mollifier_t3, i, mu, branch)
