@@ -41,7 +41,6 @@ import numpy as np
 from .errors import ComplexResidue, NotElliptic, QuadratureFailure
 from .kernels import gauss_legendre
 from .symbols import (
-    DEFAULT_STEP,
     SymbolField,
     check_symbol_pair,
     eigen_jet,  # not called here; perfbench/inproc.py wraps coefficients.eigen_jet
@@ -59,15 +58,17 @@ class CosphereQuadrature:
 
     For n = 2 a uniform angle grid with trapezoid weights; for n = 3 a
     Gauss-Legendre rule in the polar cosine crossed with a trapezoid in
-    azimuth.  ``n_angles`` counts azimuthal nodes and must be >= 16, even.
+    azimuth.  ``n_angles`` counts azimuthal nodes: an even integer >= 16.
     """
 
     n_angles: int = 256
     n_polar: int = 32
 
     def __post_init__(self):
-        if self.n_angles < 16 or self.n_angles % 2 != 0:
-            raise ValueError("n_angles must be an even integer >= 16")
+        n = self.n_angles
+        if not (math.isfinite(n) and n == int(n) and n >= 16 and n % 2 == 0):
+            raise ValueError(f"n_angles must be an even integer >= 16, not {n!r}")
+        object.__setattr__(self, "n_angles", int(n))  # 16.0 is an integer too
 
     def nodes(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Unit vectors (rows) and weights integrating over the unit sphere."""
@@ -163,7 +164,6 @@ def _node_terms(
     nextorder: Optional[SymbolField],
     x: np.ndarray,
     xi: np.ndarray,
-    step: float,
 ) -> tuple:
     """Eigen-jets and projection-form integrands at x and every row of xi.
 
@@ -176,7 +176,7 @@ def _node_terms(
     :func:`~weylsys.symbols.require_hermitian` (:class:`NotHermitian`).
     """
     check_symbol_pair(leading, nextorder)
-    jets = eigen_jet_stack(*symbol_jets(leading, x, xi, step))
+    jets = eigen_jet_stack(*symbol_jets(leading, x, xi))
     sub = (np.einsum("nij,nkji->nk", require_hermitian(nextorder.values(x, xi)), jets.P)
            if nextorder is not None else np.zeros(jets.h.shape, dtype=complex))
     trace = _trace_bracket(jets.dP_x, jets.P, jets.dP_xi)
@@ -206,7 +206,6 @@ class CospherePanel:
         nextorder: Optional[SymbolField],
         x: np.ndarray,
         quad: CosphereQuadrature,
-        step: float = DEFAULT_STEP,
     ):
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
@@ -215,7 +214,7 @@ class CospherePanel:
         self.n = x.size
         omega, self.weights = quad.nodes(self.n)
         self.jets, self.sub, self.bracket, self.curvature = _node_terms(
-            leading, nextorder, x, omega, step
+            leading, nextorder, x, omega
         )
         self.sheets = self.jets.sheets[0]
         if np.any(self.jets.sheets != self.sheets):
@@ -318,12 +317,16 @@ def second_weyl(
     nextorder: Optional[SymbolField],
     x: np.ndarray,
     quad: CosphereQuadrature = CosphereQuadrature(),
-    step: float = DEFAULT_STEP,
+    step: float = 1e-3,
 ) -> SecondWeylResult:
     """Second local coefficient density with per-term breakdown.
 
     Sums the subprincipal, bracket and curvature terms, in their gauge-free
-    projection forms, over positive sheets.
+    projection forms, over positive sheets.  ``step`` moves nothing: it is
+    kept, and checked (``ValueError`` unless 0 < step < inf), for callers
+    that pass it by position, such as the benchmark's probe.
     """
-    coeffs = CospherePanel(leading, nextorder, x, quad, step).coefficients()
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    coeffs = CospherePanel(leading, nextorder, x, quad).coefficients()
     return SecondWeylResult(coeffs.a_second_plus, coeffs.breakdown)

@@ -188,6 +188,8 @@ class TorusModel:
 
         # one read of each coefficient field and its gradient per call
         def jet(x, xi):
+            if np.shape(x) != (n,):  # every route reads this jet first
+                raise DimensionMismatch(f"base point of shape {np.shape(x)}, not ({n},)")
             vals = [fld.value(x) for fld in coeffs]
             grads = [fld.gradient(x) for fld in coeffs]
             dx = np.stack(

@@ -36,7 +36,6 @@ from .coefficients import (
 from .errors import AngleOutOfRange, QuadratureFailure, SingularResolvent
 from .kernels import check_recovery_angles, kernel_moment_closed
 from .symbols import (
-    DEFAULT_STEP,
     PhasePoint,
     SymbolField,
     check_symbol_pair,
@@ -100,9 +99,7 @@ def power_trace_symbol(
     """
     if n < 2:
         raise ValueError("power trace requires n >= 2")
-    jets, sub, bracket, curvature = _node_terms(
-        leading, nextorder, p.x, p.xi[None], DEFAULT_STEP
-    )
+    jets, sub, bracket, curvature = _node_terms(leading, nextorder, p.x, p.xi[None])
     _check_distance(jets.h[0], z)
     total = 0.0 + 0.0j
     for h, s, b, c in zip(*(a[0].tolist() for a in (jets.h, sub, bracket, curvature))):

@@ -11,11 +11,11 @@ phase-space directions, and provides the three-slot bracket on matrix
 jets.  :class:`PhasePoint` is the single-point face of the same calls
 (N = 1).
 
-Only the leading symbol is differentiated; the next-order one enters the
-coefficients by its value alone.  Eigen-jets are exact first-order
-perturbation theory on the symbol's derivative matrices dA (the field's
-analytic derivatives, or five-point central differences of the matrix,
-stacked over all N covectors, when the field has none): with eigenpairs
+Only the leading symbol is differentiated, and only analytically: its
+field must carry a jet, the closed-form derivatives that every torus model
+gives; the next-order one enters the coefficients by its value alone.
+Eigen-jets are exact first-order perturbation theory on the symbol's
+derivative matrices dA, stacked over all N covectors: with eigenpairs
 (h_k, v_k),
 
     dv_k = sum_{j != k} v_j (v_j* dA v_k) / (h_k - h_j)
@@ -30,10 +30,9 @@ fixed phase makes its bits independent of the phases LAPACK returns.
 
 One construction, :func:`eigen_jet_stack`, serves a whole stack of points
 with one stacked eigensolve into one record, :class:`EigenJet`, with a
-node axis; :func:`eigen_jet` is its node 0 at one point.  Only
-:func:`symbol_jets` and the cosphere panel (``second_weyl`` ->
-``CospherePanel``) take a differencing step; elsewhere a field without an
-analytic jet is differenced at ``DEFAULT_STEP``.
+node axis; :func:`eigen_jet` is its node 0 at one point.  Every route
+reads a leading symbol through :func:`symbol_jets`, which refuses a field
+without a jet before any other work.
 
 Everything here is a pure function of its inputs and all returned values
 are immutable; concurrent callers need no coordination.
@@ -54,12 +53,7 @@ from .errors import (
 )
 
 HERMITICITY_TOL = 1e-10
-DEFAULT_STEP = 1e-3
 SIMPLICITY_FACTOR = 1e-6
-
-# Five-point central first-derivative stencil at offsets (-2h,-h,+h,+2h).
-_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
-_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 
 
 @dataclass(frozen=True)
@@ -115,7 +109,7 @@ class SymbolField:
     jet : callable, optional
         Same arguments; returns the value together with the analytic x-
         and xi-derivatives, shapes (N, m, m), (N, n, m, m) and
-        (N, n, m, m).  When present, finite differences are bypassed.
+        (N, n, m, m).  A leading symbol must have one (:func:`symbol_jets`).
     """
 
     dim: int
@@ -241,44 +235,23 @@ def symbol_jets(
     field: SymbolField,
     x: np.ndarray,
     xi: np.ndarray,
-    step: float = DEFAULT_STEP,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Value and first derivatives of a field at x and every row of xi.
 
-    Returns (N, m, m) values and (N, n, m, m) x- and xi-derivatives.  Uses
-    the field's analytic jet when present; otherwise five-point central
-    differences with absolute step ``step`` in x and relative step
-    ``step * |xi|`` in xi, each stencil point one stacked call for all N
-    covectors.  Derivative matrices of square Hermitian fields are
-    re-symmetrised, which removes O(roundoff) asymmetry.  ``ValueError``
-    unless 0 < step < inf, or when a returned array has a non-finite entry;
-    :class:`DimensionMismatch` when a jet's array has another shape.
+    Returns (N, m, m) values and (N, n, m, m) x- and xi-derivatives, read
+    off the field's analytic jet.  Derivative matrices of square Hermitian
+    fields are re-symmetrised, which removes O(roundoff) asymmetry.
+    ``ValueError`` when the field has no jet, before it is evaluated, or
+    when a returned array has a non-finite entry; :class:`DimensionMismatch`
+    when a jet's array has another shape.
     """
-    if not 0.0 < step < np.inf:
-        raise ValueError(f"step must be positive and finite, got {step}")
+    if field.jet is None:
+        raise ValueError("symbol field has no analytic jet to differentiate")
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    if field.jet is not None:
-        value, dx, dxi = field.jet(x, xi)
-        value = _shaped(value, (len(xi), field.dim, field.dim), "jet")
-        dx, dxi = (_shaped(d, (len(xi), x.size) + value.shape[1:], "jet") for d in (dx, dxi))
-    else:
-        value = field.values(x, xi)
-        n = x.size
-        dx = np.empty((len(xi), n, field.dim, field.dim), dtype=complex)
-        dxi = np.empty_like(dx)
-        h_x = step
-        h_xi = step * np.linalg.norm(xi, axis=1)
-        for axis in range(n):
-            unit = np.eye(n)[axis]
-            acc = np.zeros_like(value)
-            for off, w in zip(_OFFSETS, _WEIGHTS):
-                acc += w * field.values(x + off * h_x * unit, xi)
-            dx[:, axis] = acc / h_x
-            acc = np.zeros_like(value)
-            for off, w in zip(_OFFSETS, _WEIGHTS):
-                acc += w * field.values(x, xi + np.outer(off * h_xi, unit))
-            dxi[:, axis] = acc / h_xi[:, None, None]
+    value, dx, dxi = field.jet(x, xi)
+    value = _shaped(value, (len(xi), field.dim, field.dim), "jet")
+    dx, dxi = (_shaped(d, (len(xi), x.size) + value.shape[1:], "jet") for d in (dx, dxi))
     dx = 0.5 * (dx + dx.conj().swapaxes(-1, -2))
     dxi = 0.5 * (dxi + dxi.conj().swapaxes(-1, -2))
     if not all(np.all(np.isfinite(a)) for a in (value, dx, dxi)):

@@ -28,7 +28,7 @@ from weylsys.errors import (
     SolveFailure,
 )
 from weylsys.coefficients import _node_terms
-from weylsys.symbols import DEFAULT_STEP, eigen_jet_stack, require_hermitian, symbol_jets
+from weylsys.symbols import eigen_jet_stack, require_hermitian, symbol_jets
 from weylsys.models import DEFAULT_BUDGET, TRUSTED_FRACTION, TrigMatrixField
 
 
@@ -204,6 +204,41 @@ def pointwise_field(dim, degree, fn, derivatives=None):
     return SymbolField(dim, degree, evaluator, jet)
 
 
+# Five-point central first-derivative stencil, (offset, weight) pairs: the
+# derivative is sum weight * f(x + offset h) / (12 h)
+STENCIL = ((-2.0, 1.0), (-1.0, -8.0), (1.0, 8.0), (2.0, -1.0))
+
+
+def differenced(field, step=1e-3):
+    """``field`` with the same evaluator and a jet of five-point central
+    differences (oracle): absolute step ``step`` in x and relative step
+    ``step * |xi|`` in xi, each stencil point one stacked call for all N
+    covectors.  ``ValueError`` unless 0 < step < inf.
+    """
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+
+    def jet(x, xi):
+        value = field.values(x, xi)
+        n = x.size
+        dx = np.empty((len(xi), n, field.dim, field.dim), dtype=complex)
+        dxi = np.empty_like(dx)
+        h_xi = step * np.linalg.norm(xi, axis=1)
+        for axis in range(n):
+            unit = np.eye(n)[axis]
+            acc = np.zeros_like(value)
+            for off, w in STENCIL:
+                acc += w / 12.0 * field.values(x + off * step * unit, xi)
+            dx[:, axis] = acc / step
+            acc = np.zeros_like(value)
+            for off, w in STENCIL:
+                acc += w / 12.0 * field.values(x, xi + np.outer(off * h_xi, unit))
+            dxi[:, axis] = acc / h_xi[:, None, None]
+        return value, dx, dxi
+
+    return SymbolField(field.dim, field.degree, field.evaluator, jet)
+
+
 def flipped_field(field):
     """The field of the sign-flipped operator (matrix negated pointwise)."""
     ev, jet = field.evaluator, field.jet
@@ -238,9 +273,7 @@ def bare_jet(matrix):
 def node_terms(leading, nextorder, p):
     """The cosphere panel's computation at the one node p.xi: the eigen-jet
     and the subprincipal, bracket and curvature integrands, each (m,)."""
-    jets, sub, bracket, curvature = _node_terms(
-        leading, nextorder, p.x, p.xi[None], DEFAULT_STEP
-    )
+    jets, sub, bracket, curvature = _node_terms(leading, nextorder, p.x, p.xi[None])
     return jets.at(0), sub[0], bracket[0], curvature[0]
 
 

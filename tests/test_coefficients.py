@@ -1,6 +1,7 @@
 """Direct-pipeline tests: region integrals, both coefficient densities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,10 +17,10 @@ from weylsys import (
     weyl_coefficients,
 )
 from weylsys.coefficients import CospherePanel, _node_terms, _trace_bracket
-from weylsys.errors import NotElliptic
-from weylsys.symbols import DEFAULT_STEP
+from weylsys.errors import DimensionMismatch, NotElliptic
 
 from conftest import (
+    differenced,
     flipped_field,
     gauge_twin,
     pauli_coefficients,
@@ -37,23 +38,33 @@ X0 = np.array([0.4, 1.1])
 
 
 def planar_spin_field(scale1=1.0, scale2=1.0):
-    return pointwise_field(
+    return differenced(pointwise_field(
         2, 1,
         lambda x, xi: SIGMA1 * scale1 * xi[0] + SIGMA2 * scale2 * xi[1],
-    )
+    ))
 
 
 def test_quadrature_validation():
-    with pytest.raises(ValueError):
-        CosphereQuadrature(n_angles=15)
-    with pytest.raises(ValueError):
-        CosphereQuadrature(n_angles=8)
+    for n_angles in (15, 8, 16.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            CosphereQuadrature(n_angles=n_angles)
+    # an integral float is an integer, as for the truncation K
+    quad = CosphereQuadrature(n_angles=16.0)
+    assert type(quad.n_angles) is int and quad == CosphereQuadrature(n_angles=16)
+    assert len(quad.nodes(2)[1]) == 16
 
 
 def test_panel_rejects_non_finite_base_point():
     for x in ([np.nan, 0.0], [0.0, np.inf]):
         with pytest.raises(ValueError, match="non-finite"):
             CospherePanel(planar_spin_field(), None, np.array(x), CosphereQuadrature())
+
+
+def test_wrong_shaped_base_point_is_a_dimension_mismatch(twisted_model):
+    lead, sub = twisted_model.symbol_fields()
+    for x, shape in (([0.1, 0.2, 0.3], "(3,)"), ([[0.1], [0.2]], "(2, 1)")):
+        with pytest.raises(DimensionMismatch, match=re.escape(shape)):
+            weyl_coefficients(lead, sub, x)
 
 
 def test_sphere_rule_integrates_constants():
@@ -109,9 +120,9 @@ def test_first_weyl_planar_spin():
 
 
 def test_first_weyl_negative_definite_is_zero():
-    f = pointwise_field(
+    f = differenced(pointwise_field(
         2, 1, lambda x, xi: -np.linalg.norm(xi) * np.diag([1.0, 2.0]).astype(complex)
-    )
+    ))
     assert first_weyl(f, X0) == 0.0
 
 
@@ -125,7 +136,7 @@ def test_first_weyl_scaling(twisted_model):
     lead, _ = twisted_model.symbol_fields()
     base = first_weyl(lead, X0)
     for c in (0.5, 2.0):
-        scaled = SymbolField(2, 1, lambda x, xi, c=c: c * lead.evaluator(x, xi))
+        scaled = differenced(SymbolField(2, 1, lambda x, xi, c=c: c * lead.evaluator(x, xi)))
         val = first_weyl(scaled, X0)
         assert abs(val - base / c ** 2) < 1e-12 * base
 
@@ -314,7 +325,7 @@ def test_weyl_coefficients_symmetric_model(dirac_model):
 
 def test_not_elliptic_region_integral():
     # leading symbol degenerate along a direction: sigma_1 xi_1 alone
-    f = pointwise_field(2, 1, lambda x, xi: SIGMA1 * xi[0])
+    f = differenced(pointwise_field(2, 1, lambda x, xi: SIGMA1 * xi[0]))
     with pytest.raises(NotElliptic):
         region_volume(f, X0, 1)
 
@@ -334,11 +345,11 @@ def test_complex_residue_detected():
 
 def test_three_dimensional_region_volume():
     # n = 3 rule: volume of the unit ball from |h| = |xi|
-    f3 = SymbolField(
+    f3 = differenced(SymbolField(
         2, 1,
         lambda x, xi: np.linalg.norm(xi, axis=1)[:, None, None]
         * np.diag([1.0, -1.0]).astype(complex),
-    )
+    ))
     x3 = np.array([0.1, 0.2, 0.3])
     val = region_volume(f3, x3, 1, CosphereQuadrature(n_angles=64, n_polar=24))
     assert abs(val - 4.0 * math.pi / 3.0) < 1e-10
@@ -356,16 +367,16 @@ def test_panel_applies_the_node_rules():
         return SIGMA1 * xi[0] + SIGMA2 * xi[1] + (1e-3 * skew if bad else 0.0)
 
     with pytest.raises(NotHermitian):
-        CospherePanel(pointwise_field(2, 1, one_bad_node), None, X0, quad)
+        CospherePanel(differenced(pointwise_field(2, 1, one_bad_node)), None, X0, quad)
 
     # diag(2|xi|, |xi| cos(theta + pi/16)): no node is near a zero or a
     # crossing, but the second eigenvalue changes sign between nodes
     c, s = math.cos(math.pi / 16), math.sin(math.pi / 16)
-    turning = pointwise_field(
+    turning = differenced(pointwise_field(
         2, 1,
         lambda x, xi: np.diag([2.0 * np.linalg.norm(xi), c * xi[0] - s * xi[1]])
         .astype(complex),
-    )
+    ))
     with pytest.raises(NotElliptic, match="signature"):
         CospherePanel(turning, None, X0, quad)
 
@@ -459,7 +470,7 @@ def test_one_trace_gives_bracket_and_curvature(rng, m):
     x = rng.uniform(0.0, 2.0 * math.pi, size=2)
     angles = rng.uniform(0.0, 2.0 * math.pi, size=12)
     xi = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    jets, _, bracket, curvature = _node_terms(field, None, x, xi, DEFAULT_STEP)
+    jets, _, bracket, curvature = _node_terms(field, None, x, xi)
     middle = field.values(x, xi)[:, None] - jets.h[..., None, None] * np.eye(m)
     path = "nakij,nkjl,nakli->nk"
     for got, centre in ((bracket, middle), (curvature, jets.P)):
@@ -481,7 +492,7 @@ def test_eigenvector_forms_match_the_node_terms(rng, m):
     x = rng.uniform(0.0, 2.0 * math.pi, size=2)
     angles = rng.uniform(0.0, 2.0 * math.pi, size=12)
     xi = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    jets, *terms = _node_terms(field, sub, x, xi, DEFAULT_STEP)
+    jets, *terms = _node_terms(field, sub, x, xi)
     for got, want in zip(vector_integrands(jets, field, sub, x, xi), terms):
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
@@ -492,10 +503,10 @@ def test_eigenvector_forms_match_the_node_terms(rng, m):
 
 @pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
 def test_differencing_step_must_be_positive_and_finite(twisted_model, step):
+    # second_weyl's step moves nothing but is still checked, on any field
     lead, sub = twisted_model.symbol_fields()
-    bare = SymbolField(2, 1, lead.evaluator)  # takes the differencing fallback
     with pytest.raises(ValueError, match="step"):
-        second_weyl(bare, sub, np.array([0.3, 0.0]), step=step)
+        second_weyl(lead, sub, np.array([0.3, 0.0]), step=step)
 
 
 def test_non_finite_jet_is_rejected(twisted_model):

@@ -1,12 +1,14 @@
 """Golden outputs: the command set's CSVs and stdouts, byte for byte.
 
 ``tests/golden/<case>/`` holds what each command of ``CASES`` writes, its
-CSVs and its console lines (``stdout.txt``), and ``tests/golden/STACK``
-the Python, numpy and OpenBLAS (version and kernel core) that made them.
-On that stack the test reruns the set through ``cli.main`` and compares
-bytes; on another one it skips and names both stacks, since BLAS kernels
-round differently per CPU and no byte is promised there.  Rewrite the
-files after a change that moves bytes, and state the move, with
+CSVs and its console lines (``stdout.txt``), ``tests/golden/demos/`` what
+each demo prints, and ``tests/golden/STACK`` the Python, numpy and
+OpenBLAS (version and kernel core) that made them.  On that stack the test
+reruns the set through ``cli.main`` and compares bytes, and
+``test_surface.py::test_demo_runs`` compares each demo's stdout; on another
+stack both skip and name the two stacks, since BLAS kernels round
+differently per CPU and no byte is promised there.  Rewrite the files
+after a change that moves bytes, and state the move, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -15,7 +17,9 @@ import contextlib
 import ctypes
 import io
 import itertools
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,6 +30,8 @@ from weylsys.cli import main
 from weylsys.torus import _openblas_libraries
 
 GOLDEN = Path(__file__).with_name("golden")
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
 
 # each case's arguments; no case has a lone Galerkin block, whose bits
 # follow the BLAS thread count
@@ -52,6 +58,32 @@ def stack() -> str:
             f"openblas {' '.join(blas.split())}\n")
 
 
+def require_recorded_stack() -> None:
+    """Skip, naming both stacks, unless this is the stack of the goldens."""
+    recorded = (GOLDEN / "STACK").read_text()
+    if stack() != recorded:
+        pytest.skip(f"goldens made on\n{recorded}this stack is\n{stack()}")
+
+
+def run_demo(demo: str) -> subprocess.CompletedProcess:
+    """Run ``demos/<demo>`` in a fresh interpreter under the suite's
+    warning rule, its output captured as text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    env["PYTHONWARNINGS"] = "error"  # the suite's own warning rule
+    return subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def demo_golden(demo: str) -> Path:
+    """The recorded stdout of ``demos/<demo>``."""
+    return GOLDEN / "demos" / f"{Path(demo).stem}.txt"
+
+
 def run_case(name: str, out: Path) -> None:
     """Run one case into ``out``, its console lines as ``stdout.txt``."""
     out.mkdir(parents=True)
@@ -71,9 +103,7 @@ def first_difference(got: bytes, want: bytes) -> str:
 
 
 def test_golden_outputs(tmp_path):
-    recorded = (GOLDEN / "STACK").read_text()
-    if stack() != recorded:
-        pytest.skip(f"goldens made on\n{recorded}this stack is\n{stack()}")
+    require_recorded_stack()
     for name in CASES:
         run_case(name, tmp_path / name)
         wanted = sorted(path.name for path in (GOLDEN / name).iterdir())
@@ -88,5 +118,10 @@ if __name__ == "__main__":
     shutil.rmtree(GOLDEN, ignore_errors=True)
     for case in CASES:
         run_case(case, GOLDEN / case)
+    (GOLDEN / "demos").mkdir()
+    for demo in DEMOS:
+        proc = run_demo(demo)
+        assert proc.returncode == 0, proc.stderr
+        demo_golden(demo).write_text(proc.stdout)
     (GOLDEN / "STACK").write_text(stack())
     print(f"wrote {sum(1 for _ in GOLDEN.rglob('*.*'))} files under {GOLDEN}")

@@ -35,6 +35,7 @@ from weylsys.symbols import symbol_jets
 
 from conftest import (
     cauchy_derivative,
+    differenced,
     node_terms,
     pointwise_field,
     radial_profile,
@@ -51,7 +52,7 @@ SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
 # ---------------------------------------------------------------------------
 
 def test_constant_symbol_resolvent_is_plain_inverse():
-    f = pointwise_field(2, 1, lambda x, xi: SIGMA3 * np.linalg.norm(xi))
+    f = differenced(pointwise_field(2, 1, lambda x, xi: SIGMA3 * np.linalg.norm(xi)))
     p = PhasePoint([0.1, 0.7], [0.6, 0.8])
     z = 0.3 + 0.9j
     got = resolvent_symbol(f, None, p, z)
@@ -112,9 +113,9 @@ def test_singular_resolvent_raises(dirac_model):
 def test_non_hermitian_symbol_raises_on_every_route():
     # Hermiticity defect 0.5 in the upper triangle, which eigvalsh never reads
     skew = np.array([[0.0, 0.5], [0.0, 0.0]])
-    f = pointwise_field(
+    f = differenced(pointwise_field(
         2, 1, lambda x, xi: SIGMA3 * xi[0] + (SIGMA1 + skew) * xi[1]
-    )
+    ))
     p = PhasePoint([0.1, 0.7], [0.6, 0.8])
     z = 0.3 + 0.9j
     with pytest.raises(NotHermitian):
@@ -179,6 +180,24 @@ def test_degree_zero_leading_symbol_raises_on_every_route(twisted_model):
             route()
 
 
+def test_jetless_leading_symbol_raises_on_every_route(twisted_model):
+    # the leading symbol is differentiated analytically only: a field with
+    # no jet is refused before its evaluator is called
+    lead, sub = twisted_model.symbol_fields()
+    calls = []
+
+    def evaluator(x, xi):
+        calls.append(len(xi))
+        return lead.evaluator(x, xi)
+
+    bare = SymbolField(lead.dim, lead.degree, evaluator)
+    p = PhasePoint([0.3, 0.0], [0.6, 0.8])
+    for route in (*every_route(bare, sub), lambda: eigen_jet(bare, p)):
+        with pytest.raises(ValueError, match="no analytic jet"):
+            route()
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # traced symbol forms
 # ---------------------------------------------------------------------------
@@ -195,7 +214,7 @@ def test_matrix_trace_equals_sheet_sum(twisted_model, rng):
 
 
 def test_trace_closed_form_constant_diagonal():
-    f = pointwise_field(2, 1, lambda x, xi: SIGMA3 * np.linalg.norm(xi))
+    f = differenced(pointwise_field(2, 1, lambda x, xi: SIGMA3 * np.linalg.norm(xi)))
     p = PhasePoint([0.0, 0.0], [0.6, 0.8])
     z = 1j
     got = power_trace_symbol(f, None, p, z, 2)
@@ -204,7 +223,7 @@ def test_trace_closed_form_constant_diagonal():
 
 
 def test_trace_constant_with_potential(rng):
-    f = pointwise_field(2, 1, lambda x, xi: SIGMA3 * np.linalg.norm(xi))
+    f = differenced(pointwise_field(2, 1, lambda x, xi: SIGMA3 * np.linalg.norm(xi)))
     b = np.array([[0.4, 0.1], [0.1, -0.2]], dtype=complex)
     sub = pointwise_field(2, 0, lambda x, xi: b)
     p = PhasePoint([0.0, 0.0], [1.0, 0.0])
@@ -217,7 +236,7 @@ def test_trace_constant_with_potential(rng):
 
 
 def test_power_trace_constant_n3():
-    f = pointwise_field(2, 1, lambda x, xi: SIGMA3 * np.linalg.norm(xi))
+    f = differenced(pointwise_field(2, 1, lambda x, xi: SIGMA3 * np.linalg.norm(xi)))
     b = np.array([[0.4, 0.0], [0.0, -0.2]], dtype=complex)
     sub = pointwise_field(2, 0, lambda x, xi: b)
     p = PhasePoint([0.0, 0.0], [1.0, 0.0])

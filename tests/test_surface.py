@@ -1,5 +1,6 @@
 """Public surface: exported names, the names the demos import, and the
-names the traced benchmark wraps all exist; every demo runs."""
+names the traced benchmark wraps all exist; every demo runs, and on the
+goldens' stack prints its recorded output."""
 
 import ast
 import importlib
@@ -14,6 +15,8 @@ from types import MappingProxyType
 import pytest
 
 import weylsys
+
+from test_golden import DEMOS, demo_golden, first_difference, require_recorded_stack, run_demo
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,20 +37,15 @@ def test_exported_and_demo_names_exist():
     assert missing == []
 
 
-@pytest.mark.parametrize(
-    "demo", sorted(path.name for path in (ROOT / "demos").glob("*.py"))
-)
+@pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    env["PYTHONWARNINGS"] = "error"  # the suite's own warning rule
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = run_demo(demo)
     assert proc.returncode == 0, proc.stderr
+    require_recorded_stack()
+    want = demo_golden(demo).read_text()
+    assert proc.stdout == want, (
+        f"{demo} differs at {first_difference(proc.stdout.encode(), want.encode())}"
+    )
 
 
 def run_with_benchmark_path(code: str) -> subprocess.CompletedProcess:

@@ -17,12 +17,12 @@ from weylsys.errors import (
 )
 from weylsys.symbols import MatrixJet, require_hermitian, symbol_jets
 
-_STENCIL = ((-2.0, 1.0), (-1.0, -8.0), (1.0, 8.0), (2.0, -1.0))
-
 from conftest import (
+    STENCIL,
     bare_jet,
     check_field_contract,
     conjugate_transpose,
+    differenced,
     node_terms,
     pointwise_field,
     random_phase_points,
@@ -41,9 +41,9 @@ SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
 
 def planar_spin_field():
     """xi_1 sigma_1 + xi_2 sigma_2: eigenvalues +-|xi|."""
-    return pointwise_field(
+    return differenced(pointwise_field(
         2, 1, lambda x, xi: SIGMA1 * xi[0] + SIGMA2 * xi[1]
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +166,15 @@ def test_bare_jet_is_the_eigen_jet_without_directions(twisted_model, rng):
 # ---------------------------------------------------------------------------
 
 def test_constant_field_has_zero_derivatives():
-    f = pointwise_field(2, 0, lambda x, xi: SIGMA3.copy())
+    f = differenced(pointwise_field(2, 0, lambda x, xi: SIGMA3.copy()))
     _, (dx,), (dxi,) = symbol_jets(f, [0.1, 0.2], [[0.7, -0.4]])
     assert np.max(np.abs(dx)) < 1e-12
     assert np.max(np.abs(dxi)) < 1e-12
 
 
 def test_norm_field_gradient():
-    f = pointwise_field(2, 1, lambda x, xi: np.linalg.norm(xi) * np.eye(2, dtype=complex))
+    f = differenced(pointwise_field(
+        2, 1, lambda x, xi: np.linalg.norm(xi) * np.eye(2, dtype=complex)))
     _, _, (dxi,) = symbol_jets(f, [0.0, 0.0], [[0.0, 1.0]])
     np.testing.assert_allclose(dxi[0][0, 0], 0.0, atol=1e-9)
     np.testing.assert_allclose(dxi[1][0, 0], 1.0, atol=1e-9)
@@ -205,9 +206,9 @@ def quadratic_field():
 @pytest.mark.parametrize("step", [1e-2, 1e-3])
 def test_quadratic_fd_convergence(step):
     ev, ev_dx, ev_dxi = quadratic_field()
-    f = pointwise_field(2, 0, ev)
+    f = differenced(pointwise_field(2, 0, ev), step)
     p = PhasePoint([0.4, -0.3], [0.9, 0.5])
-    _, (dx,), (dxi,) = symbol_jets(f, p.x, p.xi[None], step=step)
+    _, (dx,), (dxi,) = symbol_jets(f, p.x, p.xi[None])
     err = max(
         np.max(np.abs(dx - ev_dx(p.x, p.xi))),
         np.max(np.abs(dxi - ev_dxi(p.x, p.xi))),
@@ -221,7 +222,7 @@ def test_analytic_derivatives_bypass_differencing():
     ev, ev_dx, ev_dxi = quadratic_field()
     f = pointwise_field(2, 0, ev, lambda x, xi: (ev_dx(x, xi), ev_dxi(x, xi)))
     p = PhasePoint([0.4, -0.3], [0.9, 0.5])
-    _, (dx,), (dxi,) = symbol_jets(f, p.x, p.xi[None], step=1e-1)
+    _, (dx,), (dxi,) = symbol_jets(f, p.x, p.xi[None])
     np.testing.assert_allclose(dx, ev_dx(p.x, p.xi), atol=1e-14)
     np.testing.assert_allclose(dxi, ev_dxi(p.x, p.xi), atol=1e-14)
 
@@ -368,7 +369,7 @@ def test_malformed_jet_is_a_dimension_mismatch(twisted_model, malformed):
 # ---------------------------------------------------------------------------
 
 def test_constant_symbol_jet_derivatives_vanish():
-    f = pointwise_field(2, 1, lambda x, xi: SIGMA3 * np.linalg.norm(xi))
+    f = differenced(pointwise_field(2, 1, lambda x, xi: SIGMA3 * np.linalg.norm(xi)))
     # x-derivatives must vanish identically for an x-independent field
     jet = eigen_jet(f, PhasePoint([0.3, 0.8], [1.0, 0.0]))
     assert np.max(np.abs(jet.dP_x)) < 1e-10
@@ -450,7 +451,7 @@ def gap_closing_field(angle):
 
     u = xi/|xi| and e the unit vector at ``angle``: the eigenvectors turn
     with x1, and the gap 2 |xi| g nearly closes in the direction e only.
-    No analytic derivatives, so jets take the differencing fallback.
+    Its jet is differenced (:func:`conftest.differenced`).
     """
     e = np.array([np.cos(angle), np.sin(angle)])
 
@@ -460,7 +461,7 @@ def gap_closing_field(angle):
         turn = np.cos(x[0]) * SIGMA3 + np.sin(x[0]) * SIGMA1
         return r * (2.0 * np.eye(2) + g * turn)
 
-    return pointwise_field(2, 1, ev)
+    return differenced(pointwise_field(2, 1, ev))
 
 
 def test_near_degenerate_gap_raises():
@@ -568,7 +569,7 @@ def stencil_jet(field, p, step=1e-3):
     for kind, h in (("x", step), ("xi", step * xi_norm(p))):
         dP = np.zeros((p.n, field.dim, field.dim, field.dim), dtype=complex)
         for axis in range(p.n):
-            for off, w in _STENCIL:
+            for off, w in STENCIL:
                 shift = np.eye(p.n)[axis] * off * h
                 if kind == "x":
                     moved = PhasePoint(p.x + shift, p.xi)
@@ -581,8 +582,8 @@ def stencil_jet(field, p, step=1e-3):
 
 def test_exact_jets_match_rediagonalisation_stencil(twisted_model):
     lead, _ = twisted_model.symbol_fields()
-    # the same evaluator without derivatives takes the differencing fallback
-    bare = SymbolField(lead.dim, lead.degree, lead.evaluator)
+    # the same evaluator with a differenced jet
+    bare = differenced(lead)
     pts = random_phase_points(np.random.default_rng(7), 24)
     for field in (lead, bare):
         for x, xi in pts:
