@@ -58,17 +58,21 @@ class CosphereQuadrature:
 
     For n = 2 a uniform angle grid with trapezoid weights; for n = 3 a
     Gauss-Legendre rule in the polar cosine crossed with a trapezoid in
-    azimuth.  ``n_angles`` counts azimuthal nodes: an even integer >= 16.
+    azimuth.  ``n_angles`` counts azimuthal nodes, an even integer >= 16,
+    and ``n_polar`` polar ones, an integer >= 1; an integral float is
+    stored as the integer, any other value is a ``ValueError``.
     """
 
     n_angles: int = 256
     n_polar: int = 32
 
     def __post_init__(self):
-        n = self.n_angles
-        if not (math.isfinite(n) and n == int(n) and n >= 16 and n % 2 == 0):
-            raise ValueError(f"n_angles must be an even integer >= 16, not {n!r}")
-        object.__setattr__(self, "n_angles", int(n))  # 16.0 is an integer too
+        for name, rule, least, step in (("n_angles", "an even integer >= 16", 16, 2),
+                                        ("n_polar", "an integer >= 1", 1, 1)):
+            n = getattr(self, name)
+            if not (math.isfinite(n) and n == int(n) and n >= least and n % step == 0):
+                raise ValueError(f"{name} must be {rule}, not {n!r}")
+            object.__setattr__(self, name, int(n))  # 16.0 is an integer too
 
     def nodes(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Unit vectors (rows) and weights integrating over the unit sphere."""

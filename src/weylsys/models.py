@@ -34,7 +34,8 @@ ELLIPTICITY_MARGIN = 0.05
 GAP_MARGIN = 0.05
 # Bytes of one transient table of a run: a block of registration's symbols,
 # a Galerkin stack, a block of the counting's eigenvalue tables, a block of
-# nu rows of the band sum, a block of step values of the bump integral.
+# nu rows of the band sum, a block of step values of the bump integral, a
+# block of the eigen-jet's nodes.
 # Each sizes its rows from it (:func:`_table_rows`); a row larger than the
 # budget goes alone.
 _TABLE_BYTES = 1 << 18
@@ -42,8 +43,8 @@ _TABLE_BYTES = 1 << 18
 
 def _table_rows(row_bytes: int) -> int:
     """Rows of ``row_bytes`` bytes each that fit in ``_TABLE_BYTES``, at
-    least one."""
-    return max(1, _TABLE_BYTES // row_bytes)
+    least one; an empty row counts as one byte."""
+    return max(1, _TABLE_BYTES // max(1, row_bytes))
 
 
 class TrigMatrixField:
@@ -170,6 +171,12 @@ class TorusModel:
     def dim(self) -> int:
         return self.potential.dim
 
+    def _check_base_point(self, x) -> None:
+        """The symbols' one rule on a base point: :class:`DimensionMismatch`
+        unless it has shape (n,)."""
+        if np.shape(x) != (self.n,):
+            raise DimensionMismatch(f"base point of shape {np.shape(x)}, not ({self.n},)")
+
     def leading_symbol(self) -> SymbolField:
         from .symbols import SymbolField  # registration never loads symbols
 
@@ -184,12 +191,12 @@ class TorusModel:
             return out
 
         def ev(x, xi):
+            self._check_base_point(x)
             return combine([fld.value(x) for fld in coeffs], xi)
 
         # one read of each coefficient field and its gradient per call
         def jet(x, xi):
-            if np.shape(x) != (n,):  # every route reads this jet first
-                raise DimensionMismatch(f"base point of shape {np.shape(x)}, not ({n},)")
+            self._check_base_point(x)  # every route reads this jet first
             vals = [fld.value(x) for fld in coeffs]
             grads = [fld.gradient(x) for fld in coeffs]
             dx = np.stack(
@@ -206,6 +213,7 @@ class TorusModel:
         pot = self.potential
 
         def ev(x, xi):
+            self._check_base_point(x)
             return np.repeat(pot.value(x)[None], len(xi), axis=0)
 
         return SymbolField(self.dim, 0, ev)

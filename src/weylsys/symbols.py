@@ -30,9 +30,12 @@ fixed phase makes its bits independent of the phases LAPACK returns.
 
 One construction, :func:`eigen_jet_stack`, serves a whole stack of points
 with one stacked eigensolve into one record, :class:`EigenJet`, with a
-node axis; :func:`eigen_jet` is its node 0 at one point.  Every route
-reads a leading symbol through :func:`symbol_jets`, which refuses a field
-without a jet before any other work.
+node axis; :func:`eigen_jet` is its node 0 at one point.  The derivatives
+are formed in blocks of nodes that fit the run's one transient-table
+budget (``models._TABLE_BYTES``), so a panel's temporaries do not grow
+with its nodes; every node gets the same arithmetic, and bits, in any
+block.  Every route reads a leading symbol through :func:`symbol_jets`,
+which refuses a field without a jet before any other work.
 
 Everything here is a pure function of its inputs and all returned values
 are immutable; concurrent callers need no coordination.
@@ -51,6 +54,7 @@ from .errors import (
     NotElliptic,
     NotHermitian,
 )
+from .models import _table_rows
 
 HERMITICITY_TOL = 1e-10
 SIMPLICITY_FACTOR = 1e-6
@@ -324,31 +328,47 @@ def eigen_jet_stack(
 
     ``values`` (N, m, m) are the symbol matrices, ``dx`` and ``dxi``
     (N, n, m, m) their Hermitian derivative matrices: one stacked
-    eigensolve, then the module docstring's formulas for every point,
-    direction and sheet.  The eigenvectors and their parallel-gauge
-    derivatives are formed on the way to P and dP and not kept.  The
-    stack must pass the rules of :func:`_decompose_stack`, else the
-    matching :class:`WeylError` is raised: a small gap would blow up the
-    1/(h_k - h_j) factors.
+    eigensolve of all N, then the module docstring's formulas for every
+    point, direction and sheet.  The derivatives are formed in blocks of
+    nodes that fit one transient table (:func:`~weylsys.models._table_rows`),
+    each written into its rows of one preallocated dP, so the temporaries
+    of one block are held at a time; every node's arithmetic is the same
+    whatever the block, and so are its bits.  The eigenvectors and their
+    parallel-gauge derivatives are formed on the way to P and dP and not
+    kept.  The stack must pass the rules of :func:`_decompose_stack`, whose
+    threshold reads all N nodes, else the matching :class:`WeylError` is
+    raised: a small gap would blow up the 1/(h_k - h_j) factors.
     """
     h, vecs = _decompose_stack(values)
     n = dx.shape[1]
     m = h.shape[-1]
-    d_a = np.concatenate([dx, dxi], axis=1)  # x directions, then xi
-    # coupling[..., j, k] = v_j* dA v_k, one (m, m) block per direction
-    coupling = vecs.conj().swapaxes(-1, -2)[:, None] @ d_a @ vecs[:, None]
     off = ~np.eye(m, dtype=bool)
     split = h[:, None, :] - h[:, :, None]  # [j, k] = h_k - h_j
     inverse = np.where(off, 1.0 / np.where(off, split, 1.0), 0.0)
-    dvecs = vecs[:, None] @ (coupling * inverse[:, None])
     v = vecs.swapaxes(-1, -2)
-    dv = dvecs.swapaxes(-1, -2)
     P = v[..., :, None] * v.conj()[..., None, :]
-    half = dv[..., :, None] * v.conj()[:, None, :, None, :]  # dv_k v_k*
-    dP = half + half.conj().swapaxes(-1, -2)
+    dP = np.empty((len(h), 2 * n, m, m, m), dtype=complex)
+    # per node, five (2n, m, m) tables and three (2n, m, m, m), the block of dP included
+    nodes = _table_rows(16 * 2 * n * m * m * (5 + 3 * m))
+    for lo in range(0, len(h), nodes):
+        block = slice(lo, lo + nodes)
+        _derive_block(vecs[block], inverse[block], dx[block], dxi[block], dP[block])
     return EigenJet(
         sheets=sheet_labels(h), h=h, P=P, dP_x=dP[:, :n], dP_xi=dP[:, n:]
     )
+
+
+def _derive_block(vecs: np.ndarray, inverse: np.ndarray, dx: np.ndarray,
+                  dxi: np.ndarray, out: np.ndarray) -> None:
+    """dP of a block of nodes into ``out``, (nodes, 2n, m, m, m): x
+    directions, then xi; its temporaries go when it returns."""
+    d_a = np.concatenate([dx, dxi], axis=1)
+    # coupling[..., j, k] = v_j* dA v_k, one (m, m) block per direction
+    coupling = vecs.conj().swapaxes(-1, -2)[:, None] @ d_a @ vecs[:, None]
+    dvecs = vecs[:, None] @ (coupling * inverse[:, None])
+    dv = dvecs.swapaxes(-1, -2)
+    half = dv[..., :, None] * vecs.swapaxes(-1, -2).conj()[:, None, :, None, :]  # dv_k v_k*
+    np.add(half, half.conj().swapaxes(-1, -2), out=out)
 
 
 def eigen_jet(field: SymbolField, p: PhasePoint) -> EigenJet:

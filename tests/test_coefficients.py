@@ -8,6 +8,7 @@ import pytest
 
 from weylsys import (
     CosphereQuadrature,
+    PhasePoint,
     SymbolField,
     b_profile,
     build_model,
@@ -48,10 +49,14 @@ def test_quadrature_validation():
     for n_angles in (15, 8, 16.5, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             CosphereQuadrature(n_angles=n_angles)
+    for n_polar in (0, -3, 8.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="n_polar"):
+            CosphereQuadrature(n_polar=n_polar)
     # an integral float is an integer, as for the truncation K
-    quad = CosphereQuadrature(n_angles=16.0)
-    assert type(quad.n_angles) is int and quad == CosphereQuadrature(n_angles=16)
-    assert len(quad.nodes(2)[1]) == 16
+    quad = CosphereQuadrature(n_angles=16.0, n_polar=8.0)
+    assert type(quad.n_angles) is int and type(quad.n_polar) is int
+    assert quad == CosphereQuadrature(n_angles=16, n_polar=8)
+    assert len(quad.nodes(2)[1]) == 16 and len(quad.nodes(3)[1]) == 128
 
 
 def test_panel_rejects_non_finite_base_point():
@@ -65,6 +70,15 @@ def test_wrong_shaped_base_point_is_a_dimension_mismatch(twisted_model):
     for x, shape in (([0.1, 0.2, 0.3], "(3,)"), ([[0.1], [0.2]], "(2, 1)")):
         with pytest.raises(DimensionMismatch, match=re.escape(shape)):
             weyl_coefficients(lead, sub, x)
+
+
+def test_model_evaluators_check_the_base_point(twisted_model):
+    # the evaluators, not only the jet that every route reads first
+    lead, sub = twisted_model.symbol_fields()
+    with pytest.raises(DimensionMismatch, match=re.escape("(3,)")):
+        lead(PhasePoint([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
+    with pytest.raises(DimensionMismatch, match=re.escape("(2, 1)")):
+        sub.values(np.array([[0.1], [0.2]]), np.array([[1.0, 0.0]]))
 
 
 def test_sphere_rule_integrates_constants():
